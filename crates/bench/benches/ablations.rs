@@ -4,10 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flash_bench::{bench_network, bench_payment};
-use flash_core::flash::elephant::{self, PathProber, ProbedChannel};
-use flash_core::flash::fees;
+use flash_core::flash::{elephant, fees};
 use flash_core::{FlashConfig, FlashRouter};
-use pcn_graph::{disjoint, yen, Path};
+use pcn_graph::{disjoint, yen};
 use pcn_sim::{Network, Router};
 use pcn_types::{Amount, PaymentClass};
 use std::hint::black_box;
@@ -41,75 +40,6 @@ fn ablation_mice_order(c: &mut Criterion) {
             )
         });
     }
-    group.finish();
-}
-
-/// A prober that answers from a full snapshot without charging per-path
-/// messages — the "probe everything up front" strawman the paper
-/// rejects for its overhead.
-struct SnapshotProber {
-    caps: Vec<Amount>,
-    fees: Vec<pcn_types::FeePolicy>,
-    graph: pcn_graph::DiGraph,
-}
-
-impl PathProber for SnapshotProber {
-    fn probe_path_channels(&mut self, path: &Path) -> Option<Vec<ProbedChannel>> {
-        Some(
-            path.channels()
-                .map(|(u, v)| {
-                    let e = self.graph.edge(u, v).expect("edge");
-                    ProbedChannel {
-                        capacity: self.caps[e.index()],
-                        fee: self.fees[e.index()],
-                        reverse_capacity: None,
-                    }
-                })
-                .collect(),
-        )
-    }
-}
-
-/// Ablation: lazy per-path probing (Flash) vs. snapshot-based search.
-fn ablation_probe_policy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_probe_policy");
-    group.bench_function("lazy_probing", |b| {
-        b.iter_batched(
-            || bench_network(300, 5),
-            |mut net| {
-                let p = bench_payment(&net, 3000, 7);
-                black_box(elephant::find_paths(
-                    &mut net, p.sender, p.receiver, p.amount, 20,
-                ))
-            },
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    group.bench_function("snapshot", |b| {
-        b.iter_batched(
-            || {
-                let net = bench_network(300, 5);
-                let graph = net.graph().clone();
-                let caps: Vec<Amount> = graph.edges().map(|(e, _, _)| net.balance(e)).collect();
-                let fees: Vec<pcn_types::FeePolicy> =
-                    graph.edges().map(|(e, _, _)| net.fee_policy(e)).collect();
-                (net, SnapshotProber { caps, fees, graph })
-            },
-            |(net, mut prober)| {
-                let p = bench_payment(&net, 3000, 7);
-                let g = net.graph().clone();
-                black_box(elephant::find_paths_with(
-                    &g,
-                    &mut prober,
-                    p.sender,
-                    p.receiver,
-                    p.amount,
-                    20,
-                ))
-            },
-            criterion::BatchSize::LargeInput,
-        )
-    });
     group.finish();
 }
 
@@ -168,6 +98,6 @@ fn ablation_fee_split(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = ablation_mice_order, ablation_probe_policy, ablation_pathfind, ablation_fee_split
+    targets = ablation_mice_order, ablation_pathfind, ablation_fee_split
 }
 criterion_main!(benches);

@@ -15,8 +15,8 @@
 //! it is wall-derived).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use flash_core::Scheme;
 use pcn_experiments::harness::{run_scheme_des, DesLoad, DEFAULT_MICE_FRACTION};
-use pcn_experiments::SimScheme;
 use pcn_sim::{ChurnRate, LatencyModel, Network, ServiceModel};
 use pcn_types::Payment;
 use pcn_workload::testbed_topology;
@@ -52,7 +52,7 @@ fn bench_hot_loop(c: &mut Criterion) {
     for _ in 0..RUNS {
         let report = run_scheme_des(
             &net,
-            SimScheme::ShortestPath,
+            Scheme::ShortestPath,
             &trace,
             DEFAULT_MICE_FRACTION,
             SEED + 31,
@@ -74,7 +74,7 @@ fn bench_hot_loop(c: &mut Criterion) {
         b.iter(|| {
             black_box(run_scheme_des(
                 &net,
-                SimScheme::ShortestPath,
+                Scheme::ShortestPath,
                 &trace,
                 DEFAULT_MICE_FRACTION,
                 SEED + 31,
@@ -86,7 +86,7 @@ fn bench_hot_loop(c: &mut Criterion) {
         b.iter(|| {
             black_box(run_scheme_des(
                 &net,
-                SimScheme::Flash,
+                Scheme::Flash,
                 &trace,
                 DEFAULT_MICE_FRACTION,
                 SEED + 31,

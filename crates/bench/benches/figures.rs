@@ -3,13 +3,12 @@
 //! full sweeps are `flash-repro`'s job; see EXPERIMENTS.md.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use flash_core::classify::threshold_for_mice_fraction;
-use pcn_experiments::harness::{run_scheme, Effort, SimScheme, Topo, DEFAULT_MICE_FRACTION};
-use pcn_proto::{Cluster, SchemeKind, TestbedRunner};
-use pcn_types::Amount;
+use flash_core::Scheme;
+use pcn_experiments::harness::{run_scheme, Effort, Topo, DEFAULT_MICE_FRACTION};
+use pcn_scenario::{ScenarioBuilder, TopologySpec, WorkloadSpec};
 use pcn_workload::stats::{daily_recurrence, top_fraction_volume_share};
 use pcn_workload::trace::{generate_trace, TraceConfig};
-use pcn_workload::{testbed_topology, SizeModel};
+use pcn_workload::SizeModel;
 use std::hint::black_box;
 
 fn fig3_size_cdf(c: &mut Criterion) {
@@ -35,7 +34,7 @@ fn fig4_recurrence(c: &mut Criterion) {
 }
 
 /// One (scheme, cell) simulation run shared by the Figures 6–10 benches.
-fn sim_cell(scheme: SimScheme, mice_fraction: f64) -> f64 {
+fn sim_cell(scheme: Scheme, mice_fraction: f64) -> f64 {
     let mut net = Topo::Ripple.build_network(Effort::Quick, 11);
     net.scale_balances(10);
     let trace = Topo::Ripple.build_trace(&net, 120, 13);
@@ -47,10 +46,10 @@ fn sim_cell(scheme: SimScheme, mice_fraction: f64) -> f64 {
 fn fig6_capacity_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig6_cell");
     for scheme in [
-        SimScheme::Flash,
-        SimScheme::Spider,
-        SimScheme::SpeedyMurmurs,
-        SimScheme::ShortestPath,
+        Scheme::Flash,
+        Scheme::Spider,
+        Scheme::SpeedyMurmurs,
+        Scheme::ShortestPath,
     ] {
         group.bench_function(scheme.label(), |b| {
             b.iter(|| black_box(sim_cell(scheme, DEFAULT_MICE_FRACTION)))
@@ -65,7 +64,7 @@ fn fig7_load_sweep(c: &mut Criterion) {
             let mut net = Topo::Ripple.build_network(Effort::Quick, 19);
             net.scale_balances(10);
             let trace = Topo::Ripple.build_trace(&net, 240, 23);
-            black_box(run_scheme(&net, SimScheme::Flash, &trace, 0.9, 29).success_ratio())
+            black_box(run_scheme(&net, Scheme::Flash, &trace, 0.9, 29).success_ratio())
         })
     });
 }
@@ -73,8 +72,8 @@ fn fig7_load_sweep(c: &mut Criterion) {
 fn fig8_probe_overhead(c: &mut Criterion) {
     c.bench_function("fig8_cell_probe_comparison", |b| {
         b.iter(|| {
-            let flash = sim_cell(SimScheme::Flash, DEFAULT_MICE_FRACTION);
-            let spider = sim_cell(SimScheme::Spider, DEFAULT_MICE_FRACTION);
+            let flash = sim_cell(Scheme::Flash, DEFAULT_MICE_FRACTION);
+            let spider = sim_cell(Scheme::Spider, DEFAULT_MICE_FRACTION);
             black_box((flash, spider))
         })
     });
@@ -87,8 +86,8 @@ fn fig9_fee_opt(c: &mut Criterion) {
             net.scale_balances(10);
             let net = pcn_experiments::harness::with_paper_fees(&net, 37);
             let trace = Topo::Ripple.build_trace(&net, 120, 41);
-            let with = run_scheme(&net, SimScheme::Flash, &trace, 0.9, 43);
-            let without = run_scheme(&net, SimScheme::FlashNoFeeOpt, &trace, 0.9, 43);
+            let with = run_scheme(&net, Scheme::Flash, &trace, 0.9, 43);
+            let without = run_scheme(&net, Scheme::FlashNoFeeOpt, &trace, 0.9, 43);
             black_box((with.fee_ratio_percent(), without.fee_ratio_percent()))
         })
     });
@@ -98,7 +97,7 @@ fn fig10_threshold(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig10_cell");
     for frac in [0.0, 0.9] {
         group.bench_function(format!("mice_{}pct", (frac * 100.0) as u32), |b| {
-            b.iter(|| black_box(sim_cell(SimScheme::Flash, frac)))
+            b.iter(|| black_box(sim_cell(Scheme::Flash, frac)))
         });
     }
     group.finish();
@@ -108,33 +107,36 @@ fn fig11_mice_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig11_cell");
     for m in [0usize, 4] {
         group.bench_function(format!("m_{m}"), |b| {
-            b.iter(|| black_box(sim_cell(SimScheme::FlashWithM(m), 1.0)))
+            b.iter(|| black_box(sim_cell(Scheme::FlashWithM(m), 1.0)))
         });
     }
     group.finish();
 }
 
-fn testbed_cell(nodes: usize, scheme: SchemeKind) -> f64 {
-    let topo = testbed_topology(nodes, 1000, 1500, 53);
-    let graph = topo.graph().clone();
-    let balances: Vec<Amount> = graph.edges().map(|(e, _, _)| topo.balance(e)).collect();
-    let cluster = Cluster::launch(graph, &balances).expect("launch");
-    let trace = generate_trace(cluster.graph(), &TraceConfig::ripple(30, 59));
-    let amounts: Vec<Amount> = trace.iter().map(|p| p.amount).collect();
-    let threshold = threshold_for_mice_fraction(&amounts, 0.9);
-    let mut runner = TestbedRunner::new(cluster, scheme, threshold, 61);
-    runner.run_trace(&trace).success_volume.as_units_f64()
+fn testbed_cell(nodes: usize, scheme: Scheme) -> f64 {
+    let report = ScenarioBuilder::new(
+        "bench-cell",
+        TopologySpec::Testbed {
+            n: nodes,
+            lo: 1000,
+            hi: 1500,
+            seed: 53,
+        },
+    )
+    .workload(WorkloadSpec::Ripple { txns: 30, seed: 59 })
+    .scheme(scheme)
+    .seed(61)
+    .build()
+    .run()
+    .expect("scenario run");
+    report.success_volume_micros as f64 / 1e6
 }
 
 fn fig12_testbed50(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig12_cell_20n");
     group.sample_size(10);
-    for scheme in [
-        SchemeKind::Flash,
-        SchemeKind::Spider,
-        SchemeKind::ShortestPath,
-    ] {
-        group.bench_function(scheme.name(), |b| {
+    for scheme in [Scheme::Flash, Scheme::Spider, Scheme::ShortestPath] {
+        group.bench_function(scheme.label(), |b| {
             b.iter(|| black_box(testbed_cell(20, scheme)))
         });
     }
@@ -145,7 +147,7 @@ fn fig13_testbed100(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig13_cell_30n");
     group.sample_size(10);
     group.bench_function("Flash", |b| {
-        b.iter(|| black_box(testbed_cell(30, SchemeKind::Flash)))
+        b.iter(|| black_box(testbed_cell(30, Scheme::Flash)))
     });
     group.finish();
 }

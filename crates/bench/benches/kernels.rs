@@ -32,9 +32,6 @@ fn graph_kernels(c: &mut Criterion) {
     c.bench_function("dinic_500n", |b| {
         b.iter(|| black_box(maxflow::dinic(g, s, t, &caps).value))
     });
-    c.bench_function("dinic_scaling_500n", |b| {
-        b.iter(|| black_box(maxflow::dinic_scaling(g, s, t, &caps).value))
-    });
     c.bench_function("push_relabel_500n", |b| {
         b.iter(|| black_box(maxflow::push_relabel(g, s, t, &caps).value))
     });

@@ -25,11 +25,11 @@
 //! produce byte-identical JSON except for the wall-derived `wall_ns`
 //! field.
 
+use flash_core::Scheme;
 use pcn_experiments::figures::churn::{
     churn_mix, HOP_LATENCY_MS, NODE_SERVICE_MS, OFFERED_LOAD_PPS,
 };
 use pcn_experiments::harness::{run_scheme_des, DesLoad, DEFAULT_MICE_FRACTION};
-use pcn_experiments::SimScheme;
 use pcn_sim::{LatencyModel, ServiceModel};
 use pcn_workload::testbed_topology;
 use pcn_workload::trace::{generate_trace, TraceConfig};
@@ -54,7 +54,7 @@ struct Record {
     wall_ns: u64,
 }
 
-const SCHEMES: [SimScheme; 5] = SimScheme::ALL;
+const SCHEMES: [Scheme; 5] = Scheme::ALL;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

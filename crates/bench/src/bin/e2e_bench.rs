@@ -28,8 +28,8 @@
 //! and `events_per_sec` fields (which is why the gate only *warns* on
 //! `events_per_sec` drops).
 
+use flash_core::Scheme;
 use pcn_experiments::harness::{run_scheme_des, DesLoad, DEFAULT_MICE_FRACTION};
-use pcn_experiments::SimScheme;
 use pcn_sim::{ChurnRate, LatencyModel, ServiceModel};
 use pcn_workload::testbed_topology;
 use pcn_workload::trace::{generate_trace, TraceConfig};
@@ -60,7 +60,7 @@ struct Record {
     events_per_sec: f64,
 }
 
-const SCHEMES: [SimScheme; 5] = SimScheme::ALL;
+const SCHEMES: [Scheme; 5] = Scheme::ALL;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

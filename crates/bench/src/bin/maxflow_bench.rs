@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Times every [`MaxFlowSolver`] kernel (Edmonds–Karp oracle, Dinic,
-//! Dinic + capacity scaling, push-relabel) over a fixed set of
+//! push-relabel) over a fixed set of
 //! source/sink pairs on the Watts–Strogatz testbed family and the
 //! scale-free Ripple/Lightning stand-ins, cross-checks that all kernels
 //! report identical flow values (a differential test at bench scale),
@@ -39,7 +39,7 @@ struct Record {
 }
 
 /// Deterministic capacities spanning several orders of magnitude (the
-/// satoshi-vs-dollar spread that motivates capacity scaling).
+/// satoshi-vs-dollar spread).
 fn capacities(g: &DiGraph) -> Vec<u64> {
     (0..g.edge_count() as u64)
         .map(|i| 1 + (i.wrapping_mul(2_654_435_761) % 1_000_000))
@@ -124,8 +124,7 @@ fn main() {
     };
     let solvers: Vec<Box<dyn MaxFlowSolver>> = vec![
         Box::new(EdmondsKarp),
-        Box::new(Dinic::new()),
-        Box::new(Dinic::with_capacity_scaling()),
+        Box::new(Dinic),
         Box::new(PushRelabel),
     ];
 

@@ -22,7 +22,7 @@
 //! wall-derived `events_per_sec`/`wall_ns` fields vary run to run and
 //! only ever warn in the gate.
 
-use pcn_proto::SchemeKind;
+use flash_core::Scheme;
 use pcn_scenario::{Invariant, ScenarioBuilder, TopologySpec, WorkloadSpec};
 use serde::Serialize;
 
@@ -73,10 +73,10 @@ fn main() {
     // Both modes include the 200-node single-process scale point the
     // gate requires; full scale adds the remaining schemes and longer
     // traces.
-    let schemes: &[SchemeKind] = if smoke {
-        &[SchemeKind::ShortestPath, SchemeKind::Flash]
+    let schemes: &[Scheme] = if smoke {
+        &[Scheme::ShortestPath, Scheme::Flash]
     } else {
-        &SchemeKind::ALL
+        &Scheme::ALL
     };
     let scales: &[(usize, usize)] = if smoke {
         &[(60, 120), (200, 60)]
@@ -90,7 +90,7 @@ fn main() {
         for &(nodes, payments) in scales {
             let wall_start = pcn_proto::wall_now();
             let report = ScenarioBuilder::new(
-                format!("bench-{}-{}n", scheme.name(), nodes),
+                format!("bench-{}-{}n", scheme.label(), nodes),
                 TopologySpec::Testbed {
                     n: nodes,
                     lo: 1000,

@@ -408,8 +408,8 @@ fn testbed_record(scheme: &str, nodes: usize, ratio: f64, wire_in: u64, wire_out
 /// single-process record.
 fn healthy_testbed() -> String {
     array(&[
-        testbed_record("SP", 60, 0.70, 2000, 2000),
-        testbed_record("SP", 200, 0.65, 2600, 2600),
+        testbed_record("Shortest Path", 60, 0.70, 2000, 2000),
+        testbed_record("Shortest Path", 200, 0.65, 2600, 2600),
     ])
 }
 
@@ -418,15 +418,15 @@ fn testbed_gate_passes_a_healthy_trajectory() {
     let h = healthy_testbed();
     let report = gate_testbed(&h, &h).expect("parses");
     assert!(report.passed(), "{:#?}", report.findings);
-    assert!(report.table.contains("SP"));
+    assert!(report.table.contains("Shortest Path"));
 }
 
 #[test]
 fn testbed_gate_fails_a_success_regression_over_25_percent() {
     let base = healthy_testbed();
     let cand = array(&[
-        testbed_record("SP", 60, 0.50, 2000, 2000), // -29% vs baseline 0.70
-        testbed_record("SP", 200, 0.65, 2600, 2600),
+        testbed_record("Shortest Path", 60, 0.50, 2000, 2000), // -29% vs baseline 0.70
+        testbed_record("Shortest Path", 200, 0.65, 2600, 2600),
     ]);
     let report = gate_testbed(&base, &cand).expect("parses");
     assert!(!report.passed());
@@ -442,8 +442,8 @@ fn testbed_gate_fails_wire_frame_loss_even_against_itself() {
     // cluster; a plain diff against an equally broken baseline is
     // clean, so this must fail as physically suspicious.
     let lossy = array(&[
-        testbed_record("SP", 60, 0.70, 1990, 2000),
-        testbed_record("SP", 200, 0.65, 2600, 2600),
+        testbed_record("Shortest Path", 60, 0.70, 1990, 2000),
+        testbed_record("Shortest Path", 200, 0.65, 2600, 2600),
     ]);
     let report = gate_testbed(&lossy, &lossy).expect("parses");
     assert!(!report.passed());
@@ -466,7 +466,7 @@ fn testbed_gate_fails_unsettled_escrow() {
 
 #[test]
 fn testbed_gate_requires_the_200_node_scale_record() {
-    let small_only = array(&[testbed_record("SP", 60, 0.70, 2000, 2000)]);
+    let small_only = array(&[testbed_record("Shortest Path", 60, 0.70, 2000, 2000)]);
     let report = gate_testbed(&small_only, &small_only).expect("parses");
     assert!(!report.passed());
     assert!(report

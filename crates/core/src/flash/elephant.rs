@@ -12,47 +12,8 @@
 use pcn_graph::{bfs, DiGraph, EdgeId, Path};
 use pcn_sim::PaymentNetwork;
 use pcn_types::{Amount, FeePolicy, NodeId};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-
-/// Probed state of one hop, backend-agnostic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProbedChannel {
-    /// Balance of the forward direction.
-    pub capacity: Amount,
-    /// Fee policy of the forward direction.
-    pub fee: FeePolicy,
-    /// Balance of the reverse direction when the probe collected it
-    /// (the simulator's PROBE_ACK does; the TCP prototype's does not).
-    pub reverse_capacity: Option<Amount>,
-}
-
-/// A probing backend for Algorithm 1. Every [`PaymentNetwork`] — the
-/// simulator, the TCP testbed — gets this for free via the blanket impl
-/// below, so both evaluations run the identical path-finding code;
-/// standalone impls (snapshot probers in benches, mocks in tests) remain
-/// possible for harnesses that are not full payment networks.
-pub trait PathProber {
-    /// Probes every channel on `path`, sender → receiver order. `None`
-    /// means the probe was lost (fault injection / transport failure).
-    fn probe_path_channels(&mut self, path: &Path) -> Option<Vec<ProbedChannel>>;
-}
-
-impl<N: PaymentNetwork> PathProber for N {
-    fn probe_path_channels(&mut self, path: &Path) -> Option<Vec<ProbedChannel>> {
-        let report = self.probe_path(path)?;
-        Some(
-            report
-                .channels
-                .iter()
-                .map(|c| ProbedChannel {
-                    capacity: c.capacity,
-                    fee: c.fee,
-                    reverse_capacity: c.reverse.map(|(_, cap)| cap),
-                })
-                .collect(),
-        )
-    }
-}
 
 /// The outcome of the path-finding phase for one elephant payment.
 #[derive(Clone, Debug)]
@@ -60,6 +21,9 @@ pub struct ElephantPlan {
     /// Candidate paths in discovery (BFS-shortest-first) order — the
     /// path set `P` of Algorithm 1.
     pub paths: Vec<Path>,
+    /// `path_edges[i]` holds the edge ids of `paths[i]`, sender →
+    /// receiver, as the probe reported them.
+    pub path_edges: Vec<Vec<EdgeId>>,
     /// Probed channel capacities `C` (first-probe values) for every
     /// channel seen on any candidate path, both directions.
     pub capacities: HashMap<EdgeId, Amount>,
@@ -73,7 +37,10 @@ pub struct ElephantPlan {
 }
 
 /// Runs Algorithm 1: finds at most `k` paths from `s` to `t` whose
-/// combined (residual) flow attempts to cover `demand`.
+/// combined (residual) flow attempts to cover `demand`. `net.graph()`
+/// is the locally known topology; [`PaymentNetwork::probe_path`]
+/// supplies balances one path at a time, so the simulator and the TCP
+/// testbed run the identical path-finding code.
 ///
 /// Unlike the paper's pseudocode — which returns `∅` when the demand is
 /// unmet — the full plan is always returned so callers can distinguish
@@ -87,23 +54,9 @@ pub fn find_paths<N: PaymentNetwork>(
     demand: Amount,
     k: usize,
 ) -> ElephantPlan {
-    let graph = net.graph().clone();
-    find_paths_with(&graph, net, s, t, demand, k)
-}
-
-/// Backend-generic Algorithm 1 (see [`find_paths`]). `graph` is the
-/// locally known topology; `prober` supplies balances one path at a
-/// time.
-pub fn find_paths_with(
-    graph: &DiGraph,
-    prober: &mut impl PathProber,
-    s: NodeId,
-    t: NodeId,
-    demand: Amount,
-    k: usize,
-) -> ElephantPlan {
     let mut plan = ElephantPlan {
         paths: Vec::new(),
+        path_edges: Vec::new(),
         capacities: HashMap::new(),
         fees: HashMap::new(),
         max_flow: Amount::ZERO,
@@ -116,66 +69,59 @@ pub fn find_paths_with(
 
     while plan.paths.len() < k {
         // BFS on G with residual filter (line 7).
-        let path =
-            bfs::shortest_path_filtered(graph, s, t, |e| residual.get(&e).is_none_or(|r| *r > 0));
+        let path = bfs::shortest_path_filtered(net.graph(), s, t, |e| {
+            residual.get(&e).is_none_or(|r| *r > 0)
+        });
         let Some(path) = path else {
             break; // line 9: no more augmenting paths
         };
 
         // Probe each channel on the path (line 11).
         plan.probes += 1;
-        let Some(report) = prober.probe_path_channels(&path) else {
+        let Some(report) = net.probe_path(&path) else {
             // Probe lost (fault injection): we learned nothing; banning
             // the first hop forces BFS onto a different route rather
             // than looping forever on the same unprobeable path.
-            let first = graph
-                .edge(path.nodes()[0], path.nodes()[1])
-                // pcn-lint: allow(panic) — the path was produced by BFS over this same graph
-                .expect("BFS path edge must exist");
+            let Some(first) = net.graph().edge(path.nodes()[0], path.nodes()[1]) else {
+                break; // BFS walked this edge, so the lookup cannot miss
+            };
             residual.insert(first, 0);
             continue;
         };
 
         // Record first-probe capacities for both directions (lines 17–22).
-        for ((u, v), info) in path.channels().zip(&report) {
-            // pcn-lint: allow(panic) — the path was produced by BFS over this same graph
-            let e = graph.edge(u, v).expect("path edge must exist");
-            plan.capacities.entry(e).or_insert_with(|| {
-                residual.insert(e, info.capacity.micros() as u128);
-                info.capacity
-            });
-            plan.fees.entry(e).or_insert(info.fee);
-            if let (Some(rev), Some(rcap)) = (graph.reverse_edge(e), info.reverse_capacity) {
-                plan.capacities.entry(rev).or_insert_with(|| {
+        for c in &report.channels {
+            if let Entry::Vacant(slot) = plan.capacities.entry(c.edge) {
+                slot.insert(c.capacity);
+                residual.insert(c.edge, c.capacity.micros() as u128);
+            }
+            plan.fees.entry(c.edge).or_insert(c.fee);
+            if let Some((rev, rcap)) = c.reverse {
+                if let Entry::Vacant(slot) = plan.capacities.entry(rev) {
+                    slot.insert(rcap);
                     residual.insert(rev, rcap.micros() as u128);
-                    rcap
-                });
+                }
             }
         }
+        let edges: Vec<EdgeId> = report.channels.iter().map(|c| c.edge).collect();
 
         // Bottleneck over *residual* capacities (line 12; the residual
         // matrix is what BFS searched, so it is what bounds this path).
-        let bottleneck = path
-            .channels()
-            .map(|(u, v)| {
-                // pcn-lint: allow(panic) — BFS path edge; residual inserted at first probe above
-                let e = graph.edge(u, v).expect("path edge must exist");
-                *residual.get(&e).expect("probed edge has residual") // pcn-lint: allow(panic) — inserted when the capacity was recorded
-            })
+        // Every edge got its residual when its capacity was recorded.
+        let bottleneck = edges
+            .iter()
+            .map(|e| residual.get(e).copied().unwrap_or(0))
             .min()
             .unwrap_or(0);
-
-        plan.paths.push(path.clone());
 
         if bottleneck > 0 {
             // Push flow: decrease forward residuals, increase reverse
             // (lines 23–24).
-            for (u, v) in path.channels() {
-                // pcn-lint: allow(panic) — BFS path edge; residual inserted at first probe above
-                let e = graph.edge(u, v).expect("path edge must exist");
-                *residual.get_mut(&e).expect("probed") -= bottleneck; // pcn-lint: allow(panic) — inserted when the capacity was recorded
-
-                if let Some(rev) = graph.reverse_edge(e) {
+            for &e in &edges {
+                if let Some(r) = residual.get_mut(&e) {
+                    *r -= bottleneck;
+                }
+                if let Some(rev) = net.graph().reverse_edge(e) {
                     if let Some(r) = residual.get_mut(&rev) {
                         *r += bottleneck;
                     }
@@ -190,6 +136,8 @@ pub fn find_paths_with(
         // possible, though rare, that our algorithm finds a path but its
         // effective capacity is zero after probing") — the BFS filter
         // will route around its dead edge next iteration.
+        plan.paths.push(path);
+        plan.path_edges.push(edges);
 
         if plan.max_flow >= demand {
             break; // line 25: demand satisfied

@@ -46,6 +46,7 @@ pub fn split_payment(
     if plan.paths.is_empty() {
         return None;
     }
+    debug_assert_eq!(plan.paths.len(), plan.path_edges.len());
     let alloc = if optimize {
         lp_allocate(graph, plan, demand).or_else(|| sequential_allocate(graph, plan, demand))?
     } else {
@@ -58,20 +59,19 @@ pub fn split_payment(
     materialize(graph, plan, &alloc, demand)
 }
 
-/// Marginal fee cost of one micro-unit on `path`, in ppm, with a small
-/// per-hop tie-break so equal-fee splits prefer shorter paths.
-fn path_unit_cost(graph: &DiGraph, plan: &ElephantPlan, path: &Path) -> f64 {
+/// Marginal fee cost of one micro-unit on a path with these `edges`, in
+/// ppm, with a small per-hop tie-break so equal-fee splits prefer
+/// shorter paths.
+fn path_unit_cost(plan: &ElephantPlan, edges: &[EdgeId]) -> f64 {
     let mut ppm = 0.0f64;
-    for (u, v) in path.channels() {
-        // pcn-lint: allow(panic) — plan paths were discovered over this same graph
-        let e = graph.edge(u, v).expect("plan path edge must exist");
+    for e in edges {
         ppm += plan
             .fees
-            .get(&e)
+            .get(e)
             .map(|f| f.marginal_ppm() as f64)
             .unwrap_or(0.0);
     }
-    ppm / 1e6 + 1e-9 * path.hops() as f64
+    ppm / 1e6 + 1e-9 * edges.len() as f64
 }
 
 /// Residual capacity of edge `e` given gross per-edge flows: probed
@@ -91,36 +91,41 @@ fn residual(
     (c + rev).saturating_sub(fwd)
 }
 
+/// How much more of `want` fits on a path with these `edges` given the
+/// gross flows already placed; books it into `flow` and returns it.
+fn fill_path(
+    edges: &[EdgeId],
+    want: u64,
+    graph: &DiGraph,
+    plan: &ElephantPlan,
+    flow: &mut HashMap<EdgeId, u128>,
+) -> u64 {
+    let bottleneck = edges
+        .iter()
+        .map(|&e| residual(e, graph, &plan.capacities, flow))
+        .min()
+        .unwrap_or(0);
+    let x = u64::try_from(bottleneck).unwrap_or(u64::MAX).min(want);
+    if x > 0 {
+        for &e in edges {
+            *flow.entry(e).or_insert(0) += x as u128;
+        }
+    }
+    x
+}
+
 /// Sequential fill in discovery order — the non-optimized baseline and
 /// the fallback when the LP hits a numerically degenerate corner.
 fn sequential_allocate(graph: &DiGraph, plan: &ElephantPlan, demand: Amount) -> Option<Vec<u64>> {
     let mut flow: HashMap<EdgeId, u128> = HashMap::new();
     let mut alloc = vec![0u64; plan.paths.len()];
-    let mut remaining = demand.micros() as u128;
-    for (i, path) in plan.paths.iter().enumerate() {
+    let mut remaining = demand.micros();
+    for (slot, edges) in alloc.iter_mut().zip(&plan.path_edges) {
         if remaining == 0 {
             break;
         }
-        let bottleneck = path
-            .channels()
-            .map(|(u, v)| {
-                // pcn-lint: allow(panic) — plan paths were discovered over this same graph
-                let e = graph.edge(u, v).expect("plan path edge must exist");
-                residual(e, graph, &plan.capacities, &flow)
-            })
-            .min()
-            .unwrap_or(0);
-        let x = bottleneck.min(remaining);
-        if x == 0 {
-            continue;
-        }
-        for (u, v) in path.channels() {
-            let e = graph.edge(u, v).unwrap(); // pcn-lint: allow(panic) — plan path edges exist in the discovery graph
-            *flow.entry(e).or_insert(0) += x;
-        }
-        // pcn-lint: allow(panic) — x ≤ remaining ≤ demand.micros(), which is u64
-        alloc[i] = u64::try_from(x).expect("allocation bounded by u64 demand");
-        remaining -= x;
+        *slot = fill_path(edges, remaining, graph, plan, &mut flow);
+        remaining -= *slot;
     }
     (remaining == 0).then_some(alloc)
 }
@@ -129,9 +134,9 @@ fn sequential_allocate(graph: &DiGraph, plan: &ElephantPlan, demand: Amount) -> 
 fn lp_allocate(graph: &DiGraph, plan: &ElephantPlan, demand: Amount) -> Option<Vec<u64>> {
     let np = plan.paths.len();
     let costs: Vec<f64> = plan
-        .paths
+        .path_edges
         .iter()
-        .map(|p| path_unit_cost(graph, plan, p))
+        .map(|edges| path_unit_cost(plan, edges))
         .collect();
     let mut lp = LinearProgram::minimize(costs.clone());
 
@@ -143,29 +148,23 @@ fn lp_allocate(graph: &DiGraph, plan: &ElephantPlan, demand: Amount) -> Option<V
     let mut edges: Vec<EdgeId> = Vec::new();
     {
         let mut seen = std::collections::HashSet::new();
-        for p in &plan.paths {
-            for (u, v) in p.channels() {
-                let e = graph.edge(u, v).unwrap(); // pcn-lint: allow(panic) — plan path edges exist in the discovery graph
-                if seen.insert(e) {
-                    edges.push(e);
-                }
+        for &e in plan.path_edges.iter().flatten() {
+            if seen.insert(e) {
+                edges.push(e);
             }
         }
     }
     for &e in &edges {
         let rev = graph.reverse_edge(e);
         let mut row = vec![0.0f64; np];
-        for (i, p) in plan.paths.iter().enumerate() {
-            let mut coef = 0.0;
-            for (u, v) in p.channels() {
-                let pe = graph.edge(u, v).unwrap(); // pcn-lint: allow(panic) — plan path edges exist in the discovery graph
+        for (coef, path_edges) in row.iter_mut().zip(&plan.path_edges) {
+            for &pe in path_edges {
                 if pe == e {
-                    coef += 1.0;
+                    *coef += 1.0;
                 } else if Some(pe) == rev {
-                    coef -= 1.0;
+                    *coef -= 1.0;
                 }
             }
-            row[i] = coef;
         }
         let cap = plan
             .capacities
@@ -185,14 +184,13 @@ fn lp_allocate(graph: &DiGraph, plan: &ElephantPlan, demand: Amount) -> Option<V
         .map(|&v| if v <= 0.0 { 0 } else { v.floor() as u64 })
         .collect();
     let mut flow: HashMap<EdgeId, u128> = HashMap::new();
-    for (i, p) in plan.paths.iter().enumerate() {
-        for (u, v) in p.channels() {
-            let e = graph.edge(u, v).unwrap(); // pcn-lint: allow(panic) — plan path edges exist in the discovery graph
-            *flow.entry(e).or_insert(0) += alloc[i] as u128;
+    for (&a, path_edges) in alloc.iter().zip(&plan.path_edges) {
+        for &e in path_edges {
+            *flow.entry(e).or_insert(0) += a as u128;
         }
     }
-    let assigned: u128 = alloc.iter().map(|a| *a as u128).sum();
-    let mut rem = (demand.micros() as u128).checked_sub(assigned)?;
+    let assigned = alloc.iter().try_fold(0u64, |sum, &a| sum.checked_add(a))?;
+    let mut rem = demand.micros().checked_sub(assigned)?;
     if rem > 0 {
         let mut order: Vec<usize> = (0..np).collect();
         order.sort_by(|&a, &b| costs[a].total_cmp(&costs[b]));
@@ -200,25 +198,9 @@ fn lp_allocate(graph: &DiGraph, plan: &ElephantPlan, demand: Amount) -> Option<V
             if rem == 0 {
                 break;
             }
-            let addable = plan.paths[i]
-                .channels()
-                .map(|(u, v)| {
-                    let e = graph.edge(u, v).unwrap(); // pcn-lint: allow(panic) — plan path edges exist in the discovery graph
-                    residual(e, graph, &plan.capacities, &flow)
-                })
-                .min()
-                .unwrap_or(0)
-                .min(rem);
-            if addable == 0 {
-                continue;
-            }
-            for (u, v) in plan.paths[i].channels() {
-                let e = graph.edge(u, v).unwrap(); // pcn-lint: allow(panic) — plan path edges exist in the discovery graph
-                *flow.entry(e).or_insert(0) += addable;
-            }
-            // pcn-lint: allow(panic) — addable ≤ rem ≤ demand.micros(), which is u64
-            alloc[i] += u64::try_from(addable).unwrap();
-            rem -= addable;
+            let added = fill_path(&plan.path_edges[i], rem, graph, plan, &mut flow);
+            alloc[i] += added;
+            rem -= added;
         }
     }
     (rem == 0).then_some(alloc)
@@ -234,12 +216,11 @@ fn materialize(
     demand: Amount,
 ) -> Option<Vec<(Path, Amount)>> {
     let mut edge_flow = vec![0u64; graph.edge_count()];
-    for (path, &a) in plan.paths.iter().zip(alloc) {
+    for (path_edges, &a) in plan.path_edges.iter().zip(alloc) {
         if a == 0 {
             continue;
         }
-        for (u, v) in path.channels() {
-            let e = graph.edge(u, v).unwrap(); // pcn-lint: allow(panic) — plan path edges exist in the discovery graph
+        for e in path_edges {
             edge_flow[e.index()] = edge_flow[e.index()].checked_add(a)?;
         }
     }
@@ -279,9 +260,7 @@ pub fn evaluate_fees(graph: &DiGraph, plan: &ElephantPlan, parts: &[(Path, Amoun
     let mut total = Amount::ZERO;
     for (path, amount) in parts {
         for (u, v) in path.channels() {
-            // pcn-lint: allow(panic) — parts are decomposed from flows on this same graph
-            let e = graph.edge(u, v).expect("part path edge must exist");
-            if let Some(fee) = plan.fees.get(&e) {
+            if let Some(fee) = graph.edge(u, v).and_then(|e| plan.fees.get(&e)) {
                 total = total.saturating_add(fee.fee(*amount));
             }
         }
@@ -296,6 +275,13 @@ mod tests {
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
+    }
+
+    fn edges_of(g: &DiGraph, paths: &[Path]) -> Vec<Vec<EdgeId>> {
+        paths
+            .iter()
+            .map(|p| p.channels().map(|(u, v)| g.edge(u, v).unwrap()).collect())
+            .collect()
     }
 
     /// Hand-built plan over a diamond: cheap path 0-1-3 (cap 10),
@@ -316,8 +302,10 @@ mod tests {
         }
         let p1 = Path::new(vec![n(0), n(1), n(3)], Some(&g)).unwrap();
         let p2 = Path::new(vec![n(0), n(2), n(3)], Some(&g)).unwrap();
+        let paths = vec![p2, p1]; // discovery order: expensive first
         let plan = ElephantPlan {
-            paths: vec![p2.clone(), p1.clone()], // discovery order: expensive first
+            path_edges: edges_of(&g, &paths),
+            paths,
             capacities: caps,
             fees,
             max_flow: Amount::from_units(20),
@@ -429,8 +417,10 @@ mod tests {
         fees.insert(e32, FeePolicy::FREE);
         let p1 = Path::new(vec![n(0), n(1), n(2)], Some(&g)).unwrap();
         let p2 = Path::new(vec![n(0), n(1), n(3), n(2)], Some(&g)).unwrap();
+        let paths = vec![p1, p2];
         let plan = ElephantPlan {
-            paths: vec![p1, p2],
+            path_edges: edges_of(&g, &paths),
+            paths,
             capacities: caps.clone(),
             fees,
             max_flow: Amount::from_units(12),

@@ -15,6 +15,8 @@
 //! * [`SpeedyMurmursRouter`] (§4.1 benchmark): static embedding-based
 //!   routing with 3 landmark spanning trees.
 //! * [`ShortestPathRouter`] (§4.1 baseline): single fewest-hops path.
+//! * [`Scheme`]: the one registry naming these schemes and building
+//!   their routers for any [`pcn_sim::PaymentNetwork`] backend.
 //! * [`classify`]: elephant/mice threshold selection ("The elephant-mice
 //!   threshold is set such that 90% of payments are mice").
 
@@ -27,12 +29,14 @@
 pub mod classify;
 pub mod flash;
 pub mod rebalance;
+pub mod scheme;
 pub mod shortest;
 pub mod silentwhispers;
 pub mod speedymurmurs;
 pub mod spider;
 
 pub use flash::{FlashConfig, FlashRouter};
+pub use scheme::Scheme;
 pub use shortest::ShortestPathRouter;
 pub use silentwhispers::SilentWhispersRouter;
 pub use speedymurmurs::SpeedyMurmursRouter;

@@ -17,14 +17,15 @@
 //! fall monotonically with the rate — the shape `bench_gate churn`
 //! enforces on the committed `BENCH_churn.json`.
 
-use crate::harness::{run_scheme_des, DesLoad, Effort, SimScheme, DEFAULT_MICE_FRACTION};
+use crate::harness::{run_scheme_des, DesLoad, Effort, DEFAULT_MICE_FRACTION};
 use crate::report::{FigureResult, Series};
+use flash_core::Scheme;
 use pcn_sim::{ChurnRate, LatencyModel, ServiceModel, SimTime};
 use pcn_workload::testbed_topology;
 use pcn_workload::trace::{generate_trace, TraceConfig};
 
 /// All five schemes, exactly as they run on the other two backends.
-pub const SCHEMES: [SimScheme; 5] = SimScheme::ALL;
+pub const SCHEMES: [Scheme; 5] = Scheme::ALL;
 
 /// Per-hop propagation latency, matching the load sweep.
 pub const HOP_LATENCY_MS: u64 = 25;

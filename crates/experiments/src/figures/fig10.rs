@@ -2,8 +2,9 @@
 //! and probing messages as the percentage of payments classified as
 //! mice sweeps 0% → 100%.
 
-use crate::harness::{run_scheme, Effort, SimScheme, Topo};
+use crate::harness::{run_scheme, Effort, Topo};
 use crate::report::{FigureResult, Series};
+use flash_core::Scheme;
 
 /// Regenerates Figures 10a (Ripple) and 10b (Lightning).
 pub fn run(effort: Effort) -> Vec<FigureResult> {
@@ -30,7 +31,7 @@ pub fn run(effort: Effort) -> Vec<FigureResult> {
                 let mut net = topo.build_network(effort, seed);
                 net.scale_balances(10);
                 let trace = topo.build_trace(&net, effort.txns(), seed + 61);
-                let m = run_scheme(&net, SimScheme::Flash, &trace, frac, seed);
+                let m = run_scheme(&net, Scheme::Flash, &trace, frac, seed);
                 vol_acc += m.success_volume().as_units_f64();
                 probe_acc += m.probe_messages as f64;
             }

@@ -13,9 +13,10 @@
 //! incrementally across sends). The tests below pin that bound against
 //! the pristine network and check the kernels agree on it.
 
-use crate::harness::{run_scheme, Effort, SimScheme, Topo, DEFAULT_MICE_FRACTION};
+use crate::harness::{run_scheme, Effort, Topo, DEFAULT_MICE_FRACTION};
 use crate::report::{FigureResult, Series};
 use flash_core::classify::threshold_for_mice_fraction;
+use flash_core::Scheme;
 use pcn_types::Amount;
 
 /// Regenerates Figures 11a and 11b.
@@ -54,7 +55,7 @@ pub fn run(effort: Effort) -> Vec<FigureResult> {
                 .filter(|p| p.classify(threshold).is_mice())
                 .copied()
                 .collect();
-            let metrics = run_scheme(&net, SimScheme::FlashWithM(m), &mice_trace, 1.0, seed);
+            let metrics = run_scheme(&net, Scheme::FlashWithM(m), &mice_trace, 1.0, seed);
             vol_acc += metrics.success_volume().as_units_f64();
             probe_acc += metrics.probe_messages as f64;
         }
@@ -97,11 +98,7 @@ mod tests {
         let mut warm = WarmFlowBound::new();
         for p in trace.iter().take(4) {
             let oracle = EdmondsKarp.max_flow(g, p.sender, p.receiver, &caps).value;
-            let solvers: [Box<dyn MaxFlowSolver>; 3] = [
-                Box::new(Dinic::new()),
-                Box::new(Dinic::with_capacity_scaling()),
-                Box::new(PushRelabel),
-            ];
+            let solvers: [Box<dyn MaxFlowSolver>; 2] = [Box::new(Dinic), Box::new(PushRelabel)];
             for solver in solvers {
                 assert_eq!(
                     solver.max_flow(g, p.sender, p.receiver, &caps).value,
@@ -123,7 +120,7 @@ mod tests {
         // First payment against pristine balances: delivered ≤ max-flow.
         let first = trace[0];
         let bound = static_max_flow(&net, first.sender, first.receiver);
-        let metrics = run_scheme(&net, SimScheme::FlashWithM(0), &trace[..1], 1.0, 600);
+        let metrics = run_scheme(&net, Scheme::FlashWithM(0), &trace[..1], 1.0, 600);
         assert!(
             metrics.success_volume() <= bound.min(first.amount),
             "m = 0 delivered {} above the max-flow bound {bound}",

@@ -32,13 +32,17 @@ mod tests {
         let vol = &figs[0];
         for i in 0..3 {
             let f = vol.series("Flash").unwrap().y_at(i as f64).unwrap();
-            let sp = vol.series("SP").unwrap().y_at(i as f64).unwrap();
+            let sp = vol.series("Shortest Path").unwrap().y_at(i as f64).unwrap();
             assert!(f >= sp * 0.8, "interval {i}: Flash {f} ≪ SP {sp}");
         }
         // SP's normalized delay is 1 by construction.
         let delay = &figs[2];
         for i in 0..3 {
-            let sp = delay.series("SP").unwrap().y_at(i as f64).unwrap();
+            let sp = delay
+                .series("Shortest Path")
+                .unwrap()
+                .y_at(i as f64)
+                .unwrap();
             assert!((sp - 1.0).abs() < 1e-6);
         }
         // Message breakdown: the static schemes send commit traffic but
@@ -46,7 +50,11 @@ mod tests {
         let msgs = &figs[4];
         for i in 0..3 {
             let f = msgs.series("Flash").unwrap().y_at(i as f64).unwrap();
-            let sp = msgs.series("SP").unwrap().y_at(i as f64).unwrap();
+            let sp = msgs
+                .series("Shortest Path")
+                .unwrap()
+                .y_at(i as f64)
+                .unwrap();
             assert!(sp > 0.0, "SP sends commit messages");
             assert!(f >= sp, "interval {i}: Flash messages {f} < SP {sp}");
         }

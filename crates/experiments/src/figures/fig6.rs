@@ -1,15 +1,16 @@
 //! Figure 6: success ratio and success volume vs. capacity scale factor
 //! (1–60), Ripple and Lightning, 2,000 transactions, four schemes.
 
-use crate::harness::{run_scheme, Effort, SimScheme, Topo, DEFAULT_MICE_FRACTION};
+use crate::harness::{run_scheme, Effort, Topo, DEFAULT_MICE_FRACTION};
 use crate::report::{FigureResult, Series};
+use flash_core::Scheme;
 
 /// Schemes compared in Figures 6 and 7.
-pub const SCHEMES: [SimScheme; 4] = [
-    SimScheme::Flash,
-    SimScheme::Spider,
-    SimScheme::SpeedyMurmurs,
-    SimScheme::ShortestPath,
+pub const SCHEMES: [Scheme; 4] = [
+    Scheme::Flash,
+    Scheme::Spider,
+    Scheme::SpeedyMurmurs,
+    Scheme::ShortestPath,
 ];
 
 /// Regenerates Figures 6a–6d.

@@ -2,8 +2,9 @@
 //! transactions, capacity scale factor 10). SpeedyMurmurs and SP are
 //! static schemes with zero probes and are excluded, as in the paper.
 
-use crate::harness::{run_scheme, Effort, SimScheme, Topo, DEFAULT_MICE_FRACTION};
+use crate::harness::{run_scheme, Effort, Topo, DEFAULT_MICE_FRACTION};
 use crate::report::{FigureResult, Series};
+use flash_core::Scheme;
 
 /// Regenerates Figures 8a (Ripple) and 8b (Lightning). X encodes the
 /// scheme index (0 = Flash, 1 = Spider) since the paper plots bars.
@@ -16,7 +17,7 @@ pub fn run(effort: Effort) -> Vec<FigureResult> {
             "scheme (0=Flash, 1=Spider)",
             "number of probing messages",
         );
-        for (x, scheme) in [(0.0, SimScheme::Flash), (1.0, SimScheme::Spider)] {
+        for (x, scheme) in [(0.0, Scheme::Flash), (1.0, Scheme::Spider)] {
             let runs = effort.runs();
             let mut acc = 0.0;
             for r in 0..runs {

@@ -3,8 +3,9 @@
 //! 2,000 / 4,000 transactions, with the paper's fee distribution (90%
 //! of channels at 0.1–1%, 10% at 1–10%).
 
-use crate::harness::{run_scheme, with_paper_fees, Effort, SimScheme, Topo, DEFAULT_MICE_FRACTION};
+use crate::harness::{run_scheme, with_paper_fees, Effort, Topo, DEFAULT_MICE_FRACTION};
 use crate::report::{FigureResult, Series};
+use flash_core::Scheme;
 
 /// Regenerates Figures 9a (Lightning) and 9b (Ripple).
 pub fn run(effort: Effort) -> Vec<FigureResult> {
@@ -32,11 +33,10 @@ pub fn run(effort: Effort) -> Vec<FigureResult> {
                 net.scale_balances(10);
                 let net = with_paper_fees(&net, seed + 5);
                 let trace = topo.build_trace(&net, txns, seed + 51);
-                let m_with =
-                    run_scheme(&net, SimScheme::Flash, &trace, DEFAULT_MICE_FRACTION, seed);
+                let m_with = run_scheme(&net, Scheme::Flash, &trace, DEFAULT_MICE_FRACTION, seed);
                 let m_without = run_scheme(
                     &net,
-                    SimScheme::FlashNoFeeOpt,
+                    Scheme::FlashNoFeeOpt,
                     &trace,
                     DEFAULT_MICE_FRACTION,
                     seed,

@@ -29,14 +29,15 @@
 //! even recorded bit-identical percentiles at 50 and 400 pps, which is
 //! exactly the physical suspicion the CI `bench_gate` now rejects.)
 
-use crate::harness::{run_scheme_des, DesLoad, Effort, SimScheme, DEFAULT_MICE_FRACTION};
+use crate::harness::{run_scheme_des, DesLoad, Effort, DEFAULT_MICE_FRACTION};
 use crate::report::{FigureResult, Series};
+use flash_core::Scheme;
 use pcn_sim::{ChurnRate, LatencyModel, ServiceModel};
 use pcn_workload::testbed_topology;
 use pcn_workload::trace::{generate_trace, TraceConfig};
 
 /// All five schemes, exactly as they run on the other two backends.
-pub const SCHEMES: [SimScheme; 5] = SimScheme::ALL;
+pub const SCHEMES: [Scheme; 5] = Scheme::ALL;
 
 /// Per-hop message *propagation* latency of the sweep: 25ms, the order
 /// the paper's LAN testbed measures per-hop processing in (§5.2).

@@ -12,7 +12,7 @@
 
 use crate::harness::Effort;
 use crate::report::{FigureResult, Series};
-use pcn_proto::SchemeKind;
+use flash_core::Scheme;
 use pcn_scenario::{Invariant, ScenarioBuilder, TopologySpec, WorkloadSpec};
 use pcn_workload::testbed_topology;
 use pcn_workload::trace::{generate_trace, TraceConfig};
@@ -22,7 +22,13 @@ pub const CAPACITY_INTERVALS: [(u64, u64); 3] = [(1000, 1500), (1500, 2000), (20
 
 /// The schemes the testbed compares — all five, SP first so the delay
 /// panels can normalize against it.
-pub const SCHEMES: [SchemeKind; 5] = SchemeKind::ALL;
+pub const SCHEMES: [Scheme; 5] = [
+    Scheme::ShortestPath,
+    Scheme::Flash,
+    Scheme::Spider,
+    Scheme::SpeedyMurmurs,
+    Scheme::SilentWhispers,
+];
 
 /// Runs the full §5 testbed experiment for a node count, producing the
 /// four panels of the paper (success volume, success ratio, normalized
@@ -66,11 +72,11 @@ pub fn run_testbed(nodes: usize, fig_prefix: &str, effort: Effort) -> Vec<Figure
         "probe + commit messages",
     );
     for scheme in SCHEMES {
-        fig_vol.series.push(Series::new(scheme.name()));
-        fig_ratio.series.push(Series::new(scheme.name()));
-        fig_delay.series.push(Series::new(scheme.name()));
-        fig_mice_delay.series.push(Series::new(scheme.name()));
-        fig_messages.series.push(Series::new(scheme.name()));
+        fig_vol.series.push(Series::new(scheme.label()));
+        fig_ratio.series.push(Series::new(scheme.label()));
+        fig_delay.series.push(Series::new(scheme.label()));
+        fig_mice_delay.series.push(Series::new(scheme.label()));
+        fig_messages.series.push(Series::new(scheme.label()));
     }
 
     for (i, &(lo, hi)) in CAPACITY_INTERVALS.iter().enumerate() {
@@ -87,7 +93,7 @@ pub fn run_testbed(nodes: usize, fig_prefix: &str, effort: Effort) -> Vec<Figure
         let mut sp_mice_delay = 1.0f64;
         for scheme in SCHEMES {
             let report = ScenarioBuilder::new(
-                format!("{fig_prefix}-{}-interval{i}", scheme.name()),
+                format!("{fig_prefix}-{}-interval{i}", scheme.label()),
                 TopologySpec::Testbed {
                     n: nodes,
                     lo,
@@ -111,11 +117,11 @@ pub fn run_testbed(nodes: usize, fig_prefix: &str, effort: Effort) -> Vec<Figure
             );
             let delay_us = report.avg_delay_ms * 1e3;
             let mice_delay_us = report.avg_mice_delay_ms * 1e3;
-            if scheme == SchemeKind::ShortestPath {
+            if scheme == Scheme::ShortestPath {
                 sp_delay = delay_us.max(1e-9);
                 sp_mice_delay = mice_delay_us.max(1e-9);
             }
-            let label = scheme.name();
+            let label = scheme.label();
             fig_vol
                 .series
                 .iter_mut()

@@ -1,15 +1,12 @@
 //! Shared simulation machinery for the figure modules.
 
 use flash_core::classify::threshold_for_mice_fraction;
-use flash_core::{
-    FlashConfig, FlashRouter, ShortestPathRouter, SilentWhispersRouter, SpeedyMurmursRouter,
-    SpiderRouter,
-};
+use flash_core::Scheme;
 use pcn_graph::generators;
 use pcn_graph::maxflow::{IncrementalMaxFlow, MaxFlowSolver, PushRelabel};
 use pcn_sim::{
     ChurnRate, DesConfig, DesEngine, DesNetwork, DesReport, LatencyModel, Metrics, Network,
-    PaymentNetwork, Router, ServiceModel, SimTime,
+    ServiceModel, SimTime,
 };
 use pcn_types::{Amount, FeePolicy, NodeId, Payment};
 use pcn_workload::trace::{generate_trace, TraceConfig};
@@ -119,92 +116,6 @@ fn seed_quick_funds(net: &mut Network, median: f64, seed: u64) {
     }
 }
 
-/// The routing schemes the simulation compares (§4.1 benchmarks), plus
-/// the Flash variants the microbenchmarks sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SimScheme {
-    /// Flash with the paper defaults (k = 20, m = 4, fee LP on).
-    Flash,
-    /// Flash with the fee-minimizing LP disabled (Figure 9 baseline).
-    FlashNoFeeOpt,
-    /// Flash with a custom number of mice paths per receiver
-    /// (Figure 11; `0` routes mice with the elephant algorithm).
-    FlashWithM(usize),
-    /// Spider (4 edge-disjoint paths + waterfilling).
-    Spider,
-    /// SpeedyMurmurs (3 landmarks).
-    SpeedyMurmurs,
-    /// SilentWhispers (3 landmarks, landmark-centered; related-work
-    /// extension, not in the paper's head-to-head figures).
-    SilentWhispers,
-    /// Fewest-hops single path.
-    ShortestPath,
-}
-
-impl SimScheme {
-    /// The five head-to-head schemes (excludes the Flash ablation
-    /// variants) — the set every backend comparison sweeps, mirroring
-    /// `pcn_proto::SchemeKind::ALL`.
-    pub const ALL: [SimScheme; 5] = [
-        SimScheme::Flash,
-        SimScheme::Spider,
-        SimScheme::SpeedyMurmurs,
-        SimScheme::SilentWhispers,
-        SimScheme::ShortestPath,
-    ];
-
-    /// Legend label.
-    pub fn label(self) -> String {
-        match self {
-            SimScheme::Flash => "Flash".into(),
-            SimScheme::FlashNoFeeOpt => "Flash (no fee opt)".into(),
-            SimScheme::FlashWithM(m) => format!("Flash (m={m})"),
-            SimScheme::Spider => "Spider".into(),
-            SimScheme::SpeedyMurmurs => "SpeedyMurmurs".into(),
-            SimScheme::SilentWhispers => "SilentWhispers".into(),
-            SimScheme::ShortestPath => "Shortest Path".into(),
-        }
-    }
-
-    /// Instantiates the router against the default simulator backend.
-    pub fn router(self, elephant_threshold: Amount, seed: u64) -> Box<dyn Router> {
-        self.router_on::<Network>(elephant_threshold, seed)
-    }
-
-    /// Instantiates the router against any [`PaymentNetwork`] backend —
-    /// the same schemes drive the instantaneous simulator, the TCP
-    /// testbed, and the discrete-event engine unmodified.
-    pub fn router_on<N: PaymentNetwork>(
-        self,
-        elephant_threshold: Amount,
-        seed: u64,
-    ) -> Box<dyn Router<N>> {
-        match self {
-            SimScheme::Flash => Box::new(FlashRouter::new(FlashConfig {
-                elephant_threshold,
-                seed,
-                ..Default::default()
-            })),
-            SimScheme::FlashNoFeeOpt => Box::new(FlashRouter::new(FlashConfig {
-                elephant_threshold,
-                optimize_fees: false,
-                seed,
-                ..Default::default()
-            })),
-            SimScheme::FlashWithM(m) => Box::new(FlashRouter::new(FlashConfig {
-                elephant_threshold,
-                mice_paths_per_receiver: m,
-                seed,
-                ..Default::default()
-            })),
-            SimScheme::Spider => Box::new(SpiderRouter::new()),
-            SimScheme::SpeedyMurmurs => Box::new(SpeedyMurmursRouter::new()),
-            SimScheme::SilentWhispers => Box::new(SilentWhispersRouter::new()),
-            SimScheme::ShortestPath => Box::new(ShortestPathRouter::new()),
-        }
-    }
-}
-
 /// The fraction of payments classified as mice in the default setup
 /// ("The elephant-mice threshold is set such that 90% of payments are
 /// mice").
@@ -215,7 +126,7 @@ pub const DEFAULT_MICE_FRACTION: f64 = 0.9;
 /// threshold from the trace's own size distribution.
 pub fn run_scheme(
     net: &Network,
-    scheme: SimScheme,
+    scheme: Scheme,
     trace: &[Payment],
     mice_fraction: f64,
     seed: u64,
@@ -223,7 +134,7 @@ pub fn run_scheme(
     let amounts: Vec<Amount> = trace.iter().map(|p| p.amount).collect();
     let threshold = threshold_for_mice_fraction(&amounts, mice_fraction);
     let mut net = net.clone();
-    let mut router = scheme.router(threshold, seed);
+    let mut router = scheme.router::<Network>(threshold, seed);
     for p in trace {
         let class = p.classify(threshold);
         router.route(&mut net, p, class);
@@ -265,7 +176,7 @@ const CHURN_SEED_SALT: u64 = 0x6368_7572_6e5f_7631; // "churn_v1"
 /// [`run_scheme`].
 pub fn run_scheme_des(
     net: &Network,
-    scheme: SimScheme,
+    scheme: Scheme,
     trace: &[Payment],
     mice_fraction: f64,
     seed: u64,
@@ -279,7 +190,7 @@ pub fn run_scheme_des(
     let horizon = workload.last().map(|&(t, _)| t).unwrap_or(SimTime::ZERO);
     let churn =
         pcn_workload::churn_schedule(net.graph(), horizon, &load.churn, seed ^ CHURN_SEED_SALT);
-    let mut router = scheme.router_on::<DesNetwork>(threshold, seed);
+    let mut router = scheme.router::<DesNetwork>(threshold, seed);
     let mut engine = DesEngine::new(
         net.clone(),
         DesConfig {
@@ -350,13 +261,6 @@ impl Default for WarmFlowBound {
     }
 }
 
-/// Averages `f(run_seed)` over the effort's run count.
-pub fn average_runs(effort: Effort, base_seed: u64, mut f: impl FnMut(u64) -> f64) -> f64 {
-    let runs = effort.runs();
-    let total: f64 = (0..runs).map(|r| f(base_seed + 1000 * r)).sum();
-    total / runs as f64
-}
-
 /// Installs the Figure 9 fee distribution on a copy of the network.
 pub fn with_paper_fees(net: &Network, seed: u64) -> Network {
     let mut net = net.clone();
@@ -399,14 +303,14 @@ mod tests {
         let net = Topo::Ripple.build_network(Effort::Quick, 1);
         let trace = Topo::Ripple.build_trace(&net, 60, 2);
         for scheme in [
-            SimScheme::Flash,
-            SimScheme::FlashNoFeeOpt,
-            SimScheme::FlashWithM(2),
-            SimScheme::FlashWithM(0),
-            SimScheme::Spider,
-            SimScheme::SpeedyMurmurs,
-            SimScheme::SilentWhispers,
-            SimScheme::ShortestPath,
+            Scheme::Flash,
+            Scheme::FlashNoFeeOpt,
+            Scheme::FlashWithM(2),
+            Scheme::FlashWithM(0),
+            Scheme::Spider,
+            Scheme::SpeedyMurmurs,
+            Scheme::SilentWhispers,
+            Scheme::ShortestPath,
         ] {
             let m = run_scheme(&net, scheme, &trace, DEFAULT_MICE_FRACTION, 3);
             assert_eq!(m.total().attempted, 60, "{}", scheme.label());
@@ -417,29 +321,13 @@ mod tests {
     fn flash_beats_shortest_path_on_volume() {
         let net = Topo::Ripple.build_network(Effort::Quick, 5);
         let trace = Topo::Ripple.build_trace(&net, 200, 6);
-        let flash = run_scheme(&net, SimScheme::Flash, &trace, DEFAULT_MICE_FRACTION, 7);
-        let sp = run_scheme(
-            &net,
-            SimScheme::ShortestPath,
-            &trace,
-            DEFAULT_MICE_FRACTION,
-            7,
-        );
+        let flash = run_scheme(&net, Scheme::Flash, &trace, DEFAULT_MICE_FRACTION, 7);
+        let sp = run_scheme(&net, Scheme::ShortestPath, &trace, DEFAULT_MICE_FRACTION, 7);
         assert!(
             flash.success_volume() >= sp.success_volume(),
             "Flash {} < SP {}",
             flash.success_volume(),
             sp.success_volume()
         );
-    }
-
-    #[test]
-    fn average_runs_averages() {
-        // Both efforts currently use a single run (see Effort::runs);
-        // the helper must still average correctly if that changes.
-        let runs = Effort::Paper.runs();
-        let avg = average_runs(Effort::Paper, 0, |seed| (seed / 1000) as f64);
-        let expected = (0..runs).map(|r| r as f64).sum::<f64>() / runs as f64;
-        assert!((avg - expected).abs() < 1e-9);
     }
 }

@@ -20,7 +20,7 @@ pub mod figures;
 pub mod harness;
 pub mod report;
 
-pub use harness::{Effort, SimScheme, Topo};
+pub use harness::{Effort, Topo};
 pub use report::{FigureResult, Series};
 
 /// Runs every figure at the given effort, returning all results.

@@ -14,10 +14,9 @@
 //! * [`yen`] — Yen's k-shortest loopless paths (§3.3 mice routing tables).
 //! * [`maxflow`] — the max-flow subsystem behind the
 //!   [`maxflow::MaxFlowSolver`] trait, every kernel on one flat CSR
-//!   residual graph: highest-label push-relabel (the hot path), Dinic
-//!   (optional capacity scaling), warm-start
-//!   [`maxflow::IncrementalMaxFlow`] for repeated queries under
-//!   capacity deltas, and classic Edmonds–Karp (the
+//!   residual graph: highest-label push-relabel (the hot path), Dinic,
+//!   warm-start [`maxflow::IncrementalMaxFlow`] for repeated queries
+//!   under capacity deltas, and classic Edmonds–Karp (the
 //!   differential-testing oracle Flash's k-bounded variant is validated
 //!   against), plus min-cut extraction and path decomposition.
 //! * [`disjoint`] — k edge-disjoint shortest paths (Spider's path set).

@@ -94,10 +94,9 @@ pub(crate) struct DinicSearch {
     /// makes blocking flow O(V·E) per phase).
     it: Vec<usize>,
     /// BFS frontier, hoisted out of [`DinicSearch::bfs`] so the
-    /// per-phase (and, under scaling, per-Δ-round) level rebuilds reuse
-    /// one buffer instead of allocating a fresh queue each sweep.
+    /// per-phase level rebuilds reuse one buffer instead of allocating
+    /// a fresh queue each sweep.
     frontier: VecDeque<usize>,
-    delta: u64,
 }
 
 impl DinicSearch {
@@ -106,12 +105,11 @@ impl DinicSearch {
             level: vec![UNREACHED; n], // pcn-lint: allow(hot-alloc) — per-solve arena, sized once
             it: vec![0; n],            // pcn-lint: allow(hot-alloc) — per-solve arena, sized once
             frontier: VecDeque::with_capacity(n), // pcn-lint: allow(hot-alloc) — per-solve BFS frontier, reused across phases
-            delta: 1,
         }
     }
 
     /// Rebuilds the level graph; `true` iff `t` is reachable through
-    /// arcs with residual ≥ `delta`.
+    /// arcs with positive residual.
     fn bfs(&mut self, r: &CsrResidual, s: usize, t: usize) -> bool {
         self.level.fill(UNREACHED);
         self.level[s] = 0;
@@ -121,7 +119,7 @@ impl DinicSearch {
             for &a in &r.adj[r.start[u]..r.start[u + 1]] {
                 let a = a as usize;
                 let v = r.to[a] as usize;
-                if r.cap[a] >= self.delta && self.level[v] == UNREACHED {
+                if r.cap[a] > 0 && self.level[v] == UNREACHED {
                     self.level[v] = self.level[u] + 1;
                     if v == t {
                         return true;
@@ -142,37 +140,28 @@ impl DinicSearch {
         while self.it[u] < r.start[u + 1] {
             let a = r.adj[self.it[u]] as usize;
             let v = r.to[a] as usize;
-            if r.cap[a] >= self.delta && self.level[v] == self.level[u] + 1 {
+            if r.cap[a] > 0 && self.level[v] == self.level[u] + 1 {
                 let pushed = self.dfs(r, v, t, limit.min(r.cap[a]));
                 if pushed > 0 {
                     r.push(a, pushed);
                     return pushed;
                 }
             }
-            // Arc is dead for this phase (saturated below Δ, wrong level,
-            // or its subtree is exhausted) — never look at it again.
+            // Arc is dead for this phase (saturated, wrong level, or its
+            // subtree is exhausted) — never look at it again.
             self.it[u] += 1;
         }
         0
     }
 
     /// Augments whatever flow `r` already carries up to maximum via
-    /// Dinic phases, starting at capacity-scaling threshold `delta0`
-    /// (1 = plain Dinic). Returns the value *added*; starting from a
-    /// zero flow this is the max-flow value, starting from a warm flow
-    /// it is the warm-start top-up.
+    /// Dinic phases. Returns the value *added*; starting from a zero
+    /// flow this is the max-flow value, starting from a warm flow it is
+    /// the warm-start top-up.
     // pcn-lint: hot — the Dinic kernel and the warm re-solve loop; buffers live in the arena above
-    pub fn augment_to_max(&mut self, r: &mut CsrResidual, s: usize, t: usize, delta0: u64) -> u64 {
-        self.delta = delta0.max(1);
+    pub fn augment_to_max(&mut self, r: &mut CsrResidual, s: usize, t: usize) -> u64 {
         let mut added = 0u64;
-        loop {
-            if !self.bfs(r, s, t) {
-                if self.delta > 1 {
-                    self.delta /= 2;
-                    continue;
-                }
-                break;
-            }
+        while self.bfs(r, s, t) {
             // Blocking flow: restart cursors, then exhaust the level graph.
             for (u, it) in self.it.iter_mut().enumerate() {
                 *it = r.start[u];

@@ -3,10 +3,7 @@
 //! Level-graph BFS plus blocking-flow DFS with iterator-position
 //! memoization, O(V²·E) worst case and far faster in practice on the
 //! sparse small-world / scale-free topologies PCNs exhibit (unit-ish
-//! bottlenecks make each phase cheap and the phase count small). An
-//! optional capacity-scaling mode restricts each round to arcs with
-//! residual ≥ Δ, halving Δ down to 1 — worthwhile when capacities span
-//! many orders of magnitude (satoshi-denominated Lightning channels).
+//! bottlenecks make each phase cheap and the phase count small).
 //!
 //! The phase machinery itself lives in [`super::csr::DinicSearch`] on
 //! the shared CSR residual graph: this file is the cold-solve entry
@@ -24,24 +21,6 @@ use pcn_types::NodeId;
 /// [`crate::EdgeId`] and the returned per-edge flows are net (opposing
 /// flows on bidirectional channels cancelled).
 pub fn dinic(g: &DiGraph, s: NodeId, t: NodeId, capacity: &[u64]) -> MaxFlow {
-    dinic_run(g, s, t, capacity, false)
-}
-
-/// [`dinic`] with capacity scaling: augments in rounds of decreasing
-/// threshold Δ (largest power of two ≤ the maximum capacity, halved each
-/// round), so early phases only touch arcs that can still carry large
-/// amounts.
-///
-/// Scaling buys a per-augmentation value guarantee at the price of up to
-/// `log₂(max capacity)` extra BFS sweeps. On the paper's topologies the
-/// sweeps dominate — plain [`dinic`] measures faster across the board
-/// (see `BENCH_maxflow.json`) — so reach for this only on graphs where a
-/// few huge-capacity augmenting paths carry most of the flow.
-pub fn dinic_scaling(g: &DiGraph, s: NodeId, t: NodeId, capacity: &[u64]) -> MaxFlow {
-    dinic_run(g, s, t, capacity, true)
-}
-
-fn dinic_run(g: &DiGraph, s: NodeId, t: NodeId, capacity: &[u64], scaling: bool) -> MaxFlow {
     assert_eq!(
         capacity.len(),
         g.edge_count(),
@@ -55,19 +34,8 @@ fn dinic_run(g: &DiGraph, s: NodeId, t: NodeId, capacity: &[u64], scaling: bool)
         };
     }
     let mut residual = CsrResidual::build(g, capacity);
-    let delta = if scaling {
-        let max = capacity.iter().copied().max().unwrap_or(0);
-        if max == 0 {
-            1
-        } else {
-            // Largest power of two ≤ max.
-            1u64 << (63 - max.leading_zeros() as u64)
-        }
-    } else {
-        1
-    };
     let mut search = DinicSearch::new(n);
-    let value = search.augment_to_max(&mut residual, s.index(), t.index(), delta);
+    let value = search.augment_to_max(&mut residual, s.index(), t.index());
     let mut flow = residual.edge_flows();
     cancel_opposing_flows(g, &mut flow);
     MaxFlow {

@@ -88,7 +88,7 @@ impl IncrementalMaxFlow {
             cached: None,
         };
         if !inc.degenerate {
-            inc.value = inc.search.augment_to_max(&mut inc.r, inc.s, inc.t, 1);
+            inc.value = inc.search.augment_to_max(&mut inc.r, inc.s, inc.t);
         }
         inc
     }
@@ -202,7 +202,7 @@ impl IncrementalMaxFlow {
             return cached.clone();
         }
         if !self.degenerate {
-            self.value += self.search.augment_to_max(&mut self.r, self.s, self.t, 1);
+            self.value += self.search.augment_to_max(&mut self.r, self.s, self.t);
         }
         let mut flow = self.r.edge_flows();
         // Net opposing flows on bidirectional channels, same contract as

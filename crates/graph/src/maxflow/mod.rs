@@ -15,9 +15,8 @@
 //!   fails when the fastest non-oracle kernel stops beating the oracle.
 //! * [`dinic`] / [`Dinic`] — Dinic's blocking-flow algorithm
 //!   (level-graph BFS + DFS with iterator-position memoization,
-//!   O(V²·E), optional capacity scaling via [`dinic_scaling`]). Its
-//!   phase machinery doubles as the warm re-solve engine of
-//!   [`IncrementalMaxFlow`].
+//!   O(V²·E)). Its phase machinery doubles as the warm re-solve engine
+//!   of [`IncrementalMaxFlow`].
 //! * [`edmonds_karp`] / [`EdmondsKarp`] — the textbook BFS
 //!   augmenting-path algorithm, O(V·E²). **Kept as the differential
 //!   oracle**: its search strategy (one shortest path per BFS) is
@@ -80,7 +79,7 @@ mod edmonds_karp;
 mod incremental;
 mod push_relabel;
 
-pub use dinic::{dinic, dinic_scaling};
+pub use dinic::dinic;
 pub use edmonds_karp::edmonds_karp;
 pub use incremental::IncrementalMaxFlow;
 pub use push_relabel::push_relabel;
@@ -126,43 +125,15 @@ impl MaxFlowSolver for EdmondsKarp {
 
 /// The [`dinic`] kernel as a [`MaxFlowSolver`] (the hot path).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Dinic {
-    capacity_scaling: bool,
-}
-
-impl Dinic {
-    /// Plain Dinic (unit Δ).
-    pub fn new() -> Self {
-        Dinic {
-            capacity_scaling: false,
-        }
-    }
-
-    /// Dinic with capacity scaling — see [`dinic_scaling`] for when the
-    /// extra Δ-round BFS sweeps pay off (not on the paper's topologies;
-    /// `BENCH_maxflow.json` has the measurements).
-    pub fn with_capacity_scaling() -> Self {
-        Dinic {
-            capacity_scaling: true,
-        }
-    }
-}
+pub struct Dinic;
 
 impl MaxFlowSolver for Dinic {
     fn name(&self) -> &'static str {
-        if self.capacity_scaling {
-            "dinic-scaling"
-        } else {
-            "dinic"
-        }
+        "dinic"
     }
 
     fn max_flow(&self, g: &DiGraph, s: NodeId, t: NodeId, capacity: &[u64]) -> MaxFlow {
-        if self.capacity_scaling {
-            dinic_scaling(g, s, t, capacity)
-        } else {
-            dinic(g, s, t, capacity)
-        }
+        dinic(g, s, t, capacity)
     }
 }
 
@@ -336,8 +307,7 @@ mod tests {
     fn solvers() -> Vec<Box<dyn MaxFlowSolver>> {
         vec![
             Box::new(EdmondsKarp),
-            Box::new(Dinic::new()),
-            Box::new(Dinic::with_capacity_scaling()),
+            Box::new(Dinic),
             Box::new(PushRelabel),
         ]
     }
@@ -585,7 +555,7 @@ mod tests {
     }
 
     proptest! {
-        /// The differential suite: Dinic (both modes) and push-relabel
+        /// The differential suite: Dinic and push-relabel
         /// must agree with the Edmonds–Karp oracle on flow value, and
         /// every kernel's flow must equal its own min cut.
         #[test]
@@ -594,12 +564,10 @@ mod tests {
             let t = NodeId(1);
             let ek = edmonds_karp(&g, s, t, &cap);
             let di = dinic(&g, s, t, &cap);
-            let ds = dinic_scaling(&g, s, t, &cap);
             let pr = push_relabel(&g, s, t, &cap);
             prop_assert_eq!(di.value, ek.value, "dinic vs oracle");
-            prop_assert_eq!(ds.value, ek.value, "dinic-scaling vs oracle");
             prop_assert_eq!(pr.value, ek.value, "push-relabel vs oracle");
-            for (name, mf) in [("ek", &ek), ("di", &di), ("ds", &ds), ("pr", &pr)] {
+            for (name, mf) in [("ek", &ek), ("di", &di), ("pr", &pr)] {
                 let cut = min_cut_capacity(&g, s, mf, &cap);
                 prop_assert_eq!(mf.value, cut, "min-cut mismatch for {}", name);
             }

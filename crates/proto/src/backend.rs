@@ -85,7 +85,7 @@ impl PaymentNetwork for Cluster {
     }
 
     fn begin_payment(&mut self, payment: &Payment, _class: PaymentClass) -> ClusterSession<'_> {
-        // Attempt accounting lives in `TestbedRunner::run_trace` (the
+        // Attempt accounting lives in `pcn_scenario::Scenario::run` (the
         // cluster meters wire messages, not payments), so opening a
         // session sends nothing yet.
         ClusterSession {

@@ -1,15 +1,15 @@
-//! Cluster orchestration and the testbed experiment driver.
+//! Cluster orchestration.
 //!
 //! [`Cluster::launch`] deploys one protocol node per participant on the
 //! single-threaded [`EventLoop`] (see [`crate::event_loop`]) — hundreds
 //! of nodes fit in one process because a node costs a listener and a
 //! state machine, not threads. The cluster implements
 //! [`pcn_sim::PaymentNetwork`] (see [`crate::backend`]), so the *same*
-//! [`Router`] implementations the simulator uses — all five schemes —
-//! route on it unmodified; [`TestbedRunner`] merely drives a transaction
-//! trace through one router and measures per-transaction processing
-//! delay (Figures 12c/d and 13c/d), success volume and ratio (a/b
-//! panels), and the probe/commit message breakdown.
+//! [`pcn_sim::Router`] implementations the simulator uses — all five
+//! schemes — route on it unmodified. Driving a transaction trace and
+//! measuring per-transaction processing delay (Figures 12c/d and
+//! 13c/d), success volume and ratio (a/b panels), and the probe/commit
+//! message breakdown is `pcn_scenario`'s job.
 //!
 //! The loop lives behind a `Mutex`, keeping every cluster method
 //! `&self`: concurrent callers serialize at the lock, which preserves
@@ -24,78 +24,20 @@ use crate::event_loop::{EventLoop, ShutdownReport};
 use crate::fault::FaultPlan;
 use crate::node::NodeCounters;
 use crate::wire::{Message, MsgType};
-use flash_core::{
-    FlashConfig, FlashRouter, ShortestPathRouter, SilentWhispersRouter, SpeedyMurmursRouter,
-    SpiderRouter,
-};
 use parking_lot::Mutex;
 use pcn_graph::{DiGraph, EdgeId, Path};
-use pcn_sim::{ChurnAction, RouteOutcome, Router};
-use pcn_types::{Amount, FeePolicy, NodeId, Payment, PaymentClass, PcnError, Result};
+use pcn_sim::ChurnAction;
+use pcn_types::{Amount, FeePolicy, NodeId, PcnError, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Which routing scheme the testbed runner drives. All five schemes run
-/// through the same [`Router`] implementations as the §4 simulator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchemeKind {
-    /// Flash (elephant/mice differentiation; k = 20, m = 4 defaults).
-    Flash,
-    /// Spider (waterfilling over 4 edge-disjoint shortest paths).
-    Spider,
-    /// Single fewest-hops path.
-    ShortestPath,
-    /// SpeedyMurmurs (3 landmark prefix embeddings, greedy shortcuts).
-    SpeedyMurmurs,
-    /// SilentWhispers (3 landmarks, landmark-centered tree routing).
-    SilentWhispers,
-}
-
-impl SchemeKind {
-    /// Every scheme, in the order the testbed figures list them.
-    pub const ALL: [SchemeKind; 5] = [
-        SchemeKind::ShortestPath,
-        SchemeKind::Flash,
-        SchemeKind::Spider,
-        SchemeKind::SpeedyMurmurs,
-        SchemeKind::SilentWhispers,
-    ];
-
-    /// Display name matching the paper's figures.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchemeKind::Flash => "Flash",
-            SchemeKind::Spider => "Spider",
-            SchemeKind::ShortestPath => "SP",
-            SchemeKind::SpeedyMurmurs => "SpeedyMurmurs",
-            SchemeKind::SilentWhispers => "SilentWhispers",
-        }
-    }
-
-    /// Instantiates the scheme's router for the testbed backend — the
-    /// identical `flash-core` implementation the simulator runs.
-    pub fn router(self, elephant_threshold: Amount, seed: u64) -> Box<dyn Router<Cluster>> {
-        match self {
-            SchemeKind::Flash => Box::new(FlashRouter::new(FlashConfig {
-                elephant_threshold,
-                seed,
-                ..Default::default()
-            })),
-            SchemeKind::Spider => Box::new(SpiderRouter::new()),
-            SchemeKind::ShortestPath => Box::new(ShortestPathRouter::new()),
-            SchemeKind::SpeedyMurmurs => Box::new(SpeedyMurmursRouter::new()),
-            SchemeKind::SilentWhispers => Box::new(SilentWhispersRouter::new()),
-        }
-    }
-}
 
 /// A running cluster of event-loop-hosted TCP nodes.
 ///
 /// Beyond the raw wire operations ([`Cluster::probe`],
 /// [`Cluster::commit_part`], ...), the cluster implements
 /// [`pcn_sim::PaymentNetwork`] (in [`crate::backend`]) so any
-/// [`Router`] drives it exactly like the in-memory simulator.
+/// [`pcn_sim::Router`] drives it exactly like the in-memory simulator.
 pub struct Cluster {
     graph: DiGraph,
     /// The reactor hosting every node. `&self` methods lock it; see the
@@ -406,156 +348,12 @@ impl Drop for Cluster {
     }
 }
 
-/// Per-scheme testbed statistics (one (scheme, capacity-interval) cell
-/// of Figures 12/13).
-#[derive(Clone, Debug, Default)]
-pub struct TestbedReport {
-    /// Payments attempted.
-    pub attempted: u64,
-    /// Payments fully delivered.
-    pub succeeded: u64,
-    /// Volume of fully delivered payments.
-    pub success_volume: Amount,
-    /// Total processing delay across all payments.
-    pub total_delay: Duration,
-    /// Processing delay restricted to mice payments.
-    pub mice_delay: Duration,
-    /// Number of mice payments.
-    pub mice_count: u64,
-    /// Probe messages processed cluster-wide.
-    pub probe_messages: u64,
-    /// Commit messages processed cluster-wide — with probes, the Fig.
-    /// 9-style message breakdown the sim `Metrics` also reports.
-    pub commit_messages: u64,
-    /// Total fees charged on successful payments (sender-side fee
-    /// policies; zero unless [`Cluster::set_fee_policies`] was called).
-    pub fees_paid: Amount,
-}
-
-impl TestbedReport {
-    /// Success ratio in [0, 1].
-    pub fn success_ratio(&self) -> f64 {
-        if self.attempted == 0 {
-            0.0
-        } else {
-            self.succeeded as f64 / self.attempted as f64
-        }
-    }
-
-    /// Mean processing delay per payment.
-    pub fn avg_delay(&self) -> Duration {
-        if self.attempted == 0 {
-            Duration::ZERO
-        } else {
-            self.total_delay / self.attempted as u32
-        }
-    }
-
-    /// Mean processing delay per mice payment.
-    pub fn avg_mice_delay(&self) -> Duration {
-        if self.mice_count == 0 {
-            Duration::ZERO
-        } else {
-            self.mice_delay / self.mice_count as u32
-        }
-    }
-
-    /// Total messages (probe + commit phases) processed cluster-wide.
-    pub fn total_messages(&self) -> u64 {
-        self.probe_messages + self.commit_messages
-    }
-}
-
-/// Drives a trace through one router on a [`Cluster`].
-///
-/// The runner contains **no routing logic of its own**: the router is a
-/// stock `flash-core` implementation working through the
-/// [`pcn_sim::PaymentNetwork`] trait, so the testbed measures the very
-/// same code path the simulator evaluates — including Flash's elephant
-/// fee LP and mice table, which the previous hand-rolled runner
-/// re-implemented.
-pub struct TestbedRunner {
-    cluster: Cluster,
-    router: Box<dyn Router<Cluster>>,
-    /// Elephant/mice threshold used by [`TestbedRunner::run_trace`] to
-    /// classify payments (set so 90% are mice, as in §5.2).
-    pub elephant_threshold: Amount,
-}
-
-impl TestbedRunner {
-    /// Creates a runner for one of the stock schemes.
-    pub fn new(
-        cluster: Cluster,
-        scheme: SchemeKind,
-        elephant_threshold: Amount,
-        seed: u64,
-    ) -> Self {
-        Self::with_router(
-            cluster,
-            scheme.router(elephant_threshold, seed),
-            elephant_threshold,
-        )
-    }
-
-    /// Creates a runner driving a custom [`Router`] — any implementation
-    /// generic over [`pcn_sim::PaymentNetwork`] plugs in here.
-    pub fn with_router(
-        cluster: Cluster,
-        router: Box<dyn Router<Cluster>>,
-        elephant_threshold: Amount,
-    ) -> Self {
-        TestbedRunner {
-            cluster,
-            router,
-            elephant_threshold,
-        }
-    }
-
-    /// Access to the underlying cluster.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
-    /// Routes an entire trace, accumulating the report.
-    pub fn run_trace(&mut self, trace: &[Payment]) -> TestbedReport {
-        let mut report = TestbedReport::default();
-        for p in trace {
-            let class = p.classify(self.elephant_threshold);
-            let wall_start = crate::wall_now();
-            let outcome = self.route_outcome(p, class);
-            let wall_elapsed = wall_start.elapsed();
-            report.attempted += 1;
-            report.total_delay += wall_elapsed;
-            if class.is_mice() {
-                report.mice_count += 1;
-                report.mice_delay += wall_elapsed;
-            }
-            if let RouteOutcome::Success { volume, fees, .. } = outcome {
-                report.succeeded += 1;
-                report.success_volume = report.success_volume.saturating_add(volume);
-                report.fees_paid = report.fees_paid.saturating_add(fees);
-            }
-        }
-        report.probe_messages = self.cluster.probe_messages();
-        report.commit_messages = self.cluster.commit_messages();
-        report
-    }
-
-    /// Routes one payment; returns success.
-    pub fn route_one(&mut self, payment: &Payment, class: PaymentClass) -> bool {
-        self.route_outcome(payment, class).is_success()
-    }
-
-    /// Routes one payment, returning the full outcome.
-    pub fn route_outcome(&mut self, payment: &Payment, class: PaymentClass) -> RouteOutcome {
-        self.router.route(&mut self.cluster, payment, class)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcn_types::TxId;
+    use flash_core::Scheme;
+    use pcn_sim::{RouteOutcome, Router};
+    use pcn_types::{Payment, TxId};
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -739,87 +537,69 @@ mod tests {
         assert!(report.is_clean(), "{report:?}");
     }
 
+    /// Routes `pay(amount)`, classified against the $5 threshold the
+    /// Flash test configures.
+    fn route(router: &mut dyn Router<Cluster>, cluster: &mut Cluster, amount: u64) -> RouteOutcome {
+        let payment = pay(amount);
+        router.route(cluster, &payment, payment.classify(Amount::from_units(5)))
+    }
+
     #[test]
     fn sp_scheme_end_to_end() {
         let (g, b) = diamond();
-        let cluster = Cluster::launch(g, &b).unwrap();
-        let mut runner = TestbedRunner::new(cluster, SchemeKind::ShortestPath, Amount::MAX, 1);
-        assert!(runner.route_one(&pay(10), PaymentClass::Mice));
-        assert!(!runner.route_one(&pay(11), PaymentClass::Mice));
+        let mut cluster = Cluster::launch(g, &b).unwrap();
+        let mut router = Scheme::ShortestPath.router::<Cluster>(Amount::MAX, 1);
+        assert!(route(router.as_mut(), &mut cluster, 10).is_success());
+        assert!(!route(router.as_mut(), &mut cluster, 11).is_success());
     }
 
     #[test]
     fn spider_scheme_splits() {
         let (g, b) = diamond();
-        let cluster = Cluster::launch(g, &b).unwrap();
-        let mut runner = TestbedRunner::new(cluster, SchemeKind::Spider, Amount::MAX, 1);
-        assert!(runner.route_one(&pay(15), PaymentClass::Elephant));
-        assert!(!runner.route_one(&pay(30), PaymentClass::Elephant));
+        let mut cluster = Cluster::launch(g, &b).unwrap();
+        let mut router = Scheme::Spider.router::<Cluster>(Amount::MAX, 1);
+        assert!(route(router.as_mut(), &mut cluster, 15).is_success());
+        assert!(!route(router.as_mut(), &mut cluster, 30).is_success());
     }
 
     #[test]
     fn flash_scheme_mice_and_elephant() {
         let (g, b) = diamond();
-        let cluster = Cluster::launch(g, &b).unwrap();
-        let mut runner = TestbedRunner::new(cluster, SchemeKind::Flash, Amount::from_units(5), 1);
-        assert!(runner.route_one(&pay(3), PaymentClass::Mice));
-        assert!(runner.route_one(&pay(14), PaymentClass::Elephant));
-        let report_funds = runner.cluster().total_funds();
-        assert_eq!(report_funds, 80_000_000);
+        let mut cluster = Cluster::launch(g, &b).unwrap();
+        let mut router = Scheme::Flash.router::<Cluster>(Amount::from_units(5), 1);
+        assert!(route(router.as_mut(), &mut cluster, 3).is_success());
+        assert!(route(router.as_mut(), &mut cluster, 14).is_success());
+        assert_eq!(cluster.total_funds(), 80_000_000);
     }
 
     #[test]
     fn tree_schemes_route_on_the_cluster() {
-        // SpeedyMurmurs and SilentWhispers — previously sim-only — now
-        // run on the testbed through the same routers.
-        for scheme in [SchemeKind::SpeedyMurmurs, SchemeKind::SilentWhispers] {
+        for scheme in [Scheme::SpeedyMurmurs, Scheme::SilentWhispers] {
             let (g, b) = diamond();
-            let cluster = Cluster::launch(g, &b).unwrap();
+            let mut cluster = Cluster::launch(g, &b).unwrap();
             let before = cluster.total_funds();
-            let mut runner = TestbedRunner::new(cluster, scheme, Amount::MAX, 1);
+            let mut router = scheme.router::<Cluster>(Amount::MAX, 1);
             assert!(
-                runner.route_one(&pay(2), PaymentClass::Mice),
+                route(router.as_mut(), &mut cluster, 2).is_success(),
                 "{} failed a feasible payment",
-                scheme.name()
+                scheme.label()
             );
             assert!(
-                !runner.route_one(&pay(1000), PaymentClass::Mice),
+                !route(router.as_mut(), &mut cluster, 1000).is_success(),
                 "{} claimed an infeasible payment",
-                scheme.name()
+                scheme.label()
             );
             assert_eq!(
-                runner.cluster().total_funds(),
+                cluster.total_funds(),
                 before,
                 "{} leaked funds",
-                scheme.name()
+                scheme.label()
             );
         }
     }
 
     #[test]
-    fn run_trace_reports() {
-        let (g, b) = diamond();
-        let cluster = Cluster::launch(g, &b).unwrap();
-        let mut runner = TestbedRunner::new(cluster, SchemeKind::Flash, Amount::from_units(5), 2);
-        let trace = vec![pay(2), pay(3), pay(100)];
-        let report = runner.run_trace(&trace);
-        assert_eq!(report.attempted, 3);
-        assert_eq!(report.succeeded, 2);
-        assert_eq!(report.success_volume, Amount::from_units(5));
-        assert!(report.success_ratio() > 0.6);
-        assert!(report.avg_delay() > Duration::ZERO);
-        assert!(
-            report.commit_messages > 0,
-            "commit traffic must be surfaced in the report"
-        );
-        assert_eq!(
-            report.total_messages(),
-            report.probe_messages + report.commit_messages
-        );
-    }
-
-    #[test]
-    fn fees_surface_in_the_report() {
+    fn fees_surface_in_the_outcome() {
         let (g, b) = diamond();
         let edge_count = g.edge_count();
         let mut cluster = Cluster::launch(g, &b).unwrap();
@@ -827,11 +607,12 @@ mod tests {
         cluster
             .set_fee_policies(vec![FeePolicy::proportional(10_000); edge_count])
             .unwrap();
-        let mut runner = TestbedRunner::new(cluster, SchemeKind::ShortestPath, Amount::MAX, 1);
-        let report = runner.run_trace(&[pay(5)]);
-        assert_eq!(report.succeeded, 1);
+        let mut router = Scheme::ShortestPath.router::<Cluster>(Amount::MAX, 1);
+        let RouteOutcome::Success { fees, .. } = route(router.as_mut(), &mut cluster, 5) else {
+            panic!("a $5 payment fits the diamond");
+        };
         // 2 hops × 1% of $5 = $0.10.
-        assert_eq!(report.fees_paid, Amount::from_units_f64(0.10));
+        assert_eq!(fees, Amount::from_units_f64(0.10));
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //! * [`event_loop`] — the reactor: non-blocking listeners and
 //!   connections, readiness polling, request/reply correlation, and a
 //!   deterministic, loud shutdown. No threads, no async runtime.
-//! * [`cluster`] — the orchestrator: launches a cluster and measures
-//!   per-transaction processing delay — the metric of Figures 12/13 —
-//!   plus the probe/commit message breakdown and fees. Batched probe,
-//!   commit, and settlement waves go through the loop in flight
-//!   together, and `ChurnAction`s apply mid-run.
+//! * [`cluster`] — the orchestrator: launches a cluster and exposes
+//!   the raw wire operations, the probe/commit message counters and
+//!   sender-side fee policies. Batched probe, commit, and settlement
+//!   waves go through the loop in flight together, and `ChurnAction`s
+//!   apply mid-run. Driving a trace and timing it is `pcn_scenario`'s
+//!   job.
 //! * [`backend`] — implements [`pcn_sim::PaymentNetwork`] for
 //!   [`Cluster`], mapping probes and payment sessions onto the wire
 //!   protocol. This is what lets **all five** routing schemes from
@@ -52,7 +53,7 @@ pub mod wall;
 pub mod wire;
 
 pub use backend::ClusterSession;
-pub use cluster::{Cluster, SchemeKind, TestbedReport, TestbedRunner};
+pub use cluster::Cluster;
 pub use event_loop::{EventLoop, ShutdownReport};
 pub use fault::FaultPlan;
 pub use node::NodeCounters;

@@ -4,7 +4,7 @@
 //! topology, workload, scheme, fault schedule, invariants — and
 //! [`Scenario::run`] turns that description into a live
 //! [`pcn_proto::Cluster`], drives the trace through the stock
-//! [`Router`] implementations, applies churn at its scheduled wall
+//! [`pcn_sim::Router`] implementations, applies churn at its scheduled wall
 //! offsets, and returns a [`ScenarioReport`].
 //!
 //! Imperative tests that need the raw cluster (to inject hand-crafted
@@ -15,10 +15,11 @@
 
 use crate::report::{InvariantOutcome, NodeTelemetry, ScenarioReport};
 use flash_core::classify::threshold_for_mice_fraction;
+use flash_core::Scheme;
 use pcn_graph::DiGraph;
-use pcn_proto::{wall_now, Cluster, FaultPlan, SchemeKind};
-use pcn_sim::{ChurnSchedule, FaultConfig, RouteOutcome, Router};
-use pcn_types::{Amount, FeePolicy, Payment, PcnError, Result};
+use pcn_proto::{wall_now, Cluster, FaultPlan};
+use pcn_sim::{ChurnSchedule, FaultConfig, RouteOutcome};
+use pcn_types::{Amount, Payment, PcnError, Result};
 use pcn_workload::{generate_trace, testbed_topology, TraceConfig};
 use std::time::Duration;
 
@@ -70,8 +71,6 @@ pub enum Invariant {
     SuccessRatioAtLeast(f64),
     /// Total funds after the run equal total funds before it.
     FundsConserved,
-    /// Probe + commit messages serviced must not exceed this budget.
-    MessageBudget(u64),
     /// Every wire frame sent was received: Σ `msgs_out` == Σ `msgs_in`
     /// across all nodes at quiescence.
     MessagesConserved,
@@ -82,11 +81,14 @@ impl std::fmt::Display for Invariant {
         match self {
             Invariant::SuccessRatioAtLeast(r) => write!(f, "success_ratio >= {r}"),
             Invariant::FundsConserved => write!(f, "funds conserved"),
-            Invariant::MessageBudget(b) => write!(f, "messages <= {b}"),
             Invariant::MessagesConserved => write!(f, "wire messages conserved"),
         }
     }
 }
+
+/// The share of a scenario's payments classified as mice when deriving
+/// the elephant threshold from the trace (§5.2).
+const MICE_FRACTION: f64 = 0.9;
 
 /// Builder for a [`Scenario`]. Every knob has a sensible default except
 /// the topology — [`ScenarioBuilder::new`] requires one up front.
@@ -94,38 +96,31 @@ pub struct ScenarioBuilder {
     name: String,
     topology: TopologySpec,
     workload: WorkloadSpec,
-    scheme: SchemeKind,
-    router: Option<Box<dyn Router<Cluster>>>,
+    scheme: Scheme,
     seed: u64,
-    mice_fraction: f64,
     faults: Option<FaultConfig>,
     churn: ChurnSchedule,
     invariants: Vec<Invariant>,
     timeout: Option<Duration>,
-    fees: Option<Vec<FeePolicy>>,
-    poisson_rate: Option<f64>,
 }
 
 impl ScenarioBuilder {
     /// Starts a scenario over `topology`. Defaults: empty workload,
-    /// Flash routing, seed 1, 90% mice (§5.2), no faults, no churn, no
-    /// invariants, the cluster's stock timeout, free fees, unpaced
-    /// (back-to-back) arrivals.
+    /// Flash routing, seed 1, no faults, no churn, no invariants, the
+    /// cluster's stock timeout. Payments are issued back-to-back, fees
+    /// are free, and the elephant threshold makes 90% of the trace mice
+    /// (§5.2).
     pub fn new(name: impl Into<String>, topology: TopologySpec) -> Self {
         ScenarioBuilder {
             name: name.into(),
             topology,
             workload: WorkloadSpec::Explicit(Vec::new()),
-            scheme: SchemeKind::Flash,
-            router: None,
+            scheme: Scheme::Flash,
             seed: 1,
-            mice_fraction: 0.9,
             faults: None,
             churn: ChurnSchedule::none(),
             invariants: Vec::new(),
             timeout: None,
-            fees: None,
-            poisson_rate: None,
         }
     }
 
@@ -136,29 +131,14 @@ impl ScenarioBuilder {
     }
 
     /// Selects the routing scheme (default Flash).
-    pub fn scheme(mut self, scheme: SchemeKind) -> Self {
+    pub fn scheme(mut self, scheme: Scheme) -> Self {
         self.scheme = scheme;
-        self
-    }
-
-    /// Installs a custom router instead of a stock scheme. Overrides
-    /// [`ScenarioBuilder::scheme`] for routing (the scheme name is still
-    /// reported).
-    pub fn router(mut self, router: Box<dyn Router<Cluster>>) -> Self {
-        self.router = Some(router);
         self
     }
 
     /// Seeds the router (default 1).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the mice fraction used to derive the elephant threshold
-    /// from the trace (default 0.9, as in §5.2).
-    pub fn mice_fraction(mut self, fraction: f64) -> Self {
-        self.mice_fraction = fraction;
         self
     }
 
@@ -193,20 +173,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Installs sender-side fee policies, indexed by edge id.
-    pub fn fees(mut self, fees: Vec<FeePolicy>) -> Self {
-        self.fees = Some(fees);
-        self
-    }
-
-    /// Paces arrivals as a seeded Poisson process at `rate_per_sec`
-    /// instead of issuing payments back-to-back. Slows the run down;
-    /// only useful when churn offsets should interleave realistically.
-    pub fn poisson_arrivals(mut self, rate_per_sec: f64) -> Self {
-        self.poisson_rate = Some(rate_per_sec);
-        self
-    }
-
     /// Finalizes the description.
     pub fn build(self) -> Scenario {
         Scenario { spec: self }
@@ -234,12 +200,11 @@ impl Scenario {
         }
     }
 
-    /// Builds the cluster the spec describes (topology, faults, fees,
+    /// Builds the cluster the spec describes (topology, faults,
     /// timeout) without generating or running the workload.
     fn deploy(
         topology: TopologySpec,
         faults: &Option<FaultConfig>,
-        fees: &Option<Vec<FeePolicy>>,
         timeout: Option<Duration>,
     ) -> Result<(Cluster, DiGraph)> {
         let (graph, balances) = Self::resolve_topology(topology);
@@ -251,19 +216,16 @@ impl Scenario {
         if let Some(t) = timeout {
             cluster.set_timeout(t);
         }
-        if let Some(fees) = fees {
-            cluster.set_fee_policies(fees.clone())?;
-        }
         Ok((cluster, graph))
     }
 
     /// The escape hatch for imperative tests: deploys the scenario's
-    /// cluster (same topology, faults, fees, and timeout as
+    /// cluster (same topology, faults, and timeout as
     /// [`Scenario::run`] would use) and returns it without driving any
     /// workload. The caller owns the cluster and its shutdown.
     pub fn manual_cluster(self) -> Result<Cluster> {
         let spec = self.spec;
-        let (cluster, _) = Self::deploy(spec.topology, &spec.faults, &spec.fees, spec.timeout)?;
+        let (cluster, _) = Self::deploy(spec.topology, &spec.faults, spec.timeout)?;
         Ok(cluster)
     }
 
@@ -287,16 +249,11 @@ impl Scenario {
                 spec.name
             )));
         }
-        let (cluster, graph) = Self::deploy(spec.topology, &spec.faults, &spec.fees, spec.timeout)?;
+        let (mut cluster, graph) = Self::deploy(spec.topology, &spec.faults, spec.timeout)?;
         let trace = Self::resolve_workload(spec.workload, &graph);
         let amounts: Vec<Amount> = trace.iter().map(|p| p.amount).collect();
-        let threshold = threshold_for_mice_fraction(&amounts, spec.mice_fraction);
-        let mut router = spec
-            .router
-            .unwrap_or_else(|| spec.scheme.router(threshold, spec.seed));
-        let arrival_times = spec
-            .poisson_rate
-            .map(|rate| pcn_workload::arrivals::poisson_times(trace.len(), rate, spec.seed));
+        let threshold = threshold_for_mice_fraction(&amounts, MICE_FRACTION);
+        let mut router = spec.scheme.router::<Cluster>(threshold, spec.seed);
 
         let funds_before = cluster.total_funds();
         let mut churn_events = spec.churn.events().iter();
@@ -309,10 +266,9 @@ impl Scenario {
         let mut total_delay = Duration::ZERO;
         let mut mice_count: u64 = 0;
         let mut mice_delay = Duration::ZERO;
-        let mut cluster = cluster;
 
         let wall_run_start = wall_now();
-        for (i, payment) in trace.iter().enumerate() {
+        for payment in &trace {
             let wall_elapsed_us = wall_run_start.elapsed().as_micros() as u64;
             // Apply every churn event whose wall offset has passed.
             while let Some(ev) = next_churn {
@@ -322,13 +278,6 @@ impl Scenario {
                 cluster.apply_churn(&ev.action);
                 churn_applied += 1;
                 next_churn = churn_events.next();
-            }
-            if let Some(times) = &arrival_times {
-                let due = Duration::from_micros(times[i].micros());
-                let so_far = wall_run_start.elapsed();
-                if due > so_far {
-                    std::thread::sleep(due - so_far);
-                }
             }
             let class = payment.classify(threshold);
             let wall_pay_start = wall_now();
@@ -376,7 +325,7 @@ impl Scenario {
         let wire_out: u64 = telemetry.iter().map(NodeTelemetry::wire_out).sum();
         let mut report = ScenarioReport {
             name: spec.name,
-            scheme: spec.scheme.name().to_string(),
+            scheme: spec.scheme.label(),
             nodes: graph.node_count(),
             attempted,
             succeeded,
@@ -413,6 +362,7 @@ impl Scenario {
             outcomes,
             telemetry,
             invariants: Vec::new(),
+            clean_shutdown: false,
         };
         let funds_after = cluster.total_funds();
         report.invariants = spec
@@ -420,7 +370,7 @@ impl Scenario {
             .iter()
             .map(|inv| Self::check(inv, &report, funds_before, funds_after))
             .collect();
-        cluster.shutdown();
+        report.clean_shutdown = cluster.shutdown().is_clean();
         Ok(report)
     }
 
@@ -439,10 +389,6 @@ impl Scenario {
                 funds_before == funds_after,
                 format!("{funds_before} -> {funds_after}"),
             ),
-            Invariant::MessageBudget(budget) => {
-                let total = report.probe_messages + report.commit_messages;
-                (total <= budget, format!("observed {total}"))
-            }
             Invariant::MessagesConserved => (
                 report.wire_out == report.wire_in,
                 format!("out {} vs in {}", report.wire_out, report.wire_in),
@@ -483,7 +429,7 @@ mod tests {
     fn zero_fault_scenario_reports_successes() {
         let report = ScenarioBuilder::new("line-smoke", line())
             .workload(WorkloadSpec::Explicit(vec![pay(1, 3), pay(2, 30)]))
-            .scheme(SchemeKind::ShortestPath)
+            .scheme(Scheme::ShortestPath)
             .expect(Invariant::FundsConserved)
             .expect(Invariant::MessagesConserved)
             .expect(Invariant::SuccessRatioAtLeast(0.5))
@@ -493,6 +439,8 @@ mod tests {
         assert_eq!(report.attempted, 2);
         assert_eq!(report.succeeded, 1);
         assert_eq!(report.outcomes, vec![true, false]);
+        assert_eq!(report.success_volume_micros, 3_000_000);
+        assert!(report.commit_messages > 0 && report.avg_delay_ms > 0.0);
         assert!(
             report.all_invariants_hold(),
             "{:?}",
@@ -501,14 +449,14 @@ mod tests {
         assert_eq!(report.nodes, 3);
         assert!(report.wire_in > 0);
         assert!(report.events_per_sec > 0.0);
-        assert_eq!(report.scheme, "SP");
+        assert_eq!(report.scheme, "Shortest Path");
     }
 
     #[test]
     fn failed_invariant_is_reported_not_fatal() {
         let report = ScenarioBuilder::new("too-demanding", line())
             .workload(WorkloadSpec::Explicit(vec![pay(1, 30)]))
-            .scheme(SchemeKind::ShortestPath)
+            .scheme(Scheme::ShortestPath)
             .expect(Invariant::SuccessRatioAtLeast(1.0))
             .build()
             .run()
@@ -535,7 +483,7 @@ mod tests {
             },
         )
         .workload(WorkloadSpec::Ripple { txns: 10, seed: 8 })
-        .scheme(SchemeKind::Flash)
+        .scheme(Scheme::Flash)
         .expect(Invariant::FundsConserved)
         .expect(Invariant::MessagesConserved)
         .build()
@@ -568,7 +516,7 @@ mod tests {
         let report =
             ScenarioBuilder::new("closed-path", TopologySpec::Explicit { graph: g, balances })
                 .workload(WorkloadSpec::Explicit(vec![pay(1, 1)]))
-                .scheme(SchemeKind::ShortestPath)
+                .scheme(Scheme::ShortestPath)
                 .churn(churn)
                 .expect(Invariant::FundsConserved)
                 .build()
@@ -602,7 +550,6 @@ mod tests {
             "success_ratio >= 0.4"
         );
         assert_eq!(Invariant::FundsConserved.to_string(), "funds conserved");
-        assert_eq!(Invariant::MessageBudget(10).to_string(), "messages <= 10");
         assert_eq!(
             Invariant::MessagesConserved.to_string(),
             "wire messages conserved"

@@ -7,15 +7,15 @@
 //! faults, and here is what must hold afterwards.*
 //!
 //! ```no_run
+//! use flash_core::Scheme;
 //! use pcn_scenario::{Invariant, ScenarioBuilder, TopologySpec, WorkloadSpec};
-//! use pcn_proto::SchemeKind;
 //!
 //! let report = ScenarioBuilder::new(
 //!     "smoke",
 //!     TopologySpec::Testbed { n: 60, lo: 1000, hi: 1500, seed: 1 },
 //! )
 //! .workload(WorkloadSpec::Ripple { txns: 200, seed: 2 })
-//! .scheme(SchemeKind::Flash)
+//! .scheme(Scheme::Flash)
 //! .expect(Invariant::FundsConserved)
 //! .expect(Invariant::MessagesConserved)
 //! .expect(Invariant::SuccessRatioAtLeast(0.3))
@@ -26,7 +26,7 @@
 //! ```
 //!
 //! [`Scenario::run`] deploys a [`pcn_proto::Cluster`], derives the
-//! elephant threshold from the trace (90% mice by default, §5.2),
+//! elephant threshold from the trace (90% mice, §5.2),
 //! drives the workload through the *same* [`pcn_sim::Router`]
 //! implementations the simulator evaluates, applies churn events at
 //! their scheduled wall offsets, snapshots per-node telemetry, checks

@@ -1,11 +1,11 @@
 //! The serializable result of one scenario run.
 //!
 //! A [`ScenarioReport`] carries everything `BENCH_testbed.json` and the
-//! CI gate need: headline success/fee/latency numbers (the same metrics
-//! the old `TestbedReport` reported, so zero-fault scenarios are
-//! directly comparable to pre-refactor runs), per-node telemetry rows
-//! straight from the event loop's [`pcn_proto::NodeCounters`], and one
-//! [`InvariantOutcome`] per declared invariant.
+//! CI gate need: headline success/fee/latency numbers (the columns
+//! `tests/backend_parity.rs` compares with the simulator's `Metrics`),
+//! per-node telemetry rows straight from the event loop's
+//! [`pcn_proto::NodeCounters`], and one [`InvariantOutcome`] per
+//! declared invariant.
 
 use serde::{Deserialize, Serialize};
 
@@ -107,6 +107,9 @@ pub struct ScenarioReport {
     pub telemetry: Vec<NodeTelemetry>,
     /// One outcome per declared invariant.
     pub invariants: Vec<InvariantOutcome>,
+    /// Whether the event loop wound down with nothing left behind (no
+    /// unflushed frames, half-decoded bytes or transport errors).
+    pub clean_shutdown: bool,
 }
 
 impl ScenarioReport {

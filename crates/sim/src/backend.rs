@@ -327,7 +327,7 @@ pub trait PaymentNetwork {
     /// Notifies the backend that the router's staleness layer tripped
     /// a re-probe threshold and is about to refresh its topology
     /// knowledge (fresh probe/flood instead of retrying a dead path —
-    /// see [`ReprobePolicy`](crate::ReprobePolicy)). Default: no-op.
+    /// see [`StalenessTracker`](crate::StalenessTracker)). Default: no-op.
     /// The DES backend counts these into
     /// [`DesReport::reprobes_triggered`](crate::DesReport).
     fn note_reprobe(&mut self) {}

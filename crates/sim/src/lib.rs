@@ -36,8 +36,9 @@
 //!   event order.
 //! * [`reprobe`] — the router-facing staleness layer: per-destination
 //!   stale-error/probe-drop accounting ([`StalenessTracker`]) with
-//!   FlyPath-style edge-scaled thresholds ([`ReprobePolicy`]) that
-//!   trigger a fresh probe/flood instead of retrying a dead path.
+//!   FlyPath-style edge-scaled thresholds ([`reprobe::error_threshold`],
+//!   [`reprobe::drop_threshold`]) that trigger a fresh probe/flood
+//!   instead of retrying a dead path.
 //!
 //! Total funds are conserved exactly (integer micro-units): every debit
 //! of a forward balance is matched by a credit of escrow and ultimately
@@ -67,5 +68,5 @@ pub use fault::FaultConfig;
 pub use metrics::{ClassMetrics, LatencyHistogram, Metrics};
 pub use network::{ChannelInfo, Network, NetworkSession, ProbeReport};
 pub use outcome::{FailureReason, RouteOutcome};
-pub use reprobe::{ReprobePolicy, StalenessTracker};
+pub use reprobe::StalenessTracker;
 pub use router::Router;

@@ -7,9 +7,9 @@
 //! probes vanish. Retrying the dead path burns messages without
 //! converging, so every router carries a [`StalenessTracker`]: it
 //! accumulates per-destination stale-error and probe-drop counts, and
-//! when either crosses the [`ReprobePolicy`]'s edge-scaled threshold
-//! the router refreshes its topology knowledge (a fresh probe/flood)
-//! instead of retrying, notifying the backend via
+//! when either crosses its edge-scaled threshold ([`error_threshold`],
+//! [`drop_threshold`]) the router refreshes its topology knowledge (a
+//! fresh probe/flood) instead of retrying, notifying the backend via
 //! [`PaymentNetwork::note_reprobe`](crate::PaymentNetwork::note_reprobe).
 //!
 //! The threshold shape follows FlyPath's `should_flood`: scale with
@@ -29,15 +29,6 @@
 use crate::backend::FailureCause;
 use pcn_types::NodeId;
 
-/// Edge-scaled re-probe thresholds (FlyPath's `should_flood` shape).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReprobePolicy {
-    /// Percent-of-edge-count scale for stale commit errors.
-    pub error_scale: u64,
-    /// Percent-of-edge-count scale for lost probes.
-    pub drop_scale: u64,
-}
-
 /// FlyPath's error scale: threshold = 30% of the edge count.
 pub const ERROR_SCALE: u64 = 30;
 /// FlyPath's drop scale: threshold = 20% of the edge count.
@@ -47,29 +38,19 @@ pub const MIN_THRESHOLD: u64 = 10;
 /// Thresholds never exceed this, however large the network.
 pub const MAX_THRESHOLD: u64 = 100;
 
-impl Default for ReprobePolicy {
-    fn default() -> Self {
-        ReprobePolicy {
-            error_scale: ERROR_SCALE,
-            drop_scale: DROP_SCALE,
-        }
-    }
+/// Edge-scaled threshold (FlyPath's `should_flood` shape).
+fn threshold(scale: u64, edge_count: usize) -> u64 {
+    ((edge_count as u64).saturating_mul(scale) / 100).clamp(MIN_THRESHOLD, MAX_THRESHOLD)
 }
 
-impl ReprobePolicy {
-    fn threshold(scale: u64, edge_count: usize) -> u64 {
-        ((edge_count as u64).saturating_mul(scale) / 100).clamp(MIN_THRESHOLD, MAX_THRESHOLD)
-    }
+/// Stale-error count at which a destination triggers a re-probe.
+pub fn error_threshold(edge_count: usize) -> u64 {
+    threshold(ERROR_SCALE, edge_count)
+}
 
-    /// Stale-error count at which a destination triggers a re-probe.
-    pub fn error_threshold(&self, edge_count: usize) -> u64 {
-        Self::threshold(self.error_scale, edge_count)
-    }
-
-    /// Lost-probe count at which a destination triggers a re-probe.
-    pub fn drop_threshold(&self, edge_count: usize) -> u64 {
-        Self::threshold(self.drop_scale, edge_count)
-    }
+/// Lost-probe count at which a destination triggers a re-probe.
+pub fn drop_threshold(edge_count: usize) -> u64 {
+    threshold(DROP_SCALE, edge_count)
 }
 
 /// Per-destination stale-failure accounting for one router.
@@ -79,7 +60,6 @@ impl ReprobePolicy {
 /// router; see the module docs for the trip semantics.
 #[derive(Clone, Debug, Default)]
 pub struct StalenessTracker {
-    policy: ReprobePolicy,
     /// Stale commit errors per destination, indexed by `NodeId`.
     errors: Vec<u64>,
     /// Lost probes per destination, indexed by `NodeId`.
@@ -87,20 +67,6 @@ pub struct StalenessTracker {
 }
 
 impl StalenessTracker {
-    /// A fresh tracker under `policy`, all counters zero.
-    pub fn new(policy: ReprobePolicy) -> Self {
-        StalenessTracker {
-            policy,
-            errors: Vec::new(),
-            drops: Vec::new(),
-        }
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> ReprobePolicy {
-        self.policy
-    }
-
     fn slot(v: &mut Vec<u64>, dest: NodeId) -> &mut u64 {
         let i = dest.0 as usize;
         if v.len() <= i {
@@ -145,8 +111,7 @@ impl StalenessTracker {
         if errors == 0 && drops == 0 {
             return false;
         }
-        let trip = errors >= self.policy.error_threshold(edge_count)
-            || drops >= self.policy.drop_threshold(edge_count);
+        let trip = errors >= error_threshold(edge_count) || drops >= drop_threshold(edge_count);
         if trip {
             *Self::slot(&mut self.errors, dest) = 0;
             *Self::slot(&mut self.drops, dest) = 0;
@@ -165,16 +130,15 @@ mod tests {
 
     #[test]
     fn thresholds_scale_with_edges_and_clamp() {
-        let p = ReprobePolicy::default();
         // Tiny network: clamp to the floor.
-        assert_eq!(p.error_threshold(4), 10);
-        assert_eq!(p.drop_threshold(4), 10);
+        assert_eq!(error_threshold(4), 10);
+        assert_eq!(drop_threshold(4), 10);
         // Mid-size: 200 edges → 60 errors / 40 drops.
-        assert_eq!(p.error_threshold(200), 60);
-        assert_eq!(p.drop_threshold(200), 40);
+        assert_eq!(error_threshold(200), 60);
+        assert_eq!(drop_threshold(200), 40);
         // Huge: clamp to the ceiling.
-        assert_eq!(p.error_threshold(10_000), 100);
-        assert_eq!(p.drop_threshold(10_000), 100);
+        assert_eq!(error_threshold(10_000), 100);
+        assert_eq!(drop_threshold(10_000), 100);
     }
 
     #[test]

@@ -14,9 +14,8 @@
 //! Everything is virtual time: the run is deterministic and takes a
 //! fraction of the makespan it simulates.
 
-use flash_offchain::experiments::harness::{
-    run_scheme_des, DesLoad, SimScheme, DEFAULT_MICE_FRACTION,
-};
+use flash_offchain::core::Scheme;
+use flash_offchain::experiments::harness::{run_scheme_des, DesLoad, DEFAULT_MICE_FRACTION};
 use flash_offchain::sim::des::{ChurnRate, LatencyModel, ServiceModel};
 use flash_offchain::workload::testbed_topology;
 use flash_offchain::workload::trace::{generate_trace, TraceConfig};
@@ -31,7 +30,7 @@ fn main() {
         "{:>14} {:>10} {:>9} {:>12} {:>12} {:>11} {:>9} {:>8}",
         "scheme", "load(pps)", "ratio", "p95(ms)", "queue95(ms)", "tput(pps)", "backlog", "util"
     );
-    for scheme in SimScheme::ALL {
+    for scheme in Scheme::ALL {
         for load in [25.0, 100.0, 400.0] {
             let report = run_scheme_des(
                 &net,

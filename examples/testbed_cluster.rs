@@ -10,35 +10,38 @@
 //! cargo run --example testbed_cluster
 //! ```
 
-use flash_offchain::proto::{Cluster, SchemeKind, TestbedRunner};
-use flash_offchain::types::Amount;
-use flash_offchain::workload::testbed_topology;
-use flash_offchain::workload::trace::{generate_trace, TraceConfig};
+use flash_offchain::core::Scheme;
+use flash_offchain::scenario::{ScenarioBuilder, TopologySpec, WorkloadSpec};
 
 fn main() {
     let nodes = 30;
     let (lo, hi) = (1000, 1500);
     println!("launching {nodes}-node Watts-Strogatz cluster, capacities U[${lo},${hi})...");
 
-    let trace_topo = testbed_topology(nodes, lo, hi, 42);
-    let trace = generate_trace(trace_topo.graph(), &TraceConfig::ripple(150, 7));
-    let amounts: Vec<Amount> = trace.iter().map(|p| p.amount).collect();
-    let threshold = flash_offchain::core::classify::threshold_for_mice_fraction(&amounts, 0.9);
-
-    for scheme in SchemeKind::ALL {
-        // Fresh cluster per scheme: identical initial balances.
-        let topo = testbed_topology(nodes, lo, hi, 42);
-        let graph = topo.graph().clone();
-        let balances: Vec<Amount> = graph.edges().map(|(e, _, _)| topo.balance(e)).collect();
-        let cluster = Cluster::launch(graph, &balances).expect("cluster launch");
-        let mut runner = TestbedRunner::new(cluster, scheme, threshold, 13);
-        let report = runner.run_trace(&trace);
+    for scheme in Scheme::ALL {
+        // Fresh cluster per scheme: identical topology, balances and
+        // trace (same seeds), 90% of the trace classified as mice.
+        let report = ScenarioBuilder::new(
+            format!("example-{}", scheme.label()),
+            TopologySpec::Testbed {
+                n: nodes,
+                lo,
+                hi,
+                seed: 42,
+            },
+        )
+        .workload(WorkloadSpec::Ripple { txns: 150, seed: 7 })
+        .scheme(scheme)
+        .seed(13)
+        .build()
+        .run()
+        .expect("scenario run");
         println!(
-            "{:>14}: success {:>5.1}%  volume ${:<11} avg delay {:>9.1?}  probes {:>5}  commits {:>5}",
-            scheme.name(),
-            report.success_ratio() * 100.0,
-            report.success_volume.as_units_f64(),
-            report.avg_delay(),
+            "{:>14}: success {:>5.1}%  volume ${:<11} avg delay {:>7.3} ms  probes {:>5}  commits {:>5}",
+            report.scheme,
+            report.success_ratio * 100.0,
+            report.success_volume_micros as f64 / 1e6,
+            report.avg_delay_ms,
             report.probe_messages,
             report.commit_messages,
         );

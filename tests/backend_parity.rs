@@ -16,56 +16,17 @@
 //! accept/reject decision — still agrees, which this test pins down.
 
 use flash_offchain::core::classify::threshold_for_mice_fraction;
-use flash_offchain::core::{
-    FlashConfig, FlashRouter, ShortestPathRouter, SilentWhispersRouter, SpeedyMurmursRouter,
-    SpiderRouter,
-};
-use flash_offchain::proto::{Cluster, SchemeKind};
+use flash_offchain::core::Scheme;
+use flash_offchain::proto::Cluster;
 use flash_offchain::scenario::{Invariant, ScenarioBuilder, TopologySpec, WorkloadSpec};
-use flash_offchain::sim::{Network, Router};
+use flash_offchain::sim::Network;
 use flash_offchain::types::{Amount, Payment};
 use flash_offchain::workload::testbed_topology;
 use flash_offchain::workload::trace::{generate_trace, TraceConfig};
 
-/// Two identically configured router instances — one per backend. The
-/// routers are stateful (Flash's table and RNG), so each backend needs
-/// its own copy, seeded the same.
-fn router_pair(
-    scheme: SchemeKind,
-    threshold: Amount,
-    seed: u64,
-) -> (Box<dyn Router<Network>>, Box<dyn Router<Cluster>>) {
-    match scheme {
-        SchemeKind::Flash => {
-            let config = FlashConfig {
-                elephant_threshold: threshold,
-                seed,
-                ..Default::default()
-            };
-            (
-                Box::new(FlashRouter::new(config.clone())),
-                Box::new(FlashRouter::new(config)),
-            )
-        }
-        SchemeKind::Spider => (Box::new(SpiderRouter::new()), Box::new(SpiderRouter::new())),
-        SchemeKind::ShortestPath => (
-            Box::new(ShortestPathRouter::new()),
-            Box::new(ShortestPathRouter::new()),
-        ),
-        SchemeKind::SpeedyMurmurs => (
-            Box::new(SpeedyMurmursRouter::new()),
-            Box::new(SpeedyMurmursRouter::new()),
-        ),
-        SchemeKind::SilentWhispers => (
-            Box::new(SilentWhispersRouter::new()),
-            Box::new(SilentWhispersRouter::new()),
-        ),
-    }
-}
-
 /// Routes `txns` payments through `scheme` on both backends and asserts
 /// per-payment success agreement plus conservation on each backend.
-fn assert_parity(scheme: SchemeKind, nodes: usize, txns: usize, seed: u64) {
+fn assert_parity(scheme: Scheme, nodes: usize, txns: usize, seed: u64) {
     // Identical deterministic topology and balances on both backends.
     let mut sim_net = testbed_topology(nodes, 1000, 1500, seed);
     let graph = sim_net.graph().clone();
@@ -76,7 +37,10 @@ fn assert_parity(scheme: SchemeKind, nodes: usize, txns: usize, seed: u64) {
     let amounts: Vec<Amount> = trace.iter().map(|p| p.amount).collect();
     let threshold = threshold_for_mice_fraction(&amounts, 0.9);
 
-    let (mut sim_router, mut tcp_router) = router_pair(scheme, threshold, seed + 2);
+    // The routers are stateful (Flash's table and RNG), so each backend
+    // gets its own instance from the one registry, seeded the same.
+    let mut sim_router = scheme.router::<Network>(threshold, seed + 2);
+    let mut tcp_router = scheme.router::<Cluster>(threshold, seed + 2);
 
     let sim_before = sim_net.total_funds();
     let tcp_before = cluster.total_funds();
@@ -89,7 +53,7 @@ fn assert_parity(scheme: SchemeKind, nodes: usize, txns: usize, seed: u64) {
             sim_out.is_success(),
             tcp_out.is_success(),
             "{}: payment {i} ({:?}, {class:?}) diverged: sim {sim_out:?} vs tcp {tcp_out:?}",
-            scheme.name(),
+            scheme.label(),
             p,
         );
         // On success both backends deliver the full demand.
@@ -101,31 +65,31 @@ fn assert_parity(scheme: SchemeKind, nodes: usize, txns: usize, seed: u64) {
             sim_net.total_funds(),
             sim_before,
             "{}: simulator leaked funds at payment {i}",
-            scheme.name()
+            scheme.label()
         );
         assert_eq!(
             cluster.total_funds(),
             tcp_before,
             "{}: cluster leaked funds at payment {i}",
-            scheme.name()
+            scheme.label()
         );
     }
     // The trace must exercise both outcomes to be a meaningful diff.
     let successes = sim_net.metrics().total().succeeded;
-    assert!(successes > 0, "{}: nothing succeeded", scheme.name());
+    assert!(successes > 0, "{}: nothing succeeded", scheme.label());
 }
 
-/// The declarative path must agree with the imperative one: a scenario
+/// The declarative path must agree with the simulator too: a scenario
 /// described through `ScenarioBuilder` — same topology seed, same trace
 /// seed, same router seed — reproduces the simulator's per-payment
-/// outcomes exactly, and its wire telemetry conserves (every frame sent
-/// was received).
-fn assert_scenario_parity(scheme: SchemeKind, nodes: usize, txns: usize, seed: u64) {
+/// outcomes, delivered volume and fees exactly, and its wire telemetry
+/// conserves (every frame sent was received).
+fn assert_scenario_parity(scheme: Scheme, nodes: usize, txns: usize, seed: u64) {
     let mut sim_net = testbed_topology(nodes, 1000, 1500, seed);
     let trace: Vec<Payment> = generate_trace(sim_net.graph(), &TraceConfig::ripple(txns, seed + 1));
     let amounts: Vec<Amount> = trace.iter().map(|p| p.amount).collect();
     let threshold = threshold_for_mice_fraction(&amounts, 0.9);
-    let (mut sim_router, _) = router_pair(scheme, threshold, seed + 2);
+    let mut sim_router = scheme.router::<Network>(threshold, seed + 2);
     let sim_outcomes: Vec<bool> = trace
         .iter()
         .map(|p| {
@@ -136,7 +100,7 @@ fn assert_scenario_parity(scheme: SchemeKind, nodes: usize, txns: usize, seed: u
         .collect();
 
     let report = ScenarioBuilder::new(
-        format!("parity-{}", scheme.name()),
+        format!("parity-{}", scheme.label()),
         TopologySpec::Testbed {
             n: nodes,
             lo: 1000,
@@ -160,20 +124,37 @@ fn assert_scenario_parity(scheme: SchemeKind, nodes: usize, txns: usize, seed: u
         report.outcomes,
         sim_outcomes,
         "{}: scenario outcomes diverged from the simulator",
-        scheme.name()
+        scheme.label()
+    );
+    let sim = sim_net.metrics();
+    assert_eq!(
+        report.success_volume_micros,
+        sim.success_volume().micros(),
+        "{}: delivered volume diverged",
+        scheme.label()
+    );
+    assert_eq!(
+        report.fees_micros,
+        sim.fees_paid.micros(),
+        "{}: fees diverged",
+        scheme.label()
     );
     assert!(
         report.all_invariants_hold(),
         "{}: {:?}",
-        scheme.name(),
+        scheme.label(),
         report.failed_invariants()
     );
-    assert!(report.succeeded > 0, "{}: nothing succeeded", scheme.name());
+    assert!(
+        report.succeeded > 0,
+        "{}: nothing succeeded",
+        scheme.label()
+    );
 }
 
 #[test]
 fn scenario_agrees_with_simulator_for_all_schemes() {
-    for scheme in SchemeKind::ALL {
+    for scheme in Scheme::ALL {
         assert_scenario_parity(scheme, 14, 50, 401);
     }
 }
@@ -181,34 +162,34 @@ fn scenario_agrees_with_simulator_for_all_schemes() {
 #[test]
 fn shortest_path_agrees_across_backends() {
     for seed in [101, 201, 301] {
-        assert_parity(SchemeKind::ShortestPath, 14, 50, seed);
+        assert_parity(Scheme::ShortestPath, 14, 50, seed);
     }
 }
 
 #[test]
 fn spider_agrees_across_backends() {
     for seed in [103, 203, 303] {
-        assert_parity(SchemeKind::Spider, 14, 50, seed);
+        assert_parity(Scheme::Spider, 14, 50, seed);
     }
 }
 
 #[test]
 fn flash_agrees_across_backends() {
     for seed in [105, 205, 305] {
-        assert_parity(SchemeKind::Flash, 14, 50, seed);
+        assert_parity(Scheme::Flash, 14, 50, seed);
     }
 }
 
 #[test]
 fn speedymurmurs_agrees_across_backends() {
     for seed in [107, 207, 307] {
-        assert_parity(SchemeKind::SpeedyMurmurs, 14, 50, seed);
+        assert_parity(Scheme::SpeedyMurmurs, 14, 50, seed);
     }
 }
 
 #[test]
 fn silentwhispers_agrees_across_backends() {
     for seed in [109, 209, 309] {
-        assert_parity(SchemeKind::SilentWhispers, 14, 50, seed);
+        assert_parity(Scheme::SilentWhispers, 14, 50, seed);
     }
 }

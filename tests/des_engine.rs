@@ -4,8 +4,9 @@
 //! simulator at zero latency.
 
 use flash_offchain::core::classify::threshold_for_mice_fraction;
+use flash_offchain::core::Scheme;
 use flash_offchain::experiments::harness::{
-    run_scheme, run_scheme_des, DesLoad, SimScheme, DEFAULT_MICE_FRACTION,
+    run_scheme, run_scheme_des, DesLoad, DEFAULT_MICE_FRACTION,
 };
 use flash_offchain::sim::des::{
     ChurnRate, DesConfig, DesEngine, DesNetwork, LatencyModel, ServiceModel, SimTime,
@@ -16,7 +17,7 @@ use flash_offchain::workload::trace::{generate_trace, TraceConfig};
 use flash_offchain::workload::{arrivals, testbed_topology};
 use proptest::prelude::*;
 
-const SCHEMES: [SimScheme; 5] = SimScheme::ALL;
+const SCHEMES: [Scheme; 5] = Scheme::ALL;
 
 fn small_net(seed: u64) -> Network {
     testbed_topology(40, 1000, 1500, seed)
@@ -32,14 +33,14 @@ fn trace_for(net: &Network, n: usize, seed: u64) -> Vec<Payment> {
 /// after *every* applied event).
 fn run_checked(
     net: &Network,
-    scheme: SimScheme,
+    scheme: Scheme,
     workload: &[(SimTime, Payment)],
     threshold: Amount,
     latency: LatencyModel,
     service: ServiceModel,
     seed: u64,
 ) -> (flash_offchain::sim::DesReport, DesNetwork) {
-    let mut router = scheme.router_on::<DesNetwork>(threshold, seed);
+    let mut router = scheme.router::<DesNetwork>(threshold, seed);
     let mut engine = DesEngine::new(
         net.clone(),
         DesConfig {
@@ -132,7 +133,7 @@ fn overlapping_payments_show_nonzero_peak_in_flight_and_conserve_funds() {
 fn same_seed_produces_identical_reports() {
     let net = small_net(9);
     let trace = trace_for(&net, 100, 10);
-    for scheme in [SimScheme::Flash, SimScheme::Spider, SimScheme::ShortestPath] {
+    for scheme in [Scheme::Flash, Scheme::Spider, Scheme::ShortestPath] {
         let run = || {
             run_scheme_des(
                 &net,
@@ -168,7 +169,7 @@ fn different_seeds_change_the_arrival_pattern() {
     let at = |seed| {
         run_scheme_des(
             &net,
-            SimScheme::ShortestPath,
+            Scheme::ShortestPath,
             &trace,
             DEFAULT_MICE_FRACTION,
             seed,
@@ -422,7 +423,7 @@ proptest! {
             let workload = arrivals::poisson_workload(&trace, rate, seed);
             let (report, _) = run_checked(
                 &net,
-                SimScheme::ShortestPath,
+                Scheme::ShortestPath,
                 &workload,
                 Amount::MAX,
                 LatencyModel::constant_ms(10),
@@ -475,7 +476,7 @@ proptest! {
         // The same run through a churn-free engine (the default config
         // installs no schedule), seeded identically to the harness.
         let workload = arrivals::poisson_workload(&trace, 300.0, seed + 2);
-        let mut router = scheme.router_on::<DesNetwork>(threshold, seed + 2);
+        let mut router = scheme.router::<DesNetwork>(threshold, seed + 2);
         let mut engine = DesEngine::new(
             net.clone(),
             DesConfig {
@@ -523,7 +524,7 @@ proptest! {
             downtime: SimTime::from_millis(downtime_ms),
         };
         let schedule = flash_offchain::workload::churn_schedule(net.graph(), horizon, &rate, seed + 3);
-        let mut router = scheme.router_on::<DesNetwork>(threshold, seed + 2);
+        let mut router = scheme.router::<DesNetwork>(threshold, seed + 2);
         let mut engine = DesEngine::new(
             net.clone(),
             DesConfig {

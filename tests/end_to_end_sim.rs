@@ -2,16 +2,15 @@
 //! trace generation → all four routing schemes → metric sanity, on the
 //! quick-scale configuration of the experiment harness.
 
-use flash_offchain::experiments::harness::{
-    run_scheme, Effort, SimScheme, Topo, DEFAULT_MICE_FRACTION,
-};
+use flash_offchain::core::Scheme;
+use flash_offchain::experiments::harness::{run_scheme, Effort, Topo, DEFAULT_MICE_FRACTION};
 use flash_offchain::types::Amount;
 
-const SCHEMES: [SimScheme; 4] = [
-    SimScheme::Flash,
-    SimScheme::Spider,
-    SimScheme::SpeedyMurmurs,
-    SimScheme::ShortestPath,
+const SCHEMES: [Scheme; 4] = [
+    Scheme::Flash,
+    Scheme::Spider,
+    Scheme::SpeedyMurmurs,
+    Scheme::ShortestPath,
 ];
 
 #[test]
@@ -50,17 +49,17 @@ fn dynamic_schemes_beat_static_on_success_volume() {
         let mut net = Topo::Ripple.build_network(Effort::Quick, seed);
         net.scale_balances(10);
         let trace = Topo::Ripple.build_trace(&net, 250, seed + 1);
-        let f = run_scheme(&net, SimScheme::Flash, &trace, DEFAULT_MICE_FRACTION, seed);
+        let f = run_scheme(&net, Scheme::Flash, &trace, DEFAULT_MICE_FRACTION, seed);
         let sp = run_scheme(
             &net,
-            SimScheme::ShortestPath,
+            Scheme::ShortestPath,
             &trace,
             DEFAULT_MICE_FRACTION,
             seed,
         );
         let sm = run_scheme(
             &net,
-            SimScheme::SpeedyMurmurs,
+            Scheme::SpeedyMurmurs,
             &trace,
             DEFAULT_MICE_FRACTION,
             seed,
@@ -79,8 +78,8 @@ fn flash_probes_fewer_messages_than_spider() {
     let mut net = Topo::Ripple.build_network(Effort::Quick, 7);
     net.scale_balances(10);
     let trace = Topo::Ripple.build_trace(&net, 300, 8);
-    let flash = run_scheme(&net, SimScheme::Flash, &trace, DEFAULT_MICE_FRACTION, 9);
-    let spider = run_scheme(&net, SimScheme::Spider, &trace, DEFAULT_MICE_FRACTION, 9);
+    let flash = run_scheme(&net, Scheme::Flash, &trace, DEFAULT_MICE_FRACTION, 9);
+    let spider = run_scheme(&net, Scheme::Spider, &trace, DEFAULT_MICE_FRACTION, 9);
     assert!(
         flash.probe_messages < spider.probe_messages,
         "Flash {} probes should be below Spider {}",
@@ -88,17 +87,11 @@ fn flash_probes_fewer_messages_than_spider() {
         spider.probe_messages
     );
     // Static schemes never probe.
-    let sp = run_scheme(
-        &net,
-        SimScheme::ShortestPath,
-        &trace,
-        DEFAULT_MICE_FRACTION,
-        9,
-    );
+    let sp = run_scheme(&net, Scheme::ShortestPath, &trace, DEFAULT_MICE_FRACTION, 9);
     assert_eq!(sp.probe_messages, 0);
     let sm = run_scheme(
         &net,
-        SimScheme::SpeedyMurmurs,
+        Scheme::SpeedyMurmurs,
         &trace,
         DEFAULT_MICE_FRACTION,
         9,
@@ -111,7 +104,7 @@ fn success_ratio_dominated_by_mice() {
     let mut net = Topo::Ripple.build_network(Effort::Quick, 13);
     net.scale_balances(10);
     let trace = Topo::Ripple.build_trace(&net, 300, 14);
-    let m = run_scheme(&net, SimScheme::Flash, &trace, DEFAULT_MICE_FRACTION, 15);
+    let m = run_scheme(&net, Scheme::Flash, &trace, DEFAULT_MICE_FRACTION, 15);
     // Mice are ≤ the 90th percentile size with 10x capacity: the bulk
     // must go through ("Flash and Spider are both able to fulfill most
     // mice payments").
@@ -136,9 +129,9 @@ fn capacity_scaling_monotonically_helps() {
         let mut high = base.clone();
         high.scale_balances(40);
         low_total +=
-            run_scheme(&low, SimScheme::Flash, &trace, DEFAULT_MICE_FRACTION, seed).success_ratio();
-        high_total += run_scheme(&high, SimScheme::Flash, &trace, DEFAULT_MICE_FRACTION, seed)
-            .success_ratio();
+            run_scheme(&low, Scheme::Flash, &trace, DEFAULT_MICE_FRACTION, seed).success_ratio();
+        high_total +=
+            run_scheme(&high, Scheme::Flash, &trace, DEFAULT_MICE_FRACTION, seed).success_ratio();
     }
     assert!(
         high_total >= low_total,

@@ -1,5 +1,5 @@
 //! Cross-kernel max-flow properties on the paper's generator
-//! topologies: Dinic (plain and capacity-scaling) and highest-label
+//! topologies: Dinic and highest-label
 //! push-relabel must agree with the Edmonds–Karp oracle on value and
 //! min cut, produce feasible conserving flows, and decompose into
 //! executable paths that reassemble the full value — the guarantees
@@ -7,15 +7,15 @@
 //! rely on.
 
 use flash_offchain::graph::maxflow::{
-    decompose_into_paths, dinic, dinic_scaling, edmonds_karp, min_cut_capacity, push_relabel,
-    Dinic, EdmondsKarp, MaxFlow, MaxFlowSolver, PushRelabel,
+    decompose_into_paths, dinic, edmonds_karp, min_cut_capacity, push_relabel, Dinic, EdmondsKarp,
+    MaxFlow, MaxFlowSolver, PushRelabel,
 };
 use flash_offchain::graph::{generators, DiGraph};
 use flash_offchain::types::NodeId;
 use proptest::prelude::*;
 
 /// Deterministic per-edge capacities spanning several magnitudes (the
-/// satoshi-vs-dollar spread capacity scaling exists for).
+/// satoshi-vs-dollar spread).
 fn caps_for(g: &DiGraph, seed: u64) -> Vec<u64> {
     (0..g.edge_count() as u64)
         .map(|i| 1 + (i * 7919 + seed) % 10_000)
@@ -39,12 +39,10 @@ proptest! {
         let (s, t) = (NodeId(s), NodeId(t));
         let ek = edmonds_karp(&g, s, t, &caps);
         let di = dinic(&g, s, t, &caps);
-        let ds = dinic_scaling(&g, s, t, &caps);
         let pr = push_relabel(&g, s, t, &caps);
         prop_assert_eq!(di.value, ek.value);
-        prop_assert_eq!(ds.value, ek.value);
         prop_assert_eq!(pr.value, ek.value);
-        for mf in [&ek, &di, &ds, &pr] {
+        for mf in [&ek, &di, &pr] {
             prop_assert_eq!(min_cut_capacity(&g, s, mf, &caps), mf.value);
         }
     }
@@ -94,8 +92,7 @@ fn solver_trait_is_uniform() {
     let caps = caps_for(&g, 9);
     let solvers: Vec<Box<dyn MaxFlowSolver>> = vec![
         Box::new(EdmondsKarp),
-        Box::new(Dinic::new()),
-        Box::new(Dinic::with_capacity_scaling()),
+        Box::new(Dinic),
         Box::new(PushRelabel),
     ];
     let values: Vec<u64> = solvers
@@ -104,10 +101,7 @@ fn solver_trait_is_uniform() {
         .collect();
     assert!(values.windows(2).all(|w| w[0] == w[1]), "{values:?}");
     let names: Vec<&str> = solvers.iter().map(|sv| sv.name()).collect();
-    assert_eq!(
-        names,
-        ["edmonds-karp", "dinic", "dinic-scaling", "push-relabel"]
-    );
+    assert_eq!(names, ["edmonds-karp", "dinic", "push-relabel"]);
 }
 
 /// A decomposition case where the pre-rewrite walk order mattered: the

@@ -2,40 +2,49 @@
 //! real sockets, cross-validation against the simulator, and the
 //! two-phase commit protocol under concurrent sub-payments.
 
-use flash_offchain::core::classify::threshold_for_mice_fraction;
-use flash_offchain::proto::{Cluster, SchemeKind, TestbedRunner};
+use flash_offchain::core::Scheme;
+use flash_offchain::proto::Cluster;
+use flash_offchain::scenario::{Invariant, ScenarioBuilder, TopologySpec, WorkloadSpec};
+use flash_offchain::sim::FaultConfig;
 use flash_offchain::types::Amount;
 use flash_offchain::workload::testbed_topology;
 use flash_offchain::workload::trace::{generate_trace, TraceConfig};
+use std::time::Duration;
 
-fn launch(nodes: usize, seed: u64) -> (Cluster, Vec<flash_offchain::types::Payment>) {
-    let topo = testbed_topology(nodes, 1000, 1500, seed);
-    let graph = topo.graph().clone();
-    let balances: Vec<Amount> = graph.edges().map(|(e, _, _)| topo.balance(e)).collect();
-    let cluster = Cluster::launch(graph, &balances).expect("cluster launch");
-    let trace = generate_trace(cluster.graph(), &TraceConfig::ripple(80, seed + 1));
-    (cluster, trace)
+/// A scenario over the §5.2 testbed topology seeded `seed`, routing an
+/// 80-payment Ripple trace seeded `seed + 1`.
+fn scenario(nodes: usize, seed: u64, scheme: Scheme, router_seed: u64) -> ScenarioBuilder {
+    ScenarioBuilder::new(
+        format!("tcp-{}-{nodes}n", scheme.label()),
+        TopologySpec::Testbed {
+            n: nodes,
+            lo: 1000,
+            hi: 1500,
+            seed,
+        },
+    )
+    .workload(WorkloadSpec::Ripple {
+        txns: 80,
+        seed: seed + 1,
+    })
+    .scheme(scheme)
+    .seed(router_seed)
 }
 
 #[test]
 fn testbed_conserves_funds_across_full_trace() {
-    for scheme in [
-        SchemeKind::Flash,
-        SchemeKind::Spider,
-        SchemeKind::ShortestPath,
-    ] {
-        let (cluster, trace) = launch(16, 11);
-        let before = cluster.total_funds();
-        let amounts: Vec<Amount> = trace.iter().map(|p| p.amount).collect();
-        let threshold = threshold_for_mice_fraction(&amounts, 0.9);
-        let mut runner = TestbedRunner::new(cluster, scheme, threshold, 3);
-        let report = runner.run_trace(&trace);
-        assert!(report.attempted == trace.len() as u64);
-        assert_eq!(
-            runner.cluster().total_funds(),
-            before,
-            "{} leaked funds over TCP",
-            scheme.name()
+    for scheme in [Scheme::Flash, Scheme::Spider, Scheme::ShortestPath] {
+        let report = scenario(16, 11, scheme, 3)
+            .expect(Invariant::FundsConserved)
+            .build()
+            .run()
+            .expect("scenario run");
+        assert_eq!(report.attempted, 80);
+        assert!(
+            report.all_invariants_hold(),
+            "{} leaked funds over TCP: {:?}",
+            scheme.label(),
+            report.failed_invariants()
         );
     }
 }
@@ -44,54 +53,39 @@ fn testbed_conserves_funds_across_full_trace() {
 fn testbed_and_simulator_agree_on_shortest_path() {
     // SP is deterministic and probe-free: the TCP prototype and the
     // in-memory simulator must agree payment-by-payment.
-    let (cluster, trace) = launch(16, 17);
-    let graph = cluster.graph().clone();
-    let topo = testbed_topology(16, 1000, 1500, 17);
-    let mut sim_net = topo; // identical initial balances (same seed)
-    let mut sim_router = flash_offchain::core::ShortestPathRouter::new();
+    let report = scenario(16, 17, Scheme::ShortestPath, 5)
+        .build()
+        .run()
+        .expect("scenario run");
 
-    let mut runner = TestbedRunner::new(cluster, SchemeKind::ShortestPath, Amount::MAX, 5);
-    for p in &trace {
-        let tcp_ok = runner.route_one(p, flash_offchain::types::PaymentClass::Mice);
-        let sim_out = flash_offchain::sim::Router::route(
-            &mut sim_router,
-            &mut sim_net,
-            p,
-            flash_offchain::types::PaymentClass::Mice,
-        );
-        assert_eq!(
-            tcp_ok,
-            sim_out.is_success(),
-            "divergence on payment {:?} over graph with {} nodes",
-            p,
-            graph.node_count()
-        );
+    let mut sim_net = testbed_topology(16, 1000, 1500, 17); // identical initial balances (same seed)
+    let trace = generate_trace(sim_net.graph(), &TraceConfig::ripple(80, 18));
+    let mut sim_router = Scheme::ShortestPath.router(Amount::MAX, 5);
+    for (p, &tcp_ok) in trace.iter().zip(&report.outcomes) {
+        let sim_out = sim_router.route(&mut sim_net, p, p.classify(Amount::MAX));
+        assert_eq!(tcp_ok, sim_out.is_success(), "divergence on payment {p:?}");
     }
+    assert_eq!(report.outcomes.len(), trace.len());
 }
 
 #[test]
 fn flash_tcp_beats_sp_on_volume() {
-    let (cluster, trace) = launch(20, 23);
-    let amounts: Vec<Amount> = trace.iter().map(|p| p.amount).collect();
-    let threshold = threshold_for_mice_fraction(&amounts, 0.9);
-    let mut flash = TestbedRunner::new(cluster, SchemeKind::Flash, threshold, 7);
-    let flash_report = flash.run_trace(&trace);
-
-    let (cluster2, _) = launch(20, 23);
-    let mut sp = TestbedRunner::new(cluster2, SchemeKind::ShortestPath, threshold, 7);
-    let sp_report = sp.run_trace(&trace);
-
+    let run = |scheme| {
+        scenario(20, 23, scheme, 7)
+            .build()
+            .run()
+            .expect("scenario run")
+    };
+    let flash = run(Scheme::Flash);
+    let sp = run(Scheme::ShortestPath);
     assert!(
-        flash_report.success_volume >= sp_report.success_volume,
+        flash.success_volume_micros >= sp.success_volume_micros,
         "Flash volume {} below SP {}",
-        flash_report.success_volume,
-        sp_report.success_volume
+        flash.success_volume_micros,
+        sp.success_volume_micros
     );
-    assert!(
-        flash_report.probe_messages > 0,
-        "Flash should probe sometimes"
-    );
-    assert_eq!(sp_report.probe_messages, 0, "SP never probes");
+    assert!(flash.probe_messages > 0, "Flash should probe sometimes");
+    assert_eq!(sp.probe_messages, 0, "SP never probes");
 }
 
 #[test]
@@ -131,20 +125,27 @@ fn concurrent_subpayments_share_a_channel_safely() {
 
 #[test]
 fn lossy_transport_degrades_but_never_wedges() {
-    use flash_offchain::proto::FaultPlan;
-    use std::time::Duration;
-    let topo = testbed_topology(12, 1000, 1500, 31);
-    let graph = topo.graph().clone();
-    let balances: Vec<Amount> = graph.edges().map(|(e, _, _)| topo.balance(e)).collect();
-    let mut cluster =
-        Cluster::launch_with_faults(graph, &balances, FaultPlan::with_drop_prob(0.2, 9))
-            .expect("cluster launch");
-    cluster.set_timeout(Duration::from_millis(200));
-    let trace = generate_trace(cluster.graph(), &TraceConfig::ripple(30, 33));
-    let amounts: Vec<Amount> = trace.iter().map(|p| p.amount).collect();
-    let threshold = threshold_for_mice_fraction(&amounts, 0.9);
-    let mut runner = TestbedRunner::new(cluster, SchemeKind::ShortestPath, threshold, 5);
-    let report = runner.run_trace(&trace);
+    let report = ScenarioBuilder::new(
+        "tcp-lossy",
+        TopologySpec::Testbed {
+            n: 12,
+            lo: 1000,
+            hi: 1500,
+            seed: 31,
+        },
+    )
+    .workload(WorkloadSpec::Ripple { txns: 30, seed: 33 })
+    .scheme(Scheme::ShortestPath)
+    .seed(5)
+    .faults(FaultConfig {
+        probe_drop_prob: 0.2,
+        seed: 9,
+        ..FaultConfig::none()
+    })
+    .timeout(Duration::from_millis(200))
+    .build()
+    .run()
+    .expect("scenario run");
     // The run completes (no deadlock), records every attempt, and under
     // 20% loss some payments time out.
     assert_eq!(report.attempted, 30);
