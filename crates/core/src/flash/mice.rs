@@ -9,10 +9,31 @@
 //! This implementation keys entries by `(sender, receiver)` because one
 //! `FlashRouter` instance simulates every node's local state at once;
 //! the per-sender view is identical to per-node tables.
+//!
+//! An entry is the live path set, the pair's [`RankedPaths`] enumeration
+//! and a last-used stamp. The enumeration is stepped `m` times on a miss
+//! and once per dead path afterwards, so "the next top shortest path" is
+//! wherever it stopped; how a rank is obtained is `pcn_graph::yen`'s
+//! business, not this module's.
+//!
+//! **Contract: the graph is fixed between refreshes.** Every call on a
+//! table must pass the same topology until [`RoutingTable::refresh`],
+//! which drops the entries and their enumerations with them. The
+//! backends guarantee it: `PaymentNetwork::graph()` hands out a `&DiGraph`
+//! that none of them mutates, and topology change reaches the router
+//! only through `on_topology_refresh`.
 
-use pcn_graph::{yen, DiGraph, Path};
+use pcn_graph::yen::RankedPaths;
+use pcn_graph::{DiGraph, Path};
 use pcn_types::NodeId;
 use std::collections::HashMap;
+
+/// Routing-table entries unused for this many mice payments are evicted
+/// ("Timeouts are used to remove receivers ... to limit the routing
+/// table size"). The paper names no value, and every experiment, test
+/// and committed bench record here runs with this one — hence a
+/// constant, not a `FlashConfig` field.
+pub const TABLE_TTL: u64 = 10_000;
 
 /// One routing-table entry.
 #[derive(Clone, Debug)]
@@ -20,27 +41,15 @@ struct TableEntry {
     /// The live path set: the top-m shortest paths, with dead paths
     /// swapped for later Yen ranks by [`RoutingTable::replace_path`].
     paths: Vec<Path>,
-    /// Every Yen rank computed so far, in rank order — the cached prefix
-    /// that replacements consume before recomputing anything.
-    yen_all: Vec<Path>,
-    /// How many Yen ranks have been handed out (initial paths +
-    /// replacements); the next replacement takes `yen_all[yen_cursor]`.
-    /// Always ≤ the number of ranks that actually exist: initialized to
-    /// `paths.len()`, not `m`, because Yen may return fewer than `m`.
-    yen_cursor: usize,
-    /// `Some(edge_count)` of the topology on which Yen last proved
-    /// `yen_all` is *every* simple path there is. While the fingerprint
-    /// matches, replacements skip the refetch entirely instead of
-    /// re-proving exhaustion with a full Yen run per dead path.
-    /// ([`RoutingTable::refresh`] is the real answer to topology change;
-    /// the fingerprint just keeps an un-refreshed grown graph from being
-    /// treated as still exhausted.)
-    exhausted_at_edges: Option<usize>,
+    /// The pair's Yen enumeration, stopped after the last rank handed
+    /// out (initial paths + replacements).
+    ranks: RankedPaths,
     /// Logical timestamp of the last lookup (for TTL eviction).
     last_used: u64,
 }
 
-/// The per-(sender, receiver) mice routing table.
+/// The per-(sender, receiver) mice routing table. See the module docs
+/// for the fixed-graph contract its methods share.
 #[derive(Clone, Debug)]
 pub struct RoutingTable {
     m: usize,
@@ -50,7 +59,7 @@ pub struct RoutingTable {
 
 impl RoutingTable {
     /// Creates a table caching `m` paths per receiver, evicting entries
-    /// unused for `ttl` lookups.
+    /// unused for `ttl` lookups ([`TABLE_TTL`] in the router).
     pub fn new(m: usize, ttl: u64) -> Self {
         RoutingTable {
             m,
@@ -72,20 +81,21 @@ impl RoutingTable {
     /// Returns the cached paths for `(s, t)`, computing the top-m Yen
     /// shortest paths on a miss ("path finding is simplified into table
     /// lookups in most cases"). `now` stamps the entry for TTL purposes.
-    pub fn lookup_or_compute(&mut self, g: &DiGraph, s: NodeId, t: NodeId, now: u64) -> Vec<Path> {
+    pub fn lookup_or_compute(&mut self, g: &DiGraph, s: NodeId, t: NodeId, now: u64) -> &[Path] {
         let m = self.m;
         let entry = self.entries.entry((s, t)).or_insert_with(|| {
-            let paths = yen::k_shortest_paths_hops(g, s, t, m);
+            let mut ranks = RankedPaths::new(s, t);
+            let paths = std::iter::from_fn(|| ranks.next_path(g).cloned())
+                .take(m)
+                .collect();
             TableEntry {
-                yen_all: paths.clone(),
-                yen_cursor: paths.len(),
-                exhausted_at_edges: (paths.len() < m).then(|| g.edge_count()),
                 paths,
+                ranks,
                 last_used: now,
             }
         });
         entry.last_used = now;
-        entry.paths.clone()
+        &entry.paths
     }
 
     /// Replaces the path at `idx` with the next-ranked Yen shortest path
@@ -100,29 +110,11 @@ impl RoutingTable {
         if idx >= entry.paths.len() {
             return;
         }
-        // Serve from the cached Yen prefix when possible; only when it is
-        // spent recompute — and then fetch a batch of `m` extra ranks so
-        // the next m replacements are cache hits instead of full Yen runs
-        // (the recompute returns all earlier ranks anyway, so the batch
-        // costs little beyond what a single-rank fetch would). When Yen
-        // has already proven there is no further simple path on this
-        // topology, don't re-prove it on every dead path.
-        if entry.yen_cursor >= entry.yen_all.len()
-            && entry.exhausted_at_edges != Some(g.edge_count())
-        {
-            let fetch = entry.yen_cursor + self.m.max(1);
-            entry.yen_all = yen::k_shortest_paths_hops(g, s, t, fetch);
-            entry.exhausted_at_edges = (entry.yen_all.len() < fetch).then(|| g.edge_count());
-        }
-        if let Some(next) = entry.yen_all.get(entry.yen_cursor) {
-            entry.paths[idx] = next.clone();
-            entry.yen_cursor += 1;
-        } else {
-            // The graph has no further simple path: drop the dead one.
-            // The cursor stays put — it counts ranks actually handed
-            // out, so a later replacement against a grown topology
-            // resumes from the right rank instead of skipping paths.
-            entry.paths.remove(idx);
+        match entry.ranks.next_path(g) {
+            Some(next) => entry.paths[idx] = next.clone(),
+            None => {
+                entry.paths.remove(idx);
+            }
         }
     }
 
@@ -135,7 +127,7 @@ impl RoutingTable {
 
     /// Drops every entry; they will be recomputed lazily against the new
     /// topology (the periodic refresh of §3.3).
-    pub fn refresh(&mut self, _g: &DiGraph) {
+    pub fn refresh(&mut self) {
         self.entries.clear();
     }
 }
@@ -171,12 +163,9 @@ mod tests {
     fn hit_reuses_cached_paths() {
         let g = graph();
         let mut t = RoutingTable::new(2, 100);
-        let a = t.lookup_or_compute(&g, n(0), n(3), 1);
+        let a = t.lookup_or_compute(&g, n(0), n(3), 1).to_vec();
         let b = t.lookup_or_compute(&g, n(0), n(3), 2);
-        assert_eq!(
-            a.iter().map(|p| p.nodes().to_vec()).collect::<Vec<_>>(),
-            b.iter().map(|p| p.nodes().to_vec()).collect::<Vec<_>>()
-        );
+        assert_eq!(a, b);
         assert_eq!(t.len(), 1);
     }
 
@@ -184,7 +173,7 @@ mod tests {
     fn replacement_advances_to_next_yen_path() {
         let g = graph();
         let mut t = RoutingTable::new(2, 100);
-        let before = t.lookup_or_compute(&g, n(0), n(3), 1);
+        let before = t.lookup_or_compute(&g, n(0), n(3), 1).to_vec();
         t.replace_path(&g, n(0), n(3), 0);
         let after = t.lookup_or_compute(&g, n(0), n(3), 2);
         assert_eq!(after.len(), 2);
@@ -206,38 +195,68 @@ mod tests {
         assert!(paths.is_empty());
     }
 
-    /// Regression: `yen_cursor` must count paths actually returned, not
-    /// `m`. With the old `yen_cursor: m` initialization, an entry that
-    /// cached fewer than `m` paths over-counted its consumed ranks, so
-    /// the first replacement against a richer topology skipped the true
-    /// next-best path and served a later rank.
+    /// Topology change reaches an entry only through `refresh`: an entry
+    /// that cached fewer than `m` paths because the old graph had no
+    /// more is rebuilt from rank 1 of the grown graph, and replacements
+    /// continue from there.
     #[test]
-    fn cursor_tracks_returned_paths_not_m() {
+    fn refresh_restarts_ranks_on_grown_topology() {
         // g1 has a single simple path 0 → 3, so m = 2 caches just one.
         let mut g1 = DiGraph::new(5);
         for (u, v) in [(0, 1), (1, 3)] {
             g1.add_edge(n(u), n(v)).unwrap();
         }
         let mut t = RoutingTable::new(2, 100);
-        let paths = t.lookup_or_compute(&g1, n(0), n(3), 1);
-        assert_eq!(paths.len(), 1);
+        assert_eq!(t.lookup_or_compute(&g1, n(0), n(3), 1).len(), 1);
 
         // The topology grows: now ranks are 0-1-3, 0-2-3, 0-4-3.
         let mut g2 = DiGraph::new(5);
         for (u, v) in [(0, 1), (1, 3), (0, 2), (2, 3), (0, 4), (4, 3)] {
             g2.add_edge(n(u), n(v)).unwrap();
         }
-        // One rank was handed out, so the replacement must serve rank 2
-        // (0-2-3) — not rank m + 1 = 3 (0-4-3).
+        t.refresh();
+        let paths = t.lookup_or_compute(&g2, n(0), n(3), 2);
+        assert_eq!(paths.len(), 2);
+        assert_eq!(paths[0].nodes(), &[n(0), n(1), n(3)]);
+        assert_eq!(paths[1].nodes(), &[n(0), n(2), n(3)]);
+        // Two ranks handed out, so the replacement serves the third.
         t.replace_path(&g2, n(0), n(3), 0);
-        let after = t.lookup_or_compute(&g2, n(0), n(3), 2);
-        assert_eq!(after.len(), 1);
-        assert_eq!(after[0].nodes(), &[n(0), n(2), n(3)]);
+        let after = t.lookup_or_compute(&g2, n(0), n(3), 3);
+        assert_eq!(after[0].nodes(), &[n(0), n(4), n(3)]);
     }
 
-    /// Successive replacements hand out strictly increasing Yen ranks,
-    /// served from the cached prefix (the batch refetch makes later
-    /// replacements cache hits rather than fresh Yen runs).
+    /// Replacing past exhaustion drains the entry slot by slot and never
+    /// searches again. The richer graph handed to the later calls is
+    /// outside the fixed-graph contract on purpose: it is how the test
+    /// sees that no search ran (one would find 0-5-3).
+    #[test]
+    fn replacements_past_exhaustion_drain_without_search() {
+        // Exactly three simple paths 0 → 3.
+        let mut g = DiGraph::new(6);
+        for (u, v) in [(0, 1), (1, 3), (0, 2), (2, 3), (0, 4), (4, 3)] {
+            g.add_edge(n(u), n(v)).unwrap();
+        }
+        let mut richer = g.clone();
+        richer.add_edge(n(0), n(5)).unwrap();
+        richer.add_edge(n(5), n(3)).unwrap();
+
+        let mut t = RoutingTable::new(2, 100);
+        assert_eq!(t.lookup_or_compute(&g, n(0), n(3), 1).len(), 2);
+        t.replace_path(&g, n(0), n(3), 1);
+        let paths = t.lookup_or_compute(&g, n(0), n(3), 2);
+        assert_eq!(paths[1].nodes(), &[n(0), n(4), n(3)], "third rank");
+        // Rank 4 does not exist: the enumeration is now exhausted.
+        t.replace_path(&g, n(0), n(3), 1);
+        assert_eq!(t.lookup_or_compute(&g, n(0), n(3), 3).len(), 1);
+        t.replace_path(&richer, n(0), n(3), 0);
+        assert!(t.lookup_or_compute(&richer, n(0), n(3), 4).is_empty());
+        // Nothing left to replace; the empty entry stays cached.
+        t.replace_path(&richer, n(0), n(3), 0);
+        assert!(t.lookup_or_compute(&richer, n(0), n(3), 5).is_empty());
+        assert_eq!(t.len(), 1);
+    }
+
+    /// Successive replacements hand out strictly increasing Yen ranks.
     #[test]
     fn successive_replacements_advance_through_ranks() {
         // Four simple paths 0 → 3, all distinct.
@@ -255,7 +274,7 @@ mod tests {
             g.add_edge(n(u), n(v)).unwrap();
         }
         let mut t = RoutingTable::new(2, 100);
-        let initial = t.lookup_or_compute(&g, n(0), n(3), 1);
+        let initial = t.lookup_or_compute(&g, n(0), n(3), 1).to_vec();
         assert_eq!(initial.len(), 2);
         t.replace_path(&g, n(0), n(3), 0);
         t.replace_path(&g, n(0), n(3), 1);
@@ -315,7 +334,7 @@ mod tests {
         t.lookup_or_compute(&g, n(0), n(3), 1);
         t.lookup_or_compute(&g, n(2), n(3), 1);
         assert_eq!(t.len(), 2);
-        t.refresh(&g);
+        t.refresh();
         assert!(t.is_empty());
     }
 

@@ -42,10 +42,6 @@ pub struct FlashConfig {
     /// ablation disables this, falling back to sequential path filling
     /// in discovery order).
     pub optimize_fees: bool,
-    /// Routing-table entries unused for this many payments are evicted
-    /// ("Timeouts are used to remove receivers ... to limit the routing
-    /// table size").
-    pub table_ttl: u64,
     /// RNG seed for the random path order in mice trial-and-error.
     pub seed: u64,
 }
@@ -57,7 +53,6 @@ impl Default for FlashConfig {
             mice_paths_per_receiver: 4,
             elephant_threshold: Amount::MAX,
             optimize_fees: true,
-            table_ttl: 10_000,
             seed: 0,
         }
     }
@@ -75,7 +70,7 @@ pub struct FlashRouter {
 impl FlashRouter {
     /// Creates a Flash router from a configuration.
     pub fn new(config: FlashConfig) -> Self {
-        let table = mice::RoutingTable::new(config.mice_paths_per_receiver, config.table_ttl);
+        let table = mice::RoutingTable::new(config.mice_paths_per_receiver, mice::TABLE_TTL);
         let rng = StdRng::seed_from_u64(config.seed);
         FlashRouter {
             config,
@@ -244,7 +239,7 @@ impl<N: PaymentNetwork> Router<N> for FlashRouter {
             .should_reprobe(payment.receiver, net.graph().edge_count())
         {
             net.note_reprobe();
-            self.table.refresh(net.graph());
+            self.table.refresh();
         }
         match class {
             PaymentClass::Elephant => self.route_elephant(net, payment, class),
@@ -257,11 +252,11 @@ impl<N: PaymentNetwork> Router<N> for FlashRouter {
         }
     }
 
-    fn on_topology_refresh(&mut self, net: &N) {
+    fn on_topology_refresh(&mut self, _net: &N) {
         // "The routing table is periodically refreshed when the local
         // network topology G is updated ... all entries are re-computed
         // using the latest G."
-        self.table.refresh(net.graph());
+        self.table.refresh();
     }
 }
 

@@ -200,6 +200,46 @@ mod tests {
         assert_eq!(net.metrics().probe_messages, 0, "static scheme");
     }
 
+    /// ROADMAP item (e), as for SpeedyMurmurs: with the hub channel 0–3
+    /// closed every 1 → 3 payment NACKs `ChannelClosed` on the landmark
+    /// route 1-0-3, and the payment after the `error_threshold`-th
+    /// failure trips exactly one re-probe and rebuilds the trees.
+    #[test]
+    fn stale_commit_failures_trip_one_reprobe_and_rebuild() {
+        use pcn_sim::des::{ChurnAction, ChurnSchedule, DesConfig, DesNetwork, SimTime};
+        let mut g = DiGraph::new(5);
+        for i in 1..5 {
+            g.add_channel(n(0), n(i)).unwrap();
+        }
+        let threshold = pcn_sim::reprobe::error_threshold(g.edge_count());
+        let mut churn = ChurnSchedule::none();
+        churn.push(
+            SimTime::ZERO,
+            ChurnAction::ChannelClose(g.edge(n(0), n(3)).unwrap()),
+        );
+        let config = DesConfig {
+            churn,
+            ..DesConfig::default()
+        };
+        let mut net = DesNetwork::new(Network::uniform(g, Amount::from_units(100)), config);
+        let mut r = SilentWhispersRouter::with_landmarks(1);
+        let pay = |i: u64| Payment::new(TxId(i), n(1), n(3), Amount::from_units(1));
+        for i in 0..threshold {
+            assert!(!r.route(&mut net, &pay(i), PaymentClass::Mice).is_success());
+            assert_eq!(r.staleness.errors(n(3)), i + 1);
+        }
+        assert_eq!(net.reprobes_triggered(), 0);
+        // Drop the landmarks behind `ready`: only a rebuild restores them.
+        r.landmarks.clear();
+        let out = r.route(&mut net, &pay(threshold), PaymentClass::Mice);
+        assert_eq!(net.reprobes_triggered(), 1);
+        assert_eq!(r.landmarks, [n(0)], "trees rebuilt");
+        // `graph()` still lists the closed channel, so the rebuilt trees
+        // are the old ones and the evidence starts accumulating again.
+        assert!(!out.is_success());
+        assert_eq!(r.staleness.errors(n(3)), 1);
+    }
+
     #[test]
     fn loop_trimming_keeps_paths_simple() {
         // Landmark route where sender lies on the receiver's downhill

@@ -287,6 +287,46 @@ mod tests {
         assert!(!r.ready);
     }
 
+    /// ROADMAP item (e): the stale-evidence path is live. With the hub
+    /// channel 0–3 closed, every 1 → 3 payment rides the tree route
+    /// 1-0-3 into a `ChannelClosed` NACK; the payment after the
+    /// `error_threshold`-th such failure trips exactly one re-probe and
+    /// rebuilds the embeddings. (`BENCH_churn.json`'s zeros are the
+    /// 200-payment smoke trace never putting that many stale errors on
+    /// one receiver — see `figures/churn.rs`.)
+    #[test]
+    fn stale_commit_failures_trip_one_reprobe_and_rebuild() {
+        use pcn_sim::des::{ChurnAction, ChurnSchedule, DesConfig, DesNetwork, SimTime};
+        let g = star_plus_ring();
+        let threshold = pcn_sim::reprobe::error_threshold(g.edge_count());
+        let mut churn = ChurnSchedule::none();
+        churn.push(
+            SimTime::ZERO,
+            ChurnAction::ChannelClose(g.edge(n(0), n(3)).unwrap()),
+        );
+        let config = DesConfig {
+            churn,
+            ..DesConfig::default()
+        };
+        let mut net = DesNetwork::new(Network::uniform(g, Amount::from_units(100)), config);
+        let mut r = SpeedyMurmursRouter::with_landmarks(1);
+        let pay = |i: u64| Payment::new(TxId(i), n(1), n(3), Amount::from_units(1));
+        for i in 0..threshold {
+            assert!(!r.route(&mut net, &pay(i), PaymentClass::Mice).is_success());
+            assert_eq!(r.staleness.errors(n(3)), i + 1);
+        }
+        assert_eq!(net.reprobes_triggered(), 0);
+        // Empty the embeddings behind `ready`: only a rebuild refills them.
+        r.embeddings.clear();
+        let out = r.route(&mut net, &pay(threshold), PaymentClass::Mice);
+        assert_eq!(net.reprobes_triggered(), 1);
+        assert_eq!(r.embeddings.len(), 1, "embeddings rebuilt");
+        // `graph()` still lists the closed channel, so the rebuilt tree
+        // is the old one and the evidence starts accumulating again.
+        assert!(!out.is_success());
+        assert_eq!(r.staleness.errors(n(3)), 1);
+    }
+
     #[test]
     fn greedy_respects_direction() {
         // A strictly one-way path 0→1→2 and landmark at 0: routing from

@@ -10,8 +10,10 @@
 //! * [`Path`] — a validated simple path with hop/edge iteration.
 //! * [`bfs`] — breadth-first shortest paths with edge filters (the
 //!   `Breadth-First-Search(G, C', s, t)` primitive of Algorithm 1).
-//! * [`dijkstra`] — weighted shortest paths.
-//! * [`yen`] — Yen's k-shortest loopless paths (§3.3 mice routing tables).
+//! * [`yen`] — Yen's k-shortest loopless paths as a resumable
+//!   enumerator, [`yen::RankedPaths`]: one rank per call, search state
+//!   kept in between (§3.3 mice routing tables take the top `m` ranks
+//!   and later "the next top shortest path" from the same enumeration).
 //! * [`maxflow`] — the max-flow subsystem behind the
 //!   [`maxflow::MaxFlowSolver`] trait, every kernel on one flat CSR
 //!   residual graph: highest-label push-relabel (the hot path), Dinic,
@@ -35,7 +37,6 @@
 
 pub mod bfs;
 pub mod digraph;
-pub mod dijkstra;
 pub mod disjoint;
 pub mod generators;
 pub mod io;

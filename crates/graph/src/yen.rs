@@ -1,52 +1,99 @@
 //! Yen's algorithm for k shortest loopless paths.
 //!
 //! Flash's mice routing computes "top-m shortest paths (i.e. using Yen's
-//! algorithm) on the local topology G" (§3.3). This implementation follows
-//! Yen (1971) over the Dijkstra primitive, with deterministic tie-breaking
-//! so routing tables are reproducible across runs.
+//! algorithm) on the local topology G" (§3.3), and on a dead path
+//! "replaces it with the next top shortest path". Both are one
+//! enumeration: [`RankedPaths`] hands out the fewest-hops simple paths of
+//! one `(s, t)` pair one rank at a time and keeps Yen's state (ranks
+//! found, candidate pool) between calls, so rank `r + 1` costs one round
+//! of spur searches off rank `r` rather than a rerun from rank 0.
+//! [`k_shortest_paths_hops`] collects the first `k` ranks. Spur searches
+//! are BFS with deterministic tie-breaking, so routing tables are
+//! reproducible across runs.
 
-use crate::dijkstra::{shortest_path_weighted, WeightedPath};
-use crate::{path::Path, DiGraph, EdgeId};
+use crate::{bfs, path::Path, DiGraph, EdgeId};
 use pcn_types::NodeId;
 use std::collections::HashSet;
 
-/// Returns up to `k` loopless paths `s → t` in non-decreasing weight
-/// order (hop count when `weight` is unit). Fewer paths are returned when
-/// the graph does not contain `k` distinct simple paths.
-pub fn k_shortest_paths(
-    g: &DiGraph,
+/// A resumable enumeration of the simple paths `s → t` in non-decreasing
+/// hop count, ties broken by node sequence (Yen 1971 over BFS).
+///
+/// The ranks do not depend on how many are eventually asked for: the
+/// first `k` paths of a longer enumeration are the enumeration of `k`.
+/// Every call to [`next_path`](Self::next_path) must pass the same
+/// graph; ranks found on one topology say nothing about another.
+#[derive(Clone, Debug)]
+pub struct RankedPaths {
     s: NodeId,
     t: NodeId,
-    k: usize,
-    mut weight: impl FnMut(EdgeId) -> Option<u64>,
-) -> Vec<WeightedPath> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let Some(first) = shortest_path_weighted(g, s, t, &mut weight) else {
-        return Vec::new();
-    };
-    let mut found: Vec<WeightedPath> = vec![first];
-    // Candidate pool; keep sorted ascending by (weight, nodes) and pop
-    // the best. A Vec with linear extraction is fine at the k ≤ 30 scale
-    // Flash uses.
-    let mut candidates: Vec<WeightedPath> = Vec::new();
-    let mut seen: HashSet<Vec<NodeId>> = HashSet::new();
-    seen.insert(found[0].path.nodes().to_vec());
+    /// Every rank handed out so far, in rank order.
+    found: Vec<Path>,
+    /// Spur paths generated but not yet promoted to a rank, each once.
+    candidates: Vec<Path>,
+    /// Whether the last rank's spur paths are already in `candidates`
+    /// (for an empty `found`: whether the BFS for rank 0 has run). Makes
+    /// the search lazy — a rank is spurred only when a later one is
+    /// asked for — and makes asking an exhausted enumeration free.
+    spurred: bool,
+}
 
-    while found.len() < k {
-        let prev = &found[found.len() - 1].path;
-        let prev_nodes = prev.nodes().to_vec();
-        // Each node of the previous path except the last is a spur node.
+impl RankedPaths {
+    /// Starts the enumeration for `s → t`; no search runs until the
+    /// first [`next_path`](Self::next_path).
+    pub fn new(s: NodeId, t: NodeId) -> Self {
+        RankedPaths {
+            s,
+            t,
+            found: Vec::new(),
+            candidates: Vec::new(),
+            spurred: false,
+        }
+    }
+
+    /// The ranks handed out so far, in rank order.
+    pub fn found(&self) -> &[Path] {
+        &self.found
+    }
+
+    /// Finds and returns the next rank, or `None` once `g` holds no
+    /// further simple path `s → t` — after which every call returns
+    /// `None` without searching.
+    pub fn next_path(&mut self, g: &DiGraph) -> Option<&Path> {
+        if !self.spurred {
+            self.spurred = true;
+            match self.found.last() {
+                None => self
+                    .candidates
+                    .extend(bfs::shortest_path(g, self.s, self.t)),
+                Some(prev) => {
+                    let prev_nodes = prev.nodes().to_vec();
+                    self.spur(g, &prev_nodes);
+                }
+            }
+        }
+        // The candidate pool is small (≤ hops per rank found): a linear
+        // scan for the (hops, nodes) minimum is fine at the k ≤ 30 scale
+        // Flash uses.
+        let (best, _) = self
+            .candidates
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, p)| (p.hops(), p.nodes()))?;
+        self.found.push(self.candidates.swap_remove(best));
+        self.spurred = false;
+        self.found.last()
+    }
+
+    /// Adds to the pool, for each node of the newest rank except the
+    /// last, the shortest deviation that leaves it by an edge no found
+    /// path with the same root has taken.
+    fn spur(&mut self, g: &DiGraph, prev_nodes: &[NodeId]) {
         for i in 0..prev_nodes.len() - 1 {
             let spur = prev_nodes[i];
             let root: &[NodeId] = &prev_nodes[..=i];
-
-            // Edges leaving the spur node along any already-found path
-            // sharing this root are banned.
             let mut banned_edges: HashSet<EdgeId> = HashSet::new();
-            for wp in &found {
-                let nodes = wp.path.nodes();
+            for p in &self.found {
+                let nodes = p.nodes();
                 if nodes.len() > i + 1 && nodes[..=i] == *root {
                     if let Some(e) = g.edge(nodes[i], nodes[i + 1]) {
                         banned_edges.insert(e);
@@ -55,98 +102,8 @@ pub fn k_shortest_paths(
             }
             // Nodes on the root (except the spur itself) are banned to
             // keep paths loopless.
-            let banned_nodes: HashSet<NodeId> = root[..root.len() - 1].iter().copied().collect();
-
-            let spur_path = shortest_path_weighted(g, spur, t, |e| {
-                if banned_edges.contains(&e) {
-                    return None;
-                }
-                let (u, v) = g.endpoints(e);
-                if banned_nodes.contains(&u) || banned_nodes.contains(&v) {
-                    return None;
-                }
-                weight(e)
-            });
-            let Some(spur_wp) = spur_path else { continue };
-
-            // Stitch root + spur path.
-            let mut nodes = root[..root.len() - 1].to_vec();
-            nodes.extend_from_slice(spur_wp.path.nodes());
-            if seen.contains(&nodes) {
-                continue;
-            }
-            // Weight of root + spur. A `weight` closure may be stateful
-            // (capacity- or congestion-dependent filters), so a root edge
-            // that was traversable when its path was found can be
-            // filtered out *now* — such a candidate is unusable and must
-            // be discarded entirely, not kept with an understated weight.
-            let root_weight = root.windows(2).try_fold(0u64, |acc, win| {
-                // pcn-lint: allow(panic) — the root prefix came from a previously found path
-                let e = g.edge(win[0], win[1]).expect("root edge must exist");
-                weight(e).map(|ew| acc.saturating_add(ew))
-            });
-            let Some(root_weight) = root_weight else {
-                continue;
-            };
-            seen.insert(nodes.clone());
-            candidates.push(WeightedPath {
-                path: Path::from_vec_unchecked(nodes),
-                weight: spur_wp.weight.saturating_add(root_weight),
-            });
-        }
-        if candidates.is_empty() {
-            break;
-        }
-        // Extract the best candidate (weight, then lexicographic nodes
-        // for determinism).
-        let best = candidates
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.weight
-                    .cmp(&b.weight)
-                    .then_with(|| a.path.nodes().cmp(b.path.nodes()))
-            })
-            .map(|(i, _)| i)
-            .unwrap(); // pcn-lint: allow(panic) — the loop guard ensures candidates is non-empty
-        found.push(candidates.swap_remove(best));
-    }
-    found
-}
-
-/// Unit-weight (fewest hops) k shortest simple paths.
-///
-/// Specialized to BFS spur searches (≈10× faster than the Dijkstra
-/// variant on the paper's Lightning-scale topology) — this is the hot
-/// path of Flash's mice routing table, invoked once per new receiver.
-pub fn k_shortest_paths_hops(g: &DiGraph, s: NodeId, t: NodeId, k: usize) -> Vec<Path> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let Some(first) = crate::bfs::shortest_path(g, s, t) else {
-        return Vec::new();
-    };
-    let mut found: Vec<Path> = vec![first];
-    let mut candidates: Vec<Path> = Vec::new();
-    let mut seen: HashSet<Vec<NodeId>> = HashSet::new();
-    seen.insert(found[0].nodes().to_vec());
-
-    while found.len() < k {
-        let prev_nodes = found[found.len() - 1].nodes().to_vec();
-        for i in 0..prev_nodes.len() - 1 {
-            let spur = prev_nodes[i];
-            let root: &[NodeId] = &prev_nodes[..=i];
-            let mut banned_edges: HashSet<EdgeId> = HashSet::new();
-            for p in &found {
-                let nodes = p.nodes();
-                if nodes.len() > i + 1 && nodes[..=i] == *root {
-                    if let Some(e) = g.edge(nodes[i], nodes[i + 1]) {
-                        banned_edges.insert(e);
-                    }
-                }
-            }
-            let banned_nodes: HashSet<NodeId> = root[..root.len() - 1].iter().copied().collect();
-            let spur_path = crate::bfs::shortest_path_filtered(g, spur, t, |e| {
+            let banned_nodes: HashSet<NodeId> = root[..i].iter().copied().collect();
+            let spur_path = bfs::shortest_path_filtered(g, spur, self.t, |e| {
                 if banned_edges.contains(&e) {
                     return false;
                 }
@@ -154,28 +111,25 @@ pub fn k_shortest_paths_hops(g: &DiGraph, s: NodeId, t: NodeId, k: usize) -> Vec
                 !banned_nodes.contains(&u) && !banned_nodes.contains(&v)
             });
             let Some(sp) = spur_path else { continue };
-            let mut nodes = root[..root.len() - 1].to_vec();
+            let mut nodes = root[..i].to_vec();
             nodes.extend_from_slice(sp.nodes());
-            if seen.insert(nodes.clone()) {
-                candidates.push(Path::from_vec_unchecked(nodes));
+            // Two ranks can spur the same deviation; it enters the pool
+            // once. (It cannot equal a found path: every found path with
+            // this root has its edge out of the spur node banned.)
+            if !self.candidates.iter().any(|c| c.nodes() == nodes) {
+                self.candidates.push(Path::from_vec_unchecked(nodes));
             }
         }
-        if candidates.is_empty() {
-            break;
-        }
-        let best = candidates
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.hops()
-                    .cmp(&b.hops())
-                    .then_with(|| a.nodes().cmp(b.nodes()))
-            })
-            .map(|(i, _)| i)
-            .unwrap(); // pcn-lint: allow(panic) — the loop guard ensures candidates is non-empty
-        found.push(candidates.swap_remove(best));
     }
-    found
+}
+
+/// Up to `k` fewest-hops simple paths `s → t` in rank order: the first
+/// `k` steps of a [`RankedPaths`]. Fewer are returned when the graph
+/// does not contain `k` distinct simple paths.
+pub fn k_shortest_paths_hops(g: &DiGraph, s: NodeId, t: NodeId, k: usize) -> Vec<Path> {
+    let mut ranked = RankedPaths::new(s, t);
+    while ranked.found.len() < k && ranked.next_path(g).is_some() {}
+    ranked.found
 }
 
 #[cfg(test)]
@@ -259,97 +213,6 @@ mod tests {
         let g = test_graph();
         assert!(k_shortest_paths_hops(&g, n(0), n(5), 0).is_empty());
         assert!(k_shortest_paths_hops(&g, n(5), n(0), 4).is_empty());
-    }
-
-    #[test]
-    fn weighted_variant_orders_by_weight() {
-        let mut g = DiGraph::new(4);
-        let mut w = Vec::new();
-        for (u, v, c) in [(0u32, 1u32, 1u64), (1, 3, 1), (0, 2, 1), (2, 3, 10)] {
-            g.add_edge(n(u), n(v)).unwrap();
-            w.push(c);
-        }
-        let ps = k_shortest_paths(&g, n(0), n(3), 2, |e| Some(w[e.index()]));
-        assert_eq!(ps.len(), 2);
-        assert_eq!(ps[0].weight, 2);
-        assert_eq!(ps[1].weight, 11);
-    }
-
-    /// Regression: a candidate whose *root* traverses a filtered-out
-    /// edge must be discarded, not kept with an understated weight.
-    ///
-    /// Only a stateful weight closure can trigger this (a pure filter's
-    /// roots always pass, because every found path was discovered through
-    /// that same filter) — exactly the capacity-dependent filters the
-    /// routers use. Here edge 0→1 is traversable once (the initial
-    /// Dijkstra queries each edge at most once) and filtered afterwards:
-    /// the 0-1-2-3 candidate stitched onto the now-dead 0→1 root must
-    /// not appear, and the understated weight 11 must not outrank the
-    /// valid 0-2-3 candidate (weight 20).
-    #[test]
-    fn stale_root_edge_discards_candidate() {
-        let mut g = DiGraph::new(4);
-        let mut w = Vec::new();
-        for (u, v, c) in [
-            (0u32, 1u32, 1u64),
-            (1, 3, 1),
-            (0, 2, 10),
-            (2, 3, 10),
-            (1, 2, 1),
-        ] {
-            g.add_edge(n(u), n(v)).unwrap();
-            w.push(c);
-        }
-        let e01 = g.edge(n(0), n(1)).unwrap();
-        let mut e01_queries = 0usize;
-        let ps = k_shortest_paths(&g, n(0), n(3), 3, |e| {
-            if e == e01 {
-                e01_queries += 1;
-                return (e01_queries == 1).then_some(w[e.index()]);
-            }
-            Some(w[e.index()])
-        });
-        assert_eq!(ps[0].path.nodes(), &[n(0), n(1), n(3)]);
-        assert_eq!(ps.len(), 2, "0-1-2-3 rides a dead root and must be gone");
-        assert_eq!(ps[1].path.nodes(), &[n(0), n(2), n(3)]);
-        assert_eq!(
-            ps[1].weight, 20,
-            "surviving candidate keeps its true weight"
-        );
-    }
-
-    /// With a pure filter, every returned path avoids the filtered edge
-    /// and reports its exact weight sum.
-    #[test]
-    fn filtered_edge_never_appears_and_weights_are_exact() {
-        let mut g = DiGraph::new(4);
-        let mut w = Vec::new();
-        for (u, v, c) in [
-            (0u32, 1u32, 1u64),
-            (1, 3, 1),
-            (0, 2, 2),
-            (2, 3, 2),
-            (1, 2, 1),
-            (2, 1, 1),
-        ] {
-            g.add_edge(n(u), n(v)).unwrap();
-            w.push(c);
-        }
-        let dead = g.edge(n(1), n(3)).unwrap();
-        let ps = k_shortest_paths(&g, n(0), n(3), 10, |e| (e != dead).then(|| w[e.index()]));
-        assert!(!ps.is_empty());
-        for wp in &ps {
-            let true_weight: u64 = wp
-                .path
-                .channels()
-                .map(|(u, v)| {
-                    let e = g.edge(u, v).unwrap();
-                    assert_ne!(e, dead, "filtered edge used by {:?}", wp.path);
-                    w[e.index()]
-                })
-                .sum();
-            assert_eq!(wp.weight, true_weight);
-        }
     }
 
     #[test]

@@ -1,13 +1,23 @@
 //! Property tests over the graph substrate on random topologies —
 //! invariants the routing layers silently rely on.
 
-use flash_offchain::graph::{bfs, disjoint, generators, yen, DiGraph};
+use flash_offchain::graph::yen::RankedPaths;
+use flash_offchain::graph::{bfs, disjoint, generators, yen, DiGraph, Path};
 use flash_offchain::types::NodeId;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
 fn arb_ws() -> impl Strategy<Value = DiGraph> {
     (6usize..20, 0u64..500).prop_map(|(n, seed)| generators::watts_strogatz(n.max(6), 4, 0.3, seed))
+}
+
+/// One graph from each generator family, small enough to enumerate.
+fn arb_topology() -> impl Strategy<Value = DiGraph> {
+    (0usize..3, 6usize..11, 0u64..500).prop_map(|(family, n, seed)| match family {
+        0 => generators::watts_strogatz(n, 4, 0.3, seed),
+        1 => generators::scale_free_with_channels(n, 2 * n, seed),
+        _ => generators::erdos_renyi(n, 0.25, seed),
+    })
 }
 
 proptest! {
@@ -36,6 +46,45 @@ proptest! {
             let nodes: HashSet<_> = p.nodes().iter().collect();
             prop_assert_eq!(nodes.len(), p.nodes().len(), "loop in {:?}", p);
             prop_assert!(seen.insert(p.nodes().to_vec()), "duplicate {:?}", p);
+        }
+    }
+
+    /// The ranks do not depend on how many are asked for or on how the
+    /// asking is spread over calls: `k` ranks are a prefix of `k + j`;
+    /// an enumerator stepped one rank at a time, interleaved with an
+    /// unrelated enumerator on the reversed pair, yields the batch
+    /// result; and once exhausted it stays exhausted with its found
+    /// list untouched.
+    #[test]
+    fn ranked_paths_are_resumable(
+        g in arb_topology(), k in 0usize..6, j in 1usize..6, s in 0u32..11, t in 0u32..11,
+    ) {
+        let n = g.node_count() as u32;
+        let (s, t) = (NodeId(s % n), NodeId(t % n));
+        prop_assume!(s != t);
+        let short = yen::k_shortest_paths_hops(&g, s, t, k);
+        let long = yen::k_shortest_paths_hops(&g, s, t, k + j);
+        prop_assert_eq!(&short[..], &long[..short.len()]);
+
+        let mut ranks = RankedPaths::new(s, t);
+        let mut other = RankedPaths::new(t, s);
+        for want in &long {
+            prop_assert_eq!(ranks.next_path(&g), Some(want));
+            other.next_path(&g);
+        }
+        prop_assert_eq!(ranks.found(), &long[..]);
+        prop_assert_eq!(other.found(), &yen::k_shortest_paths_hops(&g, t, s, long.len())[..]);
+
+        // Run to exhaustion (these graphs hold few simple paths per pair).
+        let mut steps = 0;
+        while ranks.next_path(&g).is_some() {
+            steps += 1;
+            prop_assume!(steps < 2_000);
+        }
+        let all: Vec<Path> = ranks.found().to_vec();
+        for _ in 0..3 {
+            prop_assert_eq!(ranks.next_path(&g), None);
+            prop_assert_eq!(ranks.found(), &all[..]);
         }
     }
 
@@ -102,5 +151,65 @@ proptest! {
         let g = generators::scale_free_with_channels(n, target, seed);
         prop_assert_eq!(g.edge_count(), target * 2);
         prop_assert!(g.largest_weak_component().len() >= n * 9 / 10);
+    }
+}
+
+/// FNV-1a over the node ids of `paths`, each path prefixed by a marker.
+fn rank_fingerprint(paths: &[Path]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u32| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for p in paths {
+        eat(u32::MAX);
+        for n in p.nodes() {
+            eat(n.0);
+        }
+    }
+    h
+}
+
+/// The first 12 ranks of 20 fixed pairs on the seeded Ripple-scale
+/// graph, as recorded from the batch Yen loop that preceded
+/// `RankedPaths` (commit 6d6dcaa): which path holds which rank is part
+/// of every routing result, so it is pinned here and not left to the
+/// benchmark to notice.
+#[test]
+fn yen_ranks_match_recorded_fingerprints() {
+    const GOLDEN: [u64; 20] = [
+        0x1a30b099cf520824,
+        0x27872e9092e6e079,
+        0x5fb9c2c8650f69b7,
+        0xd1c6a84730dda9f2,
+        0xcc236cfcb8c12e3f,
+        0x4f92eae5031b2985,
+        0x3e93c94ac6ac895d,
+        0xcfe09f9696045df8,
+        0x0562747653b31af9,
+        0x8413adbf2181fec3,
+        0x3490be8200ae1a7b,
+        0x987f302048048523,
+        0x6048794f7e80d560,
+        0x2a7c58e5c1bbaba2,
+        0xecb859152ffd3d61,
+        0x53ab2a67d90511e4,
+        0x53e5d3e57a6d84bc,
+        0x396cf50e884cd7bc,
+        0xf7c6d19d7fdaf3e1,
+        0xcee1f37e55bd7fc2,
+    ];
+    let g = generators::scale_free_with_channels(1870, 8708, 11);
+    let n = g.node_count() as u32;
+    for (i, want) in (0u32..).zip(GOLDEN) {
+        let (s, t) = (NodeId((i * 97 + 3) % n), NodeId((i * 389 + 1201) % n));
+        let paths = yen::k_shortest_paths_hops(&g, s, t, 12);
+        assert_eq!(paths.len(), 12, "pair {i} ({s:?} → {t:?})");
+        assert_eq!(
+            rank_fingerprint(&paths),
+            want,
+            "pair {i} ({s:?} → {t:?}): ranks changed"
+        );
     }
 }
