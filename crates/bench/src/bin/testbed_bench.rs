@@ -7,20 +7,25 @@
 //! Runs declarative scenarios (`pcn_scenario`) on the single-process
 //! event-loop TCP cluster and records per (scheme, scale): success
 //! ratio, volume, fees, the probe/commit message breakdown, wire-frame
-//! conservation totals, end-of-run escrow, queue high-water marks, and
-//! wire events per wall second. Results go to `BENCH_testbed.json`
+//! conservation totals, end-of-run escrow, queue high-water marks,
+//! wire events per wall second, and the reactor's socket calls per wire
+//! frame. Results go to `BENCH_testbed.json`
 //! (default).
 //!
 //! The **committed** `BENCH_testbed.json` is the `--smoke` output: CI
 //! regenerates it every run and `bench_gate testbed` diffs the two,
 //! failing on success-ratio regressions beyond 25%, on wire-frame
-//! loss or unsettled escrow inside a fault-free cluster, and on the
-//! ≥200-node single-process record disappearing. The full-scale run
-//! (all five schemes) happens on the weekly scheduled CI job.
+//! loss or unsettled escrow inside a fault-free cluster, on the
+//! ≥200-node single-process record disappearing, and on a reactor that
+//! spends more than a handful of socket calls per wire frame or more of
+//! them at 200 nodes than at 60. The full-scale run (all five schemes)
+//! happens on the weekly scheduled CI job.
 //!
 //! Routing is deterministic (seeded topology, trace, and routers); the
 //! wall-derived `events_per_sec`/`wall_ns` fields vary run to run and
-//! only ever warn in the gate.
+//! only ever warn in the gate. `socket_ops_per_frame` is a count, but
+//! one that includes reads the kernel answered `WouldBlock`, so it may
+//! differ in the last digits between runs.
 
 use flash_core::Scheme;
 use pcn_scenario::{Invariant, ScenarioBuilder, TopologySpec, WorkloadSpec};
@@ -44,6 +49,7 @@ struct Record {
     queue_high_water: u64,
     events_per_sec: f64,
     wall_ns: u64,
+    socket_ops_per_frame: f64,
 }
 
 fn main() {
@@ -147,6 +153,7 @@ fn main() {
                     .unwrap_or(0),
                 events_per_sec: report.events_per_sec,
                 wall_ns: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
+                socket_ops_per_frame: report.socket_ops as f64 / report.wire_in.max(1) as f64,
             });
         }
     }

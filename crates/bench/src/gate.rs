@@ -269,6 +269,10 @@ pub struct TestbedRecord {
     /// Wall-clock cost of the run, ns (not gated).
     #[serde(default)]
     pub wall_ns: u64,
+    /// `accept`/`read`/`write` calls the reactor issued per wire frame
+    /// received (0 in artifacts older than the counter).
+    #[serde(default)]
+    pub socket_ops_per_frame: f64,
 }
 
 impl TestbedRecord {
@@ -663,6 +667,14 @@ fn check_churn_shape(records: &[ChurnRecord], report: &mut GateReport) {
 ///   the committed trajectory.
 /// * **Liveness** — a record with `success_ratio == 0` fails: a trace
 ///   that exercises no successes measures nothing.
+/// * **Reactor cost** — a candidate record spending more than
+///   [`MAX_SOCKET_OPS_PER_FRAME`] socket calls per wire frame fails,
+///   and so does a scheme whose ≥200-node record spends more than
+///   [`MAX_SOCKET_OPS_SCALE`]× what its smallest record does: moving a
+///   frame one hop costs one `write` and one `read`, however many
+///   nodes the process hosts. A reactor that scans every socket each
+///   pass breaks both (hundreds of calls per frame, doubling from 60
+///   to 200 nodes) while every other field stays identical.
 pub fn gate_testbed(baseline: &str, candidate: &str) -> Result<GateReport, String> {
     let base: Vec<TestbedRecord> =
         serde_json::from_str(baseline).map_err(|e| format!("baseline: {e:?}"))?;
@@ -755,10 +767,45 @@ pub fn gate_testbed(baseline: &str, candidate: &str) -> Result<GateReport, Strin
     Ok(report)
 }
 
+/// Most socket calls the testbed reactor may spend per wire frame
+/// (about two when it polls only what it wrote to).
+pub const MAX_SOCKET_OPS_PER_FRAME: f64 = 8.0;
+
+/// Most a scheme's socket calls per frame may grow from its smallest
+/// record to a ≥200-node one.
+pub const MAX_SOCKET_OPS_SCALE: f64 = 1.5;
+
 /// The testbed physical-suspicion checks: per-record wire conservation
-/// and settled escrow, plus the ≥200-node scale record.
+/// and settled escrow, the ≥200-node scale record, and a reactor cost
+/// per frame that is small and flat in the node count.
 fn check_testbed_shape(records: &[TestbedRecord], report: &mut GateReport) {
     for r in records {
+        if r.socket_ops_per_frame > MAX_SOCKET_OPS_PER_FRAME {
+            report.fail(format!(
+                "{} @ {} nodes: {:.1} socket calls per wire frame (limit {}) — \
+                 the reactor is polling sockets nothing was written to",
+                r.scheme, r.nodes, r.socket_ops_per_frame, MAX_SOCKET_OPS_PER_FRAME
+            ));
+        }
+        if r.nodes >= 200 {
+            let smallest = records
+                .iter()
+                .filter(|o| o.scheme == r.scheme)
+                .min_by_key(|o| o.nodes)
+                .unwrap_or(r);
+            if r.socket_ops_per_frame > MAX_SOCKET_OPS_SCALE * smallest.socket_ops_per_frame {
+                report.fail(format!(
+                    "{}: {:.2} socket calls per wire frame @ {} nodes against {:.2} @ {} \
+                     (limit {}×) — the reactor's cost per frame grows with the cluster",
+                    r.scheme,
+                    r.socket_ops_per_frame,
+                    r.nodes,
+                    smallest.socket_ops_per_frame,
+                    smallest.nodes,
+                    MAX_SOCKET_OPS_SCALE
+                ));
+            }
+        }
         if r.wire_in != r.wire_out {
             report.fail(format!(
                 "physically suspicious: {} @ {} nodes sent {} wire frames but received {} — \

@@ -504,3 +504,43 @@ fn testbed_gate_fails_total_mismatch() {
                 && f.message.contains("no candidate record matches"))
     );
 }
+
+/// `BENCH_testbed.json` as the reactor that scanned every listener and
+/// every inbound connection on every pass produced it: each routing
+/// field healthy, hundreds of socket calls per frame.
+const FULL_SCAN_TESTBED: &str = include_str!("fixtures/full_scan_testbed.json");
+
+#[test]
+fn testbed_gate_fails_the_full_scan_reactor_fixture() {
+    // Against itself every delta is zero: only the shape rules can trip.
+    let report = gate_testbed(FULL_SCAN_TESTBED, FULL_SCAN_TESTBED).expect("parses");
+    assert!(!report.passed());
+    let fails = |needle: &str| {
+        report
+            .findings
+            .iter()
+            .filter(|f| f.severity == Severity::Fail && f.message.contains(needle))
+            .count()
+    };
+    assert_eq!(
+        fails("socket calls per wire frame (limit"),
+        4,
+        "every record"
+    );
+    assert_eq!(
+        fails("grows with the cluster"),
+        2,
+        "both schemes' 200-node records"
+    );
+}
+
+#[test]
+fn testbed_gate_passes_a_flat_two_call_reactor() {
+    let flat = FULL_SCAN_TESTBED
+        .replace(":175.0}", ":2.10}")
+        .replace(":335.0}", ":2.17}")
+        .replace(":247.0}", ":2.04}")
+        .replace(":437.0}", ":2.12}");
+    let report = gate_testbed(FULL_SCAN_TESTBED, &flat).expect("parses");
+    assert!(report.passed(), "{:#?}", report.findings);
+}

@@ -29,7 +29,8 @@
 //! |---|---|---|---|---|---|
 //! | `pcn-types`, `pcn-graph`, `pcn-lp`, `flash-core`, `pcn-workload` | forbid | ✓ | – | ✓ | ✓ (src only) |
 //! | `pcn-sim` | forbid | ✓ | ✓ | ✓ | ✓ (src only) |
-//! | `pcn-proto`, `pcn-scenario`, `pcn-experiments`, `flash-bench`, umbrella | helper only | – | – | – | – |
+//! | `pcn-proto` | helper only | – | – | – | P1 (src only) |
+//! | `pcn-scenario`, `pcn-experiments`, `flash-bench`, umbrella | helper only | – | – | – | – |
 //! | `shims/`, fixtures | skipped | | | | |
 //!
 //! "src only": the deterministic crates' integration tests, benches,
@@ -129,8 +130,11 @@ pub fn policy_for(rel: &str) -> Option<Policy> {
     }
     // Everything else — proto, scenario, experiments, bench, the lint
     // itself, the umbrella crate's src/tests/examples — may read wall
-    // time through the helper only.
-    Some(Policy::wall_allowed())
+    // time through the helper only. The testbed's library code also
+    // answers to P1: its reactor is a marked hot root.
+    let mut p = Policy::wall_allowed();
+    p.hot_alloc = rel.starts_with("crates/proto/src/");
+    Some(p)
 }
 
 /// The crate-grouping key for hash-name collection: identifiers are
@@ -337,7 +341,14 @@ mod tests {
         // The Amount implementation is exempt from P3 only.
         let a = policy_for("crates/types/src/amount.rs").unwrap();
         assert!(a.panics && a.hot_alloc && !a.amount_math);
-        assert!(!policy_for("crates/proto/src/cluster.rs").unwrap().panics);
+        // The testbed reactor is a hot root: P1 only, library code only.
+        let r = policy_for("crates/proto/src/event_loop.rs").unwrap();
+        assert!(r.hot_alloc && !r.panics && !r.hash_order);
+        assert!(
+            !policy_for("crates/scenario/src/builder.rs")
+                .unwrap()
+                .hot_alloc
+        );
         assert!(
             !policy_for("crates/graph/src/generators.rs")
                 .unwrap()

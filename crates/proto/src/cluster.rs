@@ -62,7 +62,8 @@ impl Cluster {
     }
 
     /// Launches a cluster whose outbound messages pass through `faults`
-    /// (dropped messages surface as sender-side timeouts).
+    /// (a dropped message surfaces as an unanswered request at the
+    /// sender).
     pub fn launch_with_faults(
         graph: DiGraph,
         balances: &[Amount],
@@ -93,8 +94,11 @@ impl Cluster {
         })
     }
 
-    /// Overrides the client-side reply timeout (default 10 s). Fault
-    /// tests lower this so dropped messages fail fast.
+    /// Overrides the stall guard (default 10 s): how long a request
+    /// may sit with bytes in flight that the kernel is not delivering
+    /// before it is given up as unanswered. It is not the price of a
+    /// lost frame — a request whose frames were dropped comes back
+    /// unanswered the moment nothing is in flight any more.
     pub fn set_timeout(&mut self, timeout: Duration) {
         self.timeout = timeout;
     }
@@ -160,6 +164,12 @@ impl Cluster {
         self.evloop.lock().dropped()
     }
 
+    /// `accept`/`read`/`write` calls the reactor has issued so far (see
+    /// [`EventLoop::socket_ops`]).
+    pub fn socket_ops(&self) -> u64 {
+        self.evloop.lock().socket_ops()
+    }
+
     /// Allocates a fresh wire transaction id.
     pub fn fresh_trans_id(&self) -> u64 {
         self.next_trans_id.fetch_add(1, Ordering::Relaxed)
@@ -175,8 +185,8 @@ impl Cluster {
     }
 
     /// Injects every message, then pumps the loop until all replies
-    /// arrived or the timeout elapsed. Results are in input order;
-    /// `None` marks a timed-out (or invalid) request.
+    /// arrived or nothing is in flight any more. Results are in input
+    /// order; `None` marks an unanswered (or invalid) request.
     fn request_many(&self, msgs: Vec<Message>) -> Vec<Option<Message>> {
         let mut ev = self.evloop.lock();
         let mut ids = Vec::with_capacity(msgs.len());
@@ -228,7 +238,7 @@ impl Cluster {
     }
 
     /// Phase-1 commit reporting *where* a failed part NACKed: `Err(h)`
-    /// means hop `h` (0 = first channel) lacked balance. A timed-out
+    /// means hop `h` (0 = first channel) lacked balance. A missing
     /// reply (lossy transport) reports hop 0 — the wire carries no
     /// better information in that case.
     pub fn commit_part_located(
@@ -493,6 +503,45 @@ mod tests {
         assert_eq!(cluster.total_funds(), before);
         let caps = cluster.probe(13, &p1).unwrap();
         assert_eq!(caps, vec![4_000_000, 4_000_000]);
+    }
+
+    #[test]
+    fn fresh_connections_in_one_batch_pair_with_their_connectors() {
+        // 0 and 1 both reach 3 through 2; 2 — 3 — 4 carries on.
+        let mut g = DiGraph::new(5);
+        g.add_channel(n(0), n(2)).unwrap();
+        g.add_channel(n(1), n(2)).unwrap();
+        g.add_channel(n(2), n(3)).unwrap();
+        g.add_channel(n(3), n(4)).unwrap();
+        let balances = vec![Amount::from_units(10); g.edge_count()];
+        let cluster = Cluster::launch(g, &balances).unwrap();
+        let path = |ids: &[u32]| {
+            let nodes = ids.iter().map(|&i| n(i)).collect();
+            Path::new(nodes, Some(cluster.graph())).unwrap()
+        };
+        // One injection pass opens 0→2, 1→2 and 3→4: listener 2 then
+        // has two connects to accept at once, and their first frames
+        // differ in length, so a swapped pairing breaks the byte count.
+        let (p0, p1, p3) = (path(&[0, 2, 3]), path(&[1, 2, 3, 4]), path(&[3, 4]));
+        let one = Amount::from_units(1);
+        let results = cluster.commit_many(&[(1, &p0, one), (2, &p1, one), (3, &p3, one)]);
+        assert_eq!(results, vec![Ok(()), Ok(()), Ok(())]);
+
+        let counters = cluster.node_counters();
+        let commits_in = |node: usize| counters[node].msgs_in[MsgType::Commit as usize];
+        let acks_in = |node: usize| counters[node].msgs_in[MsgType::CommitAck as usize];
+        assert_eq!(
+            [0, 1, 2, 3, 4].map(commits_in),
+            [0, 0, 2, 2, 2],
+            "each COMMIT counted by the node whose listener accepted it"
+        );
+        assert_eq!([0, 1, 2, 3, 4].map(acks_in), [1, 1, 2, 2, 0]);
+        let sent: u64 = counters.iter().map(|c| c.wire_out()).sum();
+        let received: u64 = counters.iter().map(|c| c.wire_in()).sum();
+        assert_eq!(sent, received);
+        let report = cluster.shutdown();
+        assert_eq!(report.transport_errors, 0);
+        assert!(report.is_clean(), "{report:?}");
     }
 
     #[test]

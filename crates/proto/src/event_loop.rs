@@ -1,26 +1,56 @@
-//! The poll-based reactor hosting every node actor in one thread.
+//! The reactor hosting every node actor in one thread.
 //!
-//! The previous runtime spent two OS threads per TCP connection plus
-//! one scoped thread per in-flight sub-payment, capping clusters at
-//! tens of nodes. This module replaces all of it with a single-threaded
-//! event loop over non-blocking sockets — no external async runtime,
-//! just readiness polling:
+//! A single-threaded event loop over non-blocking loopback sockets — no
+//! threads per node, no external async runtime, no `epoll`:
 //!
 //! * one non-blocking [`TcpListener`] per node (bound before any
 //!   traffic flows, so the address book is complete),
-//! * inbound connections feeding a [`FrameDecoder`] each,
 //! * outbound connections with explicit write buffers flushed as the
 //!   kernel accepts bytes,
+//! * inbound connections feeding a [`FrameDecoder`] each,
 //! * a [`NodeState`] per node executing the protocol state machine,
 //! * a request table correlating client-injected messages with their
 //!   terminal replies by `trans_id`.
 //!
-//! [`EventLoop::poll_once`] makes one pass — accept, read+dispatch,
-//! flush — and reports how much progress it made. Because everything is
-//! single-threaded, a zero-progress pass over loopback sockets is a
-//! definitive quiescence check: no thread can be mid-send, so no bytes
-//! are in flight that a subsequent pass could reveal (a small grace
-//! window in [`EventLoop::drain`] covers kernel delivery latency).
+//! # What is polled, and why that is enough
+//!
+//! The loop is the only process that knows the listeners' addresses, so
+//! every inbound connection is the far end of an outbound connection
+//! this same loop opened. That makes readiness something the loop can
+//! *account for* instead of asking the kernel about every socket:
+//!
+//! * a connect is remembered, by the connector's local address, on the
+//!   listener it targets; when that listener accepts, the accepted
+//!   socket's peer address names its connector and the two ends are
+//!   **paired** — pairing is total, and an accepted socket nobody here
+//!   connected is dropped and counted as a transport error;
+//! * every byte written into an outbound socket is added to that pair's
+//!   in-flight count, every byte read from the inbound end is taken off.
+//!
+//! Three *ready sets* follow: listeners with connects they have not
+//! accepted, outbound connections with buffered bytes, inbound
+//! connections whose pair has bytes in flight. [`EventLoop::poll_once`]
+//! makes one pass — accept, read + dispatch, flush — over those sets
+//! only: a frame moving one hop costs one `write` and one `read`
+//! whatever the cluster size, and a read stops when the in-flight count
+//! reaches zero rather than at `WouldBlock`.
+//!
+//! # Quiescence
+//!
+//! Nothing is in flight exactly when all three ready sets and the
+//! dispatch queue are empty. [`EventLoop::drain`] pumps until that
+//! holds; [`EventLoop::run_requests`] also returns on it, because a
+//! request still unanswered then (its frames were dropped by the fault
+//! plan, or swallowed by a crashed node) can never be answered. A pass
+//! that moved nothing while bytes are still in flight — the kernel has
+//! not delivered them to the other end yet — yields the thread and
+//! polls the same sockets again; the caller's wall deadline only guards
+//! against a kernel that never delivers.
+//!
+//! A connection that fails (read or write error, EOF, malformed frame)
+//! is closed at both ends and its buffered frames and in-flight bytes
+//! are written off, so a dead socket cannot hold quiescence hostage;
+//! the next send on that `(from, to)` reconnects.
 //!
 //! # Threading contract
 //!
@@ -32,11 +62,13 @@
 //!
 //! # Determinism
 //!
-//! Scan order is fixed: listeners, then inbound connections, then
-//! outbound buffers, each in creation order; dispatch is FIFO per
-//! pass. Wall time enters only through [`crate::wall_now`] (lint rule
-//! D1) and is used exclusively for timeouts — never for ordering
-//! decisions.
+//! Each pass visits its ready sets in the order a scan of every socket
+//! would: listeners, then inbound connections, then outbound buffers,
+//! each in ascending creation index; a listener's backlog is accepted
+//! in connect order, which numbers the inbound connections; dispatch is
+//! FIFO per pass. Wall time enters only through [`crate::wall_now`]
+//! (lint rule D1) and is used exclusively for the stall guard — never
+//! for ordering decisions.
 
 use crate::fault::FaultPlan;
 use crate::node::{NodeState, Outbox, MSG_TYPES};
@@ -55,6 +87,8 @@ struct InConn {
     owner: u32,
     stream: TcpStream,
     decoder: FrameDecoder,
+    /// Index of the [`OutConn`] at the other end of this socket.
+    peer: usize,
     open: bool,
 }
 
@@ -69,6 +103,11 @@ struct OutConn {
     cursor: usize,
     /// End offset of each queued frame, for queue-depth accounting.
     frame_ends: VecDeque<usize>,
+    /// Index of the [`InConn`] at the other end, once its listener has
+    /// accepted it.
+    peer: Option<usize>,
+    /// Bytes written into the socket that `peer` has not read yet.
+    in_flight: usize,
     open: bool,
 }
 
@@ -101,12 +140,25 @@ pub struct EventLoop {
     out_conns: Vec<OutConn>,
     /// `(from, to)` → index into `out_conns`.
     out_index: HashMap<(u32, u32), usize>,
+    /// Per listener: the connects it has not accepted yet, as
+    /// `(connector's local address, out_conns index)`.
+    connecting: Vec<Vec<(SocketAddr, usize)>>,
+    /// Ready set: listeners with a non-empty `connecting` entry.
+    accept_ready: Vec<usize>,
+    /// Ready set: inbound connections whose pair has bytes in flight.
+    read_ready: Vec<usize>,
+    /// Ready set: outbound connections with unflushed bytes.
+    write_ready: Vec<usize>,
     /// Open request slots: `None` until the terminal reply arrives.
     pending: HashMap<u64, Option<Message>>,
     /// Messages decoded this pass, awaiting dispatch (FIFO).
     scratch: VecDeque<(u32, Message)>,
+    /// The one outbox every dispatch fills and empties.
+    outbox: Outbox,
     faults: FaultPlan,
     transport_errors: u64,
+    /// `accept`/`read`/`write` calls issued so far.
+    socket_ops: u64,
     shut: bool,
 }
 
@@ -128,16 +180,22 @@ impl EventLoop {
             nodes.push(NodeState::new(id, bal));
         }
         Ok(EventLoop {
+            connecting: vec![Vec::new(); nodes.len()],
             nodes,
             listeners,
             addrs,
             in_conns: Vec::new(),
             out_conns: Vec::new(),
             out_index: HashMap::new(),
+            accept_ready: Vec::new(),
+            read_ready: Vec::new(),
+            write_ready: Vec::new(),
             pending: HashMap::new(),
             scratch: VecDeque::new(),
+            outbox: Outbox::default(),
             faults,
             transport_errors: 0,
+            socket_ops: 0,
             shut: false,
         })
     }
@@ -166,6 +224,14 @@ impl EventLoop {
     /// Messages the fault plan dropped so far.
     pub fn dropped(&self) -> u64 {
         self.faults.dropped()
+    }
+
+    /// `accept`, `read` and `write` calls issued so far, including the
+    /// ones that returned `WouldBlock`. Divided by the wire frames
+    /// moved, this is the reactor's cost per frame in system calls —
+    /// about two when only ready sockets are polled.
+    pub fn socket_ops(&self) -> u64 {
+        self.socket_ops
     }
 
     // ----- churn ---------------------------------------------------
@@ -209,30 +275,24 @@ impl EventLoop {
         Ok(id)
     }
 
-    /// Pumps the loop until every listed request has a reply or the
-    /// timeout elapses. Requests not in `ids` are serviced too — the
-    /// loop is global — but only the listed ones gate completion.
+    /// Pumps the loop until every listed request has a reply, or
+    /// nothing is in flight anywhere (an unanswered request can then
+    /// never be answered — its frames were dropped or swallowed), or a
+    /// stalled kernel outlasts `timeout`. Requests not in `ids` are
+    /// serviced too — the loop is global — but only the listed ones
+    /// gate completion.
     pub fn run_requests(&mut self, ids: &[u64], timeout: Duration) {
         let wall_deadline = crate::wall_now() + timeout;
-        loop {
-            let done = ids
-                .iter()
-                .all(|id| !matches!(self.pending.get(id), Some(None)));
-            if done {
-                return;
-            }
-            if self.poll_once() == 0 {
-                if crate::wall_now() >= wall_deadline {
-                    return;
-                }
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        }
+        while ids
+            .iter()
+            .any(|id| matches!(self.pending.get(id), Some(None)))
+            && self.step(wall_deadline)
+        {}
     }
 
     /// Removes and returns the reply for a finished request. `None`
-    /// means the request timed out (a late reply arriving after this
-    /// call is dropped on the floor, like the old channel-based
+    /// means the request went unanswered (a late reply arriving after
+    /// this call is dropped on the floor, like the old channel-based
     /// correlation).
     pub fn take_reply(&mut self, trans_id: u64) -> Option<Message> {
         self.pending.remove(&trans_id).flatten()
@@ -240,9 +300,10 @@ impl EventLoop {
 
     // ----- the reactor ---------------------------------------------
 
-    /// One pass: accept new connections, read + dispatch every readable
-    /// frame, flush outbound buffers. Returns a progress count (0 ⇒
-    /// the pass observed nothing to do).
+    /// One pass over the ready sets: accept pending connects, read +
+    /// dispatch every frame in flight, flush outbound buffers. Returns
+    /// a progress count (0 ⇒ the pass moved nothing).
+    // pcn-lint: hot — every wire frame crosses this pass twice; ready lists, dispatch queue and outbox are loop-owned buffers
     pub fn poll_once(&mut self) -> usize {
         let mut progress = 0;
         progress += self.accept_new();
@@ -251,96 +312,104 @@ impl EventLoop {
         progress
     }
 
-    /// Pumps until quiescent: `grace` consecutive zero-progress passes
-    /// (covering loopback delivery latency) or the wall deadline.
-    /// Returns true when quiescence was reached.
-    pub fn drain(&mut self, wall_deadline: WallInstant) -> bool {
-        let mut calm = 0;
-        while calm < 3 {
-            if self.poll_once() == 0 {
-                calm += 1;
-                if crate::wall_now() >= wall_deadline {
-                    return false;
-                }
-                std::thread::sleep(Duration::from_micros(50));
-            } else {
-                calm = 0;
+    /// Whether nothing is in flight: no connect waiting to be accepted,
+    /// no byte buffered or unread, no message awaiting dispatch.
+    fn is_quiescent(&self) -> bool {
+        self.accept_ready.is_empty()
+            && self.read_ready.is_empty()
+            && self.write_ready.is_empty()
+            && self.scratch.is_empty()
+    }
+
+    /// One pass toward quiescence. Returns false when there is nothing
+    /// left to do, or when a pass moved nothing and `wall_deadline` has
+    /// passed; a pass that moved nothing before the deadline yields the
+    /// thread, so the kernel can deliver what is in flight.
+    fn step(&mut self, wall_deadline: WallInstant) -> bool {
+        if self.is_quiescent() {
+            return false;
+        }
+        if self.poll_once() == 0 {
+            if crate::wall_now() >= wall_deadline {
+                return false;
             }
+            std::thread::yield_now();
         }
         true
     }
 
+    /// Pumps until quiescent or stalled past the wall deadline. Returns
+    /// true when quiescence was reached.
+    pub fn drain(&mut self, wall_deadline: WallInstant) -> bool {
+        while self.step(wall_deadline) {}
+        self.is_quiescent()
+    }
+
     fn accept_new(&mut self) -> usize {
         let mut accepted = 0;
-        for (owner, listener) in self.listeners.iter().enumerate() {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if stream.set_nonblocking(true).is_err()
-                            || stream.set_nodelay(true).is_err()
-                        {
-                            self.transport_errors += 1;
-                            continue;
-                        }
-                        self.in_conns.push(InConn {
-                            owner: owner as u32,
-                            stream,
-                            decoder: FrameDecoder::new(),
-                            open: true,
-                        });
-                        accepted += 1;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        self.transport_errors += 1;
-                        break;
-                    }
-                }
-            }
-        }
+        let mut ready = std::mem::take(&mut self.accept_ready);
+        ready.sort_unstable();
+        ready.retain(|&owner| self.accept_on(owner, &mut accepted));
+        self.accept_ready = ready;
         accepted
     }
 
-    fn poll_reads(&mut self) -> usize {
-        let mut read_buf = [0u8; 4096];
-        // Phase 1: drain every readable socket into its decoder and
-        // collect complete frames. Counting msgs_in happens here, at
-        // the wire boundary.
-        for conn in self.in_conns.iter_mut().filter(|c| c.open) {
-            loop {
-                match conn.stream.read(&mut read_buf) {
-                    Ok(0) => {
-                        conn.open = false; // clean EOF
-                        break;
-                    }
-                    Ok(n) => conn.decoder.feed(&read_buf[..n]),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.open = false;
+    /// Accepts the connects waiting on listener `owner`, pairing each
+    /// accepted socket with its connector. Returns whether connects are
+    /// still waiting (the kernel has not queued them yet).
+    fn accept_on(&mut self, owner: usize, accepted: &mut usize) -> bool {
+        while !self.connecting[owner].is_empty() {
+            self.socket_ops += 1;
+            match self.listeners[owner].accept() {
+                Ok((stream, peer_addr)) => {
+                    let waiting = &mut self.connecting[owner];
+                    let Some(at) = waiting.iter().position(|&(addr, _)| addr == peer_addr) else {
+                        // Nobody here connected from that address.
                         self.transport_errors += 1;
-                        break;
+                        continue;
+                    };
+                    let (_, out) = waiting.swap_remove(at);
+                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+                        self.transport_errors += 1;
+                        self.close_pair(out);
+                        continue;
                     }
+                    let conn = &mut self.out_conns[out];
+                    conn.peer = Some(self.in_conns.len());
+                    if conn.in_flight > 0 {
+                        self.read_ready.push(self.in_conns.len());
+                    }
+                    self.in_conns.push(InConn {
+                        owner: owner as u32,
+                        stream,
+                        decoder: FrameDecoder::new(),
+                        peer: out,
+                        open: conn.open,
+                    });
+                    *accepted += 1;
                 }
-            }
-            loop {
-                match conn.decoder.next_message() {
-                    Ok(Some(msg)) => {
-                        let c = &mut self.nodes[conn.owner as usize].counters;
-                        c.msgs_in[msg.msg_type as usize] += 1;
-                        self.scratch.push_back((conn.owner, msg));
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        // A malformed frame poisons the connection; the
-                        // peer's next send will reconnect.
-                        conn.open = false;
-                        self.transport_errors += 1;
-                        break;
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(_) => {
+                    // The listener is broken: none of its connects will
+                    // ever be accepted.
+                    self.transport_errors += 1;
+                    while let Some((_, out)) = self.connecting[owner].pop() {
+                        self.close_pair(out);
                     }
                 }
             }
         }
+        !self.connecting[owner].is_empty()
+    }
+
+    fn poll_reads(&mut self) -> usize {
+        // Phase 1: move the bytes in flight into their decoders and
+        // collect complete frames. Counting msgs_in happens here, at
+        // the wire boundary.
+        let mut ready = std::mem::take(&mut self.read_ready);
+        ready.sort_unstable();
+        ready.retain(|&conn| self.read_conn(conn));
+        self.read_ready = ready;
         // Phase 2: run the state machines. Handlers may emit new sends,
         // which queue_send buffers for the flush phase.
         let mut dispatched = 0;
@@ -351,27 +420,74 @@ impl EventLoop {
         dispatched
     }
 
+    /// Reads what is in flight toward inbound connection `idx` and
+    /// queues its complete frames for dispatch. Returns whether bytes
+    /// are still in flight (written, but not delivered by the kernel).
+    fn read_conn(&mut self, idx: usize) -> bool {
+        let conn = &mut self.in_conns[idx];
+        if !conn.open {
+            return false;
+        }
+        let in_flight = &mut self.out_conns[conn.peer].in_flight;
+        let mut read_buf = [0u8; 4096];
+        let mut failed = false;
+        while !failed && *in_flight > 0 {
+            self.socket_ops += 1;
+            match conn.stream.read(&mut read_buf) {
+                // EOF with bytes owed, or bytes nobody accounted for.
+                Ok(n) if n == 0 || n > *in_flight => failed = true,
+                Ok(n) => {
+                    *in_flight -= n;
+                    conn.decoder.feed(&read_buf[..n]);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => failed = true,
+            }
+        }
+        while !failed {
+            match conn.decoder.next_message() {
+                Ok(Some(msg)) => {
+                    let c = &mut self.nodes[conn.owner as usize].counters;
+                    c.msgs_in[msg.msg_type as usize] += 1;
+                    self.scratch.push_back((conn.owner, msg));
+                }
+                Ok(None) => break,
+                // A malformed frame poisons the connection.
+                Err(_) => failed = true,
+            }
+        }
+        if failed {
+            let out = conn.peer;
+            self.transport_errors += 1;
+            self.close_pair(out);
+            return false;
+        }
+        *in_flight > 0
+    }
+
     /// Runs one message through its node's state machine and executes
     /// the outbox: terminal replies fill their request slot, sends are
     /// queued on outbound connections.
     fn dispatch(&mut self, node: u32, msg: Message) {
-        let mut out = Outbox::default();
+        let mut out = std::mem::take(&mut self.outbox);
         self.nodes[node as usize].handle(msg, &mut out);
-        for reply in out.deliveries {
+        for reply in out.deliveries.drain(..) {
             if let Some(slot) = self.pending.get_mut(&reply.trans_id) {
                 *slot = Some(reply);
             }
             // No slot: a late reply after timeout — dropped, as before.
         }
-        for (to, m) in out.sends {
+        for (to, m) in out.sends.drain(..) {
             self.queue_send(node, to, m);
         }
+        self.outbox = out;
     }
 
     /// Buffers one frame on the `from → to` connection, connecting on
-    /// first use. Under an active fault plan the frame may be dropped
-    /// before it is counted or queued — a lossy wire, invisible to the
-    /// sender.
+    /// first use (and again after the connection died). Under an active
+    /// fault plan the frame may be dropped before it is counted or
+    /// queued — a lossy wire, invisible to the sender.
     fn queue_send(&mut self, from: u32, to: u32, msg: Message) {
         if self.faults.should_drop() {
             return;
@@ -379,33 +495,10 @@ impl EventLoop {
         let idx = match self.out_index.get(&(from, to)) {
             Some(&i) if self.out_conns[i].open => i,
             _ => {
-                let Some(&addr) = self.addrs.get(&to) else {
+                let Some(i) = self.connect(from, to) else {
                     self.transport_errors += 1;
                     return;
                 };
-                // Loopback connect completes immediately (the listener's
-                // backlog accepts it); switch to non-blocking after.
-                let stream = match TcpStream::connect(addr) {
-                    Ok(s) => s,
-                    Err(_) => {
-                        self.transport_errors += 1;
-                        return;
-                    }
-                };
-                if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                    self.transport_errors += 1;
-                    return;
-                }
-                let i = self.out_conns.len();
-                self.out_conns.push(OutConn {
-                    from,
-                    stream,
-                    buf: Vec::new(),
-                    cursor: 0,
-                    frame_ends: VecDeque::new(),
-                    open: true,
-                });
-                self.out_index.insert((from, to), i);
                 i
             }
         };
@@ -414,56 +507,124 @@ impl EventLoop {
         counters.queue_depth += 1;
         counters.queue_high_water = counters.queue_high_water.max(counters.queue_depth);
         let conn = &mut self.out_conns[idx];
-        conn.buf.extend_from_slice(&msg.encode());
+        if conn.buf.is_empty() {
+            self.write_ready.push(idx);
+        }
+        msg.encode_into(&mut conn.buf);
         conn.frame_ends.push_back(conn.buf.len());
+    }
+
+    /// Opens the `from → to` connection and leaves it waiting on `to`'s
+    /// listener. `None` when `to` is unknown or the socket fails.
+    fn connect(&mut self, from: u32, to: u32) -> Option<usize> {
+        let addr = *self.addrs.get(&to)?;
+        // Loopback connect completes immediately (the listener's
+        // backlog accepts it); switch to non-blocking after.
+        let stream = TcpStream::connect(addr).ok()?;
+        stream.set_nonblocking(true).ok()?;
+        stream.set_nodelay(true).ok()?;
+        let local = stream.local_addr().ok()?;
+        let idx = self.out_conns.len();
+        self.out_conns.push(OutConn {
+            from,
+            stream,
+            // pcn-lint: allow(hot-alloc) — per connection, not per frame: the write buffer lives as long as the socket
+            buf: Vec::new(),
+            cursor: 0,
+            // pcn-lint: allow(hot-alloc) — per connection, like `buf`
+            frame_ends: VecDeque::new(),
+            peer: None,
+            in_flight: 0,
+            open: true,
+        });
+        self.out_index.insert((from, to), idx);
+        let waiting = &mut self.connecting[to as usize];
+        if waiting.is_empty() {
+            self.accept_ready.push(to as usize);
+        }
+        waiting.push((local, idx));
+        Some(idx)
     }
 
     fn flush_writes(&mut self) -> usize {
         let mut progressed = 0;
-        for conn in self.out_conns.iter_mut().filter(|c| c.open) {
-            while conn.cursor < conn.buf.len() {
-                match conn.stream.write(&conn.buf[conn.cursor..]) {
-                    Ok(0) => {
-                        conn.open = false;
-                        self.transport_errors += 1;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.cursor += n;
-                        progressed += 1;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.open = false;
-                        self.transport_errors += 1;
-                        break;
-                    }
+        let mut ready = std::mem::take(&mut self.write_ready);
+        ready.sort_unstable();
+        ready.retain(|&conn| self.flush_conn(conn, &mut progressed));
+        self.write_ready = ready;
+        progressed
+    }
+
+    /// Writes as much of outbound connection `idx`'s buffer as the
+    /// kernel takes. Returns whether bytes are still buffered.
+    fn flush_conn(&mut self, idx: usize, progressed: &mut usize) -> bool {
+        let conn = &mut self.out_conns[idx];
+        if !conn.open {
+            return false;
+        }
+        let mut wrote = 0;
+        let mut failed = false;
+        while !failed && conn.cursor < conn.buf.len() {
+            self.socket_ops += 1;
+            match conn.stream.write(&conn.buf[conn.cursor..]) {
+                Ok(0) => failed = true,
+                Ok(n) => {
+                    conn.cursor += n;
+                    wrote += n;
+                    *progressed += 1;
                 }
-            }
-            // Retire fully written frames from the owner's queue depth.
-            let counters = &mut self.nodes[conn.from as usize].counters;
-            while conn
-                .frame_ends
-                .front()
-                .is_some_and(|&end| end <= conn.cursor)
-            {
-                conn.frame_ends.pop_front();
-                counters.queue_depth = counters.queue_depth.saturating_sub(1);
-            }
-            if conn.cursor == conn.buf.len() && conn.cursor > 0 {
-                conn.buf.clear();
-                conn.cursor = 0;
-            }
-            if !conn.open {
-                // Frames stuck on a dead socket will never flush.
-                counters.queue_depth = counters
-                    .queue_depth
-                    .saturating_sub(conn.frame_ends.len() as u64);
-                conn.frame_ends.clear();
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => failed = true,
             }
         }
-        progressed
+        if failed {
+            self.transport_errors += 1;
+            self.close_pair(idx);
+            return false;
+        }
+        if wrote > 0 && conn.in_flight == 0 {
+            if let Some(peer) = conn.peer {
+                self.read_ready.push(peer);
+            }
+        }
+        conn.in_flight += wrote;
+        // Retire fully written frames from the owner's queue depth.
+        let counters = &mut self.nodes[conn.from as usize].counters;
+        while conn
+            .frame_ends
+            .front()
+            .is_some_and(|&end| end <= conn.cursor)
+        {
+            conn.frame_ends.pop_front();
+            counters.queue_depth = counters.queue_depth.saturating_sub(1);
+        }
+        if conn.cursor == conn.buf.len() {
+            conn.buf.clear();
+            conn.cursor = 0;
+        }
+        !conn.buf.is_empty()
+    }
+
+    /// Closes both ends of a dead connection (the caller counts the
+    /// transport error). Frames still buffered will never flush and
+    /// bytes still in flight will never be read: both are written off,
+    /// so the pair drops out of the ready sets and the next send on
+    /// this `(from, to)` reconnects.
+    fn close_pair(&mut self, out: usize) {
+        let conn = &mut self.out_conns[out];
+        conn.open = false;
+        let counters = &mut self.nodes[conn.from as usize].counters;
+        counters.queue_depth = counters
+            .queue_depth
+            .saturating_sub(conn.frame_ends.len() as u64);
+        conn.frame_ends.clear();
+        conn.buf.clear();
+        conn.cursor = 0;
+        conn.in_flight = 0;
+        if let Some(peer) = conn.peer {
+            self.in_conns[peer].open = false;
+        }
     }
 
     // ----- teardown ------------------------------------------------
@@ -599,9 +760,76 @@ mod tests {
         let id = ev
             .begin_request(Message::new(9, MsgType::Probe, vec![0, 1, 2]))
             .unwrap();
-        ev.run_requests(&[id], Duration::from_millis(100));
-        assert!(ev.take_reply(id).is_none(), "dropped probe must time out");
+        let timeout = Duration::from_secs(5);
+        let wall_start = crate::wall_now();
+        ev.run_requests(&[id], timeout);
+        assert!(ev.take_reply(id).is_none(), "dropped probe goes unanswered");
         assert!(ev.dropped() > 0);
+        // Nothing was ever in flight, so the loop does not sit out the
+        // stall guard to find that out.
+        assert!(wall_start.elapsed() < timeout / 2);
+    }
+
+    #[test]
+    fn confirm_wave_ends_quiescent() {
+        let mut ev = line3();
+        let mut commit = Message::new(20, MsgType::Commit, vec![0, 1, 2]);
+        commit.commit = 1_000_000;
+        request(&mut ev, commit).unwrap();
+        let mut confirm = Message::new(21, MsgType::Confirm, vec![0, 1, 2]);
+        confirm.commit = 1_000_000;
+        assert_eq!(
+            request(&mut ev, confirm).unwrap().msg_type,
+            MsgType::ConfirmAck
+        );
+        // The last reply is the last frame: nothing is left to wait for.
+        assert!(
+            ev.drain(crate::wall_now()),
+            "an expired deadline is not needed"
+        );
+        assert!(ev.accept_ready.is_empty() && ev.read_ready.is_empty());
+        assert!(ev.write_ready.is_empty() && ev.scratch.is_empty());
+        assert!(ev.out_conns.iter().all(|c| c.in_flight == 0));
+        for c in ev.counters() {
+            assert_eq!(c.queue_depth, 0);
+        }
+        assert!(ev.shutdown().is_clean());
+    }
+
+    #[test]
+    fn poisoned_connection_closes_both_ends_and_the_next_send_reconnects() {
+        let mut ev = line3();
+        request(&mut ev, Message::new(30, MsgType::Probe, vec![0, 1])).unwrap();
+        let dead = ev.out_index[&(0, 1)];
+        // A length prefix no frame may carry, straight into the socket's
+        // write buffer, with a frame queued behind it.
+        ev.out_conns[dead]
+            .buf
+            .extend_from_slice(&0u32.to_be_bytes());
+        ev.write_ready.push(dead);
+        ev.queue_send(0, 1, Message::new(31, MsgType::ProbeAck, vec![0, 1]));
+        assert!(ev.drain(crate::wall_now() + Duration::from_secs(5)));
+        assert!(!ev.out_conns[dead].open, "the sending end is closed too");
+        assert_eq!(
+            ev.out_conns[dead].in_flight, 0,
+            "in-flight bytes written off"
+        );
+        assert_eq!(ev.transport_errors, 1);
+        assert_eq!(ev.counters()[0].queue_depth, 0);
+
+        let got = request(&mut ev, Message::new(32, MsgType::Probe, vec![0, 1])).unwrap();
+        assert_eq!(got.msg_type, MsgType::ProbeAck);
+        assert_ne!(ev.out_index[&(0, 1)], dead, "a fresh connection carried it");
+        let counters = ev.counters();
+        assert_eq!(counters[1].msgs_in[MsgType::Probe as usize], 2);
+        assert_eq!(
+            counters[0].wire_out(),
+            counters[1].wire_in() + 1,
+            "only the frame behind the bad prefix was lost"
+        );
+        let report = ev.shutdown();
+        assert!(!report.is_clean(), "{report:?}");
+        assert_eq!(report.transport_errors, 1);
     }
 
     #[test]

@@ -208,8 +208,7 @@ impl NodeState {
     /// Reverses `msg` into an ACK of type `ack_type` and routes it —
     /// back over the wire, or straight to the client on a degenerate
     /// 1-node path.
-    fn ack_back(&self, msg: &Message, ack_type: MsgType, out: &mut Outbox) {
-        let mut ack = msg.clone();
+    fn ack_back(&self, mut ack: Message, ack_type: MsgType, out: &mut Outbox) {
         ack.msg_type = ack_type;
         ack.path.reverse();
         ack.pos = 0;
@@ -254,7 +253,7 @@ impl NodeState {
             // receiver modifies the message type to PROBE_ACK, replaces
             // the Path field with the reversed version of the forward
             // path, and sends it back").
-            self.ack_back(&msg, MsgType::ProbeAck, out);
+            self.ack_back(msg, MsgType::ProbeAck, out);
             return;
         }
         // Intermediate (or sender): append own balance toward next hop.
@@ -273,12 +272,13 @@ impl NodeState {
     /// Originates a `COMMIT_NACK` back along the reversed prefix of a
     /// refused `COMMIT`. Nodes before us escrowed and roll back as the
     /// NACK passes.
-    fn nack_commit(&mut self, msg: &Message, out: &mut Outbox) {
+    fn nack_commit(&mut self, mut nack: Message, out: &mut Outbox) {
         self.counters.commits_nacked += 1;
-        let mut prefix: Vec<u32> = msg.path[..=msg.pos as usize].to_vec();
-        prefix.reverse();
-        let mut nack = Message::new(msg.trans_id, MsgType::CommitNack, prefix);
-        nack.commit = msg.commit;
+        nack.msg_type = MsgType::CommitNack;
+        nack.path.truncate(nack.pos as usize + 1);
+        nack.path.reverse();
+        nack.pos = 0;
+        nack.capacities.clear();
         if nack.at_end() {
             out.deliveries.push(nack); // the sender itself refused
         } else {
@@ -290,18 +290,18 @@ impl NodeState {
         self.counters.commit_messages += 1;
         if self.down {
             // Crashed nodes NACK everything they would service.
-            self.nack_commit(&msg, out);
+            self.nack_commit(msg, out);
             return;
         }
         if msg.at_end() {
             // Receiver: all hops escrowed; acknowledge.
-            self.ack_back(&msg, MsgType::CommitAck, out);
+            self.ack_back(msg, MsgType::CommitAck, out);
             return;
         }
         let next = msg.next_hop().expect("checked not at end");
         if self.closed.contains(&next) {
             // Frozen channel: refuse, releasing upstream escrow.
-            self.nack_commit(&msg, out);
+            self.nack_commit(msg, out);
             return;
         }
         let bal = self.balances.entry(next).or_insert(0);
@@ -310,7 +310,7 @@ impl NodeState {
             self.counters.escrow_add(msg.commit);
             self.advance(msg, out);
         } else {
-            self.nack_commit(&msg, out);
+            self.nack_commit(msg, out);
         }
     }
 
@@ -333,7 +333,7 @@ impl NodeState {
         if msg.at_end() {
             // Receiver: start the CONFIRM_ACK wave that credits reverse
             // directions on its way back to the sender.
-            let mut ack = msg.clone();
+            let mut ack = msg;
             ack.msg_type = MsgType::ConfirmAck;
             ack.path.reverse();
             ack.pos = 0;
@@ -363,7 +363,7 @@ impl NodeState {
 
     fn on_reverse(&mut self, msg: Message, out: &mut Outbox) {
         if msg.at_end() {
-            self.ack_back(&msg, MsgType::ReverseAck, out);
+            self.ack_back(msg, MsgType::ReverseAck, out);
             return;
         }
         // Restore the escrowed forward balance (even on a frozen

@@ -9,8 +9,8 @@
 //! messages as they materialize. Both paths enforce the same
 //! [`MAX_FRAME`] bound before allocating.
 
-use crate::wire::{Message, MAX_FRAME};
-use pcn_types::{PcnError, Result};
+use crate::wire::{malformed, Message, MAX_FRAME};
+use pcn_types::Result;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -37,7 +37,7 @@ pub fn read_message(stream: &mut TcpStream) -> Result<Option<Message>> {
     }
     let len = u32::from_be_bytes(len_buf) as usize;
     if len == 0 || len > MAX_FRAME {
-        return Err(PcnError::Codec(format!("invalid frame length {len}")));
+        return Err(malformed(format_args!("invalid frame length {len}")));
     }
     let mut payload = vec![0u8; len];
     stream.read_exact(&mut payload)?;
@@ -85,18 +85,20 @@ impl FrameDecoder {
         }
         let len = u32::from_be_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
         if len == 0 || len > MAX_FRAME {
-            return Err(PcnError::Codec(format!("invalid frame length {len}")));
+            return Err(malformed(format_args!("invalid frame length {len}")));
         }
         if avail.len() < 4 + len {
             return Ok(None);
         }
-        let payload = avail[4..4 + len].to_vec();
+        // Decode straight out of the read buffer, then consume the frame
+        // whether or not it parsed.
+        let decoded = Message::decode_from(&avail[4..4 + len]);
         self.start += 4 + len;
         if self.start > self.buf.len() / 2 {
             self.buf.drain(..self.start);
             self.start = 0;
         }
-        Ok(Some(Message::decode(payload.into())?))
+        Ok(Some(decoded?))
     }
 }
 

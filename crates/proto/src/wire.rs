@@ -34,6 +34,12 @@ pub const MAX_CAP_LEN: usize = 2048;
 /// Maximum accepted frame size in bytes.
 pub const MAX_FRAME: usize = 64 * 1024;
 
+/// The error for bytes that are not a valid frame.
+pub(crate) fn malformed(what: std::fmt::Arguments<'_>) -> PcnError {
+    // pcn-lint: allow(hot-alloc) — cold: a malformed frame closes its connection, so this runs at most once per socket
+    PcnError::Codec(what.to_string())
+}
+
 /// Message types of the prototype protocol (§5.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -71,7 +77,7 @@ impl MsgType {
             6 => MsgType::ConfirmAck,
             7 => MsgType::Reverse,
             8 => MsgType::ReverseAck,
-            other => return Err(PcnError::Codec(format!("unknown message type {other}"))),
+            other => return Err(malformed(format_args!("unknown message type {other}"))),
         })
     }
 }
@@ -124,9 +130,20 @@ impl Message {
 
     /// Serializes into a length-prefixed frame.
     pub fn encode(&self) -> Bytes {
-        let payload = 8 + 1 + 1 + 2 + 2 + 4 * self.path.len() + 2 + 8 * self.capacities.len() + 8;
-        let mut buf = BytesMut::with_capacity(4 + payload);
-        buf.put_u32(payload as u32);
+        let mut buf = BytesMut::with_capacity(4 + self.payload_len());
+        self.encode_into(&mut buf);
+        buf.freeze()
+    }
+
+    fn payload_len(&self) -> usize {
+        8 + 1 + 1 + 2 + 2 + 4 * self.path.len() + 2 + 8 * self.capacities.len() + 8
+    }
+
+    /// Appends the length-prefixed frame to `buf` — what the reactor
+    /// uses to fill a connection's write buffer without a frame-sized
+    /// allocation in between.
+    pub(crate) fn encode_into(&self, buf: &mut impl BufMut) {
+        buf.put_u32(self.payload_len() as u32);
         buf.put_u64(self.trans_id);
         buf.put_u8(self.msg_type as u8);
         buf.put_u8(0);
@@ -140,14 +157,19 @@ impl Message {
             buf.put_u64(c);
         }
         buf.put_u64(self.commit);
-        buf.freeze()
     }
 
     /// Deserializes a frame payload (without the length prefix).
-    pub fn decode(mut buf: Bytes) -> Result<Message> {
-        let need = |buf: &Bytes, n: usize, what: &str| -> Result<()> {
+    pub fn decode(buf: Bytes) -> Result<Message> {
+        Self::decode_from(buf)
+    }
+
+    /// [`Message::decode`] over any byte source; the frame decoder
+    /// passes a slice of its read buffer, so no payload copy is made.
+    pub(crate) fn decode_from<B: Buf>(mut buf: B) -> Result<Message> {
+        let need = |buf: &B, n: usize, what: &str| -> Result<()> {
             if buf.remaining() < n {
-                Err(PcnError::Codec(format!("truncated frame reading {what}")))
+                Err(malformed(format_args!("truncated frame reading {what}")))
             } else {
                 Ok(())
             }
@@ -157,34 +179,34 @@ impl Message {
         let msg_type = MsgType::from_u8(buf.get_u8())?;
         let reserved = buf.get_u8();
         if reserved != 0 {
-            return Err(PcnError::Codec(format!(
+            return Err(malformed(format_args!(
                 "reserved byte must be 0, got {reserved}"
             )));
         }
         let pos = buf.get_u16();
         let path_len = buf.get_u16() as usize;
         if path_len > MAX_PATH_LEN {
-            return Err(PcnError::Codec(format!("path too long: {path_len}")));
+            return Err(malformed(format_args!("path too long: {path_len}")));
         }
         need(&buf, 4 * path_len + 2, "path")?;
+        // pcn-lint: allow(hot-alloc) — the decoded message owns its path: this Vec is the frame itself, not scratch
         let path: Vec<u32> = (0..path_len).map(|_| buf.get_u32()).collect();
         let cap_len = buf.get_u16() as usize;
         if cap_len > MAX_CAP_LEN {
-            return Err(PcnError::Codec(format!(
-                "capacity list too long: {cap_len}"
-            )));
+            return Err(malformed(format_args!("capacity list too long: {cap_len}")));
         }
         need(&buf, 8 * cap_len + 8, "capacities")?;
+        // pcn-lint: allow(hot-alloc) — likewise the capacity list (empty, so no allocation, on all but probe frames)
         let capacities: Vec<u64> = (0..cap_len).map(|_| buf.get_u64()).collect();
         let commit = buf.get_u64();
         if buf.has_remaining() {
-            return Err(PcnError::Codec(format!(
+            return Err(malformed(format_args!(
                 "{} trailing bytes after message",
                 buf.remaining()
             )));
         }
         if pos as usize >= path_len.max(1) {
-            return Err(PcnError::Codec(format!(
+            return Err(malformed(format_args!(
                 "pos {pos} outside path of length {path_len}"
             )));
         }

@@ -166,8 +166,11 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Overrides the cluster's client-side reply timeout. Fault
-    /// scenarios lower this so dropped probes fail fast.
+    /// Overrides the cluster's stall guard (see
+    /// [`Cluster::set_timeout`]): how long a request waits on bytes the
+    /// kernel is not delivering. Dropped frames do not cost it — a
+    /// request they leave unanswered returns as soon as the cluster is
+    /// idle — so fault scenarios need not lower it.
     pub fn timeout(mut self, timeout: Duration) -> Self {
         self.timeout = Some(timeout);
         self
@@ -351,6 +354,7 @@ impl Scenario {
             commit_messages: cluster.commit_messages(),
             wire_out,
             wire_in,
+            socket_ops: cluster.socket_ops(),
             dropped_messages: cluster.dropped_messages(),
             churn_events_applied: churn_applied,
             wall_ms,

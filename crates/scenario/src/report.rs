@@ -91,6 +91,10 @@ pub struct ScenarioReport {
     pub wire_out: u64,
     /// Wire frames received cluster-wide.
     pub wire_in: u64,
+    /// `accept`/`read`/`write` calls the reactor issued. Over
+    /// `wire_in` this is the reactor's system-call cost per frame, which
+    /// must not grow with the number of hosted nodes.
+    pub socket_ops: u64,
     /// Frames the fault plan dropped.
     pub dropped_messages: u64,
     /// Churn events applied during the run.

@@ -99,8 +99,43 @@ fn two_hundred_nodes_run_in_one_process() {
     assert!(report.telemetry.iter().any(|t| t.wire_in() > 0));
 }
 
+/// The regression test for the reactor's full socket scan: the socket
+/// calls one wire frame costs do not depend on how many nodes the
+/// process hosts. A loop that tries every listener and every inbound
+/// connection on each pass spends hundreds per frame, and more at 200
+/// nodes than at 60.
+#[test]
+fn socket_calls_per_frame_are_few_and_flat_in_the_node_count() {
+    let per_frame = |nodes: usize| {
+        let report = ScenarioBuilder::new(
+            format!("socket-ops-{nodes}n"),
+            TopologySpec::Testbed {
+                n: nodes,
+                lo: 1000,
+                hi: 1500,
+                seed: 41,
+            },
+        )
+        .workload(WorkloadSpec::Ripple { txns: 40, seed: 42 })
+        .scheme(Scheme::Flash)
+        .expect(Invariant::MessagesConserved)
+        .build()
+        .run()
+        .unwrap();
+        assert!(report.all_invariants_hold() && report.clean_shutdown);
+        assert!(report.wire_in > 0);
+        report.socket_ops as f64 / report.wire_in as f64
+    };
+    let (small, large) = (per_frame(60), per_frame(200));
+    assert!(small <= 8.0 && large <= 8.0, "{small:.2} and {large:.2}");
+    assert!(
+        large <= 1.25 * small && small <= 1.25 * large,
+        "{small:.2} at 60 nodes against {large:.2} at 200"
+    );
+}
+
 /// The fault satellite: with every outbound frame dropped, Spider's
-/// up-front probes all time out, so each payment is refused before any
+/// up-front probes all go unanswered, so each payment is refused before any
 /// `COMMIT` leaves the sender — nothing succeeds, nothing is escrowed,
 /// and the loop still winds down clean.
 #[test]

@@ -193,6 +193,50 @@ impl Buf for Bytes {
     }
 }
 
+/// A byte slice reads like a [`Bytes`] view: each read advances the
+/// slice's start, without the shared allocation a `Bytes` carries.
+impl Buf for &[u8] {
+    fn remaining(&self) -> usize {
+        self.len()
+    }
+
+    fn advance(&mut self, n: usize) {
+        assert!(self.len() >= n, "buffer underflow");
+        *self = &self[n..];
+    }
+
+    fn get_u8(&mut self) -> u8 {
+        let mut b = [0u8; 1];
+        self.copy_to_slice(&mut b);
+        b[0]
+    }
+
+    fn get_u16(&mut self) -> u16 {
+        let mut b = [0u8; 2];
+        self.copy_to_slice(&mut b);
+        u16::from_be_bytes(b)
+    }
+
+    fn get_u32(&mut self) -> u32 {
+        let mut b = [0u8; 4];
+        self.copy_to_slice(&mut b);
+        u32::from_be_bytes(b)
+    }
+
+    fn get_u64(&mut self) -> u64 {
+        let mut b = [0u8; 8];
+        self.copy_to_slice(&mut b);
+        u64::from_be_bytes(b)
+    }
+
+    fn copy_to_slice(&mut self, dst: &mut [u8]) {
+        assert!(self.len() >= dst.len(), "buffer underflow");
+        let (head, tail) = self.split_at(dst.len());
+        dst.copy_from_slice(head);
+        *self = tail;
+    }
+}
+
 /// A growable byte buffer with big-endian writers.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BytesMut {
@@ -280,9 +324,50 @@ impl BufMut for BytesMut {
     }
 }
 
+/// A plain `Vec<u8>` takes the same writers, appending in place.
+impl BufMut for Vec<u8> {
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
+    }
+
+    fn put_u16(&mut self, v: u16) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+
+    fn put_u32(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn slices_and_vecs_read_and_write_like_the_owned_buffers() {
+        let mut w: Vec<u8> = vec![9];
+        w.put_u8(7);
+        w.put_u16(0x0102);
+        w.put_u32(0x0304_0506);
+        w.put_u64(0x0708_090A_0B0C_0D0E);
+        w.put_slice(&[1, 2]);
+        let mut r: &[u8] = &w[1..];
+        assert_eq!(r.remaining(), 1 + 2 + 4 + 8 + 2);
+        assert_eq!(r.get_u8(), 7);
+        assert_eq!(r.get_u16(), 0x0102);
+        assert_eq!(r.get_u32(), 0x0304_0506);
+        assert_eq!(r.get_u64(), 0x0708_090A_0B0C_0D0E);
+        r.advance(1);
+        assert_eq!(r, &[2]);
+    }
 
     #[test]
     fn write_then_read_round_trips() {

@@ -50,6 +50,26 @@ fn testbed_conserves_funds_across_full_trace() {
 }
 
 #[test]
+fn per_node_counters_repeat_exactly_across_runs() {
+    // Dispatch order is fixed by the ready sets' visiting order, never
+    // by which socket the kernel happened to have ready: every node
+    // sees the same frames, of the same types, with the same queue and
+    // escrow high-water marks, on every run.
+    for scheme in [Scheme::Flash, Scheme::Spider, Scheme::ShortestPath] {
+        let run = || {
+            scenario(24, 29, scheme, 3)
+                .build()
+                .run()
+                .expect("scenario run")
+        };
+        let (first, second) = (run(), run());
+        assert_eq!(first.outcomes, second.outcomes, "{}", scheme.label());
+        assert_eq!(first.telemetry, second.telemetry, "{}", scheme.label());
+        assert!(first.clean_shutdown && second.clean_shutdown);
+    }
+}
+
+#[test]
 fn testbed_and_simulator_agree_on_shortest_path() {
     // SP is deterministic and probe-free: the TCP prototype and the
     // in-memory simulator must agree payment-by-payment.
