@@ -1,19 +1,6 @@
 //! # flash-bench
 //!
-//! Shared fixtures for the Criterion benchmarks. Three bench targets:
-//!
-//! * `kernels` — algorithmic hot paths (BFS, Yen, the max-flow kernels
-//!   — Edmonds–Karp, Dinic, flow decomposition — the simplex solver,
-//!   Algorithm 1, waterfilling, the wire codec).
-//! * `figures` — one representative cell per paper figure, so `cargo
-//!   bench` regenerates a reduced-scale version of every experiment and
-//!   its runtime budget is tracked over time.
-//! * `ablations` — the design-choice ablations called out in DESIGN.md
-//!   (random vs. fixed mice path order, lazy vs. exhaustive probing,
-//!   max-flow vs. edge-disjoint vs. Yen path finding, LP vs. sequential
-//!   fee splits).
-//!
-//! Plus the binaries:
+//! The smoke-bench binaries and the gate that reads their records:
 //!
 //! * `maxflow_bench` — compares every `MaxFlowSolver` kernel on the
 //!   Watts–Strogatz and Ripple/Lightning generator topologies,
@@ -42,30 +29,3 @@
 #![deny(clippy::dbg_macro, clippy::print_stdout)]
 
 pub mod gate;
-
-use pcn_graph::generators;
-use pcn_sim::Network;
-use pcn_types::{Amount, NodeId, Payment, TxId};
-
-/// A mid-size scale-free test network (uniform funds).
-pub fn bench_network(nodes: usize, seed: u64) -> Network {
-    let g = generators::scale_free_with_channels(nodes, nodes * 3, seed);
-    Network::uniform(g, Amount::from_units(500))
-}
-
-/// A Watts–Strogatz network like the paper's testbed topologies.
-pub fn bench_ws_network(nodes: usize, seed: u64) -> Network {
-    let g = generators::watts_strogatz(nodes, 4, 0.3, seed);
-    Network::uniform(g, Amount::from_units(1200))
-}
-
-/// A deterministic payment between two pseudo-random nodes.
-pub fn bench_payment(net: &Network, amount_units: u64, seed: u64) -> Payment {
-    let n = net.graph().node_count() as u32;
-    let s = NodeId(seed as u32 % n);
-    let mut t = NodeId((seed as u32 * 7 + n / 2) % n);
-    if s == t {
-        t = NodeId((t.0 + 1) % n);
-    }
-    Payment::new(TxId(seed), s, t, Amount::from_units(amount_units))
-}

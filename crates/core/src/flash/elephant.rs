@@ -151,10 +151,6 @@ pub fn find_paths<N: PaymentNetwork>(
 /// push-relabel kernel — itself differentially tested against
 /// Edmonds–Karp in `pcn-graph`, and the fastest kernel at Lightning
 /// scale (see `docs/maxflow.md` and `BENCH_maxflow.json`).
-///
-/// For repeated oracle queries across consecutive payments, prefer
-/// [`ElephantOracle`]: it keeps the residual graph warm and re-solves
-/// only the capacity deltas.
 pub fn oracle_max_flow(graph: &DiGraph, plan: &ElephantPlan, s: NodeId, t: NodeId) -> Amount {
     use pcn_graph::maxflow::{MaxFlowSolver, PushRelabel};
     let mut caps = vec![0u64; graph.edge_count()];
@@ -164,66 +160,6 @@ pub fn oracle_max_flow(graph: &DiGraph, plan: &ElephantPlan, s: NodeId, t: NodeI
     }
     let mf = PushRelabel.max_flow(graph, s, t, &caps);
     Amount::from_micros(mf.value)
-}
-
-/// Warm-start elephant oracle: [`oracle_max_flow`] for the per-payment
-/// loop. Keeps a [`pcn_graph::maxflow::IncrementalMaxFlow`] alive
-/// across calls, so a payment that perturbed a handful of channel
-/// capacities costs a delta-solve instead of a from-scratch solve. The
-/// instance is rebuilt only when the queried `(s, t)` pair (or the
-/// graph's edge count) changes.
-#[derive(Default)]
-pub struct ElephantOracle {
-    state: Option<WarmState>,
-}
-
-struct WarmState {
-    s: NodeId,
-    t: NodeId,
-    inc: pcn_graph::maxflow::IncrementalMaxFlow,
-    caps: Vec<u64>,
-}
-
-impl ElephantOracle {
-    /// An oracle with no warm state yet (the first query cold-solves).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The max-flow over `plan`'s probed sub-capacities, warm-started
-    /// from the previous query when `(s, t)` is unchanged. Always equal
-    /// to [`oracle_max_flow`] on the same inputs (asserted by the
-    /// warm-vs-cold equivalence proptests in `pcn-graph`).
-    pub fn max_flow(
-        &mut self,
-        graph: &DiGraph,
-        plan: &ElephantPlan,
-        s: NodeId,
-        t: NodeId,
-    ) -> Amount {
-        let mut caps = vec![0u64; graph.edge_count()];
-        // det-lint: allow(hash-order) — each edge writes its own slot; no slot written twice
-        for (e, c) in &plan.capacities {
-            caps[e.index()] = c.micros();
-        }
-        match &mut self.state {
-            Some(w) if w.s == s && w.t == t && w.caps.len() == caps.len() => {
-                for (e, &cap) in caps.iter().enumerate() {
-                    if w.caps[e] != cap {
-                        w.inc.set_capacity(EdgeId(e as u32), cap);
-                    }
-                }
-                w.caps = caps;
-                Amount::from_micros(w.inc.solve().value)
-            }
-            _ => {
-                let mut inc = pcn_graph::maxflow::IncrementalMaxFlow::new(graph, s, t, &caps);
-                let value = inc.solve().value;
-                self.state = Some(WarmState { s, t, inc, caps });
-                Amount::from_micros(value)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -296,40 +232,6 @@ mod tests {
         let oracle = oracle_max_flow(net.graph(), &plan, n(0), n(5));
         assert_eq!(plan.max_flow, oracle);
         assert_eq!(plan.max_flow, Amount::from_units(50));
-    }
-
-    /// The warm oracle must agree with the cold one across consecutive
-    /// plans for the same pair (the per-payment delta-solve path) and
-    /// survive a pair change (rebuild).
-    #[test]
-    fn warm_oracle_matches_cold_across_plans() {
-        let net = fig5a_net();
-        let mut warm = ElephantOracle::new();
-        for k in [2, 3, 50] {
-            let plan = find_paths(
-                &mut net.clone(),
-                n(0),
-                n(5),
-                Amount::from_units(1_000_000),
-                k,
-            );
-            let cold = oracle_max_flow(net.graph(), &plan, n(0), n(5));
-            assert_eq!(
-                warm.max_flow(net.graph(), &plan, n(0), n(5)),
-                cold,
-                "k = {k}"
-            );
-        }
-        // Pair change forces a rebuild; agreement must still hold.
-        let plan = find_paths(
-            &mut net.clone(),
-            n(1),
-            n(5),
-            Amount::from_units(1_000_000),
-            50,
-        );
-        let cold = oracle_max_flow(net.graph(), &plan, n(1), n(5));
-        assert_eq!(warm.max_flow(net.graph(), &plan, n(1), n(5)), cold);
     }
 
     #[test]

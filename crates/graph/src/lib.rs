@@ -26,8 +26,6 @@
 //!   Barabási–Albert scale-free (Ripple/Lightning-like topologies), and
 //!   Erdős–Rényi graphs.
 //! * [`io`] — edge-list text and serde-based topology (de)serialization.
-//! * [`stats`] — degree/path-length/clustering statistics used to
-//!   validate that synthesized topologies match real PCN structure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +40,6 @@ pub mod generators;
 pub mod io;
 pub mod maxflow;
 pub mod path;
-pub mod stats;
 pub mod yen;
 
 pub use digraph::{DiGraph, EdgeId};

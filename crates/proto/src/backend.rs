@@ -54,7 +54,7 @@ impl Cluster {
 
     /// Probes `path` under a fresh transaction id and assembles the
     /// [`ProbeReport`].
-    fn probe_report(&self, path: &Path) -> Option<ProbeReport> {
+    fn probe_report(&mut self, path: &Path) -> Option<ProbeReport> {
         let id = self.fresh_trans_id();
         let caps = self.probe(id, path)?;
         self.assemble_report(path, caps)
@@ -116,7 +116,7 @@ struct ClusterPart {
 /// concurrently, [`PaymentSession::abort`] (or dropping the session)
 /// reverses them concurrently.
 pub struct ClusterSession<'a> {
-    cluster: &'a Cluster,
+    cluster: &'a mut Cluster,
     demand: Amount,
     parts: Vec<ClusterPart>,
     fees_accrued: Amount,

@@ -11,25 +11,22 @@
 //! 13c/d), success volume and ratio (a/b panels), and the probe/commit
 //! message breakdown is `pcn_scenario`'s job.
 //!
-//! The loop lives behind a `Mutex`, keeping every cluster method
-//! `&self`: concurrent callers serialize at the lock, which preserves
-//! the exactly-one-wins outcome of conflicting commits. Batched
+//! Exclusive access is `&mut Cluster`: every wire operation borrows the
+//! cluster mutably, the counters read through `&self`. Batched
 //! operations ([`Cluster::probe_many`], [`Cluster::commit_many`],
 //! [`Cluster::settle_many`]) inject *all* their requests before pumping
-//! the loop, so sub-payments still interleave on the wire exactly as
-//! the paper's sender "prepares a COMMIT message for each of the
+//! the loop, so sub-payments interleave on the wire exactly as the
+//! paper's sender "prepares a COMMIT message for each of the
 //! sub-payment and sends them out" before collecting replies.
 
 use crate::event_loop::{EventLoop, ShutdownReport};
 use crate::fault::FaultPlan;
 use crate::node::NodeCounters;
 use crate::wire::{Message, MsgType};
-use parking_lot::Mutex;
 use pcn_graph::{DiGraph, EdgeId, Path};
 use pcn_sim::ChurnAction;
 use pcn_types::{Amount, FeePolicy, NodeId, PcnError, Result};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// A running cluster of event-loop-hosted TCP nodes.
@@ -40,9 +37,8 @@ use std::time::Duration;
 /// [`pcn_sim::Router`] drives it exactly like the in-memory simulator.
 pub struct Cluster {
     graph: DiGraph,
-    /// The reactor hosting every node. `&self` methods lock it; see the
-    /// module docs for the serialization contract.
-    evloop: Mutex<EventLoop>,
+    /// The reactor hosting every node.
+    evloop: EventLoop,
     timeout: Duration,
     /// Sender-side fee policies per directed edge. The wire protocol
     /// carries no fee field, so — like the topology file every prototype
@@ -50,7 +46,7 @@ pub struct Cluster {
     /// through probes for the fee-minimizing LP.
     fees: Vec<FeePolicy>,
     /// Allocator for wire transaction ids (probes and sub-payments).
-    next_trans_id: AtomicU64,
+    next_trans_id: u64,
 }
 
 impl Cluster {
@@ -87,10 +83,10 @@ impl Cluster {
         let fees = vec![FeePolicy::FREE; graph.edge_count()];
         Ok(Cluster {
             graph,
-            evloop: Mutex::new(evloop),
+            evloop,
             timeout: Duration::from_secs(10),
             fees,
-            next_trans_id: AtomicU64::new(1),
+            next_trans_id: 1,
         })
     }
 
@@ -131,48 +127,42 @@ impl Cluster {
 
     /// Total funds across all nodes (conservation checks).
     pub fn total_funds(&self) -> u64 {
-        self.evloop.lock().total_funds()
+        self.evloop.total_funds()
     }
 
     /// Sum of probe messages processed across all nodes.
     pub fn probe_messages(&self) -> u64 {
-        self.evloop
-            .lock()
-            .counters()
-            .iter()
-            .map(|c| c.probe_messages)
-            .sum()
+        let counters = self.evloop.counters();
+        counters.iter().map(|c| c.probe_messages).sum()
     }
 
     /// Sum of commit messages processed across all nodes.
     pub fn commit_messages(&self) -> u64 {
-        self.evloop
-            .lock()
-            .counters()
-            .iter()
-            .map(|c| c.commit_messages)
-            .sum()
+        let counters = self.evloop.counters();
+        counters.iter().map(|c| c.commit_messages).sum()
     }
 
     /// Per-node telemetry snapshot, indexed by node id.
     pub fn node_counters(&self) -> Vec<NodeCounters> {
-        self.evloop.lock().counters()
+        self.evloop.counters()
     }
 
     /// Messages the installed fault plan has dropped so far.
     pub fn dropped_messages(&self) -> u64 {
-        self.evloop.lock().dropped()
+        self.evloop.dropped()
     }
 
     /// `accept`/`read`/`write` calls the reactor has issued so far (see
     /// [`EventLoop::socket_ops`]).
     pub fn socket_ops(&self) -> u64 {
-        self.evloop.lock().socket_ops()
+        self.evloop.socket_ops()
     }
 
     /// Allocates a fresh wire transaction id.
-    pub fn fresh_trans_id(&self) -> u64 {
-        self.next_trans_id.fetch_add(1, Ordering::Relaxed)
+    pub fn fresh_trans_id(&mut self) -> u64 {
+        let id = self.next_trans_id;
+        self.next_trans_id += 1;
+        id
     }
 
     fn path_ids(path: &Path) -> Vec<u32> {
@@ -180,15 +170,15 @@ impl Cluster {
     }
 
     /// Runs one request to completion (or timeout) on the loop.
-    fn request(&self, msg: Message) -> Option<Message> {
+    fn request(&mut self, msg: Message) -> Option<Message> {
         self.request_many(vec![msg]).pop().flatten()
     }
 
     /// Injects every message, then pumps the loop until all replies
     /// arrived or nothing is in flight any more. Results are in input
     /// order; `None` marks an unanswered (or invalid) request.
-    fn request_many(&self, msgs: Vec<Message>) -> Vec<Option<Message>> {
-        let mut ev = self.evloop.lock();
+    fn request_many(&mut self, msgs: Vec<Message>) -> Vec<Option<Message>> {
+        let ev = &mut self.evloop;
         let mut ids = Vec::with_capacity(msgs.len());
         for msg in msgs {
             let id = msg.trans_id;
@@ -205,7 +195,7 @@ impl Cluster {
     }
 
     /// Sends a `PROBE` along `path`; returns per-hop forward balances.
-    pub fn probe(&self, trans_id: u64, path: &Path) -> Option<Vec<u64>> {
+    pub fn probe(&mut self, trans_id: u64, path: &Path) -> Option<Vec<u64>> {
         let msg = Message::new(trans_id, MsgType::Probe, Self::path_ids(path));
         let reply = self.request(msg)?;
         (reply.msg_type == MsgType::ProbeAck && reply.capacities.len() == path.hops())
@@ -215,7 +205,7 @@ impl Cluster {
     /// Probes many paths in one batch: all `PROBE`s are in flight
     /// together, as the prototype's Spider sender issues its path
     /// probes at once.
-    pub fn probe_many(&self, items: &[(u64, &Path)]) -> Vec<Option<Vec<u64>>> {
+    pub fn probe_many(&mut self, items: &[(u64, &Path)]) -> Vec<Option<Vec<u64>>> {
         let msgs = items
             .iter()
             .map(|(id, path)| Message::new(*id, MsgType::Probe, Self::path_ids(path)))
@@ -233,7 +223,7 @@ impl Cluster {
 
     /// Phase-1 commit of a sub-payment. `true` on `COMMIT_ACK`; on
     /// `COMMIT_NACK` every escrowed hop has already been rolled back.
-    pub fn commit_part(&self, trans_id: u64, path: &Path, amount: Amount) -> bool {
+    pub fn commit_part(&mut self, trans_id: u64, path: &Path, amount: Amount) -> bool {
         self.commit_part_located(trans_id, path, amount).is_ok()
     }
 
@@ -242,7 +232,7 @@ impl Cluster {
     /// reply (lossy transport) reports hop 0 — the wire carries no
     /// better information in that case.
     pub fn commit_part_located(
-        &self,
+        &mut self,
         trans_id: u64,
         path: &Path,
         amount: Amount,
@@ -257,7 +247,7 @@ impl Cluster {
     /// [`Cluster::commit_part_located`]; NACKed parts have already been
     /// rolled back on the wire.
     pub fn commit_many(
-        &self,
+        &mut self,
         parts: &[(u64, &Path, Amount)],
     ) -> Vec<std::result::Result<(), usize>> {
         let msgs = parts
@@ -283,14 +273,14 @@ impl Cluster {
 
     /// Phase-2 confirmation of a committed sub-payment (credits the
     /// reverse directions along the path).
-    pub fn confirm_part(&self, trans_id: u64, path: &Path, amount: Amount) -> bool {
+    pub fn confirm_part(&mut self, trans_id: u64, path: &Path, amount: Amount) -> bool {
         self.settle_many(&[(trans_id, path, amount)], true)
             .pop()
             .unwrap_or(false)
     }
 
     /// Phase-2 reversal of a committed sub-payment (restores escrow).
-    pub fn reverse_part(&self, trans_id: u64, path: &Path, amount: Amount) -> bool {
+    pub fn reverse_part(&mut self, trans_id: u64, path: &Path, amount: Amount) -> bool {
         self.settle_many(&[(trans_id, path, amount)], false)
             .pop()
             .unwrap_or(false)
@@ -298,7 +288,7 @@ impl Cluster {
 
     /// Phase-2 settlement wave for a batch of committed parts: confirms
     /// (`confirm = true`) or reverses all of them, in flight together.
-    pub fn settle_many(&self, parts: &[(u64, &Path, Amount)], confirm: bool) -> Vec<bool> {
+    pub fn settle_many(&mut self, parts: &[(u64, &Path, Amount)], confirm: bool) -> Vec<bool> {
         let (send, expect) = if confirm {
             (MsgType::Confirm, MsgType::ConfirmAck)
         } else {
@@ -322,8 +312,8 @@ impl Cluster {
     /// semantics (`pcn_sim::des::churn`): closes freeze both directions
     /// of the channel, crashed nodes NACK what they would service, and
     /// drains move funds to the reverse direction when one exists.
-    pub fn apply_churn(&self, action: &ChurnAction) {
-        let mut ev = self.evloop.lock();
+    pub fn apply_churn(&mut self, action: &ChurnAction) {
+        let ev = &mut self.evloop;
         match *action {
             ChurnAction::ChannelClose(e) | ChurnAction::ChannelReopen(e) => {
                 let closed = matches!(action, ChurnAction::ChannelClose(_));
@@ -344,17 +334,11 @@ impl Cluster {
     }
 
     /// Winds the event loop down deterministically and reports anything
-    /// left behind (see [`EventLoop::shutdown`]). Idempotent.
-    pub fn shutdown(&self) -> ShutdownReport {
-        self.evloop.lock().shutdown()
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        // The loop's own Drop would catch this too; shutting down here
-        // keeps the wind-down inside the cluster's lifetime.
-        self.shutdown();
+    /// left behind (see [`EventLoop::shutdown`]). A cluster dropped
+    /// without this call winds down the same way, and is loud about an
+    /// unclean fault-free run.
+    pub fn shutdown(mut self) -> ShutdownReport {
+        self.evloop.shutdown()
     }
 }
 
@@ -387,7 +371,7 @@ mod tests {
     #[test]
     fn probe_collects_hop_balances() {
         let (g, b) = diamond();
-        let cluster = Cluster::launch(g, &b).unwrap();
+        let mut cluster = Cluster::launch(g, &b).unwrap();
         let path = Path::new(vec![n(0), n(1), n(3)], Some(cluster.graph())).unwrap();
         let caps = cluster.probe(99, &path).unwrap();
         assert_eq!(caps, vec![10_000_000, 10_000_000]);
@@ -397,7 +381,7 @@ mod tests {
     #[test]
     fn commit_confirm_moves_funds_both_directions() {
         let (g, b) = diamond();
-        let cluster = Cluster::launch(g, &b).unwrap();
+        let mut cluster = Cluster::launch(g, &b).unwrap();
         let before = cluster.total_funds();
         let path = Path::new(vec![n(0), n(1), n(3)], Some(cluster.graph())).unwrap();
         assert!(cluster.commit_part(1, &path, Amount::from_units(4)));
@@ -414,7 +398,7 @@ mod tests {
     #[test]
     fn commit_nack_rolls_back_escrow() {
         let (g, b) = diamond();
-        let cluster = Cluster::launch(g, &b).unwrap();
+        let mut cluster = Cluster::launch(g, &b).unwrap();
         let before = cluster.total_funds();
         let path = Path::new(vec![n(0), n(1), n(3)], Some(cluster.graph())).unwrap();
         // 11 > 10 fails at the very first hop; try 10 then drain and 5.
@@ -432,7 +416,7 @@ mod tests {
     #[test]
     fn commit_part_located_names_the_nacking_hop() {
         let (g, b) = diamond();
-        let cluster = Cluster::launch(g, &b).unwrap();
+        let mut cluster = Cluster::launch(g, &b).unwrap();
         let path = Path::new(vec![n(0), n(1), n(3)], Some(cluster.graph())).unwrap();
         // First hop lacks balance → hop 0.
         assert_eq!(
@@ -450,7 +434,7 @@ mod tests {
             "hop 0 has 2 < 3 after the drain"
         );
         let (g, b) = diamond();
-        let cluster = Cluster::launch(g, &b).unwrap();
+        let mut cluster = Cluster::launch(g, &b).unwrap();
         let path = Path::new(vec![n(0), n(1), n(3)], Some(cluster.graph())).unwrap();
         let drain = Path::new(vec![n(1), n(3)], Some(cluster.graph())).unwrap();
         assert!(cluster.commit_part(4, &drain, Amount::from_units(8)));
@@ -468,7 +452,7 @@ mod tests {
     #[test]
     fn reverse_restores_committed_part() {
         let (g, b) = diamond();
-        let cluster = Cluster::launch(g, &b).unwrap();
+        let mut cluster = Cluster::launch(g, &b).unwrap();
         let before = cluster.total_funds();
         let path = Path::new(vec![n(0), n(1), n(3)], Some(cluster.graph())).unwrap();
         assert!(cluster.commit_part(1, &path, Amount::from_units(7)));
@@ -481,7 +465,7 @@ mod tests {
     #[test]
     fn batched_commits_interleave_on_the_wire() {
         let (g, b) = diamond();
-        let cluster = Cluster::launch(g, &b).unwrap();
+        let mut cluster = Cluster::launch(g, &b).unwrap();
         let before = cluster.total_funds();
         let p1 = Path::new(vec![n(0), n(1), n(3)], Some(cluster.graph())).unwrap();
         let p2 = Path::new(vec![n(0), n(2), n(3)], Some(cluster.graph())).unwrap();
@@ -514,7 +498,7 @@ mod tests {
         g.add_channel(n(2), n(3)).unwrap();
         g.add_channel(n(3), n(4)).unwrap();
         let balances = vec![Amount::from_units(10); g.edge_count()];
-        let cluster = Cluster::launch(g, &balances).unwrap();
+        let mut cluster = Cluster::launch(g, &balances).unwrap();
         let path = |ids: &[u32]| {
             let nodes = ids.iter().map(|&i| n(i)).collect();
             Path::new(nodes, Some(cluster.graph())).unwrap()
@@ -547,7 +531,7 @@ mod tests {
     #[test]
     fn churn_actions_apply_and_conserve() {
         let (g, b) = diamond();
-        let cluster = Cluster::launch(g, &b).unwrap();
+        let mut cluster = Cluster::launch(g, &b).unwrap();
         let before = cluster.total_funds();
         let path = Path::new(vec![n(0), n(1), n(3)], Some(cluster.graph())).unwrap();
         let e01 = cluster.graph().edge(n(0), n(1)).unwrap();
@@ -579,11 +563,30 @@ mod tests {
     #[test]
     fn shutdown_reports_clean_on_quiet_cluster() {
         let (g, b) = diamond();
-        let cluster = Cluster::launch(g, &b).unwrap();
+        let mut cluster = Cluster::launch(g, &b).unwrap();
         let path = Path::new(vec![n(0), n(1), n(3)], Some(cluster.graph())).unwrap();
         cluster.probe(1, &path).unwrap();
         let report = cluster.shutdown();
         assert!(report.is_clean(), "{report:?}");
+    }
+
+    #[test]
+    fn unclean_cluster_is_loud_on_drop_and_a_clean_one_silent() {
+        let launch = || {
+            let (g, b) = diamond();
+            let mut cluster = Cluster::launch(g, &b).unwrap();
+            let path = Path::new(vec![n(0), n(1)], Some(cluster.graph())).unwrap();
+            cluster.probe(1, &path).unwrap();
+            cluster
+        };
+        drop(launch());
+
+        let mut cluster = launch();
+        cluster.evloop.poison_connection(0, 1);
+        // No `shutdown()`: the loop's own Drop winds down, finds the
+        // transport error, and — fault-free run — asserts.
+        let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(cluster)));
+        assert_eq!(dropped.is_err(), cfg!(debug_assertions));
     }
 
     /// Routes `pay(amount)`, classified against the $5 threshold the

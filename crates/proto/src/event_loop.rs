@@ -54,11 +54,8 @@
 //!
 //! # Threading contract
 //!
-//! The loop is `!Sync` by construction — one thread drives it at a
-//! time. [`Cluster`](crate::Cluster) wraps it in a `Mutex` so its
-//! public API stays `&self` and callers may still race payments from
-//! multiple threads; they serialize at the lock, which preserves the
-//! exactly-one-wins behaviour of conflicting commits.
+//! One owner drives the loop: every operation that moves a frame takes
+//! `&mut self`, and [`Cluster`](crate::Cluster) owns its loop outright.
 //!
 //! # Determinism
 //!
@@ -674,8 +671,31 @@ impl Drop for EventLoop {
         // fault-free loop must wind down clean — be loud otherwise.
         if !self.faults.enabled() && !report.is_clean() {
             eprintln!("EventLoop dropped unclean: {report:?}");
-            debug_assert!(false, "EventLoop dropped unclean: {report:?}");
+            // A second panic while a failing test unwinds would abort
+            // the process and bury the first one.
+            debug_assert!(
+                std::thread::panicking(),
+                "EventLoop dropped unclean: {report:?}"
+            );
         }
+    }
+}
+
+#[cfg(test)]
+impl EventLoop {
+    /// Test set-up for a dead socket: puts a length prefix no frame may
+    /// carry straight into the open `from → to` connection's write
+    /// buffer, with a frame queued behind it. Returns the connection's
+    /// index; the next drain trips over the prefix.
+    pub(crate) fn poison_connection(&mut self, from: u32, to: u32) -> usize {
+        let dead = self.out_index[&(from, to)];
+        self.out_conns[dead]
+            .buf
+            .extend_from_slice(&0u32.to_be_bytes());
+        self.write_ready.push(dead);
+        let behind = Message::new(31, crate::wire::MsgType::ProbeAck, vec![from, to]);
+        self.queue_send(from, to, behind);
+        dead
     }
 }
 
@@ -800,14 +820,7 @@ mod tests {
     fn poisoned_connection_closes_both_ends_and_the_next_send_reconnects() {
         let mut ev = line3();
         request(&mut ev, Message::new(30, MsgType::Probe, vec![0, 1])).unwrap();
-        let dead = ev.out_index[&(0, 1)];
-        // A length prefix no frame may carry, straight into the socket's
-        // write buffer, with a frame queued behind it.
-        ev.out_conns[dead]
-            .buf
-            .extend_from_slice(&0u32.to_be_bytes());
-        ev.write_ready.push(dead);
-        ev.queue_send(0, 1, Message::new(31, MsgType::ProbeAck, vec![0, 1]));
+        let dead = ev.poison_connection(0, 1);
         assert!(ev.drain(crate::wall_now() + Duration::from_secs(5)));
         assert!(!ev.out_conns[dead].open, "the sending end is closed too");
         assert_eq!(

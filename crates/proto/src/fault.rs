@@ -13,25 +13,17 @@
 //! HTLC-style timelocks, which the paper (and this reproduction)
 //! explicitly leave out of scope.
 
-use parking_lot::Mutex;
 use pcn_sim::FaultConfig;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// A shared message-drop plan.
-#[derive(Clone)]
+/// A message-drop plan, owned by the event loop it is installed on.
 pub struct FaultPlan {
-    inner: Arc<FaultPlanInner>,
-}
-
-struct FaultPlanInner {
     /// Probability of dropping any outbound message, in parts per
     /// million (0 = off, 1_000_000 = drop everything).
     drop_ppm: u64,
-    rng: Mutex<StdRng>,
-    dropped: AtomicU64,
+    rng: StdRng,
+    dropped: u64,
 }
 
 impl FaultPlan {
@@ -43,13 +35,10 @@ impl FaultPlan {
     /// Drops each outbound message with probability `p` (clamped to
     /// [0, 1]), deterministically per seed.
     pub fn with_drop_prob(p: f64, seed: u64) -> Self {
-        let ppm = (p.clamp(0.0, 1.0) * 1_000_000.0) as u64;
         FaultPlan {
-            inner: Arc::new(FaultPlanInner {
-                drop_ppm: ppm,
-                rng: Mutex::new(StdRng::seed_from_u64(seed)),
-                dropped: AtomicU64::new(0),
-            }),
+            drop_ppm: (p.clamp(0.0, 1.0) * 1_000_000.0) as u64,
+            rng: StdRng::seed_from_u64(seed),
+            dropped: 0,
         }
     }
 
@@ -65,17 +54,17 @@ impl FaultPlan {
 
     /// Whether faults are active at all.
     pub fn enabled(&self) -> bool {
-        self.inner.drop_ppm > 0
+        self.drop_ppm > 0
     }
 
     /// Rolls the dice for one outbound message.
-    pub fn should_drop(&self) -> bool {
-        if self.inner.drop_ppm == 0 {
+    pub fn should_drop(&mut self) -> bool {
+        if self.drop_ppm == 0 {
             return false;
         }
-        let roll: u64 = self.inner.rng.lock().random_range(0..1_000_000);
-        if roll < self.inner.drop_ppm {
-            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
+        let roll: u64 = self.rng.random_range(0..1_000_000);
+        if roll < self.drop_ppm {
+            self.dropped += 1;
             true
         } else {
             false
@@ -84,7 +73,7 @@ impl FaultPlan {
 
     /// Messages dropped so far.
     pub fn dropped(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
+        self.dropped
     }
 }
 
@@ -94,7 +83,7 @@ mod tests {
 
     #[test]
     fn none_never_drops() {
-        let f = FaultPlan::none();
+        let mut f = FaultPlan::none();
         assert!(!f.enabled());
         for _ in 0..100 {
             assert!(!f.should_drop());
@@ -104,7 +93,7 @@ mod tests {
 
     #[test]
     fn always_drop() {
-        let f = FaultPlan::with_drop_prob(1.0, 3);
+        let mut f = FaultPlan::with_drop_prob(1.0, 3);
         for _ in 0..10 {
             assert!(f.should_drop());
         }
@@ -113,7 +102,7 @@ mod tests {
 
     #[test]
     fn rate_is_roughly_respected() {
-        let f = FaultPlan::with_drop_prob(0.3, 7);
+        let mut f = FaultPlan::with_drop_prob(0.3, 7);
         let drops = (0..10_000).filter(|_| f.should_drop()).count();
         assert!((2_500..3_500).contains(&drops), "drops = {drops}");
     }
@@ -126,7 +115,7 @@ mod tests {
             seed: 11,
             ..FaultConfig::none()
         };
-        let f = FaultPlan::from_fault_config(&shared);
+        let mut f = FaultPlan::from_fault_config(&shared);
         assert!(f.enabled());
         assert!(f.should_drop());
     }
@@ -134,7 +123,7 @@ mod tests {
     #[test]
     fn clamps_out_of_range() {
         assert!(!FaultPlan::with_drop_prob(-1.0, 0).enabled());
-        let f = FaultPlan::with_drop_prob(2.0, 0);
+        let mut f = FaultPlan::with_drop_prob(2.0, 0);
         assert!(f.should_drop());
     }
 }

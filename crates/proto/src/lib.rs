@@ -13,8 +13,8 @@
 //!   `Type`, `Path`, `Capacity`, `Commit`) with nine message types:
 //!   `PROBE`/`PROBE_ACK`, `COMMIT`/`COMMIT_ACK`/`COMMIT_NACK`,
 //!   `CONFIRM`/`CONFIRM_ACK`, `REVERSE`/`REVERSE_ACK`.
-//! * [`transport`] — length-prefixed framing: blocking helpers plus the
-//!   incremental [`transport::FrameDecoder`] the reactor reads through.
+//! * [`transport`] — length-prefixed framing: the incremental
+//!   [`transport::FrameDecoder`] the reactor reads through.
 //! * [`node`] — the passive per-node state machine: probe capacity
 //!   appending, hop-by-hop balance escrow on `COMMIT`, rollback on
 //!   `COMMIT_NACK`, reverse-direction crediting on `CONFIRM_ACK`, and

@@ -1,48 +1,15 @@
-//! Framed TCP transport: blocking helpers and an incremental decoder.
+//! Framed TCP transport: the incremental frame decoder.
 //!
 //! Every message travels as a `u32 length || payload` frame (see
-//! [`crate::wire`]). The blocking [`write_message`]/[`read_message`]
-//! pair serves synchronous call sites (tests, simple clients); the
-//! poll-based [`EventLoop`](crate::event_loop::EventLoop) instead feeds
-//! whatever bytes a non-blocking read returned into a [`FrameDecoder`],
-//! which buffers partial frames across reads and yields complete
-//! messages as they materialize. Both paths enforce the same
-//! [`MAX_FRAME`] bound before allocating.
+//! [`crate::wire`]). The poll-based
+//! [`EventLoop`](crate::event_loop::EventLoop) feeds whatever bytes a
+//! non-blocking read returned into a [`FrameDecoder`], which buffers
+//! partial frames across reads and yields complete messages as they
+//! materialize, enforcing the [`MAX_FRAME`] bound before any payload
+//! accumulates.
 
 use crate::wire::{malformed, Message, MAX_FRAME};
 use pcn_types::Result;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-
-/// Writes one framed message to a stream.
-pub fn write_message(stream: &mut TcpStream, msg: &Message) -> Result<()> {
-    let frame = msg.encode();
-    stream.write_all(&frame)?;
-    Ok(())
-}
-
-/// Reads one framed message. Returns `Ok(None)` on clean EOF at a frame
-/// boundary.
-pub fn read_message(stream: &mut TcpStream) -> Result<Option<Message>> {
-    let mut len_buf = [0u8; 4];
-    match stream.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e)
-            if e.kind() == std::io::ErrorKind::UnexpectedEof
-                || e.kind() == std::io::ErrorKind::ConnectionReset =>
-        {
-            return Ok(None)
-        }
-        Err(e) => return Err(e.into()),
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len == 0 || len > MAX_FRAME {
-        return Err(malformed(format_args!("invalid frame length {len}")));
-    }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    Ok(Some(Message::decode(payload.into())?))
-}
 
 /// Incremental frame decoder for non-blocking reads.
 ///
@@ -106,49 +73,9 @@ impl FrameDecoder {
 mod tests {
     use super::*;
     use crate::wire::MsgType;
-    use std::net::TcpListener;
 
     fn msg(id: u64) -> Message {
         Message::new(id, MsgType::Probe, vec![0, 1])
-    }
-
-    #[test]
-    fn framed_round_trip_over_tcp() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let mut got = Vec::new();
-            while let Some(m) = read_message(&mut s).unwrap() {
-                got.push(m);
-            }
-            got
-        });
-        let mut client = TcpStream::connect(addr).unwrap();
-        write_message(&mut client, &msg(1)).unwrap();
-        write_message(&mut client, &msg(2)).unwrap();
-        drop(client);
-        let got = handle.join().unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].trans_id, 1);
-        assert_eq!(got[1].trans_id, 2);
-    }
-
-    #[test]
-    fn oversized_frame_rejected() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            read_message(&mut s)
-        });
-        let mut client = TcpStream::connect(addr).unwrap();
-        client
-            .write_all(&(MAX_FRAME as u32 + 1).to_be_bytes())
-            .unwrap();
-        client.write_all(&[0u8; 16]).unwrap();
-        let res = handle.join().unwrap();
-        assert!(res.is_err());
     }
 
     #[test]

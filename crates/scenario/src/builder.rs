@@ -537,7 +537,7 @@ mod tests {
 
     #[test]
     fn manual_cluster_deploys_the_same_spec() {
-        let cluster = ScenarioBuilder::new("manual", line())
+        let mut cluster = ScenarioBuilder::new("manual", line())
             .build()
             .manual_cluster()
             .unwrap();

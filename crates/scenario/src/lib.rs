@@ -38,11 +38,11 @@
 //! ## Threading contract
 //!
 //! The cluster a scenario deploys hosts every node on the
-//! single-threaded [`pcn_proto::EventLoop`]; the loop lives behind a
-//! mutex inside the cluster, so `Scenario::run` — and any test using
-//! [`Scenario::manual_cluster`] from multiple threads — serializes at
-//! that lock. There is no thread-per-node, no async runtime, and no
-//! background work: when `run` returns, the loop has been wound down by
+//! single-threaded [`pcn_proto::EventLoop`], and exclusive access to it
+//! is `&mut Cluster` — `Scenario::run` owns its cluster, a test owns
+//! the one [`Scenario::manual_cluster`] hands back. There is no
+//! thread-per-node, no async runtime, and no background work: when
+//! `run` returns, the loop has been wound down by
 //! [`pcn_proto::Cluster::shutdown`] and nothing is left running.
 //!
 //! ## Determinism and wall time

@@ -29,7 +29,7 @@ fn line_spec() -> TopologySpec {
 /// wind-down is clean.
 #[test]
 fn in_flight_payment_through_a_closed_channel_reverses_cleanly() {
-    let cluster: Cluster = ScenarioBuilder::new("close-mid-flight", line_spec())
+    let mut cluster: Cluster = ScenarioBuilder::new("close-mid-flight", line_spec())
         .build()
         .manual_cluster()
         .unwrap();

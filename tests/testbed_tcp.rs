@@ -1,6 +1,6 @@
 //! Integration tests of the TCP testbed prototype: conservation over
 //! real sockets, cross-validation against the simulator, and the
-//! two-phase commit protocol under concurrent sub-payments.
+//! two-phase commit protocol under sub-payments in flight together.
 
 use flash_offchain::core::Scheme;
 use flash_offchain::proto::Cluster;
@@ -110,37 +110,48 @@ fn flash_tcp_beats_sp_on_volume() {
 
 #[test]
 fn concurrent_subpayments_share_a_channel_safely() {
-    // Two sub-payments of one payment race on overlapping paths; the
-    // two-phase commit must keep balances exact regardless of order.
+    // Two sub-payments of one payment go out in one batch and contend
+    // for the second hop: both COMMITs cross 0 → 1 together, node 1
+    // has room for one, and the loser's NACK rolls hop 0 back while the
+    // winner's ACK is still travelling.
     use flash_offchain::graph::{DiGraph, Path};
     use flash_offchain::types::NodeId;
     let n = |i: u32| NodeId(i);
     let mut g = DiGraph::new(3);
     g.add_channel(n(0), n(1)).unwrap();
     g.add_channel(n(1), n(2)).unwrap();
-    let balances = vec![Amount::from_units(10); g.edge_count()];
-    let cluster = Cluster::launch(g, &balances).unwrap();
+    let mut balances = vec![Amount::from_units(10); g.edge_count()];
+    balances[g.edge(n(0), n(1)).unwrap().index()] = Amount::from_units(20);
+    let mut cluster = Cluster::launch(g, &balances).unwrap();
     let before = cluster.total_funds();
     let path = Path::new(vec![n(0), n(1), n(2)], Some(cluster.graph())).unwrap();
 
-    // Commit 6 and 5 concurrently on a 10-capacity path: exactly one
-    // must win.
-    let results: Vec<bool> = std::thread::scope(|s| {
-        let c = &cluster;
-        let p1 = &path;
-        let h1 = s.spawn(move || c.commit_part(1, p1, Amount::from_units(6)));
-        let h2 = s.spawn(move || c.commit_part(2, p1, Amount::from_units(5)));
-        vec![h1.join().unwrap(), h2.join().unwrap()]
-    });
-    let wins = results.iter().filter(|&&ok| ok).count();
-    assert_eq!(wins, 1, "exactly one racing commit must fit: {results:?}");
-    // Reverse the winner and verify full restoration.
-    if results[0] {
-        cluster.reverse_part(1, &path, Amount::from_units(6));
-    } else {
-        cluster.reverse_part(2, &path, Amount::from_units(5));
-    }
+    let parts = [
+        (1, &path, Amount::from_units(6)),
+        (2, &path, Amount::from_units(5)),
+    ];
+    let results = cluster.commit_many(&parts);
+    assert_eq!(
+        results,
+        vec![Ok(()), Err(1)],
+        "1 → 2 holds 10: the first COMMIT fits, the second NACKs there"
+    );
+    // Only the winner is escrowed, on both hops.
+    let escrow = |c: &Cluster| -> u64 { c.node_counters().iter().map(|n| n.escrow_held).sum() };
+    assert_eq!(escrow(&cluster), 2 * 6_000_000);
+    assert_eq!(cluster.settle_many(&parts[..1], false), vec![true]);
+    assert_eq!(escrow(&cluster), 0);
     assert_eq!(cluster.total_funds(), before);
+    assert_eq!(
+        cluster.probe(3, &path).unwrap(),
+        vec![20_000_000, 10_000_000],
+        "every hop is back at its launch balance"
+    );
+    let counters = cluster.node_counters();
+    let sent: u64 = counters.iter().map(|c| c.wire_out()).sum();
+    let received: u64 = counters.iter().map(|c| c.wire_in()).sum();
+    assert_eq!(sent, received);
+    assert!(cluster.shutdown().is_clean());
 }
 
 #[test]
