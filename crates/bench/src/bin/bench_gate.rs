@@ -10,15 +10,15 @@
 //! regressions fail; identical latency percentiles across a ≥4×
 //! offered-load spread fail as physically suspicious; the churn sweep
 //! must cover ≥3 rates with strictly degrading success; max-flow
-//! values must be identical, the fastest non-oracle kernel must beat
-//! the Edmonds–Karp oracle — by >2× at lightning scale — and
-//! warm-start must beat cold restart; wall-clock deltas only warn). The delta table
-//! and findings are printed to stdout and appended to
-//! `$GITHUB_STEP_SUMMARY` when that variable is set, so the per-PR
-//! deltas are readable from the Actions run page without downloading
-//! artifacts. Exits 1 on any failing finding.
+//! values must be identical and push-relabel must beat the
+//! Edmonds–Karp oracle — by >2× at lightning scale; wall-clock deltas
+//! only warn). The delta table and findings are printed to stdout and
+//! appended to `$GITHUB_STEP_SUMMARY` when that variable is set, so the
+//! per-PR deltas are readable from the Actions run page without
+//! downloading artifacts. Exits 1 on any failing finding.
 
-use flash_bench::gate::{gate_churn, gate_e2e, gate_maxflow, gate_testbed, GateReport, Severity};
+use flash_bench::gate::{gate, GateReport, Severity};
+use flash_bench::record::{ChurnRecord, E2eRecord, MaxflowRecord, TestbedRecord};
 use std::io::Write;
 
 fn render(kind: &str, baseline_path: &str, candidate_path: &str, report: &GateReport) -> String {
@@ -63,10 +63,10 @@ fn main() {
     let baseline = read(baseline_path);
     let candidate = read(candidate_path);
     let report = match kind.as_str() {
-        "e2e" => gate_e2e(&baseline, &candidate),
-        "maxflow" => gate_maxflow(&baseline, &candidate),
-        "churn" => gate_churn(&baseline, &candidate),
-        "testbed" => gate_testbed(&baseline, &candidate),
+        "e2e" => gate::<E2eRecord>(&baseline, &candidate),
+        "maxflow" => gate::<MaxflowRecord>(&baseline, &candidate),
+        "churn" => gate::<ChurnRecord>(&baseline, &candidate),
+        "testbed" => gate::<TestbedRecord>(&baseline, &candidate),
         other => {
             eprintln!("bench_gate: unknown kind {other} (want e2e, maxflow, churn, or testbed)");
             std::process::exit(2);

@@ -25,126 +25,48 @@
 //! produce byte-identical JSON except for the wall-derived `wall_ns`
 //! field.
 
-use flash_core::Scheme;
-use pcn_experiments::figures::churn::{
-    churn_mix, HOP_LATENCY_MS, NODE_SERVICE_MS, OFFERED_LOAD_PPS,
-};
-use pcn_experiments::harness::{run_scheme_des, DesLoad, DEFAULT_MICE_FRACTION};
-use pcn_sim::{LatencyModel, ServiceModel};
-use pcn_workload::testbed_topology;
-use pcn_workload::trace::{generate_trace, TraceConfig};
-use serde::Serialize;
-
-/// One (scheme, churn-rate) measurement — the serialization twin of
-/// `flash_bench::gate::ChurnRecord`.
-#[derive(Serialize)]
-struct Record {
-    scheme: String,
-    nodes: usize,
-    payments: usize,
-    offered_pps: f64,
-    closes_per_sec: f64,
-    hop_latency_ms: u64,
-    service_time_ms: u64,
-    success_ratio: f64,
-    p95_latency_ms: f64,
-    closed_channels: u64,
-    stale_probe_failures: u64,
-    reprobes_triggered: u64,
-    wall_ns: u64,
-}
-
-const SCHEMES: [Scheme; 5] = Scheme::ALL;
+use flash_bench::record::ChurnRecord;
+use pcn_experiments::figures::churn::{sweep, HOP_LATENCY_MS, NODE_SERVICE_MS, OFFERED_LOAD_PPS};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out = String::from("BENCH_churn.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                i += 1;
-                out = args.get(i).expect("--out needs a file").clone();
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: churn_bench [--smoke] [--out FILE]");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let args = flash_bench::parse_args("churn_bench", "BENCH_churn.json");
 
     // Both modes sweep the same rates so the strict-degradation shape
     // (and the gate's check of it) is present in the smoke numbers;
     // full scale only grows the topology and trace.
-    let rates: &[f64] = &[0.0, 10.0, 40.0, 160.0];
-    let (nodes, payments): (usize, usize) = if smoke { (60, 200) } else { (200, 800) };
-    let seed = 1009;
-    let net = testbed_topology(nodes, 1000, 1500, seed);
-    let trace = generate_trace(net.graph(), &TraceConfig::ripple(payments, seed + 7));
+    let rates = [0.0, 10.0, 40.0, 160.0];
+    let (nodes, payments): (usize, usize) = if args.smoke { (60, 200) } else { (200, 800) };
 
-    let mut records: Vec<Record> = Vec::new();
-    for scheme in SCHEMES {
-        for &rate in rates {
-            let wall_start = pcn_proto::wall_now();
-            let report = run_scheme_des(
-                &net,
-                scheme,
-                &trace,
-                DEFAULT_MICE_FRACTION,
-                seed + 31,
-                DesLoad {
-                    rate_per_sec: OFFERED_LOAD_PPS,
-                    latency: LatencyModel::constant_ms(HOP_LATENCY_MS),
-                    service: ServiceModel::constant_ms(NODE_SERVICE_MS),
-                    churn: churn_mix(rate),
-                },
-            );
-            let wall = wall_start.elapsed();
-            println!(
-                "{:>14} @{:>5} closes/s: ratio {:>5.1}% p95 {:>8.1} ms closed {:>4} stale {:>4} reprobes {:>3}",
-                scheme.label(),
-                rate,
-                report.metrics.success_ratio() * 100.0,
-                report.latency_ms(0.95),
-                report.closed_channels,
-                report.stale_probe_failures,
-                report.reprobes_triggered,
-            );
-            records.push(Record {
-                scheme: scheme.label(),
-                nodes,
-                payments,
-                offered_pps: OFFERED_LOAD_PPS,
-                closes_per_sec: rate,
-                hop_latency_ms: HOP_LATENCY_MS,
-                service_time_ms: NODE_SERVICE_MS,
-                success_ratio: report.metrics.success_ratio(),
-                p95_latency_ms: report.latency_ms(0.95),
-                closed_channels: report.closed_channels,
-                stale_probe_failures: report.stale_probe_failures,
-                reprobes_triggered: report.reprobes_triggered,
-                wall_ns: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
-            });
-        }
+    let mut records: Vec<ChurnRecord> = Vec::new();
+    for point in sweep(nodes, payments, &rates, 1009) {
+        let report = &point.report;
+        println!(
+            "{:>14} @{:>5} closes/s: ratio {:>5.1}% p95 {:>8.1} ms closed {:>4} stale {:>4} reprobes {:>3}",
+            point.scheme.label(),
+            point.x,
+            report.metrics.success_ratio() * 100.0,
+            report.latency_ms(0.95),
+            report.closed_channels,
+            report.stale_probe_failures,
+            report.reprobes_triggered,
+        );
+        records.push(ChurnRecord {
+            scheme: point.scheme.label(),
+            nodes,
+            payments,
+            offered_pps: OFFERED_LOAD_PPS,
+            closes_per_sec: point.x,
+            hop_latency_ms: HOP_LATENCY_MS,
+            service_time_ms: NODE_SERVICE_MS,
+            success_ratio: report.metrics.success_ratio(),
+            p95_latency_ms: report.latency_ms(0.95),
+            closed_channels: report.closed_channels,
+            stale_probe_failures: report.stale_probe_failures,
+            reprobes_triggered: report.reprobes_triggered,
+            wall_ns: u64::try_from(point.wall_elapsed.as_nanos()).unwrap_or(u64::MAX),
+        });
     }
 
-    // One record per line: diffable in review, still a plain JSON array.
-    let body: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                "  {}",
-                serde_json::to_string(r).expect("bench record serializes")
-            )
-        })
-        .collect();
-    std::fs::write(&out, format!("[\n{}\n]\n", body.join(",\n"))).expect("write bench output");
-    println!("wrote {out}");
+    std::fs::write(&args.out, flash_bench::to_json_lines(&records)).expect("write bench output");
+    println!("wrote {}", args.out);
 }

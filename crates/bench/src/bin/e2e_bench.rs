@@ -28,142 +28,60 @@
 //! and `events_per_sec` fields (which is why the gate only *warns* on
 //! `events_per_sec` drops).
 
-use flash_core::Scheme;
-use pcn_experiments::harness::{run_scheme_des, DesLoad, DEFAULT_MICE_FRACTION};
-use pcn_sim::{ChurnRate, LatencyModel, ServiceModel};
-use pcn_workload::testbed_topology;
-use pcn_workload::trace::{generate_trace, TraceConfig};
-use serde::Serialize;
-
-/// One (scheme, offered-load) measurement.
-#[derive(Serialize)]
-struct Record {
-    scheme: String,
-    nodes: usize,
-    payments: usize,
-    offered_pps: f64,
-    hop_latency_ms: u64,
-    service_time_ms: u64,
-    success_ratio: f64,
-    throughput_pps: f64,
-    p50_latency_ms: f64,
-    p95_latency_ms: f64,
-    p99_latency_ms: f64,
-    p50_queue_delay_ms: f64,
-    p95_queue_delay_ms: f64,
-    peak_in_flight: u64,
-    peak_backlog: u64,
-    max_node_utilization: f64,
-    events: u64,
-    virtual_makespan_ms: f64,
-    wall_ns: u64,
-    events_per_sec: f64,
-}
-
-const SCHEMES: [Scheme; 5] = Scheme::ALL;
+use flash_bench::record::E2eRecord;
+use pcn_experiments::figures::latency::{sweep, HOP_LATENCY_MS, NODE_SERVICE_MS};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out = String::from("BENCH_e2e.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                i += 1;
-                out = args.get(i).expect("--out needs a file").clone();
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: e2e_bench [--smoke] [--out FILE]");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let args = flash_bench::parse_args("e2e_bench", "BENCH_e2e.json");
 
     // Both modes sweep the same 8× load spread so the latency-vs-load
     // shape (and the gate's flat-curve check) is present in the smoke
     // numbers; full scale only grows the topology and trace.
-    let loads: &[f64] = &[50.0, 400.0];
-    let (nodes, payments): (usize, usize) = if smoke { (60, 200) } else { (200, 800) };
-    let hop_latency_ms = 25;
-    let service_time_ms = 10;
-    let seed = 1009;
-    let net = testbed_topology(nodes, 1000, 1500, seed);
-    let trace = generate_trace(net.graph(), &TraceConfig::ripple(payments, seed + 7));
+    let loads = [50.0, 400.0];
+    let (nodes, payments): (usize, usize) = if args.smoke { (60, 200) } else { (200, 800) };
 
-    let mut records: Vec<Record> = Vec::new();
-    for scheme in SCHEMES {
-        for &load in loads {
-            let wall_start = pcn_proto::wall_now();
-            let report = run_scheme_des(
-                &net,
-                scheme,
-                &trace,
-                DEFAULT_MICE_FRACTION,
-                seed + 31,
-                DesLoad {
-                    rate_per_sec: load,
-                    latency: LatencyModel::constant_ms(hop_latency_ms),
-                    service: ServiceModel::constant_ms(service_time_ms),
-                    churn: ChurnRate::zero(),
-                },
-            );
-            let wall = wall_start.elapsed();
-            println!(
-                "{:>14} @{:>4} pps: ratio {:>5.1}% tput {:>6.1} pps p95 {:>8.1} ms queue95 {:>7.1} ms peak {:>3} in flight",
-                scheme.label(),
-                load,
-                report.metrics.success_ratio() * 100.0,
-                report.throughput_pps,
-                report.latency_ms(0.95),
-                report.queue_delay_ms(0.95),
-                report.peak_in_flight,
-            );
-            records.push(Record {
-                scheme: scheme.label(),
-                nodes,
-                payments,
-                offered_pps: load,
-                hop_latency_ms,
-                service_time_ms,
-                success_ratio: report.metrics.success_ratio(),
-                throughput_pps: report.throughput_pps,
-                p50_latency_ms: report.latency_ms(0.5),
-                p95_latency_ms: report.latency_ms(0.95),
-                p99_latency_ms: report.latency_ms(0.99),
-                p50_queue_delay_ms: report.queue_delay_ms(0.5),
-                p95_queue_delay_ms: report.queue_delay_ms(0.95),
-                peak_in_flight: report.peak_in_flight,
-                peak_backlog: report.peak_backlog,
-                max_node_utilization: report.max_node_utilization,
-                events: report.events,
-                virtual_makespan_ms: report.makespan.as_millis_f64(),
-                wall_ns: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
-                events_per_sec: if wall.as_secs_f64() > 0.0 {
-                    report.events as f64 / wall.as_secs_f64()
-                } else {
-                    0.0
-                },
-            });
-        }
+    let mut records: Vec<E2eRecord> = Vec::new();
+    for point in sweep(nodes, payments, &loads, 1009) {
+        let report = &point.report;
+        let wall_secs = point.wall_elapsed.as_secs_f64();
+        println!(
+            "{:>14} @{:>4} pps: ratio {:>5.1}% tput {:>6.1} pps p95 {:>8.1} ms queue95 {:>7.1} ms peak {:>3} in flight",
+            point.scheme.label(),
+            point.x,
+            report.metrics.success_ratio() * 100.0,
+            report.throughput_pps,
+            report.latency_ms(0.95),
+            report.queue_delay_ms(0.95),
+            report.peak_in_flight,
+        );
+        records.push(E2eRecord {
+            scheme: point.scheme.label(),
+            nodes,
+            payments,
+            offered_pps: point.x,
+            hop_latency_ms: HOP_LATENCY_MS,
+            service_time_ms: NODE_SERVICE_MS,
+            success_ratio: report.metrics.success_ratio(),
+            throughput_pps: report.throughput_pps,
+            p50_latency_ms: report.latency_ms(0.5),
+            p95_latency_ms: report.latency_ms(0.95),
+            p99_latency_ms: report.latency_ms(0.99),
+            p50_queue_delay_ms: report.queue_delay_ms(0.5),
+            p95_queue_delay_ms: report.queue_delay_ms(0.95),
+            peak_in_flight: report.peak_in_flight,
+            peak_backlog: report.peak_backlog,
+            max_node_utilization: report.max_node_utilization,
+            events: report.events,
+            virtual_makespan_ms: report.makespan.as_millis_f64(),
+            wall_ns: u64::try_from(point.wall_elapsed.as_nanos()).unwrap_or(u64::MAX),
+            events_per_sec: if wall_secs > 0.0 {
+                report.events as f64 / wall_secs
+            } else {
+                0.0
+            },
+        });
     }
 
-    // One record per line: diffable in review, still a plain JSON array.
-    let body: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                "  {}",
-                serde_json::to_string(r).expect("bench record serializes")
-            )
-        })
-        .collect();
-    std::fs::write(&out, format!("[\n{}\n]\n", body.join(",\n"))).expect("write bench output");
-    println!("wrote {out}");
+    std::fs::write(&args.out, flash_bench::to_json_lines(&records)).expect("write bench output");
+    println!("wrote {}", args.out);
 }

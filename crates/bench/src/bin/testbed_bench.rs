@@ -27,71 +27,29 @@
 //! one that includes reads the kernel answered `WouldBlock`, so it may
 //! differ in the last digits between runs.
 
+use flash_bench::record::TestbedRecord;
 use flash_core::Scheme;
 use pcn_scenario::{Invariant, ScenarioBuilder, TopologySpec, WorkloadSpec};
-use serde::Serialize;
-
-/// One (scheme, scale) measurement — the serialization twin of
-/// `flash_bench::gate::TestbedRecord`.
-#[derive(Serialize)]
-struct Record {
-    scheme: String,
-    nodes: usize,
-    payments: usize,
-    success_ratio: f64,
-    success_volume_micros: u64,
-    fees_micros: u64,
-    probe_messages: u64,
-    commit_messages: u64,
-    wire_in: u64,
-    wire_out: u64,
-    escrow_end: u64,
-    queue_high_water: u64,
-    events_per_sec: f64,
-    wall_ns: u64,
-    socket_ops_per_frame: f64,
-}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out = String::from("BENCH_testbed.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                i += 1;
-                out = args.get(i).expect("--out needs a file").clone();
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: testbed_bench [--smoke] [--out FILE]");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let args = flash_bench::parse_args("testbed_bench", "BENCH_testbed.json");
 
     // Both modes include the 200-node single-process scale point the
     // gate requires; full scale adds the remaining schemes and longer
     // traces.
-    let schemes: &[Scheme] = if smoke {
+    let schemes: &[Scheme] = if args.smoke {
         &[Scheme::ShortestPath, Scheme::Flash]
     } else {
         &Scheme::ALL
     };
-    let scales: &[(usize, usize)] = if smoke {
+    let scales: &[(usize, usize)] = if args.smoke {
         &[(60, 120), (200, 60)]
     } else {
         &[(60, 400), (200, 200)]
     };
     let seed = 2003;
 
-    let mut records: Vec<Record> = Vec::new();
+    let mut records: Vec<TestbedRecord> = Vec::new();
     for &scheme in schemes {
         for &(nodes, payments) in scales {
             let wall_start = pcn_proto::wall_now();
@@ -133,7 +91,7 @@ fn main() {
                 report.wire_in,
                 report.events_per_sec,
             );
-            records.push(Record {
+            records.push(TestbedRecord {
                 scheme: report.scheme.clone(),
                 nodes,
                 payments,
@@ -158,16 +116,6 @@ fn main() {
         }
     }
 
-    // One record per line: diffable in review, still a plain JSON array.
-    let body: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                "  {}",
-                serde_json::to_string(r).expect("bench record serializes")
-            )
-        })
-        .collect();
-    std::fs::write(&out, format!("[\n{}\n]\n", body.join(",\n"))).expect("write bench output");
-    println!("wrote {out}");
+    std::fs::write(&args.out, flash_bench::to_json_lines(&records)).expect("write bench output");
+    println!("wrote {}", args.out);
 }

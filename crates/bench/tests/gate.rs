@@ -1,7 +1,8 @@
 //! Tests of the bench-regression gate itself — including the check
 //! that it would have caught the PR-4 flat latency curve.
 
-use flash_bench::gate::{gate_churn, gate_e2e, gate_maxflow, gate_testbed, Severity};
+use flash_bench::gate::{gate, Severity};
+use flash_bench::record::{ChurnRecord, E2eRecord, MaxflowRecord, TestbedRecord};
 
 /// The `BENCH_e2e.json` that PR 4 committed: the propagation-only
 /// engine reported **bit-identical** p50/p95/p99 completion latency at
@@ -40,7 +41,7 @@ fn gate_fails_the_pr4_flat_latency_fixture() {
     // Diffing the PR-4 artifact against itself: every delta is zero,
     // yet the gate must reject it — identical latency percentiles
     // across an 8× offered-load spread are physically suspicious.
-    let report = gate_e2e(PR4_FLAT, PR4_FLAT).expect("fixture parses");
+    let report = gate::<E2eRecord>(PR4_FLAT, PR4_FLAT).expect("fixture parses");
     assert!(!report.passed(), "the flat PR-4 curve must fail the gate");
     let flat_fails: Vec<_> = report
         .findings
@@ -60,7 +61,7 @@ fn gate_fails_the_pr4_flat_latency_fixture() {
 #[test]
 fn gate_passes_a_healthy_rising_curve_against_itself() {
     let h = healthy();
-    let report = gate_e2e(&h, &h).expect("parses");
+    let report = gate::<E2eRecord>(&h, &h).expect("parses");
     assert!(report.passed(), "{:#?}", report.findings);
     assert!(report.table.contains("Flash"));
 }
@@ -72,7 +73,7 @@ fn gate_fails_a_throughput_regression_over_25_percent() {
         e2e_record("Flash", 50.0, 11.0, 550.0, 2200.0, 4000.0, 0.77), // -31%
         e2e_record("Flash", 400.0, 15.8, 1100.0, 4400.0, 8000.0, 0.79),
     ]);
-    let report = gate_e2e(&base, &cand).expect("parses");
+    let report = gate::<E2eRecord>(&base, &cand).expect("parses");
     assert!(!report.passed());
     assert!(report
         .findings
@@ -87,7 +88,7 @@ fn gate_fails_a_latency_regression_over_25_percent() {
         e2e_record("Flash", 50.0, 16.0, 550.0, 2900.0, 4000.0, 0.77), // p95 +32%
         e2e_record("Flash", 400.0, 15.8, 1100.0, 4400.0, 8000.0, 0.79),
     ]);
-    let report = gate_e2e(&base, &cand).expect("parses");
+    let report = gate::<E2eRecord>(&base, &cand).expect("parses");
     assert!(!report.passed());
     assert!(report
         .findings
@@ -102,7 +103,7 @@ fn gate_tolerates_regressions_under_the_threshold() {
         e2e_record("Flash", 50.0, 13.0, 550.0, 2600.0, 4500.0, 0.70), // all < 25%
         e2e_record("Flash", 400.0, 15.8, 1100.0, 4400.0, 8000.0, 0.79),
     ]);
-    let report = gate_e2e(&base, &cand).expect("parses");
+    let report = gate::<E2eRecord>(&base, &cand).expect("parses");
     assert!(report.passed(), "{:#?}", report.findings);
 }
 
@@ -118,7 +119,7 @@ fn gate_warns_but_never_fails_on_events_per_sec_drop() {
     };
     let base = array(&[with_eps(1_400_000.0)]);
     let cand = array(&[with_eps(900_000.0)]); // -36%
-    let report = gate_e2e(&base, &cand).expect("parses");
+    let report = gate::<E2eRecord>(&base, &cand).expect("parses");
     assert!(
         report.passed(),
         "wall-derived metrics must not fail the gate: {:#?}",
@@ -135,7 +136,7 @@ fn gate_warns_but_never_fails_on_events_per_sec_drop() {
     // A candidate without the field (pre-PR-7 artifact) stays silent:
     // 0.0-defaulted values are not comparable.
     let legacy = array(&[e2e_record("Flash", 50.0, 16.0, 550.0, 2200.0, 4000.0, 0.77)]);
-    let report = gate_e2e(&base, &legacy).expect("parses");
+    let report = gate::<E2eRecord>(&base, &legacy).expect("parses");
     assert!(report
         .findings
         .iter()
@@ -151,7 +152,7 @@ fn gate_warns_on_unmatched_records_and_fails_on_total_mismatch() {
         e2e_record("Flash", 400.0, 15.8, 1100.0, 4400.0, 8000.0, 0.79)
             .replace("\"service_time_ms\":10", "\"service_time_ms\":99"),
     ]);
-    let report = gate_e2e(&base, &one_new).expect("parses");
+    let report = gate::<E2eRecord>(&base, &one_new).expect("parses");
     assert!(report.passed());
     assert!(report
         .findings
@@ -164,7 +165,7 @@ fn gate_warns_on_unmatched_records_and_fails_on_total_mismatch() {
 
     // Nothing matches at all: schema/config drift must fail loudly.
     let drifted = array(&[e2e_record("Flash", 75.0, 16.0, 550.0, 2200.0, 4000.0, 0.77)]);
-    let report = gate_e2e(&base, &drifted).expect("parses");
+    let report = gate::<E2eRecord>(&base, &drifted).expect("parses");
     assert!(!report.passed());
     assert!(report
         .findings
@@ -177,7 +178,7 @@ fn gate_parses_pre_queue_artifacts_without_the_new_fields() {
     // The PR-4 fixture has no service_time_ms / queue-delay fields;
     // serde defaults must fill them so historical artifacts and the
     // committed smoke file stay comparable.
-    let report = gate_e2e(PR4_FLAT, &healthy()).expect("old schema parses");
+    let report = gate::<E2eRecord>(PR4_FLAT, &healthy()).expect("old schema parses");
     // Keys differ (service 0 vs 10) so nothing matches — but parsing
     // succeeded, which is what this test pins.
     assert!(report
@@ -213,7 +214,7 @@ fn churn_gate_fails_the_non_monotone_fixture() {
     // Diffing the fixture against itself: every delta is zero, yet the
     // gate must reject it — success not degrading under rising churn
     // means churn events are not reaching the engine.
-    let report = gate_churn(NONMONO_CHURN, NONMONO_CHURN).expect("fixture parses");
+    let report = gate::<ChurnRecord>(NONMONO_CHURN, NONMONO_CHURN).expect("fixture parses");
     assert!(
         !report.passed(),
         "the non-monotone curve must fail the gate"
@@ -236,7 +237,7 @@ fn churn_gate_fails_the_non_monotone_fixture() {
 #[test]
 fn churn_gate_passes_a_healthy_degrading_sweep() {
     let h = healthy_churn();
-    let report = gate_churn(&h, &h).expect("parses");
+    let report = gate::<ChurnRecord>(&h, &h).expect("parses");
     assert!(report.passed(), "{:#?}", report.findings);
     assert!(report.table.contains("Flash"));
 }
@@ -249,7 +250,7 @@ fn churn_gate_fails_a_success_regression_over_25_percent() {
         churn_record("Flash", 10.0, 0.50, 17), // -29% vs baseline 0.70
         churn_record("Flash", 40.0, 0.25, 58),
     ]);
-    let report = gate_churn(&base, &cand).expect("parses");
+    let report = gate::<ChurnRecord>(&base, &cand).expect("parses");
     assert!(!report.passed());
     assert!(report
         .findings
@@ -263,7 +264,7 @@ fn churn_gate_requires_at_least_three_rates() {
         churn_record("Flash", 0.0, 0.77, 0),
         churn_record("Flash", 40.0, 0.25, 58),
     ]);
-    let report = gate_churn(&two, &two).expect("parses");
+    let report = gate::<ChurnRecord>(&two, &two).expect("parses");
     assert!(!report.passed());
     assert!(report
         .findings
@@ -281,7 +282,7 @@ fn churn_gate_fails_churn_activity_at_zero_rate() {
         churn_record("Flash", 10.0, 0.70, 17),
         churn_record("Flash", 40.0, 0.25, 58),
     ]);
-    let report = gate_churn(&cand, &cand).expect("parses");
+    let report = gate::<ChurnRecord>(&cand, &cand).expect("parses");
     assert!(!report.passed());
     assert!(report
         .findings
@@ -300,30 +301,26 @@ fn churn_gate_parses_artifacts_without_counter_fields() {
         )
     };
     let old = array(&[bare(0.0, 0.77), bare(10.0, 0.70), bare(40.0, 0.25)]);
-    let report = gate_churn(&old, &old).expect("counterless artifact parses");
+    let report = gate::<ChurnRecord>(&old, &old).expect("counterless artifact parses");
     assert!(report.passed(), "{:#?}", report.findings);
 }
 
 const MAXFLOW_BASE: &str = r#"[
-  {"topology":"ws_100","nodes":100,"directed_edges":800,"kernel":"dinic","pairs":4,"iters_per_pair":1,"mean_ns_per_pair":1000,"total_flow":5000},
+  {"topology":"ws_100","nodes":100,"directed_edges":800,"kernel":"push-relabel","pairs":4,"iters_per_pair":1,"mean_ns_per_pair":1000,"total_flow":5000},
   {"topology":"ws_100","nodes":100,"directed_edges":800,"kernel":"edmonds-karp","pairs":4,"iters_per_pair":1,"mean_ns_per_pair":1500,"total_flow":5000}
 ]"#;
 
-/// `oracle_fastest_maxflow.json`: every kernel loses to the
-/// Edmonds–Karp oracle at lightning scale — the state this PR's
-/// predecessor trajectory was actually in.
+/// `oracle_fastest_maxflow.json`: push-relabel loses to the
+/// Edmonds–Karp oracle at lightning scale — the state the trajectory
+/// was actually in before the kernels moved onto the CSR arena.
 const ORACLE_FASTEST: &str = include_str!("fixtures/oracle_fastest_maxflow.json");
-
-/// `warm_slower_maxflow.json`: kernels are healthy but the warm-start
-/// record is slower than the cold restart it exists to beat.
-const WARM_SLOWER: &str = include_str!("fixtures/warm_slower_maxflow.json");
 
 #[test]
 fn maxflow_gate_fails_on_flow_drift_but_only_warns_on_wall_time() {
     // Same flows, 40% slower (still beating the oracle): pass with a
     // warning (CI hardware noise).
     let slower = MAXFLOW_BASE.replace("\"mean_ns_per_pair\":1000", "\"mean_ns_per_pair\":1400");
-    let report = gate_maxflow(MAXFLOW_BASE, &slower).expect("parses");
+    let report = gate::<MaxflowRecord>(MAXFLOW_BASE, &slower).expect("parses");
     assert!(report.passed(), "{:#?}", report.findings);
     assert!(report
         .findings
@@ -332,7 +329,7 @@ fn maxflow_gate_fails_on_flow_drift_but_only_warns_on_wall_time() {
 
     // A drifted flow value is a correctness failure.
     let drifted = MAXFLOW_BASE.replace("\"total_flow\":5000", "\"total_flow\":4999");
-    let report = gate_maxflow(MAXFLOW_BASE, &drifted).expect("parses");
+    let report = gate::<MaxflowRecord>(MAXFLOW_BASE, &drifted).expect("parses");
     assert!(!report.passed());
     assert!(report
         .findings
@@ -344,7 +341,7 @@ fn maxflow_gate_fails_on_flow_drift_but_only_warns_on_wall_time() {
 fn maxflow_gate_rejects_oracle_beating_every_kernel() {
     // The shape check fails even against itself: a trajectory whose
     // fastest kernel loses to the oracle is rejected outright.
-    let report = gate_maxflow(ORACLE_FASTEST, ORACLE_FASTEST).expect("parses");
+    let report = gate::<MaxflowRecord>(ORACLE_FASTEST, ORACLE_FASTEST).expect("parses");
     assert!(!report.passed());
     assert!(report
         .findings
@@ -360,7 +357,7 @@ fn maxflow_gate_enforces_two_x_at_lightning_scale() {
         "\"kernel\":\"push-relabel\",\"pairs\":6,\"iters_per_pair\":3,\"mean_ns_per_pair\":1900000",
         "\"kernel\":\"push-relabel\",\"pairs\":6,\"iters_per_pair\":3,\"mean_ns_per_pair\":1000000",
     );
-    let report = gate_maxflow(&barely, &barely).expect("parses");
+    let report = gate::<MaxflowRecord>(&barely, &barely).expect("parses");
     assert!(!report.passed());
     assert!(report
         .findings
@@ -372,30 +369,8 @@ fn maxflow_gate_enforces_two_x_at_lightning_scale() {
         "\"kernel\":\"push-relabel\",\"pairs\":6,\"iters_per_pair\":3,\"mean_ns_per_pair\":1900000",
         "\"kernel\":\"push-relabel\",\"pairs\":6,\"iters_per_pair\":3,\"mean_ns_per_pair\":700000",
     );
-    let report = gate_maxflow(&won, &won).expect("parses");
+    let report = gate::<MaxflowRecord>(&won, &won).expect("parses");
     assert!(report.passed(), "{:#?}", report.findings);
-}
-
-#[test]
-fn maxflow_gate_rejects_warm_start_slower_than_cold() {
-    let report = gate_maxflow(WARM_SLOWER, WARM_SLOWER).expect("parses");
-    assert!(!report.passed());
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.severity == Severity::Fail && f.message.contains("not faster than a cold")));
-
-    // A warm-cold flow mismatch is a correctness failure on top.
-    let drifted = WARM_SLOWER.replace(
-        "\"kernel\":\"warm-start\",\"pairs\":48,\"iters_per_pair\":1,\"mean_ns_per_pair\":5000000,\"total_flow\":430000",
-        "\"kernel\":\"warm-start\",\"pairs\":48,\"iters_per_pair\":1,\"mean_ns_per_pair\":3000000,\"total_flow\":430001",
-    );
-    let report = gate_maxflow(&drifted, &drifted).expect("parses");
-    assert!(!report.passed());
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.severity == Severity::Fail && f.message.contains("different flow")));
 }
 
 fn testbed_record(scheme: &str, nodes: usize, ratio: f64, wire_in: u64, wire_out: u64) -> String {
@@ -416,7 +391,7 @@ fn healthy_testbed() -> String {
 #[test]
 fn testbed_gate_passes_a_healthy_trajectory() {
     let h = healthy_testbed();
-    let report = gate_testbed(&h, &h).expect("parses");
+    let report = gate::<TestbedRecord>(&h, &h).expect("parses");
     assert!(report.passed(), "{:#?}", report.findings);
     assert!(report.table.contains("Shortest Path"));
 }
@@ -428,7 +403,7 @@ fn testbed_gate_fails_a_success_regression_over_25_percent() {
         testbed_record("Shortest Path", 60, 0.50, 2000, 2000), // -29% vs baseline 0.70
         testbed_record("Shortest Path", 200, 0.65, 2600, 2600),
     ]);
-    let report = gate_testbed(&base, &cand).expect("parses");
+    let report = gate::<TestbedRecord>(&base, &cand).expect("parses");
     assert!(!report.passed());
     assert!(report
         .findings
@@ -445,7 +420,7 @@ fn testbed_gate_fails_wire_frame_loss_even_against_itself() {
         testbed_record("Shortest Path", 60, 0.70, 1990, 2000),
         testbed_record("Shortest Path", 200, 0.65, 2600, 2600),
     ]);
-    let report = gate_testbed(&lossy, &lossy).expect("parses");
+    let report = gate::<TestbedRecord>(&lossy, &lossy).expect("parses");
     assert!(!report.passed());
     assert!(report
         .findings
@@ -456,7 +431,7 @@ fn testbed_gate_fails_wire_frame_loss_even_against_itself() {
 #[test]
 fn testbed_gate_fails_unsettled_escrow() {
     let stuck = healthy_testbed().replace("\"escrow_end\":0", "\"escrow_end\":42");
-    let report = gate_testbed(&stuck, &stuck).expect("parses");
+    let report = gate::<TestbedRecord>(&stuck, &stuck).expect("parses");
     assert!(!report.passed());
     assert!(report
         .findings
@@ -467,7 +442,7 @@ fn testbed_gate_fails_unsettled_escrow() {
 #[test]
 fn testbed_gate_requires_the_200_node_scale_record() {
     let small_only = array(&[testbed_record("Shortest Path", 60, 0.70, 2000, 2000)]);
-    let report = gate_testbed(&small_only, &small_only).expect("parses");
+    let report = gate::<TestbedRecord>(&small_only, &small_only).expect("parses");
     assert!(!report.passed());
     assert!(report
         .findings
@@ -479,7 +454,7 @@ fn testbed_gate_requires_the_200_node_scale_record() {
 fn testbed_gate_warns_but_never_fails_on_events_per_sec_drop() {
     let base = healthy_testbed();
     let cand = healthy_testbed().replace("\"events_per_sec\":9000.0", "\"events_per_sec\":4000.0");
-    let report = gate_testbed(&base, &cand).expect("parses");
+    let report = gate::<TestbedRecord>(&base, &cand).expect("parses");
     assert!(report.passed(), "{:#?}", report.findings);
     assert!(report
         .findings
@@ -494,7 +469,7 @@ fn testbed_gate_fails_total_mismatch() {
         testbed_record("Spider", 60, 0.70, 2000, 2000),
         testbed_record("Spider", 200, 0.65, 2600, 2600),
     ]);
-    let report = gate_testbed(&base, &cand).expect("parses");
+    let report = gate::<TestbedRecord>(&base, &cand).expect("parses");
     assert!(!report.passed());
     assert!(
         report
@@ -513,7 +488,7 @@ const FULL_SCAN_TESTBED: &str = include_str!("fixtures/full_scan_testbed.json");
 #[test]
 fn testbed_gate_fails_the_full_scan_reactor_fixture() {
     // Against itself every delta is zero: only the shape rules can trip.
-    let report = gate_testbed(FULL_SCAN_TESTBED, FULL_SCAN_TESTBED).expect("parses");
+    let report = gate::<TestbedRecord>(FULL_SCAN_TESTBED, FULL_SCAN_TESTBED).expect("parses");
     assert!(!report.passed());
     let fails = |needle: &str| {
         report
@@ -541,6 +516,6 @@ fn testbed_gate_passes_a_flat_two_call_reactor() {
         .replace(":335.0}", ":2.17}")
         .replace(":247.0}", ":2.04}")
         .replace(":437.0}", ":2.12}");
-    let report = gate_testbed(FULL_SCAN_TESTBED, &flat).expect("parses");
+    let report = gate::<TestbedRecord>(FULL_SCAN_TESTBED, &flat).expect("parses");
     assert!(report.passed(), "{:#?}", report.findings);
 }

@@ -239,7 +239,7 @@ impl<N: PaymentNetwork> Router<N> for FlashRouter {
             .should_reprobe(payment.receiver, net.graph().edge_count())
         {
             net.note_reprobe();
-            self.table.refresh();
+            self.on_topology_refresh(&*net);
         }
         match class {
             PaymentClass::Elephant => self.route_elephant(net, payment, class),

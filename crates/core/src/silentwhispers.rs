@@ -145,7 +145,7 @@ impl<N: PaymentNetwork> Router<N> for SilentWhispersRouter {
             .should_reprobe(payment.receiver, net.graph().edge_count())
         {
             net.note_reprobe();
-            self.ready = false;
+            self.on_topology_refresh(&*net);
         }
         self.ensure_trees(net.graph());
         let routes: Vec<Path> = (0..self.landmarks.len())

@@ -157,15 +157,14 @@ impl<N: PaymentNetwork> Router<N> for SpeedyMurmursRouter {
             .should_reprobe(payment.receiver, net.graph().edge_count())
         {
             net.note_reprobe();
-            self.ready = false;
-            self.embeddings.clear();
+            self.on_topology_refresh(&*net);
         }
-        self.ensure_embeddings(net.graph());
-        let g = net.graph().clone();
+        let g = net.graph();
+        self.ensure_embeddings(g);
         let routes: Vec<Path> = self
             .embeddings
             .iter()
-            .filter_map(|emb| self.greedy_route(&g, emb, payment.sender, payment.receiver))
+            .filter_map(|emb| self.greedy_route(g, emb, payment.sender, payment.receiver))
             .collect();
         if routes.is_empty() {
             net.record_rejected_attempt(payment, class);

@@ -33,21 +33,11 @@
 //! from 0.81 to 0.34 / 0.22 at the lowest rate is static tree routes
 //! with no alternative path, not a dead code path.
 
-use crate::harness::{run_scheme_des, DesLoad, Effort, DEFAULT_MICE_FRACTION};
+use crate::harness::{des_sweep, DesLoad, Effort, SweepPoint};
 use crate::report::{FigureResult, Series};
-use flash_core::Scheme;
 use pcn_sim::{ChurnRate, LatencyModel, ServiceModel, SimTime};
-use pcn_workload::testbed_topology;
-use pcn_workload::trace::{generate_trace, TraceConfig};
 
-/// All five schemes, exactly as they run on the other two backends.
-pub const SCHEMES: [Scheme; 5] = Scheme::ALL;
-
-/// Per-hop propagation latency, matching the load sweep.
-pub const HOP_LATENCY_MS: u64 = 25;
-
-/// Per-node service time, matching the load sweep.
-pub const NODE_SERVICE_MS: u64 = 10;
+pub use super::latency::{HOP_LATENCY_MS, NODE_SERVICE_MS};
 
 /// Offered load of the sweep (payments per virtual second) — fixed, so
 /// churn intensity is the only thing varying between points.
@@ -69,6 +59,18 @@ pub fn churn_mix(closes_per_sec: f64) -> ChurnRate {
     }
 }
 
+/// The churn sweep itself: all five schemes at [`OFFERED_LOAD_PPS`]
+/// under [`churn_mix`] at each channel-close intensity in `rates`. Both
+/// [`run`] and the `churn_bench` binary are built on it.
+pub fn sweep(nodes: usize, payments: usize, rates: &[f64], seed: u64) -> Vec<SweepPoint> {
+    des_sweep(nodes, payments, rates, seed, |rate| DesLoad {
+        rate_per_sec: OFFERED_LOAD_PPS,
+        latency: LatencyModel::constant_ms(HOP_LATENCY_MS),
+        service: ServiceModel::constant_ms(NODE_SERVICE_MS),
+        churn: churn_mix(rate),
+    })
+}
+
 /// Regenerates the churn sweep (`churn_a`, `churn_b`).
 pub fn run(effort: Effort) -> Vec<FigureResult> {
     let (nodes, txns, rates): (usize, usize, &[f64]) = match effort {
@@ -87,28 +89,13 @@ pub fn run(effort: Effort) -> Vec<FigureResult> {
         "channel closes per virtual second",
         "p95 completion latency (virtual ms)",
     );
-    let seed = 97;
-    let net = testbed_topology(nodes, 1000, 1500, seed);
-    let trace = generate_trace(net.graph(), &TraceConfig::ripple(txns, seed + 7));
-    for scheme in SCHEMES {
-        let mut s_ratio = Series::new(scheme.label());
-        let mut s_p95 = Series::new(scheme.label());
-        for &rate in rates {
-            let report = run_scheme_des(
-                &net,
-                scheme,
-                &trace,
-                DEFAULT_MICE_FRACTION,
-                seed + 31,
-                DesLoad {
-                    rate_per_sec: OFFERED_LOAD_PPS,
-                    latency: LatencyModel::constant_ms(HOP_LATENCY_MS),
-                    service: ServiceModel::constant_ms(NODE_SERVICE_MS),
-                    churn: churn_mix(rate),
-                },
-            );
-            s_ratio.push(rate, report.metrics.success_ratio() * 100.0);
-            s_p95.push(rate, report.latency_ms(0.95));
+    // Scheme-major points: one chunk of `rates.len()` per scheme.
+    for per_scheme in sweep(nodes, txns, rates, 97).chunks(rates.len()) {
+        let mut s_ratio = Series::new(per_scheme[0].scheme.label());
+        let mut s_p95 = Series::new(per_scheme[0].scheme.label());
+        for p in per_scheme {
+            s_ratio.push(p.x, p.report.metrics.success_ratio() * 100.0);
+            s_p95.push(p.x, p.report.latency_ms(0.95));
         }
         fig_ratio.series.push(s_ratio);
         fig_p95.series.push(s_p95);
@@ -119,13 +106,14 @@ pub fn run(effort: Effort) -> Vec<FigureResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flash_core::Scheme;
 
     #[test]
     fn sweep_covers_all_schemes_and_rates() {
         let figs = run(Effort::Quick);
         assert_eq!(figs.len(), 2);
         for fig in &figs {
-            assert_eq!(fig.series.len(), SCHEMES.len());
+            assert_eq!(fig.series.len(), Scheme::ALL.len());
             for s in &fig.series {
                 assert_eq!(s.points.len(), 3, "{}: {}", fig.id, s.label);
             }

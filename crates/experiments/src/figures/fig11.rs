@@ -9,9 +9,8 @@
 //! What makes `m = 0` the upper bound is max-flow: each send can deliver
 //! at most the true max-flow between sender and receiver at that moment
 //! ([`crate::harness::static_max_flow`], computed by the push-relabel
-//! kernel; [`crate::harness::WarmFlowBound`] tracks the same bound
-//! incrementally across sends). The tests below pin that bound against
-//! the pristine network and check the kernels agree on it.
+//! kernel). The tests below pin that bound against the pristine network
+//! and check push-relabel against the Edmonds–Karp oracle on it.
 
 use crate::harness::{run_scheme, Effort, Topo, DEFAULT_MICE_FRACTION};
 use crate::report::{FigureResult, Series};
@@ -82,39 +81,25 @@ mod tests {
         assert!(m4 < m0, "m=4 probes ({m4}) should be far below m=0 ({m0})");
     }
 
-    /// The `m = 0` upper bound rests on the max-flow kernel: every
-    /// kernel (including the warm-start bound tracker) must report the
-    /// same bound on the experiment topology, and the first routed
-    /// payment (pristine balances) can never deliver more than it.
+    /// The `m = 0` upper bound rests on the max-flow kernel:
+    /// push-relabel must report the Edmonds–Karp oracle's value on the
+    /// experiment topology, and the first routed payment (pristine
+    /// balances) can never deliver more than it.
     #[test]
     fn m0_upper_bound_and_kernels_agree() {
-        use crate::harness::{static_max_flow, WarmFlowBound};
-        use pcn_graph::maxflow::{Dinic, EdmondsKarp, MaxFlowSolver, PushRelabel};
+        use crate::harness::static_max_flow;
+        use pcn_graph::maxflow::{EdmondsKarp, MaxFlowSolver};
 
         let net = Topo::Ripple.build_network(Effort::Quick, 600);
         let trace = Topo::Ripple.build_trace(&net, 10, 671);
         let g = net.graph();
         let caps: Vec<u64> = g.edges().map(|(e, _, _)| net.balance(e).micros()).collect();
-        let mut warm = WarmFlowBound::new();
         for p in trace.iter().take(4) {
             let oracle = EdmondsKarp.max_flow(g, p.sender, p.receiver, &caps).value;
-            let solvers: [Box<dyn MaxFlowSolver>; 2] = [Box::new(Dinic), Box::new(PushRelabel)];
-            for solver in solvers {
-                assert_eq!(
-                    solver.max_flow(g, p.sender, p.receiver, &caps).value,
-                    oracle,
-                    "{} disagrees with the oracle",
-                    solver.name()
-                );
-            }
             assert_eq!(
                 static_max_flow(&net, p.sender, p.receiver),
-                Amount::from_micros(oracle)
-            );
-            assert_eq!(
-                warm.bound(&net, p.sender, p.receiver),
                 Amount::from_micros(oracle),
-                "warm-start bound disagrees with the oracle"
+                "push-relabel disagrees with the oracle"
             );
         }
         // First payment against pristine balances: delivered ≤ max-flow.

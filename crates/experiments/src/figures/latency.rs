@@ -29,15 +29,9 @@
 //! even recorded bit-identical percentiles at 50 and 400 pps, which is
 //! exactly the physical suspicion the CI `bench_gate` now rejects.)
 
-use crate::harness::{run_scheme_des, DesLoad, Effort, DEFAULT_MICE_FRACTION};
+use crate::harness::{des_sweep, DesLoad, Effort, SweepPoint};
 use crate::report::{FigureResult, Series};
-use flash_core::Scheme;
 use pcn_sim::{ChurnRate, LatencyModel, ServiceModel};
-use pcn_workload::testbed_topology;
-use pcn_workload::trace::{generate_trace, TraceConfig};
-
-/// All five schemes, exactly as they run on the other two backends.
-pub const SCHEMES: [Scheme; 5] = Scheme::ALL;
 
 /// Per-hop message *propagation* latency of the sweep: 25ms, the order
 /// the paper's LAN testbed measures per-hop processing in (§5.2).
@@ -51,6 +45,18 @@ pub const HOP_LATENCY_MS: u64 = 25;
 /// large enough that busy nodes run at 0.3–0.9 utilization inside the
 /// swept load range and the latency knee appears.
 pub const NODE_SERVICE_MS: u64 = 10;
+
+/// The load sweep itself: all five schemes at each offered load
+/// (payments per virtual second) in `loads`, churn-free. Both
+/// [`run`] and the `e2e_bench` binary are built on it.
+pub fn sweep(nodes: usize, payments: usize, loads: &[f64], seed: u64) -> Vec<SweepPoint> {
+    des_sweep(nodes, payments, loads, seed, |load| DesLoad {
+        rate_per_sec: load,
+        latency: LatencyModel::constant_ms(HOP_LATENCY_MS),
+        service: ServiceModel::constant_ms(NODE_SERVICE_MS),
+        churn: ChurnRate::zero(),
+    })
+}
 
 /// Regenerates the load sweep (`lat_a`–`lat_d`).
 pub fn run(effort: Effort) -> Vec<FigureResult> {
@@ -82,37 +88,24 @@ pub fn run(effort: Effort) -> Vec<FigureResult> {
         "offered load (payments/s)",
         "p95 per-message queueing delay (virtual ms)",
     );
-    let seed = 97;
-    let net = testbed_topology(nodes, 1000, 1500, seed);
-    let trace = generate_trace(net.graph(), &TraceConfig::ripple(txns, seed + 7));
-    for scheme in SCHEMES {
-        let mut s_ratio = Series::new(scheme.label());
-        let mut s_p95 = Series::new(scheme.label());
-        let mut s_tput = Series::new(scheme.label());
-        let mut s_queue = Series::new(scheme.label());
-        for &load in loads {
-            let report = run_scheme_des(
-                &net,
-                scheme,
-                &trace,
-                DEFAULT_MICE_FRACTION,
-                seed + 31,
-                DesLoad {
-                    rate_per_sec: load,
-                    latency: LatencyModel::constant_ms(HOP_LATENCY_MS),
-                    service: ServiceModel::constant_ms(NODE_SERVICE_MS),
-                    churn: ChurnRate::zero(),
-                },
-            );
-            s_ratio.push(load, report.metrics.success_ratio() * 100.0);
-            s_p95.push(load, report.latency_ms(0.95));
-            s_tput.push(load, report.throughput_pps);
-            s_queue.push(load, report.queue_delay_ms(0.95));
-        }
-        fig_ratio.series.push(s_ratio);
-        fig_p95.series.push(s_p95);
-        fig_tput.series.push(s_tput);
-        fig_queue.series.push(s_queue);
+    // Scheme-major points: one chunk of `loads.len()` per scheme.
+    for per_scheme in sweep(nodes, txns, loads, 97).chunks(loads.len()) {
+        let label = per_scheme[0].scheme.label();
+        let series = |y: fn(&SweepPoint) -> f64| {
+            let mut s = Series::new(label.clone());
+            for p in per_scheme {
+                s.push(p.x, y(p));
+            }
+            s
+        };
+        fig_ratio
+            .series
+            .push(series(|p| p.report.metrics.success_ratio() * 100.0));
+        fig_p95.series.push(series(|p| p.report.latency_ms(0.95)));
+        fig_tput.series.push(series(|p| p.report.throughput_pps));
+        fig_queue
+            .series
+            .push(series(|p| p.report.queue_delay_ms(0.95)));
     }
     vec![fig_ratio, fig_p95, fig_tput, fig_queue]
 }
@@ -120,13 +113,14 @@ pub fn run(effort: Effort) -> Vec<FigureResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flash_core::Scheme;
 
     #[test]
     fn sweep_covers_all_schemes_and_loads() {
         let figs = run(Effort::Quick);
         assert_eq!(figs.len(), 4);
         for fig in &figs {
-            assert_eq!(fig.series.len(), SCHEMES.len());
+            assert_eq!(fig.series.len(), Scheme::ALL.len());
             for s in &fig.series {
                 assert_eq!(s.points.len(), 2, "{}: {}", fig.id, s.label);
             }

@@ -3,7 +3,7 @@
 use flash_core::classify::threshold_for_mice_fraction;
 use flash_core::Scheme;
 use pcn_graph::generators;
-use pcn_graph::maxflow::{IncrementalMaxFlow, MaxFlowSolver, PushRelabel};
+use pcn_graph::maxflow::{MaxFlowSolver, PushRelabel};
 use pcn_sim::{
     ChurnRate, DesConfig, DesEngine, DesNetwork, DesReport, LatencyModel, Metrics, Network,
     ServiceModel, SimTime,
@@ -203,62 +203,67 @@ pub fn run_scheme_des(
     engine.run(router.as_mut(), &workload, threshold)
 }
 
+/// One measured point of a [`des_sweep`]: a scheme at one value of the
+/// swept variable.
+#[derive(Clone, Debug)]
+pub struct SweepPoint {
+    /// The scheme that ran.
+    pub scheme: Scheme,
+    /// The swept variable at this point (offered load, churn rate, …).
+    pub x: f64,
+    /// Everything the engine reported.
+    pub report: DesReport,
+    /// Host time the run took — the only non-deterministic field.
+    pub wall_elapsed: std::time::Duration,
+}
+
+/// Runs every scheme in [`Scheme::ALL`] through the discrete-event
+/// engine at each of `xs` — scheme-major, the order figures and bench
+/// records are laid out in — on one seeded `nodes`-node §5.2 testbed
+/// topology and one `payments`-long Ripple trace. `load_at` turns a
+/// swept value into the run's load-and-delay configuration. The
+/// figures' `run(effort)` and the `e2e_bench` / `churn_bench` binaries
+/// all consume this one loop.
+pub fn des_sweep(
+    nodes: usize,
+    payments: usize,
+    xs: &[f64],
+    seed: u64,
+    load_at: impl Fn(f64) -> DesLoad,
+) -> Vec<SweepPoint> {
+    let net = pcn_workload::testbed_topology(nodes, 1000, 1500, seed);
+    let trace = generate_trace(net.graph(), &TraceConfig::ripple(payments, seed + 7));
+    let mut points = Vec::with_capacity(Scheme::ALL.len() * xs.len());
+    for scheme in Scheme::ALL {
+        for &x in xs {
+            let wall_start = pcn_proto::wall_now();
+            let report = run_scheme_des(
+                &net,
+                scheme,
+                &trace,
+                DEFAULT_MICE_FRACTION,
+                seed + 31,
+                load_at(x),
+            );
+            points.push(SweepPoint {
+                scheme,
+                x,
+                report,
+                wall_elapsed: wall_start.elapsed(),
+            });
+        }
+    }
+    points
+}
+
 /// The true `s → t` max-flow over the network's *current* balances, via
-/// the push-relabel kernel (the hot path — see `docs/maxflow.md`). This
-/// is the quantity the Figure 11 `m = 0` configuration (mice routed by
-/// the elephant algorithm) is upper-bounded by at each send, and the
-/// anchor the kernel-agreement tests compare against.
+/// the push-relabel kernel (see `docs/maxflow.md`). This is the
+/// quantity the Figure 11 `m = 0` configuration (mice routed by the
+/// elephant algorithm) is upper-bounded by at each send.
 pub fn static_max_flow(net: &Network, s: NodeId, t: NodeId) -> Amount {
     let g = net.graph();
     let caps: Vec<u64> = g.edges().map(|(e, _, _)| net.balance(e).micros()).collect();
     Amount::from_micros(PushRelabel.max_flow(g, s, t, &caps).value)
-}
-
-/// Warm-start companion to [`static_max_flow`] for the Figure 11 bound
-/// loop: tracks one `(s, t)` pair across balance changes, applying only
-/// the per-payment deltas to a live residual graph instead of
-/// re-solving from scratch each send. Rebuilds when the pair changes.
-pub struct WarmFlowBound {
-    state: Option<(NodeId, NodeId, IncrementalMaxFlow, Vec<u64>)>,
-}
-
-impl WarmFlowBound {
-    /// A bound tracker with no warm state yet.
-    pub fn new() -> Self {
-        WarmFlowBound { state: None }
-    }
-
-    /// The current `s → t` max-flow bound over `net`'s balances. Always
-    /// equal to [`static_max_flow`] on the same network (the fig11
-    /// tests assert it); consecutive calls for the same pair cost a
-    /// delta-solve.
-    pub fn bound(&mut self, net: &Network, s: NodeId, t: NodeId) -> Amount {
-        let g = net.graph();
-        let caps: Vec<u64> = g.edges().map(|(e, _, _)| net.balance(e).micros()).collect();
-        match &mut self.state {
-            Some((ws, wt, inc, last)) if *ws == s && *wt == t && last.len() == caps.len() => {
-                for (i, (&old, &new)) in last.iter().zip(&caps).enumerate() {
-                    if old != new {
-                        inc.set_capacity(pcn_graph::EdgeId(i as u32), new);
-                    }
-                }
-                *last = caps;
-                Amount::from_micros(inc.solve().value)
-            }
-            _ => {
-                let mut inc = IncrementalMaxFlow::new(g, s, t, &caps);
-                let value = inc.solve().value;
-                self.state = Some((s, t, inc, caps));
-                Amount::from_micros(value)
-            }
-        }
-    }
-}
-
-impl Default for WarmFlowBound {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Installs the Figure 9 fee distribution on a copy of the network.

@@ -14,13 +14,12 @@
 //!   enumerator, [`yen::RankedPaths`]: one rank per call, search state
 //!   kept in between (§3.3 mice routing tables take the top `m` ranks
 //!   and later "the next top shortest path" from the same enumeration).
-//! * [`maxflow`] — the max-flow subsystem behind the
-//!   [`maxflow::MaxFlowSolver`] trait, every kernel on one flat CSR
-//!   residual graph: highest-label push-relabel (the hot path), Dinic,
-//!   warm-start [`maxflow::IncrementalMaxFlow`] for repeated queries
-//!   under capacity deltas, and classic Edmonds–Karp (the
-//!   differential-testing oracle Flash's k-bounded variant is validated
-//!   against), plus min-cut extraction and path decomposition.
+//! * [`maxflow`] — max-flow ground truth behind the
+//!   [`maxflow::MaxFlowSolver`] trait, two kernels on one flat CSR
+//!   residual graph: highest-label push-relabel (what callers use) and
+//!   classic Edmonds–Karp (the differential-testing oracle it and
+//!   Flash's k-bounded variant are validated against), plus min-cut
+//!   extraction and path decomposition.
 //! * [`disjoint`] — k edge-disjoint shortest paths (Spider's path set).
 //! * [`generators`] — Watts–Strogatz (§5.2 testbed topologies),
 //!   Barabási–Albert scale-free (Ripple/Lightning-like topologies), and

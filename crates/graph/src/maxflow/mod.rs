@@ -1,87 +1,72 @@
 //! Maximum-flow kernels and flow utilities.
 //!
-//! Flash leans on max-flow in several roles — Algorithm 1 is a
-//! probe-bounded variant of it, the oracle tests validate against the
-//! true value, the Figure 11 `m = 0` sweep uses it as the mice upper
-//! bound — and the right kernel differs per role (`docs/maxflow.md` has
-//! the full selection guide):
+//! Flash's own "modified max-flow" is Algorithm 1
+//! (`flash_core::flash::elephant::find_paths`), which probes as it
+//! searches and uses none of this module. What lives here is the
+//! *ground truth* that algorithm is checked against — the oracle tests
+//! validate the probe-bounded flow against the true value, and the
+//! Figure 11 `m = 0` sweep uses it as the mice upper bound — in two
+//! kernels (`docs/maxflow.md` has the history of the ones that left):
 //!
 //! * [`push_relabel`] / [`PushRelabel`] — highest-label push-relabel
-//!   with the gap heuristic and periodic global relabeling. **This is
-//!   the hot-path kernel**: `flash-core`'s `oracle_max_flow`, the
-//!   Figure 11 `m = 0` bound, and anything run at Lightning scale
-//!   should use it. The `maxflow_bench` binary records the gap over
-//!   Edmonds–Karp in `BENCH_maxflow.json`, and `bench_gate maxflow`
-//!   fails when the fastest non-oracle kernel stops beating the oracle.
-//! * [`dinic`] / [`Dinic`] — Dinic's blocking-flow algorithm
-//!   (level-graph BFS + DFS with iterator-position memoization,
-//!   O(V²·E)). Its phase machinery doubles as the warm re-solve engine
-//!   of [`IncrementalMaxFlow`].
+//!   with the gap heuristic and periodic global relabeling. The kernel
+//!   every caller outside the tests uses: `flash-core`'s
+//!   `oracle_max_flow`, the Figure 11 `m = 0` bound, flashbench's
+//!   `graph.maxflow.push_relabel_us_p50` replay. The `maxflow_bench`
+//!   binary records its gap over Edmonds–Karp in `BENCH_maxflow.json`,
+//!   and `bench_gate maxflow` fails when it stops beating the oracle.
 //! * [`edmonds_karp`] / [`EdmondsKarp`] — the textbook BFS
 //!   augmenting-path algorithm, O(V·E²). **Kept as the differential
 //!   oracle**: its search strategy (one shortest path per BFS) is
-//!   algorithmically independent of blocking flows and preflow pushes,
-//!   so agreement across kernels on random digraphs (asserted by the
-//!   property tests below) is strong evidence all are correct. Prefer
-//!   it only in tests and tiny fixtures.
-//! * [`IncrementalMaxFlow`] — warm-start solving for repeated queries
-//!   on a slowly-changing graph (the per-payment elephant oracle):
-//!   keeps the residual graph alive, applies capacity deltas, and
-//!   re-solves from the surviving flow instead of from scratch.
+//!   algorithmically independent of preflow pushes, so agreement on
+//!   random digraphs (asserted by the property tests below) is strong
+//!   evidence both are correct. Prefer it only in tests and tiny
+//!   fixtures.
 //!
 //! # The `MaxFlowSolver` contract
 //!
-//! Every kernel implements [`MaxFlowSolver`], takes a dense `capacity`
-//! slice indexed by [`EdgeId`], and reports **net** per-edge flows:
+//! Both kernels implement [`MaxFlowSolver`], take a dense `capacity`
+//! slice indexed by [`EdgeId`], and report **net** per-edge flows:
 //! opposing flows on the two directions of a bidirectional channel are
 //! cancelled, matching how channel balances actually move. Kernels are
 //! **deterministic** (same graph + capacities ⇒ bit-identical
 //! [`MaxFlow`], with no wall-clock, hash-order, or thread dependence —
 //! pcn-lint rules D1–D3 audit this) and **panic-free** on well-formed
-//! inputs (pcn-lint P2: every `unwrap`/`expect` in the kernels carries
+//! inputs (pcn-lint P2: every `unwrap`/`expect` in this module carries
 //! a justified invariant; the only `assert!` is the capacity-table
 //! length check, a caller contract violation).
 //!
-//! # Shared residual layout
-//!
-//! All kernels run on one flat CSR residual graph (`csr.rs`): physical
-//! edge `e` owns arcs `2e` (forward) and `2e + 1` (undo), so **`arc ^ 1`
-//! is always the paired reverse arc** and `cap[2e + 1]` is the flow on
-//! `e`. Capacities are index-addressed; a solve allocates only its
-//! fixed-size arena — no per-solve HashMaps, no Vec-of-Vec adjacency.
-//!
-//! # Warm-start re-solve after a capacity delta
-//!
 //! ```
-//! use pcn_graph::maxflow::IncrementalMaxFlow;
+//! use pcn_graph::maxflow::{EdmondsKarp, MaxFlowSolver, PushRelabel};
 //! use pcn_graph::DiGraph;
 //! use pcn_types::NodeId;
 //!
 //! let mut g = DiGraph::new(3);
-//! let ab = g.add_edge(NodeId(0), NodeId(1)).unwrap();
+//! g.add_edge(NodeId(0), NodeId(1)).unwrap();
 //! g.add_edge(NodeId(1), NodeId(2)).unwrap();
-//! let mut oracle = IncrementalMaxFlow::new(&g, NodeId(0), NodeId(2), &[10, 7]);
-//! assert_eq!(oracle.solve().value, 7);
-//!
-//! // A committed payment debits 5 units from the a→b channel; the
-//! // standing flow is repaired in place and re-solved warm.
-//! oracle.set_capacity(ab, 5);
-//! assert_eq!(oracle.solve().value, 5);
+//! let flow = PushRelabel.max_flow(&g, NodeId(0), NodeId(2), &[10, 7]);
+//! assert_eq!(flow.value, 7);
+//! assert_eq!(flow.edge_flow, [7, 7]);
+//! assert_eq!(EdmondsKarp.max_flow(&g, NodeId(0), NodeId(2), &[10, 7]).value, 7);
 //! ```
+//!
+//! # Shared residual layout
+//!
+//! Both kernels run on one flat CSR residual graph (`csr.rs`): physical
+//! edge `e` owns arcs `2e` (forward) and `2e + 1` (undo), so **`arc ^ 1`
+//! is always the paired reverse arc** and `cap[2e + 1]` is the flow on
+//! `e`. Capacities are index-addressed; a solve allocates only its
+//! fixed-size arena — no per-solve HashMaps, no Vec-of-Vec adjacency.
 //!
 //! [`decompose_into_paths`] turns a finished flow into executable
 //! `(path, amount)` parts; [`min_cut_capacity`] computes the min-cut
 //! value the max-flow = min-cut property tests compare against.
 
 mod csr;
-mod dinic;
 mod edmonds_karp;
-mod incremental;
 mod push_relabel;
 
-pub use dinic::dinic;
 pub use edmonds_karp::edmonds_karp;
-pub use incremental::IncrementalMaxFlow;
 pub use push_relabel::push_relabel;
 
 use crate::{path::Path, DiGraph, EdgeId};
@@ -123,22 +108,8 @@ impl MaxFlowSolver for EdmondsKarp {
     }
 }
 
-/// The [`dinic`] kernel as a [`MaxFlowSolver`] (the hot path).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Dinic;
-
-impl MaxFlowSolver for Dinic {
-    fn name(&self) -> &'static str {
-        "dinic"
-    }
-
-    fn max_flow(&self, g: &DiGraph, s: NodeId, t: NodeId, capacity: &[u64]) -> MaxFlow {
-        dinic(g, s, t, capacity)
-    }
-}
-
-/// The [`push_relabel`] kernel as a [`MaxFlowSolver`] (the hot path —
-/// see `docs/maxflow.md` for the kernel-selection guide).
+/// The [`push_relabel`] kernel as a [`MaxFlowSolver`] (what every
+/// non-test caller uses — see `docs/maxflow.md`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PushRelabel;
 
@@ -154,7 +125,7 @@ impl MaxFlowSolver for PushRelabel {
 
 /// Cancels opposing flows on the two directions of each bidirectional
 /// channel so the reported per-edge flows are net (matches how balances
-/// actually move). Shared by every kernel and by the fee splitter.
+/// actually move). Shared by both kernels and by the fee splitter.
 pub fn cancel_opposing_flows(g: &DiGraph, flow: &mut [u64]) {
     for (e, _, _) in g.edges() {
         if let Some(r) = g.reverse_edge(e) {
@@ -305,11 +276,7 @@ mod tests {
     }
 
     fn solvers() -> Vec<Box<dyn MaxFlowSolver>> {
-        vec![
-            Box::new(EdmondsKarp),
-            Box::new(Dinic),
-            Box::new(PushRelabel),
-        ]
+        vec![Box::new(EdmondsKarp), Box::new(PushRelabel)]
     }
 
     /// CLRS figure 26.1-style network with known max flow 23.
@@ -523,126 +490,52 @@ mod tests {
             })
     }
 
-    /// Feasibility + conservation of `mf` under `cap`, shared by the
-    /// cold-kernel and warm-start property tests.
-    fn assert_feasible(
-        g: &DiGraph,
-        s: NodeId,
-        t: NodeId,
-        mf: &MaxFlow,
-        cap: &[u64],
-    ) -> Result<(), proptest::test_runner::TestCaseError> {
-        for (e, _, _) in g.edges() {
-            prop_assert!(mf.edge_flow[e.index()] <= cap[e.index()]);
-        }
-        for node in g.nodes() {
-            if node == s || node == t {
-                continue;
-            }
-            let inflow: u64 = g
-                .in_neighbors(node)
-                .iter()
-                .map(|&(_, e)| mf.edge_flow[e.index()])
-                .sum();
-            let outflow: u64 = g
-                .out_neighbors(node)
-                .iter()
-                .map(|&(_, e)| mf.edge_flow[e.index()])
-                .sum();
-            prop_assert_eq!(inflow, outflow);
-        }
-        Ok(())
-    }
-
     proptest! {
-        /// The differential suite: Dinic and push-relabel
-        /// must agree with the Edmonds–Karp oracle on flow value, and
-        /// every kernel's flow must equal its own min cut.
+        /// The differential suite: push-relabel must agree with the
+        /// Edmonds–Karp oracle on flow value, and each kernel's flow
+        /// must equal its own min cut.
         #[test]
         fn kernels_agree_and_match_min_cut((g, cap) in arb_graph()) {
             let s = NodeId(0);
             let t = NodeId(1);
             let ek = edmonds_karp(&g, s, t, &cap);
-            let di = dinic(&g, s, t, &cap);
             let pr = push_relabel(&g, s, t, &cap);
-            prop_assert_eq!(di.value, ek.value, "dinic vs oracle");
             prop_assert_eq!(pr.value, ek.value, "push-relabel vs oracle");
-            for (name, mf) in [("ek", &ek), ("di", &di), ("pr", &pr)] {
+            for (name, mf) in [("ek", &ek), ("pr", &pr)] {
                 let cut = min_cut_capacity(&g, s, mf, &cap);
                 prop_assert_eq!(mf.value, cut, "min-cut mismatch for {}", name);
             }
         }
 
-        /// Feasibility and conservation hold for every kernel's edge
+        /// Feasibility and conservation hold for each kernel's edge
         /// flows, and the decomposition reassembles the full value.
         #[test]
         fn flows_are_feasible_and_decomposable((g, cap) in arb_graph()) {
             let s = NodeId(0);
             let t = NodeId(1);
-            for mf in [
-                edmonds_karp(&g, s, t, &cap),
-                dinic(&g, s, t, &cap),
-                push_relabel(&g, s, t, &cap),
-            ] {
-                assert_feasible(&g, s, t, &mf, &cap)?;
+            for mf in [edmonds_karp(&g, s, t, &cap), push_relabel(&g, s, t, &cap)] {
+                for (e, _, _) in g.edges() {
+                    prop_assert!(mf.edge_flow[e.index()] <= cap[e.index()]);
+                }
+                for node in g.nodes() {
+                    if node == s || node == t {
+                        continue;
+                    }
+                    let inflow: u64 = g
+                        .in_neighbors(node)
+                        .iter()
+                        .map(|&(_, e)| mf.edge_flow[e.index()])
+                        .sum();
+                    let outflow: u64 = g
+                        .out_neighbors(node)
+                        .iter()
+                        .map(|&(_, e)| mf.edge_flow[e.index()])
+                        .sum();
+                    prop_assert_eq!(inflow, outflow);
+                }
                 let parts = decompose_into_paths(&g, s, t, &mf);
                 let total: u64 = parts.iter().map(|(_, f)| f).sum();
                 prop_assert_eq!(total, mf.value);
-            }
-        }
-
-        /// Warm-start equivalence: after an arbitrary sequence of
-        /// capacity deltas (increases, slack-only decreases, and
-        /// flow-clamping decreases), the incremental solver's value
-        /// matches a cold solve by *every* kernel on the mutated
-        /// capacities, and its flow is feasible and conserving.
-        #[test]
-        fn warm_start_matches_cold_after_deltas(
-            (g, cap) in arb_graph(),
-            deltas in proptest::collection::vec((0usize..64, 0u64..60), 0..16),
-        ) {
-            let s = NodeId(0);
-            let t = NodeId(1);
-            let mut inc = IncrementalMaxFlow::new(&g, s, t, &cap);
-            let mut cur = cap.clone();
-            for (ei, c) in deltas {
-                if cur.is_empty() {
-                    break;
-                }
-                let e = EdgeId((ei % cur.len()) as u32);
-                inc.set_capacity(e, c);
-                cur[e.index()] = c;
-                prop_assert_eq!(inc.capacity(e), c);
-            }
-            let warm = inc.solve();
-            for solver in solvers() {
-                let cold = solver.max_flow(&g, s, t, &cur);
-                prop_assert_eq!(
-                    warm.value, cold.value,
-                    "warm vs cold {}", solver.name()
-                );
-            }
-            assert_feasible(&g, s, t, &warm, &cur)?;
-            let cut = min_cut_capacity(&g, s, &warm, &cur);
-            prop_assert_eq!(warm.value, cut);
-        }
-
-        /// Zero deltas ⇒ a repeated solve is bit-identical to the first
-        /// (the cached result is returned, no search runs).
-        #[test]
-        fn zero_delta_resolve_is_bit_identical((g, cap) in arb_graph()) {
-            let mut inc = IncrementalMaxFlow::new(&g, NodeId(0), NodeId(1), &cap);
-            let first = inc.solve();
-            let again = inc.solve();
-            prop_assert_eq!(first.value, again.value);
-            prop_assert_eq!(&first.edge_flow, &again.edge_flow);
-            // A genuine no-op delta (same capacity) must not invalidate
-            // the cache either.
-            if !cap.is_empty() {
-                inc.set_capacity(EdgeId(0), cap[0]);
-                let still = inc.solve();
-                prop_assert_eq!(first.value, still.value);
-                prop_assert_eq!(&first.edge_flow, &still.edge_flow);
             }
         }
     }

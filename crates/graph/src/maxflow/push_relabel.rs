@@ -18,7 +18,7 @@
 //! (conservation holds everywhere), not just a min-cut preflow. Worst
 //! case O(V²·√E); in practice the discharge count on the paper's
 //! small-world / scale-free graphs is near-linear and the kernel beats
-//! both Dinic and Edmonds–Karp (see `BENCH_maxflow.json`).
+//! Edmonds–Karp (see `BENCH_maxflow.json`).
 //!
 //! Selection is deterministic: buckets are plain `Vec` stacks, scanned
 //! highest-first, and the CSR arc order fixes every push order.
@@ -31,9 +31,9 @@ use std::collections::VecDeque;
 
 /// Computes the maximum `s → t` flow with highest-label push-relabel.
 ///
-/// Same contract as [`super::edmonds_karp`] and [`super::dinic`]:
-/// `capacity` is indexed by [`crate::EdgeId`] and the returned per-edge
-/// flows are net (opposing flows on bidirectional channels cancelled).
+/// Same contract as [`super::edmonds_karp`]: `capacity` is indexed by
+/// [`crate::EdgeId`] and the returned per-edge flows are net (opposing
+/// flows on bidirectional channels cancelled).
 pub fn push_relabel(g: &DiGraph, s: NodeId, t: NodeId, capacity: &[u64]) -> MaxFlow {
     assert_eq!(
         capacity.len(),
@@ -44,7 +44,7 @@ pub fn push_relabel(g: &DiGraph, s: NodeId, t: NodeId, capacity: &[u64]) -> MaxF
     if s == t || s.index() >= n || t.index() >= n {
         return MaxFlow {
             value: 0,
-            edge_flow: vec![0; g.edge_count()], // pcn-lint: allow(hot-alloc) — degenerate-query result, once per solve
+            edge_flow: vec![0; g.edge_count()],
         };
     }
     let mut r = CsrResidual::build(g, capacity);
@@ -88,14 +88,14 @@ impl HiLevel {
             n,
             s,
             t,
-            height: vec![0; n], // pcn-lint: allow(hot-alloc) — per-solve arena, sized once
-            excess: vec![0; n], // pcn-lint: allow(hot-alloc) — per-solve arena, sized once
-            cur: vec![0; n],    // pcn-lint: allow(hot-alloc) — per-solve arena, sized once
-            buckets: vec![Vec::new(); 2 * n + 1], // pcn-lint: allow(hot-alloc) — per-solve arena, sized once
-            count: vec![0; 2 * n + 1], // pcn-lint: allow(hot-alloc) — per-solve arena, sized once
+            height: vec![0; n],
+            excess: vec![0; n],
+            cur: vec![0; n],
+            buckets: vec![Vec::new(); 2 * n + 1],
+            count: vec![0; 2 * n + 1],
             highest: 0,
             since_update: 0,
-            frontier: VecDeque::with_capacity(n), // pcn-lint: allow(hot-alloc) — per-solve BFS frontier, reused across updates
+            frontier: VecDeque::with_capacity(n),
         }
     }
 

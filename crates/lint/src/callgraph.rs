@@ -35,8 +35,8 @@
 //! * **Cross-crate calls**: resolution is per-crate, so
 //!   `DesEngine::run → Router::route` (pcn-sim → flash-core) is
 //!   invisible. Hot roots must therefore be marked per crate — the
-//!   DES session/network entry points and the Dinic kernel each carry
-//!   their own `// pcn-lint: hot`.
+//!   DES session/network entry points and the testbed reactor each
+//!   carry their own `// pcn-lint: hot`.
 //! * **Function-pointer / closure indirection**: `(self.make)(…)` and
 //!   values passed as `fn` arguments (`schedule(Settle::commit)`)
 //!   produce no edge.

@@ -7,7 +7,8 @@
 //! `#![proptest_config(...)]` and `name: Type` shorthand parameters), and
 //! the `prop_assert*` / `prop_assume!` macros. Cases are generated from a
 //! deterministic seed (override with `PROPTEST_SEED`); there is no
-//! shrinking.
+//! shrinking, so a failing case reports that seed and the `Debug` of the
+//! inputs it drew.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -294,15 +295,19 @@ pub mod test_runner {
         }
     }
 
-    /// Creates the deterministic per-test generator
-    /// (seed from `PROPTEST_SEED` if set).
-    pub fn new_rng() -> TestRng {
-        use rand::SeedableRng;
-        let seed = std::env::var("PROPTEST_SEED")
+    /// The seed every test's generator starts from: `PROPTEST_SEED` if
+    /// set, a fixed default otherwise. A failing case reports it.
+    pub fn seed() -> u64 {
+        std::env::var("PROPTEST_SEED")
             .ok()
             .and_then(|v| v.parse().ok())
-            .unwrap_or(0x5EED_CA5E_u64);
-        TestRng::seed_from_u64(seed)
+            .unwrap_or(0x5EED_CA5E_u64)
+    }
+
+    /// Creates the deterministic per-test generator from [`seed`].
+    pub fn new_rng() -> TestRng {
+        use rand::SeedableRng;
+        TestRng::seed_from_u64(seed())
     }
 }
 
@@ -393,6 +398,9 @@ macro_rules! __proptest_body {
                 );
                 break;
             }
+            // Kept so a failure can draw the same inputs again to show
+            // them (the body consumes the first draw).
+            let mut __rng_at_case = __rng.clone();
             let ($($pat,)*) = ($( $crate::strategy::Strategy::sample(&($strat), &mut __rng), )*);
             let __result: ::core::result::Result<(), $crate::test_runner::TestCaseError> =
                 (|| {
@@ -405,7 +413,15 @@ macro_rules! __proptest_body {
                 }
                 ::core::result::Result::Err($crate::test_runner::TestCaseError::Reject) => {}
                 ::core::result::Result::Err($crate::test_runner::TestCaseError::Fail(__msg)) => {
-                    panic!("proptest case #{} failed: {}", __done + 1, __msg);
+                    let __inputs =
+                        ($( $crate::strategy::Strategy::sample(&($strat), &mut __rng_at_case), )*);
+                    panic!(
+                        "proptest case #{} failed (PROPTEST_SEED={}): {}\n inputs: {:?}",
+                        __done + 1,
+                        $crate::test_runner::seed(),
+                        __msg,
+                        __inputs
+                    );
                 }
             }
         }
@@ -514,6 +530,23 @@ mod tests {
             prop_assume!(x % 2 == 0);
             prop_assert!(x % 2 == 0);
         }
+    }
+
+    #[test]
+    fn failure_reports_seed_and_inputs() {
+        proptest! {
+            fn always_fails(x in 40u32..41, v in crate::collection::vec(7u8..8, 2)) {
+                prop_assert!(x + u32::from(v[0]) == 0, "never holds");
+            }
+        }
+        let panic = std::panic::catch_unwind(always_fails).expect_err("the property fails");
+        let message = panic
+            .downcast_ref::<String>()
+            .expect("panic! with a format string");
+        let seed = format!("PROPTEST_SEED={}", crate::test_runner::seed());
+        assert!(message.contains(&seed), "{message}");
+        assert!(message.contains("never holds"), "{message}");
+        assert!(message.contains("inputs: (40, [7, 7])"), "{message}");
     }
 
     #[test]
