@@ -1,11 +1,23 @@
 //! The record schema of each `BENCH_*.json` family — one struct per
-//! family, written by its bench binary and read back by [`crate::gate`].
+//! family, produced by its `records` function and parsed back from the
+//! committed file by `tests/committed.rs`.
 //!
 //! Fields added after a family's first committed artifact carry
-//! `#[serde(default)]`, so historical artifacts (and the gate's own
+//! `#[serde(default)]`, so historical artifacts (and the shape rules'
 //! rejection fixtures) still parse; a missing field reads as zero.
 
 use serde::{Deserialize, Serialize};
+
+/// What [`crate::differences`] needs to know about a family's record.
+pub trait Record: Serialize + for<'de> Deserialize<'de> {
+    /// The fields measured on the host clock — everything else
+    /// reproduces bit for bit and is compared by equality.
+    const WALL_FIELDS: &'static [&'static str];
+
+    /// How findings name the record (`Flash @ 50 pps`); unique within
+    /// one file.
+    fn label(&self) -> String;
+}
 
 /// One record of `BENCH_e2e.json`: one (scheme, offered-load) point of
 /// the load sweep on the discrete-event engine.
@@ -52,12 +64,19 @@ pub struct E2eRecord {
     pub events: u64,
     /// Virtual makespan, ms.
     pub virtual_makespan_ms: f64,
-    /// Wall-clock cost of the simulation, ns (not gated).
+    /// Wall-clock cost of the simulation, ns.
     pub wall_ns: u64,
-    /// Engine events processed per wall-clock second. Wall-derived, so
-    /// the gate only warns on it (CI hardware varies).
+    /// Engine events processed per wall-clock second.
     #[serde(default)]
     pub events_per_sec: f64,
+}
+
+impl Record for E2eRecord {
+    const WALL_FIELDS: &'static [&'static str] = &["wall_ns", "events_per_sec"];
+
+    fn label(&self) -> String {
+        format!("{} @ {} pps", self.scheme, self.offered_pps)
+    }
 }
 
 /// One record of `BENCH_churn.json`: one (scheme, churn-rate) point of
@@ -92,9 +111,17 @@ pub struct ChurnRecord {
     /// Threshold-triggered re-probes across all routers.
     #[serde(default)]
     pub reprobes_triggered: u64,
-    /// Wall-clock cost of the simulation, ns (not gated).
+    /// Wall-clock cost of the simulation, ns.
     #[serde(default)]
     pub wall_ns: u64,
+}
+
+impl Record for ChurnRecord {
+    const WALL_FIELDS: &'static [&'static str] = &["wall_ns"];
+
+    fn label(&self) -> String {
+        format!("{} @ {} closes/s", self.scheme, self.closes_per_sec)
+    }
 }
 
 /// One record of `BENCH_maxflow.json`: one (topology, kernel) timing.
@@ -112,16 +139,25 @@ pub struct MaxflowRecord {
     pub pairs: usize,
     /// Timed iterations per pair.
     pub iters_per_pair: usize,
-    /// Mean wall time per pair, ns (warn-only: CI hardware varies).
+    /// Mean wall time per pair, ns.
     pub mean_ns_per_pair: u64,
-    /// Sum of flow values over the pairs (deterministic; hard-gated).
+    /// Sum of flow values over the pairs.
     pub total_flow: u64,
+}
+
+impl Record for MaxflowRecord {
+    const WALL_FIELDS: &'static [&'static str] = &["mean_ns_per_pair"];
+
+    fn label(&self) -> String {
+        format!("{} / {}", self.topology, self.kernel)
+    }
 }
 
 /// One record of `BENCH_testbed.json`: one (scheme, scale) scenario run
 /// on the event-loop TCP cluster. Everything but the wall-derived
-/// fields (`events_per_sec`, `wall_ns`, the last digits of
-/// `socket_ops_per_frame`) is deterministic for a zero-fault scenario.
+/// fields (`events_per_sec`, `wall_ns`, and `socket_ops_per_frame`,
+/// which counts reads the kernel answered `WouldBlock`) is
+/// deterministic for a zero-fault scenario.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TestbedRecord {
     /// Scheme label (`Flash`, `Shortest Path`, …).
@@ -154,14 +190,23 @@ pub struct TestbedRecord {
     /// Largest per-connection frame-queue high-water mark.
     #[serde(default)]
     pub queue_high_water: u64,
-    /// Wire frames received per wall second (warn-only: CI varies).
+    /// Wire frames received per wall second.
     #[serde(default)]
     pub events_per_sec: f64,
-    /// Wall-clock cost of the run, ns (not gated).
+    /// Wall-clock cost of the run, ns.
     #[serde(default)]
     pub wall_ns: u64,
     /// `accept`/`read`/`write` calls the reactor issued per wire frame
     /// received (0 in artifacts older than the counter).
     #[serde(default)]
     pub socket_ops_per_frame: f64,
+}
+
+impl Record for TestbedRecord {
+    const WALL_FIELDS: &'static [&'static str] =
+        &["wall_ns", "events_per_sec", "socket_ops_per_frame"];
+
+    fn label(&self) -> String {
+        format!("{} @ {} nodes", self.scheme, self.nodes)
+    }
 }

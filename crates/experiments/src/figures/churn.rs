@@ -14,7 +14,7 @@
 //! virtual second across the network); node crashes and balance drains
 //! ride along at a tenth of it, and [`CHURN_DOWNTIME_SECS`] keeps
 //! everything that fails down for the rest of the run, so success must
-//! fall monotonically with the rate — the shape `bench_gate churn`
+//! fall monotonically with the rate — the shape `flash_bench::shape`
 //! enforces on the committed `BENCH_churn.json`.
 //!
 //! **Why SpeedyMurmurs and SilentWhispers show `reprobes_triggered: 0`

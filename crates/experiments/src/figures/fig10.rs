@@ -2,15 +2,18 @@
 //! and probing messages as the percentage of payments classified as
 //! mice sweeps 0% → 100%.
 
-use crate::harness::{run_scheme, Effort, Topo};
+use crate::harness::{run_scheme, sim_point, Effort, Topo};
 use crate::report::{FigureResult, Series};
 use flash_core::Scheme;
+
+const SEED: u64 = 500;
 
 /// Regenerates Figures 10a (Ripple) and 10b (Lightning).
 pub fn run(effort: Effort) -> Vec<FigureResult> {
     let fractions: &[f64] = match effort {
         Effort::Quick => &[0.0, 0.5, 0.9, 1.0],
-        // Paper: 0%..100% in 10% steps; 6 representative points here.
+        // Paper: 0%..100% in 10% steps; both extremes and the default
+        // 90% here.
         Effort::Paper => &[0.0, 0.9, 1.0],
     };
     let mut out = Vec::new();
@@ -23,20 +26,11 @@ pub fn run(effort: Effort) -> Vec<FigureResult> {
         );
         let mut vol = Series::new("Succ. Volume");
         let mut probes = Series::new("Probing Messages");
+        let (net, trace) = sim_point(topo, effort, 10, effort.txns(), SEED, SEED + 61);
         for &frac in fractions {
-            let runs = effort.runs();
-            let (mut vol_acc, mut probe_acc) = (0.0, 0.0);
-            for r in 0..runs {
-                let seed = 500 + 1000 * r;
-                let mut net = topo.build_network(effort, seed);
-                net.scale_balances(10);
-                let trace = topo.build_trace(&net, effort.txns(), seed + 61);
-                let m = run_scheme(&net, Scheme::Flash, &trace, frac, seed);
-                vol_acc += m.success_volume().as_units_f64();
-                probe_acc += m.probe_messages as f64;
-            }
-            vol.push(frac * 100.0, vol_acc / runs as f64);
-            probes.push(frac * 100.0, probe_acc / runs as f64);
+            let m = run_scheme(&net, Scheme::Flash, &trace, frac, SEED);
+            vol.push(frac * 100.0, m.success_volume().as_units_f64());
+            probes.push(frac * 100.0, m.probe_messages as f64);
         }
         fig.series.push(vol);
         fig.series.push(probes);

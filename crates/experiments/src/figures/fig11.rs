@@ -12,11 +12,13 @@
 //! kernel). The tests below pin that bound against the pristine network
 //! and check push-relabel against the Edmonds–Karp oracle on it.
 
-use crate::harness::{run_scheme, Effort, Topo, DEFAULT_MICE_FRACTION};
+use crate::harness::{run_scheme, sim_point, Effort, Topo, DEFAULT_MICE_FRACTION};
 use crate::report::{FigureResult, Series};
 use flash_core::classify::threshold_for_mice_fraction;
 use flash_core::Scheme;
 use pcn_types::Amount;
+
+const SEED: u64 = 600;
 
 /// Regenerates Figures 11a and 11b.
 pub fn run(effort: Effort) -> Vec<FigureResult> {
@@ -38,28 +40,19 @@ pub fn run(effort: Effort) -> Vec<FigureResult> {
     );
     let mut vol = Series::new("Flash");
     let mut probes = Series::new("Flash");
+    let (net, full_trace) = sim_point(Topo::Ripple, effort, 10, effort.txns(), SEED, SEED + 71);
+    // Mice-only replay.
+    let amounts: Vec<Amount> = full_trace.iter().map(|p| p.amount).collect();
+    let threshold = threshold_for_mice_fraction(&amounts, DEFAULT_MICE_FRACTION);
+    let mice_trace: Vec<_> = full_trace
+        .iter()
+        .filter(|p| p.classify(threshold).is_mice())
+        .copied()
+        .collect();
     for &m in ms {
-        let runs = effort.runs();
-        let (mut vol_acc, mut probe_acc) = (0.0, 0.0);
-        for r in 0..runs {
-            let seed = 600 + 1000 * r;
-            let mut net = Topo::Ripple.build_network(effort, seed);
-            net.scale_balances(10);
-            let full_trace = Topo::Ripple.build_trace(&net, effort.txns(), seed + 71);
-            // Mice-only replay.
-            let amounts: Vec<Amount> = full_trace.iter().map(|p| p.amount).collect();
-            let threshold = threshold_for_mice_fraction(&amounts, DEFAULT_MICE_FRACTION);
-            let mice_trace: Vec<_> = full_trace
-                .iter()
-                .filter(|p| p.classify(threshold).is_mice())
-                .copied()
-                .collect();
-            let metrics = run_scheme(&net, Scheme::FlashWithM(m), &mice_trace, 1.0, seed);
-            vol_acc += metrics.success_volume().as_units_f64();
-            probe_acc += metrics.probe_messages as f64;
-        }
-        vol.push(m as f64, vol_acc / runs as f64);
-        probes.push(m as f64, probe_acc / runs as f64);
+        let metrics = run_scheme(&net, Scheme::FlashWithM(m), &mice_trace, 1.0, SEED);
+        vol.push(m as f64, metrics.success_volume().as_units_f64());
+        probes.push(m as f64, metrics.probe_messages as f64);
     }
     fig_vol.series.push(vol);
     fig_probe.series.push(probes);

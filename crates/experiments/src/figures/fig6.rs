@@ -1,7 +1,7 @@
 //! Figure 6: success ratio and success volume vs. capacity scale factor
 //! (1–60), Ripple and Lightning, 2,000 transactions, four schemes.
 
-use crate::harness::{run_scheme, Effort, Topo, DEFAULT_MICE_FRACTION};
+use crate::harness::{run_scheme, sim_point, Effort, Topo, DEFAULT_MICE_FRACTION};
 use crate::report::{FigureResult, Series};
 use flash_core::Scheme;
 
@@ -13,12 +13,14 @@ pub const SCHEMES: [Scheme; 4] = [
     Scheme::ShortestPath,
 ];
 
+const SEED: u64 = 100;
+
 /// Regenerates Figures 6a–6d.
 pub fn run(effort: Effort) -> Vec<FigureResult> {
     let scales: &[u64] = match effort {
         Effort::Quick => &[1, 10, 40],
         // The paper sweeps {1,10,20,30,40,50,60}; the reproduction
-        // keeps the endpoints and shape with 5 points.
+        // keeps the endpoints and the knee at 10.
         Effort::Paper => &[1, 10, 60],
     };
     let mut out = Vec::new();
@@ -38,21 +40,22 @@ pub fn run(effort: Effort) -> Vec<FigureResult> {
             "capacity scale factor",
             "success volume (native units)",
         );
+        let points: Vec<_> = scales
+            .iter()
+            .map(|&scale| {
+                (
+                    scale,
+                    sim_point(topo, effort, scale, effort.txns(), SEED, SEED + 17),
+                )
+            })
+            .collect();
         for scheme in SCHEMES {
             let mut s_ratio = Series::new(scheme.label());
             let mut s_vol = Series::new(scheme.label());
-            for &scale in scales {
-                let (mut ratio_acc, mut vol_acc) = (0.0, 0.0);
-                let runs = effort.runs();
-                for r in 0..runs {
-                    let seed = 100 + 1000 * r;
-                    let (net, trace) = build(topo, effort, scale, seed);
-                    let m = run_scheme(&net, scheme, &trace, DEFAULT_MICE_FRACTION, seed);
-                    ratio_acc += m.success_ratio() * 100.0;
-                    vol_acc += m.success_volume().as_units_f64();
-                }
-                s_ratio.push(scale as f64, ratio_acc / runs as f64);
-                s_vol.push(scale as f64, vol_acc / runs as f64);
+            for (scale, (net, trace)) in &points {
+                let m = run_scheme(net, scheme, trace, DEFAULT_MICE_FRACTION, SEED);
+                s_ratio.push(*scale as f64, m.success_ratio() * 100.0);
+                s_vol.push(*scale as f64, m.success_volume().as_units_f64());
             }
             fig_ratio.series.push(s_ratio);
             fig_vol.series.push(s_vol);
@@ -61,18 +64,6 @@ pub fn run(effort: Effort) -> Vec<FigureResult> {
         out.push(fig_vol);
     }
     out
-}
-
-fn build(
-    topo: Topo,
-    effort: Effort,
-    scale: u64,
-    seed: u64,
-) -> (pcn_sim::Network, Vec<pcn_types::Payment>) {
-    let mut net = topo.build_network(effort, seed);
-    net.scale_balances(scale);
-    let trace = topo.build_trace(&net, effort.txns(), seed + 17);
-    (net, trace)
 }
 
 #[cfg(test)]

@@ -2,14 +2,16 @@
 //! (1,000–6,000) at capacity scale factor 10.
 
 use super::fig6::SCHEMES;
-use crate::harness::{run_scheme, Effort, Topo, DEFAULT_MICE_FRACTION};
+use crate::harness::{run_scheme, sim_point, Effort, Topo, DEFAULT_MICE_FRACTION};
 use crate::report::{FigureResult, Series};
+
+const SEED: u64 = 200;
 
 /// Regenerates Figures 7a–7d.
 pub fn run(effort: Effort) -> Vec<FigureResult> {
     let txn_counts: &[usize] = match effort {
         Effort::Quick => &[200, 600],
-        // Paper: {1000..6000 step 1000}; endpoints + midpoint here.
+        // Paper: {1000..6000 step 1000}; the two lightest loads here.
         Effort::Paper => &[1000, 2000],
     };
     let mut out = Vec::new();
@@ -29,23 +31,17 @@ pub fn run(effort: Effort) -> Vec<FigureResult> {
             "number of transactions",
             "success volume (native units)",
         );
+        let points: Vec<_> = txn_counts
+            .iter()
+            .map(|&txns| (txns, sim_point(topo, effort, 10, txns, SEED, SEED + 31)))
+            .collect();
         for scheme in SCHEMES {
             let mut s_ratio = Series::new(scheme.label());
             let mut s_vol = Series::new(scheme.label());
-            for &txns in txn_counts {
-                let (mut ratio_acc, mut vol_acc) = (0.0, 0.0);
-                let runs = effort.runs();
-                for r in 0..runs {
-                    let seed = 200 + 1000 * r;
-                    let mut net = topo.build_network(effort, seed);
-                    net.scale_balances(10);
-                    let trace = topo.build_trace(&net, txns, seed + 31);
-                    let m = run_scheme(&net, scheme, &trace, DEFAULT_MICE_FRACTION, seed);
-                    ratio_acc += m.success_ratio() * 100.0;
-                    vol_acc += m.success_volume().as_units_f64();
-                }
-                s_ratio.push(txns as f64, ratio_acc / runs as f64);
-                s_vol.push(txns as f64, vol_acc / runs as f64);
+            for (txns, (net, trace)) in &points {
+                let m = run_scheme(net, scheme, trace, DEFAULT_MICE_FRACTION, SEED);
+                s_ratio.push(*txns as f64, m.success_ratio() * 100.0);
+                s_vol.push(*txns as f64, m.success_volume().as_units_f64());
             }
             fig_ratio.series.push(s_ratio);
             fig_vol.series.push(s_vol);

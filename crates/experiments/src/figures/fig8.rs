@@ -2,9 +2,11 @@
 //! transactions, capacity scale factor 10). SpeedyMurmurs and SP are
 //! static schemes with zero probes and are excluded, as in the paper.
 
-use crate::harness::{run_scheme, Effort, Topo, DEFAULT_MICE_FRACTION};
+use crate::harness::{run_scheme, sim_point, Effort, Topo, DEFAULT_MICE_FRACTION};
 use crate::report::{FigureResult, Series};
 use flash_core::Scheme;
+
+const SEED: u64 = 300;
 
 /// Regenerates Figures 8a (Ripple) and 8b (Lightning). X encodes the
 /// scheme index (0 = Flash, 1 = Spider) since the paper plots bars.
@@ -17,19 +19,11 @@ pub fn run(effort: Effort) -> Vec<FigureResult> {
             "scheme (0=Flash, 1=Spider)",
             "number of probing messages",
         );
+        let (net, trace) = sim_point(topo, effort, 10, effort.txns(), SEED, SEED + 41);
         for (x, scheme) in [(0.0, Scheme::Flash), (1.0, Scheme::Spider)] {
-            let runs = effort.runs();
-            let mut acc = 0.0;
-            for r in 0..runs {
-                let seed = 300 + 1000 * r;
-                let mut net = topo.build_network(effort, seed);
-                net.scale_balances(10);
-                let trace = topo.build_trace(&net, effort.txns(), seed + 41);
-                let m = run_scheme(&net, scheme, &trace, DEFAULT_MICE_FRACTION, seed);
-                acc += m.probe_messages as f64;
-            }
+            let m = run_scheme(&net, scheme, &trace, DEFAULT_MICE_FRACTION, SEED);
             let mut s = Series::new(scheme.label());
-            s.push(x, acc / runs as f64);
+            s.push(x, m.probe_messages as f64);
             fig.series.push(s);
         }
         out.push(fig);

@@ -3,9 +3,11 @@
 //! 2,000 / 4,000 transactions, with the paper's fee distribution (90%
 //! of channels at 0.1–1%, 10% at 1–10%).
 
-use crate::harness::{run_scheme, with_paper_fees, Effort, Topo, DEFAULT_MICE_FRACTION};
+use crate::harness::{run_scheme, sim_point, with_paper_fees, Effort, Topo, DEFAULT_MICE_FRACTION};
 use crate::report::{FigureResult, Series};
 use flash_core::Scheme;
+
+const SEED: u64 = 400;
 
 /// Regenerates Figures 9a (Lightning) and 9b (Ripple).
 pub fn run(effort: Effort) -> Vec<FigureResult> {
@@ -25,27 +27,15 @@ pub fn run(effort: Effort) -> Vec<FigureResult> {
         let mut with_opt = Series::new("w/ optimization");
         let mut without_opt = Series::new("w/o optimization");
         for &txns in txn_counts {
-            let runs = effort.runs();
-            let (mut acc_with, mut acc_without) = (0.0, 0.0);
-            for r in 0..runs {
-                let seed = 400 + 1000 * r;
-                let mut net = topo.build_network(effort, seed);
-                net.scale_balances(10);
-                let net = with_paper_fees(&net, seed + 5);
-                let trace = topo.build_trace(&net, txns, seed + 51);
-                let m_with = run_scheme(&net, Scheme::Flash, &trace, DEFAULT_MICE_FRACTION, seed);
-                let m_without = run_scheme(
-                    &net,
-                    Scheme::FlashNoFeeOpt,
-                    &trace,
-                    DEFAULT_MICE_FRACTION,
-                    seed,
-                );
-                acc_with += m_with.fee_ratio_percent();
-                acc_without += m_without.fee_ratio_percent();
+            let (net, trace) = sim_point(topo, effort, 10, txns, SEED, SEED + 51);
+            let net = with_paper_fees(&net, SEED + 5);
+            for (scheme, series) in [
+                (Scheme::Flash, &mut with_opt),
+                (Scheme::FlashNoFeeOpt, &mut without_opt),
+            ] {
+                let m = run_scheme(&net, scheme, &trace, DEFAULT_MICE_FRACTION, SEED);
+                series.push(txns as f64, m.fee_ratio_percent());
             }
-            with_opt.push(txns as f64, acc_with / runs as f64);
-            without_opt.push(txns as f64, acc_without / runs as f64);
         }
         fig.series.push(with_opt);
         fig.series.push(without_opt);

@@ -27,7 +27,7 @@
 //! success side. (Before service queues existed, `lat_b` was nearly
 //! flat across a 16× load spread — the committed `BENCH_e2e.json`
 //! even recorded bit-identical percentiles at 50 and 400 pps, which is
-//! exactly the physical suspicion the CI `bench_gate` now rejects.)
+//! exactly the physical suspicion `flash_bench::shape` now rejects.)
 
 use crate::harness::{des_sweep, DesLoad, Effort, SweepPoint};
 use crate::report::{FigureResult, Series};

@@ -8,7 +8,7 @@ use pcn_sim::{
     ChurnRate, DesConfig, DesEngine, DesNetwork, DesReport, LatencyModel, Metrics, Network,
     ServiceModel, SimTime,
 };
-use pcn_types::{Amount, FeePolicy, NodeId, Payment};
+use pcn_types::{Amount, NodeId, Payment};
 use pcn_workload::trace::{generate_trace, TraceConfig};
 use pcn_workload::{lightning_topology, ripple_topology};
 
@@ -18,24 +18,16 @@ pub enum Effort {
     /// Scaled-down configuration for CI/tests: ~150-node topology, short
     /// traces, a single seed.
     Quick,
-    /// The paper-scale configuration (full topologies, 5 seeds where the
-    /// paper averages over 5 runs).
+    /// The paper-scale configuration (full topologies). The paper
+    /// averages 5 runs; this reproduction plots one seeded run per
+    /// point (the harness is deterministic, and the single-core budget
+    /// of the reproduction environment cannot afford 5× the full
+    /// sweeps — run-to-run variance is covered by the quick-scale test
+    /// suite).
     Paper,
 }
 
 impl Effort {
-    /// Number of independent runs to average. The paper averages 5
-    /// runs; this reproduction uses one seeded run at paper scale (the
-    /// harness is deterministic, and the single-core budget of the
-    /// reproduction environment cannot afford 5× the full sweeps —
-    /// run-to-run variance is covered by the quick-scale test suite).
-    pub fn runs(self) -> u64 {
-        match self {
-            Effort::Quick => 1,
-            Effort::Paper => 1,
-        }
-    }
-
     /// Default transaction count. The paper fixes 2,000 for most
     /// simulation figures; the paper-scale reproduction uses 1,000 on
     /// the full topologies to fit the single-core time budget (the
@@ -114,6 +106,24 @@ fn seed_quick_funds(net: &mut Network, median: f64, seed: u64) {
             net.set_balance(r, b);
         }
     }
+}
+
+/// The network and trace of one simulator figure point — the setup
+/// Figures 6–11 share: the `topo` topology at `effort` scale from
+/// `seed`, every balance multiplied by the capacity `scale` factor, and
+/// a `txns`-long trace in the topology's currency from `trace_seed`.
+pub fn sim_point(
+    topo: Topo,
+    effort: Effort,
+    scale: u64,
+    txns: usize,
+    seed: u64,
+    trace_seed: u64,
+) -> (Network, Vec<Payment>) {
+    let mut net = topo.build_network(effort, seed);
+    net.scale_balances(scale);
+    let trace = topo.build_trace(&net, txns, trace_seed);
+    (net, trace)
 }
 
 /// The fraction of payments classified as mice in the default setup
@@ -270,16 +280,6 @@ pub fn static_max_flow(net: &Network, s: NodeId, t: NodeId) -> Amount {
 pub fn with_paper_fees(net: &Network, seed: u64) -> Network {
     let mut net = net.clone();
     pcn_workload::topology::assign_paper_fees(&mut net, seed);
-    net
-}
-
-/// Uniform-fee helper for ablations.
-pub fn with_uniform_fees(net: &Network, ppm: u64) -> Network {
-    let mut net = net.clone();
-    let edges: Vec<_> = net.graph().edges().map(|(e, _, _)| e).collect();
-    for e in edges {
-        net.set_fee_policy(e, FeePolicy::proportional(ppm));
-    }
     net
 }
 

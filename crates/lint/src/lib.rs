@@ -14,8 +14,8 @@
 //! parallel DES on the roadmap, the invariants behind every
 //! differential test (same-seed bit-identical `DesReport`s,
 //! zero-latency DES ≡ instantaneous simulator, svc=0 ≡ committed
-//! bench) need enforcement on every PR — the same way `bench_gate`
-//! enforces bench shapes.
+//! bench) need enforcement on every PR — the same way
+//! `flash_bench::shape` enforces bench shapes.
 //!
 //! ## What it does
 //!
@@ -50,9 +50,10 @@
 //! rules. [`audit_workspace`] keeps the justified findings (for the
 //! `--json` report); [`lint_workspace`] returns violations only.
 //!
-//! Run it locally with `cargo run -p pcn-lint --bin det_lint -- --workspace`;
-//! CI runs the same command and surfaces findings as inline
-//! `::error file=…,line=…` PR annotations plus a JSONL artifact.
+//! Run it locally with `cargo run -p pcn-lint --release -- --workspace`
+//! (`det_lint` is the package's only binary); CI runs the same command
+//! and surfaces findings as inline `::error file=…,line=…` PR
+//! annotations plus a JSONL artifact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
