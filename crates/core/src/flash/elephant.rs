@@ -9,11 +9,24 @@
 //! per channel, and the loop stops after at most `k` paths or when the
 //! accumulated flow covers the demand.
 
-use pcn_graph::{bfs, DiGraph, EdgeId, Path};
+use pcn_graph::bfs::{self, BfsScratch};
+use pcn_graph::{DiGraph, EdgeId, Path};
 use pcn_sim::PaymentNetwork;
 use pcn_types::{Amount, FeePolicy, NodeId};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+
+/// What the first probe to report a channel direction saw of it — the
+/// entries of the capacity matrix `C` and the fees Algorithm 1 collects
+/// (lines 17–22). Later probes of the same direction do not overwrite it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Hop {
+    /// First-probe capacity of this hop's edge.
+    pub capacity: Amount,
+    /// Fee policy of this hop's edge.
+    pub fee: FeePolicy,
+    /// The opposite direction and its first-probe capacity, when the
+    /// probe reported one.
+    pub reverse: Option<(EdgeId, Amount)>,
+}
 
 /// The outcome of the path-finding phase for one elephant payment.
 #[derive(Clone, Debug)]
@@ -24,16 +37,127 @@ pub struct ElephantPlan {
     /// `path_edges[i]` holds the edge ids of `paths[i]`, sender →
     /// receiver, as the probe reported them.
     pub path_edges: Vec<Vec<EdgeId>>,
-    /// Probed channel capacities `C` (first-probe values) for every
-    /// channel seen on any candidate path, both directions.
-    pub capacities: HashMap<EdgeId, Amount>,
-    /// Fee policies collected during probing.
-    pub fees: HashMap<EdgeId, FeePolicy>,
+    /// `path_hops[i][j]` is the first-probe state of `path_edges[i][j]`;
+    /// an edge on several paths carries the same values on each.
+    pub path_hops: Vec<Vec<Hop>>,
     /// The max-flow value `f` achievable over `paths` (with
     /// reverse-direction offsets, as in Edmonds–Karp residuals).
     pub max_flow: Amount,
-    /// Number of probe operations performed (one per newly found path).
+    /// Number of probes sent: one per path BFS found, whether the
+    /// probe came back (the path is in `paths`) or was lost.
     pub probes: usize,
+}
+
+impl ElephantPlan {
+    /// Every hop of every path with its edge, in discovery order.
+    pub(crate) fn hops(&self) -> impl Iterator<Item = (EdgeId, &Hop)> + '_ {
+        let edges = self.path_edges.iter().flatten().copied();
+        edges.zip(self.path_hops.iter().flatten())
+    }
+}
+
+/// One probed channel direction of the payment in progress.
+#[derive(Clone, Copy, Debug, Default)]
+struct Probed {
+    /// Residual capacity `C'`. It can exceed the probed capacity via
+    /// reverse credits, hence `u128`.
+    residual: u128,
+    /// First-probe capacity `C`; `None` while the edge is only banned
+    /// by a lost probe.
+    capacity: Option<Amount>,
+    /// Fee of the first probe that crossed the edge forwards.
+    fee: Option<FeePolicy>,
+}
+
+/// The residual matrix of one payment as a dense `EdgeId`-indexed
+/// table: no hashing per scanned edge, and forgetting a payment is one
+/// increment of `gen`.
+#[derive(Debug, Default)]
+struct ProbedEdges {
+    /// `mark[e] == gen` iff this payment has probed (or banned) `e`;
+    /// its entry is then `known[slot[e]]`. Unmarked edges are unprobed
+    /// and treated as usable (capacity assumed non-zero).
+    mark: Vec<u32>,
+    slot: Vec<u32>,
+    gen: u32,
+    known: Vec<Probed>,
+}
+
+impl ProbedEdges {
+    /// Forgets the last payment; sizes the table for `g`.
+    fn begin(&mut self, g: &DiGraph) {
+        if self.mark.len() != g.edge_count() {
+            self.mark.clear();
+            self.mark.resize(g.edge_count(), 0);
+            self.slot.resize(g.edge_count(), 0);
+        }
+        if self.gen == u32::MAX {
+            self.mark.fill(0);
+            self.gen = 0;
+        }
+        self.gen += 1;
+        self.known.clear();
+    }
+
+    /// Where in `known` this payment's entry of `e` is, if it has one.
+    fn slot_of(&self, e: EdgeId) -> Option<usize> {
+        (self.mark[e.index()] == self.gen).then(|| self.slot[e.index()] as usize)
+    }
+
+    fn get(&self, e: EdgeId) -> Option<&Probed> {
+        self.slot_of(e).map(|i| &self.known[i])
+    }
+
+    fn get_mut(&mut self, e: EdgeId) -> Option<&mut Probed> {
+        self.slot_of(e).map(|i| &mut self.known[i])
+    }
+
+    /// The entry of `e`, created (residual zero, nothing probed) if new.
+    fn entry(&mut self, e: EdgeId) -> &mut Probed {
+        let i = self.slot_of(e).unwrap_or_else(|| {
+            self.mark[e.index()] = self.gen;
+            self.slot[e.index()] = self.known.len() as u32;
+            self.known.push(Probed::default());
+            self.known.len() - 1
+        });
+        &mut self.known[i]
+    }
+
+    /// The BFS filter of Algorithm 1 line 7: unprobed, or residual left.
+    fn usable(&self, e: EdgeId) -> bool {
+        self.get(e).is_none_or(|p| p.residual > 0)
+    }
+
+    /// Records a probed capacity unless `e` already has one; returns
+    /// the first-probe capacity either way.
+    fn first_probe(&mut self, e: EdgeId, capacity: Amount) -> Amount {
+        let p = self.entry(e);
+        *p.capacity.get_or_insert_with(|| {
+            p.residual = u128::from(capacity.micros());
+            capacity
+        })
+    }
+}
+
+/// The working arrays of Algorithm 1, reusable across payments: the
+/// resumable BFS and the dense residual table. [`crate::FlashRouter`]
+/// owns one; [`find_paths`] builds a throwaway one per call.
+#[derive(Debug, Default)]
+pub struct ElephantScratch {
+    bfs: BfsScratch,
+    probed: ProbedEdges,
+}
+
+impl ElephantScratch {
+    /// A scratch whose residual table's generation starts at `gen`, so
+    /// a test crosses the wrap-around at `u32::MAX` within a few
+    /// payments.
+    #[cfg(test)]
+    pub(crate) fn with_generation(gen: u32) -> Self {
+        let mut scratch = Self::default();
+        scratch.probed.gen = gen;
+        scratch
+    }
 }
 
 /// Runs Algorithm 1: finds at most `k` paths from `s` to `t` whose
@@ -47,8 +171,25 @@ pub struct ElephantPlan {
 /// "no paths at all" from "insufficient max-flow" and so the Figure 10
 /// sweep can measure partial capability. Callers enforce
 /// `plan.max_flow ≥ demand` for the accept/reject decision.
+///
+/// This form allocates its working arrays per call; a caller routing
+/// many payments keeps an [`ElephantScratch`] and calls
+/// [`find_paths_with`], as `FlashRouter` does.
 pub fn find_paths<N: PaymentNetwork>(
     net: &mut N,
+    s: NodeId,
+    t: NodeId,
+    demand: Amount,
+    k: usize,
+) -> ElephantPlan {
+    find_paths_with(net, &mut ElephantScratch::default(), s, t, demand, k)
+}
+
+/// [`find_paths`] on the caller's scratch. The plan does not depend on
+/// what the scratch was used for before.
+pub fn find_paths_with<N: PaymentNetwork>(
+    net: &mut N,
+    scratch: &mut ElephantScratch,
     s: NodeId,
     t: NodeId,
     demand: Amount,
@@ -57,21 +198,28 @@ pub fn find_paths<N: PaymentNetwork>(
     let mut plan = ElephantPlan {
         paths: Vec::new(),
         path_edges: Vec::new(),
-        capacities: HashMap::new(),
-        fees: HashMap::new(),
+        path_hops: Vec::new(),
         max_flow: Amount::ZERO,
         probes: 0,
     };
-    // Residual capacity C'. Unprobed channels are absent from the map
-    // and treated as usable (capacity assumed non-zero). Residuals can
-    // exceed the probed capacity via reverse credits, hence u128.
-    let mut residual: HashMap<EdgeId, u128> = HashMap::new();
+    let ElephantScratch { bfs, probed } = scratch;
+    probed.begin(net.graph());
 
     while plan.paths.len() < k {
-        // BFS on G with residual filter (line 7).
-        let path = bfs::shortest_path_filtered(net.graph(), s, t, |e| {
-            residual.get(&e).is_none_or(|r| *r > 0)
-        });
+        // BFS on G with residual filter (line 7). Between two probes the
+        // residuals change only along the probed path, so every search
+        // after the first resumes the one before it.
+        let path = if plan.probes == 0 {
+            bfs.search(net.graph(), s, t, |e| probed.usable(e))
+        } else {
+            bfs.resume(net.graph(), |e| probed.usable(e))
+        };
+        debug_assert_eq!(
+            path,
+            bfs::shortest_path_filtered(net.graph(), s, t, |e| probed.usable(e)),
+            "resumed BFS diverged from a fresh one at probe {}",
+            plan.probes
+        );
         let Some(path) = path else {
             break; // line 9: no more augmenting paths
         };
@@ -85,32 +233,30 @@ pub fn find_paths<N: PaymentNetwork>(
             let Some(first) = net.graph().edge(path.nodes()[0], path.nodes()[1]) else {
                 break; // BFS walked this edge, so the lookup cannot miss
             };
-            residual.insert(first, 0);
+            probed.entry(first).residual = 0;
             continue;
         };
 
         // Record first-probe capacities for both directions (lines 17–22).
+        let mut edges = Vec::with_capacity(report.channels.len());
+        let mut hops = Vec::with_capacity(report.channels.len());
         for c in &report.channels {
-            if let Entry::Vacant(slot) = plan.capacities.entry(c.edge) {
-                slot.insert(c.capacity);
-                residual.insert(c.edge, c.capacity.micros() as u128);
-            }
-            plan.fees.entry(c.edge).or_insert(c.fee);
-            if let Some((rev, rcap)) = c.reverse {
-                if let Entry::Vacant(slot) = plan.capacities.entry(rev) {
-                    slot.insert(rcap);
-                    residual.insert(rev, rcap.micros() as u128);
-                }
-            }
+            edges.push(c.edge);
+            hops.push(Hop {
+                capacity: probed.first_probe(c.edge, c.capacity),
+                fee: *probed.entry(c.edge).fee.get_or_insert(c.fee),
+                reverse: c
+                    .reverse
+                    .map(|(rev, rcap)| (rev, probed.first_probe(rev, rcap))),
+            });
         }
-        let edges: Vec<EdgeId> = report.channels.iter().map(|c| c.edge).collect();
 
         // Bottleneck over *residual* capacities (line 12; the residual
         // matrix is what BFS searched, so it is what bounds this path).
         // Every edge got its residual when its capacity was recorded.
         let bottleneck = edges
             .iter()
-            .map(|e| residual.get(e).copied().unwrap_or(0))
+            .map(|&e| probed.get(e).map_or(0, |p| p.residual))
             .min()
             .unwrap_or(0);
 
@@ -118,15 +264,14 @@ pub fn find_paths<N: PaymentNetwork>(
             // Push flow: decrease forward residuals, increase reverse
             // (lines 23–24).
             for &e in &edges {
-                if let Some(r) = residual.get_mut(&e) {
-                    *r -= bottleneck;
+                if let Some(p) = probed.get_mut(e) {
+                    p.residual -= bottleneck;
                 }
-                if let Some(rev) = net.graph().reverse_edge(e) {
-                    if let Some(r) = residual.get_mut(&rev) {
-                        *r += bottleneck;
-                    }
-                    // If the reverse direction was never probed it stays
-                    // "assumed usable"; no explicit credit needed.
+                // If the reverse direction was never probed it stays
+                // "assumed usable"; no explicit credit needed.
+                let rev = net.graph().reverse_edge(e);
+                if let Some(p) = rev.and_then(|rev| probed.get_mut(rev)) {
+                    p.residual += bottleneck;
                 }
             }
             let add = Amount::from_micros(u64::try_from(bottleneck).unwrap_or(u64::MAX));
@@ -138,6 +283,7 @@ pub fn find_paths<N: PaymentNetwork>(
         // will route around its dead edge next iteration.
         plan.paths.push(path);
         plan.path_edges.push(edges);
+        plan.path_hops.push(hops);
 
         if plan.max_flow >= demand {
             break; // line 25: demand satisfied
@@ -154,9 +300,11 @@ pub fn find_paths<N: PaymentNetwork>(
 pub fn oracle_max_flow(graph: &DiGraph, plan: &ElephantPlan, s: NodeId, t: NodeId) -> Amount {
     use pcn_graph::maxflow::{MaxFlowSolver, PushRelabel};
     let mut caps = vec![0u64; graph.edge_count()];
-    // det-lint: allow(hash-order) — each edge writes its own slot; no slot written twice
-    for (e, c) in &plan.capacities {
-        caps[e.index()] = c.micros();
+    for (e, hop) in plan.hops() {
+        caps[e.index()] = hop.capacity.micros();
+        if let Some((rev, rcap)) = hop.reverse {
+            caps[rev.index()] = rcap.micros();
+        }
     }
     let mf = PushRelabel.max_flow(graph, s, t, &caps);
     Amount::from_micros(mf.value)
@@ -166,8 +314,7 @@ pub fn oracle_max_flow(graph: &DiGraph, plan: &ElephantPlan, s: NodeId, t: NodeI
 mod tests {
     use super::*;
     use pcn_sim::Network;
-    use pcn_types::PaymentClass;
-    use pcn_types::{Payment, TxId};
+    use pcn_types::{Payment, PaymentClass, TxId};
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -260,31 +407,86 @@ mod tests {
         let e = net.graph().edge(n(1), n(2)).unwrap();
         net.set_balance(e, Amount::ZERO);
         let plan = find_paths(&mut net, n(0), n(5), Amount::from_units(50), 6);
-        // Max flow drops: 4→6 caps the right side at 30; plus nothing
-        // through 3 → 30 total... wait, 2→4 (20) + 5→4 (30) both exit
-        // via 4→6 (30) → 30.
+        // 2→4 (20) and 5→4 (30) both leave through 4→6 (30).
         assert_eq!(plan.max_flow, Amount::from_units(30));
     }
 
+    /// The second augmenting path must undo part of the first. The
+    /// unique shortest path is s→a→b→t; the only other ways are the
+    /// detours s→c→c2→b and a→d→d2→t, so with unit capacities the second
+    /// unit has to travel s→c→c2→b→a→d→d2→t — over `b→a`, which the first
+    /// probe reported at 0 and only the first path's reverse credit
+    /// makes usable.
     #[test]
     fn residual_reverse_credit_enables_rerouting() {
-        // Classic case where a later path must undo part of an earlier
-        // one: without residual credits max flow would be understated.
-        //
-        //  s→a 1, a→t 1, s→b 1, b→a... build the standard 2-flow net:
-        //  s→a(1), s→b(1), a→b(1), a→t(1), b→t(1): max flow 2 but BFS
-        //  shortest first takes s→a→t; then s→b→t. No reversal needed.
-        //  Force it: s→a(1), a→b(1), b→t(1), s→b(1), a→t(1)? BFS picks
-        //  2-hop s→a→t? a→t exists(1) → path1 s-a-t(1). path2 s-b-t(1).
-        //  Still no reversal. Use bidirectional channels so the credit
-        //  path exists and assert flow just matches the oracle.
-        let g = pcn_graph::generators::watts_strogatz(16, 4, 0.4, 3);
-        let mut net = Network::uniform(g, Amount::from_units(7));
-        let plan = find_paths(&mut net, n(0), n(9), Amount::from_units(1_000_000), 64);
-        let oracle = oracle_max_flow(net.graph(), &plan, n(0), n(9));
-        // With k far above the path diversity, Flash's bounded variant
-        // must reach the oracle value on the probed capacities.
-        assert_eq!(plan.max_flow, oracle);
+        let [s, a, b, t, c, c2, d, d2] = [0, 1, 2, 3, 4, 5, 6, 7].map(n);
+        let mut g = DiGraph::new(8);
+        let mut caps = Vec::new();
+        for (u, v) in [
+            (s, a),
+            (b, t),
+            (s, c),
+            (c, c2),
+            (c2, b),
+            (a, d),
+            (d, d2),
+            (d2, t),
+        ] {
+            g.add_edge(u, v).unwrap();
+            caps.push(Amount::from_units(1));
+        }
+        g.add_channel(a, b).unwrap();
+        caps.extend([Amount::from_units(1), Amount::ZERO]);
+        let fees = vec![FeePolicy::FREE; caps.len()];
+        let mut net = Network::new(g, caps, fees).unwrap();
+
+        let plan = find_paths(&mut net, s, t, Amount::from_units(2), 4);
+        assert_eq!(plan.paths.len(), 2);
+        assert_eq!(plan.paths[0].nodes(), &[s, a, b, t]);
+        assert_eq!(plan.paths[1].nodes(), &[s, c, c2, b, a, d, d2, t]);
+        assert_eq!(plan.max_flow, Amount::from_units(2));
+        assert_eq!(plan.max_flow, oracle_max_flow(net.graph(), &plan, s, t));
+
+        // The two units cancel on a↔b: what is sent are the two detours.
+        for optimize in [true, false] {
+            let mut parts =
+                crate::flash::fees::split_payment(net.graph(), &plan, plan.max_flow, optimize)
+                    .unwrap();
+            parts.sort_by(|x, y| x.0.nodes().cmp(y.0.nodes()));
+            let nodes: Vec<_> = parts.iter().map(|(p, _)| p.nodes()).collect();
+            assert_eq!(nodes, [&[s, a, d, d2, t][..], &[s, c, c2, b, t][..]]);
+            assert!(parts.iter().all(|(_, x)| *x == Amount::from_units(1)));
+        }
+    }
+
+    /// A wrapped generation must not read the marks of the payments
+    /// that used the same numbers four billion payments earlier.
+    #[test]
+    fn generation_wrap_forgets_stale_marks() {
+        let net = fig5a_net();
+        let mut probed = ProbedEdges::default();
+        probed.begin(net.graph());
+        probed.entry(EdgeId(2)).residual = 0;
+        assert!(!probed.usable(EdgeId(2)));
+        probed.gen = u32::MAX;
+        probed.begin(net.graph());
+        assert_eq!(probed.gen, 1);
+        assert!(probed.get(EdgeId(2)).is_none());
+        assert!(probed.usable(EdgeId(2)));
+    }
+
+    /// A lost probe bans the first hop and still counts as a probe.
+    #[test]
+    fn lost_probe_is_counted_and_routed_around() {
+        let mut net = fig5a_net();
+        net.set_faults(pcn_sim::FaultConfig {
+            probe_drop_prob: 0.5,
+            probe_noise_ppm: 0,
+            seed: 3,
+        });
+        let plan = find_paths(&mut net, n(0), n(5), Amount::from_units(1_000), 8);
+        assert!(plan.probes > plan.paths.len(), "seed 3 loses a probe");
+        assert!(plan.paths.len() <= 3);
     }
 
     #[test]

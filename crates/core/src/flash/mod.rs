@@ -65,6 +65,9 @@ pub struct FlashRouter {
     rng: StdRng,
     clock: u64,
     staleness: StalenessTracker,
+    /// Algorithm 1's working arrays, sized by the first elephant and
+    /// reused by every one after it.
+    scratch: elephant::ElephantScratch,
 }
 
 impl FlashRouter {
@@ -78,6 +81,7 @@ impl FlashRouter {
             rng,
             clock: 0,
             staleness: StalenessTracker::default(),
+            scratch: elephant::ElephantScratch::default(),
         }
     }
 
@@ -109,8 +113,9 @@ impl FlashRouter {
         payment: &Payment,
         class: PaymentClass,
     ) -> RouteOutcome {
-        let plan = elephant::find_paths(
+        let plan = elephant::find_paths_with(
             net,
+            &mut self.scratch,
             payment.sender,
             payment.receiver,
             payment.amount,
@@ -417,5 +422,62 @@ mod tests {
             outs
         };
         assert_eq!(run(7), run(7));
+    }
+
+    /// Routes `payments` (each on the network its index names) twice:
+    /// through `shared`, one router for all of them, and through a fresh
+    /// router per payment on copies of the networks. Outcomes and final
+    /// balances must agree: what the scratch held before is invisible.
+    fn assert_scratch_is_invisible(
+        mut shared: FlashRouter,
+        nets: &[Network],
+        payments: &[(usize, u32, u32, u64)],
+    ) {
+        let mut ours = nets.to_vec();
+        let mut theirs = nets.to_vec();
+        for (i, &(net, s, t, units)) in payments.iter().enumerate() {
+            let p = Payment::new(TxId(i as u64), n(s), n(t), Amount::from_units(units));
+            let got = shared.route(&mut ours[net], &p, PaymentClass::Elephant);
+            let want = flash().route(&mut theirs[net], &p, PaymentClass::Elephant);
+            assert_eq!(got, want, "payment {i}");
+        }
+        for (a, b) in ours.iter().zip(&theirs) {
+            for (e, _, _) in a.graph().edges() {
+                assert_eq!(a.balance(e), b.balance(e), "{e:?}");
+            }
+            assert_eq!(a.metrics().probe_messages, b.metrics().probe_messages);
+        }
+    }
+
+    /// Elephants that need several probes each, on `ring` (24 nodes).
+    const RING_PAYMENTS: [(u32, u32, u64); 6] = [
+        (0, 12, 150),
+        (3, 17, 260),
+        (12, 0, 90),
+        (5, 20, 300),
+        (17, 3, 40),
+        (0, 12, 500),
+    ];
+
+    fn ring() -> Network {
+        let g = pcn_graph::generators::watts_strogatz(24, 4, 0.3, 7);
+        Network::uniform(g, Amount::from_units(100))
+    }
+
+    #[test]
+    fn one_router_serves_networks_of_different_size() {
+        let payments: Vec<_> = RING_PAYMENTS
+            .iter()
+            .flat_map(|&(s, t, units)| [(0, s, t, units), (1, 0, 3, 15), (1, 3, 0, 25)])
+            .collect();
+        assert_scratch_is_invisible(flash(), &[ring(), diamond_net()], &payments);
+    }
+
+    #[test]
+    fn scratch_survives_the_generation_wrap() {
+        let mut near_wrap = flash();
+        near_wrap.scratch = elephant::ElephantScratch::with_generation(u32::MAX - 2);
+        let payments = RING_PAYMENTS.map(|(s, t, units)| (0, s, t, units));
+        assert_scratch_is_invisible(near_wrap, &[ring()], &payments);
     }
 }

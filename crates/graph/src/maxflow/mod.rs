@@ -172,8 +172,9 @@ pub fn min_cut_capacity(g: &DiGraph, s: NodeId, flowres: &MaxFlow, capacity: &[u
     cut
 }
 
-/// Decomposes an edge flow into at most `E` weighted paths via repeated
-/// s→t walks along positive-flow edges. Used to turn an oracle max-flow
+/// Decomposes an edge flow (`flow[e]` per [`EdgeId`], consumed as the
+/// working copy) into at most `E` weighted paths via repeated s→t walks
+/// along positive-flow edges. Used to turn a max-flow or a fee split
 /// into an executable multi-path payment.
 ///
 /// Each node keeps a cursor into its adjacency list: flow only decreases
@@ -187,14 +188,13 @@ pub fn decompose_into_paths(
     g: &DiGraph,
     s: NodeId,
     t: NodeId,
-    flowres: &MaxFlow,
+    mut flow: Vec<u64>,
 ) -> Vec<(Path, u64)> {
     let n = g.node_count();
     let mut out = Vec::new();
     if s == t || s.index() >= n || t.index() >= n {
         return out;
     }
-    let mut flow = flowres.edge_flow.clone();
     let mut cursor = vec![0usize; n];
     // pos[v] = index of v in the current walk, usize::MAX when absent.
     let mut pos = vec![usize::MAX; n];
@@ -385,7 +385,7 @@ mod tests {
         let (g, cap) = clrs();
         for solver in solvers() {
             let mf = solver.max_flow(&g, n(0), n(5), &cap);
-            let paths = decompose_into_paths(&g, n(0), n(5), &mf);
+            let paths = decompose_into_paths(&g, n(0), n(5), mf.edge_flow.clone());
             let total: u64 = paths.iter().map(|(_, f)| f).sum();
             assert_eq!(total, mf.value, "{}", solver.name());
             for (p, f) in &paths {
@@ -417,11 +417,7 @@ mod tests {
             g.add_edge(n(u), n(v)).unwrap();
             flow.push(f);
         }
-        let mf = MaxFlow {
-            value: 1,
-            edge_flow: flow,
-        };
-        let parts = decompose_into_paths(&g, n(0), n(4), &mf);
+        let parts = decompose_into_paths(&g, n(0), n(4), flow);
         let total: u64 = parts.iter().map(|(_, f)| f).sum();
         assert_eq!(total, 1, "cycle must be cancelled, not abort the walk");
         assert_eq!(parts.len(), 1);
@@ -533,7 +529,7 @@ mod tests {
                         .sum();
                     prop_assert_eq!(inflow, outflow);
                 }
-                let parts = decompose_into_paths(&g, s, t, &mf);
+                let parts = decompose_into_paths(&g, s, t, mf.edge_flow.clone());
                 let total: u64 = parts.iter().map(|(_, f)| f).sum();
                 prop_assert_eq!(total, mf.value);
             }

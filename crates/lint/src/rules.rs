@@ -279,8 +279,8 @@ const NON_OPERAND_KEYWORDS: &[&str] = &[
 /// annotations) and `let name = HashMap::new()`-style initializations.
 ///
 /// The returned set deliberately spans the whole crate: a struct field
-/// declared `capacities: HashMap<…>` in one file taints
-/// `plan.capacities` iteration in every other file of that crate.
+/// declared `entries: HashMap<…>` in one file taints
+/// `table.entries` iteration in every other file of that crate.
 pub fn collect_hash_names(streams: &[&Lexed]) -> BTreeSet<String> {
     collect_typed_names(streams, &|t| t == "HashMap" || t == "HashSet")
 }

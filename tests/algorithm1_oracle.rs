@@ -4,9 +4,13 @@
 //! exactly when k is unbounded, and (c) be monotone in k.
 
 use flash_offchain::core::flash::elephant::{find_paths, oracle_max_flow};
+use flash_offchain::core::flash::fees::split_payment;
+use flash_offchain::core::{FlashConfig, FlashRouter};
 use flash_offchain::graph::generators;
-use flash_offchain::sim::Network;
-use flash_offchain::types::{Amount, NodeId};
+use flash_offchain::sim::{FaultConfig, Network, Router};
+use flash_offchain::types::{Amount, NodeId, PaymentClass};
+use flash_offchain::workload::topology::assign_paper_fees;
+use flash_offchain::workload::{generate_trace, lightning_topology, TraceConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -86,4 +90,175 @@ proptest! {
             prop_assert_eq!(small.paths.len(), 1, "demand 1 needs a single path");
         }
     }
+}
+
+/// FNV-1a over everything a plan decides: candidate paths, their edge
+/// ids, the probe count, the max-flow value, and the executable parts of
+/// the fee split with the LP on and off.
+fn plan_fingerprint(net: &mut Network, s: NodeId, t: NodeId, demand: Amount) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let plan = find_paths(net, s, t, demand, 20);
+    for (path, edges) in plan.paths.iter().zip(&plan.path_edges) {
+        eat(u64::MAX);
+        path.nodes().iter().for_each(|n| eat(u64::from(n.0)));
+        eat(u64::MAX - 1);
+        edges.iter().for_each(|e| eat(u64::from(e.0)));
+    }
+    eat(plan.probes as u64);
+    eat(plan.max_flow.micros());
+    for optimize in [true, false] {
+        eat(u64::MAX - 2);
+        let Some(parts) = split_payment(net.graph(), &plan, demand, optimize) else {
+            continue;
+        };
+        for (path, amount) in &parts {
+            eat(u64::MAX);
+            path.nodes().iter().for_each(|n| eat(u64::from(n.0)));
+            eat(amount.micros());
+        }
+    }
+    h
+}
+
+/// One fingerprint per fixed pair on the fee-carrying Lightning-scale
+/// network. Demands step through five sizes so the pairs cover
+/// single-path plans, multi-path splits and plans that fall short.
+fn plan_fingerprints(net: &mut Network) -> Vec<u64> {
+    let n = net.graph().node_count() as u32;
+    (0u32..24)
+        .map(|i| {
+            let (s, t) = (NodeId((i * 97 + 3) % n), NodeId((i * 389 + 1201) % n));
+            let demand = Amount::from_units(20_000 << (2 * (i % 5)));
+            plan_fingerprint(net, s, t, demand)
+        })
+        .collect()
+}
+
+fn assert_fingerprints(stage: &str, got: &[u64], want: &[u64]) {
+    assert_eq!(got.len(), want.len());
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g, w, "{stage}, pair {i}: plan changed (got {g:#018x})");
+    }
+}
+
+/// Algorithm 1's plans and the fee split on 24 fixed pairs, as recorded
+/// from the hash-map implementation that preceded the dense scratch
+/// (commit c02c040): on fresh balances, after 300 routed elephants have
+/// depleted them, and under probe loss and noise. Which paths are
+/// probed in which order, and how the demand is cut over them, is every
+/// elephant's routing result, so it is pinned here.
+#[test]
+fn plans_match_recorded_fingerprints() {
+    const FRESH: [u64; 24] = [
+        0xce0284b88a798437,
+        0xa7aabdd69c4472e2,
+        0xc9d20afea8f2ea12,
+        0x98449f6bbf68ff7d,
+        0x95218a51e3744c3e,
+        0x433838eda2e8bc68,
+        0xe08f1802f000659a,
+        0x08c2144a4d29d0b0,
+        0x7813559d917728fa,
+        0xfcd41ffd5c1c6fa1,
+        0x1ab11659e8dd14f3,
+        0x1690bd1c6f5350eb,
+        0x62b2832cf4d06781,
+        0x76a9dca700ceaa6a,
+        0xbd28f6d855a843ea,
+        0x1943690e694af7d8,
+        0x5fc15e326a64ff7d,
+        0x740e9cbf75c3efcb,
+        0xff19e5e94b8d07a4,
+        0x954724080cfe6a77,
+        0xcbb53a356ea122f4,
+        0x175411c90f61bf96,
+        0x95d6908ab6c6adc3,
+        0x67803f5cc178f664,
+    ];
+    const DEPLETED: [u64; 24] = [
+        0xce0284b88a798437,
+        0x4dde91e6b3a14f36,
+        0xc9d20afea8f2ea12,
+        0x36e7cdfcd76115c4,
+        0x95218a51e3744c3e,
+        0x433838eda2e8bc68,
+        0xe2e4743850421c64,
+        0xaeba976dbcce0e6b,
+        0x7813559d917728fa,
+        0x2a9b9b78df300bbd,
+        0x1ab11659e8dd14f3,
+        0x1690bd1c6f5350eb,
+        0x62b2832cf4d06781,
+        0x76a9dca700ceaa6a,
+        0x5e9b30927697d8ca,
+        0x1943690e694af7d8,
+        0x5fc15e326a64ff7d,
+        0x740e9cbf75c3efcb,
+        0xd98a59d8b11648d1,
+        0x4a1754b7d29da7a2,
+        0xcbb53a356ea122f4,
+        0x175411c90f61bf96,
+        0x95d6908ab6c6adc3,
+        0x67803f5cc178f664,
+    ];
+    const FAULTY: [u64; 24] = [
+        0x8fe43cb501ec6a63,
+        0x42a1ce281bdf3ab7,
+        0x35a08e628374e8f1,
+        0xe2923f632f1e3a60,
+        0xc3399d849fa53e57,
+        0x52ed5762fc3fc1ec,
+        0x08d8a8a14fb6e3be,
+        0x2849aaa1ce2521d4,
+        0x3728d69105d7c5f7,
+        0x50dcdbb224dccdd0,
+        0x77c50136f8eb725a,
+        0xf81ef00165be3b14,
+        0x58fae30ab5ba3075,
+        0xd3e768472eaec426,
+        0x1a9f631826aa481a,
+        0xc88240ad5cdd7bab,
+        0x6443ab0f0049a18e,
+        0xb54e541eb622f7d0,
+        0xe660e95be041d06f,
+        0xb88b92c93aed493a,
+        0x221d9927dca4f63b,
+        0x395c02484cee63e6,
+        0x93357dec53e5d4f9,
+        0x42cc3f593197830b,
+    ];
+
+    let mut net = lightning_topology(7);
+    assign_paper_fees(&mut net, 10);
+    let fresh = net.clone();
+    assert_fingerprints("fresh", &plan_fingerprints(&mut net), &FRESH);
+
+    let trace = generate_trace(net.graph(), &TraceConfig::lightning(300, 14));
+    let mut router = FlashRouter::new(FlashConfig::default());
+    let delivered = trace
+        .iter()
+        .filter(|p| {
+            router
+                .route(&mut net, p, PaymentClass::Elephant)
+                .is_success()
+        })
+        .count();
+    assert!(
+        delivered > 100,
+        "only {delivered} of 300 payments moved funds"
+    );
+    assert_fingerprints("depleted", &plan_fingerprints(&mut net), &DEPLETED);
+
+    let mut net = fresh;
+    net.set_faults(FaultConfig {
+        probe_drop_prob: 0.3,
+        probe_noise_ppm: 50_000,
+        seed: 5,
+    });
+    assert_fingerprints("faulty", &plan_fingerprints(&mut net), &FAULTY);
 }

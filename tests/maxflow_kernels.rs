@@ -6,8 +6,8 @@
 //! and the Figure 11 `m = 0` bound silently rely on.
 
 use flash_offchain::graph::maxflow::{
-    decompose_into_paths, edmonds_karp, min_cut_capacity, push_relabel, EdmondsKarp, MaxFlow,
-    MaxFlowSolver, PushRelabel,
+    decompose_into_paths, edmonds_karp, min_cut_capacity, push_relabel, EdmondsKarp, MaxFlowSolver,
+    PushRelabel,
 };
 use flash_offchain::graph::{generators, DiGraph};
 use flash_offchain::types::NodeId;
@@ -70,7 +70,7 @@ proptest! {
                 .map(|&(_, e)| mf.edge_flow[e.index()]).sum();
             prop_assert_eq!(inflow, outflow);
         }
-        let parts = decompose_into_paths(&g, s, t, &mf);
+        let parts = decompose_into_paths(&g, s, t, mf.edge_flow.clone());
         let total: u64 = parts.iter().map(|(_, f)| f).sum();
         prop_assert_eq!(total, mf.value);
         for (p, f) in &parts {
@@ -118,11 +118,7 @@ fn decomposition_survives_adjacency_ordered_cycle() {
         g.add_edge(NodeId(u), NodeId(v)).unwrap();
         flow.push(f);
     }
-    let mf = MaxFlow {
-        value: 3,
-        edge_flow: flow,
-    };
-    let parts = decompose_into_paths(&g, NodeId(0), NodeId(5), &mf);
+    let parts = decompose_into_paths(&g, NodeId(0), NodeId(5), flow);
     let total: u64 = parts.iter().map(|(_, f)| f).sum();
     assert_eq!(total, 3);
     assert_eq!(parts.len(), 1);
