@@ -20,8 +20,8 @@
 //! table must pass the same topology until [`RoutingTable::refresh`],
 //! which drops the entries and their enumerations with them. The
 //! backends guarantee it: `PaymentNetwork::graph()` hands out a `&DiGraph`
-//! that none of them mutates, and topology change reaches the router
-//! only through `on_topology_refresh`.
+//! that none of them mutates, and the router refreshes only when its
+//! staleness tracker trips.
 
 use pcn_graph::yen::RankedPaths;
 use pcn_graph::{DiGraph, Path};

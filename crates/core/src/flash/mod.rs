@@ -16,13 +16,13 @@
 pub mod elephant;
 pub mod fees;
 pub mod mice;
+mod reprobe;
 
-use pcn_sim::{
-    FailureReason, PaymentNetwork, PaymentSession, RouteOutcome, Router, StalenessTracker,
-};
+use pcn_sim::{FailureReason, PaymentNetwork, PaymentSession, RouteOutcome, Router};
 use pcn_types::{Amount, Payment, PaymentClass};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use reprobe::StalenessTracker;
 
 /// Configuration for [`FlashRouter`].
 #[derive(Clone, Debug)]
@@ -34,9 +34,10 @@ pub struct FlashConfig {
     /// Paths cached per receiver for mice payments (`m = 4` in the
     /// evaluation).
     pub mice_paths_per_receiver: usize,
-    /// Payments with amount strictly greater than this are elephants.
-    /// Set with [`crate::classify::threshold_for_mice_fraction`] so that
-    /// 90% of payments are mice, as in §4.1.
+    /// The elephant/mice boundary the caller classified with
+    /// ([`crate::classify::threshold_for_mice_fraction`]). Not read by
+    /// the router — the class arrives as `route`'s argument; the field
+    /// stays because flashbench's struct literal names it.
     pub elephant_threshold: Amount,
     /// Whether to run the fee-minimizing LP for elephants (Figure 9's
     /// ablation disables this, falling back to sequential path filling
@@ -90,16 +91,18 @@ impl FlashRouter {
         &self.config
     }
 
-    /// The per-destination staleness accounting (stale commit errors
-    /// and lost probes feeding the re-probe thresholds).
-    pub fn staleness(&self) -> &StalenessTracker {
-        &self.staleness
-    }
-
     /// Number of (sender, receiver) entries currently cached in the mice
     /// routing table.
     pub fn routing_table_len(&self) -> usize {
         self.table.len()
+    }
+
+    /// "The routing table is periodically refreshed when the local
+    /// network topology G is updated ... all entries are re-computed
+    /// using the latest G" (§3.3). Called when the staleness tracker
+    /// trips.
+    fn refresh_table(&mut self) {
+        self.table.refresh();
     }
 
     /// Routes a payment with the elephant algorithm: Algorithm 1 + the
@@ -244,7 +247,7 @@ impl<N: PaymentNetwork> Router<N> for FlashRouter {
             .should_reprobe(payment.receiver, net.graph().edge_count())
         {
             net.note_reprobe();
-            self.on_topology_refresh(&*net);
+            self.refresh_table();
         }
         match class {
             PaymentClass::Elephant => self.route_elephant(net, payment, class),
@@ -255,13 +258,6 @@ impl<N: PaymentNetwork> Router<N> for FlashRouter {
             }
             PaymentClass::Mice => self.route_mice(net, payment),
         }
-    }
-
-    fn on_topology_refresh(&mut self, _net: &N) {
-        // "The routing table is periodically refreshed when the local
-        // network topology G is updated ... all entries are re-computed
-        // using the latest G."
-        self.table.refresh();
     }
 }
 
@@ -376,7 +372,7 @@ mod tests {
         let p = Payment::new(TxId(1), n(0), n(3), Amount::from_units(1));
         r.route(&mut net, &p, PaymentClass::Mice);
         assert_eq!(r.routing_table_len(), 1);
-        r.on_topology_refresh(&net);
+        r.refresh_table();
         assert_eq!(r.routing_table_len(), 0);
     }
 

@@ -1,16 +1,16 @@
 //! Stale-state detection with threshold-driven re-probing.
 //!
-//! Under topology churn ([`des::churn`](crate::des::churn)) a router's
-//! cached knowledge — Flash's routing table, the landmark trees, even
-//! a previously probed path — silently goes stale: commits NACK with
-//! [`FailureCause::ChannelClosed`] / [`FailureCause::NodeDown`] and
-//! probes vanish. Retrying the dead path burns messages without
-//! converging, so every router carries a [`StalenessTracker`]: it
+//! Flash is the one scheme that caches routes between payments (the
+//! mice routing table), so it is the one scheme whose knowledge goes
+//! stale under topology churn (`pcn_sim::des::churn`): commits NACK
+//! with [`FailureCause::ChannelClosed`] / [`FailureCause::NodeDown`]
+//! and probes vanish. Retrying the dead path burns messages without
+//! converging, so the router carries a [`StalenessTracker`]: it
 //! accumulates per-destination stale-error and probe-drop counts, and
 //! when either crosses its edge-scaled threshold ([`error_threshold`],
-//! [`drop_threshold`]) the router refreshes its topology knowledge (a
-//! fresh probe/flood) instead of retrying, notifying the backend via
-//! [`PaymentNetwork::note_reprobe`](crate::PaymentNetwork::note_reprobe).
+//! [`drop_threshold`]) the router recomputes its table (§3.3: "all
+//! entries are re-computed using the latest G") instead of retrying,
+//! notifying the backend via `PaymentNetwork::note_reprobe`.
 //!
 //! The threshold shape follows FlyPath's `should_flood`: scale with
 //! the network's edge count, clamped to a sane band —
@@ -26,17 +26,17 @@
 //! no threshold ever trips, and router behavior is bit-identical to a
 //! build without the staleness layer.
 
-use crate::backend::FailureCause;
+use pcn_sim::FailureCause;
 use pcn_types::NodeId;
 
 /// FlyPath's error scale: threshold = 30% of the edge count.
-pub const ERROR_SCALE: u64 = 30;
+const ERROR_SCALE: u64 = 30;
 /// FlyPath's drop scale: threshold = 20% of the edge count.
-pub const DROP_SCALE: u64 = 20;
+const DROP_SCALE: u64 = 20;
 /// Thresholds never drop below this, however small the network.
-pub const MIN_THRESHOLD: u64 = 10;
+const MIN_THRESHOLD: u64 = 10;
 /// Thresholds never exceed this, however large the network.
-pub const MAX_THRESHOLD: u64 = 100;
+const MAX_THRESHOLD: u64 = 100;
 
 /// Edge-scaled threshold (FlyPath's `should_flood` shape).
 fn threshold(scale: u64, edge_count: usize) -> u64 {
@@ -44,22 +44,22 @@ fn threshold(scale: u64, edge_count: usize) -> u64 {
 }
 
 /// Stale-error count at which a destination triggers a re-probe.
-pub fn error_threshold(edge_count: usize) -> u64 {
+fn error_threshold(edge_count: usize) -> u64 {
     threshold(ERROR_SCALE, edge_count)
 }
 
 /// Lost-probe count at which a destination triggers a re-probe.
-pub fn drop_threshold(edge_count: usize) -> u64 {
+fn drop_threshold(edge_count: usize) -> u64 {
     threshold(DROP_SCALE, edge_count)
 }
 
 /// Per-destination stale-failure accounting for one router.
 ///
 /// Deterministic by construction: plain counters in [`NodeId`]-indexed
-/// vectors (no hash order, no randomness, no clock). Embedded in every
-/// router; see the module docs for the trip semantics.
+/// vectors (no hash order, no randomness, no clock). See the module
+/// docs for the trip semantics.
 #[derive(Clone, Debug, Default)]
-pub struct StalenessTracker {
+pub(super) struct StalenessTracker {
     /// Stale commit errors per destination, indexed by `NodeId`.
     errors: Vec<u64>,
     /// Lost probes per destination, indexed by `NodeId`.
@@ -78,7 +78,7 @@ impl StalenessTracker {
     /// Records one commit failure toward `dest`. Only stale causes
     /// ([`FailureCause::is_stale`]) count; ordinary balance contention
     /// is ignored so zero-churn behavior is unchanged.
-    pub fn record_failure(&mut self, dest: NodeId, cause: FailureCause) {
+    pub(super) fn record_failure(&mut self, dest: NodeId, cause: FailureCause) {
         if cause.is_stale() {
             *Self::slot(&mut self.errors, dest) += 1;
         }
@@ -86,26 +86,26 @@ impl StalenessTracker {
 
     /// Records one lost probe toward `dest` (the probe returned
     /// `None`: a closed/crashed hop or injected probe loss).
-    pub fn record_probe_loss(&mut self, dest: NodeId) {
+    pub(super) fn record_probe_loss(&mut self, dest: NodeId) {
         *Self::slot(&mut self.drops, dest) += 1;
     }
 
     /// Stale commit errors recorded toward `dest`.
-    pub fn errors(&self, dest: NodeId) -> u64 {
+    fn errors(&self, dest: NodeId) -> u64 {
         self.errors.get(dest.0 as usize).copied().unwrap_or(0)
     }
 
     /// Lost probes recorded toward `dest`.
-    pub fn drops(&self, dest: NodeId) -> u64 {
+    fn drops(&self, dest: NodeId) -> u64 {
         self.drops.get(dest.0 as usize).copied().unwrap_or(0)
     }
 
     /// Whether `dest`'s accumulated evidence crosses either threshold
     /// for a network of `edge_count` edges. On trip the destination's
     /// counters reset (the refresh consumes the evidence) and the
-    /// caller refreshes its topology knowledge and calls
-    /// [`PaymentNetwork::note_reprobe`](crate::PaymentNetwork::note_reprobe).
-    pub fn should_reprobe(&mut self, dest: NodeId, edge_count: usize) -> bool {
+    /// caller refreshes its routing table and calls
+    /// `PaymentNetwork::note_reprobe`.
+    pub(super) fn should_reprobe(&mut self, dest: NodeId, edge_count: usize) -> bool {
         let errors = self.errors(dest);
         let drops = self.drops(dest);
         if errors == 0 && drops == 0 {

@@ -28,7 +28,6 @@
 
 pub mod classify;
 pub mod flash;
-pub mod rebalance;
 pub mod scheme;
 pub mod shortest;
 pub mod silentwhispers;

@@ -6,21 +6,17 @@
 //! channel on the path holds the whole demand.
 
 use pcn_graph::bfs;
-use pcn_sim::{
-    FailureReason, PaymentNetwork, PaymentSession, RouteOutcome, Router, StalenessTracker,
-};
+use pcn_sim::{FailureReason, PaymentNetwork, RouteOutcome, Router};
 use pcn_types::{Payment, PaymentClass};
 
 /// The fewest-hops single-path baseline router.
-#[derive(Clone, Debug, Default)]
-pub struct ShortestPathRouter {
-    staleness: StalenessTracker,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ShortestPathRouter;
 
 impl ShortestPathRouter {
     /// Creates the baseline router.
     pub fn new() -> Self {
-        ShortestPathRouter::default()
+        ShortestPathRouter
     }
 }
 
@@ -30,30 +26,12 @@ impl<N: PaymentNetwork> Router<N> for ShortestPathRouter {
     }
 
     fn route(&mut self, net: &mut N, payment: &Payment, class: PaymentClass) -> RouteOutcome {
-        // SP recomputes its BFS path per payment, so a tripped
-        // staleness threshold only notifies the backend.
-        if self
-            .staleness
-            .should_reprobe(payment.receiver, net.graph().edge_count())
-        {
-            net.note_reprobe();
-        }
         let Some(path) = bfs::shortest_path(net.graph(), payment.sender, payment.receiver) else {
             // Record the attempt for fair success-ratio accounting.
             net.record_rejected_attempt(payment, class);
             return RouteOutcome::failure(FailureReason::NoRoute);
         };
-        // Inlined `send_single_path` so the hop-failure cause reaches
-        // the staleness tracker.
-        let mut session = net.begin_payment(payment, class);
-        match session.try_send_part(&path, payment.amount) {
-            Ok(()) => session.commit(),
-            Err(e) => {
-                self.staleness.record_failure(payment.receiver, e.cause);
-                session.abort();
-                RouteOutcome::failure(FailureReason::InsufficientCapacity)
-            }
-        }
+        net.send_single_path(payment, class, &path)
     }
 }
 

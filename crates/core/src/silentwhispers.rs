@@ -17,9 +17,7 @@
 
 use crate::speedymurmurs::split_evenly;
 use pcn_graph::{bfs, DiGraph, Path};
-use pcn_sim::{
-    FailureReason, PaymentNetwork, PaymentSession, RouteOutcome, Router, StalenessTracker,
-};
+use pcn_sim::{FailureReason, PaymentNetwork, PaymentSession, RouteOutcome, Router};
 use pcn_types::{NodeId, Payment, PaymentClass};
 
 /// The SilentWhispers landmark-centered router.
@@ -34,7 +32,6 @@ pub struct SilentWhispersRouter {
     /// Per landmark: parent pointers away from the landmark.
     from_landmark: Vec<Vec<Option<NodeId>>>,
     ready: bool,
-    staleness: StalenessTracker,
 }
 
 impl Default for SilentWhispersRouter {
@@ -57,7 +54,6 @@ impl SilentWhispersRouter {
             to_landmark: Vec::new(),
             from_landmark: Vec::new(),
             ready: false,
-            staleness: StalenessTracker::default(),
         }
     }
 
@@ -137,16 +133,6 @@ impl<N: PaymentNetwork> Router<N> for SilentWhispersRouter {
     }
 
     fn route(&mut self, net: &mut N, payment: &Payment, class: PaymentClass) -> RouteOutcome {
-        // Stale-state detection: enough stale errors toward this
-        // destination trigger a fresh periodic BFS (the paper's
-        // landmark trees are rebuilt below).
-        if self
-            .staleness
-            .should_reprobe(payment.receiver, net.graph().edge_count())
-        {
-            net.note_reprobe();
-            self.on_topology_refresh(&*net);
-        }
         self.ensure_trees(net.graph());
         let routes: Vec<Path> = (0..self.landmarks.len())
             .filter_map(|i| self.landmark_route(i, payment.sender, payment.receiver))
@@ -157,17 +143,12 @@ impl<N: PaymentNetwork> Router<N> for SilentWhispersRouter {
         }
         let parts = split_evenly(routes, payment.amount);
         let mut session = net.begin_payment(payment, class);
-        if let Err(e) = session.try_send_parts(&parts) {
-            self.staleness.record_failure(payment.receiver, e.cause);
+        if session.try_send_parts(&parts).is_err() {
             session.abort();
             return RouteOutcome::failure(FailureReason::InsufficientCapacity);
         }
         debug_assert!(session.is_satisfied());
         session.commit()
-    }
-
-    fn on_topology_refresh(&mut self, _net: &N) {
-        self.ready = false;
     }
 }
 
@@ -198,46 +179,6 @@ mod tests {
         let e = net.graph().edge(n(1), n(0)).unwrap();
         assert_eq!(net.balance(e), Amount::from_units(6));
         assert_eq!(net.metrics().probe_messages, 0, "static scheme");
-    }
-
-    /// ROADMAP item (e), as for SpeedyMurmurs: with the hub channel 0–3
-    /// closed every 1 → 3 payment NACKs `ChannelClosed` on the landmark
-    /// route 1-0-3, and the payment after the `error_threshold`-th
-    /// failure trips exactly one re-probe and rebuilds the trees.
-    #[test]
-    fn stale_commit_failures_trip_one_reprobe_and_rebuild() {
-        use pcn_sim::des::{ChurnAction, ChurnSchedule, DesConfig, DesNetwork, SimTime};
-        let mut g = DiGraph::new(5);
-        for i in 1..5 {
-            g.add_channel(n(0), n(i)).unwrap();
-        }
-        let threshold = pcn_sim::reprobe::error_threshold(g.edge_count());
-        let mut churn = ChurnSchedule::none();
-        churn.push(
-            SimTime::ZERO,
-            ChurnAction::ChannelClose(g.edge(n(0), n(3)).unwrap()),
-        );
-        let config = DesConfig {
-            churn,
-            ..DesConfig::default()
-        };
-        let mut net = DesNetwork::new(Network::uniform(g, Amount::from_units(100)), config);
-        let mut r = SilentWhispersRouter::with_landmarks(1);
-        let pay = |i: u64| Payment::new(TxId(i), n(1), n(3), Amount::from_units(1));
-        for i in 0..threshold {
-            assert!(!r.route(&mut net, &pay(i), PaymentClass::Mice).is_success());
-            assert_eq!(r.staleness.errors(n(3)), i + 1);
-        }
-        assert_eq!(net.reprobes_triggered(), 0);
-        // Drop the landmarks behind `ready`: only a rebuild restores them.
-        r.landmarks.clear();
-        let out = r.route(&mut net, &pay(threshold), PaymentClass::Mice);
-        assert_eq!(net.reprobes_triggered(), 1);
-        assert_eq!(r.landmarks, [n(0)], "trees rebuilt");
-        // `graph()` still lists the closed channel, so the rebuilt trees
-        // are the old ones and the evidence starts accumulating again.
-        assert!(!out.is_success());
-        assert_eq!(r.staleness.errors(n(3)), 1);
     }
 
     #[test]

@@ -15,9 +15,7 @@
 //! then reversed (atomicity).
 
 use pcn_graph::{bfs, DiGraph, Path};
-use pcn_sim::{
-    FailureReason, PaymentNetwork, PaymentSession, RouteOutcome, Router, StalenessTracker,
-};
+use pcn_sim::{FailureReason, PaymentNetwork, PaymentSession, RouteOutcome, Router};
 use pcn_types::{Amount, NodeId, Payment, PaymentClass};
 
 /// Per-landmark prefix-embedding coordinates.
@@ -74,7 +72,6 @@ pub struct SpeedyMurmursRouter {
     pub num_landmarks: usize,
     embeddings: Vec<TreeEmbedding>,
     ready: bool,
-    staleness: StalenessTracker,
 }
 
 impl Default for SpeedyMurmursRouter {
@@ -95,7 +92,6 @@ impl SpeedyMurmursRouter {
             num_landmarks,
             embeddings: Vec::new(),
             ready: false,
-            staleness: StalenessTracker::default(),
         }
     }
 
@@ -149,16 +145,6 @@ impl<N: PaymentNetwork> Router<N> for SpeedyMurmursRouter {
     }
 
     fn route(&mut self, net: &mut N, payment: &Payment, class: PaymentClass) -> RouteOutcome {
-        // Stale-state detection: enough stale errors toward this
-        // destination invalidate the landmark embeddings, which are
-        // then rebuilt from the latest topology below.
-        if self
-            .staleness
-            .should_reprobe(payment.receiver, net.graph().edge_count())
-        {
-            net.note_reprobe();
-            self.on_topology_refresh(&*net);
-        }
         let g = net.graph();
         self.ensure_embeddings(g);
         let routes: Vec<Path> = self
@@ -172,18 +158,12 @@ impl<N: PaymentNetwork> Router<N> for SpeedyMurmursRouter {
         }
         let parts = split_evenly(routes, payment.amount);
         let mut session = net.begin_payment(payment, class);
-        if let Err(e) = session.try_send_parts(&parts) {
-            self.staleness.record_failure(payment.receiver, e.cause);
+        if session.try_send_parts(&parts).is_err() {
             session.abort();
             return RouteOutcome::failure(FailureReason::InsufficientCapacity);
         }
         debug_assert!(session.is_satisfied());
         session.commit()
-    }
-
-    fn on_topology_refresh(&mut self, _net: &N) {
-        self.ready = false;
-        self.embeddings.clear();
     }
 }
 
@@ -272,58 +252,6 @@ mod tests {
         let out = r.route(&mut net, &p, PaymentClass::Elephant);
         assert!(!out.is_success());
         assert_eq!(net.total_funds(), before);
-    }
-
-    #[test]
-    fn refresh_invalidates_embeddings() {
-        let g = star_plus_ring();
-        let mut net = Network::uniform(g, Amount::from_units(10));
-        let mut r = SpeedyMurmursRouter::new();
-        let p = Payment::new(TxId(3), n(1), n(2), Amount::from_units(1));
-        r.route(&mut net, &p, PaymentClass::Mice);
-        assert!(r.ready);
-        r.on_topology_refresh(&net);
-        assert!(!r.ready);
-    }
-
-    /// ROADMAP item (e): the stale-evidence path is live. With the hub
-    /// channel 0–3 closed, every 1 → 3 payment rides the tree route
-    /// 1-0-3 into a `ChannelClosed` NACK; the payment after the
-    /// `error_threshold`-th such failure trips exactly one re-probe and
-    /// rebuilds the embeddings. (`BENCH_churn.json`'s zeros are the
-    /// 200-payment smoke trace never putting that many stale errors on
-    /// one receiver — see `figures/churn.rs`.)
-    #[test]
-    fn stale_commit_failures_trip_one_reprobe_and_rebuild() {
-        use pcn_sim::des::{ChurnAction, ChurnSchedule, DesConfig, DesNetwork, SimTime};
-        let g = star_plus_ring();
-        let threshold = pcn_sim::reprobe::error_threshold(g.edge_count());
-        let mut churn = ChurnSchedule::none();
-        churn.push(
-            SimTime::ZERO,
-            ChurnAction::ChannelClose(g.edge(n(0), n(3)).unwrap()),
-        );
-        let config = DesConfig {
-            churn,
-            ..DesConfig::default()
-        };
-        let mut net = DesNetwork::new(Network::uniform(g, Amount::from_units(100)), config);
-        let mut r = SpeedyMurmursRouter::with_landmarks(1);
-        let pay = |i: u64| Payment::new(TxId(i), n(1), n(3), Amount::from_units(1));
-        for i in 0..threshold {
-            assert!(!r.route(&mut net, &pay(i), PaymentClass::Mice).is_success());
-            assert_eq!(r.staleness.errors(n(3)), i + 1);
-        }
-        assert_eq!(net.reprobes_triggered(), 0);
-        // Empty the embeddings behind `ready`: only a rebuild refills them.
-        r.embeddings.clear();
-        let out = r.route(&mut net, &pay(threshold), PaymentClass::Mice);
-        assert_eq!(net.reprobes_triggered(), 1);
-        assert_eq!(r.embeddings.len(), 1, "embeddings rebuilt");
-        // `graph()` still lists the closed channel, so the rebuilt tree
-        // is the old one and the evidence starts accumulating again.
-        assert!(!out.is_success());
-        assert_eq!(r.staleness.errors(n(3)), 1);
     }
 
     #[test]

@@ -10,9 +10,7 @@
 //! measures), waterfills the demand across them, and sends atomically.
 
 use pcn_graph::{disjoint, Path};
-use pcn_sim::{
-    FailureReason, PaymentNetwork, PaymentSession, RouteOutcome, Router, StalenessTracker,
-};
+use pcn_sim::{FailureReason, PaymentNetwork, PaymentSession, RouteOutcome, Router};
 use pcn_types::{Amount, Payment, PaymentClass};
 
 /// The Spider waterfilling router.
@@ -20,7 +18,6 @@ use pcn_types::{Amount, Payment, PaymentClass};
 pub struct SpiderRouter {
     /// Number of edge-disjoint paths per payment (4 in the paper).
     pub num_paths: usize,
-    staleness: StalenessTracker,
 }
 
 impl Default for SpiderRouter {
@@ -37,10 +34,7 @@ impl SpiderRouter {
 
     /// Creates a Spider router with a custom path count.
     pub fn with_paths(num_paths: usize) -> Self {
-        SpiderRouter {
-            num_paths,
-            staleness: StalenessTracker::default(),
-        }
+        SpiderRouter { num_paths }
     }
 }
 
@@ -108,15 +102,6 @@ impl<N: PaymentNetwork> Router<N> for SpiderRouter {
     }
 
     fn route(&mut self, net: &mut N, payment: &Payment, class: PaymentClass) -> RouteOutcome {
-        // Spider recomputes its disjoint paths per payment, so a
-        // tripped staleness threshold only notifies the backend (the
-        // fresh probe/flood below is the refresh).
-        if self
-            .staleness
-            .should_reprobe(payment.receiver, net.graph().edge_count())
-        {
-            net.note_reprobe();
-        }
         let paths: Vec<Path> = disjoint::edge_disjoint_paths(
             net.graph(),
             payment.sender,
@@ -133,15 +118,7 @@ impl<N: PaymentNetwork> Router<N> for SpiderRouter {
         let capacities: Vec<Amount> = net
             .probe_paths(&paths)
             .into_iter()
-            .map(|report| match report {
-                Some(r) => r.bottleneck(),
-                None => {
-                    // Lost probe: fault injection, a closed channel, or
-                    // a crashed node on the path.
-                    self.staleness.record_probe_loss(payment.receiver);
-                    Amount::ZERO
-                }
-            })
+            .map(|report| report.map_or(Amount::ZERO, |r| r.bottleneck()))
             .collect();
         let Some(alloc) = waterfill(&capacities, payment.amount) else {
             net.record_rejected_attempt(payment, class);
@@ -149,8 +126,7 @@ impl<N: PaymentNetwork> Router<N> for SpiderRouter {
         };
         let parts: Vec<(Path, Amount)> = paths.into_iter().zip(alloc).collect();
         let mut session = net.begin_payment(payment, class);
-        if let Err(e) = session.try_send_parts(&parts) {
-            self.staleness.record_failure(payment.receiver, e.cause);
+        if session.try_send_parts(&parts).is_err() {
             session.abort();
             return RouteOutcome::failure(FailureReason::InsufficientCapacity);
         }

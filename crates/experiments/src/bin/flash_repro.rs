@@ -11,6 +11,25 @@
 use pcn_experiments::{figures, Effort, FigureResult};
 use std::path::PathBuf;
 
+type FigureFn = fn(Effort) -> Vec<FigureResult>;
+
+/// Every figure the binary can regenerate, in the order a bare run
+/// produces them.
+const FIGURES: &[(&str, FigureFn)] = &[
+    ("fig3", figures::fig3::run),
+    ("fig4", figures::fig4::run),
+    ("fig6", figures::fig6::run),
+    ("fig7", figures::fig7::run),
+    ("fig8", figures::fig8::run),
+    ("fig9", figures::fig9::run),
+    ("fig10", figures::fig10::run),
+    ("fig11", figures::fig11::run),
+    ("fig12", figures::fig12::run),
+    ("fig13", figures::fig13::run),
+    ("latency", figures::latency::run),
+    ("churn", figures::churn::run),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut effort = Effort::Paper;
@@ -30,9 +49,8 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!("usage: flash-repro [--quick] [--out DIR] [--fig figN]...");
-                eprintln!(
-                    "figures: fig3 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 latency churn"
-                );
+                let names: Vec<&str> = FIGURES.iter().map(|&(name, _)| name).collect();
+                eprintln!("figures: {}", names.join(" "));
                 return;
             }
             other => {
@@ -43,37 +61,18 @@ fn main() {
         i += 1;
     }
     if figs.is_empty() {
-        figs = [
-            "fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-            "latency", "churn",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        figs = FIGURES.iter().map(|&(name, _)| name.to_string()).collect();
     }
     std::fs::create_dir_all(&out_dir).expect("create output directory");
 
     for name in figs {
         let wall_started = pcn_proto::wall_now();
         eprintln!("running {name} ({effort:?})...");
-        let results: Vec<FigureResult> = match name.as_str() {
-            "fig3" => figures::fig3::run(effort),
-            "fig4" => figures::fig4::run(effort),
-            "fig6" => figures::fig6::run(effort),
-            "fig7" => figures::fig7::run(effort),
-            "fig8" => figures::fig8::run(effort),
-            "fig9" => figures::fig9::run(effort),
-            "fig10" => figures::fig10::run(effort),
-            "fig11" => figures::fig11::run(effort),
-            "fig12" => figures::fig12::run(effort),
-            "fig13" => figures::fig13::run(effort),
-            "latency" => figures::latency::run(effort),
-            "churn" => figures::churn::run(effort),
-            other => {
-                eprintln!("unknown figure: {other}");
-                std::process::exit(2);
-            }
+        let Some(&(_, run)) = FIGURES.iter().find(|&&(fig, _)| fig == name) else {
+            eprintln!("unknown figure: {name}");
+            std::process::exit(2);
         };
+        let results = run(effort);
         eprintln!("  done in {:.1?}", wall_started.elapsed());
         for fig in &results {
             println!("{}", fig.to_markdown());

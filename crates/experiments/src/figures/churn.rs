@@ -17,21 +17,16 @@
 //! fall monotonically with the rate — the shape `flash_bench::shape`
 //! enforces on the committed `BENCH_churn.json`.
 //!
-//! **Why SpeedyMurmurs and SilentWhispers show `reprobes_triggered: 0`
-//! at every rate.** Their stale-evidence path is live — the
-//! `stale_commit_failures_trip_one_reprobe_and_rebuild` unit tests in
-//! `flash_core::{speedymurmurs, silentwhispers}` drive each over a
-//! closed channel and see one re-probe and a rebuild. The smoke sweep
-//! just never gets there: both schemes send all shares in one
-//! `try_send_parts` and so record at most one stale error per failed
-//! payment, the 60-node graph has 240 directed edges, hence
-//! `error_threshold(240)` = 72, and no receiver of a 200-payment trace
-//! is paid 72 times. (Flash and Spider trip because they probe: lost
-//! probes feed the lower `drop_threshold` several times per payment.)
-//! Nor would a trip help them here — `graph()` keeps listing a closed
-//! channel, so the rebuilt trees equal the old ones; their collapse
-//! from 0.81 to 0.34 / 0.22 at the lowest rate is static tree routes
-//! with no alternative path, not a dead code path.
+//! **`reprobes_triggered` is a Flash column.** Flash is the one scheme
+//! that caches routes between payments (the mice table), so it is the
+//! one scheme with something to recompute when stale NACKs and bounced
+//! probes pile up on a receiver (`flash_core::flash`'s re-probe
+//! module). Shortest Path and Spider search afresh per payment, and the
+//! landmark trees of SpeedyMurmurs and SilentWhispers are built over a
+//! `graph()` that keeps listing a closed channel — a rebuild would equal
+//! the old trees — so the four baselines record 0 at every rate. The
+//! tree schemes' collapse from 0.81 to 0.34 / 0.22 at the lowest rate
+//! is static tree routes with no alternative path.
 
 use crate::harness::{des_sweep, DesLoad, Effort, SweepPoint};
 use crate::report::{FigureResult, Series};

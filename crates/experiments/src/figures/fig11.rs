@@ -8,9 +8,9 @@
 //!
 //! What makes `m = 0` the upper bound is max-flow: each send can deliver
 //! at most the true max-flow between sender and receiver at that moment
-//! ([`crate::harness::static_max_flow`], computed by the push-relabel
-//! kernel). The tests below pin that bound against the pristine network
-//! and check push-relabel against the Edmonds–Karp oracle on it.
+//! (computed by the push-relabel kernel, see `docs/maxflow.md`). The
+//! tests below pin that bound against the pristine network and check
+//! push-relabel against the Edmonds–Karp oracle on it.
 
 use crate::harness::{run_scheme, sim_point, Effort, Topo, DEFAULT_MICE_FRACTION};
 use crate::report::{FigureResult, Series};
@@ -62,6 +62,17 @@ pub fn run(effort: Effort) -> Vec<FigureResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcn_graph::maxflow::{EdmondsKarp, MaxFlowSolver, PushRelabel};
+    use pcn_sim::Network;
+    use pcn_types::NodeId;
+
+    /// The true `s → t` max-flow over the network's *current* balances,
+    /// via the push-relabel kernel.
+    fn static_max_flow(net: &Network, s: NodeId, t: NodeId) -> Amount {
+        let g = net.graph();
+        let caps: Vec<u64> = g.edges().map(|(e, _, _)| net.balance(e).micros()).collect();
+        Amount::from_micros(PushRelabel.max_flow(g, s, t, &caps).value)
+    }
 
     #[test]
     fn table_routing_cuts_probing_versus_m0() {
@@ -80,9 +91,6 @@ mod tests {
     /// balances) can never deliver more than it.
     #[test]
     fn m0_upper_bound_and_kernels_agree() {
-        use crate::harness::static_max_flow;
-        use pcn_graph::maxflow::{EdmondsKarp, MaxFlowSolver};
-
         let net = Topo::Ripple.build_network(Effort::Quick, 600);
         let trace = Topo::Ripple.build_trace(&net, 10, 671);
         let g = net.graph();

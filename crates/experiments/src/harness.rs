@@ -3,12 +3,11 @@
 use flash_core::classify::threshold_for_mice_fraction;
 use flash_core::Scheme;
 use pcn_graph::generators;
-use pcn_graph::maxflow::{MaxFlowSolver, PushRelabel};
 use pcn_sim::{
     ChurnRate, DesConfig, DesEngine, DesNetwork, DesReport, LatencyModel, Metrics, Network,
     ServiceModel, SimTime,
 };
-use pcn_types::{Amount, NodeId, Payment};
+use pcn_types::{Amount, Payment};
 use pcn_workload::trace::{generate_trace, TraceConfig};
 use pcn_workload::{lightning_topology, ripple_topology};
 
@@ -162,7 +161,7 @@ pub struct DesLoad {
     /// Per-hop message propagation latency.
     pub latency: LatencyModel,
     /// Per-node message service time (FIFO queueing behind the
-    /// backlog; [`ServiceModel::Instant`] disables queueing).
+    /// backlog; [`ServiceModel::instant`] disables queueing).
     pub service: ServiceModel,
     /// Topology-churn intensities. [`ChurnRate::zero`] (the common
     /// case) generates the empty schedule, keeping the run
@@ -264,16 +263,6 @@ pub fn des_sweep(
         }
     }
     points
-}
-
-/// The true `s → t` max-flow over the network's *current* balances, via
-/// the push-relabel kernel (see `docs/maxflow.md`). This is the
-/// quantity the Figure 11 `m = 0` configuration (mice routed by the
-/// elephant algorithm) is upper-bounded by at each send.
-pub fn static_max_flow(net: &Network, s: NodeId, t: NodeId) -> Amount {
-    let g = net.graph();
-    let caps: Vec<u64> = g.edges().map(|(e, _, _)| net.balance(e).micros()).collect();
-    Amount::from_micros(PushRelabel.max_flow(g, s, t, &caps).value)
 }
 
 /// Installs the Figure 9 fee distribution on a copy of the network.

@@ -22,21 +22,3 @@ pub mod report;
 
 pub use harness::{Effort, Topo};
 pub use report::{FigureResult, Series};
-
-/// Runs every figure at the given effort, returning all results.
-pub fn run_all(effort: Effort) -> Vec<FigureResult> {
-    let mut out = Vec::new();
-    out.extend(figures::fig3::run(effort));
-    out.extend(figures::fig4::run(effort));
-    out.extend(figures::fig6::run(effort));
-    out.extend(figures::fig7::run(effort));
-    out.extend(figures::fig8::run(effort));
-    out.extend(figures::fig9::run(effort));
-    out.extend(figures::fig10::run(effort));
-    out.extend(figures::fig11::run(effort));
-    out.extend(figures::fig12::run(effort));
-    out.extend(figures::fig13::run(effort));
-    out.extend(figures::latency::run(effort));
-    out.extend(figures::churn::run(effort));
-    out
-}

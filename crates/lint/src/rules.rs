@@ -7,7 +7,7 @@
 //! codebase never letting unordered state leak into event order or
 //! serialized output. These rules encode the project's invariants:
 //!
-//! * **D1 `wall-clock`** — no `Instant::now` / `SystemTime` in the
+//! * **D1 `wall-clock`** — no `Instant` / `SystemTime` in the
 //!   deterministic crates. Bench/experiment binaries and `pcn-proto`
 //!   may read wall time, but only through the single
 //!   `pcn_proto::wall_now` helper, and only into `wall_*`-prefixed
@@ -603,21 +603,25 @@ pub fn audit_tokens(file: &str, lexed: &Lexed, policy: &Policy, ctx: &CrateCtx) 
             if t.kind != TokKind::Ident {
                 continue;
             }
-            // `Instant :: now` / `SystemTime :: now` and the import /
-            // fully-qualified forms `time :: Instant`, `time :: SystemTime`.
-            // (`Instant` alone is NOT flagged: `ServiceModel::Instant` is a
-            // legitimate virtual-time variant in pcn-sim.)
-            // Any `SystemTime` mention is a hit; `Instant` needs the
-            // `::now` or `time::` context (see doc above).
-            let wall_hit = t.text == "SystemTime"
-                || t.text == "Instant"
-                    && toks.get(i + 1).is_some_and(|n| n.text == "::")
-                    && toks.get(i + 2).is_some_and(|n| n.text == "now")
-                || t.text == "time"
-                    && toks.get(i + 1).is_some_and(|n| n.text == "::")
-                    && toks
-                        .get(i + 2)
-                        .is_some_and(|n| n.text == "Instant" || n.text == "SystemTime");
+            // Deterministic crates may not name the wall-clock types at
+            // all — that also catches `use std::time::*;` plus a stored
+            // `Instant`. Wall-allowed crates may hold an `Instant` they
+            // got from the helper; there only `Instant::now`, any
+            // `SystemTime` and the `time::` import / qualified forms hit.
+            let wall_hit = match policy.wall {
+                WallPolicy::Forbid => t.text == "SystemTime" || t.text == "Instant",
+                _ => {
+                    t.text == "SystemTime"
+                        || t.text == "Instant"
+                            && toks.get(i + 1).is_some_and(|n| n.text == "::")
+                            && toks.get(i + 2).is_some_and(|n| n.text == "now")
+                        || t.text == "time"
+                            && toks.get(i + 1).is_some_and(|n| n.text == "::")
+                            && toks
+                                .get(i + 2)
+                                .is_some_and(|n| n.text == "Instant" || n.text == "SystemTime")
+                }
+            };
             if wall_hit {
                 let msg = match policy.wall {
                     WallPolicy::Forbid => format!(
@@ -1218,8 +1222,9 @@ mod tests {
         let f = lint_source("x.rs", "fn f() { let t = Instant::now(); }", &det());
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, Rule::WallClock);
-        // …but the DES's virtual `ServiceModel::Instant` variant is fine.
-        assert!(lint_source("x.rs", "let m = ServiceModel::Instant;", &det()).is_empty());
+        // Naming the type is enough: no import path, no `::now`.
+        let stored = lint_source("x.rs", "struct S { started: Instant }", &det());
+        assert_eq!(stored.len(), 1, "{stored:?}");
     }
 
     #[test]

@@ -24,8 +24,10 @@ fn d1_wall_clock_fixture_is_rejected() {
     let f = lint_source("d1_wall_clock.rs", &fixture("d1_wall_clock.rs"), &det());
     assert!(!f.is_empty());
     assert!(f.iter().all(|f| f.rule == Rule::WallClock), "{f:?}");
-    // Both the import and the call site are caught.
-    assert!(f.len() >= 2, "{f:?}");
+    // The import, the call site, and the `Instant` field behind the
+    // glob import are each caught.
+    let lines: Vec<u32> = f.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [4, 7, 18], "{f:?}");
 }
 
 #[test]

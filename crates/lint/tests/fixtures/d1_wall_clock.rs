@@ -1,5 +1,6 @@
 // Known-bad fixture for D1: wall-clock reads inside a deterministic
-// crate. Both the fully-qualified call and the import must be flagged.
+// crate. The import, the fully-qualified call, and a stored `Instant`
+// reached through a glob import must all be flagged.
 use std::time::Instant;
 
 pub fn route_latency() -> std::time::Duration {
@@ -9,3 +10,11 @@ pub fn route_latency() -> std::time::Duration {
 }
 
 fn do_route() {}
+
+mod glob_import {
+    use std::time::*;
+
+    pub struct Span {
+        pub started: Instant,
+    }
+}

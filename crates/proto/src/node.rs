@@ -166,11 +166,6 @@ impl NodeState {
         self.down = down;
     }
 
-    /// Whether the node is currently crashed.
-    pub fn is_down(&self) -> bool {
-        self.down
-    }
-
     /// Freezes or reopens the outgoing direction toward `neighbor`.
     pub fn set_closed_to(&mut self, neighbor: u32, closed: bool) {
         if closed {

@@ -144,9 +144,8 @@ use crate::{FailureReason, ProbeReport, RouteOutcome};
 use pcn_graph::{DiGraph, Path};
 use pcn_types::{Amount, Payment, PaymentClass};
 
-/// Why one hop NACKed a commit attempt — the signal the staleness
-/// layer ([`StalenessTracker`](crate::StalenessTracker)) classifies
-/// failures by.
+/// Why one hop NACKed a commit attempt — the signal Flash's re-probe
+/// trip (`flash_core::flash`) classifies failures by.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FailureCause {
     /// The hop's channel existed and was open but held less than the
@@ -324,11 +323,10 @@ pub trait PaymentNetwork {
         self.begin_payment(payment, class).abort();
     }
 
-    /// Notifies the backend that the router's staleness layer tripped
-    /// a re-probe threshold and is about to refresh its topology
-    /// knowledge (fresh probe/flood instead of retrying a dead path —
-    /// see [`StalenessTracker`](crate::StalenessTracker)). Default: no-op.
-    /// The DES backend counts these into
+    /// Notifies the backend that the router tripped a re-probe
+    /// threshold and is about to recompute its cached routes instead of
+    /// retrying a dead path (Flash is the one scheme that does).
+    /// Default: no-op. The DES backend counts these into
     /// [`DesReport::reprobes_triggered`](crate::DesReport).
     fn note_reprobe(&mut self) {}
 }

@@ -76,11 +76,6 @@ impl DesReport {
     pub fn queue_delay_ms(&self, q: f64) -> f64 {
         self.metrics.queue_delay.quantile_us(q) as f64 / 1_000.0
     }
-
-    /// Mean per-message queueing delay in virtual milliseconds.
-    pub fn mean_queue_delay_ms(&self) -> f64 {
-        self.metrics.queue_delay.mean_us() / 1_000.0
-    }
 }
 
 /// The discrete-event engine: a [`DesNetwork`] plus the arrival loop.

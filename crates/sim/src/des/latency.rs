@@ -17,7 +17,6 @@
 //! engine behaves exactly as it did before service queues existed.
 
 use super::time::SimTime;
-use pcn_graph::EdgeId;
 
 /// How long one message takes to traverse one channel hop.
 #[derive(Clone, Debug)]
@@ -33,14 +32,6 @@ pub enum LatencyModel {
         jitter_us: u64,
         /// Seed for the jitter hash.
         seed: u64,
-    },
-    /// A per-edge delay table (e.g. geographic link latencies), indexed
-    /// by [`EdgeId`]; edges beyond the table use `default`.
-    PerEdge {
-        /// `table[e.index()]` is the delay of directed edge `e`.
-        table: Vec<SimTime>,
-        /// Delay for edges not covered by the table.
-        default: SimTime,
     },
 }
 
@@ -58,10 +49,9 @@ impl LatencyModel {
         LatencyModel::Constant(SimTime::ZERO)
     }
 
-    /// The delay of message number `tick` crossing `edge`. `tick` is the
-    /// engine's monotone message counter; for `None` edges (a probe of a
-    /// path with a missing channel) the model's base/default applies.
-    pub fn delay(&self, edge: Option<EdgeId>, tick: u64) -> SimTime {
+    /// The delay of message number `tick` crossing one hop. `tick` is
+    /// the engine's monotone message counter.
+    pub fn delay(&self, tick: u64) -> SimTime {
         match self {
             LatencyModel::Constant(d) => *d,
             LatencyModel::UniformJitter {
@@ -81,10 +71,6 @@ impl LatencyModel {
                 };
                 base.saturating_add(SimTime::from_micros(jitter))
             }
-            LatencyModel::PerEdge { table, default } => match edge {
-                Some(e) => table.get(e.index()).copied().unwrap_or(*default),
-                None => *default,
-            },
         }
     }
 }
@@ -105,9 +91,9 @@ mod tests {
     fn constant_is_constant() {
         let m = LatencyModel::constant_ms(10);
         for tick in 0..10 {
-            assert_eq!(m.delay(None, tick), SimTime::from_millis(10));
+            assert_eq!(m.delay(tick), SimTime::from_millis(10));
         }
-        assert_eq!(LatencyModel::instant().delay(None, 3), SimTime::ZERO);
+        assert_eq!(LatencyModel::instant().delay(3), SimTime::ZERO);
     }
 
     #[test]
@@ -119,12 +105,12 @@ mod tests {
         };
         let lo = SimTime::from_millis(5);
         let hi = SimTime::from_micros(7_000);
-        let draws: Vec<SimTime> = (0..200).map(|t| m.delay(None, t)).collect();
+        let draws: Vec<SimTime> = (0..200).map(|t| m.delay(t)).collect();
         for d in &draws {
             assert!((lo..=hi).contains(d), "{d} out of [5ms, 7ms]");
         }
         // Pure function of (seed, tick): replay matches exactly.
-        let replay: Vec<SimTime> = (0..200).map(|t| m.delay(None, t)).collect();
+        let replay: Vec<SimTime> = (0..200).map(|t| m.delay(t)).collect();
         assert_eq!(draws, replay);
         // Different seed, different sequence.
         let other = LatencyModel::UniformJitter {
@@ -132,7 +118,7 @@ mod tests {
             jitter_us: 2_000,
             seed: 43,
         };
-        let others: Vec<SimTime> = (0..200).map(|t| other.delay(None, t)).collect();
+        let others: Vec<SimTime> = (0..200).map(|t| other.delay(t)).collect();
         assert_ne!(draws, others);
     }
 
@@ -144,7 +130,7 @@ mod tests {
             seed: 2,
         };
         for tick in 0..100 {
-            let _ = m.delay(None, tick); // must not panic
+            let _ = m.delay(tick); // must not panic
         }
     }
 
@@ -155,18 +141,6 @@ mod tests {
             jitter_us: 0,
             seed: 1,
         };
-        assert_eq!(m.delay(None, 9), SimTime::from_millis(3));
-    }
-
-    #[test]
-    fn per_edge_table_with_default() {
-        let m = LatencyModel::PerEdge {
-            table: vec![SimTime::from_millis(1), SimTime::from_millis(2)],
-            default: SimTime::from_millis(9),
-        };
-        assert_eq!(m.delay(Some(EdgeId(0)), 0), SimTime::from_millis(1));
-        assert_eq!(m.delay(Some(EdgeId(1)), 0), SimTime::from_millis(2));
-        assert_eq!(m.delay(Some(EdgeId(7)), 0), SimTime::from_millis(9));
-        assert_eq!(m.delay(None, 0), SimTime::from_millis(9));
+        assert_eq!(m.delay(9), SimTime::from_millis(3));
     }
 }

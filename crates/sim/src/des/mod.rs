@@ -15,8 +15,8 @@
 //! * [`EventQueue`] — binary-heap event queue with insertion-sequence
 //!   tie-breaking, so runs are bit-reproducible (see its module docs
 //!   for the invariants).
-//! * [`LatencyModel`] — per-hop *propagation* delay: constant,
-//!   deterministic uniform jitter, or a per-edge table.
+//! * [`LatencyModel`] — per-hop *propagation* delay: constant, or
+//!   deterministic uniform jitter.
 //! * [`ServiceModel`] / [`ServiceQueues`] — per-node *service*: every
 //!   message delivered to a node occupies its single server for a
 //!   deterministic service time behind a FIFO backlog (M/D/1-style),

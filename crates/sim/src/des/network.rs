@@ -11,7 +11,8 @@
 //! admitted close together genuinely contend for channel balance and
 //! probe reports genuinely go stale — the paper's §5.1 failure mode
 //! ("the balance of some channel has changed after it was last probed")
-//! emerges from delay instead of from [`FaultConfig`] injection.
+//! emerges from delay instead of from
+//! [`FaultConfig`](crate::FaultConfig) injection.
 //!
 //! ## Timing model
 //!
@@ -36,10 +37,9 @@
 //!   sender's current clock; each hop settles when its node finishes
 //!   servicing the wave.
 //!
-//! With the default [`ServiceModel::Instant`] every service completes
-//! at its arrival instant and the model reduces exactly to the
-//! propagation-only engine of PR 4 (the zero-service differential in
-//! `tests/des_engine.rs` asserts this bit for bit).
+//! With the default [`ServiceModel::instant`] every service completes
+//! at its arrival instant, no queue forms, and propagation is the only
+//! delay.
 //!
 //! ## Sender-serialized admission
 //!
@@ -67,7 +67,7 @@ use super::node::{ServiceModel, ServiceQueues};
 use super::queue::EventQueue;
 use super::time::SimTime;
 use crate::backend::{FailureCause, PartFailure, PaymentNetwork, PaymentSession};
-use crate::{FaultConfig, Metrics, Network, ProbeReport, RouteOutcome};
+use crate::{Metrics, Network, ProbeReport, RouteOutcome};
 use pcn_graph::{DiGraph, EdgeId, Path};
 use pcn_types::{Amount, NodeId, Payment, PaymentClass};
 
@@ -78,15 +78,9 @@ pub struct DesConfig {
     pub latency: LatencyModel,
     /// Per-node message *service* model: how long a node's single
     /// server takes per delivered message, with FIFO queueing behind
-    /// the backlog. The default ([`ServiceModel::Instant`]) disables
-    /// queueing and reproduces the propagation-only engine exactly.
+    /// the backlog. The default ([`ServiceModel::instant`]) disables
+    /// queueing.
     pub service: ServiceModel,
-    /// Fault injection (probe loss / probe noise) applied to the
-    /// wrapped network's probe path — the same [`FaultConfig`] surface
-    /// the sequential simulator uses. The default
-    /// ([`FaultConfig::none`]) installs nothing, leaving the wrapped
-    /// network's fault state (and its RNG stream) untouched.
-    pub faults: FaultConfig,
     /// Deterministic topology dynamics applied mid-run (see
     /// [`churn`](super::churn)). Events are admitted into the engine's
     /// `(time, seq)` event order at construction, in declared order;
@@ -104,8 +98,7 @@ impl Default for DesConfig {
     fn default() -> Self {
         DesConfig {
             latency: LatencyModel::constant_ms(10),
-            service: ServiceModel::Instant,
-            faults: FaultConfig::none(),
+            service: ServiceModel::instant(),
             churn: ChurnSchedule::none(),
             check_conservation: false,
         }
@@ -170,10 +163,6 @@ pub struct DesNetwork {
     /// Times a router reported consuming stale evidence and refreshing
     /// its topology knowledge ([`PaymentNetwork::note_reprobe`]).
     reprobes_triggered: u64,
-    /// Scratch buffer for [`DesNetwork::probe_path`]'s per-hop edge
-    /// list, reused across probes so the hot path allocates nothing
-    /// per probe.
-    probe_scratch: Vec<Option<EdgeId>>,
     /// Spent part edge-lists, recycled between reservations: a
     /// settled or NACKed part returns its `Vec` here and the next
     /// [`DesSession::try_send_part`] reuses it instead of allocating.
@@ -188,15 +177,13 @@ impl DesNetwork {
     /// here, in declared order, so its events share the engine's
     /// `(time, seq)` total order with every settlement wave. Installing
     /// the empty schedule schedules nothing, draws no randomness, and
-    /// advances no message tick. Fault injection is installed only when
-    /// [`FaultConfig::enabled`], so a disabled config leaves the
-    /// wrapped network's fault RNG stream untouched.
-    pub fn new(mut inner: Network, config: DesConfig) -> Self {
+    /// advances no message tick. Fault injection (probe loss / noise)
+    /// is whatever `inner` already carries
+    /// ([`Network::set_faults`]); under this backend stale probes also
+    /// arise naturally from delay.
+    pub fn new(inner: Network, config: DesConfig) -> Self {
         let initial_total = inner.total_funds().micros() as u128;
         let service = ServiceQueues::new(config.service, inner.graph().node_count());
-        if config.faults.enabled() {
-            inner.set_faults(config.faults);
-        }
         let mut queue = EventQueue::new();
         for ev in config.churn.events() {
             // Deliberately not via `schedule()`: churn must not touch
@@ -225,7 +212,6 @@ impl DesNetwork {
             closed_channels: 0,
             stale_probe_failures: 0,
             reprobes_triggered: 0,
-            probe_scratch: Vec::new(),
             edge_pool: Vec::new(),
         }
     }
@@ -246,13 +232,6 @@ impl DesNetwork {
     /// latency histograms at the end of every run.
     pub fn take_metrics(&mut self) -> Metrics {
         std::mem::take(self.inner.metrics_mut())
-    }
-
-    /// Installs a fault-injection configuration on the wrapped network.
-    /// Under the DES backend stale probes already arise naturally from
-    /// delay; injection remains available for probe *loss*.
-    pub fn set_faults(&mut self, faults: FaultConfig) {
-        self.inner.set_faults(faults);
     }
 
     /// Payments currently in flight (admitted, not yet fully settled).
@@ -449,9 +428,9 @@ impl DesNetwork {
         self.queue.schedule(fire, settle);
     }
 
-    /// One link delay for the next message crossing `edge`.
-    fn hop_delay(&mut self, edge: Option<EdgeId>) -> SimTime {
-        let d = self.latency.delay(edge, self.msg_tick);
+    /// One link delay for the next message crossing a hop.
+    fn hop_delay(&mut self) -> SimTime {
+        let d = self.latency.delay(self.msg_tick);
         self.msg_tick += 1;
         d
     }
@@ -464,7 +443,7 @@ impl DesNetwork {
     /// [`node`](super::node)).
     // pcn-lint: hot — runs once per message delivery, the innermost loop
     fn deliver(&mut self, node: NodeId, arrival: SimTime) -> SimTime {
-        if self.service.model().service_time(node) == SimTime::ZERO {
+        if self.service.model().service_time() == SimTime::ZERO {
             return arrival;
         }
         let pass = self.service.admit(node, arrival);
@@ -497,11 +476,6 @@ impl PaymentNetwork for DesNetwork {
     // pcn-lint: hot — one round trip per probe; probes dominate under Flash
     fn probe_path(&mut self, path: &Path) -> Option<ProbeReport> {
         let nodes = path.nodes();
-        // Per-hop edge ids go into the reused scratch buffer — no
-        // allocation once it has grown to the longest path probed.
-        let mut edges = std::mem::take(&mut self.probe_scratch);
-        edges.clear();
-        edges.extend(path.channels().map(|(u, v)| self.inner.graph().edge(u, v)));
         let mut t = self.now;
         // Out: hop i crosses channel i, then nodes[i + 1] services it.
         // Settlement *and churn* events up to each node's finish
@@ -511,11 +485,13 @@ impl PaymentNetwork for DesNetwork {
         // drain-at-snapshot: events apply in the same `(time, seq)`
         // order either way, and delivery reads no balances.
         let mut blocked_at = None;
-        for (i, e) in edges.iter().enumerate() {
-            t += self.hop_delay(*e);
-            t = self.deliver(nodes[i + 1], t);
+        for (i, (u, v)) in path.channels().enumerate() {
+            t += self.hop_delay();
+            t = self.deliver(v, t);
             self.drain_until(t);
-            if self.node_down(nodes[i + 1]) || matches!(e, Some(e) if self.edge_closed(*e)) {
+            if self.node_down(v)
+                || matches!(self.inner.graph().edge(u, v), Some(e) if self.edge_closed(e))
+            {
                 blocked_at = Some(i);
                 break;
             }
@@ -524,24 +500,22 @@ impl PaymentNetwork for DesNetwork {
             // The probe dies at hop i: a NACK retraces the traversed
             // prefix, serviced by each upstream node down to the
             // sender. The i + 1 outbound messages are still metered.
-            for j in (0..=i).rev() {
-                t += self.hop_delay(edges[j]);
-                t = self.deliver(nodes[j], t);
+            for &up in nodes[..=i].iter().rev() {
+                t += self.hop_delay();
+                t = self.deliver(up, t);
             }
             self.inner.metrics_mut().probe_messages += (i + 1) as u64;
             self.stale_probe_failures += 1;
-            self.probe_scratch = edges;
             self.now = t;
             return None;
         }
         let snapshot_at = t;
         // Back: the ACK retraces, serviced by each upstream node down
         // to (and including) the sender.
-        for (i, e) in edges.iter().enumerate().rev() {
-            t += self.hop_delay(*e);
-            t = self.deliver(nodes[i], t);
+        for &up in nodes[..nodes.len() - 1].iter().rev() {
+            t += self.hop_delay();
+            t = self.deliver(up, t);
         }
-        self.probe_scratch = edges;
         self.drain_until(snapshot_at);
         let report = self.inner.probe_path(path);
         self.now = t;
@@ -617,7 +591,7 @@ impl DesSession<'_> {
             let mut t = self.net.now;
             for &e in &part.edges {
                 let (_, to) = self.net.inner.graph().endpoints(e);
-                t += self.net.hop_delay(Some(e));
+                t += self.net.hop_delay();
                 t = self.net.deliver(to, t);
                 self.net.schedule(t, make(e, part.amount));
             }
@@ -655,7 +629,7 @@ impl PaymentSession for DesSession<'_> {
         let mut debited: Vec<EdgeId> = self.net.edge_pool.pop().unwrap_or_default();
         for (hop, (u, v)) in path.channels().enumerate() {
             let edge = self.net.inner.graph().edge(u, v);
-            t += self.net.hop_delay(edge);
+            t += self.net.hop_delay();
             t = self.net.deliver(v, t);
             self.net.drain_until(t);
             self.net.inner.metrics_mut().commit_messages += 1;
@@ -689,7 +663,7 @@ impl PaymentSession for DesSession<'_> {
             // channel closes under a COMMIT.
             for &d in debited.iter().rev() {
                 let (up, _) = self.net.inner.graph().endpoints(d);
-                t += self.net.hop_delay(Some(d));
+                t += self.net.hop_delay();
                 t = self.net.deliver(up, t);
                 self.net.schedule(t, Settle::Restore { edge: d, amount });
             }
@@ -705,7 +679,7 @@ impl PaymentSession for DesSession<'_> {
         // ACK retraces the path to the sender; escrow is held.
         for &e in debited.iter().rev() {
             let (up, _) = self.net.inner.graph().endpoints(e);
-            t += self.net.hop_delay(Some(e));
+            t += self.net.hop_delay();
             t = self.net.deliver(up, t);
         }
         self.net.now = t;
@@ -796,7 +770,7 @@ mod tests {
     }
 
     fn des(latency_ms: u64) -> DesNetwork {
-        des_with_service(latency_ms, ServiceModel::Instant)
+        des_with_service(latency_ms, ServiceModel::instant())
     }
 
     fn des_with_service(latency_ms: u64, service: ServiceModel) -> DesNetwork {
@@ -1002,39 +976,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_zero_service_is_bit_identical_to_instant() {
-        // ServiceModel::Constant(ZERO) exercises the queue machinery's
-        // zero-service fast path; ServiceModel::Instant skips it. The
-        // two must be observationally identical (the PR-4 engine had
-        // neither) — clocks, metrics, balances, everything.
-        let run = |service: ServiceModel| {
-            let mut net = des_with_service(10, service);
-            net.probe_path(&path_0123());
-            for (id, amount) in [(1u64, 4u64), (2, 9), (3, 7)] {
-                let p = Payment::new(TxId(id), n(0), n(3), Amount::from_units(amount));
-                let _ = crate::PaymentNetwork::send_single_path(
-                    &mut net,
-                    &p,
-                    PaymentClass::Mice,
-                    &path_0123(),
-                );
-            }
-            net.drain_all();
-            let now = net.now();
-            let metrics = net.take_metrics();
-            let inner = net.into_inner();
-            (now, metrics, inner)
-        };
-        let (now_a, metrics_a, net_a) = run(ServiceModel::Instant);
-        let (now_b, metrics_b, net_b) = run(ServiceModel::Constant(SimTime::ZERO));
-        assert_eq!(now_a, now_b);
-        assert_eq!(metrics_a, metrics_b);
-        for (e, _, _) in net_a.graph().edges() {
-            assert_eq!(net_a.balance(e), net_b.balance(e));
-        }
-    }
-
-    #[test]
     fn zero_latency_matches_instantaneous_network() {
         let mut des_net = DesNetwork::new(
             line_net(),
@@ -1182,38 +1123,5 @@ mod tests {
         late.push(SimTime::from_secs(3600), ChurnAction::ChannelClose(mid));
         late.push(SimTime::from_secs(7200), ChurnAction::ChannelReopen(mid));
         assert_eq!(run(late), quiet);
-    }
-
-    #[test]
-    fn empty_schedule_is_bit_identical_to_default_config() {
-        // ChurnSchedule::none() must not perturb anything: clocks,
-        // metrics, balances, event counts.
-        let run = |churn: ChurnSchedule| {
-            let mut net = des_with_churn(10, churn);
-            net.probe_path(&path_0123());
-            for (id, amount) in [(1u64, 4u64), (2, 9), (3, 7)] {
-                let p = Payment::new(TxId(id), n(0), n(3), Amount::from_units(amount));
-                let _ = crate::PaymentNetwork::send_single_path(
-                    &mut net,
-                    &p,
-                    PaymentClass::Mice,
-                    &path_0123(),
-                );
-            }
-            net.drain_all();
-            let now = net.now();
-            let delivered = net.events_delivered();
-            let metrics = net.take_metrics();
-            let inner = net.into_inner();
-            (now, delivered, metrics, inner)
-        };
-        let (now_a, del_a, metrics_a, net_a) = run(ChurnSchedule::none());
-        let (now_b, del_b, metrics_b, net_b) = run(ChurnSchedule::default());
-        assert_eq!(now_a, now_b);
-        assert_eq!(del_a, del_b);
-        assert_eq!(metrics_a, metrics_b);
-        for (e, _, _) in net_a.graph().edges() {
-            assert_eq!(net_a.balance(e), net_b.balance(e));
-        }
     }
 }

@@ -58,63 +58,42 @@
 //!
 //! A node with zero service time is an infinitely fast server: the
 //! message completes at its arrival instant, occupies no calendar
-//! slot, and records no statistics. [`ServiceModel::Instant`]
-//! therefore preserves the engine's pre-queue behavior **bit for
-//! bit**, and `ServiceModel::Constant(SimTime::ZERO)` — which does run
-//! the queue machinery — is asserted equivalent to it by the
-//! differential test in `tests/des_engine.rs`.
+//! slot, and records no statistics. [`ServiceModel::instant`] (the
+//! default) therefore leaves propagation as the only delay, and a run
+//! under it reports `peak_backlog == 0` and an empty queue-delay
+//! histogram (`tests/des_engine.rs` asserts both for every scheme).
 
 use super::time::SimTime;
 use pcn_types::NodeId;
 use std::collections::VecDeque;
 
-/// How long one node takes to process one delivered message.
-#[derive(Clone, Debug, Default)]
-pub enum ServiceModel {
-    /// Zero service everywhere: nodes are infinitely fast and no queue
-    /// ever forms. The default; preserves the queue-free engine
-    /// behavior exactly.
-    #[default]
-    Instant,
-    /// The same deterministic service time at every node (the paper's
-    /// homogeneous testbed daemons). With Poisson arrivals this makes
-    /// each node an M/D/1 queue.
-    Constant(SimTime),
-    /// A per-node service-time table (e.g. heterogeneous hardware),
-    /// indexed by [`NodeId`]; nodes beyond the table use `default`.
-    PerNode {
-        /// `table[n.0 as usize]` is node `n`'s service time.
-        table: Vec<SimTime>,
-        /// Service time for nodes not covered by the table.
-        default: SimTime,
-    },
-}
+/// How long one node takes to process one delivered message: the same
+/// deterministic service time at every node (the paper's homogeneous
+/// testbed daemons). With Poisson arrivals a nonzero time makes each
+/// node an M/D/1 queue; zero (the default) means nodes are infinitely
+/// fast and no queue ever forms.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ServiceModel(SimTime);
 
 impl ServiceModel {
     /// A constant per-node service time in milliseconds.
     pub fn constant_ms(ms: u64) -> Self {
-        ServiceModel::Constant(SimTime::from_millis(ms))
+        ServiceModel(SimTime::from_millis(ms))
     }
 
     /// A constant per-node service time in microseconds.
     pub fn constant_us(us: u64) -> Self {
-        ServiceModel::Constant(SimTime::from_micros(us))
+        ServiceModel(SimTime::from_micros(us))
     }
 
     /// Zero service everywhere (the default).
     pub fn instant() -> Self {
-        ServiceModel::Instant
+        ServiceModel::default()
     }
 
-    /// The service time of one message at `node`.
-    pub fn service_time(&self, node: NodeId) -> SimTime {
-        match self {
-            ServiceModel::Instant => SimTime::ZERO,
-            ServiceModel::Constant(s) => *s,
-            ServiceModel::PerNode { table, default } => {
-                table.get(node.0 as usize).copied().unwrap_or(*default)
-            }
-        }
+    /// The service time of one message at any node.
+    pub fn service_time(&self) -> SimTime {
+        self.0
     }
 }
 
@@ -194,7 +173,7 @@ impl ServiceQueues {
     /// touching the calendar (see the module docs).
     // pcn-lint: hot — the reservation lookup behind every delivery
     pub fn admit(&mut self, node: NodeId, arrival: SimTime) -> ServicePass {
-        let service = self.model.service_time(node);
+        let service = self.model.service_time();
         if service == SimTime::ZERO {
             return ServicePass {
                 complete: arrival,
@@ -434,33 +413,16 @@ mod tests {
 
     #[test]
     fn zero_service_is_transparent() {
-        for model in [ServiceModel::Instant, ServiceModel::Constant(SimTime::ZERO)] {
-            let mut q = ServiceQueues::new(model, 2);
-            for i in 0..10 {
-                let pass = q.admit(n(0), t(i * 7));
-                assert_eq!(pass.complete, t(i * 7));
-                assert_eq!(pass.queued, SimTime::ZERO);
-            }
-            assert_eq!(q.enqueued(), 0);
-            assert_eq!(q.peak_backlog(), 0);
-            assert_eq!(q.max_utilization(t(1000)), 0.0);
-            q.assert_backlog_conserved();
+        let mut q = ServiceQueues::new(ServiceModel::instant(), 2);
+        for i in 0..10 {
+            let pass = q.admit(n(0), t(i * 7));
+            assert_eq!(pass.complete, t(i * 7));
+            assert_eq!(pass.queued, SimTime::ZERO);
         }
-    }
-
-    #[test]
-    fn per_node_table_with_default() {
-        let m = ServiceModel::PerNode {
-            table: vec![t(5), t(0)],
-            default: t(9),
-        };
-        assert_eq!(m.service_time(n(0)), t(5));
-        assert_eq!(m.service_time(n(1)), SimTime::ZERO);
-        assert_eq!(m.service_time(n(7)), t(9));
-        let mut q = ServiceQueues::new(m, 8);
-        // Node 1 has zero service: transparent even mid-table.
-        assert_eq!(q.admit(n(1), t(3)).complete, t(3));
-        assert_eq!(q.admit(n(7), t(3)).complete, t(12));
+        assert_eq!(q.enqueued(), 0);
+        assert_eq!(q.peak_backlog(), 0);
+        assert_eq!(q.max_utilization(t(1000)), 0.0);
+        q.assert_backlog_conserved();
     }
 
     #[test]

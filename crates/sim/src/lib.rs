@@ -34,11 +34,6 @@
 //!   [`des::churn`] submodule injects deterministic topology dynamics
 //!   (channel close/reopen, node crash, balance drain) into the same
 //!   event order.
-//! * [`reprobe`] — the router-facing staleness layer: per-destination
-//!   stale-error/probe-drop accounting ([`StalenessTracker`]) with
-//!   FlyPath-style edge-scaled thresholds ([`reprobe::error_threshold`],
-//!   [`reprobe::drop_threshold`]) that trigger a fresh probe/flood
-//!   instead of retrying a dead path.
 //!
 //! Total funds are conserved exactly (integer micro-units): every debit
 //! of a forward balance is matched by a credit of escrow and ultimately
@@ -56,7 +51,6 @@ pub mod fault;
 pub mod metrics;
 pub mod network;
 pub mod outcome;
-pub mod reprobe;
 pub mod router;
 
 pub use backend::{FailureCause, PartFailure, PaymentNetwork, PaymentSession};
@@ -68,5 +62,4 @@ pub use fault::FaultConfig;
 pub use metrics::{ClassMetrics, LatencyHistogram, Metrics};
 pub use network::{ChannelInfo, Network, NetworkSession, ProbeReport};
 pub use outcome::{FailureReason, RouteOutcome};
-pub use reprobe::StalenessTracker;
 pub use router::Router;

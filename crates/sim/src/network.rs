@@ -129,14 +129,9 @@ impl Network {
         &self.metrics
     }
 
-    /// Resets metrics (topology and balances unchanged).
-    pub fn reset_metrics(&mut self) {
-        self.metrics = Metrics::default();
-    }
-
-    /// Mutable access to the metrics — for harnesses that need to
-    /// exclude maintenance traffic (e.g. the rebalancing extension)
-    /// from experiment counters.
+    /// Mutable access to the metrics — how the DES backend records
+    /// into the wrapped network's counters and how a harness moves the
+    /// finished metrics out (`std::mem::take`).
     pub fn metrics_mut(&mut self) -> &mut Metrics {
         &mut self.metrics
     }

@@ -28,9 +28,4 @@ pub trait Router<N: PaymentNetwork = Network> {
     /// Routes one payment, driving probes and an atomic payment session
     /// on `net`. Must leave balances untouched when returning a failure.
     fn route(&mut self, net: &mut N, payment: &Payment, class: PaymentClass) -> RouteOutcome;
-
-    /// Notification that the local topology was refreshed (the gossip
-    /// protocol of §3.1). Routers with caches (Flash's routing table,
-    /// SpeedyMurmurs' embeddings) recompute them here.
-    fn on_topology_refresh(&mut self, _net: &N) {}
 }

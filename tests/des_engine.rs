@@ -91,6 +91,9 @@ fn all_five_schemes_run_on_the_des_engine() {
             scheme.label()
         );
         assert!(report.makespan > SimTime::ZERO);
+        // Zero service time: no node ever queues a message.
+        assert_eq!(report.peak_backlog, 0, "{}", scheme.label());
+        assert_eq!(report.metrics.queue_delay.count(), 0, "{}", scheme.label());
     }
 }
 
@@ -250,42 +253,53 @@ fn no_session_commits_partially() {
     }
 }
 
+/// Re-probing has one owner. The four baselines cache nothing a NACK
+/// could invalidate (Shortest Path and Spider search per payment; the
+/// landmark trees are built over a `graph()` no backend mutates), so a
+/// run of stale NACKs toward one receiver — past any re-probe threshold
+/// (10 failures on a graph this small) — must leave
+/// `reprobes_triggered` at zero and every attempt must end exactly like
+/// the first.
 #[test]
-fn zero_service_time_is_bit_identical_to_the_queue_free_engine() {
-    // The differential that pins the refactor: `ServiceModel::Instant`
-    // skips the queue machinery entirely (the engine exactly as it was
-    // before service queues existed), while `Constant(ZERO)` runs the
-    // machinery with zero-duration service. For every scheme the two
-    // must produce the same `DesReport` bit for bit — clocks, event
-    // counts, histograms, everything.
-    let net = small_net(41);
-    let trace = trace_for(&net, 90, 42);
-    for scheme in SCHEMES {
-        let amounts: Vec<Amount> = trace.iter().map(|p| p.amount).collect();
-        let threshold = threshold_for_mice_fraction(&amounts, DEFAULT_MICE_FRACTION);
-        let workload = arrivals::poisson_workload(&trace, 300.0, 43);
-        let run = |service: ServiceModel| {
-            run_checked(
-                &net,
-                scheme,
-                &workload,
-                threshold,
-                LatencyModel::constant_ms(25),
-                service,
-                44,
-            )
-            .0
-        };
-        let skipped = run(ServiceModel::Instant);
-        let zeroed = run(ServiceModel::Constant(SimTime::ZERO));
-        assert_eq!(
-            skipped,
-            zeroed,
-            "{}: zero-service queue machinery must be transparent",
+fn baselines_never_reprobe_however_many_stale_nacks_they_see() {
+    use flash_offchain::graph::DiGraph;
+    use flash_offchain::sim::des::{ChurnAction, ChurnSchedule};
+    use flash_offchain::types::{NodeId, PaymentClass, TxId};
+    // A star: every 1 → 3 route crosses the hub channel 0–3, closed
+    // from the start.
+    let mut g = DiGraph::new(5);
+    for i in 1..5 {
+        g.add_channel(NodeId(0), NodeId(i)).unwrap();
+    }
+    let mut churn = ChurnSchedule::none();
+    churn.push(
+        SimTime::ZERO,
+        ChurnAction::ChannelClose(g.edge(NodeId(0), NodeId(3)).unwrap()),
+    );
+    let net = Network::uniform(g, Amount::from_units(100));
+    for scheme in SCHEMES.into_iter().filter(|&s| s != Scheme::Flash) {
+        let mut des = DesNetwork::new(
+            net.clone(),
+            DesConfig {
+                churn: churn.clone(),
+                check_conservation: true,
+                ..DesConfig::default()
+            },
+        );
+        let mut router = scheme.router::<DesNetwork>(Amount::MAX, 1);
+        let outcomes: Vec<_> = (0..25)
+            .map(|i| {
+                let p = Payment::new(TxId(i), NodeId(1), NodeId(3), Amount::from_units(1));
+                router.route(&mut des, &p, PaymentClass::Mice)
+            })
+            .collect();
+        assert!(!outcomes[0].is_success(), "{}", scheme.label());
+        assert!(
+            outcomes.iter().all(|o| *o == outcomes[0]),
+            "{}: {outcomes:?}",
             scheme.label()
         );
-        assert_eq!(skipped.peak_backlog, 0, "{}", scheme.label());
-        assert_eq!(skipped.metrics.queue_delay.count(), 0, "{}", scheme.label());
+        assert_eq!(des.reprobes_triggered(), 0, "{}", scheme.label());
     }
 }
 
@@ -532,7 +546,6 @@ proptest! {
                 service: ServiceModel::constant_ms(2),
                 churn: schedule,
                 check_conservation: true,
-                ..DesConfig::default()
             },
         );
         let report = engine.run(router.as_mut(), &workload, threshold);
