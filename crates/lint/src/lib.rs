@@ -13,8 +13,8 @@
 //! ~20 hash-collection sites in the deterministic crates and a
 //! parallel DES on the roadmap, the invariants behind every
 //! differential test (same-seed bit-identical `DesReport`s,
-//! zero-latency DES ≡ instantaneous simulator, svc=0 ≡ committed
-//! bench) need enforcement on every PR — the same way
+//! zero-latency DES ≡ instantaneous simulator, regenerated ≡ committed
+//! bench records) need enforcement on every PR — the same way
 //! `flash_bench::shape` enforces bench shapes.
 //!
 //! ## What it does

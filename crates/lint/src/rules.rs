@@ -3,7 +3,7 @@
 //!
 //! Every correctness claim in this reproduction — same-seed
 //! bit-identical `DesReport`s, the zero-latency DES ≡ instantaneous
-//! simulator differential, the svc=0 ≡ bench replay — rests on the
+//! simulator differential, the committed-bench equality — rests on the
 //! codebase never letting unordered state leak into event order or
 //! serialized output. These rules encode the project's invariants:
 //!

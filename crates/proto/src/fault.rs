@@ -42,9 +42,9 @@ impl FaultPlan {
         }
     }
 
-    /// Builds a wire-level plan from the simulators' shared fault
-    /// surface ([`pcn_sim::FaultConfig`], also the DES backend's
-    /// `DesConfig::faults`): `probe_drop_prob` becomes the outbound
+    /// Builds a wire-level plan from the simulator's fault surface
+    /// ([`pcn_sim::FaultConfig`], which the DES backend inherits from
+    /// the `Network` it wraps): `probe_drop_prob` becomes the outbound
     /// message-drop probability under the same seed. Probe *noise* has
     /// no transport equivalent — the wire carries real balances — so
     /// `probe_noise_ppm` is ignored here.

@@ -103,11 +103,6 @@ impl ChurnSchedule {
         ChurnSchedule::default()
     }
 
-    /// A schedule over the given events, kept in declared order.
-    pub fn new(events: Vec<ChurnEvent>) -> Self {
-        ChurnSchedule { events }
-    }
-
     /// Appends one event.
     pub fn push(&mut self, at: SimTime, action: ChurnAction) {
         self.events.push(ChurnEvent { at, action });
@@ -168,15 +163,9 @@ impl ChurnRate {
     pub fn closes(closes_per_sec: f64, downtime: SimTime) -> Self {
         ChurnRate {
             closes_per_sec,
+            downtime,
             ..ChurnRate::zero()
         }
-        .with_downtime(downtime)
-    }
-
-    /// Sets the downtime, builder-style.
-    pub fn with_downtime(mut self, downtime: SimTime) -> Self {
-        self.downtime = downtime;
-        self
     }
 
     /// Whether every intensity is zero.

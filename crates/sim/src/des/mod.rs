@@ -42,9 +42,9 @@
 //! # Determinism invariants
 //!
 //! The differential suite (zero-latency DES ≡ instantaneous simulator,
-//! svc=0 ≡ committed bench, same-seed bit-identical reports) relies on
-//! three invariants, enforced statically by `pcn-lint` (`det_lint`) on
-//! every PR:
+//! empty churn ≡ churn-free, same-seed bit-identical reports) and the
+//! tier-1 pin of every committed `BENCH_*.json` field rely on three
+//! invariants, enforced statically by `pcn-lint` (`det_lint`) in CI:
 //!
 //! 1. **No wall clock** (rule D1): time here is [`SimTime`] — virtual
 //!    microseconds advanced only by the event queue. Nothing in this

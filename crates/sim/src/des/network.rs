@@ -361,8 +361,9 @@ impl DesNetwork {
     /// clock (clocks are per-sender), which applies nothing.
     pub fn advance_to(&mut self, t: SimTime) {
         self.drain_until(t);
-        // No message computed from here on can arrive before `t`:
-        // finished service reservations below it can be released.
+        // No message computed from here on can arrive before `t`: raise
+        // the release watermark, and each node drops its finished
+        // reservations below it at its next delivery.
         self.service.release_before(t);
         self.now = t;
     }
@@ -428,29 +429,30 @@ impl DesNetwork {
         self.queue.schedule(fire, settle);
     }
 
-    /// One link delay for the next message crossing a hop.
-    fn hop_delay(&mut self) -> SimTime {
-        let d = self.latency.delay(self.msg_tick);
-        self.msg_tick += 1;
-        d
-    }
-
-    /// Delivers one message to `node` at `arrival`: the message waits
-    /// behind the node's FIFO backlog and is serviced; returns the
-    /// instant the node finishes processing it. Records the queueing
-    /// delay in the metrics histogram (zero-service nodes are
-    /// infinitely fast and record nothing — see
-    /// [`node`](super::node)).
+    /// Moves one message sent at `sent` across a hop to `to`: one link
+    /// delay of propagation, then FIFO queueing and service at `to`.
+    /// Returns the instant `to` finishes processing it and records the
+    /// queueing delay in the metrics histogram (zero-service nodes are
+    /// infinitely fast and record nothing — see [`node`](super::node)).
     // pcn-lint: hot — runs once per message delivery, the innermost loop
-    fn deliver(&mut self, node: NodeId, arrival: SimTime) -> SimTime {
+    fn hop(&mut self, to: NodeId, sent: SimTime) -> SimTime {
+        let arrival = sent + self.latency.delay(self.msg_tick);
+        self.msg_tick += 1;
         if self.service.model().service_time() == SimTime::ZERO {
             return arrival;
         }
-        let pass = self.service.admit(node, arrival);
+        let pass = self.service.admit(to, arrival);
         self.inner
             .metrics_mut()
             .observe_queue_delay(pass.queued.micros());
         pass.complete
+    }
+
+    /// Walks a reply sent at `sent` back down `nodes`, one hop to each,
+    /// last node first. Returns the instant `nodes[0]` finishes
+    /// processing it.
+    fn retrace(&mut self, nodes: &[NodeId], sent: SimTime) -> SimTime {
+        nodes.iter().rev().fold(sent, |t, &up| self.hop(up, t))
     }
 
     /// The per-node service-queue state and statistics.
@@ -481,45 +483,27 @@ impl PaymentNetwork for DesNetwork {
         // Settlement *and churn* events up to each node's finish
         // instant are drained before the walk continues, so a channel
         // that closed (or a node that crashed) mid-walk bounces the
-        // probe. Per-hop draining is order-equivalent to the old
-        // drain-at-snapshot: events apply in the same `(time, seq)`
-        // order either way, and delivery reads no balances.
-        let mut blocked_at = None;
+        // probe, and the balances read at the end are those of the
+        // instant the farthest node finished servicing it.
         for (i, (u, v)) in path.channels().enumerate() {
-            t += self.hop_delay();
-            t = self.deliver(v, t);
+            t = self.hop(v, t);
             self.drain_until(t);
             if self.node_down(v)
                 || matches!(self.inner.graph().edge(u, v), Some(e) if self.edge_closed(e))
             {
-                blocked_at = Some(i);
-                break;
+                // The probe dies at hop i: a NACK retraces the traversed
+                // prefix, serviced by each upstream node down to the
+                // sender. The i + 1 outbound messages are still metered.
+                self.now = self.retrace(&nodes[..=i], t);
+                self.inner.metrics_mut().probe_messages += (i + 1) as u64;
+                self.stale_probe_failures += 1;
+                return None;
             }
         }
-        if let Some(i) = blocked_at {
-            // The probe dies at hop i: a NACK retraces the traversed
-            // prefix, serviced by each upstream node down to the
-            // sender. The i + 1 outbound messages are still metered.
-            for &up in nodes[..=i].iter().rev() {
-                t += self.hop_delay();
-                t = self.deliver(up, t);
-            }
-            self.inner.metrics_mut().probe_messages += (i + 1) as u64;
-            self.stale_probe_failures += 1;
-            self.now = t;
-            return None;
-        }
-        let snapshot_at = t;
         // Back: the ACK retraces, serviced by each upstream node down
         // to (and including) the sender.
-        for &up in nodes[..nodes.len() - 1].iter().rev() {
-            t += self.hop_delay();
-            t = self.deliver(up, t);
-        }
-        self.drain_until(snapshot_at);
-        let report = self.inner.probe_path(path);
-        self.now = t;
-        report
+        self.now = self.retrace(&nodes[..nodes.len() - 1], t);
+        self.inner.probe_path(path)
     }
 
     fn note_reprobe(&mut self) {
@@ -591,8 +575,7 @@ impl DesSession<'_> {
             let mut t = self.net.now;
             for &e in &part.edges {
                 let (_, to) = self.net.inner.graph().endpoints(e);
-                t += self.net.hop_delay();
-                t = self.net.deliver(to, t);
+                t = self.net.hop(to, t);
                 self.net.schedule(t, make(e, part.amount));
             }
             settle_end = settle_end.max(t);
@@ -629,8 +612,7 @@ impl PaymentSession for DesSession<'_> {
         let mut debited: Vec<EdgeId> = self.net.edge_pool.pop().unwrap_or_default();
         for (hop, (u, v)) in path.channels().enumerate() {
             let edge = self.net.inner.graph().edge(u, v);
-            t += self.net.hop_delay();
-            t = self.net.deliver(v, t);
+            t = self.net.hop(v, t);
             self.net.drain_until(t);
             self.net.inner.metrics_mut().commit_messages += 1;
             // Churn first: a crashed node NACKs everything it would
@@ -660,11 +642,11 @@ impl PaymentSession for DesSession<'_> {
             // NACK back to the sender, releasing escrow as each
             // upstream node services the retracing message — the
             // REVERSE wave that also fails in-flight escrow when a
-            // channel closes under a COMMIT.
-            for &d in debited.iter().rev() {
-                let (up, _) = self.net.inner.graph().endpoints(d);
-                t += self.net.hop_delay();
-                t = self.net.deliver(up, t);
+            // channel closes under a COMMIT. Debited edge `i` leaves
+            // path node `i`.
+            let ups = &path.nodes()[..debited.len()];
+            for (&d, &up) in debited.iter().zip(ups).rev() {
+                t = self.net.hop(up, t);
                 self.net.schedule(t, Settle::Restore { edge: d, amount });
             }
             self.net.now = t;
@@ -677,12 +659,8 @@ impl PaymentSession for DesSession<'_> {
             });
         }
         // ACK retraces the path to the sender; escrow is held.
-        for &e in debited.iter().rev() {
-            let (up, _) = self.net.inner.graph().endpoints(e);
-            t += self.net.hop_delay();
-            t = self.net.deliver(up, t);
-        }
-        self.net.now = t;
+        let nodes = path.nodes();
+        self.net.now = self.net.retrace(&nodes[..nodes.len() - 1], t);
         for &e in &debited {
             self.fees_accrued = self
                 .fees_accrued
@@ -769,32 +747,21 @@ mod tests {
         Network::uniform(g, Amount::from_units(10))
     }
 
-    fn des(latency_ms: u64) -> DesNetwork {
-        des_with_service(latency_ms, ServiceModel::instant())
-    }
-
-    fn des_with_service(latency_ms: u64, service: ServiceModel) -> DesNetwork {
+    /// The line at 10 ms per hop, conservation checked at every event.
+    fn des_with(service: ServiceModel, churn: ChurnSchedule) -> DesNetwork {
         DesNetwork::new(
             line_net(),
             DesConfig {
-                latency: LatencyModel::constant_ms(latency_ms),
+                latency: LatencyModel::constant_ms(10),
                 service,
-                check_conservation: true,
-                ..DesConfig::default()
-            },
-        )
-    }
-
-    fn des_with_churn(latency_ms: u64, churn: ChurnSchedule) -> DesNetwork {
-        DesNetwork::new(
-            line_net(),
-            DesConfig {
-                latency: LatencyModel::constant_ms(latency_ms),
                 churn,
                 check_conservation: true,
-                ..DesConfig::default()
             },
         )
+    }
+
+    fn des() -> DesNetwork {
+        des_with(ServiceModel::instant(), ChurnSchedule::none())
     }
 
     fn payment(amount: u64) -> Payment {
@@ -807,7 +774,7 @@ mod tests {
 
     #[test]
     fn probe_costs_a_round_trip_of_virtual_time() {
-        let mut net = des(10);
+        let mut net = des();
         let report = net.probe_path(&path_0123()).unwrap();
         assert_eq!(report.bottleneck(), Amount::from_units(10));
         // 3 hops out + 3 hops back at 10ms each.
@@ -817,7 +784,7 @@ mod tests {
 
     #[test]
     fn reservation_holds_escrow_until_commit_wave_lands() {
-        let mut net = des(10);
+        let mut net = des();
         let p = payment(4);
         let mut s = net.begin_payment(&p, PaymentClass::Mice);
         s.try_send_part(&path_0123(), Amount::from_units(4))
@@ -879,7 +846,7 @@ mod tests {
         // Payment A reserves the full line; payment B admitted before
         // A's settlement wave lands must fail, even though B's probe at
         // admission time saw the pre-A balances go stale.
-        let mut net = des(10);
+        let mut net = des();
         let pa = Payment::new(TxId(1), n(0), n(3), Amount::from_units(8));
         let mut sa = net.begin_payment(&pa, PaymentClass::Mice);
         sa.try_send_part(&path_0123(), Amount::from_units(8))
@@ -899,7 +866,7 @@ mod tests {
 
     #[test]
     fn later_payment_sees_released_escrow() {
-        let mut net = des(10);
+        let mut net = des();
         let pa = Payment::new(TxId(1), n(0), n(3), Amount::from_units(8));
         let mut sa = net.begin_payment(&pa, PaymentClass::Mice);
         sa.try_send_part(&path_0123(), Amount::from_units(8))
@@ -920,7 +887,7 @@ mod tests {
 
     #[test]
     fn dropping_session_schedules_reverse_wave() {
-        let mut net = des(10);
+        let mut net = des();
         {
             let p = payment(5);
             let mut s = net.begin_payment(&p, PaymentClass::Mice);
@@ -940,7 +907,7 @@ mod tests {
     fn service_time_slows_every_wave() {
         // 3 hops at 10ms propagation + 5ms service per delivery: a
         // probe's round trip is 6 deliveries = 60ms + 30ms.
-        let mut net = des_with_service(10, ServiceModel::constant_ms(5));
+        let mut net = des_with(ServiceModel::constant_ms(5), ChurnSchedule::none());
         net.probe_path(&path_0123()).unwrap();
         assert_eq!(net.now(), SimTime::from_millis(90));
         // Every delivery waited zero behind an idle node, but each was
@@ -954,7 +921,7 @@ mod tests {
     fn settlement_wave_contends_with_a_probe_for_node_service() {
         // A's CONFIRM wave is in flight when a probe lands on the same
         // nodes: the probe must wait behind the wave's service.
-        let mut net = des_with_service(10, ServiceModel::constant_ms(5));
+        let mut net = des_with(ServiceModel::constant_ms(5), ChurnSchedule::none());
         let pa = payment(4);
         let mut sa = net.begin_payment(&pa, PaymentClass::Mice);
         sa.try_send_part(&path_0123(), Amount::from_units(4))
@@ -1019,7 +986,7 @@ mod tests {
         let mid = line_net().graph().edge(n(1), n(2)).unwrap();
         let mut schedule = ChurnSchedule::none();
         schedule.push(SimTime::from_millis(15), ChurnAction::ChannelClose(mid));
-        let mut net = des_with_churn(10, schedule);
+        let mut net = des_with(ServiceModel::instant(), schedule);
         let p = payment(5);
         let mut s = net.begin_payment(&p, PaymentClass::Mice);
         let err = s
@@ -1042,7 +1009,7 @@ mod tests {
         let mut schedule = ChurnSchedule::none();
         schedule.push(SimTime::ZERO, ChurnAction::NodeDown(n(2)));
         schedule.push(SimTime::from_secs(1), ChurnAction::NodeUp(n(2)));
-        let mut net = des_with_churn(10, schedule);
+        let mut net = des_with(ServiceModel::instant(), schedule);
         // The probe reaches node 2 (2 hops, 20ms), finds it down, and
         // the NACK retraces the same 2 hops: sender clock lands at 40ms.
         assert!(net.probe_path(&path_0123()).is_none());
@@ -1071,7 +1038,7 @@ mod tests {
         let mut schedule = ChurnSchedule::none();
         schedule.push(SimTime::ZERO, ChurnAction::ChannelClose(first));
         schedule.push(SimTime::from_millis(30), ChurnAction::ChannelReopen(first));
-        let mut net = des_with_churn(10, schedule);
+        let mut net = des_with(ServiceModel::instant(), schedule);
         // Closed: the probe bounces at hop 0 (out 10ms + back 10ms).
         assert!(net.probe_path(&path_0123()).is_none());
         assert_eq!(net.now(), SimTime::from_millis(20));
@@ -1094,7 +1061,7 @@ mod tests {
                 amount: Amount::from_units(25),
             },
         );
-        let mut net = des_with_churn(10, schedule);
+        let mut net = des_with(ServiceModel::instant(), schedule);
         net.advance_to(SimTime::from_millis(5));
         let rev = net.graph().edge(n(1), n(0)).unwrap();
         assert_eq!(net.conserved_total_micros(), net.initial_total_micros());
@@ -1108,7 +1075,7 @@ mod tests {
         // A close/reopen pair scheduled an hour past the traffic must
         // not stretch the horizon (= makespan) by one microsecond.
         let run = |churn: ChurnSchedule| {
-            let mut net = des_with_churn(10, churn);
+            let mut net = des_with(ServiceModel::instant(), churn);
             let p = payment(4);
             let mut s = net.begin_payment(&p, PaymentClass::Mice);
             s.try_send_part(&path_0123(), Amount::from_units(4))

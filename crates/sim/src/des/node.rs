@@ -47,6 +47,14 @@
 //! event boundary under
 //! [`DesConfig::check_conservation`](super::network::DesConfig).
 //!
+//! # Release
+//!
+//! The engine raises a release watermark at each payment admission
+//! ([`ServiceQueues::release_before`], O(1)): no later message arrives
+//! before it. Each node drops its own reservations ending at or below
+//! the watermark when it next admits a message; nothing is placed
+//! below the watermark, so dropping them then changes no placement.
+//!
 //! # Determinism
 //!
 //! Calendar state depends only on the engine's (deterministic)
@@ -109,15 +117,13 @@ pub struct ServicePass {
     pub queued: SimTime,
 }
 
-/// Per-node bookkeeping: the service calendar and its statistics.
+/// Per-node bookkeeping: the service calendar and its busy time.
 #[derive(Clone, Debug, Default)]
 struct NodeState {
     /// Non-overlapping service reservations `(start, end)`, sorted by
-    /// start (ends are then sorted too).
+    /// start (ends are then sorted too). Entries ending at or below the
+    /// release watermark stay until this node's next admission.
     calendar: VecDeque<(SimTime, SimTime)>,
-    /// Highest number of messages simultaneously occupying the node
-    /// (waiting + in service) observed by any single arrival.
-    peak_backlog: u64,
     /// Total service time this node has accumulated, in microseconds.
     busy_us: u64,
 }
@@ -134,14 +140,17 @@ pub struct ServiceQueues {
     /// Messages admitted to any calendar (zero-service messages
     /// excluded: they never occupy a server).
     enqueued: u64,
-    /// Reservations released by [`ServiceQueues::release_before`].
+    /// Reservations dropped from a calendar once the watermark passed
+    /// their end.
     completed: u64,
-    /// Max over nodes of `peak_backlog`.
+    /// Highest number of messages simultaneously occupying one node
+    /// (waiting + in service) observed by any single arrival.
     peak_backlog: u64,
-    /// High-water mark of release calls: no reservation ending at or
-    /// before this instant remains, so no future arrival may be placed
-    /// below it (the engine releases at each admission time, which is
-    /// non-decreasing).
+    /// The release watermark: the latest instant passed to
+    /// [`ServiceQueues::release_before`]. No arrival may lie below it
+    /// (the engine releases at each admission time, which is
+    /// non-decreasing), and [`ServiceQueues::admit`] drops its node's
+    /// reservations ending at or before it.
     released_to: SimTime,
 }
 
@@ -170,9 +179,15 @@ impl ServiceQueues {
     /// instant and the queueing delay.
     ///
     /// Zero-service messages complete at their arrival instant without
-    /// touching the calendar (see the module docs).
+    /// touching the calendar (see the module docs). `arrival` must not
+    /// lie below the release watermark.
     // pcn-lint: hot — the reservation lookup behind every delivery
     pub fn admit(&mut self, node: NodeId, arrival: SimTime) -> ServicePass {
+        debug_assert!(
+            arrival >= self.released_to,
+            "arrival {arrival} below the release watermark {}",
+            self.released_to
+        );
         let service = self.model.service_time();
         if service == SimTime::ZERO {
             return ServicePass {
@@ -181,6 +196,13 @@ impl ServiceQueues {
             };
         }
         let state = &mut self.nodes[node.0 as usize];
+        // Drop this node's reservations the watermark has passed: no
+        // message from here on can wait behind them.
+        let done = state
+            .calendar
+            .partition_point(|&(_, end)| end <= self.released_to);
+        state.calendar.drain(..done);
+        self.completed += done as u64;
         // Skip reservations already over by `arrival`; they are not
         // backlog for this message.
         let from = state.calendar.partition_point(|&(_, end)| end <= arrival);
@@ -199,7 +221,6 @@ impl ServiceQueues {
         self.enqueued += 1;
         // Everything it waited behind, plus itself.
         let backlog = (at - from + 1) as u64;
-        state.peak_backlog = state.peak_backlog.max(backlog);
         self.peak_backlog = self.peak_backlog.max(backlog);
         ServicePass {
             complete,
@@ -207,21 +228,13 @@ impl ServiceQueues {
         }
     }
 
-    /// Releases every reservation ending at or before `t`. The engine
-    /// calls this with each payment's admission time (non-decreasing),
-    /// which bounds calendar memory by the in-flight window: no
-    /// message computed after that admission can arrive before it.
+    /// Declares that no message will arrive before `t` — the engine
+    /// calls this with each payment's admission time, which is
+    /// non-decreasing. Raises the release watermark (a `t` below it is
+    /// a no-op); each node drops its finished reservations at its next
+    /// [`ServiceQueues::admit`].
     pub fn release_before(&mut self, t: SimTime) {
-        if t <= self.released_to {
-            return;
-        }
-        self.released_to = t;
-        for state in &mut self.nodes {
-            while state.calendar.front().is_some_and(|&(_, end)| end <= t) {
-                state.calendar.pop_front();
-                self.completed += 1;
-            }
-        }
+        self.released_to = self.released_to.max(t);
     }
 
     /// Messages admitted to a calendar so far.
@@ -229,7 +242,9 @@ impl ServiceQueues {
         self.enqueued
     }
 
-    /// Reservations not yet released, across all nodes.
+    /// Reservations the calendars still hold, across all nodes: the
+    /// live ones plus the finished ones a node has not yet dropped
+    /// because it has admitted nothing since the watermark passed them.
     pub fn backlog(&self) -> u64 {
         self.nodes.iter().map(|s| s.calendar.len() as u64).sum()
     }
@@ -238,18 +253,6 @@ impl ServiceQueues {
     /// as seen by one arrival) observed at any single node.
     pub fn peak_backlog(&self) -> u64 {
         self.peak_backlog
-    }
-
-    /// Node `n`'s highest observed backlog.
-    pub fn peak_backlog_at(&self, node: NodeId) -> u64 {
-        self.nodes
-            .get(node.0 as usize)
-            .map_or(0, |s| s.peak_backlog)
-    }
-
-    /// Node `n`'s total accumulated service time, in microseconds.
-    pub fn busy_us_at(&self, node: NodeId) -> u64 {
-        self.nodes.get(node.0 as usize).map_or(0, |s| s.busy_us)
     }
 
     /// The busiest node's utilization over a run of length `makespan`:
@@ -265,8 +268,8 @@ impl ServiceQueues {
     }
 
     /// Asserts the backlog-conservation invariant: every admitted
-    /// message is either released or still on a calendar (`enqueued ==
-    /// completed + Σ backlog`), and each node's calendar is sorted and
+    /// message is either dropped or still held on a calendar (`enqueued
+    /// == completed + backlog`), and each node's calendar is sorted and
     /// **non-overlapping** — the single-server law: a node never
     /// serves two messages at once. Called at every event boundary
     /// under
@@ -306,6 +309,7 @@ impl ServiceQueues {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -345,12 +349,16 @@ mod tests {
         let mut q = ServiceQueues::new(ServiceModel::constant_us(100), 1);
         q.admit(n(0), t(0));
         q.admit(n(0), t(10));
-        // Arrives long after both completions: no wait, and a release
-        // at its arrival purges the finished reservations.
+        // Releasing only raises the watermark: both finished
+        // reservations stay held until the node admits again.
+        q.release_before(t(10_000));
+        assert_eq!(q.backlog(), 2);
+        q.assert_backlog_conserved();
+        // Arrives long after both completions: no wait, and its
+        // admission drops the two finished reservations.
         let late = q.admit(n(0), t(10_000));
         assert_eq!(late.queued, SimTime::ZERO);
         assert_eq!(late.complete, t(10_100));
-        q.release_before(t(10_000));
         assert_eq!(q.backlog(), 1);
         assert_eq!(q.enqueued(), 3);
         assert_eq!(q.peak_backlog(), 2);
@@ -363,9 +371,7 @@ mod tests {
         q.admit(n(0), t(0));
         let other = q.admit(n(2), t(0));
         assert_eq!(other.queued, SimTime::ZERO, "nodes share no server");
-        assert_eq!(q.peak_backlog(), 1);
-        assert_eq!(q.peak_backlog_at(n(0)), 1);
-        assert_eq!(q.peak_backlog_at(n(1)), 0);
+        assert_eq!(q.peak_backlog(), 1, "no arrival saw another node's message");
     }
 
     #[test]
@@ -432,10 +438,14 @@ mod tests {
             q.admit(n(0), t(i * 1000));
         }
         q.admit(n(1), t(0));
-        // Node 0 accrued 500us of service over a 2000us run.
+        // Node 0 accrued 500us of service over a 2000us run; node 1's
+        // 100us do not add to it.
         assert!((q.max_utilization(t(2000)) - 0.25).abs() < 1e-12);
-        assert_eq!(q.busy_us_at(n(0)), 500);
-        assert_eq!(q.busy_us_at(n(1)), 100);
+        // Six more on node 1 make it the busiest: 700us of 2000us.
+        for i in 0..6 {
+            q.admit(n(1), t(1000 + i * 100));
+        }
+        assert!((q.max_utilization(t(2000)) - 0.35).abs() < 1e-12);
         // Utilization clamps at 1 even if makespan undercounts.
         assert_eq!(q.max_utilization(t(10)), 1.0);
         assert_eq!(q.max_utilization(SimTime::ZERO), 0.0);
@@ -443,19 +453,58 @@ mod tests {
 
     #[test]
     fn release_is_monotone_and_conserves() {
-        let mut q = ServiceQueues::new(ServiceModel::constant_us(100), 1);
+        let mut q = ServiceQueues::new(ServiceModel::constant_us(100), 2);
         for i in 0..4 {
             q.admit(n(0), t(i * 1000));
         }
         q.release_before(t(2_500));
-        assert_eq!(q.backlog(), 1);
-        // Going backwards is a no-op.
+        // Going backwards is a no-op: the watermark stays at 2_500.
         q.release_before(t(100));
-        assert_eq!(q.backlog(), 1);
+        // Another node's admission drops nothing of node 0's.
+        q.admit(n(1), t(2_500));
+        assert_eq!(q.backlog(), 5);
         q.assert_backlog_conserved();
-        q.release_before(SimTime::MAX);
-        assert_eq!(q.backlog(), 0);
+        // Node 0's own admission drops its three reservations ending
+        // at or before 2_500; [3000, 3100) and the new one stay.
+        q.admit(n(0), t(2_600));
+        assert_eq!(q.backlog(), 3);
         q.assert_backlog_conserved();
+    }
+
+    proptest! {
+        /// Lazy release changes no placement: a queue that raises the
+        /// watermark before every admission serves exactly like one
+        /// that never releases, an admitting node keeps no reservation
+        /// the watermark has passed, and no two services at a node
+        /// overlap over the whole run (dropped reservations included).
+        #[test]
+        fn release_changes_no_placement(
+            steps in proptest::collection::vec((0u32..4, 0u64..150, 0u64..600), 1..200),
+        ) {
+            let model = ServiceModel::constant_us(100);
+            let mut released = ServiceQueues::new(model, 4);
+            let mut kept = ServiceQueues::new(model, 4);
+            let mut served = vec![Vec::new(); 4];
+            let mut watermark = 0;
+            for (node, advance, offset) in steps {
+                watermark += advance;
+                let arrival = t(watermark + offset);
+                released.release_before(t(watermark));
+                let pass = released.admit(n(node), arrival);
+                prop_assert_eq!(pass, kept.admit(n(node), arrival));
+                prop_assert_eq!(released.peak_backlog(), kept.peak_backlog());
+                let calendar = &released.nodes[node as usize].calendar;
+                prop_assert!(calendar.iter().all(|&(_, end)| end > t(watermark)));
+                released.assert_backlog_conserved();
+                let (start, end) = (arrival + pass.queued, pass.complete);
+                let others: &mut Vec<(SimTime, SimTime)> = &mut served[node as usize];
+                prop_assert!(others.iter().all(|&(s, e)| e <= start || end <= s));
+                others.push((start, end));
+            }
+            kept.assert_backlog_conserved();
+            let span = t(watermark + 1_000);
+            prop_assert_eq!(released.max_utilization(span), kept.max_utilization(span));
+        }
     }
 
     #[test]

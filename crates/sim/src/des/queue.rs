@@ -86,7 +86,7 @@ impl<T> EventQueue<T> {
     }
 
     /// The fire time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(s)| s.fire)
     }
 
@@ -99,16 +99,6 @@ impl<T> EventQueue<T> {
         let Reverse(s) = self.heap.pop()?;
         self.delivered += 1;
         Some((s.fire, s.payload))
-    }
-
-    /// Number of events still pending.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Total events delivered so far (the engine's event counter).
@@ -160,9 +150,9 @@ mod tests {
         assert_eq!(q.pop_before(t(5)), None);
         assert_eq!(q.pop_before(t(10)), Some((t(10), 'x')));
         assert_eq!(q.pop_before(t(10)), None);
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.delivered(), 1);
         assert_eq!(q.pop_before(t(25)), Some((t(20), 'y')));
-        assert!(q.is_empty());
+        assert_eq!(q.pop_before(SimTime::MAX), None);
     }
 
     #[test]
