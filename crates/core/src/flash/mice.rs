@@ -14,16 +14,21 @@
 //! and a last-used stamp. The enumeration is stepped `m` times on a miss
 //! and once per dead path afterwards, so "the next top shortest path" is
 //! wherever it stopped; how a rank is obtained is `pcn_graph::yen`'s
-//! business, not this module's.
+//! business, not this module's. The table owns the one [`YenScratch`]
+//! every entry's spur searches run on, so an entry holds no search
+//! arrays of its own.
 //!
 //! **Contract: the graph is fixed between refreshes.** Every call on a
 //! table must pass the same topology until [`RoutingTable::refresh`],
 //! which drops the entries and their enumerations with them. The
 //! backends guarantee it: `PaymentNetwork::graph()` hands out a `&DiGraph`
 //! that none of them mutates, and the router refreshes only when its
-//! staleness tracker trips.
+//! staleness tracker trips. The contract covers the scratch's sizing
+//! too: the first miss sizes it, and only the first spur after a
+//! refresh that brings a graph of another node or edge count re-sizes
+//! it.
 
-use pcn_graph::yen::RankedPaths;
+use pcn_graph::yen::{RankedPaths, YenScratch};
 use pcn_graph::{DiGraph, Path};
 use pcn_types::NodeId;
 use std::collections::HashMap;
@@ -55,6 +60,8 @@ pub struct RoutingTable {
     m: usize,
     ttl: u64,
     entries: HashMap<(NodeId, NodeId), TableEntry>,
+    /// Yen's spur-search arrays, shared by every entry's enumeration.
+    yen: YenScratch,
 }
 
 impl RoutingTable {
@@ -65,6 +72,7 @@ impl RoutingTable {
             m,
             ttl,
             entries: HashMap::new(),
+            yen: YenScratch::default(),
         }
     }
 
@@ -85,7 +93,7 @@ impl RoutingTable {
         let m = self.m;
         let entry = self.entries.entry((s, t)).or_insert_with(|| {
             let mut ranks = RankedPaths::new(s, t);
-            let paths = std::iter::from_fn(|| ranks.next_path(g).cloned())
+            let paths = std::iter::from_fn(|| ranks.next_path(g, &mut self.yen).cloned())
                 .take(m)
                 .collect();
             TableEntry {
@@ -110,7 +118,7 @@ impl RoutingTable {
         if idx >= entry.paths.len() {
             return;
         }
-        match entry.ranks.next_path(g) {
+        match entry.ranks.next_path(g, &mut self.yen) {
             Some(next) => entry.paths[idx] = next.clone(),
             None => {
                 entry.paths.remove(idx);
@@ -312,6 +320,38 @@ mod tests {
             t.lookup_or_compute(&g, n(0), n(3), 2).is_empty(),
             "both dead paths must be gone"
         );
+    }
+
+    /// One table used across refreshes on graphs of different size
+    /// serves, lookup for lookup and replacement for replacement, what a
+    /// fresh table per graph serves: the Yen scratch it keeps between
+    /// them is invisible.
+    #[test]
+    fn one_table_serves_graphs_of_different_size() {
+        let ring = pcn_graph::generators::watts_strogatz(24, 4, 0.3, 7);
+        let small = graph();
+        let ring_pairs = [(0, 12), (3, 17), (20, 5)];
+        let mut shared = RoutingTable::new(3, 100);
+        let mut now = 0;
+        for (g, pairs) in [
+            (&ring, ring_pairs),
+            (&small, [(0, 3), (4, 3), (0, 2)]),
+            (&ring, ring_pairs),
+        ] {
+            shared.refresh();
+            let mut fresh = RoutingTable::new(3, 100);
+            for (s, t) in pairs {
+                now += 1;
+                let want = fresh.lookup_or_compute(g, n(s), n(t), now).to_vec();
+                assert_eq!(shared.lookup_or_compute(g, n(s), n(t), now), want);
+                for idx in [2, 0] {
+                    fresh.replace_path(g, n(s), n(t), idx);
+                    shared.replace_path(g, n(s), n(t), idx);
+                }
+                let want = fresh.lookup_or_compute(g, n(s), n(t), now).to_vec();
+                assert_eq!(shared.lookup_or_compute(g, n(s), n(t), now), want);
+            }
+        }
     }
 
     #[test]

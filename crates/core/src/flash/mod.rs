@@ -69,6 +69,10 @@ pub struct FlashRouter {
     /// Algorithm 1's working arrays, sized by the first elephant and
     /// reused by every one after it.
     scratch: elephant::ElephantScratch,
+    /// A mice payment's random path order and the indices of the paths
+    /// it found dead, kept between payments.
+    order: Vec<usize>,
+    dead_paths: Vec<usize>,
 }
 
 impl FlashRouter {
@@ -83,6 +87,8 @@ impl FlashRouter {
             clock: 0,
             staleness: StalenessTracker::default(),
             scratch: elephant::ElephantScratch::default(),
+            order: Vec::new(),
+            dead_paths: Vec::new(),
         }
     }
 
@@ -168,12 +174,13 @@ impl FlashRouter {
         }
         // Random path order: "Instead of following a fixed order ...
         // Flash randomly picks the paths to better load balance them".
-        let mut order: Vec<usize> = (0..paths.len()).collect();
-        partial_shuffle(&mut order, &mut self.rng);
+        self.order.clear();
+        self.order.extend(0..paths.len());
+        shuffle(&mut self.order, &mut self.rng);
 
-        let mut dead_paths: Vec<usize> = Vec::new();
+        self.dead_paths.clear();
         let mut session = net.begin_payment(payment, PaymentClass::Mice);
-        for &idx in &order {
+        for &idx in &self.order {
             if session.is_satisfied() {
                 break;
             }
@@ -195,7 +202,7 @@ impl FlashRouter {
             };
             let cp = report.bottleneck().min(session.remaining());
             if cp.is_zero() {
-                dead_paths.push(idx);
+                self.dead_paths.push(idx);
                 continue;
             }
             if let Err(e) = session.try_send_part(path, cp) {
@@ -214,8 +221,8 @@ impl FlashRouter {
         // Highest index first: when Yen is exhausted `replace_path`
         // *removes* the dead path, which would shift any smaller index
         // still waiting in the list onto a live path.
-        dead_paths.sort_unstable_by(|a, b| b.cmp(a));
-        for idx in dead_paths {
+        self.dead_paths.sort_unstable_by(|a, b| b.cmp(a));
+        for &idx in &self.dead_paths {
             self.table
                 .replace_path(net.graph(), payment.sender, payment.receiver, idx);
         }
@@ -223,9 +230,10 @@ impl FlashRouter {
     }
 }
 
-/// Fisher–Yates shuffle via the router's own RNG (avoids depending on
-/// `rand::seq` trait imports at every call site).
-fn partial_shuffle(xs: &mut [usize], rng: &mut StdRng) {
+/// A full Fisher–Yates shuffle of `xs` on the router's own RNG: from
+/// the last index down to 1, each swaps with a uniform index at or
+/// below it, so the permutation is fixed by the RNG's state.
+fn shuffle(xs: &mut [usize], rng: &mut StdRng) {
     use rand::RngExt;
     for i in (1..xs.len()).rev() {
         let j = rng.random_range(0..=i);

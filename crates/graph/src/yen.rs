@@ -10,10 +10,63 @@
 //! [`k_shortest_paths_hops`] collects the first `k` ranks. Spur searches
 //! are BFS with deterministic tie-breaking, so routing tables are
 //! reproducible across runs.
+//!
+//! Spur searches run on the caller's [`YenScratch`]: one reusable BFS,
+//! and the bans of a spur — the root's nodes and the edges out of the
+//! spur node that found paths with the same root took — as generation
+//! stamps in node- and edge-indexed arrays. A spur therefore hashes
+//! nothing per scanned edge and allocates only the candidate it adds.
 
-use crate::{bfs, path::Path, DiGraph, EdgeId};
+use crate::bfs::{self, BfsScratch};
+use crate::{path::Path, DiGraph};
 use pcn_types::NodeId;
-use std::collections::HashSet;
+
+/// The working arrays of Yen's spur searches, reusable across
+/// enumerations and graphs: the BFS and the generation-stamped bans.
+/// They are sized by the first spur, re-sized whenever the graph's node
+/// or edge count changes, and what they held before never shows in a
+/// rank. A mice routing table owns one; [`k_shortest_paths_hops`] builds
+/// a throwaway one per call.
+#[derive(Clone, Debug, Default)]
+pub struct YenScratch {
+    bfs: BfsScratch,
+    /// `node_ban[v] == gen` iff `v` is on the current spur's root,
+    /// spur node excluded.
+    node_ban: Vec<u32>,
+    /// `edge_ban[e] == gen` iff a found path with the current root
+    /// leaves the spur node by `e`.
+    edge_ban: Vec<u32>,
+    gen: u32,
+}
+
+impl YenScratch {
+    /// A scratch whose ban generation starts at `gen`, so a test crosses
+    /// the wrap-around at `u32::MAX` within a few spurs.
+    #[cfg(test)]
+    pub(crate) fn with_generation(gen: u32) -> Self {
+        YenScratch {
+            gen,
+            ..Self::default()
+        }
+    }
+
+    /// Sizes the ban arrays for `g` and opens a generation in which
+    /// nothing is banned.
+    fn next_generation(&mut self, g: &DiGraph) {
+        if self.node_ban.len() != g.node_count() || self.edge_ban.len() != g.edge_count() {
+            self.node_ban.clear();
+            self.node_ban.resize(g.node_count(), 0);
+            self.edge_ban.clear();
+            self.edge_ban.resize(g.edge_count(), 0);
+        }
+        if self.gen == u32::MAX {
+            self.node_ban.fill(0);
+            self.edge_ban.fill(0);
+            self.gen = 0;
+        }
+        self.gen += 1;
+    }
+}
 
 /// A resumable enumeration of the simple paths `s → t` in non-decreasing
 /// hop count, ties broken by node sequence (Yen 1971 over BFS).
@@ -57,18 +110,16 @@ impl RankedPaths {
 
     /// Finds and returns the next rank, or `None` once `g` holds no
     /// further simple path `s → t` — after which every call returns
-    /// `None` without searching.
-    pub fn next_path(&mut self, g: &DiGraph) -> Option<&Path> {
+    /// `None` without searching. The searches run on `scratch`, which
+    /// may have served any other enumeration or graph before.
+    pub fn next_path(&mut self, g: &DiGraph, scratch: &mut YenScratch) -> Option<&Path> {
         if !self.spurred {
             self.spurred = true;
-            match self.found.last() {
-                None => self
-                    .candidates
-                    .extend(bfs::shortest_path(g, self.s, self.t)),
-                Some(prev) => {
-                    let prev_nodes = prev.nodes().to_vec();
-                    self.spur(g, &prev_nodes);
-                }
+            if self.found.is_empty() {
+                let first = scratch.bfs.search(g, self.s, self.t, |_| true);
+                self.candidates.extend(first);
+            } else {
+                self.spur(g, scratch);
             }
         }
         // The candidate pool is small (≤ hops per rank found): a linear
@@ -87,54 +138,89 @@ impl RankedPaths {
     /// Adds to the pool, for each node of the newest rank except the
     /// last, the shortest deviation that leaves it by an edge no found
     /// path with the same root has taken.
-    fn spur(&mut self, g: &DiGraph, prev_nodes: &[NodeId]) {
-        for i in 0..prev_nodes.len() - 1 {
-            let spur = prev_nodes[i];
-            let root: &[NodeId] = &prev_nodes[..=i];
-            let mut banned_edges: HashSet<EdgeId> = HashSet::new();
-            for p in &self.found {
+    // pcn-lint: hot — one BFS per node of the newest rank, on every table miss and dead-path replacement; every array is scratch-owned
+    fn spur(&mut self, g: &DiGraph, scratch: &mut YenScratch) {
+        let RankedPaths {
+            t,
+            found,
+            candidates,
+            ..
+        } = self;
+        let Some(prev) = found.last() else { return };
+        let prev = prev.nodes();
+        for i in 0..prev.len() - 1 {
+            let (spur, root) = (prev[i], &prev[..i]);
+            scratch.next_generation(g);
+            let YenScratch {
+                bfs,
+                node_ban,
+                edge_ban,
+                gen,
+            } = &mut *scratch;
+            let gen = *gen;
+            for p in found.iter() {
                 let nodes = p.nodes();
-                if nodes.len() > i + 1 && nodes[..=i] == *root {
+                if nodes.len() > i + 1 && nodes[..=i] == prev[..=i] {
                     if let Some(e) = g.edge(nodes[i], nodes[i + 1]) {
-                        banned_edges.insert(e);
+                        edge_ban[e.index()] = gen;
                     }
                 }
             }
-            // Nodes on the root (except the spur itself) are banned to
-            // keep paths loopless.
-            let banned_nodes: HashSet<NodeId> = root[..i].iter().copied().collect();
-            let spur_path = bfs::shortest_path_filtered(g, spur, self.t, |e| {
-                if banned_edges.contains(&e) {
-                    return false;
-                }
-                let (u, v) = g.endpoints(e);
-                !banned_nodes.contains(&u) && !banned_nodes.contains(&v)
+            // The root's nodes are banned to keep paths loopless. Only an
+            // edge's head is checked: the search starts at the unbanned
+            // spur node and enters a node only as the head of an accepted
+            // edge, so it never expands a banned node and never scans an
+            // edge whose tail is banned.
+            for v in root {
+                node_ban[v.index()] = gen;
+            }
+            let spur_path = bfs.search(g, spur, *t, |e| {
+                edge_ban[e.index()] != gen && node_ban[g.endpoints(e).1.index()] != gen
             });
+            // Dev-profile oracle: the bans rebuilt from their definition
+            // by linear scans, on a fresh search.
+            debug_assert_eq!(
+                spur_path,
+                bfs::shortest_path_filtered(g, spur, *t, |e| {
+                    let (u, v) = g.endpoints(e);
+                    let taken = |p: &Path| {
+                        u == spur
+                            && p.nodes().starts_with(&prev[..=i])
+                            && p.nodes().get(i + 1) == Some(&v)
+                    };
+                    !found.iter().any(taken) && !root.contains(&u) && !root.contains(&v)
+                }),
+                "spur {i} of {prev:?}: the stamped bans diverged from their definition"
+            );
             let Some(sp) = spur_path else { continue };
-            let mut nodes = root[..i].to_vec();
+            // pcn-lint: allow(hot-alloc) — the candidate is the spur's result and stays in the pool; one per spur that finds a path, not per scanned edge
+            let mut nodes = root.to_vec();
             nodes.extend_from_slice(sp.nodes());
             // Two ranks can spur the same deviation; it enters the pool
             // once. (It cannot equal a found path: every found path with
             // this root has its edge out of the spur node banned.)
-            if !self.candidates.iter().any(|c| c.nodes() == nodes) {
-                self.candidates.push(Path::from_vec_unchecked(nodes));
+            if !candidates.iter().any(|c| c.nodes() == nodes) {
+                candidates.push(Path::from_vec_unchecked(nodes));
             }
         }
     }
 }
 
 /// Up to `k` fewest-hops simple paths `s → t` in rank order: the first
-/// `k` steps of a [`RankedPaths`]. Fewer are returned when the graph
-/// does not contain `k` distinct simple paths.
+/// `k` steps of a [`RankedPaths`], all on one throwaway [`YenScratch`].
+/// Fewer are returned when the graph does not contain `k` distinct
+/// simple paths.
 pub fn k_shortest_paths_hops(g: &DiGraph, s: NodeId, t: NodeId, k: usize) -> Vec<Path> {
     let mut ranked = RankedPaths::new(s, t);
-    while ranked.found.len() < k && ranked.next_path(g).is_some() {}
+    let mut scratch = YenScratch::default();
+    while ranked.found.len() < k && ranked.next_path(g, &mut scratch).is_some() {}
     ranked.found
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -224,5 +310,46 @@ mod tests {
             a.iter().map(|p| p.nodes().to_vec()).collect::<Vec<_>>(),
             b.iter().map(|p| p.nodes().to_vec()).collect::<Vec<_>>()
         );
+    }
+
+    /// Four billion spurs later the ban generation wraps; every rank
+    /// stays what a fresh scratch finds.
+    #[test]
+    fn enumeration_survives_the_generation_wrap() {
+        let g = test_graph();
+        let mut scratch = YenScratch::with_generation(u32::MAX - 2);
+        let mut ranks = RankedPaths::new(n(0), n(5));
+        while ranks.next_path(&g, &mut scratch).is_some() {}
+        assert_eq!(ranks.found(), k_shortest_paths_hops(&g, n(0), n(5), 1000));
+        assert!(scratch.gen < 100, "the generation wrapped");
+    }
+
+    /// White-box: the wrap refills both ban arrays, so no stamp of the
+    /// generation that first held a number reads as banned once it comes
+    /// round again, and a graph of another node or edge count re-sizes
+    /// them.
+    #[test]
+    fn bans_are_refilled_on_wrap_and_resized_per_graph() {
+        let g = test_graph();
+        let mut scratch = YenScratch::default();
+        scratch.next_generation(&g);
+        assert_eq!(scratch.gen, 1);
+        scratch.node_ban[2] = scratch.gen;
+        scratch.edge_ban[4] = scratch.gen;
+        scratch.gen = u32::MAX;
+        scratch.next_generation(&g);
+        assert_eq!(scratch.gen, 1);
+        assert_ne!(scratch.node_ban[2], scratch.gen);
+        assert_ne!(scratch.edge_ban[4], scratch.gen);
+
+        let mut denser = g.clone();
+        denser.add_edge(n(5), n(0)).unwrap();
+        let mut bigger = DiGraph::new(9);
+        bigger.add_edge(n(8), n(0)).unwrap();
+        for h in [&denser, &bigger, &g] {
+            scratch.next_generation(h);
+            assert_eq!(scratch.node_ban.len(), h.node_count());
+            assert_eq!(scratch.edge_ban.len(), h.edge_count());
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests over the graph substrate on random topologies —
 //! invariants the routing layers silently rely on.
 
-use flash_offchain::graph::yen::RankedPaths;
+use flash_offchain::graph::yen::{RankedPaths, YenScratch};
 use flash_offchain::graph::{bfs, disjoint, generators, yen, DiGraph, Path};
 use flash_offchain::types::NodeId;
 use proptest::prelude::*;
@@ -66,25 +66,59 @@ proptest! {
         let long = yen::k_shortest_paths_hops(&g, s, t, k + j);
         prop_assert_eq!(&short[..], &long[..short.len()]);
 
+        let mut scratch = YenScratch::default();
         let mut ranks = RankedPaths::new(s, t);
         let mut other = RankedPaths::new(t, s);
         for want in &long {
-            prop_assert_eq!(ranks.next_path(&g), Some(want));
-            other.next_path(&g);
+            prop_assert_eq!(ranks.next_path(&g, &mut scratch), Some(want));
+            other.next_path(&g, &mut scratch);
         }
         prop_assert_eq!(ranks.found(), &long[..]);
         prop_assert_eq!(other.found(), &yen::k_shortest_paths_hops(&g, t, s, long.len())[..]);
 
         // Run to exhaustion (these graphs hold few simple paths per pair).
         let mut steps = 0;
-        while ranks.next_path(&g).is_some() {
+        while ranks.next_path(&g, &mut scratch).is_some() {
             steps += 1;
             prop_assume!(steps < 2_000);
         }
         let all: Vec<Path> = ranks.found().to_vec();
         for _ in 0..3 {
-            prop_assert_eq!(ranks.next_path(&g), None);
+            prop_assert_eq!(ranks.next_path(&g, &mut scratch), None);
             prop_assert_eq!(ranks.found(), &all[..]);
+        }
+    }
+
+    /// One `YenScratch` serving interleaved enumerations of several
+    /// pairs on two graphs of different size is invisible: after every
+    /// step, each enumeration has found exactly what a fresh
+    /// `k_shortest_paths_hops` finds for as many ranks.
+    #[test]
+    fn shared_yen_scratch_is_invisible(
+        small in arb_topology(),
+        big in (12usize..20, 0u64..500).prop_map(|(n, seed)| generators::watts_strogatz(n, 4, 0.3, seed)),
+        pairs in proptest::collection::vec((0usize..2, 0u32..20, 0u32..20), 1..6),
+        steps in proptest::collection::vec(0usize..6, 1..40),
+    ) {
+        let graphs = [&small, &big];
+        let mut enums: Vec<_> = pairs
+            .into_iter()
+            .filter_map(|(gi, s, t)| {
+                let n = graphs[gi].node_count() as u32;
+                let (s, t) = (NodeId(s % n), NodeId(t % n));
+                (s != t).then(|| (graphs[gi], s, t, RankedPaths::new(s, t), 0))
+            })
+            .collect();
+        prop_assume!(!enums.is_empty());
+        let mut scratch = YenScratch::default();
+        for step in steps {
+            let len = enums.len();
+            let (g, s, t, ranks, calls) = &mut enums[step % len];
+            let got = ranks.next_path(g, &mut scratch).cloned();
+            *calls += 1;
+            let want = yen::k_shortest_paths_hops(g, *s, *t, *calls);
+            prop_assert_eq!(got.as_ref(), want.get(*calls - 1));
+            prop_assert_eq!(ranks.found(), &want[..]);
         }
     }
 
