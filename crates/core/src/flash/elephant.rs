@@ -140,8 +140,9 @@ impl ProbedEdges {
 }
 
 /// The working arrays of Algorithm 1, reusable across payments: the
-/// resumable BFS and the dense residual table. [`crate::FlashRouter`]
-/// owns one; [`find_paths`] builds a throwaway one per call.
+/// BFS scratch (one search per probe) and the dense residual table.
+/// [`crate::FlashRouter`] owns one; [`find_paths`] builds a throwaway one
+/// per call.
 #[derive(Debug, Default)]
 pub struct ElephantScratch {
     bfs: BfsScratch,
@@ -206,18 +207,13 @@ pub fn find_paths_with<N: PaymentNetwork>(
     probed.begin(net.graph());
 
     while plan.paths.len() < k {
-        // BFS on G with residual filter (line 7). Between two probes the
-        // residuals change only along the probed path, so every search
-        // after the first resumes the one before it.
-        let path = if plan.probes == 0 {
-            bfs.search(net.graph(), s, t, |e| probed.usable(e))
-        } else {
-            bfs.resume(net.graph(), |e| probed.usable(e))
-        };
+        // BFS on G with residual filter (line 7), meeting in the middle;
+        // it returns the forward BFS's path, which the dev profile checks.
+        let path = bfs.search(net.graph(), s, t, |e| probed.usable(e));
         debug_assert_eq!(
             path,
             bfs::shortest_path_filtered(net.graph(), s, t, |e| probed.usable(e)),
-            "resumed BFS diverged from a fresh one at probe {}",
+            "bidirectional BFS diverged from the forward one at probe {}",
             plan.probes
         );
         let Some(path) = path else {

@@ -6,35 +6,38 @@
 //! primitive; the filter closure receives the edge id so callers can
 //! consult any side table (residual matrices, exclusion sets, ...).
 //!
-//! The search loop itself lives in [`BfsScratch`], which keeps its
-//! arrays between calls and can [`BfsScratch::resume`] a search whose
-//! filter changed only along the path it last returned — what Algorithm
-//! 1 does between two probes (`docs/algorithm1.md` has the invariant).
+//! [`BfsScratch::search`] returns the same path on arrays kept between
+//! calls, and meets in the middle to get there: it grows the search from
+//! both ends, so it scans the levels near `s` and near `t` rather than
+//! every level before `t` (`docs/algorithm1.md` has the argument). The
+//! forward loop stays as the reference: [`shortest_path_filtered`],
+//! [`distances_from`] and [`spanning_tree`] run it, and the dev-profile
+//! oracles of Algorithm 1 and Yen hold every search to it.
 
 use crate::{path::Path, DiGraph, EdgeId};
 use pcn_types::NodeId;
 
-/// Reusable state of one `s → t` breadth-first search: discovery stamps,
-/// the discovery tree and the queue, all kept between calls so a caller
-/// that searches repeatedly allocates once.
+/// Reusable state of breadth-first searches: discovery stamps, the
+/// forward tree, the distances to `t` and both discovery orders, all
+/// kept between calls so a caller that searches repeatedly allocates
+/// only the paths it gets back.
 ///
-/// The queue is a plain `Vec` that is never popped: `queue[..head]` are
-/// the expanded nodes, `queue[head..]` the frontier, and the whole of it
-/// is the discovery order — which is what lets [`BfsScratch::resume`]
-/// rewind to the point where the last result stopped being valid.
+/// Each side keeps its discovery order in a `Vec` that is never popped,
+/// so every level it has grown is a consecutive run of it.
 #[derive(Clone, Debug, Default)]
 pub struct BfsScratch {
-    /// `seen[v] == stamp` iff `v` is discovered in the current search.
+    /// `seen[v] == stamp` iff the search from the source discovered `v`,
+    /// by the edge from `parent[v]`.
     seen: Vec<u32>,
+    parent: Vec<NodeId>,
+    /// `back[v] == (stamp, h)` iff the search from `t` discovered `v`,
+    /// `h` hops before `t`.
+    back: Vec<(u32, u32)>,
     stamp: u32,
-    /// The node and edge each discovered node was reached by.
-    parent: Vec<(NodeId, EdgeId)>,
-    /// Index of each discovered node in `queue`.
-    qpos: Vec<u32>,
-    queue: Vec<NodeId>,
-    head: usize,
-    /// Endpoints of the current search; `None` before the first one.
-    ends: Option<(NodeId, NodeId)>,
+    /// Discovery order from the source.
+    fwd: Vec<NodeId>,
+    /// Discovery order from `t`, along in-edges.
+    bwd: Vec<NodeId>,
 }
 
 impl BfsScratch {
@@ -44,22 +47,108 @@ impl BfsScratch {
     }
 
     /// Finds a fewest-hops path `s → t` using only edges accepted by
-    /// `edge_ok`, or `None` if `t` is unreachable. Ties are broken by
-    /// adjacency order.
+    /// `edge_ok`, or `None` if `t` is unreachable: exactly the path
+    /// [`shortest_path_filtered`] finds, ties broken by adjacency order.
+    ///
+    /// The search meets in the middle. Each step grows one complete
+    /// level on the side whose frontier has fewer adjacency entries to
+    /// scan: along out-edges from `s`, or along in-edges into `t`. Once
+    /// a level meets the other side, the answer is the forward tree's
+    /// path to the first meeting node in discovery order, then a walk
+    /// that always takes the first usable out-edge to a node one hop
+    /// nearer to `t` (`docs/algorithm1.md` proves both halves equal the
+    /// forward BFS). `edge_ok` is asked about edges from both ends and
+    /// in no fixed order, so within one search it must be a function of
+    /// the edge alone.
+    // pcn-lint: hot — Algorithm 1 runs one per probe and Yen one per spur node; every array is scratch-owned
     pub fn search(
         &mut self,
         g: &DiGraph,
         s: NodeId,
         t: NodeId,
-        edge_ok: impl FnMut(EdgeId) -> bool,
+        mut edge_ok: impl FnMut(EdgeId) -> bool,
     ) -> Option<Path> {
-        self.ends = None;
         if s == t || s.index() >= g.node_count() || t.index() >= g.node_count() {
             return None;
         }
-        self.start(g, s);
-        self.ends = Some((s, t));
-        self.scan(g, Some(t), false, edge_ok)
+        let stamp = self.start(g);
+        let BfsScratch {
+            seen,
+            parent,
+            back,
+            fwd,
+            bwd,
+            ..
+        } = &mut *self;
+        seen[s.index()] = stamp;
+        fwd.push(s);
+        back[t.index()] = (stamp, 0);
+        bwd.push(t);
+        // Each side's frontier is its last complete level, `fwd[f_lo..]`
+        // from `s` and `bwd[b_lo..]` at `b` hops before `t`; its cost is
+        // the adjacency entries growing it would scan.
+        let (mut f_lo, mut f_cost) = (0, g.out_degree(s));
+        let (mut b_lo, mut b_cost, mut b) = (0, g.in_neighbors(t).len(), 0);
+        loop {
+            let met = if f_cost <= b_cost {
+                let (end, mut met) = (fwd.len(), false);
+                f_cost = 0;
+                for i in f_lo..end {
+                    let u = fwd[i];
+                    for &(v, e) in g.out_neighbors(u) {
+                        if seen[v.index()] == stamp || !edge_ok(e) {
+                            continue;
+                        }
+                        seen[v.index()] = stamp;
+                        parent[v.index()] = u;
+                        fwd.push(v);
+                        f_cost += g.out_degree(v);
+                        met |= back[v.index()].0 == stamp;
+                    }
+                }
+                if fwd.len() == end {
+                    return None;
+                }
+                f_lo = end;
+                met
+            } else {
+                let (end, mut met) = (bwd.len(), false);
+                b_cost = 0;
+                b += 1;
+                for i in b_lo..end {
+                    let v = bwd[i];
+                    for &(u, e) in g.in_neighbors(v) {
+                        if back[u.index()].0 == stamp || !edge_ok(e) {
+                            continue;
+                        }
+                        back[u.index()] = (stamp, b);
+                        bwd.push(u);
+                        b_cost += g.in_neighbors(u).len();
+                        met |= seen[u.index()] == stamp;
+                    }
+                }
+                if bwd.len() == end {
+                    return None;
+                }
+                b_lo = end;
+                met
+            };
+            if met {
+                break;
+            }
+        }
+        // The meeting nodes are the forward frontier's nodes the search
+        // from `t` reached, all equally far from it; the forward BFS's
+        // path runs through the first of them.
+        let m = *fwd[f_lo..].iter().find(|v| back[v.index()].0 == stamp)?;
+        let to_t = back[m.index()].1;
+        Some(self.path(g, s, m, to_t, &mut edge_ok))
+    }
+
+    /// Whether the last search's half grown from `t` discovered `v`.
+    #[cfg(test)]
+    pub(crate) fn reached_from_t(&self, v: NodeId) -> bool {
+        self.back[v.index()].0 == self.stamp
     }
 
     /// Discovers every node reachable from `root` — along in-edges when
@@ -71,124 +160,106 @@ impl BfsScratch {
         root: NodeId,
         backwards: bool,
     ) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.ends = None;
-        self.start(g, root);
-        self.scan(g, None, backwards, |_| true);
-        self.queue[1..]
-            .iter()
-            .map(|&v| (v, self.parent[v.index()].0))
+        self.scan(g, root, None, backwards, |_| true);
+        self.fwd[1..].iter().map(|&v| (v, self.parent[v.index()]))
     }
 
-    /// Sizes the arrays for `g`, opens a new stamp and queues `root`.
-    fn start(&mut self, g: &DiGraph, root: NodeId) {
+    /// Sizes the arrays for `g` and opens a new stamp under which
+    /// nothing is discovered; returns the stamp.
+    fn start(&mut self, g: &DiGraph) -> u32 {
         let n = g.node_count();
         if self.seen.len() != n {
             self.seen.clear();
             self.seen.resize(n, 0);
-            self.parent.resize(n, (root, EdgeId(0)));
-            self.qpos.resize(n, 0);
-            self.queue.reserve(n);
+            self.back.clear();
+            self.back.resize(n, (0, 0));
+            self.parent.resize(n, NodeId(0));
+            self.fwd.reserve(n);
+            self.bwd.reserve(n);
         }
         if self.stamp == u32::MAX {
             self.seen.fill(0);
+            self.back.fill((0, 0));
             self.stamp = 0;
         }
         self.stamp += 1;
-        self.seen[root.index()] = self.stamp;
-        self.qpos[root.index()] = 0;
-        self.queue.clear();
-        self.queue.push(root);
-        self.head = 0;
+        self.fwd.clear();
+        self.bwd.clear();
+        self.stamp
     }
 
-    /// Continues the last search under a filter that has changed since
-    /// it returned its path `P`, and returns exactly what a fresh
-    /// [`BfsScratch::search`] with the new filter would.
-    ///
-    /// The filter may differ from the one `P` was found under only on
-    /// edges of `P`, which may have become blocked, and on the reverse
-    /// `y → x` of an edge `x → y` of `P`, which may have changed either
-    /// way. Then everything discovered before the head of the first
-    /// blocked edge of `P` is what a fresh search would rediscover: every
-    /// newly blocked edge is a tree edge at or after that point, and a
-    /// reverse edge `y → x` was never a discovery edge, because `x` was
-    /// discovered before `y` was. The search rewinds to there and goes
-    /// on; with no edge of `P` blocked it returns `P` again.
-    ///
-    /// Returns `None` when the last search found no path (or none was
-    /// run). `g` must be the graph that search ran on.
-    pub fn resume(&mut self, g: &DiGraph, mut edge_ok: impl FnMut(EdgeId) -> bool) -> Option<Path> {
-        let (s, t) = self.ends?;
-        if self.seen[t.index()] != self.stamp {
-            return None;
-        }
-        // The blocked tree edge of the last path nearest to `s`.
-        let mut cut = None;
-        let mut v = t;
-        while v != s {
-            let (u, e) = self.parent[v.index()];
-            if !edge_ok(e) {
-                cut = Some((u, v));
-            }
-            v = u;
-        }
-        let Some((tail, head)) = cut else {
-            return Some(self.path_to(s, t));
-        };
-        let keep = self.qpos[head.index()] as usize;
-        for v in self.queue.drain(keep..) {
-            self.seen[v.index()] = 0;
-        }
-        self.head = self.qpos[tail.index()] as usize;
-        self.scan(g, Some(t), false, edge_ok)
-    }
-
-    /// The one breadth-first loop of this crate: expands the frontier
-    /// from `queue[head]` on, along out-edges or (`backwards`) in-edges,
-    /// until `t` is discovered or the queue runs out. On success `head`
-    /// stays at `t`'s parent and `t` is the last queue entry, so the
-    /// state describes a search stopped mid-scan.
-    // pcn-lint: hot — Algorithm 1 runs one per probe and Yen one per spur node; every array is scratch-owned
+    /// The forward loop, the reference [`BfsScratch::search`] is held
+    /// to: expands `root`'s discovery order along out-edges or
+    /// (`backwards`) in-edges until `t` is discovered or nothing is
+    /// left, and returns the tree path to `t`.
+    // pcn-lint: hot — Shortest Path routes every payment with one, and every dev-profile oracle check runs one; every array is scratch-owned
     fn scan(
         &mut self,
         g: &DiGraph,
+        root: NodeId,
         t: Option<NodeId>,
         backwards: bool,
         mut edge_ok: impl FnMut(EdgeId) -> bool,
     ) -> Option<Path> {
-        while let Some(&u) = self.queue.get(self.head) {
+        let stamp = self.start(g);
+        self.seen[root.index()] = stamp;
+        self.fwd.push(root);
+        let mut head = 0;
+        while let Some(&u) = self.fwd.get(head) {
             let adjacent = if backwards {
                 g.in_neighbors(u)
             } else {
                 g.out_neighbors(u)
             };
             for &(v, e) in adjacent {
-                if self.seen[v.index()] == self.stamp || !edge_ok(e) {
+                if self.seen[v.index()] == stamp || !edge_ok(e) {
                     continue;
                 }
-                self.seen[v.index()] = self.stamp;
-                self.parent[v.index()] = (u, e);
-                self.qpos[v.index()] = self.queue.len() as u32;
-                self.queue.push(v);
+                self.seen[v.index()] = stamp;
+                self.parent[v.index()] = u;
+                self.fwd.push(v);
                 if Some(v) == t {
-                    return Some(self.path_to(self.queue[0], v));
+                    return Some(self.path(g, root, v, 0, &mut edge_ok));
                 }
             }
-            self.head += 1;
+            head += 1;
         }
         None
     }
 
-    /// The tree path `s → t` of the current search.
-    fn path_to(&self, s: NodeId, t: NodeId) -> Path {
-        // pcn-lint: allow(hot-alloc) — the result path is the search's return value, one per search and not per scanned edge
-        let mut nodes = vec![t];
-        let mut cur = t;
-        while cur != s {
-            cur = self.parent[cur.index()].0;
-            nodes.push(cur);
+    /// The path through `m`: the forward tree's path from `s` to `m`,
+    /// then `to_t` more hops, each along the first usable out-edge to a
+    /// node the search from `t` found one hop nearer to it.
+    fn path(
+        &self,
+        g: &DiGraph,
+        s: NodeId,
+        m: NodeId,
+        to_t: u32,
+        mut edge_ok: impl FnMut(EdgeId) -> bool,
+    ) -> Path {
+        let mut depth = 0;
+        let mut v = m;
+        while v != s {
+            v = self.parent[v.index()];
+            depth += 1;
         }
-        nodes.reverse();
+        // pcn-lint: allow(hot-alloc) — the result path is the search's return value, one per search and not per scanned edge
+        let mut nodes = vec![m; depth + 1 + to_t as usize];
+        for i in (0..depth).rev() {
+            nodes[i] = self.parent[nodes[i + 1].index()];
+        }
+        for i in depth + 1..nodes.len() {
+            let left = (nodes.len() - 1 - i) as u32;
+            let next = g
+                .out_neighbors(nodes[i - 1])
+                .iter()
+                .find(|&&(w, e)| self.back[w.index()] == (self.stamp, left) && edge_ok(e));
+            debug_assert!(next.is_some(), "no usable edge one hop nearer to t");
+            if let Some(&(w, _)) = next {
+                nodes[i] = w;
+            }
+        }
         Path::from_vec_unchecked(nodes)
     }
 }
@@ -198,13 +269,19 @@ impl BfsScratch {
 ///
 /// Ties are broken by adjacency order, which is deterministic for a given
 /// graph construction order — important for reproducible experiments.
+/// This is the forward loop on a fresh scratch; a caller that searches
+/// repeatedly keeps a [`BfsScratch`] and gets the same path from
+/// [`BfsScratch::search`].
 pub fn shortest_path_filtered(
     g: &DiGraph,
     s: NodeId,
     t: NodeId,
     edge_ok: impl FnMut(EdgeId) -> bool,
 ) -> Option<Path> {
-    BfsScratch::new().search(g, s, t, edge_ok)
+    if s == t || s.index() >= g.node_count() || t.index() >= g.node_count() {
+        return None;
+    }
+    BfsScratch::new().scan(g, s, Some(t), false, edge_ok)
 }
 
 /// Finds a fewest-hops path using every edge (no filter).
@@ -329,29 +406,27 @@ mod tests {
         assert_eq!(tree[0], Some(n(1)));
     }
 
+    /// The probes of Algorithm 1 on Figure 5(a), one search each on one
+    /// scratch: the tie at node 2 goes to the adjacency-first edge.
     #[test]
-    fn resume_routes_around_the_blocked_edge() {
+    fn search_routes_around_the_blocked_edge() {
         let g = fig5a().unwrap();
         let mut bfs = BfsScratch::new();
         let p = bfs.search(&g, n(0), n(5), |_| true).unwrap();
         assert_eq!(p.nodes(), &[n(0), n(1), n(2), n(5)]);
-        // Nothing blocked: the same path again.
-        assert_eq!(bfs.resume(&g, |_| true), Some(p));
-        // Block 2→3 (0-based 1→2): the search continues through 2→4.
+        // Block 2→3 (0-based 1→2): the path goes through 2→4.
         let dead = g.edge(n(1), n(2)).unwrap();
-        let p = bfs.resume(&g, |e| e != dead).unwrap();
+        let p = bfs.search(&g, n(0), n(5), |e| e != dead).unwrap();
         assert_eq!(p.nodes(), &[n(0), n(1), n(3), n(5)]);
         // Block the first hop too: only 1-5-4-6 is left, then nothing.
         let first = g.edge(n(0), n(1)).unwrap();
-        let p = bfs.resume(&g, |e| e != dead && e != first).unwrap();
+        let p = bfs
+            .search(&g, n(0), n(5), |e| e != dead && e != first)
+            .unwrap();
         assert_eq!(p.nodes(), &[n(0), n(4), n(3), n(5)]);
         let last = g.edge(n(3), n(5)).unwrap();
-        assert_eq!(bfs.resume(&g, |e| ![dead, first, last].contains(&e)), None);
-        assert_eq!(
-            bfs.resume(&g, |_| true),
-            None,
-            "a failed search stays failed"
-        );
+        let blocked = [dead, first, last];
+        assert_eq!(bfs.search(&g, n(0), n(5), |e| !blocked.contains(&e)), None);
     }
 
     #[test]
@@ -364,14 +439,13 @@ mod tests {
         let mut bfs = BfsScratch::new();
         for (g, t) in [(&small, n(5)), (&big, n(8)), (&small, n(5))] {
             assert_eq!(bfs.search(g, n(0), t, |_| true), shortest_path(g, n(0), t));
-            assert_eq!(bfs.resume(g, |_| true), shortest_path(g, n(0), t));
+            assert_eq!(bfs.search(g, t, n(0), |_| true), shortest_path(g, t, n(0)));
         }
         assert_eq!(bfs.search(&small, n(0), n(9), |_| true), None);
-        assert_eq!(bfs.resume(&small, |_| true), None);
     }
 
-    /// Four billion searches later the stamp wraps to a value the array
-    /// still holds from the first search.
+    /// Four billion searches later the stamp wraps to a value both
+    /// sides' arrays still hold from the first search.
     #[test]
     fn stamp_wrap_forgets_stale_discoveries() {
         let g = fig5a().unwrap();
@@ -380,54 +454,61 @@ mod tests {
         bfs.stamp = u32::MAX;
         assert_eq!(bfs.search(&g, n(0), n(5), |_| true), first);
         assert_eq!(bfs.stamp, 1);
+        assert_eq!(
+            bfs.search(&g, n(0), n(4), |_| true),
+            shortest_path(&g, n(0), n(4))
+        );
     }
 
     mod properties {
         use super::*;
         use crate::generators;
         use proptest::prelude::*;
-        use std::collections::HashSet;
+        use rand::prelude::*;
+        use rand::rngs::StdRng;
 
         proptest! {
-            /// After any sequence of "block an edge of the last result"
-            /// and "flip the reverse of one", `resume` returns exactly
-            /// what a fresh search under the same filter returns.
+            /// One scratch serves an Erdős–Rényi, a Watts–Strogatz and a
+            /// Barabási–Albert graph of different sizes, each with up to
+            /// 70 % of its edges blocked, and for every pair tried —
+            /// drawn at random, adjacent, `s == t`, `t` out of range —
+            /// `search` returns what the forward loop returns.
             #[test]
-            fn resume_equals_a_fresh_search(
-                nodes in 4usize..16,
-                seed in 0u64..500,
-                preblocked in proptest::collection::vec(0usize..1000, 0..6),
-                ops in proptest::collection::vec((0usize..1000, 0usize..4, 1usize..4), 1..24),
+            fn search_equals_the_forward_bfs(
+                sizes in (2usize..48, 5usize..48, 3usize..48),
+                density in 0.02f64..0.4,
+                seed in 0u64..1_000_000,
+                blocked_pct in 0u32..=70,
+                pairs in proptest::collection::vec((0usize..10_000, 0usize..10_000), 1..24),
             ) {
-                let g = generators::erdos_renyi(nodes, 0.35, seed);
-                prop_assume!(g.edge_count() > 0);
-                let (s, t) = (n(0), n(nodes as u32 - 1));
-                let mut blocked: HashSet<EdgeId> = preblocked
-                    .iter()
-                    .map(|i| EdgeId((i % g.edge_count()) as u32))
-                    .collect();
+                let graphs = [
+                    generators::erdos_renyi(sizes.0, density, seed),
+                    generators::watts_strogatz(sizes.1, 4, density, seed),
+                    generators::barabasi_albert(sizes.2, 2, seed),
+                ];
+                let mut rng = StdRng::seed_from_u64(seed);
                 let mut bfs = BfsScratch::new();
-                let mut last = bfs.search(&g, s, t, |e| !blocked.contains(&e));
-                prop_assert_eq!(&last, &shortest_path_filtered(&g, s, t, |e| !blocked.contains(&e)));
-                // Each step applies up to three changes, as one probe does.
-                let mut ops = ops.into_iter();
-                while let Some(path) = last {
-                    let Some((at, kind, batch)) = ops.next() else { break };
-                    for k in 0..batch {
-                        let hop = (at + k) % path.hops();
-                        let (u, v) = (path.nodes()[hop], path.nodes()[hop + 1]);
-                        let edge = g.edge(u, v).unwrap();
-                        match (kind + k) % 4 {
-                            // A path edge used up (twice as likely as the rest).
-                            0 | 1 => { blocked.insert(edge); }
-                            // Its reverse credited...
-                            2 => { g.reverse_edge(edge).map(|r| blocked.remove(&r)); }
-                            // ...or probed for the first time, at zero.
-                            _ => { g.reverse_edge(edge).map(|r| blocked.insert(r)); }
+                for g in &graphs {
+                    let blocked: Vec<bool> = (0..g.edge_count())
+                        .map(|_| rng.random_range(0..100u32) < blocked_pct)
+                        .collect();
+                    let ok = |e: EdgeId| !blocked[e.index()];
+                    let size = g.node_count();
+                    for &(i, j) in &pairs {
+                        let s = n((i % size) as u32);
+                        let mut ends = vec![n((j % size) as u32), s, n(size as u32)];
+                        ends.extend(g.out_neighbors(s).get(j % 3).map(|&(v, _)| v));
+                        for t in ends {
+                            prop_assert_eq!(
+                                bfs.search(g, s, t, ok),
+                                shortest_path_filtered(g, s, t, ok),
+                                "{:?} → {:?} on {} nodes",
+                                s,
+                                t,
+                                size
+                            );
                         }
                     }
-                    last = bfs.resume(&g, |e| !blocked.contains(&e));
-                    prop_assert_eq!(&last, &shortest_path_filtered(&g, s, t, |e| !blocked.contains(&e)));
                 }
             }
         }

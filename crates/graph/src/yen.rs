@@ -11,11 +11,12 @@
 //! are BFS with deterministic tie-breaking, so routing tables are
 //! reproducible across runs.
 //!
-//! Spur searches run on the caller's [`YenScratch`]: one reusable BFS,
-//! and the bans of a spur — the root's nodes and the edges out of the
-//! spur node that found paths with the same root took — as generation
-//! stamps in node- and edge-indexed arrays. A spur therefore hashes
-//! nothing per scanned edge and allocates only the candidate it adds.
+//! Spur searches run on the caller's [`YenScratch`]: one reusable BFS
+//! that meets in the middle, and the bans of a spur — the root's nodes
+//! and the edges out of the spur node that found paths with the same
+//! root took — as generation stamps in node- and edge-indexed arrays. A
+//! spur therefore hashes nothing per scanned edge and allocates only the
+//! candidate it adds.
 
 use crate::bfs::{self, BfsScratch};
 use crate::{path::Path, DiGraph};
@@ -166,16 +167,18 @@ impl RankedPaths {
                     }
                 }
             }
-            // The root's nodes are banned to keep paths loopless. Only an
-            // edge's head is checked: the search starts at the unbanned
-            // spur node and enters a node only as the head of an accepted
-            // edge, so it never expands a banned node and never scans an
-            // edge whose tail is banned.
+            // The root's nodes are banned to keep paths loopless, at both
+            // ends of an edge: the search also grows backwards from `t`,
+            // entering a node as the tail of an edge, and a banned node
+            // it entered would cost a scan of its in-edges for nothing.
             for v in root {
                 node_ban[v.index()] = gen;
             }
             let spur_path = bfs.search(g, spur, *t, |e| {
-                edge_ban[e.index()] != gen && node_ban[g.endpoints(e).1.index()] != gen
+                let (u, v) = g.endpoints(e);
+                edge_ban[e.index()] != gen
+                    && node_ban[u.index()] != gen
+                    && node_ban[v.index()] != gen
             });
             // Dev-profile oracle: the bans rebuilt from their definition
             // by linear scans, on a fresh search.
@@ -322,6 +325,36 @@ mod tests {
         while ranks.next_path(&g, &mut scratch).is_some() {}
         assert_eq!(ranks.found(), k_shortest_paths_hops(&g, n(0), n(5), 1000));
         assert!(scratch.gen < 100, "the generation wrapped");
+    }
+
+    /// A root node `r` one hop before `t`. The spur off `x` bans `r`,
+    /// and its search grows from `t` first, where `r` is the tail of
+    /// `r → t`: the search must not enter `r` from that side either.
+    #[test]
+    fn spur_search_never_enters_a_root_node_from_t() {
+        let [s, r, x, y, t] = [0, 1, 2, 3, 4].map(n);
+        let mut g = DiGraph::new(9);
+        for (u, v) in [(s, r), (r, t), (r, x), (x, t), (x, y), (y, t)] {
+            g.add_edge(u, v).unwrap();
+        }
+        // Leaves make `x`'s frontier the dearer side to grow.
+        for leaf in 5..9 {
+            g.add_edge(x, n(leaf)).unwrap();
+        }
+        let mut scratch = YenScratch::default();
+        let mut ranks = RankedPaths::new(s, t);
+        for _ in 0..3 {
+            ranks.next_path(&g, &mut scratch);
+        }
+        // The third rank came from the spur off `x` with root [s, r],
+        // the last search the scratch ran.
+        assert!(!scratch.bfs.reached_from_t(r), "entered a banned node");
+        assert_eq!(ranks.next_path(&g, &mut scratch), None);
+        let found: Vec<_> = ranks.found().iter().map(|p| p.nodes()).collect();
+        assert_eq!(
+            found,
+            [&[s, r, t][..], &[s, r, x, t][..], &[s, r, x, y, t][..]]
+        );
     }
 
     /// White-box: the wrap refills both ban arrays, so no stamp of the
