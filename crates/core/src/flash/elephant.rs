@@ -70,72 +70,92 @@ struct Probed {
 }
 
 /// The residual matrix of one payment as a dense `EdgeId`-indexed
-/// table: no hashing per scanned edge, and forgetting a payment is one
-/// increment of `gen`.
+/// table: no hashing per scanned edge, and the BFS filter reads one bit.
+/// Forgetting a payment clears the slots and bits of the edges it
+/// touched.
 #[derive(Debug, Default)]
 struct ProbedEdges {
-    /// `mark[e] == gen` iff this payment has probed (or banned) `e`;
-    /// its entry is then `known[slot[e]]`. Unmarked edges are unprobed
+    /// `known[slot[e]]` is this payment's entry of `e`, the edge it
+    /// holds beside it; `slot[e]` is [`NO_SLOT`] while `e` is unprobed
     /// and treated as usable (capacity assumed non-zero).
-    mark: Vec<u32>,
     slot: Vec<u32>,
-    gen: u32,
-    known: Vec<Probed>,
+    known: Vec<(EdgeId, Probed)>,
+    /// Bit `e` is set iff `e`'s entry has no residual left: the BFS
+    /// filter, kept by [`ProbedEdges::set_residual`].
+    spent: Vec<u64>,
+}
+
+/// `slot[e]` of an edge without an entry: past the end of `known`.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The word of `spent` that holds `e`'s bit, and the bit's mask.
+fn spent_bit(e: EdgeId) -> (usize, u64) {
+    (e.index() / 64, 1 << (e.index() % 64))
 }
 
 impl ProbedEdges {
-    /// Forgets the last payment; sizes the table for `g`.
+    /// Forgets the last payment; sizes the table for `g`. The forgetting
+    /// comes first: the edges it touched index the last graph's table.
     fn begin(&mut self, g: &DiGraph) {
-        if self.mark.len() != g.edge_count() {
-            self.mark.clear();
-            self.mark.resize(g.edge_count(), 0);
-            self.slot.resize(g.edge_count(), 0);
+        for (e, _) in self.known.drain(..) {
+            let (word, bit) = spent_bit(e);
+            self.slot[e.index()] = NO_SLOT;
+            self.spent[word] &= !bit;
         }
-        if self.gen == u32::MAX {
-            self.mark.fill(0);
-            self.gen = 0;
-        }
-        self.gen += 1;
-        self.known.clear();
-    }
-
-    /// Where in `known` this payment's entry of `e` is, if it has one.
-    fn slot_of(&self, e: EdgeId) -> Option<usize> {
-        (self.mark[e.index()] == self.gen).then(|| self.slot[e.index()] as usize)
+        // Every slot and bit is now clear, so a plain resize keeps them so.
+        self.slot.resize(g.edge_count(), NO_SLOT);
+        self.spent.resize(g.edge_count().div_ceil(64), 0);
     }
 
     fn get(&self, e: EdgeId) -> Option<&Probed> {
-        self.slot_of(e).map(|i| &self.known[i])
+        let (_, p) = self.known.get(self.slot[e.index()] as usize)?;
+        Some(p)
     }
 
     fn get_mut(&mut self, e: EdgeId) -> Option<&mut Probed> {
-        self.slot_of(e).map(|i| &mut self.known[i])
-    }
-
-    /// The entry of `e`, created (residual zero, nothing probed) if new.
-    fn entry(&mut self, e: EdgeId) -> &mut Probed {
-        let i = self.slot_of(e).unwrap_or_else(|| {
-            self.mark[e.index()] = self.gen;
-            self.slot[e.index()] = self.known.len() as u32;
-            self.known.push(Probed::default());
-            self.known.len() - 1
-        });
-        &mut self.known[i]
+        let (_, p) = self.known.get_mut(self.slot[e.index()] as usize)?;
+        Some(p)
     }
 
     /// The BFS filter of Algorithm 1 line 7: unprobed, or residual left.
     fn usable(&self, e: EdgeId) -> bool {
-        self.get(e).is_none_or(|p| p.residual > 0)
+        let (word, bit) = spent_bit(e);
+        let usable = self.spent[word] & bit == 0;
+        debug_assert_eq!(
+            usable,
+            self.get(e).is_none_or(|p| p.residual > 0),
+            "{e:?}: the residual bit disagrees with the entry"
+        );
+        usable
+    }
+
+    /// Sets the residual of `e`, creating its entry (nothing probed) if
+    /// new, and the bit that mirrors it; every residual write goes
+    /// through here.
+    fn set_residual(&mut self, e: EdgeId, residual: u128) -> &mut Probed {
+        let (word, bit) = spent_bit(e);
+        if residual == 0 {
+            self.spent[word] |= bit;
+        } else {
+            self.spent[word] &= !bit;
+        }
+        if self.slot[e.index()] == NO_SLOT {
+            self.slot[e.index()] = self.known.len() as u32;
+            self.known.push((e, Probed::default()));
+        }
+        let (_, p) = &mut self.known[self.slot[e.index()] as usize];
+        p.residual = residual;
+        p
     }
 
     /// Records a probed capacity unless `e` already has one; returns
     /// the first-probe capacity either way.
     fn first_probe(&mut self, e: EdgeId, capacity: Amount) -> Amount {
-        let p = self.entry(e);
-        *p.capacity.get_or_insert_with(|| {
-            p.residual = u128::from(capacity.micros());
-            capacity
-        })
+        if let Some(first) = self.get(e).and_then(|p| p.capacity) {
+            return first;
+        }
+        self.set_residual(e, u128::from(capacity.micros())).capacity = Some(capacity);
+        capacity
     }
 }
 
@@ -147,18 +167,6 @@ impl ProbedEdges {
 pub struct ElephantScratch {
     bfs: BfsScratch,
     probed: ProbedEdges,
-}
-
-impl ElephantScratch {
-    /// A scratch whose residual table's generation starts at `gen`, so
-    /// a test crosses the wrap-around at `u32::MAX` within a few
-    /// payments.
-    #[cfg(test)]
-    pub(crate) fn with_generation(gen: u32) -> Self {
-        let mut scratch = Self::default();
-        scratch.probed.gen = gen;
-        scratch
-    }
 }
 
 /// Runs Algorithm 1: finds at most `k` paths from `s` to `t` whose
@@ -209,7 +217,7 @@ pub fn find_paths_with<N: PaymentNetwork>(
     while plan.paths.len() < k {
         // BFS on G with residual filter (line 7), meeting in the middle;
         // it returns the forward BFS's path, which the dev profile checks.
-        let path = bfs.search(net.graph(), s, t, |e| probed.usable(e));
+        let path = bfs.search(net.graph(), s, t, &[], |e| probed.usable(e));
         debug_assert_eq!(
             path,
             bfs::shortest_path_filtered(net.graph(), s, t, |e| probed.usable(e)),
@@ -229,7 +237,7 @@ pub fn find_paths_with<N: PaymentNetwork>(
             let Some(first) = net.graph().edge(path.nodes()[0], path.nodes()[1]) else {
                 break; // BFS walked this edge, so the lookup cannot miss
             };
-            probed.entry(first).residual = 0;
+            probed.set_residual(first, 0);
             continue;
         };
 
@@ -240,7 +248,9 @@ pub fn find_paths_with<N: PaymentNetwork>(
             edges.push(c.edge);
             hops.push(Hop {
                 capacity: probed.first_probe(c.edge, c.capacity),
-                fee: *probed.entry(c.edge).fee.get_or_insert(c.fee),
+                fee: probed
+                    .get_mut(c.edge)
+                    .map_or(c.fee, |p| *p.fee.get_or_insert(c.fee)),
                 reverse: c
                     .reverse
                     .map(|(rev, rcap)| (rev, probed.first_probe(rev, rcap))),
@@ -260,14 +270,15 @@ pub fn find_paths_with<N: PaymentNetwork>(
             // Push flow: decrease forward residuals, increase reverse
             // (lines 23–24).
             for &e in &edges {
-                if let Some(p) = probed.get_mut(e) {
-                    p.residual -= bottleneck;
+                if let Some(&p) = probed.get(e) {
+                    probed.set_residual(e, p.residual - bottleneck);
                 }
                 // If the reverse direction was never probed it stays
                 // "assumed usable"; no explicit credit needed.
-                let rev = net.graph().reverse_edge(e);
-                if let Some(p) = rev.and_then(|rev| probed.get_mut(rev)) {
-                    p.residual += bottleneck;
+                if let Some(rev) = net.graph().reverse_edge(e) {
+                    if let Some(&p) = probed.get(rev) {
+                        probed.set_residual(rev, p.residual + bottleneck);
+                    }
                 }
             }
             let add = Amount::from_micros(u64::try_from(bottleneck).unwrap_or(u64::MAX));
@@ -453,22 +464,6 @@ mod tests {
             assert_eq!(nodes, [&[s, a, d, d2, t][..], &[s, c, c2, b, t][..]]);
             assert!(parts.iter().all(|(_, x)| *x == Amount::from_units(1)));
         }
-    }
-
-    /// A wrapped generation must not read the marks of the payments
-    /// that used the same numbers four billion payments earlier.
-    #[test]
-    fn generation_wrap_forgets_stale_marks() {
-        let net = fig5a_net();
-        let mut probed = ProbedEdges::default();
-        probed.begin(net.graph());
-        probed.entry(EdgeId(2)).residual = 0;
-        assert!(!probed.usable(EdgeId(2)));
-        probed.gen = u32::MAX;
-        probed.begin(net.graph());
-        assert_eq!(probed.gen, 1);
-        assert!(probed.get(EdgeId(2)).is_none());
-        assert!(probed.usable(EdgeId(2)));
     }
 
     /// A lost probe bans the first hop and still counts as a probe.

@@ -429,14 +429,11 @@ mod tests {
     }
 
     /// Routes `payments` (each on the network its index names) twice:
-    /// through `shared`, one router for all of them, and through a fresh
-    /// router per payment on copies of the networks. Outcomes and final
+    /// through one router for all of them, and through a fresh router
+    /// per payment on copies of the networks. Outcomes and final
     /// balances must agree: what the scratch held before is invisible.
-    fn assert_scratch_is_invisible(
-        mut shared: FlashRouter,
-        nets: &[Network],
-        payments: &[(usize, u32, u32, u64)],
-    ) {
+    fn assert_scratch_is_invisible(nets: &[Network], payments: &[(usize, u32, u32, u64)]) {
+        let mut shared = flash();
         let mut ours = nets.to_vec();
         let mut theirs = nets.to_vec();
         for (i, &(net, s, t, units)) in payments.iter().enumerate() {
@@ -474,14 +471,6 @@ mod tests {
             .iter()
             .flat_map(|&(s, t, units)| [(0, s, t, units), (1, 0, 3, 15), (1, 3, 0, 25)])
             .collect();
-        assert_scratch_is_invisible(flash(), &[ring(), diamond_net()], &payments);
-    }
-
-    #[test]
-    fn scratch_survives_the_generation_wrap() {
-        let mut near_wrap = flash();
-        near_wrap.scratch = elephant::ElephantScratch::with_generation(u32::MAX - 2);
-        let payments = RING_PAYMENTS.map(|(s, t, units)| (0, s, t, units));
-        assert_scratch_is_invisible(near_wrap, &[ring()], &payments);
+        assert_scratch_is_invisible(&[ring(), diamond_net()], &payments);
     }
 }

@@ -27,11 +27,11 @@ use pcn_types::NodeId;
 #[derive(Clone, Debug, Default)]
 pub struct BfsScratch {
     /// `seen[v] == stamp` iff the search from the source discovered `v`,
-    /// by the edge from `parent[v]`.
+    /// by the edge from `parent[v]`, or the search avoids `v`.
     seen: Vec<u32>,
     parent: Vec<NodeId>,
     /// `back[v] == (stamp, h)` iff the search from `t` discovered `v`,
-    /// `h` hops before `t`.
+    /// `h` hops before `t`, or the search avoids `v` (`h == u32::MAX`).
     back: Vec<(u32, u32)>,
     stamp: u32,
     /// Discovery order from the source.
@@ -46,28 +46,39 @@ impl BfsScratch {
         Self::default()
     }
 
-    /// Finds a fewest-hops path `s → t` using only edges accepted by
-    /// `edge_ok`, or `None` if `t` is unreachable: exactly the path
-    /// [`shortest_path_filtered`] finds, ties broken by adjacency order.
+    /// Finds a fewest-hops path `s → t` that uses only edges accepted by
+    /// `edge_ok` and never steps on a node of `avoid`, or `None` if `t`
+    /// is unreachable: exactly the path [`shortest_path_filtered`] finds
+    /// when its filter also rejects every edge with an end in `avoid`,
+    /// ties broken by adjacency order. `avoid` must hold neither `s` nor
+    /// `t`.
     ///
-    /// The search meets in the middle. Each step grows one complete
-    /// level on the side whose frontier has fewer adjacency entries to
-    /// scan: along out-edges from `s`, or along in-edges into `t`. Once
-    /// a level meets the other side, the answer is the forward tree's
-    /// path to the first meeting node in discovery order, then a walk
-    /// that always takes the first usable out-edge to a node one hop
-    /// nearer to `t` (`docs/algorithm1.md` proves both halves equal the
-    /// forward BFS). `edge_ok` is asked about edges from both ends and
-    /// in no fixed order, so within one search it must be a function of
-    /// the edge alone.
+    /// The search meets in the middle. Each step grows one level on the
+    /// side whose frontier has fewer adjacency entries to scan: along
+    /// out-edges from `s`, or along in-edges into `t`. The avoided nodes
+    /// count as discovered by both sides before the first step, so
+    /// neither enters them. A forward level stops at the first node it
+    /// discovers that the other side holds; a level grown from `t` is
+    /// completed, then its meeting node is the forward frontier's first
+    /// in discovery order. The answer is the forward tree's path to the
+    /// meeting node, then a walk that always takes the first usable
+    /// out-edge to a node one hop nearer to `t` (`docs/algorithm1.md`
+    /// proves both halves equal the forward BFS). `edge_ok` is asked
+    /// about edges from both ends and in no fixed order, so within one
+    /// search it must be a function of the edge alone.
     // pcn-lint: hot — Algorithm 1 runs one per probe and Yen one per spur node; every array is scratch-owned
     pub fn search(
         &mut self,
         g: &DiGraph,
         s: NodeId,
         t: NodeId,
+        avoid: &[NodeId],
         mut edge_ok: impl FnMut(EdgeId) -> bool,
     ) -> Option<Path> {
+        debug_assert!(
+            !avoid.contains(&s) && !avoid.contains(&t),
+            "{s:?} → {t:?} avoids one of its own ends"
+        );
         if s == t || s.index() >= g.node_count() || t.index() >= g.node_count() {
             return None;
         }
@@ -80,6 +91,10 @@ impl BfsScratch {
             bwd,
             ..
         } = &mut *self;
+        for v in avoid {
+            seen[v.index()] = stamp;
+            back[v.index()] = (stamp, u32::MAX);
+        }
         seen[s.index()] = stamp;
         fwd.push(s);
         back[t.index()] = (stamp, 0);
@@ -89,9 +104,9 @@ impl BfsScratch {
         // the adjacency entries growing it would scan.
         let (mut f_lo, mut f_cost) = (0, g.out_degree(s));
         let (mut b_lo, mut b_cost, mut b) = (0, g.in_neighbors(t).len(), 0);
-        loop {
-            let met = if f_cost <= b_cost {
-                let (end, mut met) = (fwd.len(), false);
+        let m = 'grow: loop {
+            if f_cost <= b_cost {
+                let end = fwd.len();
                 f_cost = 0;
                 for i in f_lo..end {
                     let u = fwd[i];
@@ -101,16 +116,20 @@ impl BfsScratch {
                         }
                         seen[v.index()] = stamp;
                         parent[v.index()] = u;
+                        // Every meeting node of this level is `b` hops
+                        // before `t`; the forward BFS's path runs
+                        // through the first one discovered.
+                        if back[v.index()].0 == stamp {
+                            break 'grow v;
+                        }
                         fwd.push(v);
                         f_cost += g.out_degree(v);
-                        met |= back[v.index()].0 == stamp;
                     }
                 }
                 if fwd.len() == end {
                     return None;
                 }
                 f_lo = end;
-                met
             } else {
                 let (end, mut met) = (bwd.len(), false);
                 b_cost = 0;
@@ -131,24 +150,23 @@ impl BfsScratch {
                     return None;
                 }
                 b_lo = end;
-                met
-            };
-            if met {
-                break;
+                // The meeting nodes are the forward frontier's nodes this
+                // level reached; the first in discovery order is the one.
+                if met {
+                    break *fwd[f_lo..].iter().find(|v| back[v.index()].0 == stamp)?;
+                }
             }
-        }
-        // The meeting nodes are the forward frontier's nodes the search
-        // from `t` reached, all equally far from it; the forward BFS's
-        // path runs through the first of them.
-        let m = *fwd[f_lo..].iter().find(|v| back[v.index()].0 == stamp)?;
+        };
         let to_t = back[m.index()].1;
         Some(self.path(g, s, m, to_t, &mut edge_ok))
     }
 
-    /// Whether the last search's half grown from `t` discovered `v`.
+    /// Whether the last search's half grown from `t` discovered `v`; an
+    /// avoided node was never discovered, only stamped.
     #[cfg(test)]
     pub(crate) fn reached_from_t(&self, v: NodeId) -> bool {
-        self.back[v.index()].0 == self.stamp
+        let (stamp, h) = self.back[v.index()];
+        stamp == self.stamp && h != u32::MAX
     }
 
     /// Discovers every node reachable from `root` — along in-edges when
@@ -412,21 +430,24 @@ mod tests {
     fn search_routes_around_the_blocked_edge() {
         let g = fig5a().unwrap();
         let mut bfs = BfsScratch::new();
-        let p = bfs.search(&g, n(0), n(5), |_| true).unwrap();
+        let p = bfs.search(&g, n(0), n(5), &[], |_| true).unwrap();
         assert_eq!(p.nodes(), &[n(0), n(1), n(2), n(5)]);
         // Block 2→3 (0-based 1→2): the path goes through 2→4.
         let dead = g.edge(n(1), n(2)).unwrap();
-        let p = bfs.search(&g, n(0), n(5), |e| e != dead).unwrap();
+        let p = bfs.search(&g, n(0), n(5), &[], |e| e != dead).unwrap();
         assert_eq!(p.nodes(), &[n(0), n(1), n(3), n(5)]);
         // Block the first hop too: only 1-5-4-6 is left, then nothing.
         let first = g.edge(n(0), n(1)).unwrap();
         let p = bfs
-            .search(&g, n(0), n(5), |e| e != dead && e != first)
+            .search(&g, n(0), n(5), &[], |e| e != dead && e != first)
             .unwrap();
         assert_eq!(p.nodes(), &[n(0), n(4), n(3), n(5)]);
         let last = g.edge(n(3), n(5)).unwrap();
         let blocked = [dead, first, last];
-        assert_eq!(bfs.search(&g, n(0), n(5), |e| !blocked.contains(&e)), None);
+        assert_eq!(
+            bfs.search(&g, n(0), n(5), &[], |e| !blocked.contains(&e)),
+            None
+        );
     }
 
     #[test]
@@ -438,10 +459,16 @@ mod tests {
         }
         let mut bfs = BfsScratch::new();
         for (g, t) in [(&small, n(5)), (&big, n(8)), (&small, n(5))] {
-            assert_eq!(bfs.search(g, n(0), t, |_| true), shortest_path(g, n(0), t));
-            assert_eq!(bfs.search(g, t, n(0), |_| true), shortest_path(g, t, n(0)));
+            assert_eq!(
+                bfs.search(g, n(0), t, &[], |_| true),
+                shortest_path(g, n(0), t)
+            );
+            assert_eq!(
+                bfs.search(g, t, n(0), &[], |_| true),
+                shortest_path(g, t, n(0))
+            );
         }
-        assert_eq!(bfs.search(&small, n(0), n(9), |_| true), None);
+        assert_eq!(bfs.search(&small, n(0), n(9), &[], |_| true), None);
     }
 
     /// Four billion searches later the stamp wraps to a value both
@@ -450,12 +477,12 @@ mod tests {
     fn stamp_wrap_forgets_stale_discoveries() {
         let g = fig5a().unwrap();
         let mut bfs = BfsScratch::new();
-        let first = bfs.search(&g, n(0), n(5), |_| true);
+        let first = bfs.search(&g, n(0), n(5), &[], |_| true);
         bfs.stamp = u32::MAX;
-        assert_eq!(bfs.search(&g, n(0), n(5), |_| true), first);
+        assert_eq!(bfs.search(&g, n(0), n(5), &[], |_| true), first);
         assert_eq!(bfs.stamp, 1);
         assert_eq!(
-            bfs.search(&g, n(0), n(4), |_| true),
+            bfs.search(&g, n(0), n(4), &[], |_| true),
             shortest_path(&g, n(0), n(4))
         );
     }
@@ -472,13 +499,18 @@ mod tests {
             /// Barabási–Albert graph of different sizes, each with up to
             /// 70 % of its edges blocked, and for every pair tried —
             /// drawn at random, adjacent, `s == t`, `t` out of range —
-            /// `search` returns what the forward loop returns.
+            /// `search` returns what the forward loop returns. Each pair
+            /// is searched twice: avoiding nothing, and avoiding random
+            /// nodes other than its ends (sometimes all of `s`'s
+            /// out-neighbours), where the forward loop rejects every
+            /// edge with an avoided end instead.
             #[test]
             fn search_equals_the_forward_bfs(
                 sizes in (2usize..48, 5usize..48, 3usize..48),
                 density in 0.02f64..0.4,
                 seed in 0u64..1_000_000,
                 blocked_pct in 0u32..=70,
+                avoid_pct in 0u32..=40,
                 pairs in proptest::collection::vec((0usize..10_000, 0usize..10_000), 1..24),
             ) {
                 let graphs = [
@@ -500,12 +532,34 @@ mod tests {
                         ends.extend(g.out_neighbors(s).get(j % 3).map(|&(v, _)| v));
                         for t in ends {
                             prop_assert_eq!(
-                                bfs.search(g, s, t, ok),
+                                bfs.search(g, s, t, &[], ok),
                                 shortest_path_filtered(g, s, t, ok),
                                 "{:?} → {:?} on {} nodes",
                                 s,
                                 t,
                                 size
+                            );
+                            let near = rng.random_bool(0.3);
+                            let avoid: Vec<NodeId> = (0..size as u32)
+                                .map(n)
+                                .filter(|&v| v != s && v != t)
+                                .filter(|&v| {
+                                    rng.random_range(0..100u32) < avoid_pct
+                                        || near && g.out_neighbors(s).iter().any(|&(w, _)| w == v)
+                                })
+                                .collect();
+                            let ok_and_kept = |e: EdgeId| {
+                                let (u, v) = g.endpoints(e);
+                                ok(e) && !avoid.contains(&u) && !avoid.contains(&v)
+                            };
+                            prop_assert_eq!(
+                                bfs.search(g, s, t, &avoid, ok),
+                                shortest_path_filtered(g, s, t, ok_and_kept),
+                                "{:?} → {:?} on {} nodes avoiding {:?}",
+                                s,
+                                t,
+                                size,
+                                avoid
                             );
                         }
                     }

@@ -12,10 +12,10 @@
 //! reproducible across runs.
 //!
 //! Spur searches run on the caller's [`YenScratch`]: one reusable BFS
-//! that meets in the middle, and the bans of a spur — the root's nodes
-//! and the edges out of the spur node that found paths with the same
-//! root took — as generation stamps in node- and edge-indexed arrays. A
-//! spur therefore hashes nothing per scanned edge and allocates only the
+//! that meets in the middle and never enters the root's nodes, and the
+//! edges out of the spur node that found paths with the same root took,
+//! banned by generation stamps in an edge-indexed array. A spur
+//! therefore hashes nothing per scanned edge and allocates only the
 //! candidate it adds.
 
 use crate::bfs::{self, BfsScratch};
@@ -23,17 +23,14 @@ use crate::{path::Path, DiGraph};
 use pcn_types::NodeId;
 
 /// The working arrays of Yen's spur searches, reusable across
-/// enumerations and graphs: the BFS and the generation-stamped bans.
-/// They are sized by the first spur, re-sized whenever the graph's node
-/// or edge count changes, and what they held before never shows in a
+/// enumerations and graphs: the BFS and the generation-stamped edge
+/// bans. They are sized by the first spur, re-sized whenever the graph's
+/// node or edge count changes, and what they held before never shows in a
 /// rank. A mice routing table owns one; [`k_shortest_paths_hops`] builds
 /// a throwaway one per call.
 #[derive(Clone, Debug, Default)]
 pub struct YenScratch {
     bfs: BfsScratch,
-    /// `node_ban[v] == gen` iff `v` is on the current spur's root,
-    /// spur node excluded.
-    node_ban: Vec<u32>,
     /// `edge_ban[e] == gen` iff a found path with the current root
     /// leaves the spur node by `e`.
     edge_ban: Vec<u32>,
@@ -51,17 +48,14 @@ impl YenScratch {
         }
     }
 
-    /// Sizes the ban arrays for `g` and opens a generation in which
+    /// Sizes the ban array for `g` and opens a generation in which
     /// nothing is banned.
     fn next_generation(&mut self, g: &DiGraph) {
-        if self.node_ban.len() != g.node_count() || self.edge_ban.len() != g.edge_count() {
-            self.node_ban.clear();
-            self.node_ban.resize(g.node_count(), 0);
+        if self.edge_ban.len() != g.edge_count() {
             self.edge_ban.clear();
             self.edge_ban.resize(g.edge_count(), 0);
         }
         if self.gen == u32::MAX {
-            self.node_ban.fill(0);
             self.edge_ban.fill(0);
             self.gen = 0;
         }
@@ -117,7 +111,7 @@ impl RankedPaths {
         if !self.spurred {
             self.spurred = true;
             if self.found.is_empty() {
-                let first = scratch.bfs.search(g, self.s, self.t, |_| true);
+                let first = scratch.bfs.search(g, self.s, self.t, &[], |_| true);
                 self.candidates.extend(first);
             } else {
                 self.spur(g, scratch);
@@ -152,12 +146,7 @@ impl RankedPaths {
         for i in 0..prev.len() - 1 {
             let (spur, root) = (prev[i], &prev[..i]);
             scratch.next_generation(g);
-            let YenScratch {
-                bfs,
-                node_ban,
-                edge_ban,
-                gen,
-            } = &mut *scratch;
+            let YenScratch { bfs, edge_ban, gen } = &mut *scratch;
             let gen = *gen;
             for p in found.iter() {
                 let nodes = p.nodes();
@@ -167,19 +156,10 @@ impl RankedPaths {
                     }
                 }
             }
-            // The root's nodes are banned to keep paths loopless, at both
-            // ends of an edge: the search also grows backwards from `t`,
-            // entering a node as the tail of an edge, and a banned node
-            // it entered would cost a scan of its in-edges for nothing.
-            for v in root {
-                node_ban[v.index()] = gen;
-            }
-            let spur_path = bfs.search(g, spur, *t, |e| {
-                let (u, v) = g.endpoints(e);
-                edge_ban[e.index()] != gen
-                    && node_ban[u.index()] != gen
-                    && node_ban[v.index()] != gen
-            });
+            // The search avoids the root's nodes, which keeps paths
+            // loopless: neither half enters one, so an edge it crosses
+            // has both ends off the root.
+            let spur_path = bfs.search(g, spur, *t, root, |e| edge_ban[e.index()] != gen);
             // Dev-profile oracle: the bans rebuilt from their definition
             // by linear scans, on a fresh search.
             debug_assert_eq!(
@@ -197,7 +177,8 @@ impl RankedPaths {
             );
             let Some(sp) = spur_path else { continue };
             // pcn-lint: allow(hot-alloc) — the candidate is the spur's result and stays in the pool; one per spur that finds a path, not per scanned edge
-            let mut nodes = root.to_vec();
+            let mut nodes = Vec::with_capacity(root.len() + sp.nodes().len());
+            nodes.extend_from_slice(root);
             nodes.extend_from_slice(sp.nodes());
             // Two ranks can spur the same deviation; it enters the pool
             // once. (It cannot equal a found path: every found path with
@@ -327,7 +308,7 @@ mod tests {
         assert!(scratch.gen < 100, "the generation wrapped");
     }
 
-    /// A root node `r` one hop before `t`. The spur off `x` bans `r`,
+    /// A root node `r` one hop before `t`. The spur off `x` avoids `r`,
     /// and its search grows from `t` first, where `r` is the tail of
     /// `r → t`: the search must not enter `r` from that side either.
     #[test]
@@ -348,7 +329,7 @@ mod tests {
         }
         // The third rank came from the spur off `x` with root [s, r],
         // the last search the scratch ran.
-        assert!(!scratch.bfs.reached_from_t(r), "entered a banned node");
+        assert!(!scratch.bfs.reached_from_t(r), "entered an avoided node");
         assert_eq!(ranks.next_path(&g, &mut scratch), None);
         let found: Vec<_> = ranks.found().iter().map(|p| p.nodes()).collect();
         assert_eq!(
@@ -357,22 +338,19 @@ mod tests {
         );
     }
 
-    /// White-box: the wrap refills both ban arrays, so no stamp of the
+    /// White-box: the wrap refills the ban array, so no stamp of the
     /// generation that first held a number reads as banned once it comes
-    /// round again, and a graph of another node or edge count re-sizes
-    /// them.
+    /// round again, and a graph of another edge count re-sizes it.
     #[test]
     fn bans_are_refilled_on_wrap_and_resized_per_graph() {
         let g = test_graph();
         let mut scratch = YenScratch::default();
         scratch.next_generation(&g);
         assert_eq!(scratch.gen, 1);
-        scratch.node_ban[2] = scratch.gen;
         scratch.edge_ban[4] = scratch.gen;
         scratch.gen = u32::MAX;
         scratch.next_generation(&g);
         assert_eq!(scratch.gen, 1);
-        assert_ne!(scratch.node_ban[2], scratch.gen);
         assert_ne!(scratch.edge_ban[4], scratch.gen);
 
         let mut denser = g.clone();
@@ -381,7 +359,6 @@ mod tests {
         bigger.add_edge(n(8), n(0)).unwrap();
         for h in [&denser, &bigger, &g] {
             scratch.next_generation(h);
-            assert_eq!(scratch.node_ban.len(), h.node_count());
             assert_eq!(scratch.edge_ban.len(), h.edge_count());
         }
     }
