@@ -13,7 +13,7 @@
 //!   queues) under Poisson load (`BENCH_e2e.json`).
 //! * [`churn`] / `churn_bench` — the success-under-churn trajectory
 //!   (`BENCH_churn.json`).
-//! * [`testbed`] / `testbed_bench` — scenario-driven runs on the
+//! * [`testbed`] / `testbed_bench` — `run_scheme_testbed` runs on the
 //!   event-loop TCP cluster, including the 200-node single-process
 //!   scale point (`BENCH_testbed.json`).
 //!

@@ -153,11 +153,11 @@ impl Record for MaxflowRecord {
     }
 }
 
-/// One record of `BENCH_testbed.json`: one (scheme, scale) scenario run
-/// on the event-loop TCP cluster. Everything but the wall-derived
-/// fields (`events_per_sec`, `wall_ns`, and `socket_ops_per_frame`,
-/// which counts reads the kernel answered `WouldBlock`) is
-/// deterministic for a zero-fault scenario.
+/// One record of `BENCH_testbed.json`: one (scheme, scale) run on the
+/// event-loop TCP cluster. Everything but the wall-derived fields
+/// (`events_per_sec`, `wall_ns`, and `socket_ops_per_frame`, which
+/// counts reads the kernel answered `WouldBlock`) is deterministic for
+/// a zero-fault run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TestbedRecord {
     /// Scheme label (`Flash`, `Shortest Path`, …).

@@ -1,6 +1,6 @@
 //! The one registry of routing schemes: every harness — simulator
-//! figures, the discrete-event engine, the TCP testbed, scenarios and
-//! benches — names a scheme with [`Scheme`] and builds its router with
+//! figures, the discrete-event engine, the TCP testbed and benches —
+//! names a scheme with [`Scheme`] and builds its router with
 //! [`Scheme::router`], generic over the backend.
 
 use crate::{

@@ -5,15 +5,13 @@
 //! [`pcn_sim::PaymentNetwork`] impl for `pcn_proto::Cluster` — so the
 //! testbed sweep now covers all five schemes (the paper's §5.2 ran
 //! three) and reports the probe/commit message breakdown alongside the
-//! delay panels. Each (scheme, interval) cell is one declarative
-//! [`pcn_scenario`] run: the scenario deploys the cluster, derives the
-//! elephant threshold, and checks funds/message conservation as run
-//! invariants.
+//! delay panels. Each (scheme, interval) cell is one
+//! [`run_scheme_testbed`] run, which must conserve funds and wire
+//! frames.
 
-use crate::harness::Effort;
+use crate::harness::{run_scheme_testbed, Effort, DEFAULT_MICE_FRACTION};
 use crate::report::{FigureResult, Series};
 use flash_core::Scheme;
-use pcn_scenario::{Invariant, ScenarioBuilder, TopologySpec, WorkloadSpec};
 use pcn_workload::testbed_topology;
 use pcn_workload::trace::{generate_trace, TraceConfig};
 
@@ -82,7 +80,7 @@ pub fn run_testbed(nodes: usize, fig_prefix: &str, effort: Effort) -> Vec<Figure
     for (i, &(lo, hi)) in CAPACITY_INTERVALS.iter().enumerate() {
         let x = i as f64;
         // One trace shared by all schemes on identical clusters. The
-        // scenario derives the 90%-mice threshold from this same trace,
+        // harness derives the 90%-mice threshold from this same trace,
         // so every scheme classifies identically.
         let seed = 42 + i as u64;
         let reference = testbed_topology(nodes, lo, hi, seed);
@@ -92,29 +90,11 @@ pub fn run_testbed(nodes: usize, fig_prefix: &str, effort: Effort) -> Vec<Figure
         let mut sp_delay = 1.0f64;
         let mut sp_mice_delay = 1.0f64;
         for scheme in SCHEMES {
-            let report = ScenarioBuilder::new(
-                format!("{fig_prefix}-{}-interval{i}", scheme.label()),
-                TopologySpec::Testbed {
-                    n: nodes,
-                    lo,
-                    hi,
-                    seed,
-                },
-            )
-            .workload(WorkloadSpec::Explicit(trace.clone()))
-            .scheme(scheme)
-            .seed(seed + 13)
-            .expect(Invariant::FundsConserved)
-            .expect(Invariant::MessagesConserved)
-            .build()
-            .run()
-            .expect("scenario runs");
-            assert!(
-                report.all_invariants_hold(),
-                "{}: {:?}",
-                report.name,
-                report.failed_invariants()
-            );
+            let report =
+                run_scheme_testbed(&reference, scheme, &trace, DEFAULT_MICE_FRACTION, seed + 13);
+            let cell = format!("{fig_prefix}-{}-interval{i}", scheme.label());
+            assert_eq!(report.funds_before, report.funds_after, "{cell}: funds");
+            assert_eq!(report.wire_in(), report.wire_out(), "{cell}: wire frames");
             let delay_us = report.avg_delay_ms * 1e3;
             let mice_delay_us = report.avg_mice_delay_ms * 1e3;
             if scheme == Scheme::ShortestPath {
@@ -133,7 +113,7 @@ pub fn run_testbed(nodes: usize, fig_prefix: &str, effort: Effort) -> Vec<Figure
                 .iter_mut()
                 .find(|s| s.label == label)
                 .unwrap()
-                .push(x, report.success_ratio * 100.0);
+                .push(x, report.success_ratio() * 100.0);
             fig_delay
                 .series
                 .iter_mut()

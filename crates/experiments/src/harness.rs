@@ -1,15 +1,20 @@
-//! Shared simulation machinery for the figure modules.
+//! Shared simulation machinery for the figure modules: one function
+//! runs a scheme over a trace on each backend — the simulator
+//! ([`run_scheme`]), the discrete-event engine ([`run_scheme_des`]) and
+//! the TCP testbed ([`run_scheme_testbed`]).
 
 use flash_core::classify::threshold_for_mice_fraction;
 use flash_core::Scheme;
 use pcn_graph::generators;
+use pcn_proto::{Cluster, NodeCounters};
 use pcn_sim::{
     ChurnRate, DesConfig, DesEngine, DesNetwork, DesReport, LatencyModel, Metrics, Network,
-    ServiceModel, SimTime,
+    RouteOutcome, ServiceModel, SimTime,
 };
 use pcn_types::{Amount, Payment};
 use pcn_workload::trace::{generate_trace, TraceConfig};
 use pcn_workload::{lightning_topology, ripple_topology};
+use std::time::Duration;
 
 /// Experiment effort level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -149,6 +154,131 @@ pub fn run_scheme(
         router.route(&mut net, p, class);
     }
     std::mem::take(net.metrics_mut())
+}
+
+/// What one testbed run ([`run_scheme_testbed`]) reports. Delays and
+/// `wall_ms` are wall time; everything else repeats exactly per seed.
+#[derive(Clone, Debug)]
+pub struct TestbedReport {
+    /// Per-payment success flags, in trace order.
+    pub outcomes: Vec<bool>,
+    /// Payments fully delivered.
+    pub succeeded: u64,
+    /// Volume of fully delivered payments, micro-units.
+    pub success_volume_micros: u64,
+    /// Fees charged on successful payments, micro-units.
+    pub fees_micros: u64,
+    /// Mean per-payment processing delay, wall milliseconds.
+    pub avg_delay_ms: f64,
+    /// Mean processing delay of the mice payments, wall milliseconds
+    /// (the Figure 12d/13d panel).
+    pub avg_mice_delay_ms: f64,
+    /// `PROBE` messages serviced cluster-wide.
+    pub probe_messages: u64,
+    /// `COMMIT` messages serviced cluster-wide.
+    pub commit_messages: u64,
+    /// Per-node telemetry at the end of the trace, indexed by node id.
+    pub counters: Vec<NodeCounters>,
+    /// `accept`/`read`/`write` calls the reactor issued.
+    pub socket_ops: u64,
+    /// Frames the lossy wire dropped.
+    pub dropped_messages: u64,
+    /// Total funds before the first payment, micro-units.
+    pub funds_before: u64,
+    /// Total funds after the last payment, micro-units.
+    pub funds_after: u64,
+    /// Wall-clock duration of the trace, milliseconds.
+    pub wall_ms: f64,
+    /// Whether the cluster wound down with nothing left behind.
+    pub clean_shutdown: bool,
+}
+
+impl TestbedReport {
+    /// `succeeded / attempted` in [0, 1].
+    pub fn success_ratio(&self) -> f64 {
+        if self.outcomes.is_empty() {
+            return 0.0;
+        }
+        self.succeeded as f64 / self.outcomes.len() as f64
+    }
+
+    /// Wire frames received cluster-wide.
+    pub fn wire_in(&self) -> u64 {
+        self.counters.iter().map(NodeCounters::wire_in).sum()
+    }
+
+    /// Wire frames sent cluster-wide (after the drop roll).
+    pub fn wire_out(&self) -> u64 {
+        self.counters.iter().map(NodeCounters::wire_out).sum()
+    }
+}
+
+/// Runs one scheme over a trace on the TCP testbed: a [`Cluster`]
+/// launched from `net`'s graph, balances, fee table and fault
+/// configuration, routed payment by payment with each payment's wall
+/// delay measured, then shut down. Routing is the same as in
+/// [`run_scheme`]; only the backend differs.
+pub fn run_scheme_testbed(
+    net: &Network,
+    scheme: Scheme,
+    trace: &[Payment],
+    mice_fraction: f64,
+    seed: u64,
+) -> TestbedReport {
+    let amounts: Vec<Amount> = trace.iter().map(|p| p.amount).collect();
+    let threshold = threshold_for_mice_fraction(&amounts, mice_fraction);
+    let graph = net.graph();
+    let balances: Vec<Amount> = graph.edges().map(|(e, _, _)| net.balance(e)).collect();
+    let fees = graph.edges().map(|(e, _, _)| net.fee_policy(e)).collect();
+    let mut cluster = Cluster::launch_with_faults(graph.clone(), &balances, net.faults())
+        .expect("loopback listeners bind");
+    cluster.set_fee_policies(fees).expect("one fee per edge");
+    let mut router = scheme.router::<Cluster>(threshold, seed);
+
+    let funds_before = cluster.total_funds();
+    let mut outcomes = Vec::with_capacity(trace.len());
+    let (mut succeeded, mut success_volume, mut fees_paid) = (0, Amount::ZERO, Amount::ZERO);
+    let (mut total_delay, mut mice_delay, mut mice) = (Duration::ZERO, Duration::ZERO, 0);
+    let wall_run_start = pcn_proto::wall_now();
+    for p in trace {
+        let class = p.classify(threshold);
+        let wall_pay_start = pcn_proto::wall_now();
+        let outcome = router.route(&mut cluster, p, class);
+        let wall_pay_elapsed = wall_pay_start.elapsed();
+        total_delay += wall_pay_elapsed;
+        if class.is_mice() {
+            mice += 1;
+            mice_delay += wall_pay_elapsed;
+        }
+        if let RouteOutcome::Success { volume, fees, .. } = outcome {
+            succeeded += 1;
+            success_volume = success_volume.saturating_add(volume);
+            fees_paid = fees_paid.saturating_add(fees);
+        }
+        outcomes.push(outcome.is_success());
+    }
+    let wall_ms = wall_run_start.elapsed().as_secs_f64() * 1e3;
+    let mean_ms = |total: Duration, n: usize| match n {
+        0 => 0.0,
+        n => total.as_secs_f64() * 1e3 / n as f64,
+    };
+    TestbedReport {
+        succeeded,
+        success_volume_micros: success_volume.micros(),
+        fees_micros: fees_paid.micros(),
+        avg_delay_ms: mean_ms(total_delay, trace.len()),
+        avg_mice_delay_ms: mean_ms(mice_delay, mice),
+        outcomes,
+        probe_messages: cluster.probe_messages(),
+        commit_messages: cluster.commit_messages(),
+        counters: cluster.node_counters(),
+        socket_ops: cluster.socket_ops(),
+        dropped_messages: cluster.dropped_messages(),
+        funds_before,
+        funds_after: cluster.total_funds(),
+        wall_ms,
+        clean_shutdown: cluster.shutdown().is_clean(),
+    }
 }
 
 /// The load-and-delay configuration of one discrete-event run: the
@@ -309,6 +439,42 @@ mod tests {
             let m = run_scheme(&net, scheme, &trace, DEFAULT_MICE_FRACTION, 3);
             assert_eq!(m.total().attempted, 60, "{}", scheme.label());
         }
+    }
+
+    #[test]
+    fn zero_fault_testbed_run_reports_successes() {
+        use pcn_types::{NodeId, TxId};
+        // A 3-node line 0 — 1 — 2 with 10-unit channels: $3 fits, $30
+        // does not.
+        let mut g = pcn_graph::DiGraph::new(3);
+        g.add_channel(NodeId(0), NodeId(1)).unwrap();
+        g.add_channel(NodeId(1), NodeId(2)).unwrap();
+        let net = Network::uniform(g, Amount::from_units(10));
+        let pay =
+            |id, units| Payment::new(TxId(id), NodeId(0), NodeId(2), Amount::from_units(units));
+        let trace = [pay(1, 3), pay(2, 30)];
+        let report = run_scheme_testbed(&net, Scheme::ShortestPath, &trace, 0.9, 1);
+        assert_eq!(report.outcomes, vec![true, false]);
+        assert_eq!(report.succeeded, 1);
+        assert_eq!(report.success_ratio(), 0.5);
+        assert_eq!(report.success_volume_micros, 3_000_000);
+        assert!(report.commit_messages > 0 && report.avg_delay_ms > 0.0);
+        assert_eq!(report.funds_before, report.funds_after);
+        assert_eq!(report.counters.len(), 3);
+        assert!(report.wire_in() > 0);
+        assert_eq!(report.wire_in(), report.wire_out());
+        assert!(report.clean_shutdown);
+    }
+
+    #[test]
+    fn ripple_workload_on_testbed_topology_runs() {
+        let net = pcn_workload::testbed_topology(14, 1000, 1500, 7);
+        let trace = generate_trace(net.graph(), &TraceConfig::ripple(10, 8));
+        let report = run_scheme_testbed(&net, Scheme::Flash, &trace, DEFAULT_MICE_FRACTION, 1);
+        assert_eq!(report.outcomes.len(), 10);
+        assert_eq!(report.counters.len(), 14);
+        assert_eq!(report.funds_before, report.funds_after);
+        assert_eq!(report.wire_in(), report.wire_out());
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! | `pcn-types`, `pcn-graph`, `pcn-lp`, `flash-core`, `pcn-workload` | forbid | ✓ | – | ✓ | ✓ (src only) |
 //! | `pcn-sim` | forbid | ✓ | ✓ | ✓ | ✓ (src only) |
 //! | `pcn-proto` | helper only | – | – | – | P1 (src only) |
-//! | `pcn-scenario`, `pcn-experiments`, `flash-bench`, umbrella | helper only | – | – | – | – |
+//! | `pcn-experiments`, `flash-bench`, umbrella | helper only | – | – | – | – |
 //! | `shims/`, fixtures | skipped | | | | |
 //!
 //! "src only": the deterministic crates' integration tests, benches,
@@ -129,7 +129,7 @@ pub fn policy_for(rel: &str) -> Option<Policy> {
             return Some(p);
         }
     }
-    // Everything else — proto, scenario, experiments, bench, the lint
+    // Everything else — proto, experiments, bench, the lint
     // itself, the umbrella crate's src/tests/examples — may read wall
     // time through the helper only. The testbed's library code also
     // answers to P1: its reactor is a marked hot root.
@@ -346,7 +346,7 @@ mod tests {
         let r = policy_for("crates/proto/src/event_loop.rs").unwrap();
         assert!(r.hot_alloc && !r.panics && !r.hash_order);
         assert!(
-            !policy_for("crates/scenario/src/builder.rs")
+            !policy_for("crates/experiments/src/harness.rs")
                 .unwrap()
                 .hot_alloc
         );
@@ -364,9 +364,9 @@ mod tests {
             policy_for("crates/proto/src/cluster.rs").unwrap().wall,
             WallPolicy::HelperOnly
         );
-        // The scenario crate measures wall time on purpose (delays,
-        // events/sec) — deliberately helper-only, not deterministic.
-        let s = policy_for("crates/scenario/src/builder.rs").unwrap();
+        // The testbed harness measures wall time on purpose (payment
+        // delays) — deliberately helper-only, not deterministic.
+        let s = policy_for("crates/experiments/src/harness.rs").unwrap();
         assert_eq!(s.wall, WallPolicy::HelperOnly);
         assert!(!s.hash_order && !s.panics);
         assert_eq!(policy_for(WALL_HELPER_FILE).unwrap().wall, WallPolicy::Free);

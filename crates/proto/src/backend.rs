@@ -85,9 +85,10 @@ impl PaymentNetwork for Cluster {
     }
 
     fn begin_payment(&mut self, payment: &Payment, _class: PaymentClass) -> ClusterSession<'_> {
-        // Attempt accounting lives in `pcn_scenario::Scenario::run` (the
-        // cluster meters wire messages, not payments), so opening a
-        // session sends nothing yet.
+        // Attempt accounting lives in
+        // `pcn_experiments::harness::run_scheme_testbed` (the cluster
+        // meters wire messages, not payments), so opening a session
+        // sends nothing yet.
         ClusterSession {
             cluster: self,
             demand: payment.amount,

@@ -9,7 +9,8 @@
 //! schemes — route on it unmodified. Driving a transaction trace and
 //! measuring per-transaction processing delay (Figures 12c/d and
 //! 13c/d), success volume and ratio (a/b panels), and the probe/commit
-//! message breakdown is `pcn_scenario`'s job.
+//! message breakdown is `pcn_experiments::harness::run_scheme_testbed`'s
+//! job.
 //!
 //! Exclusive access is `&mut Cluster`: every wire operation borrows the
 //! cluster mutably, the counters read through `&self`. Batched
@@ -20,14 +21,20 @@
 //! sub-payment and sends them out" before collecting replies.
 
 use crate::event_loop::{EventLoop, ShutdownReport};
-use crate::fault::FaultPlan;
 use crate::node::NodeCounters;
 use crate::wire::{Message, MsgType};
 use pcn_graph::{DiGraph, EdgeId, Path};
-use pcn_sim::ChurnAction;
+use pcn_sim::{ChurnAction, FaultConfig};
 use pcn_types::{Amount, FeePolicy, NodeId, PcnError, Result};
 use std::collections::HashMap;
 use std::time::Duration;
+
+/// The stall guard: how long a request may sit with bytes in flight that
+/// the kernel is not delivering before it is given up as unanswered. It
+/// is not the price of a lost frame — a request whose frames were
+/// dropped comes back unanswered the moment nothing is in flight any
+/// more.
+const STALL_GUARD: Duration = Duration::from_secs(10);
 
 /// A running cluster of event-loop-hosted TCP nodes.
 ///
@@ -39,7 +46,6 @@ pub struct Cluster {
     graph: DiGraph,
     /// The reactor hosting every node.
     evloop: EventLoop,
-    timeout: Duration,
     /// Sender-side fee policies per directed edge. The wire protocol
     /// carries no fee field, so — like the topology file every prototype
     /// node reads at launch — fee policies are local knowledge, reported
@@ -54,16 +60,16 @@ impl Cluster {
     /// `balances[e]` (indexed by edge id) seeds each node's outgoing
     /// balances.
     pub fn launch(graph: DiGraph, balances: &[Amount]) -> Result<Cluster> {
-        Self::launch_with_faults(graph, balances, FaultPlan::none())
+        Self::launch_with_faults(graph, balances, &FaultConfig::none())
     }
 
-    /// Launches a cluster whose outbound messages pass through `faults`
-    /// (a dropped message surfaces as an unanswered request at the
-    /// sender).
+    /// Launches a cluster whose wire drops each outbound frame with
+    /// `faults.probe_drop_prob` (see [`EventLoop::new`]); a dropped frame
+    /// surfaces as an unanswered request at the sender.
     pub fn launch_with_faults(
         graph: DiGraph,
         balances: &[Amount],
-        faults: FaultPlan,
+        faults: &FaultConfig,
     ) -> Result<Cluster> {
         if balances.len() != graph.edge_count() {
             return Err(PcnError::InvalidConfig(format!(
@@ -84,19 +90,9 @@ impl Cluster {
         Ok(Cluster {
             graph,
             evloop,
-            timeout: Duration::from_secs(10),
             fees,
             next_trans_id: 1,
         })
-    }
-
-    /// Overrides the stall guard (default 10 s): how long a request
-    /// may sit with bytes in flight that the kernel is not delivering
-    /// before it is given up as unanswered. It is not the price of a
-    /// lost frame — a request whose frames were dropped comes back
-    /// unanswered the moment nothing is in flight any more.
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
     }
 
     /// Installs sender-side fee policies, indexed by [`EdgeId`]
@@ -147,7 +143,7 @@ impl Cluster {
         self.evloop.counters()
     }
 
-    /// Messages the installed fault plan has dropped so far.
+    /// Frames the lossy wire has dropped so far.
     pub fn dropped_messages(&self) -> u64 {
         self.evloop.dropped()
     }
@@ -188,7 +184,7 @@ impl Cluster {
             }
         }
         let live: Vec<u64> = ids.iter().copied().flatten().collect();
-        ev.run_requests(&live, self.timeout);
+        ev.run_requests(&live, STALL_GUARD);
         ids.into_iter()
             .map(|id| id.and_then(|id| ev.take_reply(id)))
             .collect()
@@ -336,7 +332,7 @@ impl Cluster {
     /// Winds the event loop down deterministically and reports anything
     /// left behind (see [`EventLoop::shutdown`]). A cluster dropped
     /// without this call winds down the same way, and is loud about an
-    /// unclean fault-free run.
+    /// unclean run on a lossless wire.
     pub fn shutdown(mut self) -> ShutdownReport {
         self.evloop.shutdown()
     }
@@ -572,21 +568,29 @@ mod tests {
 
     #[test]
     fn unclean_cluster_is_loud_on_drop_and_a_clean_one_silent() {
-        let launch = || {
+        let launch = |faults: &FaultConfig| {
             let (g, b) = diamond();
-            let mut cluster = Cluster::launch(g, &b).unwrap();
+            let mut cluster = Cluster::launch_with_faults(g, &b, faults).unwrap();
             let path = Path::new(vec![n(0), n(1)], Some(cluster.graph())).unwrap();
             cluster.probe(1, &path).unwrap();
             cluster
         };
-        drop(launch());
+        drop(launch(&FaultConfig::none()));
 
-        let mut cluster = launch();
-        cluster.evloop.poison_connection(0, 1);
-        // No `shutdown()`: the loop's own Drop winds down, finds the
-        // transport error, and — fault-free run — asserts.
-        let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(cluster)));
-        assert_eq!(dropped.is_err(), cfg!(debug_assertions));
+        // Probe noise does not touch the wire, so it does not excuse an
+        // unclean wind-down either.
+        let noisy = FaultConfig {
+            probe_noise_ppm: 100_000,
+            ..FaultConfig::none()
+        };
+        for faults in [FaultConfig::none(), noisy] {
+            let mut cluster = launch(&faults);
+            cluster.evloop.poison_connection(0, 1);
+            // No `shutdown()`: the loop's own Drop winds down, finds the
+            // transport error, and — lossless wire — asserts.
+            let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(cluster)));
+            assert_eq!(dropped.is_err(), cfg!(debug_assertions), "{faults:?}");
+        }
     }
 
     /// Routes `pay(amount)`, classified against the $5 threshold the

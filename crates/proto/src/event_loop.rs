@@ -40,8 +40,8 @@
 //! Nothing is in flight exactly when all three ready sets and the
 //! dispatch queue are empty. [`EventLoop::drain`] pumps until that
 //! holds; [`EventLoop::run_requests`] also returns on it, because a
-//! request still unanswered then (its frames were dropped by the fault
-//! plan, or swallowed by a crashed node) can never be answered. A pass
+//! request still unanswered then (its frames were dropped on the lossy
+//! wire, or swallowed by a crashed node) can never be answered. A pass
 //! that moved nothing while bytes are still in flight — the kernel has
 //! not delivered them to the other end yet — yields the thread and
 //! polls the same sockets again; the caller's wall deadline only guards
@@ -67,12 +67,14 @@
 //! (lint rule D1) and is used exclusively for the stall guard — never
 //! for ordering decisions.
 
-use crate::fault::FaultPlan;
 use crate::node::{NodeState, Outbox, MSG_TYPES};
 use crate::transport::FrameDecoder;
 use crate::wall::WallInstant;
 use crate::wire::Message;
+use pcn_sim::FaultConfig;
 use pcn_types::{PcnError, Result};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -152,7 +154,13 @@ pub struct EventLoop {
     scratch: VecDeque<(u32, Message)>,
     /// The one outbox every dispatch fills and empties.
     outbox: Outbox,
-    faults: FaultPlan,
+    /// Probability of dropping an outbound frame, in parts per million
+    /// (0 = a lossless wire, 1_000_000 = drop everything).
+    drop_ppm: u64,
+    /// The drop rolls, seeded from the fault configuration.
+    drop_rng: StdRng,
+    /// Frames dropped so far.
+    dropped: u64,
     transport_errors: u64,
     /// `accept`/`read`/`write` calls issued so far.
     socket_ops: u64,
@@ -164,7 +172,13 @@ impl EventLoop {
     /// initial outgoing balances. `balances[i]` maps neighbor id →
     /// micro-units for node `i`. No traffic flows until the first
     /// [`EventLoop::poll_once`].
-    pub fn new(balances: Vec<HashMap<u32, u64>>, faults: FaultPlan) -> Result<Self> {
+    ///
+    /// `faults` is the simulator's fault surface: each outbound frame is
+    /// dropped with probability `probe_drop_prob` (clamped to [0, 1]),
+    /// rolled on a stream seeded with `seed`. Probe noise has no wire
+    /// equivalent — frames carry real balances — so `probe_noise_ppm`
+    /// is ignored.
+    pub fn new(balances: Vec<HashMap<u32, u64>>, faults: &FaultConfig) -> Result<Self> {
         let mut nodes = Vec::with_capacity(balances.len());
         let mut listeners = Vec::with_capacity(balances.len());
         let mut addrs = HashMap::new();
@@ -190,7 +204,9 @@ impl EventLoop {
             pending: HashMap::new(),
             scratch: VecDeque::new(),
             outbox: Outbox::default(),
-            faults,
+            drop_ppm: (faults.probe_drop_prob.clamp(0.0, 1.0) * 1_000_000.0) as u64,
+            drop_rng: StdRng::seed_from_u64(faults.seed),
+            dropped: 0,
             transport_errors: 0,
             socket_ops: 0,
             shut: false,
@@ -218,9 +234,9 @@ impl EventLoop {
         self.nodes.iter().map(|n| n.total_outgoing()).sum()
     }
 
-    /// Messages the fault plan dropped so far.
+    /// Frames the lossy wire dropped so far.
     pub fn dropped(&self) -> u64 {
-        self.faults.dropped()
+        self.dropped
     }
 
     /// `accept`, `read` and `write` calls issued so far, including the
@@ -482,11 +498,11 @@ impl EventLoop {
     }
 
     /// Buffers one frame on the `from → to` connection, connecting on
-    /// first use (and again after the connection died). Under an active
-    /// fault plan the frame may be dropped before it is counted or
-    /// queued — a lossy wire, invisible to the sender.
+    /// first use (and again after the connection died). On a lossy wire
+    /// the frame may be dropped before it is counted or queued,
+    /// invisibly to the sender.
     fn queue_send(&mut self, from: u32, to: u32, msg: Message) {
-        if self.faults.should_drop() {
+        if self.should_drop() {
             return;
         }
         let idx = match self.out_index.get(&(from, to)) {
@@ -509,6 +525,19 @@ impl EventLoop {
         }
         msg.encode_into(&mut conn.buf);
         conn.frame_ends.push_back(conn.buf.len());
+    }
+
+    /// Rolls the fault dice for one outbound frame.
+    fn should_drop(&mut self) -> bool {
+        if self.drop_ppm == 0 {
+            return false;
+        }
+        let roll: u64 = self.drop_rng.random_range(0..1_000_000);
+        if roll >= self.drop_ppm {
+            return false;
+        }
+        self.dropped += 1;
+        true
     }
 
     /// Opens the `from → to` connection and leaves it waiting on `to`'s
@@ -667,9 +696,10 @@ impl Drop for EventLoop {
             return;
         }
         let report = self.shutdown();
-        // Faulty runs legitimately strand requests and half-frames; a
-        // fault-free loop must wind down clean — be loud otherwise.
-        if !self.faults.enabled() && !report.is_clean() {
+        // Lossy runs legitimately strand requests and half-frames; a
+        // loop that drops nothing must wind down clean — be loud
+        // otherwise.
+        if self.drop_ppm == 0 && !report.is_clean() {
             eprintln!("EventLoop dropped unclean: {report:?}");
             // A second panic while a failing test unwinds would abort
             // the process and bury the first one.
@@ -717,7 +747,7 @@ mod tests {
                 HashMap::from([(0, u), (2, u)]),
                 HashMap::from([(1, u)]),
             ],
-            FaultPlan::none(),
+            &FaultConfig::none(),
         )
         .unwrap()
     }
@@ -774,7 +804,11 @@ mod tests {
                 HashMap::from([(0, u), (2, u)]),
                 HashMap::from([(1, u)]),
             ],
-            FaultPlan::with_drop_prob(1.0, 7),
+            &FaultConfig {
+                probe_drop_prob: 1.0,
+                seed: 7,
+                ..FaultConfig::none()
+            },
         )
         .unwrap();
         let id = ev
@@ -854,6 +888,63 @@ mod tests {
         let second = ev.shutdown();
         assert_eq!(second, ShutdownReport::default());
         assert!(ev.in_conns.is_empty() && ev.out_conns.is_empty() && ev.listeners.is_empty());
+    }
+
+    /// A loop hosting no nodes that drops each frame with probability
+    /// `probe_drop_prob`: enough to roll the fault dice.
+    fn lossy(probe_drop_prob: f64, seed: u64) -> EventLoop {
+        let faults = FaultConfig {
+            probe_drop_prob,
+            seed,
+            ..FaultConfig::none()
+        };
+        EventLoop::new(Vec::new(), &faults).unwrap()
+    }
+
+    #[test]
+    fn none_never_drops() {
+        let mut ev = EventLoop::new(Vec::new(), &FaultConfig::none()).unwrap();
+        for _ in 0..100 {
+            assert!(!ev.should_drop());
+        }
+        assert_eq!(ev.dropped(), 0);
+    }
+
+    #[test]
+    fn always_drop() {
+        let mut ev = lossy(1.0, 3);
+        for _ in 0..10 {
+            assert!(ev.should_drop());
+        }
+        assert_eq!(ev.dropped(), 10);
+    }
+
+    #[test]
+    fn rate_is_roughly_respected() {
+        let mut ev = lossy(0.3, 7);
+        let drops = (0..10_000).filter(|_| ev.should_drop()).count();
+        assert!((2_500..3_500).contains(&drops), "drops = {drops}");
+    }
+
+    #[test]
+    fn shares_the_sim_fault_surface() {
+        // Noise has no wire equivalent: a noise-only config is lossless.
+        let noisy = FaultConfig {
+            probe_noise_ppm: 100_000,
+            seed: 11,
+            ..FaultConfig::none()
+        };
+        assert!(noisy.enabled());
+        assert_eq!(EventLoop::new(Vec::new(), &noisy).unwrap().drop_ppm, 0);
+        let mut ev = lossy(1.0, 11);
+        assert_eq!(ev.drop_ppm, 1_000_000);
+        assert!(ev.should_drop());
+    }
+
+    #[test]
+    fn clamps_out_of_range() {
+        assert_eq!(lossy(-1.0, 0).drop_ppm, 0);
+        assert!(lossy(2.0, 0).should_drop());
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //!   the raw wire operations, the probe/commit message counters and
 //!   sender-side fee policies. Batched probe, commit, and settlement
 //!   waves go through the loop in flight together, and `ChurnAction`s
-//!   apply mid-run. Driving a trace and timing it is `pcn_scenario`'s
-//!   job.
+//!   apply mid-run. Driving a trace and timing it is
+//!   `pcn_experiments::harness::run_scheme_testbed`'s job.
 //! * [`backend`] — implements [`pcn_sim::PaymentNetwork`] for
 //!   [`Cluster`], mapping probes and payment sessions onto the wire
 //!   protocol. This is what lets **all five** routing schemes from
@@ -46,7 +46,6 @@
 pub mod backend;
 pub mod cluster;
 pub mod event_loop;
-pub mod fault;
 pub mod node;
 pub mod transport;
 pub mod wall;
@@ -55,7 +54,6 @@ pub mod wire;
 pub use backend::ClusterSession;
 pub use cluster::Cluster;
 pub use event_loop::{EventLoop, ShutdownReport};
-pub use fault::FaultPlan;
 pub use node::NodeCounters;
 pub use wall::{wall_now, WallInstant};
 pub use wire::{Message, MsgType};

@@ -51,7 +51,7 @@ use std::collections::{HashMap, HashSet};
 pub const MSG_TYPES: usize = 9;
 
 /// Per-node telemetry, maintained by the state machine and the event
-/// loop and snapshotted into scenario reports.
+/// loop and snapshotted into testbed reports.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NodeCounters {
     /// Wire frames received, by [`MsgType`] discriminant.

@@ -118,6 +118,11 @@ impl Network {
         self.faults = faults;
     }
 
+    /// The installed fault-injection configuration.
+    pub fn faults(&self) -> &FaultConfig {
+        &self.faults
+    }
+
     /// The topology (no balance information — this is exactly what the
     /// paper assumes every node knows locally, §3.1).
     pub fn graph(&self) -> &DiGraph {

@@ -11,35 +11,25 @@
 //! ```
 
 use flash_offchain::core::Scheme;
-use flash_offchain::scenario::{ScenarioBuilder, TopologySpec, WorkloadSpec};
+use flash_offchain::experiments::harness::{run_scheme_testbed, DEFAULT_MICE_FRACTION};
+use flash_offchain::workload::testbed_topology;
+use flash_offchain::workload::trace::{generate_trace, TraceConfig};
 
 fn main() {
     let nodes = 30;
     let (lo, hi) = (1000, 1500);
     println!("launching {nodes}-node Watts-Strogatz cluster, capacities U[${lo},${hi})...");
+    let net = testbed_topology(nodes, lo, hi, 42);
+    let trace = generate_trace(net.graph(), &TraceConfig::ripple(150, 7));
 
     for scheme in Scheme::ALL {
         // Fresh cluster per scheme: identical topology, balances and
-        // trace (same seeds), 90% of the trace classified as mice.
-        let report = ScenarioBuilder::new(
-            format!("example-{}", scheme.label()),
-            TopologySpec::Testbed {
-                n: nodes,
-                lo,
-                hi,
-                seed: 42,
-            },
-        )
-        .workload(WorkloadSpec::Ripple { txns: 150, seed: 7 })
-        .scheme(scheme)
-        .seed(13)
-        .build()
-        .run()
-        .expect("scenario run");
+        // trace, 90% of the trace classified as mice.
+        let report = run_scheme_testbed(&net, scheme, &trace, DEFAULT_MICE_FRACTION, 13);
         println!(
             "{:>14}: success {:>5.1}%  volume ${:<11} avg delay {:>7.3} ms  probes {:>5}  commits {:>5}",
-            report.scheme,
-            report.success_ratio * 100.0,
+            scheme.label(),
+            report.success_ratio() * 100.0,
             report.success_volume_micros as f64 / 1e6,
             report.avg_delay_ms,
             report.probe_messages,

@@ -14,9 +14,8 @@
 //! * [`workload`] — calibrated workload synthesis ([`pcn_workload`]).
 //! * [`proto`] — the TCP testbed prototype, the second `PaymentNetwork`
 //!   backend ([`pcn_proto`]).
-//! * [`scenario`] — declarative testbed orchestration: scenarios,
-//!   invariants, telemetry ([`pcn_scenario`]).
-//! * [`experiments`] — figure regeneration ([`pcn_experiments`]).
+//! * [`experiments`] — figure regeneration and one harness function
+//!   per backend: simulator, DES and TCP testbed ([`pcn_experiments`]).
 //!
 //! ## Example
 //!
@@ -54,7 +53,6 @@ pub use pcn_experiments as experiments;
 pub use pcn_graph as graph;
 pub use pcn_lp as lp;
 pub use pcn_proto as proto;
-pub use pcn_scenario as scenario;
 pub use pcn_sim as sim;
 pub use pcn_types as types;
 pub use pcn_workload as workload;

@@ -17,8 +17,8 @@
 
 use flash_offchain::core::classify::threshold_for_mice_fraction;
 use flash_offchain::core::Scheme;
+use flash_offchain::experiments::harness::{run_scheme, run_scheme_testbed, DEFAULT_MICE_FRACTION};
 use flash_offchain::proto::Cluster;
-use flash_offchain::scenario::{Invariant, ScenarioBuilder, TopologySpec, WorkloadSpec};
 use flash_offchain::sim::Network;
 use flash_offchain::types::{Amount, Payment};
 use flash_offchain::workload::testbed_topology;
@@ -79,16 +79,21 @@ fn assert_parity(scheme: Scheme, nodes: usize, txns: usize, seed: u64) {
     assert!(successes > 0, "{}: nothing succeeded", scheme.label());
 }
 
-/// The declarative path must agree with the simulator too: a scenario
-/// described through `ScenarioBuilder` — same topology seed, same trace
-/// seed, same router seed — reproduces the simulator's per-payment
-/// outcomes, delivered volume and fees exactly, and its wire telemetry
-/// conserves (every frame sent was received).
-fn assert_scenario_parity(scheme: Scheme, nodes: usize, txns: usize, seed: u64) {
-    let mut sim_net = testbed_topology(nodes, 1000, 1500, seed);
-    let trace: Vec<Payment> = generate_trace(sim_net.graph(), &TraceConfig::ripple(txns, seed + 1));
+/// The testbed harness must agree with the simulator harness too:
+/// `run_scheme_testbed` and `run_scheme` on one network, trace, mice
+/// fraction and router seed deliver the same per-payment outcomes,
+/// volume and fees, and the testbed conserves funds and wire frames.
+fn assert_harness_parity(scheme: Scheme, nodes: usize, txns: usize, seed: u64) {
+    let net = testbed_topology(nodes, 1000, 1500, seed);
+    let trace: Vec<Payment> = generate_trace(net.graph(), &TraceConfig::ripple(txns, seed + 1));
+    let sim = run_scheme(&net, scheme, &trace, DEFAULT_MICE_FRACTION, seed + 2);
+    let tcp = run_scheme_testbed(&net, scheme, &trace, DEFAULT_MICE_FRACTION, seed + 2);
+
+    // `Metrics` keeps totals only, so replay the simulator run payment
+    // by payment for the outcome list; the replay is `run_scheme` exactly.
     let amounts: Vec<Amount> = trace.iter().map(|p| p.amount).collect();
-    let threshold = threshold_for_mice_fraction(&amounts, 0.9);
+    let threshold = threshold_for_mice_fraction(&amounts, DEFAULT_MICE_FRACTION);
+    let mut sim_net = net.clone();
     let mut sim_router = scheme.router::<Network>(threshold, seed + 2);
     let sim_outcomes: Vec<bool> = trace
         .iter()
@@ -98,64 +103,29 @@ fn assert_scenario_parity(scheme: Scheme, nodes: usize, txns: usize, seed: u64) 
                 .is_success()
         })
         .collect();
+    let label = scheme.label();
+    assert_eq!(sim_net.metrics(), &sim, "{label}: replay is not run_scheme");
 
-    let report = ScenarioBuilder::new(
-        format!("parity-{}", scheme.label()),
-        TopologySpec::Testbed {
-            n: nodes,
-            lo: 1000,
-            hi: 1500,
-            seed,
-        },
-    )
-    .workload(WorkloadSpec::Ripple {
-        txns,
-        seed: seed + 1,
-    })
-    .scheme(scheme)
-    .seed(seed + 2)
-    .expect(Invariant::FundsConserved)
-    .expect(Invariant::MessagesConserved)
-    .build()
-    .run()
-    .expect("scenario run");
-
+    assert_eq!(tcp.outcomes, sim_outcomes, "{label}: outcomes diverged");
     assert_eq!(
-        report.outcomes,
-        sim_outcomes,
-        "{}: scenario outcomes diverged from the simulator",
-        scheme.label()
-    );
-    let sim = sim_net.metrics();
-    assert_eq!(
-        report.success_volume_micros,
+        tcp.success_volume_micros,
         sim.success_volume().micros(),
-        "{}: delivered volume diverged",
-        scheme.label()
+        "{label}: delivered volume diverged"
     );
     assert_eq!(
-        report.fees_micros,
+        tcp.fees_micros,
         sim.fees_paid.micros(),
-        "{}: fees diverged",
-        scheme.label()
+        "{label}: fees diverged"
     );
-    assert!(
-        report.all_invariants_hold(),
-        "{}: {:?}",
-        scheme.label(),
-        report.failed_invariants()
-    );
-    assert!(
-        report.succeeded > 0,
-        "{}: nothing succeeded",
-        scheme.label()
-    );
+    assert_eq!(tcp.funds_before, tcp.funds_after, "{label}: funds");
+    assert_eq!(tcp.wire_in(), tcp.wire_out(), "{label}: wire frames");
+    assert!(tcp.succeeded > 0, "{label}: nothing succeeded");
 }
 
 #[test]
-fn scenario_agrees_with_simulator_for_all_schemes() {
+fn testbed_harness_agrees_with_simulator_for_all_schemes() {
     for scheme in Scheme::ALL {
-        assert_scenario_parity(scheme, 14, 50, 401);
+        assert_harness_parity(scheme, 14, 50, 401);
     }
 }
 

@@ -1,50 +1,54 @@
 //! Integration tests of the TCP testbed prototype: conservation over
-//! real sockets, cross-validation against the simulator, and the
-//! two-phase commit protocol under sub-payments in flight together.
+//! real sockets, cross-validation against the simulator, the two-phase
+//! commit protocol under sub-payments in flight together, churn
+//! reversal, single-process scale, lossy wires, and wire-telemetry
+//! conservation.
 
 use flash_offchain::core::Scheme;
+use flash_offchain::experiments::harness::{
+    run_scheme_testbed, TestbedReport, DEFAULT_MICE_FRACTION,
+};
+use flash_offchain::graph::{DiGraph, Path};
 use flash_offchain::proto::Cluster;
-use flash_offchain::scenario::{Invariant, ScenarioBuilder, TopologySpec, WorkloadSpec};
-use flash_offchain::sim::FaultConfig;
-use flash_offchain::types::Amount;
+use flash_offchain::sim::{ChurnAction, FaultConfig, Network};
+use flash_offchain::types::{Amount, NodeId};
 use flash_offchain::workload::testbed_topology;
 use flash_offchain::workload::trace::{generate_trace, TraceConfig};
-use std::time::Duration;
 
-/// A scenario over the §5.2 testbed topology seeded `seed`, routing an
-/// 80-payment Ripple trace seeded `seed + 1`.
-fn scenario(nodes: usize, seed: u64, scheme: Scheme, router_seed: u64) -> ScenarioBuilder {
-    ScenarioBuilder::new(
-        format!("tcp-{}-{nodes}n", scheme.label()),
-        TopologySpec::Testbed {
-            n: nodes,
-            lo: 1000,
-            hi: 1500,
-            seed,
-        },
-    )
-    .workload(WorkloadSpec::Ripple {
-        txns: 80,
-        seed: seed + 1,
-    })
-    .scheme(scheme)
-    .seed(router_seed)
+fn n(i: u32) -> NodeId {
+    NodeId(i)
+}
+
+/// Runs `scheme` (router seed `router_seed`) over a `txns`-long Ripple
+/// trace seeded `trace_seed` on `net`.
+fn run_on(
+    net: &Network,
+    scheme: Scheme,
+    txns: usize,
+    trace_seed: u64,
+    router_seed: u64,
+) -> TestbedReport {
+    let trace = generate_trace(net.graph(), &TraceConfig::ripple(txns, trace_seed));
+    run_scheme_testbed(net, scheme, &trace, DEFAULT_MICE_FRACTION, router_seed)
+}
+
+/// A run over the §5.2 testbed topology of `nodes` nodes seeded `seed`,
+/// routing an 80-payment Ripple trace seeded `seed + 1`.
+fn run(nodes: usize, seed: u64, scheme: Scheme, router_seed: u64) -> TestbedReport {
+    let net = testbed_topology(nodes, 1000, 1500, seed);
+    run_on(&net, scheme, 80, seed + 1, router_seed)
 }
 
 #[test]
 fn testbed_conserves_funds_across_full_trace() {
     for scheme in [Scheme::Flash, Scheme::Spider, Scheme::ShortestPath] {
-        let report = scenario(16, 11, scheme, 3)
-            .expect(Invariant::FundsConserved)
-            .build()
-            .run()
-            .expect("scenario run");
-        assert_eq!(report.attempted, 80);
-        assert!(
-            report.all_invariants_hold(),
-            "{} leaked funds over TCP: {:?}",
-            scheme.label(),
-            report.failed_invariants()
+        let report = run(16, 11, scheme, 3);
+        assert_eq!(report.outcomes.len(), 80);
+        assert_eq!(
+            report.funds_before,
+            report.funds_after,
+            "{} leaked funds over TCP",
+            scheme.label()
         );
     }
 }
@@ -56,15 +60,9 @@ fn per_node_counters_repeat_exactly_across_runs() {
     // sees the same frames, of the same types, with the same queue and
     // escrow high-water marks, on every run.
     for scheme in [Scheme::Flash, Scheme::Spider, Scheme::ShortestPath] {
-        let run = || {
-            scenario(24, 29, scheme, 3)
-                .build()
-                .run()
-                .expect("scenario run")
-        };
-        let (first, second) = (run(), run());
+        let (first, second) = (run(24, 29, scheme, 3), run(24, 29, scheme, 3));
         assert_eq!(first.outcomes, second.outcomes, "{}", scheme.label());
-        assert_eq!(first.telemetry, second.telemetry, "{}", scheme.label());
+        assert_eq!(first.counters, second.counters, "{}", scheme.label());
         assert!(first.clean_shutdown && second.clean_shutdown);
     }
 }
@@ -73,10 +71,7 @@ fn per_node_counters_repeat_exactly_across_runs() {
 fn testbed_and_simulator_agree_on_shortest_path() {
     // SP is deterministic and probe-free: the TCP prototype and the
     // in-memory simulator must agree payment-by-payment.
-    let report = scenario(16, 17, Scheme::ShortestPath, 5)
-        .build()
-        .run()
-        .expect("scenario run");
+    let report = run(16, 17, Scheme::ShortestPath, 5);
 
     let mut sim_net = testbed_topology(16, 1000, 1500, 17); // identical initial balances (same seed)
     let trace = generate_trace(sim_net.graph(), &TraceConfig::ripple(80, 18));
@@ -90,14 +85,8 @@ fn testbed_and_simulator_agree_on_shortest_path() {
 
 #[test]
 fn flash_tcp_beats_sp_on_volume() {
-    let run = |scheme| {
-        scenario(20, 23, scheme, 7)
-            .build()
-            .run()
-            .expect("scenario run")
-    };
-    let flash = run(Scheme::Flash);
-    let sp = run(Scheme::ShortestPath);
+    let flash = run(20, 23, Scheme::Flash, 7);
+    let sp = run(20, 23, Scheme::ShortestPath, 7);
     assert!(
         flash.success_volume_micros >= sp.success_volume_micros,
         "Flash volume {} below SP {}",
@@ -114,9 +103,6 @@ fn concurrent_subpayments_share_a_channel_safely() {
     // for the second hop: both COMMITs cross 0 → 1 together, node 1
     // has room for one, and the loser's NACK rolls hop 0 back while the
     // winner's ACK is still travelling.
-    use flash_offchain::graph::{DiGraph, Path};
-    use flash_offchain::types::NodeId;
-    let n = |i: u32| NodeId(i);
     let mut g = DiGraph::new(3);
     g.add_channel(n(0), n(1)).unwrap();
     g.add_channel(n(1), n(2)).unwrap();
@@ -154,34 +140,140 @@ fn concurrent_subpayments_share_a_channel_safely() {
     assert!(cluster.shutdown().is_clean());
 }
 
-#[test]
-fn lossy_transport_degrades_but_never_wedges() {
-    let report = ScenarioBuilder::new(
-        "tcp-lossy",
-        TopologySpec::Testbed {
-            n: 12,
-            lo: 1000,
-            hi: 1500,
-            seed: 31,
-        },
-    )
-    .workload(WorkloadSpec::Ripple { txns: 30, seed: 33 })
-    .scheme(Scheme::ShortestPath)
-    .seed(5)
-    .faults(FaultConfig {
-        probe_drop_prob: 0.2,
+/// The testbed topology of `nodes` nodes seeded `seed`, on a wire that
+/// drops each frame with probability `probe_drop_prob`.
+fn lossy_net(nodes: usize, seed: u64, probe_drop_prob: f64) -> Network {
+    let mut net = testbed_topology(nodes, 1000, 1500, seed);
+    net.set_faults(FaultConfig {
+        probe_drop_prob,
         seed: 9,
         ..FaultConfig::none()
-    })
-    .timeout(Duration::from_millis(200))
-    .build()
-    .run()
-    .expect("scenario run");
+    });
+    net
+}
+
+#[test]
+fn lossy_transport_degrades_but_never_wedges() {
+    let report = run_on(&lossy_net(12, 31, 0.2), Scheme::ShortestPath, 30, 33, 5);
     // The run completes (no deadlock), records every attempt, and under
     // 20% loss some payments time out.
-    assert_eq!(report.attempted, 30);
+    assert_eq!(report.outcomes.len(), 30);
     assert!(
         report.succeeded < 30,
         "20% message loss must fail something"
     );
+}
+
+/// A sub-payment committed *before* its channel closes must still
+/// REVERSE cleanly — phase 2 passes through frozen channels, escrow is
+/// restored in the forward direction, and the wind-down is clean.
+#[test]
+fn in_flight_payment_through_a_closed_channel_reverses_cleanly() {
+    let mut g = DiGraph::new(3);
+    g.add_channel(n(0), n(1)).unwrap();
+    g.add_channel(n(1), n(2)).unwrap();
+    let balances = vec![Amount::from_units(10); g.edge_count()];
+    let mut cluster = Cluster::launch(g, &balances).unwrap();
+    let before = cluster.total_funds();
+    let path = Path::new(vec![n(0), n(1), n(2)], Some(cluster.graph())).unwrap();
+
+    // Phase 1 succeeds while the path is open: 4 units are escrowed.
+    assert!(cluster.commit_part(1, &path, Amount::from_units(4)));
+
+    // The first channel closes with the payment still in flight.
+    let e01 = cluster.graph().edge(n(0), n(1)).unwrap();
+    cluster.apply_churn(&ChurnAction::ChannelClose(e01));
+    assert!(
+        !cluster.commit_part(2, &path, Amount::from_units(1)),
+        "new commits through the closed channel must NACK"
+    );
+
+    // Phase 2 REVERSE still traverses the frozen channel and restores
+    // the escrow.
+    assert!(
+        cluster.reverse_part(1, &path, Amount::from_units(4)),
+        "reverse must settle through a closed channel"
+    );
+    assert_eq!(cluster.total_funds(), before, "reversal conserves funds");
+
+    // After reopening, the balances are exactly the launch state.
+    cluster.apply_churn(&ChurnAction::ChannelReopen(e01));
+    let caps = cluster.probe(3, &path).unwrap();
+    assert_eq!(caps, vec![10_000_000, 10_000_000], "escrow fully restored");
+
+    let report = cluster.shutdown();
+    assert!(report.is_clean(), "{report:?}");
+}
+
+/// The scale acceptance check: one process hosts 200 event-loop nodes,
+/// routes a real trace, keeps per-node telemetry for every node, and
+/// conserves both funds and wire messages.
+#[test]
+fn two_hundred_nodes_run_in_one_process() {
+    let report = run_on(
+        &testbed_topology(200, 1000, 1500, 11),
+        Scheme::ShortestPath,
+        30,
+        12,
+        1,
+    );
+    assert_eq!(report.counters.len(), 200);
+    assert_eq!(report.outcomes.len(), 30);
+    assert!(report.succeeded > 0, "the trace must exercise successes");
+    assert_eq!(report.funds_before, report.funds_after);
+    assert_eq!(report.wire_in(), report.wire_out());
+    assert!(report.wall_ms > 0.0);
+    // Telemetry is live, not zero-filled: some node relayed traffic.
+    assert!(report.counters.iter().any(|c| c.wire_in() > 0));
+}
+
+/// The regression test for the reactor's full socket scan: the socket
+/// calls one wire frame costs do not depend on how many nodes the
+/// process hosts. A loop that tries every listener and every inbound
+/// connection on each pass spends hundreds per frame, and more at 200
+/// nodes than at 60.
+#[test]
+fn socket_calls_per_frame_are_few_and_flat_in_the_node_count() {
+    let per_frame = |nodes: usize| {
+        let net = testbed_topology(nodes, 1000, 1500, 41);
+        let report = run_on(&net, Scheme::Flash, 40, 42, 1);
+        assert_eq!(report.wire_in(), report.wire_out());
+        assert!(report.clean_shutdown);
+        assert!(report.wire_in() > 0);
+        report.socket_ops as f64 / report.wire_in() as f64
+    };
+    let (small, large) = (per_frame(60), per_frame(200));
+    assert!(small <= 8.0 && large <= 8.0, "{small:.2} and {large:.2}");
+    assert!(
+        large <= 1.25 * small && small <= 1.25 * large,
+        "{small:.2} at 60 nodes against {large:.2} at 200"
+    );
+}
+
+/// With every outbound frame dropped, Spider's up-front probes all go
+/// unanswered, so each payment is refused before any `COMMIT` leaves the
+/// sender — nothing succeeds, nothing is escrowed, and the loop still
+/// winds down clean.
+#[test]
+fn lossy_probes_fail_payments_without_moving_funds() {
+    let report = run_on(&lossy_net(12, 31, 1.0), Scheme::Spider, 6, 33, 1);
+    assert_eq!(report.outcomes.len(), 6);
+    assert_eq!(report.succeeded, 0, "no probe ever comes back");
+    assert!(report.dropped_messages > 0);
+    assert_eq!(report.commit_messages, 0, "refused before phase 1");
+    assert_eq!(report.funds_before, report.funds_after);
+    assert!(report.clean_shutdown);
+}
+
+/// Every wire frame any node sent was received by its peer under load
+/// (the loop drains to true quiescence between requests).
+#[test]
+fn wire_telemetry_conserves_under_load() {
+    let net = testbed_topology(30, 1000, 1500, 21);
+    let report = run_on(&net, Scheme::Flash, 40, 22, 1);
+    assert!(report.wire_in() > 0);
+    assert_eq!(report.wire_in(), report.wire_out());
+    // At quiescence nothing is escrowed and no queue holds frames.
+    assert!(report.counters.iter().all(|c| c.escrow_held == 0));
+    assert!(report.counters.iter().all(|c| c.queue_depth == 0));
 }
