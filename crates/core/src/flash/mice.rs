@@ -31,7 +31,6 @@
 use pcn_graph::yen::{RankedPaths, YenScratch};
 use pcn_graph::{DiGraph, Path};
 use pcn_types::NodeId;
-use std::collections::HashMap;
 
 /// Routing-table entries unused for this many mice payments are evicted
 /// ("Timeouts are used to remove receivers ... to limit the routing
@@ -59,7 +58,11 @@ struct TableEntry {
 pub struct RoutingTable {
     m: usize,
     ttl: u64,
-    entries: HashMap<(NodeId, NodeId), TableEntry>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "point lookups plus an order-insensitive retain, never iterated; on the benchmarked per-mice path"
+    )]
+    entries: std::collections::HashMap<(NodeId, NodeId), TableEntry>,
     /// Yen's spur-search arrays, shared by every entry's enumeration.
     yen: YenScratch,
 }
@@ -71,7 +74,7 @@ impl RoutingTable {
         RoutingTable {
             m,
             ttl,
-            entries: HashMap::new(),
+            entries: Default::default(),
             yen: YenScratch::default(),
         }
     }

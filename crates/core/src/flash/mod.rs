@@ -302,11 +302,10 @@ mod tests {
         let mut net = diamond_net();
         let p = Payment::new(TxId(1), n(0), n(3), Amount::from_units(15));
         let out = flash().route(&mut net, &p, PaymentClass::Elephant);
-        assert!(out.is_success(), "15 needs both 10-unit routes: {out:?}");
-        match out {
-            RouteOutcome::Success { paths_used, .. } => assert!(paths_used >= 2),
-            _ => unreachable!(),
-        }
+        let RouteOutcome::Success { paths_used, .. } = out else {
+            panic!("15 needs both 10-unit routes: {out:?}");
+        };
+        assert!(paths_used >= 2);
     }
 
     #[test]

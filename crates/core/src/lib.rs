@@ -24,7 +24,19 @@
 #![warn(missing_docs)]
 // Library code reports through returned values and serialized artifacts,
 // never ad-hoc stdout; the experiment/bench binaries print, libraries do not.
-#![deny(clippy::dbg_macro, clippy::print_stdout)]
+// A panic aborts a million-payment run hours in, so library code
+// propagates errors; a site whose invariant rules the panic out carries
+// `#[expect(clippy::…, reason = "<the invariant>")]`.
+#![deny(
+    clippy::dbg_macro,
+    clippy::print_stdout,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod classify;
 pub mod flash;

@@ -109,7 +109,7 @@ impl SilentWhispersRouter {
         nodes.extend_from_slice(&down[1..]);
         // Simplicity check: landmark routes can revisit nodes when the
         // two legs overlap; shorten by cutting loops.
-        let mut seen = std::collections::HashMap::new();
+        let mut seen = std::collections::BTreeMap::new();
         let mut out: Vec<NodeId> = Vec::with_capacity(nodes.len());
         for n in nodes {
             if let Some(&pos) = seen.get(&n) {

@@ -134,8 +134,12 @@ impl SpeedyMurmursRouter {
             cur = v;
             cur_dist = d;
         }
-        // pcn-lint: allow(panic) — greedy descent strictly decreases distance, so nodes never repeat
-        Some(Path::new(nodes, None).expect("greedy route is simple by construction"))
+        #[expect(
+            clippy::expect_used,
+            reason = "greedy descent strictly decreases distance, so nodes never repeat"
+        )]
+        let path = Path::new(nodes, None).expect("greedy route is simple by construction");
+        Some(path)
     }
 }
 

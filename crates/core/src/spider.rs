@@ -237,11 +237,10 @@ mod tests {
         let mut net = diamond_net();
         let p = Payment::new(TxId(1), n(0), n(3), Amount::from_units(15));
         let out = SpiderRouter::new().route(&mut net, &p, PaymentClass::Elephant);
-        assert!(out.is_success(), "15 > any single path but ≤ combined 20");
-        match out {
-            RouteOutcome::Success { paths_used, .. } => assert_eq!(paths_used, 2),
-            _ => unreachable!(),
-        }
+        let RouteOutcome::Success { paths_used, .. } = out else {
+            panic!("15 > any single path but ≤ combined 20: {out:?}");
+        };
+        assert_eq!(paths_used, 2);
     }
 
     #[test]

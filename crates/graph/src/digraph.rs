@@ -2,7 +2,6 @@
 
 use pcn_types::{NodeId, PcnError, Result};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Dense identifier of a directed edge in a [`DiGraph`].
@@ -33,7 +32,7 @@ impl fmt::Debug for EdgeId {
 /// is inserted as two directed edges with distinct [`EdgeId`]s. The
 /// [`DiGraph::reverse_edge`] accessor links the two directions, which the
 /// simulator uses to apply the paper's reverse-direction capacity offsets.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DiGraph {
     /// Out-adjacency: for each node, (neighbor, edge id) pairs.
     out_edges: Vec<Vec<(NodeId, EdgeId)>>,
@@ -44,8 +43,11 @@ pub struct DiGraph {
     /// `reverse[e]` = id of the edge `(to, from)` if present.
     reverse: Vec<Option<EdgeId>>,
     /// Fast lookup of `(from, to) → EdgeId`.
-    #[serde(skip)]
-    index: HashMap<(NodeId, NodeId), EdgeId>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "point lookups only, never iterated; `edge(u, v)` is on the benchmarked per-hop path"
+    )]
+    index: std::collections::HashMap<(NodeId, NodeId), EdgeId>,
 }
 
 impl DiGraph {
@@ -56,7 +58,7 @@ impl DiGraph {
             in_edges: vec![Vec::new(); n],
             edges: Vec::new(),
             reverse: Vec::new(),
-            index: HashMap::new(),
+            index: Default::default(),
         }
     }
 
@@ -119,7 +121,10 @@ impl DiGraph {
         if self.index.contains_key(&(u, v)) {
             return Err(PcnError::InvalidConfig(format!("duplicate edge {u}→{v}")));
         }
-        // pcn-lint: allow(panic) — EdgeId is u32 by design; 4B edges is beyond any PCN topology
+        #[expect(
+            clippy::expect_used,
+            reason = "EdgeId is u32 by design; 4B edges is beyond any PCN topology"
+        )]
         let id = EdgeId(u32::try_from(self.edges.len()).expect("edge count exceeds u32"));
         self.edges.push((u, v));
         self.out_edges[u.index()].push((v, id));
@@ -182,17 +187,6 @@ impl DiGraph {
     #[inline]
     pub fn degree(&self, n: NodeId) -> usize {
         self.out_edges[n.index()].len() + self.in_edges[n.index()].len()
-    }
-
-    /// Rebuilds the `(from, to) → EdgeId` index; required after
-    /// deserializing (the index is skipped by serde).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .edges
-            .iter()
-            .enumerate()
-            .map(|(i, &(u, v))| ((u, v), EdgeId(i as u32)))
-            .collect();
     }
 
     /// Nodes reachable from `s` following directed edges (including `s`).
@@ -342,21 +336,5 @@ mod tests {
         let g = DiGraph::from_edges(3, &[(n(0), n(1)), (n(1), n(2))]).unwrap();
         assert_eq!(g.edge_count(), 2);
         assert!(g.edge(n(1), n(2)).is_some());
-    }
-
-    #[test]
-    fn serde_round_trip_with_index_rebuild() {
-        let mut g = DiGraph::new(3);
-        g.add_channel(n(0), n(1)).unwrap();
-        g.add_edge(n(1), n(2)).unwrap();
-        let json = serde_json::to_string(&g).unwrap();
-        let mut g2: DiGraph = serde_json::from_str(&json).unwrap();
-        g2.rebuild_index();
-        assert_eq!(g2.edge_count(), 3);
-        assert_eq!(g2.edge(n(0), n(1)), g.edge(n(0), n(1)));
-        assert_eq!(
-            g2.reverse_edge(g2.edge(n(0), n(1)).unwrap()),
-            g.edge(n(1), n(0))
-        );
     }
 }

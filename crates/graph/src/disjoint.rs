@@ -8,20 +8,24 @@
 
 use crate::{bfs, path::Path, DiGraph, EdgeId};
 use pcn_types::NodeId;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Finds up to `k` pairwise edge-disjoint fewest-hops paths `s → t`,
 /// greedily shortest-first.
 pub fn edge_disjoint_paths(g: &DiGraph, s: NodeId, t: NodeId, k: usize) -> Vec<Path> {
-    let mut used: HashSet<EdgeId> = HashSet::new();
+    let mut used: BTreeSet<EdgeId> = BTreeSet::new();
     let mut out = Vec::new();
     while out.len() < k {
         let Some(p) = bfs::shortest_path_filtered(g, s, t, |e| !used.contains(&e)) else {
             break;
         };
         for (u, v) in p.channels() {
-            // pcn-lint: allow(panic) — the path was just produced by BFS over this graph
-            used.insert(g.edge(u, v).expect("path edge must exist"));
+            #[expect(
+                clippy::expect_used,
+                reason = "the path was just produced by BFS over this graph"
+            )]
+            let e = g.edge(u, v).expect("path edge must exist");
+            used.insert(e);
         }
         out.push(p);
     }
@@ -56,7 +60,7 @@ mod tests {
         let g = fig5b();
         let ps = edge_disjoint_paths(&g, n(0), n(5), 3);
         assert!(ps.len() >= 2);
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for p in &ps {
             for (u, v) in p.channels() {
                 assert!(seen.insert((u, v)), "edge {u}→{v} reused");

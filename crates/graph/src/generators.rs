@@ -18,7 +18,7 @@ use crate::DiGraph;
 use pcn_types::NodeId;
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Generates a Watts–Strogatz small-world graph: `n` nodes in a ring,
 /// each connected to its `k` nearest neighbors (`k` even), with each
@@ -33,7 +33,7 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> DiGraph {
     assert!(k.is_multiple_of(2), "watts_strogatz k must be even");
     assert!(k < n, "watts_strogatz k must be < n");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut channels: HashSet<(usize, usize)> = HashSet::new();
+    let mut channels: BTreeSet<(usize, usize)> = BTreeSet::new();
     let key = |a: usize, b: usize| if a < b { (a, b) } else { (b, a) };
 
     // Ring lattice.
@@ -42,10 +42,8 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> DiGraph {
             channels.insert(key(u, (u + j) % n));
         }
     }
-    // Rewire. Sort first: HashSet iteration order is randomized per
-    // instance, which would break seed-determinism.
-    let mut lattice: Vec<(usize, usize)> = channels.iter().copied().collect();
-    lattice.sort_unstable();
+    // Rewire, in lattice order; the loop edits the set, so walk a copy.
+    let lattice: Vec<(usize, usize)> = channels.iter().copied().collect();
     for (u, v) in lattice {
         if rng.random::<f64>() < beta {
             // Rewire the far endpoint to a uniform random node.
@@ -75,7 +73,7 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> DiGraph {
     assert!(m >= 1, "barabasi_albert m must be ≥ 1");
     assert!(n > m, "barabasi_albert needs n > m");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut channels: HashSet<(usize, usize)> = HashSet::new();
+    let mut channels: BTreeSet<(usize, usize)> = BTreeSet::new();
     // Repeated-node list: sampling uniformly from it is preferential
     // attachment (each node appears once per incident channel end).
     let mut ends: Vec<usize> = Vec::new();
@@ -90,17 +88,13 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> DiGraph {
         }
     }
     for u in (m + 1)..n {
-        let mut targets: HashSet<usize> = HashSet::new();
+        let mut targets: BTreeSet<usize> = BTreeSet::new();
         while targets.len() < m {
             let t = ends[rng.random_range(0..ends.len())];
             if t != u {
                 targets.insert(t);
             }
         }
-        // Sort: HashSet iteration order is randomized per process, and
-        // the push order below determines future preferential draws.
-        let mut targets: Vec<usize> = targets.into_iter().collect();
-        targets.sort_unstable();
         for t in targets {
             channels.insert(key(u, t));
             ends.push(u);
@@ -127,7 +121,7 @@ pub fn scale_free_with_channels(n: usize, target_channels: usize, seed: u64) -> 
         "target_channels implies attachment degree ≥ node count"
     );
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut channels: HashSet<(usize, usize)> = HashSet::new();
+    let mut channels: BTreeSet<(usize, usize)> = BTreeSet::new();
     let mut ends: Vec<usize> = Vec::new();
     let key = |a: usize, b: usize| if a < b { (a, b) } else { (b, a) };
     for u in 0..=m {
@@ -138,17 +132,13 @@ pub fn scale_free_with_channels(n: usize, target_channels: usize, seed: u64) -> 
         }
     }
     for u in (m + 1)..n {
-        let mut targets: HashSet<usize> = HashSet::new();
+        let mut targets: BTreeSet<usize> = BTreeSet::new();
         while targets.len() < m {
             let t = ends[rng.random_range(0..ends.len())];
             if t != u {
                 targets.insert(t);
             }
         }
-        // Sort: HashSet iteration order is randomized per process, and
-        // the push order below determines future preferential draws.
-        let mut targets: Vec<usize> = targets.into_iter().collect();
-        targets.sort_unstable();
         for t in targets {
             channels.insert(key(u, t));
             ends.push(u);
@@ -167,10 +157,8 @@ pub fn scale_free_with_channels(n: usize, target_channels: usize, seed: u64) -> 
         }
     }
     // Trim if the seed clique overshot (possible for tiny targets).
-    // Work over a sorted copy for seed-determinism.
     if channels.len() > target_channels {
         let mut sorted: Vec<(usize, usize)> = channels.iter().copied().collect();
-        sorted.sort_unstable();
         while channels.len() > target_channels {
             let pick = sorted.swap_remove(rng.random_range(0..sorted.len()));
             channels.remove(&pick);
@@ -182,7 +170,7 @@ pub fn scale_free_with_channels(n: usize, target_channels: usize, seed: u64) -> 
 /// Generates an Erdős–Rényi G(n, p) graph with bidirectional channels.
 pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> DiGraph {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut channels: HashSet<(usize, usize)> = HashSet::new();
+    let mut channels: BTreeSet<(usize, usize)> = BTreeSet::new();
     for u in 0..n {
         for v in (u + 1)..n {
             if rng.random::<f64>() < p {
@@ -193,13 +181,14 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> DiGraph {
     build_bidirectional(n, channels)
 }
 
-fn build_bidirectional(n: usize, channels: HashSet<(usize, usize)>) -> DiGraph {
+#[expect(
+    clippy::expect_used,
+    reason = "generators emit distinct in-range pairs without duplicates"
+)]
+fn build_bidirectional(n: usize, channels: BTreeSet<(usize, usize)>) -> DiGraph {
     let mut g = DiGraph::new(n);
-    let mut sorted: Vec<(usize, usize)> = channels.into_iter().collect();
-    sorted.sort_unstable(); // determinism independent of HashSet order
-    for (u, v) in sorted {
+    for (u, v) in channels {
         g.add_channel(NodeId::from_index(u), NodeId::from_index(v))
-            // pcn-lint: allow(panic) — generators emit distinct in-range pairs without duplicates
             .expect("generator produced an invalid edge");
     }
     g

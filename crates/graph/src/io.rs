@@ -2,11 +2,9 @@
 //!
 //! Two formats:
 //!
-//! * a line-oriented **edge list** (`u v` per line, `#` comments) — the
-//!   same shape as the crawls the paper's prototype "reads ... from a
-//!   local file at launch time";
-//! * serde JSON for full-fidelity round trips (via `DiGraph`'s derived
-//!   `Serialize`/`Deserialize` plus [`DiGraph::rebuild_index`]).
+//! A line-oriented **edge list** (`u v` per line, `#` comments) — the
+//! same shape as the crawls the paper's prototype "reads ... from a
+//! local file at launch time".
 
 use crate::DiGraph;
 use pcn_types::{NodeId, PcnError, Result};
@@ -14,12 +12,11 @@ use std::fmt::Write as _;
 
 /// Serializes the graph as a directed edge list: a header line
 /// `# nodes <n>` followed by one `u v` pair per directed edge.
+#[expect(clippy::unwrap_used, reason = "fmt::Write to a String cannot fail")]
 pub fn to_edge_list(g: &DiGraph) -> String {
     let mut out = String::new();
-    // pcn-lint: allow(panic) — fmt::Write to a String cannot fail
     writeln!(out, "# nodes {}", g.node_count()).unwrap();
     for (_, u, v) in g.edges() {
-        // pcn-lint: allow(panic) — fmt::Write to a String cannot fail
         writeln!(out, "{} {}", u.0, v.0).unwrap();
     }
     out

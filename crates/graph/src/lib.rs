@@ -24,13 +24,25 @@
 //! * [`generators`] — Watts–Strogatz (§5.2 testbed topologies),
 //!   Barabási–Albert scale-free (Ripple/Lightning-like topologies), and
 //!   Erdős–Rényi graphs.
-//! * [`io`] — edge-list text and serde-based topology (de)serialization.
+//! * [`io`] — edge-list text topology (de)serialization.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Library code reports through returned values and serialized artifacts,
 // never ad-hoc stdout; the experiment/bench binaries print, libraries do not.
-#![deny(clippy::dbg_macro, clippy::print_stdout)]
+// A panic aborts a million-payment run hours in, so library code
+// propagates errors; a site whose invariant rules the panic out carries
+// `#[expect(clippy::…, reason = "<the invariant>")]`.
+#![deny(
+    clippy::dbg_macro,
+    clippy::print_stdout,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod bfs;
 pub mod digraph;

@@ -31,10 +31,11 @@
 //! cancelled, matching how channel balances actually move. Kernels are
 //! **deterministic** (same graph + capacities ⇒ bit-identical
 //! [`MaxFlow`], with no wall-clock, hash-order, or thread dependence —
-//! pcn-lint rules D1–D3 audit this) and **panic-free** on well-formed
-//! inputs (pcn-lint P2: every `unwrap`/`expect` in this module carries
-//! a justified invariant; the only `assert!` is the capacity-table
-//! length check, a caller contract violation).
+//! the workspace `clippy.toml` bans all three) and **panic-free** on
+//! well-formed inputs (`clippy::unwrap_used` / `expect_used` are denied:
+//! every `unwrap`/`expect` in this module carries an `#[expect]` naming
+//! its invariant; the only `assert!` is the capacity-table length
+//! check, a caller contract violation).
 //!
 //! ```
 //! use pcn_graph::maxflow::{EdmondsKarp, MaxFlowSolver, PushRelabel};
@@ -203,7 +204,8 @@ pub fn decompose_into_paths(
         let mut edges: Vec<EdgeId> = Vec::new();
         pos[s.index()] = 0;
         loop {
-            let u = *nodes.last().unwrap(); // pcn-lint: allow(panic) — the walk starts non-empty at s
+            #[expect(clippy::unwrap_used, reason = "the walk starts non-empty at s")]
+            let u = *nodes.last().unwrap();
             if u == t {
                 break;
             }
@@ -249,11 +251,14 @@ pub fn decompose_into_paths(
         // edge still on the walk had positive flow when appended and has
         // not been decremented since (cycle cancellation only touches the
         // truncated suffix), so the bottleneck is ≥ 1.
+        #[expect(
+            clippy::expect_used,
+            reason = "s != t, so the walk has at least one edge"
+        )]
         let bottleneck = edges
             .iter()
             .map(|e| flow[e.index()])
             .min()
-            // pcn-lint: allow(panic) — s != t, so the walk has at least one edge
             .expect("s != t, so the walk has at least one edge");
         for e in &edges {
             flow[e.index()] -= bottleneck;

@@ -26,7 +26,7 @@ impl Path {
                 "path must contain at least two nodes".into(),
             ));
         }
-        let mut seen = std::collections::HashSet::with_capacity(nodes.len());
+        let mut seen = std::collections::BTreeSet::new();
         for &n in &nodes {
             if !seen.insert(n) {
                 return Err(PcnError::InvalidConfig(format!("path revisits node {n}")));
@@ -65,8 +65,9 @@ impl Path {
 
     /// Last node (the receiver).
     #[inline]
+    #[expect(clippy::unwrap_used, reason = "Path construction rejects < 2 nodes")]
     pub fn target(&self) -> NodeId {
-        *self.0.last().unwrap() // pcn-lint: allow(panic) — Path construction rejects < 2 nodes
+        *self.0.last().unwrap()
     }
 
     /// Number of hops (edges) on the path.

@@ -204,7 +204,7 @@ pub fn k_shortest_paths_hops(g: &DiGraph, s: NodeId, t: NodeId, k: usize) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -247,7 +247,7 @@ mod tests {
             assert_ne!(w[0].nodes(), w[1].nodes(), "duplicate path");
         }
         for p in &ps {
-            let set: HashSet<_> = p.nodes().iter().collect();
+            let set: BTreeSet<_> = p.nodes().iter().collect();
             assert_eq!(set.len(), p.nodes().len(), "path has a loop");
             assert_eq!(p.source(), n(0));
             assert_eq!(p.target(), n(5));

@@ -1,8 +1,9 @@
 //! Differential determinism tests for the topology generators: the
 //! same seed must produce a byte-identical serialized topology across
 //! two independent invocations. This is the property the PR-3
-//! `barabasi_albert` HashSet bug violated (per-process topologies) and
-//! the property `det_lint` rule D2 now enforces statically — these
+//! `barabasi_albert` HashSet bug violated (per-process topologies). The
+//! generators now build their channel sets as `BTreeSet`s, and the
+//! workspace `clippy.toml` bans `HashSet`/`HashMap` statically — these
 //! tests are the dynamic side of that contract.
 
 use pcn_graph::generators::{

@@ -50,7 +50,7 @@
 //!   `test` cfgs are excluded).
 //!
 //! Test code — `#[cfg(test)]` modules and `#[test]` functions — is
-//! excluded from both the graph and the P1–P3 scans: the rules guard
+//! excluded from both the graph and the P1 scan: the rule guards
 //! library code on the hot path, not assertions.
 
 use crate::lexer::{Lexed, TokKind};

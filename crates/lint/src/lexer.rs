@@ -1,16 +1,16 @@
 //! A small hand-rolled Rust token scanner.
 //!
-//! The linter does not need a full parser — every determinism rule in
-//! [`crate::rules`] is expressible over a flat token stream plus line
-//! numbers — but it *does* need to be exactly right about what is code
-//! and what is not: string literals, raw strings, char literals,
+//! The linter does not need a full parser — the call graph and rule P1
+//! in [`crate::rules`] are expressible over a flat token stream plus
+//! line numbers — but it *does* need to be exactly right about what is
+//! code and what is not: string literals, raw strings, char literals,
 //! lifetimes, and (nested) block comments must never leak tokens,
-//! otherwise a doc comment mentioning `Instant::now` would fail D1.
+//! otherwise a doc comment mentioning `.clone()` would fail P1.
 //!
-//! The scanner also extracts `// det-lint: allow(<rule>) — <why>` and
-//! `// pcn-lint: allow(<rule>) — <why>` suppression annotations plus
-//! `// pcn-lint: hot` root markers from line comments, because those
-//! are the places where comments carry lint-relevant content.
+//! The scanner also extracts `// pcn-lint: allow(<rule>) — <why>`
+//! suppression annotations plus `// pcn-lint: hot` root markers from
+//! line comments, because those are the places where comments carry
+//! lint-relevant content.
 
 /// What kind of token this is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,8 +21,8 @@ pub enum TokKind {
     /// token so single-char matches (`=`, `:`) stay unambiguous.
     Punct,
     /// String / char / byte literal. `text` keeps the *contents* of
-    /// string literals (without quotes) so rule D4 can inspect format
-    /// strings; char literals keep their source form.
+    /// string literals (without quotes); char literals keep their
+    /// source form.
     Str,
     /// Numeric literal.
     Num,
@@ -41,44 +41,18 @@ pub struct Tok {
     pub kind: TokKind,
 }
 
-/// Which annotation family a comment belongs to. The determinism rules
-/// (D1–D4) read `det-lint:` comments; the performance/panic-safety
-/// rules (P1–P3) read `pcn-lint:` comments. Keeping the namespaces
-/// separate means a `det-lint: allow(hash-order)` can never
-/// accidentally silence a hot-path allocation and vice versa.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AnnNs {
-    /// `det-lint:` — determinism rules D1–D4.
-    Det,
-    /// `pcn-lint:` — hot-path/panic/amount rules P1–P3.
-    Pcn,
-}
-
-impl AnnNs {
-    /// The comment marker, without the trailing colon.
-    pub fn marker(self) -> &'static str {
-        match self {
-            AnnNs::Det => "det-lint",
-            AnnNs::Pcn => "pcn-lint",
-        }
-    }
-}
-
-/// A parsed `// det-lint: allow(<rule>) — <justification>` (or
-/// `pcn-lint:`) annotation.
+/// A parsed `// pcn-lint: allow(<rule>) — <justification>` annotation.
 #[derive(Clone, Debug)]
 pub struct Annotation {
     /// Line the annotation comment sits on.
     pub line: u32,
-    /// Which marker introduced it (`det-lint:` vs `pcn-lint:`).
-    pub ns: AnnNs,
-    /// The rule name inside `allow(…)`, e.g. `hash-order`.
+    /// The rule name inside `allow(…)`, e.g. `hot-alloc`.
     pub rule: String,
     /// The free-text justification after the dash separator.
     pub justification: String,
 }
 
-/// A malformed `det-lint:` / `pcn-lint:` comment: the text after the
+/// A malformed `pcn-lint:` comment: the text after the
 /// marker plus a reason. Always a lint error — a suppression that does
 /// not parse must not silently suppress nothing.
 #[derive(Clone, Debug)]
@@ -96,7 +70,7 @@ pub struct Lexed {
     pub toks: Vec<Tok>,
     /// Well-formed suppression annotations, in line order.
     pub annotations: Vec<Annotation>,
-    /// Malformed `det-lint:` / `pcn-lint:` comments.
+    /// Malformed `pcn-lint:` comments.
     pub bad_annotations: Vec<BadAnnotation>,
     /// Lines carrying a `// pcn-lint: hot` root marker; the call-graph
     /// pass attaches each to the function item that follows it.
@@ -109,7 +83,7 @@ const MULTI_PUNCT: &[&str] = &[
     "*=", "/=", "%=", "^=", "&=", "|=", "<<", ">>", "..",
 ];
 
-/// Lexes `src` into tokens + det-lint annotations.
+/// Lexes `src` into tokens + `pcn-lint:` annotations.
 pub fn lex(src: &str) -> Lexed {
     let b = src.as_bytes();
     let mut out = Lexed::default();
@@ -363,43 +337,33 @@ fn scan_quote(src: &str, i: usize, line: u32, out: &mut Lexed) -> (usize, u32) {
     }
 }
 
-/// Parses `det-lint:` / `pcn-lint:` content out of one line comment,
-/// if present.
+/// Parses `pcn-lint:` content out of one line comment, if present.
 ///
 /// Only comments that *start* with the marker count (after stripping
 /// doc-comment `/`/`!` prefixes): prose that merely mentions the
 /// annotation syntax — like this very sentence — must not register.
 fn scan_annotation(comment: &str, line: u32, out: &mut Lexed) {
     let trimmed = comment.trim_start_matches(['/', '!']).trim_start();
-    if let Some(rest) = trimmed.strip_prefix("det-lint:") {
-        scan_directive(AnnNs::Det, rest, line, out);
-    } else if let Some(rest) = trimmed.strip_prefix("pcn-lint:") {
-        scan_directive(AnnNs::Pcn, rest, line, out);
+    if let Some(rest) = trimmed.strip_prefix("pcn-lint:") {
+        scan_directive(rest, line, out);
     }
 }
 
-/// Parses the directive body after a `det-lint:` / `pcn-lint:` marker:
-/// `allow(<rule>) — <why>` for both namespaces, plus the bare `hot`
-/// root marker (optionally followed by prose) for `pcn-lint:`.
-fn scan_directive(ns: AnnNs, rest: &str, line: u32, out: &mut Lexed) {
+/// Parses the directive body after a `pcn-lint:` marker:
+/// `allow(<rule>) — <why>`, or the bare `hot` root marker (optionally
+/// followed by prose).
+fn scan_directive(rest: &str, line: u32, out: &mut Lexed) {
     let rest = rest.trim();
-    let marker = ns.marker();
-    if ns == AnnNs::Pcn {
-        if let Some(tail) = rest.strip_prefix("hot") {
-            if tail.is_empty() || tail.starts_with([' ', '—', '-', ':']) {
-                out.hot_marks.push(line);
-                return;
-            }
+    if let Some(tail) = rest.strip_prefix("hot") {
+        if tail.is_empty() || tail.starts_with([' ', '—', '-', ':']) {
+            out.hot_marks.push(line);
+            return;
         }
     }
     let Some(args) = rest.strip_prefix("allow") else {
-        let expected = match ns {
-            AnnNs::Det => "expected `allow(<rule>)`",
-            AnnNs::Pcn => "expected `allow(<rule>)` or `hot`",
-        };
         out.bad_annotations.push(BadAnnotation {
             line,
-            reason: format!("{expected} after `{marker}:`, found `{rest}`"),
+            reason: format!("expected `allow(<rule>)` or `hot` after `pcn-lint:`, found `{rest}`"),
         });
         return;
     };
@@ -410,7 +374,7 @@ fn scan_directive(ns: AnnNs, rest: &str, line: u32, out: &mut Lexed) {
     }) else {
         out.bad_annotations.push(BadAnnotation {
             line,
-            reason: format!("unclosed `allow(` in {marker} annotation"),
+            reason: "unclosed `allow(` in pcn-lint annotation".into(),
         });
         return;
     };
@@ -418,13 +382,13 @@ fn scan_directive(ns: AnnNs, rest: &str, line: u32, out: &mut Lexed) {
     if rule.is_empty() {
         out.bad_annotations.push(BadAnnotation {
             line,
-            reason: format!("empty rule name in `{marker}: allow()`"),
+            reason: "empty rule name in `pcn-lint: allow()`".into(),
         });
         return;
     }
     // Justification: everything after an em-dash / double-dash / colon
     // separator. Required — a suppression must say *why* the site is
-    // order-insensitive (or otherwise exempt).
+    // exempt.
     let just = tail
         .trim_start_matches(['—', '-', ':', ' '])
         .trim()
@@ -432,13 +396,12 @@ fn scan_directive(ns: AnnNs, rest: &str, line: u32, out: &mut Lexed) {
     if just.len() < 8 {
         out.bad_annotations.push(BadAnnotation {
             line,
-            reason: format!("`{marker}: allow({rule})` needs a written justification after `—`"),
+            reason: format!("`pcn-lint: allow({rule})` needs a written justification after `—`"),
         });
         return;
     }
     out.annotations.push(Annotation {
         line,
-        ns,
         rule,
         justification: just,
     });
@@ -501,28 +464,18 @@ mod tests {
 
     #[test]
     fn annotation_with_justification_parses() {
-        let l = lex("x.iter() // det-lint: allow(hash-order) — sum fold, order-insensitive\n");
+        let l = lex("x.clone() // pcn-lint: allow(hot-alloc) — one Vec per run, not per event\n");
         assert_eq!(l.annotations.len(), 1);
-        assert_eq!(l.annotations[0].rule, "hash-order");
-        assert!(l.annotations[0].justification.contains("order-insensitive"));
+        assert_eq!(l.annotations[0].rule, "hot-alloc");
+        assert!(l.annotations[0].justification.contains("per run"));
         assert!(l.bad_annotations.is_empty());
     }
 
     #[test]
     fn annotation_without_justification_is_bad() {
-        let l = lex("// det-lint: allow(hash-order)\n");
+        let l = lex("// pcn-lint: allow(hot-alloc)\n");
         assert!(l.annotations.is_empty());
         assert_eq!(l.bad_annotations.len(), 1);
-    }
-
-    #[test]
-    fn pcn_annotations_carry_their_namespace() {
-        let l = lex("x.clone() // pcn-lint: allow(hot-alloc) — one Vec per run, not per event\n");
-        assert_eq!(l.annotations.len(), 1);
-        assert_eq!(l.annotations[0].ns, AnnNs::Pcn);
-        assert_eq!(l.annotations[0].rule, "hot-alloc");
-        let d = lex("// det-lint: allow(hash-order) — sum fold, order-insensitive\n");
-        assert_eq!(d.annotations[0].ns, AnnNs::Det);
     }
 
     #[test]

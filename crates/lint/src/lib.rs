@@ -1,59 +1,44 @@
 //! # pcn-lint
 //!
-//! The workspace determinism auditor: a static-analysis pass that
-//! catches hash-order, wall-clock, and stray-thread nondeterminism
-//! before the differential tests do.
+//! The workspace's hot-path auditor: rule P1 `hot-alloc`, the one
+//! workspace law that needs a call graph.
 //!
-//! ## Why this exists
+//! ## Who enforces what
 //!
-//! PR 3 shipped exactly the bug this tool exists to catch:
-//! `barabasi_albert` iterated a `HashSet` while growing the
-//! preferential-attachment list, so generated topologies differed *per
-//! process* and a figure test went flaky. It was found by luck. With
-//! ~20 hash-collection sites in the deterministic crates and a
-//! parallel DES on the roadmap, the invariants behind every
-//! differential test (same-seed bit-identical `DesReport`s,
-//! zero-latency DES ≡ instantaneous simulator, regenerated ≡ committed
-//! bench records) need enforcement on every PR — the same way
-//! `flash_bench::shape` enforces bench shapes.
+//! Every other law has a cheaper enforcer that rustc or clippy runs,
+//! so this crate holds only the rule nothing else can check:
+//!
+//! | law | enforcer |
+//! |---|---|
+//! | no raw `+`/`-`/`*` on money | the type: `pcn_types::Amount` has no such operators |
+//! | no hash-order iteration, no `{:?}` of a hash map | root `clippy.toml` `disallowed-types` (`HashMap`, `HashSet`) |
+//! | no wall clock outside `pcn_proto::wall_now` | `clippy.toml` `disallowed-methods` (`Instant::now`, `SystemTime::now`) |
+//! | no threads or sync primitives | `clippy.toml` `disallowed-methods` / `disallowed-types` |
+//! | no panics in deterministic library code | `#![deny(clippy::unwrap_used, …)]` in each deterministic crate's `lib.rs` |
+//! | every suppression has a reason | `[workspace.lints.clippy]` `allow_attributes*` |
+//! | no per-event allocation below a hot root | **this crate: P1 `hot-alloc`** |
 //!
 //! ## What it does
 //!
 //! [`lint_workspace`] lexes every `.rs` file (a hand-rolled scanner in
 //! [`lexer`]; the build environment has no registry access, so no
 //! syn/proc-macro), builds a conservative per-crate call graph
-//! ([`callgraph`]), and applies the D1–D4 determinism rules and the
-//! P1–P3 hot-path rules in [`rules`] with a per-crate [`Policy`]:
+//! ([`callgraph`]) from the `// pcn-lint: hot` roots, and applies P1
+//! ([`rules`]) to the library code of the deterministic crates
+//! (`pcn-types`, `pcn-graph`, `pcn-lp`, `pcn-sim`, `flash-core`,
+//! `pcn-workload`) and of the testbed (`pcn-proto`, whose reactor is a
+//! hot root). Integration tests, benches, examples and `#[cfg(test)]`
+//! code are exempt; every other file is still checked for malformed
+//! `pcn-lint:` annotations. Shims and lint fixtures are skipped.
 //!
-//! | crates | D1 wall-clock | D2 hash-order | D3 thread | D4 debug-format | P1–P3 |
-//! |---|---|---|---|---|---|
-//! | `pcn-types`, `pcn-graph`, `pcn-lp`, `flash-core`, `pcn-workload` | forbid | ✓ | – | ✓ | ✓ (src only) |
-//! | `pcn-sim` | forbid | ✓ | ✓ | ✓ | ✓ (src only) |
-//! | `pcn-proto` | helper only | – | – | – | P1 (src only) |
-//! | `pcn-experiments`, `flash-bench`, umbrella | helper only | – | – | – | – |
-//! | `shims/`, fixtures | skipped | | | | |
+//! An allocation that is provably per-run carries a written
+//! justification: `// pcn-lint: allow(hot-alloc) — <why>`.
+//! [`audit_workspace`] keeps the justified findings (for the `--json`
+//! report); [`lint_workspace`] returns violations only.
 //!
-//! "src only": the deterministic crates' integration tests, benches,
-//! and examples are exempt from P1–P3 (assertions and setup
-//! allocations are the point there), as is `#[cfg(test)]` code inside
-//! src files. `crates/types/src/amount.rs` is exempt from P3 — it
-//! *defines* the raw operators the saturating/checked helpers wrap.
-//!
-//! "Helper only" means wall time flows through exactly one entry
-//! point — `pcn_proto::wall_now()` (defined in the allowlisted
-//! `crates/proto/src/wall.rs`) — and must land in `wall_*`-prefixed
-//! bindings.
-//!
-//! Violations that are provably exempt carry a written justification:
-//! `// det-lint: allow(hash-order) — <why>` for D rules,
-//! `// pcn-lint: allow(hot-alloc|panic|amount-math) — <why>` for P
-//! rules. [`audit_workspace`] keeps the justified findings (for the
-//! `--json` report); [`lint_workspace`] returns violations only.
-//!
-//! Run it locally with `cargo run -p pcn-lint --release -- --workspace`
-//! (`det_lint` is the package's only binary); CI runs the same command
-//! and surfaces findings as inline `::error file=…,line=…` PR
-//! annotations plus a JSONL artifact.
+//! Run it locally with `cargo run -p pcn-lint --release -- --workspace`;
+//! CI runs the same command and surfaces findings as inline
+//! `::error file=…,line=…` PR annotations plus a JSONL artifact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,23 +50,22 @@ pub mod callgraph;
 pub mod lexer;
 pub mod rules;
 
-pub use rules::{Finding, Policy, Rule, WallPolicy};
+pub use rules::{Finding, Policy, Rule};
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// The deterministic crates: same-seed runs must be bit-identical.
-const DETERMINISTIC_CRATES: &[&str] = &[
+/// The crates whose library code P1 audits: the deterministic crates
+/// and the testbed.
+const HOT_CRATES: &[&str] = &[
     "crates/types",
     "crates/graph",
     "crates/lp",
     "crates/sim",
     "crates/core",
     "crates/workload",
+    "crates/proto",
 ];
-
-/// The one file allowed to touch `std::time::Instant` directly.
-pub const WALL_HELPER_FILE: &str = "crates/proto/src/wall.rs";
 
 /// Returns the policy for a workspace-relative path, or `None` when
 /// the file is out of scope (shims, vendored code, lint fixtures,
@@ -99,48 +83,16 @@ pub fn policy_for(rel: &str) -> Option<Policy> {
     if rel.contains("tests/fixtures/") {
         return None;
     }
-    if rel == WALL_HELPER_FILE {
-        return Some(Policy {
-            wall: WallPolicy::Free,
-            hash_order: false,
-            threads: false,
-            debug_format: false,
-            hot_alloc: false,
-            panics: false,
-            amount_math: false,
-        });
-    }
-    for krate in DETERMINISTIC_CRATES {
-        if rel.starts_with(&format!("{krate}/")) {
-            let mut p = Policy::deterministic(*krate == "crates/sim");
-            // P1–P3 audit library code only: integration tests,
-            // benches, and examples assert and allocate freely and are
-            // never on the engine's hot path.
-            if rel.contains("/tests/") || rel.contains("/benches/") || rel.contains("/examples/") {
-                p.hot_alloc = false;
-                p.panics = false;
-                p.amount_math = false;
-            }
-            // The Amount implementation defines the raw operators that
-            // the saturating/checked helpers wrap.
-            if rel == "crates/types/src/amount.rs" {
-                p.amount_math = false;
-            }
-            return Some(p);
-        }
-    }
-    // Everything else — proto, experiments, bench, the lint
-    // itself, the umbrella crate's src/tests/examples — may read wall
-    // time through the helper only. The testbed's library code also
-    // answers to P1: its reactor is a marked hot root.
-    let mut p = Policy::wall_allowed();
-    p.hot_alloc = rel.starts_with("crates/proto/src/");
-    Some(p)
+    // P1 audits library code only: integration tests, benches, and
+    // examples allocate freely and are never on the engine's hot path.
+    let hot_alloc = HOT_CRATES
+        .iter()
+        .any(|krate| rel.starts_with(&format!("{krate}/src/")));
+    Some(Policy { hot_alloc })
 }
 
-/// The crate-grouping key for hash-name collection: identifiers are
-/// tainted crate-wide (a field declared in one file is iterated in
-/// another), but not across crates (different namespaces).
+/// The crate-grouping key for the call graph: calls resolve within a
+/// crate, not across crates (different namespaces).
 fn crate_key(rel: &str) -> String {
     let parts: Vec<&str> = rel.split('/').collect();
     if parts.len() >= 2 && (parts[0] == "crates" || parts[0] == "shims") {
@@ -174,7 +126,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 /// Audits every in-scope source file under the workspace `root`,
 /// keeping justified findings (`justification: Some(…)`) alongside
 /// violations. Findings come back sorted by (file, line) —
-/// deterministically, as one would hope for a determinism linter.
+/// deterministically.
 pub fn audit_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut files = Vec::new();
     collect_rs_files(root, &mut files);
@@ -206,22 +158,15 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
             });
     }
 
-    // Pass 2: per-crate taint sets and call graph, then audit each
-    // file. Hot reachability is intra-crate by construction (see the
-    // `callgraph` module docs on cross-crate false negatives).
+    // Pass 2: per-crate call graph, then audit each file. Hot
+    // reachability is intra-crate by construction (see the `callgraph`
+    // module docs on cross-crate false negatives).
     let mut findings = Vec::new();
     for entries in by_crate.values() {
         let streams: Vec<&lexer::Lexed> = entries.iter().map(|e| &e.lexed).collect();
-        let hash_names = rules::collect_hash_names(&streams);
-        let amount_names = rules::collect_amount_names(&streams);
         let analyses = callgraph::analyze(&streams);
         for (e, analysis) in entries.iter().zip(&analyses) {
-            let ctx = rules::CrateCtx {
-                hash_names: &hash_names,
-                amount_names: &amount_names,
-                analysis,
-            };
-            findings.extend(rules::audit_tokens(&e.rel, &e.lexed, &e.policy, &ctx));
+            findings.extend(rules::audit_tokens(&e.rel, &e.lexed, &e.policy, analysis));
         }
     }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
@@ -291,7 +236,7 @@ pub fn github_annotations(findings: &[Finding]) -> String {
             .replace('\n', "%0A")
             .replace('\r', "");
         out.push_str(&format!(
-            "::error file={},line={},title=det-lint {}::{}\n",
+            "::error file={},line={},title=pcn-lint {}::{}\n",
             f.file,
             f.line,
             f.rule.name(),
@@ -326,52 +271,19 @@ mod tests {
 
     #[test]
     fn policies_match_the_crate_map() {
-        assert!(policy_for("crates/sim/src/des/engine.rs").unwrap().threads);
-        assert!(
-            policy_for("crates/sim/src/des/engine.rs")
-                .unwrap()
-                .hot_alloc
-        );
-        assert!(policy_for("crates/sim/src/des/engine.rs").unwrap().panics);
-        // Integration tests / benches of deterministic crates keep the
-        // D rules but drop the P rules.
-        let t = policy_for("crates/sim/tests/des.rs").unwrap();
-        assert!(t.hash_order && !t.panics && !t.hot_alloc && !t.amount_math);
-        let b = policy_for("crates/graph/benches/maxflow.rs").unwrap();
-        assert!(!b.panics && !b.hot_alloc);
-        // The Amount implementation is exempt from P3 only.
-        let a = policy_for("crates/types/src/amount.rs").unwrap();
-        assert!(a.panics && a.hot_alloc && !a.amount_math);
-        // The testbed reactor is a hot root: P1 only, library code only.
-        let r = policy_for("crates/proto/src/event_loop.rs").unwrap();
-        assert!(r.hot_alloc && !r.panics && !r.hash_order);
-        assert!(
-            !policy_for("crates/experiments/src/harness.rs")
-                .unwrap()
-                .hot_alloc
-        );
-        assert!(
-            !policy_for("crates/graph/src/generators.rs")
-                .unwrap()
-                .threads
-        );
-        assert!(
-            policy_for("crates/graph/src/generators.rs")
-                .unwrap()
-                .hash_order
-        );
-        assert_eq!(
-            policy_for("crates/proto/src/cluster.rs").unwrap().wall,
-            WallPolicy::HelperOnly
-        );
-        // The testbed harness measures wall time on purpose (payment
-        // delays) — deliberately helper-only, not deterministic.
-        let s = policy_for("crates/experiments/src/harness.rs").unwrap();
-        assert_eq!(s.wall, WallPolicy::HelperOnly);
-        assert!(!s.hash_order && !s.panics);
-        assert_eq!(policy_for(WALL_HELPER_FILE).unwrap().wall, WallPolicy::Free);
+        let hot = |rel| policy_for(rel).unwrap().hot_alloc;
+        assert!(hot("crates/sim/src/des/engine.rs"));
+        assert!(hot("crates/types/src/amount.rs"));
+        // The testbed reactor is a hot root: library code only.
+        assert!(hot("crates/proto/src/event_loop.rs"));
+        // Integration tests and benches of the audited crates, and every
+        // other crate, are scanned for annotations only.
+        assert!(!hot("crates/sim/tests/des.rs"));
+        assert!(!hot("crates/graph/benches/maxflow.rs"));
+        assert!(!hot("crates/experiments/src/harness.rs"));
+        assert!(!hot("tests/atomicity.rs"));
         assert!(policy_for("shims/rand/src/lib.rs").is_none());
-        assert!(policy_for("crates/lint/tests/fixtures/d1_wall_clock.rs").is_none());
+        assert!(policy_for("crates/lint/tests/fixtures/p1_hot_graph_clone.rs").is_none());
         assert!(policy_for("README.md").is_none());
     }
 
@@ -386,7 +298,7 @@ mod tests {
     #[test]
     fn github_annotations_escape_and_point_at_lines() {
         let f = vec![Finding {
-            rule: Rule::HashOrder,
+            rule: Rule::HotAlloc,
             file: "crates/sim/src/x.rs".into(),
             line: 7,
             message: "100% bad\nnewline".into(),
@@ -395,7 +307,7 @@ mod tests {
         let s = github_annotations(&f);
         assert_eq!(
             s,
-            "::error file=crates/sim/src/x.rs,line=7,title=det-lint hash-order::100%25 bad%0Anewline\n"
+            "::error file=crates/sim/src/x.rs,line=7,title=pcn-lint hot-alloc::100%25 bad%0Anewline\n"
         );
     }
 
@@ -410,11 +322,11 @@ mod tests {
                 justification: None,
             },
             Finding {
-                rule: Rule::NoPanic,
+                rule: Rule::HotAlloc,
                 file: "crates/graph/src/y.rs".into(),
                 line: 9,
                 message: "m".into(),
-                justification: Some("invariant: tables sized from the graph".into()),
+                justification: Some("one result path per search, not per edge".into()),
             },
         ];
         let s = jsonl(&f);
@@ -427,6 +339,6 @@ mod tests {
              \"message\":\"a \\\"quoted\\\"\\tthing\"}"
         );
         assert!(lines[1].contains("\"justified\":true"));
-        assert!(lines[1].contains("\"rule\":\"panic\""));
+        assert!(lines[1].contains("\"rule\":\"hot-alloc\""));
     }
 }

@@ -1,17 +1,17 @@
-//! `det_lint` — run the workspace determinism + hot-path audit from
-//! the CLI.
+//! `pcn-lint` — run the workspace hot-path audit (rule P1) from the
+//! CLI.
 //!
 //! ```text
-//! det_lint --workspace            # lint the whole workspace (CI entry point)
-//! det_lint path/to/file.rs …     # lint specific files
-//! det_lint --workspace --github  # also emit ::error annotations (auto on CI)
-//! det_lint --workspace --json    # JSONL audit (incl. justified sites) on stdout
+//! pcn-lint --workspace            # lint the whole workspace (CI entry point)
+//! pcn-lint path/to/file.rs …     # lint specific files
+//! pcn-lint --workspace --github  # also emit ::error annotations (auto on CI)
+//! pcn-lint --workspace --json    # JSONL audit (incl. justified sites) on stdout
 //! ```
 //!
 //! With `--json`, stdout carries one JSON object per finding —
 //! including justified (annotated) sites, with their justification
 //! text — and the human-readable lines move to stderr, so
-//! `det_lint --json > audit.jsonl` produces a clean artifact.
+//! `pcn-lint --json > audit.jsonl` produces a clean artifact.
 //!
 //! Exit code 0 = clean, 1 = unjustified findings, 2 = usage/IO error.
 
@@ -30,11 +30,11 @@ fn main() {
             "--github" => github = true,
             "--json" => json = true,
             "--help" | "-h" => {
-                eprintln!("usage: det_lint [--workspace] [--github] [--json] [FILE.rs …]");
+                eprintln!("usage: pcn-lint [--workspace] [--github] [--json] [FILE.rs …]");
                 return;
             }
             other if other.starts_with('-') => {
-                eprintln!("det_lint: unknown flag `{other}`");
+                eprintln!("pcn-lint: unknown flag `{other}`");
                 std::process::exit(2);
             }
             file => files.push(file.to_string()),
@@ -46,7 +46,7 @@ fn main() {
 
     let cwd = std::env::current_dir().unwrap_or_else(|_| Path::new(".").to_path_buf());
     let Some(root) = find_workspace_root(&cwd) else {
-        eprintln!("det_lint: no workspace root ([workspace] in Cargo.toml) above {cwd:?}");
+        eprintln!("pcn-lint: no workspace root ([workspace] in Cargo.toml) above {cwd:?}");
         std::process::exit(2);
     };
 
@@ -57,7 +57,7 @@ fn main() {
         match pcn_lint::audit_workspace(&root) {
             Ok(f) => audit.extend(f),
             Err(e) => {
-                eprintln!("det_lint: {e}");
+                eprintln!("pcn-lint: {e}");
                 std::process::exit(2);
             }
         }
@@ -68,13 +68,13 @@ fn main() {
             .map(|p| p.to_string_lossy().into_owned())
             .unwrap_or_else(|_| file.clone());
         let Some(policy) = policy_for(&rel) else {
-            eprintln!("det_lint: {rel}: out of scope (shim/fixture/non-Rust), skipping");
+            eprintln!("pcn-lint: {rel}: out of scope (shim/fixture/non-Rust), skipping");
             continue;
         };
         match std::fs::read_to_string(file) {
             Ok(src) => audit.extend(rules::audit_source(&rel, &src, &policy)),
             Err(e) => {
-                eprintln!("det_lint: {file}: {e}");
+                eprintln!("pcn-lint: {file}: {e}");
                 std::process::exit(2);
             }
         }
@@ -108,9 +108,7 @@ fn main() {
     let scope = if workspace { "workspace" } else { "files" };
     let summary = if findings.is_empty() {
         format!(
-            "lint-audit: {scope} clean (rules D1 wall-clock, D2 hash-order, D3 thread, \
-             D4 debug-format, P1 hot-alloc, P2 panic, P3 amount-math; \
-             {} justified suppression(s))",
+            "lint-audit: {scope} clean (rule P1 hot-alloc; {} justified suppression(s))",
             audit.len() - findings.len()
         )
     } else {

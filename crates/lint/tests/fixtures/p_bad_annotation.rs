@@ -1,8 +1,9 @@
 // Known-bad fixture: a `pcn-lint:` allow with no written justification
-// suppresses nothing — the P2 finding survives AND the annotation
+// suppresses nothing — the P1 finding survives AND the annotation
 // itself is flagged as malformed.
 
-pub fn head(stack: &[u64]) -> u64 {
-    // pcn-lint: allow(panic)
-    *stack.first().unwrap()
+// pcn-lint: hot — per-event executor for this fixture
+pub fn snapshot(stack: &[u64]) -> Vec<u64> {
+    // pcn-lint: allow(hot-alloc)
+    stack.to_vec()
 }

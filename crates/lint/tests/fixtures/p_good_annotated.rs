@@ -1,7 +1,6 @@
-// Known-good fixture: the same hot-path shapes as the bad P fixtures,
-// each either using the checked helpers or carrying a justified
-// annotation — lint finds nothing, audit reports only justified
-// suppressions (one per P rule).
+// Known-good fixture: the hot-path shape of `p1_hot_graph_clone.rs`
+// with its one allocation carrying a justified annotation — lint finds
+// nothing, audit reports exactly that justified suppression.
 
 // pcn-lint: hot — per-event executor for this fixture
 pub fn run(net: &mut Net) -> u64 {
@@ -11,19 +10,6 @@ pub fn run(net: &mut Net) -> u64 {
 }
 
 fn settle(net: &mut Net, order: &[usize]) -> u64 {
-    let first = head(order);
-    let bal = net.balance(first);
-    let spent = net.spent(first);
-    bal.saturating_sub(spent).micros()
-}
-
-fn head(order: &[usize]) -> usize {
-    // pcn-lint: allow(panic) — run() always passes a non-empty order
-    order.first().copied().expect("order is non-empty")
-}
-
-fn rescale(unit: Amount, k: u64) -> u64 {
-    // pcn-lint: allow(amount-math) — unit is ≤ 1000 micros by construction; the product fits u64
-    let wide = unit * k;
-    wide.micros()
+    let first = order.first().copied().unwrap_or(0);
+    net.balance(first).saturating_sub(net.spent(first)).micros()
 }

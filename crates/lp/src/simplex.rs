@@ -295,7 +295,10 @@ fn pivot(t: &mut [Vec<f64>], basis: &mut [usize], row: usize, col: usize, total:
         *v /= p;
     }
     let (before, rest) = t.split_at_mut(row);
-    // pcn-lint: allow(panic) — `row` indexes the tableau, so the split-off rest is non-empty
+    #[expect(
+        clippy::expect_used,
+        reason = "`row` indexes the tableau, so the split-off rest is non-empty"
+    )]
     let (pivot_row, after) = rest.split_first_mut().expect("row index in bounds");
     for r in before.iter_mut().chain(after.iter_mut()) {
         if r[col].abs() > EPS {

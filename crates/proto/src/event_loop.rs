@@ -64,8 +64,8 @@
 //! each in ascending creation index; a listener's backlog is accepted
 //! in connect order, which numbers the inbound connections; dispatch is
 //! FIFO per pass. Wall time enters only through [`crate::wall_now`]
-//! (lint rule D1) and is used exclusively for the stall guard — never
-//! for ordering decisions.
+//! (`clippy.toml` bans `Instant::now` everywhere else) and is used
+//! exclusively for the stall guard — never for ordering decisions.
 
 use crate::node::{NodeState, Outbox, MSG_TYPES};
 use crate::transport::FrameDecoder;

@@ -3,33 +3,35 @@
 //! Everything deterministic (pcn-types, pcn-graph, pcn-lp, pcn-sim,
 //! flash-core, pcn-workload) runs on virtual time
 //! (`pcn_sim::des::SimTime`) and must never read the host clock:
-//! same-seed runs are bit-identical, and `det_lint` rule D1 rejects
-//! `Instant::now` / `SystemTime` there outright.
+//! same-seed runs are bit-identical. The workspace `clippy.toml` bans
+//! `Instant::now` and `SystemTime::now` in every crate
+//! (`disallowed_methods`).
 //!
 //! The testbed and the bench/experiment binaries *do* need wall time —
 //! Figures 12/13 report real per-transaction processing delay over TCP
-//! — so they get it from exactly one place: this module. Rule D1 lets
-//! this file touch `std::time::Instant` and requires every caller to
-//! (a) use [`wall_now`] rather than `Instant::now()` and (b) bind the
-//! result to a `wall_*`-prefixed name, so wall-clock metrics stay
-//! visibly segregated from virtual-time ones in every diff.
+//! — so they get it from exactly one place: [`wall_now`], the one
+//! function allowed to call `Instant::now`. Its result is a
+//! [`WallInstant`], a type that cannot mix with a `SimTime`, so wall
+//! and virtual readings stay apart without any naming rule.
 
 use std::time::Instant;
 
-/// Reads the host monotonic clock. Bind the result to a
-/// `wall_*`-prefixed variable (enforced by `det_lint`):
+/// Reads the host monotonic clock:
 ///
 /// ```
 /// let wall_start = pcn_proto::wall_now();
 /// let wall_elapsed = wall_start.elapsed();
 /// ```
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the workspace's one wall-clock read; every other crate calls this helper"
+)]
 pub fn wall_now() -> Instant {
     Instant::now()
 }
 
 /// The wall-clock instant type, for signatures and struct fields in
-/// wall-allowed crates. Rule D1 flags the `std::time::Instant` *path*
-/// outside this file; naming the alias instead keeps every deadline
-/// visibly tied to the single [`wall_now`] entry point.
+/// wall-allowed crates. Naming the alias keeps every deadline visibly
+/// tied to the single [`wall_now`] entry point.
 pub type WallInstant = Instant;

@@ -44,23 +44,24 @@
 //! The differential suite (zero-latency DES ≡ instantaneous simulator,
 //! empty churn ≡ churn-free, same-seed bit-identical reports) and the
 //! tier-1 pin of every committed `BENCH_*.json` field rely on three
-//! invariants, enforced statically by `pcn-lint` (`det_lint`) in CI:
+//! invariants, which the workspace `clippy.toml` enforces in CI
+//! (`cargo clippy -- -D warnings`):
 //!
-//! 1. **No wall clock** (rule D1): time here is [`SimTime`] — virtual
-//!    microseconds advanced only by the event queue. Nothing in this
-//!    crate may touch `std::time::Instant::now` or `SystemTime`; wall
-//!    metrics live in the testbed/bench crates behind
+//! 1. **No wall clock**: time here is [`SimTime`] — virtual
+//!    microseconds advanced only by the event queue.
+//!    `disallowed-methods` bans `Instant::now` and `SystemTime::now`;
+//!    wall metrics live in the testbed/bench crates behind
 //!    `pcn_proto::wall_now()`.
-//! 2. **Total event order** (rule D2): events are ordered by
-//!    `(time, seq)` where `seq` is the insertion sequence — and by
-//!    *nothing else*. No `HashMap`/`HashSet` iteration order may reach
-//!    scheduling decisions, metrics, or serialized reports; hash-order
-//!    iteration elsewhere must feed a sort or carry a justified
-//!    `// det-lint: allow(hash-order) — …` annotation.
-//! 3. **Single-threaded by contract** (rule D3): no `thread::spawn`,
-//!    no `std::sync` primitives in this crate. A conservative parallel
-//!    engine may relax this later, but only with deterministic merge
-//!    rules that keep the `(time, seq)` order observable-equivalent.
+//! 2. **Total event order**: events are ordered by `(time, seq)` where
+//!    `seq` is the insertion sequence — and by *nothing else*.
+//!    `disallowed-types` bans `HashMap` and `HashSet`, so no hash
+//!    iteration order can reach scheduling decisions, metrics, or
+//!    serialized reports.
+//! 3. **Single-threaded by contract**: `disallowed-methods` bans
+//!    `thread::spawn` and `disallowed-types` the `std::sync` locks,
+//!    channels and atomics. A conservative parallel engine may relax
+//!    this later, but only with deterministic merge rules that keep the
+//!    `(time, seq)` order observable-equivalent.
 //!
 //! Given those, the whole engine is a pure function of
 //! (topology seed, workload seed, model parameters): running it twice

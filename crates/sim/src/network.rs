@@ -105,10 +105,13 @@ impl Network {
     /// Creates a network with the same balance on every directed edge and
     /// free fees — the "evenly assigning the total funds over both
     /// directions" preprocessing the paper applies to Ripple.
+    #[expect(
+        clippy::expect_used,
+        reason = "both tables are built with len == edge_count just above"
+    )]
     pub fn uniform(graph: DiGraph, balance: Amount) -> Self {
         let e = graph.edge_count();
         Network::new(graph, vec![balance; e], vec![FeePolicy::FREE; e])
-            // pcn-lint: allow(panic) — both tables are built with len == edge_count just above
             .expect("tables sized from the graph cannot mismatch")
     }
 
@@ -297,7 +300,8 @@ impl NetworkSession<'_> {
             let Some(e) = self.net.graph.edge(u, v) else {
                 // Path references a non-existent channel: undo and fail.
                 for &d in debited.iter().rev() {
-                    self.net.balances[d.index()] += amount;
+                    let b = &mut self.net.balances[d.index()];
+                    *b = b.saturating_add(amount);
                 }
                 return Err(PartFailure {
                     failed_hop: hop,
@@ -308,7 +312,8 @@ impl NetworkSession<'_> {
             let bal = self.net.balances[e.index()];
             if bal < amount {
                 for &d in debited.iter().rev() {
-                    self.net.balances[d.index()] += amount;
+                    let b = &mut self.net.balances[d.index()];
+                    *b = b.saturating_add(amount);
                 }
                 return Err(PartFailure {
                     failed_hop: hop,

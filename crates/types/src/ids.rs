@@ -25,8 +25,11 @@ impl NodeId {
     /// Panics if `index` exceeds `u32::MAX` (no real PCN topology comes
     /// close; the paper's largest is 93,502 nodes before pruning).
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: NodeId is u32 by design"
+    )]
     pub fn from_index(index: usize) -> Self {
-        // pcn-lint: allow(panic) — documented contract: NodeId is u32 by design
         NodeId(u32::try_from(index).expect("node index exceeds u32::MAX"))
     }
 }

@@ -32,7 +32,10 @@ use rand_distr::{Distribution, Exp};
 /// # Panics
 /// Panics if `rate_per_sec` is not finite and positive.
 pub fn poisson_times(n: usize, rate_per_sec: f64, seed: u64) -> Vec<SimTime> {
-    // pcn-lint: allow(panic) — documented contract: the offered load must be positive
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: the offered load must be positive"
+    )]
     let gap_us = Exp::new(rate_per_sec / 1_000_000.0).expect("rate must be finite and positive");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut t = 0u64;

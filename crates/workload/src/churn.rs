@@ -76,7 +76,10 @@ fn poisson_until(rate_per_sec: f64, horizon: SimTime, rng: &mut StdRng) -> Vec<S
     if rate_per_sec <= 0.0 {
         return times;
     }
-    // pcn-lint: allow(panic) — the rate was just checked finite-positive
+    #[expect(
+        clippy::expect_used,
+        reason = "the rate was just checked finite-positive"
+    )]
     let gap_us = Exp::new(rate_per_sec / 1_000_000.0).expect("rate must be finite and positive");
     let mut t = 0u64;
     loop {

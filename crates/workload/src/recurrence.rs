@@ -140,7 +140,7 @@ impl PairGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{HashMap, HashSet};
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn pairs_are_valid() {
@@ -155,7 +155,7 @@ mod tests {
     fn recurrence_fraction_near_configured() {
         let mut g = PairGenerator::new(200, RecurrenceConfig::default(), 2);
         let pairs = g.pairs(20_000);
-        let mut seen: HashSet<(NodeId, NodeId)> = HashSet::new();
+        let mut seen: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
         let mut recurring = 0usize;
         for p in &pairs {
             if !seen.insert(*p) {
@@ -177,18 +177,14 @@ mod tests {
         let mut g = PairGenerator::new(300, RecurrenceConfig::default(), 3);
         let pairs = g.pairs(30_000);
         // Per-sender receiver histogram.
-        let mut hist: HashMap<NodeId, HashMap<NodeId, usize>> = HashMap::new();
+        let mut hist: BTreeMap<NodeId, BTreeMap<NodeId, usize>> = BTreeMap::new();
         for (s, r) in &pairs {
             *hist.entry(*s).or_default().entry(*r).or_insert(0) += 1;
         }
-        // Average top-5 share among senders with enough transactions.
-        // Fold in sorted sender order: the f64 mean must not depend on
-        // hash iteration order.
-        let mut per_sender: Vec<(NodeId, HashMap<NodeId, usize>)> = hist.into_iter().collect();
-        per_sender.sort_unstable_by_key(|&(s, _)| s);
+        // Average top-5 share among senders with enough transactions,
+        // folded in sender order.
         let mut shares = Vec::new();
-        // det-lint: allow(hash-order) — per_sender is a Vec sorted by sender just above
-        for (_, recv) in per_sender {
+        for recv in hist.into_values() {
             let total: usize = recv.values().sum();
             if total < 50 {
                 continue;

@@ -62,6 +62,7 @@ impl SizeModel {
     }
 
     /// Inverse-CDF lookup: the size at cumulative probability `q`.
+    #[expect(clippy::unwrap_used, reason = "the anchor tables are non-empty consts")]
     pub fn quantile(self, q: f64) -> f64 {
         let anchors = self.anchors();
         let q = q.clamp(0.0, 1.0);
@@ -77,7 +78,7 @@ impl SizeModel {
                 return (v0.ln() + t * (v1.ln() - v0.ln())).exp();
             }
         }
-        anchors.last().unwrap().0 // pcn-lint: allow(panic) — the anchor tables are non-empty consts
+        anchors.last().unwrap().0
     }
 
     /// Draws one size in native units (USD or satoshi).

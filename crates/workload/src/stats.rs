@@ -1,7 +1,7 @@
 //! Workload statistics — the quantities plotted in Figures 3 and 4.
 
 use pcn_types::{NodeId, Payment};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Empirical CDF points `(value, F(value))` over a set of samples,
 /// downsampled to at most `points` entries (enough to plot Figure 3).
@@ -77,43 +77,37 @@ fn one_day_recurrence(day: &[Payment]) -> DayRecurrence {
     // the same sender-receiver pairs within a 24-hour period": a
     // transaction is recurring iff its pair occurs at least twice that
     // day (the first occurrence included).
-    let mut pair_counts: HashMap<(NodeId, NodeId), usize> = HashMap::new();
+    let mut pair_counts: BTreeMap<(NodeId, NodeId), usize> = BTreeMap::new();
     for p in day {
         *pair_counts.entry((p.sender, p.receiver)).or_insert(0) += 1;
     }
-    // det-lint: allow(hash-order) — integer sum over values, order-insensitive
     let recurring: usize = pair_counts.values().filter(|&&c| c >= 2).sum();
     // Histogram over recurring transactions, per sender.
-    let mut recur_hist: HashMap<NodeId, HashMap<NodeId, usize>> = HashMap::new();
-    // det-lint: allow(hash-order) — builds a keyed map; each pair inserts under its own key
+    let mut recur_hist: BTreeMap<NodeId, BTreeMap<NodeId, usize>> = BTreeMap::new();
     for ((s, r), c) in &pair_counts {
         if *c >= 2 {
             recur_hist.entry(*s).or_default().insert(*r, *c);
         }
     }
     let recurring_fraction = recurring as f64 / day.len() as f64;
-    // f64 addition is non-associative, so the mean below must fold the
-    // per-sender shares in a fixed order: key each share by sender and
-    // sort before summing.
-    let mut shares: Vec<(NodeId, f64)> = recur_hist
-        .into_iter()
-        .filter_map(|(s, recv)| {
-            // Per-sender work is order-insensitive: integer sums plus a
-            // descending sort of the counts.
+    // f64 addition is non-associative; the map yields senders in key
+    // order, so the mean below folds the shares in a fixed order.
+    let shares: Vec<f64> = recur_hist
+        .into_values()
+        .filter_map(|recv| {
             let total: usize = recv.values().sum();
             (total > 0).then(|| {
                 let mut counts: Vec<usize> = recv.values().copied().collect();
                 counts.sort_unstable_by(|a, b| b.cmp(a));
                 let top5: usize = counts.iter().take(5).sum();
-                (s, top5 as f64 / total as f64)
+                top5 as f64 / total as f64
             })
         })
         .collect();
-    shares.sort_unstable_by_key(|&(s, _)| s);
     let top5_share = if shares.is_empty() {
         0.0
     } else {
-        shares.iter().map(|(_, share)| share).sum::<f64>() / shares.len() as f64
+        shares.iter().sum::<f64>() / shares.len() as f64
     };
     DayRecurrence {
         recurring_fraction,

@@ -58,6 +58,10 @@ pub fn lightning_topology(seed: u64) -> Network {
 /// Builds a §5.2 testbed network: a Watts–Strogatz graph of `n` nodes
 /// (degree 4, rewiring 0.3) with per-direction capacities drawn
 /// uniformly from `[lo, hi)` USD.
+#[expect(
+    clippy::expect_used,
+    reason = "both tables are built with len == edge_count just above"
+)]
 pub fn testbed_topology(n: usize, lo: u64, hi: u64, seed: u64) -> Network {
     assert!(lo < hi, "capacity interval must be non-empty");
     let graph = generators::watts_strogatz(n, 4, 0.3, seed);
@@ -66,7 +70,6 @@ pub fn testbed_topology(n: usize, lo: u64, hi: u64, seed: u64) -> Network {
         .map(|_| Amount::from_units(rng.random_range(lo..hi)))
         .collect();
     let fees = vec![FeePolicy::FREE; graph.edge_count()];
-    // pcn-lint: allow(panic) — both tables are built with len == edge_count just above
     Network::new(graph, balances, fees).expect("tables sized from graph")
 }
 
@@ -74,6 +77,10 @@ pub fn testbed_topology(n: usize, lo: u64, hi: u64, seed: u64) -> Network {
 /// units). With `symmetric`, both directions of a channel get the same
 /// balance; otherwise the channel total is split by a uniform random
 /// fraction.
+#[expect(
+    clippy::expect_used,
+    reason = "both tables are built with len == edge_count just above"
+)]
 fn assign_lognormal_funds(
     graph: DiGraph,
     median: f64,
@@ -82,7 +89,10 @@ fn assign_lognormal_funds(
     seed: u64,
 ) -> Network {
     let mut rng = StdRng::seed_from_u64(seed);
-    // pcn-lint: allow(panic) — callers pass fixed, finite (median, sigma) model constants
+    #[expect(
+        clippy::expect_used,
+        reason = "callers pass fixed, finite (median, sigma) model constants"
+    )]
     let dist = LogNormal::new(median.ln(), sigma).expect("valid log-normal parameters");
     let mut balances = vec![Amount::ZERO; graph.edge_count()];
     let edges: Vec<_> = graph.edges().collect();
@@ -109,7 +119,6 @@ fn assign_lognormal_funds(
         }
     }
     let fees = vec![FeePolicy::FREE; graph.edge_count()];
-    // pcn-lint: allow(panic) — both tables are built with len == edge_count just above
     Network::new(graph, balances, fees).expect("tables sized from graph")
 }
 

@@ -136,8 +136,11 @@ fn records_from_jsonl(text: &str) -> Result<Vec<TimedTraceRecord>> {
     Ok(out)
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "trace records are plain structs; serialization cannot fail"
+)]
 fn push_record(out: &mut String, rec: &impl Serialize) {
-    // pcn-lint: allow(panic) — trace records are plain structs; serialization cannot fail
     out.push_str(&serde_json::to_string(rec).expect("record serializes"));
     out.push('\n');
 }

@@ -5,7 +5,7 @@ use flash_offchain::graph::yen::{RankedPaths, YenScratch};
 use flash_offchain::graph::{bfs, disjoint, generators, yen, DiGraph, Path};
 use flash_offchain::types::NodeId;
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 fn arb_ws() -> impl Strategy<Value = DiGraph> {
     (6usize..20, 0u64..500).prop_map(|(n, seed)| generators::watts_strogatz(n.max(6), 4, 0.3, seed))
@@ -36,14 +36,14 @@ proptest! {
         if let Some(bp) = bfs_path {
             prop_assert_eq!(paths[0].hops(), bp.hops());
         }
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for w in paths.windows(2) {
             prop_assert!(w[0].hops() <= w[1].hops());
         }
         for p in &paths {
             prop_assert_eq!(p.source(), s);
             prop_assert_eq!(p.target(), t);
-            let nodes: HashSet<_> = p.nodes().iter().collect();
+            let nodes: BTreeSet<_> = p.nodes().iter().collect();
             prop_assert_eq!(nodes.len(), p.nodes().len(), "loop in {:?}", p);
             prop_assert!(seen.insert(p.nodes().to_vec()), "duplicate {:?}", p);
         }
@@ -130,7 +130,7 @@ proptest! {
         let (s, t) = (NodeId(s % n), NodeId(t % n));
         prop_assume!(s != t);
         let paths = disjoint::edge_disjoint_paths(&g, s, t, 16);
-        let mut used = HashSet::new();
+        let mut used = BTreeSet::new();
         for p in &paths {
             for (u, v) in p.channels() {
                 prop_assert!(used.insert((u, v)), "edge reused");
