@@ -9,7 +9,7 @@
 //! per channel, and the loop stops after at most `k` paths or when the
 //! accumulated flow covers the demand.
 
-use pcn_graph::bfs::{self, BfsScratch};
+use pcn_graph::bfs::{self, PhaseScratch, SearchWork};
 use pcn_graph::{DiGraph, EdgeId, Path};
 use pcn_sim::PaymentNetwork;
 use pcn_types::{Amount, FeePolicy, NodeId};
@@ -160,13 +160,21 @@ impl ProbedEdges {
 }
 
 /// The working arrays of Algorithm 1, reusable across payments: the
-/// BFS scratch (one search per probe) and the dense residual table.
-/// [`crate::FlashRouter`] owns one; [`find_paths`] builds a throwaway one
-/// per call.
+/// phase search (one level DAG per path length, walked once per probe)
+/// and the dense residual table. [`crate::FlashRouter`] owns one;
+/// [`find_paths`] builds a throwaway one per call.
 #[derive(Debug, Default)]
 pub struct ElephantScratch {
-    bfs: BfsScratch,
+    paths: PhaseScratch,
     probed: ProbedEdges,
+}
+
+impl ElephantScratch {
+    /// The work the path searches of every payment on this scratch have
+    /// done: adjacency entries scanned, phases opened, paths returned.
+    pub fn work(&self) -> SearchWork {
+        self.paths.work()
+    }
 }
 
 /// Runs Algorithm 1: finds at most `k` paths from `s` to `t` whose
@@ -211,17 +219,20 @@ pub fn find_paths_with<N: PaymentNetwork>(
         max_flow: Amount::ZERO,
         probes: 0,
     };
-    let ElephantScratch { bfs, probed } = scratch;
+    let ElephantScratch { paths, probed } = scratch;
     probed.begin(net.graph());
+    paths.begin(s, t);
 
     while plan.paths.len() < k {
-        // BFS on G with residual filter (line 7), meeting in the middle;
-        // it returns the forward BFS's path, which the dev profile checks.
-        let path = bfs.search(net.graph(), s, t, &[], |e| probed.usable(e));
+        // BFS on G with residual filter (line 7). Between probes the
+        // residual graph only loses edges, besides crediting the reverses
+        // of the path just probed, so the phase search applies; it
+        // returns the forward BFS's path, which the dev profile checks.
+        let path = paths.next_path(net.graph(), |e| probed.usable(e));
         debug_assert_eq!(
             path,
             bfs::shortest_path_filtered(net.graph(), s, t, |e| probed.usable(e)),
-            "bidirectional BFS diverged from the forward one at probe {}",
+            "the phase walk diverged from the forward BFS at probe {}",
             plan.probes
         );
         let Some(path) = path else {

@@ -19,7 +19,7 @@
 //! probed balances and deliver exactly the same volume at no higher fee.
 
 use super::elephant::ElephantPlan;
-use pcn_graph::maxflow::decompose_into_paths;
+use pcn_graph::maxflow::decompose_sparse;
 use pcn_graph::{DiGraph, EdgeId, Path};
 use pcn_lp::{Cmp, LinearProgram};
 use pcn_types::Amount;
@@ -221,6 +221,25 @@ fn materialize(
     alloc: &[u64],
     demand: Amount,
 ) -> Option<Vec<(Path, Amount)>> {
+    let flow = net_flow(book, alloc)?;
+    let s = plan.paths[0].source();
+    let t = plan.paths[0].target();
+    let parts = decompose_sparse(graph, s, t, &book.edges, flow);
+    let total: u128 = parts.iter().map(|(_, f)| *f as u128).sum();
+    if total != demand.micros() as u128 {
+        return None; // decomposition shortfall — should not happen
+    }
+    Some(
+        parts
+            .into_iter()
+            .map(|(p, f)| (p, Amount::from_micros(f)))
+            .collect(),
+    )
+}
+
+/// The flow per book edge of the per-path volumes `alloc`, with the
+/// opposing flows of each bidirectional channel cancelled.
+fn net_flow(book: &Book, alloc: &[u64]) -> Option<Vec<u64>> {
     let mut flow = vec![0u64; book.edges.len()];
     for (path, &a) in book.paths.iter().zip(alloc) {
         for &e in path {
@@ -236,23 +255,7 @@ fn materialize(
             flow[r] -= cancel;
         }
     }
-    let mut edge_flow = vec![0u64; graph.edge_count()];
-    for (&e, &f) in book.edges.iter().zip(&flow) {
-        edge_flow[e.index()] = f;
-    }
-    let s = plan.paths[0].source();
-    let t = plan.paths[0].target();
-    let parts = decompose_into_paths(graph, s, t, edge_flow);
-    let total: u128 = parts.iter().map(|(_, f)| *f as u128).sum();
-    if total != demand.micros() as u128 {
-        return None; // decomposition shortfall — should not happen
-    }
-    Some(
-        parts
-            .into_iter()
-            .map(|(p, f)| (p, Amount::from_micros(f)))
-            .collect(),
-    )
+    Some(flow)
 }
 
 /// Total fees for a hypothetical split (analysis helper for tests and
@@ -434,5 +437,65 @@ mod tests {
         assert!(shared_use <= Amount::from_units(12).micros());
         // Demand 13 exceeds the shared edge: infeasible.
         assert!(split_payment(&g, &plan, Amount::from_units(13), true).is_none());
+    }
+
+    mod properties {
+        use super::*;
+        use crate::flash::elephant::find_paths;
+        use pcn_graph::generators;
+        use pcn_graph::maxflow::decompose_into_paths;
+        use pcn_sim::Network;
+        use proptest::prelude::*;
+        use rand::prelude::*;
+        use rand::rngs::StdRng;
+
+        proptest! {
+            /// On Algorithm 1's plans over random channel graphs with
+            /// random balances and fees, the sparse decomposition returns
+            /// the dense one's parts, in order, for the netted flows of
+            /// the LP split, the sequential split and a random allocation
+            /// (which need not conserve flow).
+            #[test]
+            fn sparse_decomposition_equals_the_dense_one(
+                nodes in 6usize..40,
+                seed in 0u64..1_000_000,
+                demand in 1u64..400,
+                k in 1usize..12,
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let g = if seed % 2 == 0 {
+                    generators::watts_strogatz(nodes, 4, 0.3, seed)
+                } else {
+                    generators::barabasi_albert(nodes, 2, seed)
+                };
+                let caps = (0..g.edge_count())
+                    .map(|_| Amount::from_units(rng.random_range(0..60)))
+                    .collect();
+                let fees = (0..g.edge_count())
+                    .map(|_| FeePolicy::proportional(rng.random_range(0..20_000)))
+                    .collect();
+                let mut net = Network::new(g, caps, fees).unwrap();
+                let s = NodeId(rng.random_range(0..nodes as u32));
+                let t = NodeId(rng.random_range(0..nodes as u32));
+                let plan = find_paths(&mut net, s, t, Amount::from_units(demand), k);
+                prop_assume!(!plan.paths.is_empty());
+                let g = net.graph();
+                let book = Book::new(g, &plan);
+                let d = plan.max_flow.min(Amount::from_units(demand));
+                let random: Vec<u64> = book.paths.iter().map(|_| rng.random_range(0..1_000)).collect();
+                let allocs = [lp_allocate(&book, d), sequential_allocate(&book, d), Some(random)];
+                for alloc in allocs.into_iter().flatten() {
+                    let flow = net_flow(&book, &alloc).unwrap();
+                    let mut dense = vec![0u64; g.edge_count()];
+                    for (&e, &f) in book.edges.iter().zip(&flow) {
+                        dense[e.index()] = f;
+                    }
+                    prop_assert_eq!(
+                        decompose_sparse(g, s, t, &book.edges, flow),
+                        decompose_into_paths(g, s, t, dense)
+                    );
+                }
+            }
+        }
     }
 }

@@ -9,7 +9,10 @@
 //! [`BfsScratch::search`] returns the same path on arrays kept between
 //! calls, and meets in the middle to get there: it grows the search from
 //! both ends, so it scans the levels near `s` and near `t` rather than
-//! every level before `t` (`docs/algorithm1.md` has the argument). The
+//! every level before `t` (`docs/algorithm1.md` has the argument); Yen's
+//! spurs run it. [`PhaseScratch`] serves Algorithm 1, whose probes
+//! search a residual graph that only shrinks between them: one such
+//! search per s–t distance, then a walk of its level DAG per probe. The
 //! forward loop stays as the reference: [`shortest_path_filtered`],
 //! [`distances_from`] and [`spanning_tree`] run it, and the dev-profile
 //! oracles of Algorithm 1 and Yen hold every search to it.
@@ -66,7 +69,7 @@ impl BfsScratch {
     /// proves both halves equal the forward BFS). `edge_ok` is asked
     /// about edges from both ends and in no fixed order, so within one
     /// search it must be a function of the edge alone.
-    // pcn-lint: hot — Algorithm 1 runs one per probe and Yen one per spur node; every array is scratch-owned
+    // pcn-lint: hot — Yen runs one per spur node; every array is scratch-owned
     pub fn search(
         &mut self,
         g: &DiGraph,
@@ -282,6 +285,293 @@ impl BfsScratch {
     }
 }
 
+/// The work a [`PhaseScratch`] has done since it was made: plain
+/// counts, summed over every sequence it served.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SearchWork {
+    /// Adjacency entries scanned, by the phase searches and the walks.
+    pub scanned: u64,
+    /// Phases opened: one meet-in-the-middle search each.
+    pub phases: u64,
+    /// Paths returned.
+    pub paths: u64,
+}
+
+/// What one phase knows of a node; an entry written by another phase
+/// holds nothing.
+#[derive(Clone, Copy, Debug, Default)]
+struct Level {
+    stamp: u32,
+    /// Hops from `s`, or [`UNSEEN`].
+    fwd: u32,
+    /// Hops to `t`, or [`UNSEEN`].
+    back: u32,
+    /// The out-adjacency position of the next edge the walk tries from
+    /// this node, or [`DEAD`] once none is left.
+    arc: u32,
+}
+
+/// A distance no side has found.
+const UNSEEN: u32 = u32::MAX;
+/// The arc of a node no walk can leave toward `t` in this phase.
+const DEAD: u32 = u32::MAX;
+
+/// Reusable state of a *sequence* of fewest-hops `s → t` searches in
+/// which the filter only loses edges between calls, besides gaining
+/// the reverses of the path just returned — Algorithm 1's residual
+/// graph. Each call returns what [`shortest_path_filtered`] returns on
+/// the filter of that moment, as [`BfsScratch::search`] would, but the
+/// searches are shared Dinic-style, one per path length.
+///
+/// A *phase* opens with a meet-in-the-middle search, as
+/// [`BfsScratch::search`] grows it, that stops at the first node both
+/// sides hold. That fixes the s–t distance `d` and leaves the exact hop
+/// counts from `s` of levels `0..F` and to `t` of levels `0..=d − F`,
+/// for the `F` at which the sides met: the phase's level DAG. Every
+/// shortest path of the phase's graph runs through it, and so does
+/// every shortest path of a later call that is still `d` hops long
+/// (`docs/algorithm1.md`).
+/// Each call walks the DAG depth first from `s` in adjacency order.
+/// Every node keeps a current arc that never rewinds within the phase,
+/// so the walk returns the forward BFS's path and scans each adjacency
+/// entry about once per phase. When the walk from `s` finds nothing
+/// the distance has grown, and the next phase opens.
+#[derive(Clone, Debug, Default)]
+pub struct PhaseScratch {
+    level: Vec<Level>,
+    stamp: u32,
+    /// The opening search's discovery orders, from `s` and from `t`
+    /// along in-edges; each level is a consecutive run of its list.
+    fwd: Vec<NodeId>,
+    bwd: Vec<NodeId>,
+    /// The walk's path from `s`.
+    walk: Vec<NodeId>,
+    /// `(s, t)` of the sequence; `None` before the first `begin`.
+    ends: Option<(NodeId, NodeId)>,
+    /// `(F, d)` of the open phase, or `None` before the next one.
+    phase: Option<(u32, u32)>,
+    work: SearchWork,
+}
+
+impl PhaseScratch {
+    /// An empty scratch; arrays are sized by the first phase.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Starts a sequence of `s → t` searches. Every call to
+    /// [`PhaseScratch::next_path`] until the next `begin` must pass the
+    /// same graph.
+    pub fn begin(&mut self, s: NodeId, t: NodeId) {
+        (self.ends, self.phase) = (Some((s, t)), None);
+    }
+
+    /// The work done so far.
+    pub fn work(&self) -> SearchWork {
+        self.work
+    }
+
+    /// The path [`shortest_path_filtered`] finds from `s` to `t` under
+    /// `edge_ok`, or `None` if `t` is unreachable. Within one call the
+    /// filter must be a function of the edge alone. Between calls of
+    /// one sequence it may reject edges it accepted, and may start to
+    /// accept only the reverses of the last path's edges.
+    // pcn-lint: hot — Algorithm 1 takes every probe's path from here; the levels and the walk are scratch-owned
+    pub fn next_path(
+        &mut self,
+        g: &DiGraph,
+        mut edge_ok: impl FnMut(EdgeId) -> bool,
+    ) -> Option<Path> {
+        if let Some(phase) = self.phase {
+            if let Some(path) = self.walk(g, phase, &mut edge_ok) {
+                return Some(path);
+            }
+        }
+        self.phase = self.open(g, &mut edge_ok);
+        let path = self.walk(g, self.phase?, &mut edge_ok);
+        debug_assert!(path.is_some(), "a fresh level DAG holds no path");
+        path
+    }
+
+    /// Opens a phase: grows levels from `s` and `t`, each step on the
+    /// side with fewer adjacency entries to scan, until a step finds a
+    /// node the other side holds. Returns `(F, d)`: the walk reads
+    /// depths below `F` by the distance from `s` and the rest by the
+    /// distance to `t`. `None` when `t` is unreachable.
+    fn open(
+        &mut self,
+        g: &DiGraph,
+        edge_ok: &mut impl FnMut(EdgeId) -> bool,
+    ) -> Option<(u32, u32)> {
+        let ((s, t), n) = (self.ends?, g.node_count());
+        if s == t || s.index() >= n || t.index() >= n {
+            return None;
+        }
+        if self.level.len() != n {
+            self.level.clear();
+            self.level.resize(n, Level::default());
+        }
+        if self.stamp == u32::MAX {
+            self.level.fill(Level::default());
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.work.phases += 1;
+        let PhaseScratch {
+            level,
+            stamp,
+            fwd,
+            bwd,
+            work,
+            ..
+        } = self;
+        let fresh = Level {
+            stamp: *stamp,
+            fwd: UNSEEN,
+            back: UNSEEN,
+            arc: 0,
+        };
+        level[s.index()] = Level { fwd: 0, ..fresh };
+        level[t.index()] = Level { back: 0, ..fresh };
+        fwd.clear();
+        fwd.push(s);
+        bwd.clear();
+        bwd.push(t);
+        // Each side's frontier is its last level, `fwd[f_lo..]` at `a`
+        // hops from `s` and `bwd[b_lo..]` at `b` hops before `t`; its
+        // cost is the adjacency entries growing it would scan. Before
+        // each step no node has both distances, so the first node a step
+        // finds the other side holds closes a shortest path, `a + b` hops
+        // after the step. The levels before it are complete on both
+        // sides: `0..F` from `s` and `0..=d − F` to `t`, the ones the
+        // walk reads.
+        let (mut f_lo, mut f_cost, mut a) = (0, g.out_degree(s), 0);
+        let (mut b_lo, mut b_cost, mut b) = (0, g.in_neighbors(t).len(), 0);
+        loop {
+            if f_cost <= b_cost {
+                let end = fwd.len();
+                f_cost = 0;
+                a += 1;
+                for i in f_lo..end {
+                    for &(v, e) in g.out_neighbors(fwd[i]) {
+                        work.scanned += 1;
+                        let l = &mut level[v.index()];
+                        if l.stamp == *stamp && l.fwd != UNSEEN || !edge_ok(e) {
+                            continue;
+                        }
+                        if l.stamp != *stamp {
+                            *l = fresh;
+                        }
+                        if l.back != UNSEEN {
+                            return Some((a, a + b));
+                        }
+                        l.fwd = a;
+                        fwd.push(v);
+                        f_cost += g.out_degree(v);
+                    }
+                }
+                if fwd.len() == end {
+                    return None;
+                }
+                f_lo = end;
+            } else {
+                let end = bwd.len();
+                b_cost = 0;
+                b += 1;
+                for i in b_lo..end {
+                    for &(u, e) in g.in_neighbors(bwd[i]) {
+                        work.scanned += 1;
+                        let l = &mut level[u.index()];
+                        if l.stamp == *stamp && l.back != UNSEEN || !edge_ok(e) {
+                            continue;
+                        }
+                        if l.stamp != *stamp {
+                            *l = fresh;
+                        }
+                        if l.fwd != UNSEEN {
+                            return Some((a + 1, a + b));
+                        }
+                        l.back = b;
+                        bwd.push(u);
+                        b_cost += g.in_neighbors(u).len();
+                    }
+                }
+                if bwd.len() == end {
+                    return None;
+                }
+                b_lo = end;
+            }
+        }
+    }
+
+    /// Walks the open phase's level DAG from `s`: at depth `j` it takes
+    /// the first usable edge past the current arc into a live node at
+    /// level `j`, by its distance from `s` while `j < F` and by its
+    /// distance to `t` from there on. Returns the path on reaching `t`,
+    /// or `None` once `s` is dead.
+    fn walk(
+        &mut self,
+        g: &DiGraph,
+        (f, d): (u32, u32),
+        edge_ok: &mut impl FnMut(EdgeId) -> bool,
+    ) -> Option<Path> {
+        let PhaseScratch {
+            level,
+            stamp,
+            walk,
+            ends,
+            work,
+            ..
+        } = self;
+        let (s, t) = (*ends)?;
+        walk.clear();
+        walk.push(s);
+        let mut scanned = 0;
+        let found = loop {
+            let Some(&u) = walk.last() else {
+                break false;
+            };
+            let j = walk.len() as u32;
+            let adj = g.out_neighbors(u);
+            let mut i = level[u.index()].arc as usize;
+            let next = loop {
+                let Some(&(v, e)) = adj.get(i) else {
+                    break None;
+                };
+                scanned += 1;
+                let l = level[v.index()];
+                let at_j = if j < f { l.fwd == j } else { l.back == d - j };
+                if l.stamp == *stamp && at_j && l.arc != DEAD && edge_ok(e) {
+                    break Some(v);
+                }
+                i += 1;
+            };
+            if let Some(v) = next {
+                level[u.index()].arc = i as u32;
+                walk.push(v);
+                if v == t {
+                    break true;
+                }
+            } else {
+                // Nothing left below `u`: it is dead for the phase, and
+                // its parent moves past the edge into it.
+                level[u.index()].arc = DEAD;
+                walk.pop();
+                if let Some(&p) = walk.last() {
+                    level[p.index()].arc += 1;
+                }
+            }
+        };
+        work.scanned += scanned;
+        if !found {
+            return None;
+        }
+        work.paths += 1;
+        // pcn-lint: allow(hot-alloc) — the result path is the walk's return value, one per call and not per scanned edge
+        Some(Path::from_vec_unchecked(walk.clone()))
+    }
+}
+
 /// Finds a fewest-hops path `s → t` using only edges accepted by
 /// `edge_ok`, or `None` if `t` is unreachable.
 ///
@@ -487,6 +777,65 @@ mod tests {
         );
     }
 
+    /// Algorithm 1 on Figure 5(a) in phases, saturating each path's
+    /// middle edge: the three 3-hop paths come from one phase, and the
+    /// fourth call opens a second phase that finds `t` cut off.
+    #[test]
+    fn phases_return_the_forward_bfs_paths_in_turn() {
+        let g = fig5a().unwrap();
+        let mut phases = PhaseScratch::new();
+        phases.begin(n(0), n(5));
+        let mut blocked = Vec::new();
+        let mut got = Vec::new();
+        while let Some(p) = phases.next_path(&g, |e| !blocked.contains(&e)) {
+            assert_eq!(
+                Some(&p),
+                shortest_path_filtered(&g, n(0), n(5), |e| !blocked.contains(&e)).as_ref()
+            );
+            blocked.push(g.edge(p.nodes()[1], p.nodes()[2]).unwrap());
+            got.push(p.nodes().iter().map(|v| v.0).collect::<Vec<_>>());
+        }
+        assert_eq!(got, [[0, 1, 2, 5], [0, 1, 3, 5], [0, 4, 3, 5]]);
+        assert_eq!((phases.work().phases, phases.work().paths), (2, 3));
+    }
+
+    #[test]
+    fn phase_scratch_survives_resizing() {
+        let small = fig5a().unwrap();
+        let mut big = DiGraph::new(9);
+        for i in 0..8 {
+            big.add_channel(n(i), n(i + 1)).unwrap();
+        }
+        let mut phases = PhaseScratch::new();
+        for (g, t) in [(&small, n(5)), (&big, n(8)), (&small, n(5))] {
+            for (s, t) in [(n(0), t), (t, n(0))] {
+                phases.begin(s, t);
+                assert_eq!(phases.next_path(g, |_| true), shortest_path(g, s, t));
+            }
+        }
+        phases.begin(n(0), n(9));
+        assert_eq!(phases.next_path(&small, |_| true), None);
+    }
+
+    /// Four billion phases later the stamp wraps to a value the levels
+    /// still hold from the first phase.
+    #[test]
+    fn phase_stamp_wrap_forgets_stale_levels() {
+        let g = fig5a().unwrap();
+        let mut phases = PhaseScratch::new();
+        phases.begin(n(0), n(5));
+        let first = phases.next_path(&g, |_| true);
+        phases.stamp = u32::MAX;
+        phases.begin(n(0), n(5));
+        assert_eq!(phases.next_path(&g, |_| true), first);
+        assert_eq!(phases.stamp, 1);
+        phases.begin(n(0), n(4));
+        assert_eq!(
+            phases.next_path(&g, |_| true),
+            shortest_path(&g, n(0), n(4))
+        );
+    }
+
     mod properties {
         use super::*;
         use crate::generators;
@@ -561,6 +910,79 @@ mod tests {
                                 size,
                                 avoid
                             );
+                        }
+                    }
+                }
+            }
+
+            /// One scratch serves the same three kinds of graph. For each
+            /// pair it runs a sequence of calls shaped like Algorithm 1:
+            /// after each path it removes some of the path's edges (or
+            /// just its first hop, a lost probe's ban) and a few random
+            /// edges, and re-admits some reverses of the path's edges (a
+            /// reverse credit). Every call returns what the forward loop
+            /// returns on the filter of that moment.
+            #[test]
+            fn phases_equal_the_forward_bfs(
+                sizes in (2usize..48, 5usize..48, 3usize..48),
+                density in 0.02f64..0.4,
+                seed in 0u64..1_000_000,
+                blocked_pct in 0u32..=70,
+                pairs in proptest::collection::vec((0usize..10_000, 0usize..10_000), 1..12),
+            ) {
+                let graphs = [
+                    generators::erdos_renyi(sizes.0, density, seed),
+                    generators::watts_strogatz(sizes.1, 4, density, seed),
+                    generators::barabasi_albert(sizes.2, 2, seed),
+                ];
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut phases = PhaseScratch::new();
+                for g in &graphs {
+                    let (size, edges) = (g.node_count(), g.edge_count());
+                    for &(i, j) in &pairs {
+                        let s = n((i % size) as u32);
+                        let mut ends = vec![n((j % size) as u32), s, n(size as u32)];
+                        ends.extend(g.out_neighbors(s).get(j % 3).map(|&(v, _)| v));
+                        for t in ends {
+                            let mut blocked: Vec<bool> = (0..edges)
+                                .map(|_| rng.random_range(0..100u32) < blocked_pct)
+                                .collect();
+                            phases.begin(s, t);
+                            for probe in 0..30 {
+                                let ok = |e: EdgeId| !blocked[e.index()];
+                                let got = phases.next_path(g, ok);
+                                prop_assert_eq!(
+                                    &got,
+                                    &shortest_path_filtered(g, s, t, ok),
+                                    "{:?} → {:?} on {} nodes, call {}",
+                                    s,
+                                    t,
+                                    size,
+                                    probe
+                                );
+                                let Some(path) = got else {
+                                    break;
+                                };
+                                let on_path: Vec<EdgeId> = path
+                                    .channels()
+                                    .map(|(u, v)| g.edge(u, v).unwrap())
+                                    .collect();
+                                if rng.random_bool(0.2) {
+                                    blocked[on_path[0].index()] = true;
+                                } else {
+                                    for e in &on_path {
+                                        blocked[e.index()] |= rng.random_bool(0.4);
+                                    }
+                                }
+                                for _ in 0..rng.random_range(0..3) {
+                                    blocked[rng.random_range(0..edges)] = true;
+                                }
+                                for &e in &on_path {
+                                    if let Some(r) = g.reverse_edge(e) {
+                                        blocked[r.index()] &= rng.random_bool(0.5);
+                                    }
+                                }
+                            }
                         }
                     }
                 }

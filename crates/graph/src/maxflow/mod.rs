@@ -60,8 +60,10 @@
 //! fixed-size arena — no per-solve HashMaps, no Vec-of-Vec adjacency.
 //!
 //! [`decompose_into_paths`] turns a finished flow into executable
-//! `(path, amount)` parts; [`min_cut_capacity`] computes the min-cut
-//! value the max-flow = min-cut property tests compare against.
+//! `(path, amount)` parts, and [`decompose_sparse`] does the same for a
+//! flow given on a short edge list (an elephant's fee split), checked
+//! against it; [`min_cut_capacity`] computes the min-cut value the
+//! max-flow = min-cut property tests compare against.
 
 mod csr;
 mod edmonds_karp;
@@ -265,6 +267,114 @@ pub fn decompose_into_paths(
         }
         for v in &nodes {
             pos[v.index()] = usize::MAX;
+        }
+        out.push((Path::from_vec_unchecked(nodes), bottleneck));
+    }
+    out
+}
+
+/// [`decompose_into_paths`] of the flow that puts `flow[i]` on
+/// `edges[i]` (distinct edges) and nothing elsewhere, over those edges
+/// alone: the same parts in the same order, with no array sized by the
+/// graph. Elephant splits use it; their flows cover a few dozen edges.
+///
+/// The dense walk scans each node's out-adjacency past zero-flow edges
+/// with a cursor that never rewinds. Out-adjacency lists are in edge id
+/// order (edges are only appended), so the positive-flow edges sorted
+/// by tail and id are each tail's run of that scan with the zeros left
+/// out, and a cursor per run makes the same choices.
+pub fn decompose_sparse(
+    graph: &DiGraph,
+    s: NodeId,
+    t: NodeId,
+    edges: &[EdgeId],
+    mut flow: Vec<u64>,
+) -> Vec<(Path, u64)> {
+    let mut out = Vec::new();
+    if s == t {
+        return out;
+    }
+    // (tail, edge, head, number) of every positive-flow edge.
+    let mut arcs: Vec<(NodeId, EdgeId, NodeId, usize)> = edges
+        .iter()
+        .zip(&flow)
+        .enumerate()
+        .filter(|&(_, (_, &f))| f > 0)
+        .map(|(i, (&e, _))| {
+            let (u, v) = graph.endpoints(e);
+            (u, e, v, i)
+        })
+        .collect();
+    arcs.sort_unstable();
+    // `tails[r]` owns `arcs[start[r]..start[r + 1]]`; `cursor[r]` is its
+    // next arc and `pos[r]` its index in the walk (`usize::MAX` if off).
+    let mut tails: Vec<NodeId> = Vec::new();
+    let mut start = Vec::new();
+    for (i, &(u, ..)) in arcs.iter().enumerate() {
+        if tails.last() != Some(&u) {
+            tails.push(u);
+            start.push(i);
+        }
+    }
+    start.push(arcs.len());
+    let mut cursor = start.clone();
+    let mut pos = vec![usize::MAX; tails.len()];
+    let run = |v: NodeId| tails.binary_search(&v).ok();
+    'walks: loop {
+        let mut nodes = vec![s];
+        let mut walk: Vec<usize> = Vec::new();
+        if let Some(r) = run(s) {
+            pos[r] = 0;
+        }
+        while let Some(&u) = nodes.last() {
+            if u == t {
+                break;
+            }
+            let Some(r) = run(u) else {
+                // No positive-flow arc leaves u: decomposed at the source,
+                // a conservation breach mid-walk; stop either way.
+                break 'walks;
+            };
+            let c = &mut cursor[r];
+            while *c < start[r + 1] && flow[arcs[*c].3] == 0 {
+                *c += 1;
+            }
+            if *c == start[r + 1] {
+                break 'walks;
+            }
+            let (_, _, v, i) = arcs[*c];
+            if let Some(at) = run(v).map(|rv| pos[rv]).filter(|&at| at != usize::MAX) {
+                // Cycle v → … → u → v: cancel its flow in place.
+                let cyc = walk[at..].iter().fold(flow[i], |m, &ce| m.min(flow[ce]));
+                flow[i] -= cyc;
+                for &ce in &walk[at..] {
+                    flow[ce] -= cyc;
+                }
+                for dropped in &nodes[at + 1..] {
+                    if let Some(rd) = run(*dropped) {
+                        pos[rd] = usize::MAX;
+                    }
+                }
+                nodes.truncate(at + 1);
+                walk.truncate(at);
+                continue;
+            }
+            if let Some(rv) = run(v) {
+                pos[rv] = nodes.len();
+            }
+            nodes.push(v);
+            walk.push(i);
+        }
+        // Every edge on the walk had positive flow when appended and has
+        // not been decremented since, so the bottleneck is ≥ 1.
+        let bottleneck = walk.iter().map(|&i| flow[i]).min().unwrap_or(0);
+        for &i in &walk {
+            flow[i] -= bottleneck;
+        }
+        for v in &nodes {
+            if let Some(r) = run(*v) {
+                pos[r] = usize::MAX;
+            }
         }
         out.push((Path::from_vec_unchecked(nodes), bottleneck));
     }
@@ -537,6 +647,10 @@ mod tests {
                 let parts = decompose_into_paths(&g, s, t, mf.edge_flow.clone());
                 let total: u64 = parts.iter().map(|(_, f)| f).sum();
                 prop_assert_eq!(total, mf.value);
+                // The sparse form, handed every edge in reverse id order.
+                let edges: Vec<EdgeId> = (0..g.edge_count() as u32).rev().map(EdgeId).collect();
+                let flow = edges.iter().map(|e| mf.edge_flow[e.index()]).collect();
+                prop_assert_eq!(decompose_sparse(&g, s, t, &edges, flow), parts);
             }
         }
     }

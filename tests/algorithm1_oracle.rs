@@ -3,9 +3,12 @@
 //! exceed the true max-flow of the probed capacities, (b) reach it
 //! exactly when k is unbounded, and (c) be monotone in k.
 
-use flash_offchain::core::flash::elephant::{find_paths, oracle_max_flow};
+use flash_offchain::core::flash::elephant::{
+    find_paths, find_paths_with, oracle_max_flow, ElephantScratch,
+};
 use flash_offchain::core::flash::fees::split_payment;
 use flash_offchain::core::{FlashConfig, FlashRouter};
+use flash_offchain::graph::bfs::SearchWork;
 use flash_offchain::graph::generators;
 use flash_offchain::sim::{FaultConfig, Network, Router};
 use flash_offchain::types::{Amount, NodeId, PaymentClass};
@@ -95,14 +98,20 @@ proptest! {
 /// FNV-1a over everything a plan decides: candidate paths, their edge
 /// ids, the probe count, the max-flow value, and the executable parts of
 /// the fee split with the LP on and off.
-fn plan_fingerprint(net: &mut Network, s: NodeId, t: NodeId, demand: Amount) -> u64 {
+fn plan_fingerprint(
+    net: &mut Network,
+    scratch: &mut ElephantScratch,
+    s: NodeId,
+    t: NodeId,
+    demand: Amount,
+) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |x: u64| {
         for b in x.to_le_bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    let plan = find_paths(net, s, t, demand, 20);
+    let plan = find_paths_with(net, scratch, s, t, demand, 20);
     for (path, edges) in plan.paths.iter().zip(&plan.path_edges) {
         eat(u64::MAX);
         path.nodes().iter().for_each(|n| eat(u64::from(n.0)));
@@ -126,17 +135,58 @@ fn plan_fingerprint(net: &mut Network, s: NodeId, t: NodeId, demand: Amount) -> 
 }
 
 /// One fingerprint per fixed pair on the fee-carrying Lightning-scale
-/// network. Demands step through five sizes so the pairs cover
-/// single-path plans, multi-path splits and plans that fall short.
-fn plan_fingerprints(net: &mut Network) -> Vec<u64> {
+/// network, and the work the pairs' path searches did on one scratch.
+/// Demands step through five sizes so the pairs cover single-path
+/// plans, multi-path splits and plans that fall short.
+fn plan_fingerprints(net: &mut Network) -> (Vec<u64>, SearchWork) {
     let n = net.graph().node_count() as u32;
-    (0u32..24)
+    let mut scratch = ElephantScratch::default();
+    let prints = (0u32..24)
         .map(|i| {
             let (s, t) = (NodeId((i * 97 + 3) % n), NodeId((i * 389 + 1201) % n));
             let demand = Amount::from_units(20_000 << (2 * (i % 5)));
-            plan_fingerprint(net, s, t, demand)
+            plan_fingerprint(net, &mut scratch, s, t, demand)
         })
-        .collect()
+        .collect();
+    (prints, scratch.work())
+}
+
+/// The pinned pairs on three balance states of one Lightning-scale
+/// network with paper fees: fresh, after 300 routed elephants have
+/// depleted it, and fresh under probe loss and noise.
+fn stages() -> [(&'static str, (Vec<u64>, SearchWork)); 3] {
+    let mut net = lightning_topology(7);
+    assign_paper_fees(&mut net, 10);
+    let fresh = net.clone();
+    let fresh_plans = plan_fingerprints(&mut net);
+
+    let trace = generate_trace(net.graph(), &TraceConfig::lightning(300, 14));
+    let mut router = FlashRouter::new(FlashConfig::default());
+    let delivered = trace
+        .iter()
+        .filter(|p| {
+            router
+                .route(&mut net, p, PaymentClass::Elephant)
+                .is_success()
+        })
+        .count();
+    assert!(
+        delivered > 100,
+        "only {delivered} of 300 payments moved funds"
+    );
+    let depleted_plans = plan_fingerprints(&mut net);
+
+    let mut net = fresh;
+    net.set_faults(FaultConfig {
+        probe_drop_prob: 0.3,
+        probe_noise_ppm: 50_000,
+        seed: 5,
+    });
+    [
+        ("fresh", fresh_plans),
+        ("depleted", depleted_plans),
+        ("faulty", plan_fingerprints(&mut net)),
+    ]
 }
 
 fn assert_fingerprints(stage: &str, got: &[u64], want: &[u64]) {
@@ -233,32 +283,40 @@ fn plans_match_recorded_fingerprints() {
         0x42cc3f593197830b,
     ];
 
-    let mut net = lightning_topology(7);
-    assign_paper_fees(&mut net, 10);
-    let fresh = net.clone();
-    assert_fingerprints("fresh", &plan_fingerprints(&mut net), &FRESH);
+    for ((stage, (got, _)), want) in stages().iter().zip([FRESH, DEPLETED, FAULTY]) {
+        assert_fingerprints(stage, got, &want);
+    }
+}
 
-    let trace = generate_trace(net.graph(), &TraceConfig::lightning(300, 14));
-    let mut router = FlashRouter::new(FlashConfig::default());
-    let delivered = trace
-        .iter()
-        .filter(|p| {
-            router
-                .route(&mut net, p, PaymentClass::Elephant)
-                .is_success()
-        })
-        .count();
-    assert!(
-        delivered > 100,
-        "only {delivered} of 300 payments moved funds"
-    );
-    assert_fingerprints("depleted", &plan_fingerprints(&mut net), &DEPLETED);
-
-    let mut net = fresh;
-    net.set_faults(FaultConfig {
-        probe_drop_prob: 0.3,
-        probe_noise_ppm: 50_000,
-        seed: 5,
-    });
-    assert_fingerprints("faulty", &plan_fingerprints(&mut net), &FAULTY);
+/// The work of the searches behind those plans: adjacency entries
+/// scanned, phases opened and paths returned, per balance state. Each
+/// phase serves every probe of one s–t distance, so one search per
+/// probe, or a walk that rescans, changes these and fails here.
+#[test]
+fn search_work_matches_recorded_counts() {
+    const WANT: [SearchWork; 3] = [
+        SearchWork {
+            scanned: 27_348,
+            phases: 32,
+            paths: 152,
+        },
+        SearchWork {
+            scanned: 27_569,
+            phases: 32,
+            paths: 152,
+        },
+        SearchWork {
+            scanned: 31_815,
+            phases: 37,
+            paths: 218,
+        },
+    ];
+    for ((stage, (_, got)), want) in stages().iter().zip(WANT) {
+        assert_eq!(
+            got.scanned, want.scanned,
+            "{stage}: adjacency entries scanned changed"
+        );
+        assert_eq!(got.phases, want.phases, "{stage}: phases changed");
+        assert_eq!(got.paths, want.paths, "{stage}: paths returned changed");
+    }
 }
