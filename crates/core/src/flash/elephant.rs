@@ -221,7 +221,7 @@ pub fn find_paths_with<N: PaymentNetwork>(
     };
     let ElephantScratch { paths, probed } = scratch;
     probed.begin(net.graph());
-    paths.begin(s, t);
+    paths.begin(s, t, &[]);
 
     while plan.paths.len() < k {
         // BFS on G with residual filter (line 7). Between probes the

@@ -6,282 +6,97 @@
 //! primitive; the filter closure receives the edge id so callers can
 //! consult any side table (residual matrices, exclusion sets, ...).
 //!
-//! [`BfsScratch::search`] returns the same path on arrays kept between
-//! calls, and meets in the middle to get there: it grows the search from
-//! both ends, so it scans the levels near `s` and near `t` rather than
-//! every level before `t` (`docs/algorithm1.md` has the argument); Yen's
-//! spurs run it. [`PhaseScratch`] serves Algorithm 1, whose probes
-//! search a residual graph that only shrinks between them: one such
-//! search per s–t distance, then a walk of its level DAG per probe. The
-//! forward loop stays as the reference: [`shortest_path_filtered`],
-//! [`distances_from`] and [`spanning_tree`] run it, and the dev-profile
-//! oracles of Algorithm 1 and Yen hold every search to it.
+//! [`PhaseScratch`] returns the same paths on arrays kept between calls,
+//! and meets in the middle to get there: it grows its search from both
+//! ends, so it scans the levels near `s` and near `t` rather than every
+//! level before `t` (`docs/algorithm1.md` has the argument). It serves
+//! a sequence of searches on a graph that only shrinks between them —
+//! one search per s–t distance, then a walk of its level DAG per call —
+//! and can avoid a set of nodes throughout. Algorithm 1's probes are
+//! one such sequence per payment; each of Yen's spurs is a sequence of
+//! one call, avoiding the root's nodes. The forward loop stays as the
+//! reference: [`shortest_path_filtered`], [`distances_from`] and
+//! [`spanning_tree`] run it, and the dev-profile oracles of Algorithm 1
+//! and Yen hold every search to it.
 
 use crate::{path::Path, DiGraph, EdgeId};
 use pcn_types::NodeId;
 
-/// Reusable state of breadth-first searches: discovery stamps, the
-/// forward tree, the distances to `t` and both discovery orders, all
-/// kept between calls so a caller that searches repeatedly allocates
-/// only the paths it gets back.
-///
-/// Each side keeps its discovery order in a `Vec` that is never popped,
-/// so every level it has grown is a consecutive run of it.
-#[derive(Clone, Debug, Default)]
-pub struct BfsScratch {
-    /// `seen[v] == stamp` iff the search from the source discovered `v`,
-    /// by the edge from `parent[v]`, or the search avoids `v`.
-    seen: Vec<u32>,
+/// The forward loop's arrays, fresh for each search.
+struct Forward {
+    /// `seen[v]` iff the loop discovered `v`, from `parent[v]`.
+    seen: Vec<bool>,
     parent: Vec<NodeId>,
-    /// `back[v] == (stamp, h)` iff the search from `t` discovered `v`,
-    /// `h` hops before `t`, or the search avoids `v` (`h == u32::MAX`).
-    back: Vec<(u32, u32)>,
-    stamp: u32,
-    /// Discovery order from the source.
-    fwd: Vec<NodeId>,
-    /// Discovery order from `t`, along in-edges.
-    bwd: Vec<NodeId>,
+    /// Discovery order, the root first.
+    order: Vec<NodeId>,
 }
 
-impl BfsScratch {
-    /// An empty scratch; arrays are sized by the first search.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Finds a fewest-hops path `s → t` that uses only edges accepted by
-    /// `edge_ok` and never steps on a node of `avoid`, or `None` if `t`
-    /// is unreachable: exactly the path [`shortest_path_filtered`] finds
-    /// when its filter also rejects every edge with an end in `avoid`,
-    /// ties broken by adjacency order. `avoid` must hold neither `s` nor
-    /// `t`.
-    ///
-    /// The search meets in the middle. Each step grows one level on the
-    /// side whose frontier has fewer adjacency entries to scan: along
-    /// out-edges from `s`, or along in-edges into `t`. The avoided nodes
-    /// count as discovered by both sides before the first step, so
-    /// neither enters them. A forward level stops at the first node it
-    /// discovers that the other side holds; a level grown from `t` is
-    /// completed, then its meeting node is the forward frontier's first
-    /// in discovery order. The answer is the forward tree's path to the
-    /// meeting node, then a walk that always takes the first usable
-    /// out-edge to a node one hop nearer to `t` (`docs/algorithm1.md`
-    /// proves both halves equal the forward BFS). `edge_ok` is asked
-    /// about edges from both ends and in no fixed order, so within one
-    /// search it must be a function of the edge alone.
-    // pcn-lint: hot — Yen runs one per spur node; every array is scratch-owned
-    pub fn search(
-        &mut self,
-        g: &DiGraph,
-        s: NodeId,
-        t: NodeId,
-        avoid: &[NodeId],
-        mut edge_ok: impl FnMut(EdgeId) -> bool,
-    ) -> Option<Path> {
-        debug_assert!(
-            !avoid.contains(&s) && !avoid.contains(&t),
-            "{s:?} → {t:?} avoids one of its own ends"
-        );
-        if s == t || s.index() >= g.node_count() || t.index() >= g.node_count() {
-            return None;
-        }
-        let stamp = self.start(g);
-        let BfsScratch {
-            seen,
-            parent,
-            back,
-            fwd,
-            bwd,
-            ..
-        } = &mut *self;
-        for v in avoid {
-            seen[v.index()] = stamp;
-            back[v.index()] = (stamp, u32::MAX);
-        }
-        seen[s.index()] = stamp;
-        fwd.push(s);
-        back[t.index()] = (stamp, 0);
-        bwd.push(t);
-        // Each side's frontier is its last complete level, `fwd[f_lo..]`
-        // from `s` and `bwd[b_lo..]` at `b` hops before `t`; its cost is
-        // the adjacency entries growing it would scan.
-        let (mut f_lo, mut f_cost) = (0, g.out_degree(s));
-        let (mut b_lo, mut b_cost, mut b) = (0, g.in_neighbors(t).len(), 0);
-        let m = 'grow: loop {
-            if f_cost <= b_cost {
-                let end = fwd.len();
-                f_cost = 0;
-                for i in f_lo..end {
-                    let u = fwd[i];
-                    for &(v, e) in g.out_neighbors(u) {
-                        if seen[v.index()] == stamp || !edge_ok(e) {
-                            continue;
-                        }
-                        seen[v.index()] = stamp;
-                        parent[v.index()] = u;
-                        // Every meeting node of this level is `b` hops
-                        // before `t`; the forward BFS's path runs
-                        // through the first one discovered.
-                        if back[v.index()].0 == stamp {
-                            break 'grow v;
-                        }
-                        fwd.push(v);
-                        f_cost += g.out_degree(v);
-                    }
-                }
-                if fwd.len() == end {
-                    return None;
-                }
-                f_lo = end;
-            } else {
-                let (end, mut met) = (bwd.len(), false);
-                b_cost = 0;
-                b += 1;
-                for i in b_lo..end {
-                    let v = bwd[i];
-                    for &(u, e) in g.in_neighbors(v) {
-                        if back[u.index()].0 == stamp || !edge_ok(e) {
-                            continue;
-                        }
-                        back[u.index()] = (stamp, b);
-                        bwd.push(u);
-                        b_cost += g.in_neighbors(u).len();
-                        met |= seen[u.index()] == stamp;
-                    }
-                }
-                if bwd.len() == end {
-                    return None;
-                }
-                b_lo = end;
-                // The meeting nodes are the forward frontier's nodes this
-                // level reached; the first in discovery order is the one.
-                if met {
-                    break *fwd[f_lo..].iter().find(|v| back[v.index()].0 == stamp)?;
-                }
-            }
-        };
-        let to_t = back[m.index()].1;
-        Some(self.path(g, s, m, to_t, &mut edge_ok))
-    }
-
-    /// Whether the last search's half grown from `t` discovered `v`; an
-    /// avoided node was never discovered, only stamped.
-    #[cfg(test)]
-    pub(crate) fn reached_from_t(&self, v: NodeId) -> bool {
-        let (stamp, h) = self.back[v.index()];
-        stamp == self.stamp && h != u32::MAX
-    }
-
-    /// Discovers every node reachable from `root` — along in-edges when
-    /// `backwards` — and returns them (without `root`) in discovery
-    /// order, each with the node it was discovered from.
-    fn explore(
-        &mut self,
+impl Forward {
+    /// Runs the forward loop from `root` on fresh arrays sized for `g`.
+    fn run(
         g: &DiGraph,
         root: NodeId,
+        stop: Option<NodeId>,
         backwards: bool,
-    ) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.scan(g, root, None, backwards, |_| true);
-        self.fwd[1..].iter().map(|&v| (v, self.parent[v.index()]))
-    }
-
-    /// Sizes the arrays for `g` and opens a new stamp under which
-    /// nothing is discovered; returns the stamp.
-    fn start(&mut self, g: &DiGraph) -> u32 {
+        edge_ok: impl FnMut(EdgeId) -> bool,
+    ) -> Forward {
         let n = g.node_count();
-        if self.seen.len() != n {
-            self.seen.clear();
-            self.seen.resize(n, 0);
-            self.back.clear();
-            self.back.resize(n, (0, 0));
-            self.parent.resize(n, NodeId(0));
-            self.fwd.reserve(n);
-            self.bwd.reserve(n);
-        }
-        if self.stamp == u32::MAX {
-            self.seen.fill(0);
-            self.back.fill((0, 0));
-            self.stamp = 0;
-        }
-        self.stamp += 1;
-        self.fwd.clear();
-        self.bwd.clear();
-        self.stamp
+        let mut forward = Forward {
+            seen: vec![false; n],
+            parent: vec![root; n],
+            order: Vec::with_capacity(n),
+        };
+        forward.scan(g, root, stop, backwards, edge_ok);
+        forward
     }
 
-    /// The forward loop, the reference [`BfsScratch::search`] is held
-    /// to: expands `root`'s discovery order along out-edges or
-    /// (`backwards`) in-edges until `t` is discovered or nothing is
-    /// left, and returns the tree path to `t`.
-    // pcn-lint: hot — Shortest Path routes every payment with one, and every dev-profile oracle check runs one; every array is scratch-owned
+    /// The forward loop, the reference [`PhaseScratch`] is held to:
+    /// expands `root`'s discovery order along out-edges or
+    /// (`backwards`) in-edges, each node's in adjacency order, until
+    /// `stop` is discovered or nothing is left. Nothing in it allocates:
+    /// [`Forward::run`] sizes the arrays.
+    // pcn-lint: hot — Shortest Path routes every payment with one, and every dev-profile oracle check runs one; its arrays come sized
     fn scan(
         &mut self,
         g: &DiGraph,
         root: NodeId,
-        t: Option<NodeId>,
+        stop: Option<NodeId>,
         backwards: bool,
         mut edge_ok: impl FnMut(EdgeId) -> bool,
-    ) -> Option<Path> {
-        let stamp = self.start(g);
-        self.seen[root.index()] = stamp;
-        self.fwd.push(root);
+    ) {
+        let Forward {
+            seen,
+            parent,
+            order,
+        } = self;
+        seen[root.index()] = true;
+        order.push(root);
         let mut head = 0;
-        while let Some(&u) = self.fwd.get(head) {
+        while let Some(&u) = order.get(head) {
             let adjacent = if backwards {
                 g.in_neighbors(u)
             } else {
                 g.out_neighbors(u)
             };
             for &(v, e) in adjacent {
-                if self.seen[v.index()] == stamp || !edge_ok(e) {
+                if seen[v.index()] || !edge_ok(e) {
                     continue;
                 }
-                self.seen[v.index()] = stamp;
-                self.parent[v.index()] = u;
-                self.fwd.push(v);
-                if Some(v) == t {
-                    return Some(self.path(g, root, v, 0, &mut edge_ok));
+                seen[v.index()] = true;
+                parent[v.index()] = u;
+                order.push(v);
+                if Some(v) == stop {
+                    return;
                 }
             }
             head += 1;
         }
-        None
     }
 
-    /// The path through `m`: the forward tree's path from `s` to `m`,
-    /// then `to_t` more hops, each along the first usable out-edge to a
-    /// node the search from `t` found one hop nearer to it.
-    fn path(
-        &self,
-        g: &DiGraph,
-        s: NodeId,
-        m: NodeId,
-        to_t: u32,
-        mut edge_ok: impl FnMut(EdgeId) -> bool,
-    ) -> Path {
-        let mut depth = 0;
-        let mut v = m;
-        while v != s {
-            v = self.parent[v.index()];
-            depth += 1;
-        }
-        // pcn-lint: allow(hot-alloc) — the result path is the search's return value, one per search and not per scanned edge
-        let mut nodes = vec![m; depth + 1 + to_t as usize];
-        for i in (0..depth).rev() {
-            nodes[i] = self.parent[nodes[i + 1].index()];
-        }
-        for i in depth + 1..nodes.len() {
-            let left = (nodes.len() - 1 - i) as u32;
-            let next = g
-                .out_neighbors(nodes[i - 1])
-                .iter()
-                .find(|&&(w, e)| self.back[w.index()] == (self.stamp, left) && edge_ok(e));
-            debug_assert!(next.is_some(), "no usable edge one hop nearer to t");
-            if let Some(&(w, _)) = next {
-                nodes[i] = w;
-            }
-        }
-        Path::from_vec_unchecked(nodes)
+    /// Every node discovered after the root, in discovery order, each
+    /// with the node it was discovered from.
+    fn tree(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        self.order[1..].iter().map(|&v| (v, self.parent[v.index()]))
     }
 }
 
@@ -302,9 +117,9 @@ pub struct SearchWork {
 #[derive(Clone, Copy, Debug, Default)]
 struct Level {
     stamp: u32,
-    /// Hops from `s`, or [`UNSEEN`].
+    /// Hops from `s`, or [`UNSEEN`], or [`AVOIDED`].
     fwd: u32,
-    /// Hops to `t`, or [`UNSEEN`].
+    /// Hops to `t`, or [`UNSEEN`], or [`AVOIDED`].
     back: u32,
     /// The out-adjacency position of the next edge the walk tries from
     /// this node, or [`DEAD`] once none is left.
@@ -313,6 +128,9 @@ struct Level {
 
 /// A distance no side has found.
 const UNSEEN: u32 = u32::MAX;
+/// What an avoided node holds as both distances: no side's, but not
+/// [`UNSEEN`], so neither side enters it.
+const AVOIDED: u32 = u32::MAX - 1;
 /// The arc of a node no walk can leave toward `t` in this phase.
 const DEAD: u32 = u32::MAX;
 
@@ -320,22 +138,25 @@ const DEAD: u32 = u32::MAX;
 /// which the filter only loses edges between calls, besides gaining
 /// the reverses of the path just returned — Algorithm 1's residual
 /// graph. Each call returns what [`shortest_path_filtered`] returns on
-/// the filter of that moment, as [`BfsScratch::search`] would, but the
-/// searches are shared Dinic-style, one per path length.
+/// the filter of that moment, with every edge into or out of an avoided
+/// node rejected too, but the searches are shared Dinic-style, one per
+/// path length. A sequence of one call is a plain search.
 ///
-/// A *phase* opens with a meet-in-the-middle search, as
-/// [`BfsScratch::search`] grows it, that stops at the first node both
-/// sides hold. That fixes the s–t distance `d` and leaves the exact hop
+/// A *phase* opens with a meet-in-the-middle search that grows levels
+/// from `s` and from `t` and stops at the first node both sides hold.
+/// The avoided nodes count as held by both sides, so neither enters
+/// them. That fixes the s–t distance `d` and leaves the exact hop
 /// counts from `s` of levels `0..F` and to `t` of levels `0..=d − F`,
 /// for the `F` at which the sides met: the phase's level DAG. Every
 /// shortest path of the phase's graph runs through it, and so does
 /// every shortest path of a later call that is still `d` hops long
 /// (`docs/algorithm1.md`).
-/// Each call walks the DAG depth first from `s` in adjacency order.
-/// Every node keeps a current arc that never rewinds within the phase,
-/// so the walk returns the forward BFS's path and scans each adjacency
-/// entry about once per phase. When the walk from `s` finds nothing
-/// the distance has grown, and the next phase opens.
+/// Each call walks the DAG depth first from `s` in adjacency order,
+/// avoided nodes counting as dead. Every node keeps a current arc that
+/// never rewinds within the phase, so the walk returns the forward
+/// BFS's path and scans each adjacency entry about once per phase.
+/// When the walk from `s` finds nothing the distance has grown, and
+/// the next phase opens.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseScratch {
     level: Vec<Level>,
@@ -348,6 +169,8 @@ pub struct PhaseScratch {
     walk: Vec<NodeId>,
     /// `(s, t)` of the sequence; `None` before the first `begin`.
     ends: Option<(NodeId, NodeId)>,
+    /// The nodes the sequence avoids.
+    avoid: Vec<NodeId>,
     /// `(F, d)` of the open phase, or `None` before the next one.
     phase: Option<(u32, u32)>,
     work: SearchWork,
@@ -359,11 +182,18 @@ impl PhaseScratch {
         Self::default()
     }
 
-    /// Starts a sequence of `s → t` searches. Every call to
+    /// Starts a sequence of `s → t` searches that never step on a node
+    /// of `avoid`, which must hold neither `s` nor `t`. Every call to
     /// [`PhaseScratch::next_path`] until the next `begin` must pass the
     /// same graph.
-    pub fn begin(&mut self, s: NodeId, t: NodeId) {
+    pub fn begin(&mut self, s: NodeId, t: NodeId, avoid: &[NodeId]) {
+        debug_assert!(
+            !avoid.contains(&s) && !avoid.contains(&t),
+            "{s:?} → {t:?} avoids one of its own ends"
+        );
         (self.ends, self.phase) = (Some((s, t)), None);
+        self.avoid.clear();
+        self.avoid.extend_from_slice(avoid);
     }
 
     /// The work done so far.
@@ -371,12 +201,21 @@ impl PhaseScratch {
         self.work
     }
 
+    /// Whether the last phase's side grown from `t` entered `v`; an
+    /// avoided node is only stamped, never entered.
+    #[cfg(test)]
+    pub(crate) fn entered_from_t(&self, v: NodeId) -> bool {
+        let l = self.level[v.index()];
+        l.stamp == self.stamp && l.back != UNSEEN && l.back != AVOIDED
+    }
+
     /// The path [`shortest_path_filtered`] finds from `s` to `t` under
-    /// `edge_ok`, or `None` if `t` is unreachable. Within one call the
-    /// filter must be a function of the edge alone. Between calls of
-    /// one sequence it may reject edges it accepted, and may start to
-    /// accept only the reverses of the last path's edges.
-    // pcn-lint: hot — Algorithm 1 takes every probe's path from here; the levels and the walk are scratch-owned
+    /// `edge_ok` and off the avoided nodes, or `None` if `t` is
+    /// unreachable. Within one call the filter must be a function of
+    /// the edge alone. Between calls of one sequence it may reject
+    /// edges it accepted, and may start to accept only the reverses of
+    /// the last path's edges.
+    // pcn-lint: hot — Algorithm 1 takes every probe's path from here, and Yen every spur's; the levels and the walk are scratch-owned
     pub fn next_path(
         &mut self,
         g: &DiGraph,
@@ -393,9 +232,10 @@ impl PhaseScratch {
         path
     }
 
-    /// Opens a phase: grows levels from `s` and `t`, each step on the
-    /// side with fewer adjacency entries to scan, until a step finds a
-    /// node the other side holds. Returns `(F, d)`: the walk reads
+    /// Opens a phase: stamps the avoided nodes as held by both sides and
+    /// dead, then grows levels from `s` and `t`, each step on the side
+    /// with fewer adjacency entries to scan, until a step finds a node
+    /// the other side holds. Returns `(F, d)`: the walk reads
     /// depths below `F` by the distance from `s` and the rest by the
     /// distance to `t`. `None` when `t` is unreachable.
     fn open(
@@ -422,6 +262,7 @@ impl PhaseScratch {
             stamp,
             fwd,
             bwd,
+            avoid,
             work,
             ..
         } = self;
@@ -431,6 +272,14 @@ impl PhaseScratch {
             back: UNSEEN,
             arc: 0,
         };
+        for v in avoid.iter() {
+            level[v.index()] = Level {
+                fwd: AVOIDED,
+                back: AVOIDED,
+                arc: DEAD,
+                ..fresh
+            };
+        }
         level[s.index()] = Level { fwd: 0, ..fresh };
         level[t.index()] = Level { back: 0, ..fresh };
         fwd.clear();
@@ -577,9 +426,9 @@ impl PhaseScratch {
 ///
 /// Ties are broken by adjacency order, which is deterministic for a given
 /// graph construction order — important for reproducible experiments.
-/// This is the forward loop on a fresh scratch; a caller that searches
-/// repeatedly keeps a [`BfsScratch`] and gets the same path from
-/// [`BfsScratch::search`].
+/// This is the forward loop on fresh arrays; a caller that searches
+/// repeatedly keeps a [`PhaseScratch`] and gets the same path from
+/// [`PhaseScratch::next_path`].
 pub fn shortest_path_filtered(
     g: &DiGraph,
     s: NodeId,
@@ -589,7 +438,18 @@ pub fn shortest_path_filtered(
     if s == t || s.index() >= g.node_count() || t.index() >= g.node_count() {
         return None;
     }
-    BfsScratch::new().scan(g, s, Some(t), false, edge_ok)
+    let forward = Forward::run(g, s, Some(t), false, edge_ok);
+    if !forward.seen[t.index()] {
+        return None;
+    }
+    let mut nodes = vec![t];
+    let mut v = t;
+    while v != s {
+        v = forward.parent[v.index()];
+        nodes.push(v);
+    }
+    nodes.reverse();
+    Some(Path::from_vec_unchecked(nodes))
 }
 
 /// Finds a fewest-hops path using every edge (no filter).
@@ -604,7 +464,7 @@ pub fn distances_from(g: &DiGraph, s: NodeId) -> Vec<usize> {
         return dist;
     }
     dist[s.index()] = 0;
-    for (v, parent) in BfsScratch::new().explore(g, s, false) {
+    for (v, parent) in Forward::run(g, s, None, false, |_| true).tree() {
         dist[v.index()] = dist[parent.index()] + 1;
     }
     dist
@@ -623,7 +483,7 @@ pub fn spanning_tree(g: &DiGraph, root: NodeId, toward_root: bool) -> Vec<Option
     }
     // With `toward_root`, v is discovered from u when v → u exists: v's
     // route toward the root goes through u.
-    for (v, from) in BfsScratch::new().explore(g, root, toward_root) {
+    for (v, from) in Forward::run(g, root, None, toward_root, |_| true).tree() {
         parent[v.index()] = Some(from);
     }
     parent
@@ -714,67 +574,31 @@ mod tests {
         assert_eq!(tree[0], Some(n(1)));
     }
 
-    /// The probes of Algorithm 1 on Figure 5(a), one search each on one
-    /// scratch: the tie at node 2 goes to the adjacency-first edge.
+    /// Yen's pattern on Figure 5(a): one scratch, one call per `begin`,
+    /// and filters that block and then re-admit edges from one search to
+    /// the next. The tie at node 2 goes to the adjacency-first edge.
     #[test]
     fn search_routes_around_the_blocked_edge() {
         let g = fig5a().unwrap();
-        let mut bfs = BfsScratch::new();
-        let p = bfs.search(&g, n(0), n(5), &[], |_| true).unwrap();
-        assert_eq!(p.nodes(), &[n(0), n(1), n(2), n(5)]);
+        let mut phases = PhaseScratch::new();
+        let mut search = |blocked: &[EdgeId]| {
+            phases.begin(n(0), n(5), &[]);
+            phases
+                .next_path(&g, |e| !blocked.contains(&e))
+                .map(|p| p.nodes().iter().map(|v| v.0).collect::<Vec<_>>())
+        };
+        assert_eq!(search(&[]), Some(vec![0, 1, 2, 5]));
         // Block 2→3 (0-based 1→2): the path goes through 2→4.
         let dead = g.edge(n(1), n(2)).unwrap();
-        let p = bfs.search(&g, n(0), n(5), &[], |e| e != dead).unwrap();
-        assert_eq!(p.nodes(), &[n(0), n(1), n(3), n(5)]);
+        assert_eq!(search(&[dead]), Some(vec![0, 1, 3, 5]));
         // Block the first hop too: only 1-5-4-6 is left, then nothing.
         let first = g.edge(n(0), n(1)).unwrap();
-        let p = bfs
-            .search(&g, n(0), n(5), &[], |e| e != dead && e != first)
-            .unwrap();
-        assert_eq!(p.nodes(), &[n(0), n(4), n(3), n(5)]);
+        assert_eq!(search(&[dead, first]), Some(vec![0, 4, 3, 5]));
         let last = g.edge(n(3), n(5)).unwrap();
-        let blocked = [dead, first, last];
-        assert_eq!(
-            bfs.search(&g, n(0), n(5), &[], |e| !blocked.contains(&e)),
-            None
-        );
-    }
-
-    #[test]
-    fn scratch_survives_resizing() {
-        let small = fig5a().unwrap();
-        let mut big = DiGraph::new(9);
-        for i in 0..8 {
-            big.add_channel(n(i), n(i + 1)).unwrap();
-        }
-        let mut bfs = BfsScratch::new();
-        for (g, t) in [(&small, n(5)), (&big, n(8)), (&small, n(5))] {
-            assert_eq!(
-                bfs.search(g, n(0), t, &[], |_| true),
-                shortest_path(g, n(0), t)
-            );
-            assert_eq!(
-                bfs.search(g, t, n(0), &[], |_| true),
-                shortest_path(g, t, n(0))
-            );
-        }
-        assert_eq!(bfs.search(&small, n(0), n(9), &[], |_| true), None);
-    }
-
-    /// Four billion searches later the stamp wraps to a value both
-    /// sides' arrays still hold from the first search.
-    #[test]
-    fn stamp_wrap_forgets_stale_discoveries() {
-        let g = fig5a().unwrap();
-        let mut bfs = BfsScratch::new();
-        let first = bfs.search(&g, n(0), n(5), &[], |_| true);
-        bfs.stamp = u32::MAX;
-        assert_eq!(bfs.search(&g, n(0), n(5), &[], |_| true), first);
-        assert_eq!(bfs.stamp, 1);
-        assert_eq!(
-            bfs.search(&g, n(0), n(4), &[], |_| true),
-            shortest_path(&g, n(0), n(4))
-        );
+        assert_eq!(search(&[dead, first, last]), None);
+        // A new sequence forgets the last one's levels and dead nodes.
+        assert_eq!(search(&[first]), Some(vec![0, 4, 3, 5]));
+        assert_eq!(search(&[]), Some(vec![0, 1, 2, 5]));
     }
 
     /// Algorithm 1 on Figure 5(a) in phases, saturating each path's
@@ -784,7 +608,7 @@ mod tests {
     fn phases_return_the_forward_bfs_paths_in_turn() {
         let g = fig5a().unwrap();
         let mut phases = PhaseScratch::new();
-        phases.begin(n(0), n(5));
+        phases.begin(n(0), n(5), &[]);
         let mut blocked = Vec::new();
         let mut got = Vec::new();
         while let Some(p) = phases.next_path(&g, |e| !blocked.contains(&e)) {
@@ -809,27 +633,32 @@ mod tests {
         let mut phases = PhaseScratch::new();
         for (g, t) in [(&small, n(5)), (&big, n(8)), (&small, n(5))] {
             for (s, t) in [(n(0), t), (t, n(0))] {
-                phases.begin(s, t);
+                phases.begin(s, t, &[]);
                 assert_eq!(phases.next_path(g, |_| true), shortest_path(g, s, t));
             }
         }
-        phases.begin(n(0), n(9));
+        phases.begin(n(0), n(9), &[]);
         assert_eq!(phases.next_path(&small, |_| true), None);
     }
 
     /// Four billion phases later the stamp wraps to a value the levels
-    /// still hold from the first phase.
+    /// still hold from the first phase, which avoided node 2 (0-based 1).
     #[test]
     fn phase_stamp_wrap_forgets_stale_levels() {
         let g = fig5a().unwrap();
         let mut phases = PhaseScratch::new();
-        phases.begin(n(0), n(5));
-        let first = phases.next_path(&g, |_| true);
-        phases.stamp = u32::MAX;
-        phases.begin(n(0), n(5));
-        assert_eq!(phases.next_path(&g, |_| true), first);
+        phases.begin(n(0), n(5), &[n(1)]);
+        let first = phases.next_path(&g, |_| true).unwrap();
+        assert_eq!(first.nodes(), &[n(0), n(4), n(3), n(5)]);
         assert_eq!(phases.stamp, 1);
-        phases.begin(n(0), n(4));
+        phases.stamp = u32::MAX;
+        phases.begin(n(0), n(5), &[]);
+        assert_eq!(
+            phases.next_path(&g, |_| true),
+            shortest_path(&g, n(0), n(5))
+        );
+        assert_eq!(phases.stamp, 1);
+        phases.begin(n(0), n(4), &[]);
         assert_eq!(
             phases.next_path(&g, |_| true),
             shortest_path(&g, n(0), n(4))
@@ -845,89 +674,25 @@ mod tests {
 
         proptest! {
             /// One scratch serves an Erdős–Rényi, a Watts–Strogatz and a
-            /// Barabási–Albert graph of different sizes, each with up to
-            /// 70 % of its edges blocked, and for every pair tried —
-            /// drawn at random, adjacent, `s == t`, `t` out of range —
-            /// `search` returns what the forward loop returns. Each pair
-            /// is searched twice: avoiding nothing, and avoiding random
-            /// nodes other than its ends (sometimes all of `s`'s
-            /// out-neighbours), where the forward loop rejects every
-            /// edge with an avoided end instead.
-            #[test]
-            fn search_equals_the_forward_bfs(
-                sizes in (2usize..48, 5usize..48, 3usize..48),
-                density in 0.02f64..0.4,
-                seed in 0u64..1_000_000,
-                blocked_pct in 0u32..=70,
-                avoid_pct in 0u32..=40,
-                pairs in proptest::collection::vec((0usize..10_000, 0usize..10_000), 1..24),
-            ) {
-                let graphs = [
-                    generators::erdos_renyi(sizes.0, density, seed),
-                    generators::watts_strogatz(sizes.1, 4, density, seed),
-                    generators::barabasi_albert(sizes.2, 2, seed),
-                ];
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut bfs = BfsScratch::new();
-                for g in &graphs {
-                    let blocked: Vec<bool> = (0..g.edge_count())
-                        .map(|_| rng.random_range(0..100u32) < blocked_pct)
-                        .collect();
-                    let ok = |e: EdgeId| !blocked[e.index()];
-                    let size = g.node_count();
-                    for &(i, j) in &pairs {
-                        let s = n((i % size) as u32);
-                        let mut ends = vec![n((j % size) as u32), s, n(size as u32)];
-                        ends.extend(g.out_neighbors(s).get(j % 3).map(|&(v, _)| v));
-                        for t in ends {
-                            prop_assert_eq!(
-                                bfs.search(g, s, t, &[], ok),
-                                shortest_path_filtered(g, s, t, ok),
-                                "{:?} → {:?} on {} nodes",
-                                s,
-                                t,
-                                size
-                            );
-                            let near = rng.random_bool(0.3);
-                            let avoid: Vec<NodeId> = (0..size as u32)
-                                .map(n)
-                                .filter(|&v| v != s && v != t)
-                                .filter(|&v| {
-                                    rng.random_range(0..100u32) < avoid_pct
-                                        || near && g.out_neighbors(s).iter().any(|&(w, _)| w == v)
-                                })
-                                .collect();
-                            let ok_and_kept = |e: EdgeId| {
-                                let (u, v) = g.endpoints(e);
-                                ok(e) && !avoid.contains(&u) && !avoid.contains(&v)
-                            };
-                            prop_assert_eq!(
-                                bfs.search(g, s, t, &avoid, ok),
-                                shortest_path_filtered(g, s, t, ok_and_kept),
-                                "{:?} → {:?} on {} nodes avoiding {:?}",
-                                s,
-                                t,
-                                size,
-                                avoid
-                            );
-                        }
-                    }
-                }
-            }
-
-            /// One scratch serves the same three kinds of graph. For each
-            /// pair it runs a sequence of calls shaped like Algorithm 1:
-            /// after each path it removes some of the path's edges (or
-            /// just its first hop, a lost probe's ban) and a few random
-            /// edges, and re-admits some reverses of the path's edges (a
-            /// reverse credit). Every call returns what the forward loop
-            /// returns on the filter of that moment.
+            /// Barabási–Albert graph of different sizes, for pairs drawn
+            /// at random, adjacent, `s == t` and with `t` out of range.
+            /// Each pair runs a sequence of calls shaped like Algorithm 1,
+            /// from up to 70 % of the edges blocked: after each path it
+            /// removes some of the path's edges (or just its first hop, a
+            /// lost probe's ban) and a few random edges, and re-admits
+            /// some reverses of the path's edges (a reverse credit). Each
+            /// sequence also avoids random nodes other than its ends, like
+            /// a Yen spur its root, and sometimes every out-neighbour of
+            /// `s`. Every call returns what the forward loop returns on
+            /// the filter of that moment with every edge that has an
+            /// avoided end rejected too.
             #[test]
             fn phases_equal_the_forward_bfs(
                 sizes in (2usize..48, 5usize..48, 3usize..48),
                 density in 0.02f64..0.4,
                 seed in 0u64..1_000_000,
                 blocked_pct in 0u32..=70,
+                avoid_pct in 0u32..=40,
                 pairs in proptest::collection::vec((0usize..10_000, 0usize..10_000), 1..12),
             ) {
                 let graphs = [
@@ -947,17 +712,30 @@ mod tests {
                             let mut blocked: Vec<bool> = (0..edges)
                                 .map(|_| rng.random_range(0..100u32) < blocked_pct)
                                 .collect();
-                            phases.begin(s, t);
+                            let near = rng.random_bool(0.3);
+                            let avoid: Vec<NodeId> = (0..size as u32)
+                                .map(n)
+                                .filter(|&v| v != s && v != t)
+                                .filter(|&v| {
+                                    rng.random_range(0..100u32) < avoid_pct
+                                        || near && g.out_neighbors(s).iter().any(|&(w, _)| w == v)
+                                })
+                                .collect();
+                            phases.begin(s, t, &avoid);
                             for probe in 0..30 {
                                 let ok = |e: EdgeId| !blocked[e.index()];
                                 let got = phases.next_path(g, ok);
                                 prop_assert_eq!(
                                     &got,
-                                    &shortest_path_filtered(g, s, t, ok),
-                                    "{:?} → {:?} on {} nodes, call {}",
+                                    &shortest_path_filtered(g, s, t, |e| {
+                                        let (u, v) = g.endpoints(e);
+                                        ok(e) && !avoid.contains(&u) && !avoid.contains(&v)
+                                    }),
+                                    "{:?} → {:?} on {} nodes avoiding {:?}, call {}",
                                     s,
                                     t,
                                     size,
+                                    avoid,
                                     probe
                                 );
                                 let Some(path) = got else {

@@ -9,7 +9,10 @@
 //!   vectors owned by the simulator.
 //! * [`Path`] — a validated simple path with hop/edge iteration.
 //! * [`bfs`] — breadth-first shortest paths with edge filters (the
-//!   `Breadth-First-Search(G, C', s, t)` primitive of Algorithm 1).
+//!   `Breadth-First-Search(G, C', s, t)` primitive of Algorithm 1), and
+//!   [`bfs::PhaseScratch`], the one search that meets in the middle:
+//!   Algorithm 1's probes and Yen's spurs run on it, and the forward
+//!   loop is its reference.
 //! * [`yen`] — Yen's k-shortest loopless paths as a resumable
 //!   enumerator, [`yen::RankedPaths`]: one rank per call, search state
 //!   kept in between (§3.3 mice routing tables take the top `m` ranks

@@ -11,26 +11,27 @@
 //! are BFS with deterministic tie-breaking, so routing tables are
 //! reproducible across runs.
 //!
-//! Spur searches run on the caller's [`YenScratch`]: one reusable BFS
-//! that meets in the middle and never enters the root's nodes, and the
-//! edges out of the spur node that found paths with the same root took,
-//! banned by generation stamps in an edge-indexed array. A spur
-//! therefore hashes nothing per scanned edge and allocates only the
+//! Spur searches run on the caller's [`YenScratch`]: a
+//! [`PhaseScratch`] whose search meets in the middle, one single-call
+//! sequence per spur that avoids the root's nodes, and the edges out of
+//! the spur node that found paths with the same root took, banned by
+//! generation stamps in an edge-indexed array. A spur therefore hashes
+//! nothing per scanned edge and allocates only its path and the
 //! candidate it adds.
 
-use crate::bfs::{self, BfsScratch};
+use crate::bfs::{self, PhaseScratch, SearchWork};
 use crate::{path::Path, DiGraph};
 use pcn_types::NodeId;
 
 /// The working arrays of Yen's spur searches, reusable across
-/// enumerations and graphs: the BFS and the generation-stamped edge
+/// enumerations and graphs: the search and the generation-stamped edge
 /// bans. They are sized by the first spur, re-sized whenever the graph's
 /// node or edge count changes, and what they held before never shows in a
 /// rank. A mice routing table owns one; [`k_shortest_paths_hops`] builds
 /// a throwaway one per call.
 #[derive(Clone, Debug, Default)]
 pub struct YenScratch {
-    bfs: BfsScratch,
+    search: PhaseScratch,
     /// `edge_ban[e] == gen` iff a found path with the current root
     /// leaves the spur node by `e`.
     edge_ban: Vec<u32>,
@@ -46,6 +47,12 @@ impl YenScratch {
             gen,
             ..Self::default()
         }
+    }
+
+    /// The work of every search run on this scratch: a phase is one
+    /// search, for rank 0 or a spur, and a path one that found a path.
+    pub fn work(&self) -> SearchWork {
+        self.search.work()
     }
 
     /// Sizes the ban array for `g` and opens a generation in which
@@ -79,9 +86,9 @@ pub struct RankedPaths {
     /// Spur paths generated but not yet promoted to a rank, each once.
     candidates: Vec<Path>,
     /// Whether the last rank's spur paths are already in `candidates`
-    /// (for an empty `found`: whether the BFS for rank 0 has run). Makes
-    /// the search lazy — a rank is spurred only when a later one is
-    /// asked for — and makes asking an exhausted enumeration free.
+    /// (for an empty `found`: whether the search for rank 0 has run).
+    /// Makes the search lazy — a rank is spurred only when a later one
+    /// is asked for — and makes asking an exhausted enumeration free.
     spurred: bool,
 }
 
@@ -111,7 +118,8 @@ impl RankedPaths {
         if !self.spurred {
             self.spurred = true;
             if self.found.is_empty() {
-                let first = scratch.bfs.search(g, self.s, self.t, &[], |_| true);
+                scratch.search.begin(self.s, self.t, &[]);
+                let first = scratch.search.next_path(g, |_| true);
                 self.candidates.extend(first);
             } else {
                 self.spur(g, scratch);
@@ -133,7 +141,7 @@ impl RankedPaths {
     /// Adds to the pool, for each node of the newest rank except the
     /// last, the shortest deviation that leaves it by an edge no found
     /// path with the same root has taken.
-    // pcn-lint: hot — one BFS per node of the newest rank, on every table miss and dead-path replacement; every array is scratch-owned
+    // pcn-lint: hot — one search per node of the newest rank, on every table miss and dead-path replacement; every array is scratch-owned
     fn spur(&mut self, g: &DiGraph, scratch: &mut YenScratch) {
         let RankedPaths {
             t,
@@ -146,7 +154,11 @@ impl RankedPaths {
         for i in 0..prev.len() - 1 {
             let (spur, root) = (prev[i], &prev[..i]);
             scratch.next_generation(g);
-            let YenScratch { bfs, edge_ban, gen } = &mut *scratch;
+            let YenScratch {
+                search,
+                edge_ban,
+                gen,
+            } = &mut *scratch;
             let gen = *gen;
             for p in found.iter() {
                 let nodes = p.nodes();
@@ -157,9 +169,10 @@ impl RankedPaths {
                 }
             }
             // The search avoids the root's nodes, which keeps paths
-            // loopless: neither half enters one, so an edge it crosses
-            // has both ends off the root.
-            let spur_path = bfs.search(g, spur, *t, root, |e| edge_ban[e.index()] != gen);
+            // loopless: neither side enters one and the walk never steps
+            // on one, so an edge it crosses has both ends off the root.
+            search.begin(spur, *t, root);
+            let spur_path = search.next_path(g, |e| edge_ban[e.index()] != gen);
             // Dev-profile oracle: the bans rebuilt from their definition
             // by linear scans, on a fresh search.
             debug_assert_eq!(
@@ -329,7 +342,7 @@ mod tests {
         }
         // The third rank came from the spur off `x` with root [s, r],
         // the last search the scratch ran.
-        assert!(!scratch.bfs.reached_from_t(r), "entered an avoided node");
+        assert!(!scratch.search.entered_from_t(r), "entered an avoided node");
         assert_eq!(ranks.next_path(&g, &mut scratch), None);
         let found: Vec<_> = ranks.found().iter().map(|p| p.nodes()).collect();
         assert_eq!(

@@ -1,6 +1,7 @@
 //! Property tests over the graph substrate on random topologies —
 //! invariants the routing layers silently rely on.
 
+use flash_offchain::graph::bfs::SearchWork;
 use flash_offchain::graph::yen::{RankedPaths, YenScratch};
 use flash_offchain::graph::{bfs, disjoint, generators, yen, DiGraph, Path};
 use flash_offchain::types::NodeId;
@@ -205,6 +206,17 @@ fn rank_fingerprint(paths: &[Path]) -> u64 {
     h
 }
 
+/// The seeded Ripple-scale graph the Yen pins enumerate on.
+fn ripple_scale() -> DiGraph {
+    generators::scale_free_with_channels(1870, 8708, 11)
+}
+
+/// Fixed pair `i` on [`ripple_scale`].
+fn ripple_pair(g: &DiGraph, i: u32) -> (NodeId, NodeId) {
+    let n = g.node_count() as u32;
+    (NodeId((i * 97 + 3) % n), NodeId((i * 389 + 1201) % n))
+}
+
 /// The first 12 ranks of 20 fixed pairs on the seeded Ripple-scale
 /// graph, as recorded from the batch Yen loop that preceded
 /// `RankedPaths` (commit 6d6dcaa): which path holds which rank is part
@@ -234,10 +246,9 @@ fn yen_ranks_match_recorded_fingerprints() {
         0xf7c6d19d7fdaf3e1,
         0xcee1f37e55bd7fc2,
     ];
-    let g = generators::scale_free_with_channels(1870, 8708, 11);
-    let n = g.node_count() as u32;
+    let g = ripple_scale();
     for (i, want) in (0u32..).zip(GOLDEN) {
-        let (s, t) = (NodeId((i * 97 + 3) % n), NodeId((i * 389 + 1201) % n));
+        let (s, t) = ripple_pair(&g, i);
         let paths = yen::k_shortest_paths_hops(&g, s, t, 12);
         assert_eq!(paths.len(), 12, "pair {i} ({s:?} → {t:?})");
         assert_eq!(
@@ -246,4 +257,33 @@ fn yen_ranks_match_recorded_fingerprints() {
             "pair {i} ({s:?} → {t:?}): ranks changed"
         );
     }
+}
+
+/// The work of the searches behind those ranks, all on one
+/// `YenScratch`: adjacency entries scanned, searches run (rank 0 and
+/// every spur) and searches that found a path, pinned by equality.
+/// Only a deliberate change to how Yen's paths are searched may
+/// re-record them; a failure names the counter and prints both values.
+#[test]
+fn yen_search_work_matches_recorded_counts() {
+    const WANT: SearchWork = SearchWork {
+        scanned: 188_760,
+        phases: 895,
+        paths: 895,
+    };
+    let g = ripple_scale();
+    let mut scratch = YenScratch::default();
+    for i in 0..20 {
+        let (s, t) = ripple_pair(&g, i);
+        let mut ranks = RankedPaths::new(s, t);
+        while ranks.found().len() < 12 && ranks.next_path(&g, &mut scratch).is_some() {}
+        assert_eq!(ranks.found().len(), 12, "pair {i} ({s:?} → {t:?})");
+    }
+    let got = scratch.work();
+    assert_eq!(
+        got.scanned, WANT.scanned,
+        "adjacency entries scanned changed"
+    );
+    assert_eq!(got.phases, WANT.phases, "searches run changed");
+    assert_eq!(got.paths, WANT.paths, "paths found changed");
 }
