@@ -79,6 +79,6 @@ pub use churn::{ChurnAction, ChurnEvent, ChurnRate, ChurnSchedule};
 pub use engine::{DesEngine, DesReport};
 pub use latency::LatencyModel;
 pub use network::{DesConfig, DesNetwork, DesSession};
-pub use node::{ServiceModel, ServiceQueues};
+pub use node::{CalendarWork, ServiceModel, ServiceQueues};
 pub use queue::EventQueue;
 pub use time::SimTime;

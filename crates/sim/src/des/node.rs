@@ -47,13 +47,37 @@
 //! event boundary under
 //! [`DesConfig::check_conservation`](super::network::DesConfig).
 //!
+//! Beside its calendar each node indexes its **busy runs**: maximal
+//! stretches of two or more reservations whose consecutive gaps are
+//! each shorter than one service time `s`. Every reservation is exactly
+//! `s` long, so such a gap can never hold a message, and it stays dead
+//! for good: a reservation placed later only shrinks the gaps around
+//! it, and release drops whole reservations from the front. A
+//! first-fit walk that enters a busy run therefore always leaves it at
+//! the run's end, and one that steps over a *lone* reservation (at
+//! least `s` from both neighbours) always fits right after it. So with
+//! `F` the first reservation still busy at the arrival `a` (a binary
+//! search), the message is served at `a` when there is no `F` or `a + s
+//! ≤ F.start`; otherwise at the end of `F`'s busy run (a binary search
+//! over the runs), or at `F.end` when `F` is lone. The new slot then
+//! joins the reservations less than `s` away on either side, extending,
+//! merging or opening a run. Placement costs at most three binary
+//! searches however deep the backlog, and lands exactly where the walk
+//! over the reservations one at a time would land. Lone reservations stay out of
+//! the index: on a lightly loaded node most reservations are lone, and
+//! indexing them would double the calendar's own insertion work. The
+//! per-reservation calendar stays for the backlog each arrival sees and
+//! for the single-server check.
+//!
 //! # Release
 //!
 //! The engine raises a release watermark at each payment admission
 //! ([`ServiceQueues::release_before`], O(1)): no later message arrives
 //! before it. Each node drops its own reservations ending at or below
-//! the watermark when it next admits a message; nothing is placed
-//! below the watermark, so dropping them then changes no placement.
+//! the watermark, one at a time from the front, when it next admits a
+//! message (a busy run left with one reservation leaves the index);
+//! nothing is placed below the watermark, so dropping them then changes
+//! no placement.
 //!
 //! # Determinism
 //!
@@ -117,15 +141,75 @@ pub struct ServicePass {
     pub queued: SimTime,
 }
 
-/// Per-node bookkeeping: the service calendar and its busy time.
+/// The work the calendars have done since they were made: plain
+/// counts, summed over every node.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CalendarWork {
+    /// Messages admitted to a calendar (zero-service messages
+    /// excluded: they never occupy a server).
+    pub admits: u64,
+    /// Calendar and run entries read beyond the few next to the slot
+    /// that every admission reads: one per binary-search probe and one
+    /// per dropped reservation.
+    pub examined: u64,
+}
+
+/// A busy run: two or more consecutive reservations of one calendar,
+/// each gap between them shorter than one service time (see the module
+/// docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Run {
+    /// The start of its first reservation.
+    start: SimTime,
+    /// The end of its last reservation.
+    end: SimTime,
+    /// How many reservations it holds.
+    count: usize,
+}
+
+/// Per-node bookkeeping: the service calendar, its busy runs and its
+/// busy time.
 #[derive(Clone, Debug, Default)]
 struct NodeState {
     /// Non-overlapping service reservations `(start, end)`, sorted by
     /// start (ends are then sorted too). Entries ending at or below the
     /// release watermark stay until this node's next admission.
     calendar: VecDeque<(SimTime, SimTime)>,
+    /// The calendar's busy runs, in order. A reservation at least one
+    /// service time away from both neighbours is in none.
+    runs: VecDeque<Run>,
     /// Total service time this node has accumulated, in microseconds.
     busy_us: u64,
+}
+
+/// The first index in `lo..hi` whose entry fails `pred`, for entries
+/// that pass `pred` up to some index and fail it from there on; each
+/// entry read adds one to `examined`.
+fn partition_point<T>(
+    entries: &VecDeque<T>,
+    (mut lo, mut hi): (usize, usize),
+    examined: &mut u64,
+    pred: impl Fn(&T) -> bool,
+) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        *examined += 1;
+        if pred(&entries[mid]) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Whether the reservations at `i` and `i + 1` lie less than `service`
+/// apart, so that one busy run holds both.
+fn tied(calendar: &VecDeque<(SimTime, SimTime)>, i: usize, service: SimTime) -> bool {
+    match (calendar.get(i), calendar.get(i + 1)) {
+        (Some(a), Some(b)) => b.0 < a.1 + service,
+        _ => false,
+    }
 }
 
 /// All nodes' service queues plus the aggregate statistics the
@@ -137,9 +221,9 @@ struct NodeState {
 pub struct ServiceQueues {
     model: ServiceModel,
     nodes: Vec<NodeState>,
-    /// Messages admitted to any calendar (zero-service messages
-    /// excluded: they never occupy a server).
-    enqueued: u64,
+    /// Admissions and calendar entries read; `work.admits` is the
+    /// number of messages admitted to any calendar.
+    work: CalendarWork,
     /// Reservations dropped from a calendar once the watermark passed
     /// their end.
     completed: u64,
@@ -160,7 +244,7 @@ impl ServiceQueues {
         ServiceQueues {
             model,
             nodes: vec![NodeState::default(); node_count],
-            enqueued: 0,
+            work: CalendarWork::default(),
             completed: 0,
             peak_backlog: 0,
             released_to: SimTime::ZERO,
@@ -196,34 +280,104 @@ impl ServiceQueues {
             };
         }
         let state = &mut self.nodes[node.0 as usize];
+        let (calendar, runs) = (&mut state.calendar, &mut state.runs);
+        let examined = &mut self.work.examined;
         // Drop this node's reservations the watermark has passed: no
         // message from here on can wait behind them.
-        let done = state
-            .calendar
-            .partition_point(|&(_, end)| end <= self.released_to);
-        state.calendar.drain(..done);
-        self.completed += done as u64;
-        // Skip reservations already over by `arrival`; they are not
-        // backlog for this message.
-        let from = state.calendar.partition_point(|&(_, end)| end <= arrival);
-        let mut start = arrival;
-        let mut at = from;
-        while let Some(&(res_start, res_end)) = state.calendar.get(at) {
-            if start + service <= res_start {
-                break; // the gap before this reservation fits
+        while let Some(&(_, end)) = calendar.front() {
+            if end > self.released_to {
+                break;
             }
-            start = start.max(res_end);
-            at += 1;
+            let opens_a_run = tied(calendar, 0, service);
+            calendar.pop_front();
+            *examined += 1;
+            self.completed += 1;
+            if let Some(run) = runs.front_mut().filter(|_| opens_a_run) {
+                run.count -= 1;
+                match calendar.front() {
+                    Some(&(next, _)) if run.count > 1 => run.start = next,
+                    _ => {
+                        runs.pop_front();
+                    }
+                }
+            }
         }
-        let complete = start + service;
-        state.calendar.insert(at, (start, complete));
+        let len = calendar.len();
+        // Reservations already over by `arrival` are no backlog for
+        // this message.
+        let from = partition_point(calendar, (0, len), examined, |&(_, e)| e <= arrival);
+        // The slot, where it goes in the calendar and, once searched,
+        // how many busy runs end at or before it.
+        let (start, at, ended) = match calendar.get(from) {
+            Some(&(first, end)) if arrival + service > first => {
+                let in_run = |i| tied(calendar, i, service);
+                if from.checked_sub(1).is_some_and(in_run) || in_run(from) {
+                    // The reservation in the way lies in a busy run: no
+                    // gap in the run holds a message, so serve at its end.
+                    let b = partition_point(runs, (0, runs.len()), examined, |r| r.end <= arrival);
+                    let run = runs[b];
+                    let within = (from + 1, len.min(from + run.count));
+                    let at = partition_point(calendar, within, examined, |r| r.0 < run.end);
+                    (run.end, at, Some(b + 1))
+                } else {
+                    // A lone reservation: the gap after it holds one.
+                    (end, from + 1, None)
+                }
+            }
+            _ => (arrival, from, None),
+        };
+        // Join the slot to the reservations less than one service time
+        // away on either side, and those to their busy runs.
+        let end = start + service;
+        let prev = at
+            .checked_sub(1)
+            .map(|i| calendar[i])
+            .filter(|p| start < p.1 + service);
+        let next = calendar.get(at).copied().filter(|n| n.0 < end + service);
+        if prev.is_some() || next.is_some() {
+            let q = ended.unwrap_or_else(|| {
+                partition_point(runs, (0, runs.len()), examined, |r| r.end <= start)
+            });
+            let prev_run = q
+                .checked_sub(1)
+                .filter(|&i| prev.is_some_and(|p| runs[i].end == p.1));
+            let next_run = runs
+                .get(q)
+                .is_some_and(|run| next.is_some_and(|n| run.start == n.0));
+            let lone = |(start, end): (SimTime, SimTime)| Run {
+                start,
+                end,
+                count: 1,
+            };
+            let mut joined = lone((start, end));
+            if let Some(p) = prev {
+                let left = prev_run.map_or(lone(p), |i| runs[i]);
+                joined.start = left.start;
+                joined.count += left.count;
+            }
+            if let Some(n) = next {
+                let right = if next_run { runs[q] } else { lone(n) };
+                joined.end = right.end;
+                joined.count += right.count;
+            }
+            match (prev_run, next_run) {
+                (Some(i), true) => {
+                    runs[i] = joined;
+                    runs.remove(q);
+                }
+                (Some(i), false) => runs[i] = joined,
+                (None, true) => runs[q] = joined,
+                (None, false) => runs.insert(q, joined),
+            }
+        }
+        calendar.insert(at, (start, end));
         state.busy_us += service.micros();
-        self.enqueued += 1;
+        self.work.admits += 1;
         // Everything it waited behind, plus itself.
         let backlog = (at - from + 1) as u64;
         self.peak_backlog = self.peak_backlog.max(backlog);
         ServicePass {
-            complete,
+            complete: end,
             queued: start.saturating_sub(arrival),
         }
     }
@@ -239,7 +393,13 @@ impl ServiceQueues {
 
     /// Messages admitted to a calendar so far.
     pub fn enqueued(&self) -> u64 {
-        self.enqueued
+        self.work.admits
+    }
+
+    /// The work done so far: admissions, and the calendar and run
+    /// entries they read.
+    pub fn work(&self) -> CalendarWork {
+        self.work
     }
 
     /// Reservations the calendars still hold, across all nodes: the
@@ -271,8 +431,10 @@ impl ServiceQueues {
     /// message is either dropped or still held on a calendar (`enqueued
     /// == completed + backlog`), and each node's calendar is sorted and
     /// **non-overlapping** — the single-server law: a node never
-    /// serves two messages at once. Called at every event boundary
-    /// under
+    /// serves two messages at once. Also asserts that each node's busy
+    /// runs are exactly its calendar's maximal stretches of two or more
+    /// reservations whose gaps are each shorter than one service time,
+    /// in order. Called at every event boundary under
     /// [`DesConfig::check_conservation`](super::network::DesConfig).
     ///
     /// # Panics
@@ -280,13 +442,14 @@ impl ServiceQueues {
     pub fn assert_backlog_conserved(&self) {
         let pending: u64 = self.backlog();
         assert_eq!(
-            self.enqueued,
+            self.work.admits,
             self.completed + pending,
             "service backlog leaked: {} enqueued != {} completed + {} pending",
-            self.enqueued,
+            self.work.admits,
             self.completed,
             pending
         );
+        let service = self.model.service_time();
         for (i, state) in self.nodes.iter().enumerate() {
             for (&(start, end), &(next_start, _)) in
                 state.calendar.iter().zip(state.calendar.iter().skip(1))
@@ -302,6 +465,29 @@ impl ServiceQueues {
             for &(start, end) in &state.calendar {
                 assert!(start < end, "node {i}: empty or inverted reservation");
             }
+            // Rebuild the busy runs from the calendar and compare; a
+            // sentinel past the end closes the last one.
+            let mut runs = state.runs.iter();
+            let mut open: Option<Run> = None;
+            for &(start, end) in state.calendar.iter().chain([&(SimTime::MAX, SimTime::MAX)]) {
+                match open.as_mut() {
+                    Some(run) if start < run.end + service => {
+                        run.end = end;
+                        run.count += 1;
+                    }
+                    _ => {
+                        let closed = open.replace(Run {
+                            start,
+                            end,
+                            count: 1,
+                        });
+                        if let Some(closed) = closed.filter(|run| run.count > 1) {
+                            assert_eq!(runs.next(), Some(&closed), "node {i}: busy runs");
+                        }
+                    }
+                }
+            }
+            assert_eq!(runs.next(), None, "node {i}: busy runs past the calendar");
         }
     }
 }
@@ -504,6 +690,105 @@ mod tests {
             kept.assert_backlog_conserved();
             let span = t(watermark + 1_000);
             prop_assert_eq!(released.max_utilization(span), kept.max_utilization(span));
+        }
+    }
+
+    /// The first-fit walk the run index replaced: from the first
+    /// reservation still busy at `arrival`, step over one reservation at
+    /// a time until the gap before the next one holds a message.
+    /// Returns the slot's start, where the walk began and where the slot
+    /// goes in the calendar.
+    fn first_fit_walk(
+        calendar: &VecDeque<(SimTime, SimTime)>,
+        arrival: SimTime,
+        service: SimTime,
+    ) -> (SimTime, usize, usize) {
+        let from = calendar.partition_point(|&(_, end)| end <= arrival);
+        let mut start = arrival;
+        let mut at = from;
+        while let Some(&(res_start, res_end)) = calendar.get(at) {
+            if start + service <= res_start {
+                break; // the gap before this reservation fits
+            }
+            start = start.max(res_end);
+            at += 1;
+        }
+        (start, from, at)
+    }
+
+    /// Every node's calendar and the queue statistics, kept by
+    /// [`first_fit_walk`].
+    struct WalkedQueues {
+        service: SimTime,
+        calendars: Vec<VecDeque<(SimTime, SimTime)>>,
+        enqueued: u64,
+        completed: u64,
+        peak_backlog: u64,
+    }
+
+    impl WalkedQueues {
+        fn new(service: SimTime, node_count: usize) -> Self {
+            WalkedQueues {
+                service,
+                calendars: vec![VecDeque::new(); node_count],
+                enqueued: 0,
+                completed: 0,
+                peak_backlog: 0,
+            }
+        }
+
+        fn admit(&mut self, node: usize, arrival: SimTime, released_to: SimTime) -> ServicePass {
+            let calendar = &mut self.calendars[node];
+            let done = calendar.partition_point(|&(_, end)| end <= released_to);
+            calendar.drain(..done);
+            self.completed += done as u64;
+            let (start, from, at) = first_fit_walk(calendar, arrival, self.service);
+            calendar.insert(at, (start, start + self.service));
+            self.enqueued += 1;
+            self.peak_backlog = self.peak_backlog.max((at - from + 1) as u64);
+            ServicePass {
+                complete: start + self.service,
+                queued: start.saturating_sub(arrival),
+            }
+        }
+    }
+
+    proptest! {
+        /// The run index places every message where the linear walk
+        /// does, on random multi-node sequences under any service time
+        /// from 1 to 200us: saturated and idle paces, a rising
+        /// watermark, and out-of-order arrivals far past it. After each
+        /// admission the pass, the peak backlog, the node's calendar
+        /// and both message counts agree, and every node's busy runs
+        /// still match its calendar.
+        #[test]
+        fn runs_place_like_the_linear_walk(
+            service_us in 1u64..=200,
+            pace in 1u64..24,
+            steps in proptest::collection::vec((0usize..4, 0u64..64, 0u64..64, 0u8..10), 1..300),
+        ) {
+            let service = t(service_us);
+            let mut q = ServiceQueues::new(ServiceModel::constant_us(service_us), 4);
+            let mut walked = WalkedQueues::new(service, 4);
+            let mut watermark = 0;
+            for (node, advance, offset, far) in steps {
+                // Eighths of a service time, so gaps of exactly one
+                // service time, and one microsecond either side, occur.
+                watermark += (advance % pace) * service_us / 8;
+                let mut ahead = offset * service_us / 8;
+                if far == 0 {
+                    ahead += 1_000 * service_us;
+                }
+                let arrival = t(watermark + ahead);
+                q.release_before(t(watermark));
+                let pass = q.admit(n(node as u32), arrival);
+                prop_assert_eq!(pass, walked.admit(node, arrival, t(watermark)));
+                prop_assert_eq!(q.peak_backlog(), walked.peak_backlog);
+                prop_assert_eq!(&q.nodes[node].calendar, &walked.calendars[node]);
+                prop_assert_eq!(q.enqueued(), walked.enqueued);
+                prop_assert_eq!(q.completed, walked.completed);
+                q.assert_backlog_conserved();
+            }
         }
     }
 

@@ -9,7 +9,7 @@ use flash_offchain::experiments::harness::{
     run_scheme, run_scheme_des, DesLoad, DEFAULT_MICE_FRACTION,
 };
 use flash_offchain::sim::des::{
-    ChurnRate, DesConfig, DesEngine, DesNetwork, LatencyModel, ServiceModel, SimTime,
+    CalendarWork, ChurnRate, DesConfig, DesEngine, DesNetwork, LatencyModel, ServiceModel, SimTime,
 };
 use flash_offchain::sim::Network;
 use flash_offchain::types::{Amount, Payment};
@@ -343,6 +343,48 @@ fn nonzero_service_queues_under_load_for_every_scheme() {
         );
         assert_eq!(des.conserved_total_micros(), des.initial_total_micros());
     }
+}
+
+/// The calendar work of the committed e2e smoke run with the deepest
+/// backlog (`BENCH_e2e.json`: Spider at 400 payments/s on the 60-node
+/// testbed topology, `peak_backlog` 595), pinned by equality: messages
+/// admitted, and calendar and run entries read to place them and to
+/// drop finished reservations. Only a deliberate change to how a
+/// message finds its service slot may re-record them; a failure names
+/// the counter and prints both values.
+#[test]
+fn calendar_work_matches_recorded_counts() {
+    const WANT: CalendarWork = CalendarWork {
+        admits: 9_957,
+        examined: 88_189,
+    };
+    let seed = 1009;
+    let net = testbed_topology(60, 1000, 1500, seed);
+    let trace = generate_trace(net.graph(), &TraceConfig::ripple(200, seed + 7));
+    let amounts: Vec<Amount> = trace.iter().map(|p| p.amount).collect();
+    let threshold = threshold_for_mice_fraction(&amounts, DEFAULT_MICE_FRACTION);
+    let workload = arrivals::poisson_workload(&trace, 400.0, seed + 31);
+    let (report, des) = run_checked(
+        &net,
+        Scheme::Spider,
+        &workload,
+        threshold,
+        LatencyModel::constant_ms(25),
+        ServiceModel::constant_ms(10),
+        seed + 31,
+    );
+    assert_eq!(report.peak_backlog, 595, "not the committed smoke run");
+    let got = des.service_queues().work();
+    assert_eq!(
+        got.admits, WANT.admits,
+        "calendar admits changed: got {}, want {}",
+        got.admits, WANT.admits
+    );
+    assert_eq!(
+        got.examined, WANT.examined,
+        "calendar entries examined changed: got {}, want {}",
+        got.examined, WANT.examined
+    );
 }
 
 /// A 6-node line with ample balance: every 1-unit payment succeeds at
