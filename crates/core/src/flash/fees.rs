@@ -21,7 +21,7 @@
 use super::elephant::ElephantPlan;
 use pcn_graph::maxflow::decompose_sparse;
 use pcn_graph::{DiGraph, EdgeId, Path};
-use pcn_lp::{Cmp, LinearProgram};
+use pcn_lp::{Cmp, LpWork, Simplex};
 use pcn_types::Amount;
 
 /// Splits `demand` over the plan's paths.
@@ -32,9 +32,39 @@ use pcn_types::Amount;
 /// until the demand is met".
 ///
 /// Returns executable `(path, amount)` parts summing exactly to `demand`,
-/// or `None` when the plan cannot carry it.
+/// or `None` when the plan cannot carry it. Runs on a throwaway
+/// [`SplitScratch`]; a caller that splits repeatedly keeps one and calls
+/// [`split_payment_with`].
 pub fn split_payment(
     graph: &DiGraph,
+    plan: &ElephantPlan,
+    demand: Amount,
+    optimize: bool,
+) -> Option<Vec<(Path, Amount)>> {
+    split_payment_with(graph, &mut SplitScratch::default(), plan, demand, optimize)
+}
+
+/// The split's working arrays, kept between splits: the plan's edge
+/// book and the LP solver with its tableau. `FlashRouter` owns one;
+/// it is sized by the largest plan so far.
+#[derive(Clone, Debug, Default)]
+pub struct SplitScratch {
+    book: Book,
+    simplex: Simplex,
+}
+
+impl SplitScratch {
+    /// The LP work done so far: one solve per optimized split of a
+    /// non-empty plan, and the pivots they took.
+    pub fn work(&self) -> LpWork {
+        self.simplex.work()
+    }
+}
+
+/// [`split_payment`] on the caller's scratch; the parts are the same.
+pub fn split_payment_with(
+    graph: &DiGraph,
+    scratch: &mut SplitScratch,
     plan: &ElephantPlan,
     demand: Amount,
     optimize: bool,
@@ -47,23 +77,25 @@ pub fn split_payment(
     }
     debug_assert_eq!(plan.paths.len(), plan.path_edges.len());
     debug_assert_eq!(plan.paths.len(), plan.path_hops.len());
-    let book = Book::new(graph, plan);
+    let SplitScratch { book, simplex } = scratch;
+    book.fill(graph, plan);
     let alloc = if optimize {
-        lp_allocate(&book, demand).or_else(|| sequential_allocate(&book, demand))?
+        lp_allocate(book, simplex, demand).or_else(|| sequential_allocate(book, demand))?
     } else {
-        sequential_allocate(&book, demand)?
+        sequential_allocate(book, demand)?
     };
     debug_assert_eq!(
         alloc.iter().map(|a| *a as u128).sum::<u128>(),
         demand.micros() as u128
     );
-    materialize(graph, plan, &book, &alloc, demand)
+    materialize(graph, plan, book, &alloc, demand)
 }
 
 /// The plan's distinct path edges, numbered in first-occurrence order,
 /// with what the split needs of each. A plan holds a few dozen edges, so
 /// numbering them is a linear search, not a hash map — and the per-edge
 /// books below are plain vectors indexed by that number.
+#[derive(Clone, Debug, Default)]
 struct Book {
     edges: Vec<EdgeId>,
     /// First-probe capacity per edge, in micros.
@@ -78,13 +110,23 @@ struct Book {
 }
 
 impl Book {
-    fn new(graph: &DiGraph, plan: &ElephantPlan) -> Book {
-        let mut edges: Vec<EdgeId> = Vec::new();
-        let mut cap = Vec::new();
-        let mut paths = Vec::with_capacity(plan.paths.len());
-        let mut unit_cost = Vec::with_capacity(plan.paths.len());
-        for (path_edges, hops) in plan.path_edges.iter().zip(&plan.path_hops) {
-            let mut numbers = Vec::with_capacity(path_edges.len());
+    /// Books `plan`'s paths, forgetting the last plan's; the vectors,
+    /// the per-path ones included, keep their capacity.
+    fn fill(&mut self, graph: &DiGraph, plan: &ElephantPlan) {
+        let Book {
+            edges,
+            cap,
+            rev,
+            paths,
+            unit_cost,
+        } = self;
+        edges.clear();
+        cap.clear();
+        unit_cost.clear();
+        paths.resize_with(plan.paths.len(), Vec::new);
+        for ((path_edges, hops), numbers) in plan.path_edges.iter().zip(&plan.path_hops).zip(paths)
+        {
+            numbers.clear();
             let mut ppm = 0.0f64;
             for (&e, hop) in path_edges.iter().zip(hops) {
                 ppm += hop.fee.marginal_ppm() as f64;
@@ -95,22 +137,12 @@ impl Book {
                 }));
             }
             unit_cost.push(ppm / 1e6 + 1e-9 * path_edges.len() as f64);
-            paths.push(numbers);
         }
-        let rev = edges
-            .iter()
-            .map(|&e| {
-                let r = graph.reverse_edge(e)?;
-                edges.iter().position(|&x| x == r)
-            })
-            .collect();
-        Book {
-            edges,
-            cap,
-            rev,
-            paths,
-            unit_cost,
-        }
+        rev.clear();
+        rev.extend(edges.iter().map(|&e| {
+            let r = graph.reverse_edge(e)?;
+            edges.iter().position(|&x| x == r)
+        }));
     }
 
     /// Residual capacity of edge number `e` given gross per-edge flows:
@@ -155,36 +187,36 @@ fn sequential_allocate(book: &Book, demand: Amount) -> Option<Vec<u64>> {
     (remaining == 0).then_some(alloc)
 }
 
-/// LP-based allocation (the paper's program (1)).
-fn lp_allocate(book: &Book, demand: Amount) -> Option<Vec<u64>> {
+/// LP-based allocation (the paper's program (1)), solved on `simplex`.
+fn lp_allocate(book: &Book, simplex: &mut Simplex, demand: Amount) -> Option<Vec<u64>> {
     let np = book.paths.len();
-    let mut lp = LinearProgram::minimize(book.unit_cost.clone());
+    simplex.minimize(&book.unit_cost);
 
     // Demand constraint (micros).
-    lp.constrain(vec![1.0; np], Cmp::Eq, demand.micros() as f64);
+    simplex.constrain(Cmp::Eq, demand.micros() as f64).fill(1.0);
 
     // Netted capacity constraint per directed edge that appears on any
-    // path: a path adds 1 on each of its edges and takes 1 off each
-    // edge whose opposite direction it uses.
-    let mut rows = vec![vec![0.0f64; np]; book.edges.len()];
+    // path, row `1 + e` for edge number `e`: a path adds 1 on each of
+    // its edges and takes 1 off each edge whose opposite direction it
+    // uses.
+    for &cap in &book.cap {
+        simplex.constrain(Cmp::Le, cap as f64);
+    }
     for (i, path) in book.paths.iter().enumerate() {
         for &e in path {
-            rows[e][i] += 1.0;
+            simplex.row_mut(1 + e)[i] += 1.0;
             if let Some(r) = book.rev[e] {
-                rows[r][i] -= 1.0;
+                simplex.row_mut(1 + r)[i] -= 1.0;
             }
         }
     }
-    for (row, &cap) in rows.into_iter().zip(&book.cap) {
-        lp.constrain(row, Cmp::Le, cap as f64);
-    }
 
-    let sol = lp.solve().ok()?;
+    simplex.solve().ok()?;
 
     // Round down to integer micros, then place the remainder on paths
     // with residual slack, cheapest first.
-    let mut alloc: Vec<u64> = sol
-        .x
+    let mut alloc: Vec<u64> = simplex
+        .x()
         .iter()
         .map(|&v| if v <= 0.0 { 0 } else { v.floor() as u64 })
         .collect();
@@ -480,10 +512,12 @@ mod tests {
                 let plan = find_paths(&mut net, s, t, Amount::from_units(demand), k);
                 prop_assume!(!plan.paths.is_empty());
                 let g = net.graph();
-                let book = Book::new(g, &plan);
+                let mut book = Book::default();
+                book.fill(g, &plan);
                 let d = plan.max_flow.min(Amount::from_units(demand));
                 let random: Vec<u64> = book.paths.iter().map(|_| rng.random_range(0..1_000)).collect();
-                let allocs = [lp_allocate(&book, d), sequential_allocate(&book, d), Some(random)];
+                let lp = lp_allocate(&book, &mut Simplex::new(), d);
+                let allocs = [lp, sequential_allocate(&book, d), Some(random)];
                 for alloc in allocs.into_iter().flatten() {
                     let flow = net_flow(&book, &alloc).unwrap();
                     let mut dense = vec![0u64; g.edge_count()];

@@ -69,6 +69,8 @@ pub struct FlashRouter {
     /// Algorithm 1's working arrays, sized by the first elephant and
     /// reused by every one after it.
     scratch: elephant::ElephantScratch,
+    /// The fee split's edge book and LP tableau, reused the same way.
+    split: fees::SplitScratch,
     /// A mice payment's random path order and the indices of the paths
     /// it found dead, kept between payments.
     order: Vec<usize>,
@@ -87,6 +89,7 @@ impl FlashRouter {
             clock: 0,
             staleness: StalenessTracker::default(),
             scratch: elephant::ElephantScratch::default(),
+            split: fees::SplitScratch::default(),
             order: Vec::new(),
             dead_paths: Vec::new(),
         }
@@ -139,8 +142,9 @@ impl FlashRouter {
             net.record_rejected_attempt(payment, class);
             return RouteOutcome::failure(FailureReason::InsufficientCapacity);
         }
-        let Some(parts) = fees::split_payment(
+        let Some(parts) = fees::split_payment_with(
             net.graph(),
+            &mut self.split,
             &plan,
             payment.amount,
             self.config.optimize_fees,

@@ -128,10 +128,15 @@ struct Level {
 
 /// A distance no side has found.
 const UNSEEN: u32 = u32::MAX;
+/// The depth tag of a node the walk cannot enter: outside the open
+/// phase's complete levels, avoided, or dead.
+const UNTAGGED: u32 = u32::MAX;
 /// What an avoided node holds as both distances: no side's, but not
 /// [`UNSEEN`], so neither side enters it.
 const AVOIDED: u32 = u32::MAX - 1;
-/// The arc of a node no walk can leave toward `t` in this phase.
+/// The arc of a node no walk can leave toward `t` in this phase. The
+/// walk tests the node's depth tag instead; only the dev-profile check
+/// that the two agree reads this.
 const DEAD: u32 = u32::MAX;
 
 /// Reusable state of a *sequence* of fewest-hops `s → t` searches in
@@ -154,12 +159,18 @@ const DEAD: u32 = u32::MAX;
 /// Each call walks the DAG depth first from `s` in adjacency order,
 /// avoided nodes counting as dead. Every node keeps a current arc that
 /// never rewinds within the phase, so the walk returns the forward
-/// BFS's path and scans each adjacency entry about once per phase.
+/// BFS's path and scans each adjacency entry about once per phase. The
+/// walk's test of a scanned entry reads one 4-byte depth tag, the
+/// node's level while it is live, set when the phase opens and cleared
+/// when the node dies.
 /// When the walk from `s` finds nothing the distance has grown, and
 /// the next phase opens.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseScratch {
     level: Vec<Level>,
+    /// `depth[v]` is `v`'s level in the open phase's DAG while `v` is
+    /// live, and [`UNTAGGED`] otherwise: the walk's per-entry test.
+    depth: Vec<u32>,
     stamp: u32,
     /// The opening search's discovery orders, from `s` and from `t`
     /// along in-edges; each level is a consecutive run of its list.
@@ -247,9 +258,15 @@ impl PhaseScratch {
         if s == t || s.index() >= n || t.index() >= n {
             return None;
         }
+        // The last phase tagged nodes of its two lists only.
+        for v in self.fwd.iter().chain(&self.bwd) {
+            self.depth[v.index()] = UNTAGGED;
+        }
         if self.level.len() != n {
             self.level.clear();
             self.level.resize(n, Level::default());
+            self.depth.clear();
+            self.depth.resize(n, UNTAGGED);
         }
         if self.stamp == u32::MAX {
             self.level.fill(Level::default());
@@ -259,6 +276,7 @@ impl PhaseScratch {
         self.work.phases += 1;
         let PhaseScratch {
             level,
+            depth,
             stamp,
             fwd,
             bwd,
@@ -296,7 +314,7 @@ impl PhaseScratch {
         // walk reads.
         let (mut f_lo, mut f_cost, mut a) = (0, g.out_degree(s), 0);
         let (mut b_lo, mut b_cost, mut b) = (0, g.in_neighbors(t).len(), 0);
-        loop {
+        let (f, d) = 'meet: loop {
             if f_cost <= b_cost {
                 let end = fwd.len();
                 f_cost = 0;
@@ -312,7 +330,7 @@ impl PhaseScratch {
                             *l = fresh;
                         }
                         if l.back != UNSEEN {
-                            return Some((a, a + b));
+                            break 'meet (a, a + b);
                         }
                         l.fwd = a;
                         fwd.push(v);
@@ -338,7 +356,7 @@ impl PhaseScratch {
                             *l = fresh;
                         }
                         if l.fwd != UNSEEN {
-                            return Some((a + 1, a + b));
+                            break 'meet (a + 1, a + b);
                         }
                         l.back = b;
                         bwd.push(u);
@@ -350,7 +368,25 @@ impl PhaseScratch {
                 }
                 b_lo = end;
             }
+        };
+        // Tag the complete levels, each list in level order: `0..F`
+        // from `s` by their distance from `s`, `0..=d − F` to `t` by
+        // `d` less their distance to `t`.
+        for &v in fwd.iter() {
+            let j = level[v.index()].fwd;
+            if j >= f {
+                break;
+            }
+            depth[v.index()] = j;
         }
+        for &v in bwd.iter() {
+            let back = level[v.index()].back;
+            if back > d - f {
+                break;
+            }
+            depth[v.index()] = d - back;
+        }
+        Some((f, d))
     }
 
     /// Walks the open phase's level DAG from `s`: at depth `j` it takes
@@ -366,6 +402,7 @@ impl PhaseScratch {
     ) -> Option<Path> {
         let PhaseScratch {
             level,
+            depth,
             stamp,
             walk,
             ends,
@@ -388,9 +425,17 @@ impl PhaseScratch {
                     break None;
                 };
                 scanned += 1;
-                let l = level[v.index()];
-                let at_j = if j < f { l.fwd == j } else { l.back == d - j };
-                if l.stamp == *stamp && at_j && l.arc != DEAD && edge_ok(e) {
+                let tagged = depth[v.index()] == j;
+                debug_assert_eq!(
+                    tagged,
+                    {
+                        let l = level[v.index()];
+                        let at_j = if j < f { l.fwd == j } else { l.back == d - j };
+                        l.stamp == *stamp && at_j && l.arc != DEAD
+                    },
+                    "{v:?}'s depth tag disagrees with its level record at depth {j}"
+                );
+                if tagged && edge_ok(e) {
                     break Some(v);
                 }
                 i += 1;
@@ -405,6 +450,7 @@ impl PhaseScratch {
                 // Nothing left below `u`: it is dead for the phase, and
                 // its parent moves past the edge into it.
                 level[u.index()].arc = DEAD;
+                depth[u.index()] = UNTAGGED;
                 walk.pop();
                 if let Some(&p) = walk.last() {
                     level[p.index()].arc += 1;
@@ -672,10 +718,41 @@ mod tests {
         use rand::prelude::*;
         use rand::rngs::StdRng;
 
+        /// A star of stars: a core node joined to `hubs` hubs, each hub
+        /// to `leaves` leaves of its own, and `extra` random channels
+        /// between leaves. A walk from a leaf scans a whole hub list for
+        /// the one or two nodes of the next level, as Algorithm 1's walks
+        /// do at the Lightning topology's hubs.
+        fn star_of_stars(hubs: usize, leaves: usize, extra: usize, seed: u64) -> DiGraph {
+            let size = 1 + hubs * (1 + leaves);
+            let mut g = DiGraph::new(size);
+            for h in 0..hubs {
+                let hub = 1 + h * (1 + leaves);
+                g.add_channel(n(0), n(hub as u32)).unwrap();
+                for l in 1..=leaves {
+                    g.add_channel(n(hub as u32), n((hub + l) as u32)).unwrap();
+                }
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            let is_hub = |v: usize| v == 0 || (v - 1).is_multiple_of(1 + leaves);
+            for _ in 0..extra {
+                let (u, v) = (rng.random_range(0..size), rng.random_range(0..size));
+                if u != v && !is_hub(u) && !is_hub(v) && g.edge(n(u as u32), n(v as u32)).is_none()
+                {
+                    g.add_channel(n(u as u32), n(v as u32)).unwrap();
+                }
+            }
+            g
+        }
+
         proptest! {
             /// One scratch serves an Erdős–Rényi, a Watts–Strogatz and a
-            /// Barabási–Albert graph of different sizes, for pairs drawn
-            /// at random, adjacent, `s == t` and with `t` out of range.
+            /// Barabási–Albert graph of different sizes, and two hub-heavy
+            /// ones: a Barabási–Albert graph that attaches each node by
+            /// five channels, and a star of stars. On those a walk scans
+            /// adjacency lists far longer than the level it looks for.
+            /// Pairs are drawn at random, adjacent, `s == t` and with `t`
+            /// out of range.
             /// Each pair runs a sequence of calls shaped like Algorithm 1,
             /// from up to 70 % of the edges blocked: after each path it
             /// removes some of the path's edges (or just its first hop, a
@@ -689,6 +766,7 @@ mod tests {
             #[test]
             fn phases_equal_the_forward_bfs(
                 sizes in (2usize..48, 5usize..48, 3usize..48),
+                stars in (2usize..6, 4usize..16, 0usize..12),
                 density in 0.02f64..0.4,
                 seed in 0u64..1_000_000,
                 blocked_pct in 0u32..=70,
@@ -699,6 +777,8 @@ mod tests {
                     generators::erdos_renyi(sizes.0, density, seed),
                     generators::watts_strogatz(sizes.1, 4, density, seed),
                     generators::barabasi_albert(sizes.2, 2, seed),
+                    generators::barabasi_albert(sizes.2 + 40, 5, seed),
+                    star_of_stars(stars.0, stars.1, stars.2, seed),
                 ];
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut phases = PhaseScratch::new();

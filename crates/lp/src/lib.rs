@@ -7,7 +7,10 @@
 //! solves it exactly and instantly.
 //!
 //! * [`LinearProgram`] — builder for `min cᵀx  s.t.  Ax {≤,=,≥} b, x ≥ 0`.
-//! * [`simplex::solve`] — two-phase simplex with Bland's anti-cycling rule.
+//! * [`Simplex`] — two-phase simplex with Bland's anti-cycling rule, on
+//!   one flat tableau kept between solves; [`LpWork`] counts its solves
+//!   and pivots.
+//! * [`simplex::solve`] — one solve on a throwaway [`Simplex`].
 //! * [`Solution`] / [`LpError`] — results.
 //!
 //! ```
@@ -40,4 +43,4 @@
 
 pub mod simplex;
 
-pub use simplex::{solve, Cmp, LinearProgram, LpError, Solution};
+pub use simplex::{solve, Cmp, LinearProgram, LpError, LpWork, Simplex, Solution};

@@ -1,12 +1,36 @@
-//! Two-phase dense primal simplex.
+//! Two-phase dense primal simplex on one flat, reused tableau.
 //!
 //! Standard-form conversion: every constraint row is normalized to
 //! `aᵀx (+ slack) (+ artificial) = b` with `b ≥ 0`; phase 1 minimizes the
 //! sum of artificials to find a basic feasible solution, phase 2 then
 //! minimizes the real objective. Bland's rule (smallest-index entering and
 //! leaving variables) guarantees termination on degenerate instances.
+//!
+//! [`Simplex`] keeps the program's rows and the tableau as flat,
+//! row-major vectors between solves; the fee split solves one small
+//! program per elephant on the router's own. It replaced a solver that
+//! built a `Vec<Vec<f64>>` tableau and two row copies per solve, and it
+//! makes the same pivots with the same floating-point operations:
+//! - the same column layout `[x | slack/surplus | artificial | rhs]` and
+//!   row normalisation;
+//! - a per-column count of the rows a column is basic in, where the old
+//!   solver searched the basis;
+//! - each reduced cost starts at `c_j` and subtracts `c_B[i] · t[i][j]`
+//!   in ascending `i`, a whole row at a time, skipping rows whose basic
+//!   cost is exactly `0.0`: on a finite tableau such a term can flip
+//!   only the sign of a zero, which the `< −EPS` entering test cannot
+//!   see;
+//! - the same ratio test, pivot-row division (not multiplication by a
+//!   reciprocal), elimination and final objective sum.
+//!
+//! The old solver is kept as the tests' reference: the differential
+//! proptest requires equal `x` and objective bits, the same error and
+//! the same pivot count on every program.
 
 use std::fmt;
+
+#[cfg(test)]
+mod reference;
 
 /// Numerical tolerance for pivoting and feasibility checks.
 const EPS: f64 = 1e-9;
@@ -111,204 +135,312 @@ impl LinearProgram {
     }
 }
 
-/// Solves a [`LinearProgram`] with two-phase simplex.
+/// Solves a [`LinearProgram`] with two-phase simplex, on a [`Simplex`]
+/// made for the call.
 pub fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
-    let n = lp.num_vars();
-    let m = lp.num_constraints();
+    let mut simplex = Simplex::new();
+    simplex.load(lp)?;
+    let objective = simplex.solve()?;
+    Ok(Solution {
+        x: simplex.x,
+        objective,
+    })
+}
 
-    // Normalize rows to b ≥ 0 and count extra columns.
-    // Column layout: [x (n)] [slack/surplus (≤ m)] [artificial (≤ m)].
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(m);
-    let mut cmps: Vec<Cmp> = Vec::with_capacity(m);
-    let mut rhs: Vec<f64> = Vec::with_capacity(m);
-    for i in 0..m {
-        if lp.rows[i].len() != n {
-            return Err(LpError::DimensionMismatch {
-                expected: n,
-                got: lp.rows[i].len(),
-            });
-        }
-        let (mut row, mut c, mut b) = (lp.rows[i].clone(), lp.cmps[i], lp.rhs[i]);
-        if b < 0.0 {
-            for a in &mut row {
-                *a = -*a;
+/// The work a [`Simplex`] has done since it was made: plain counts,
+/// summed over every program it solved.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LpWork {
+    /// Calls to [`Simplex::solve`].
+    pub solves: u64,
+    /// Pivots, in both phases and in driving artificials out between
+    /// them.
+    pub pivots: u64,
+}
+
+/// A two-phase simplex solver whose arrays outlive the solve: the
+/// program's rows, the tableau and the basis are flat, row-major
+/// vectors, sized by the largest program so far. A caller that solves
+/// many small programs keeps one and allocates only while they grow.
+///
+/// A program is built in place — [`Simplex::minimize`], then one
+/// [`Simplex::constrain`] per row, whose zeroed coefficients the caller
+/// fills through the returned slice or later through
+/// [`Simplex::row_mut`] — or copied from a [`LinearProgram`] by
+/// [`Simplex::load`]. [`Simplex::solve`] then solves it.
+#[derive(Clone, Debug, Default)]
+pub struct Simplex {
+    /// The program: `n` costs, and `n` coefficients per row.
+    costs: Vec<f64>,
+    a: Vec<f64>,
+    cmps: Vec<Cmp>,
+    rhs: Vec<f64>,
+    /// The tableau, `width` columns per row: `[x | slack/surplus |
+    /// artificial | rhs]`.
+    t: Vec<f64>,
+    width: usize,
+    /// The basic column of each row, and per column the number of rows
+    /// it is basic in: one or none, unless phase 1's drive-out pivots on
+    /// a basic column whose other entries drifted past `EPS`, where the
+    /// count keeps `basis.contains`'s answer.
+    basis: Vec<usize>,
+    basic_rows: Vec<u32>,
+    /// The running phase's cost per column, the cost of each row's
+    /// basic column, and the reduced costs of one pricing pass.
+    cost: Vec<f64>,
+    basic_cost: Vec<f64>,
+    reduced: Vec<f64>,
+    /// The last optimum; empty after a failed solve.
+    x: Vec<f64>,
+    work: LpWork,
+}
+
+impl Simplex {
+    /// An empty solver; arrays are sized by the first program.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Starts a new program: minimize `costs · x` over `costs.len()`
+    /// non-negative variables, with no constraints yet.
+    pub fn minimize(&mut self, costs: &[f64]) {
+        self.costs.clear();
+        self.costs.extend_from_slice(costs);
+        self.a.clear();
+        self.cmps.clear();
+        self.rhs.clear();
+    }
+
+    /// Adds the constraint `a · x  cmp  rhs` with every coefficient zero,
+    /// and returns the coefficients to fill.
+    pub fn constrain(&mut self, cmp: Cmp, rhs: f64) -> &mut [f64] {
+        let start = self.a.len();
+        self.a.resize(start + self.costs.len(), 0.0);
+        self.cmps.push(cmp);
+        self.rhs.push(rhs);
+        &mut self.a[start..]
+    }
+
+    /// The coefficients of constraint `i`, in the order they were added.
+    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        let n = self.costs.len();
+        &mut self.a[i * n..(i + 1) * n]
+    }
+
+    /// Starts a new program that copies `lp`.
+    pub fn load(&mut self, lp: &LinearProgram) -> Result<(), LpError> {
+        self.minimize(&lp.objective);
+        for ((row, &cmp), &rhs) in lp.rows.iter().zip(&lp.cmps).zip(&lp.rhs) {
+            if row.len() != lp.num_vars() {
+                return Err(LpError::DimensionMismatch {
+                    expected: lp.num_vars(),
+                    got: row.len(),
+                });
             }
-            b = -b;
-            c = match c {
-                Cmp::Le => Cmp::Ge,
-                Cmp::Eq => Cmp::Eq,
-                Cmp::Ge => Cmp::Le,
+            self.constrain(cmp, rhs).copy_from_slice(row);
+        }
+        Ok(())
+    }
+
+    /// The optimal assignment of the last successful [`Simplex::solve`],
+    /// one value per variable; empty after a failed one.
+    pub fn x(&self) -> &[f64] {
+        &self.x
+    }
+
+    /// The work done so far.
+    pub fn work(&self) -> LpWork {
+        self.work
+    }
+
+    /// Solves the program built since the last [`Simplex::minimize`] and
+    /// returns the optimal objective, the assignment in
+    /// [`Simplex::x`]. A row with a negative right-hand side is
+    /// normalised in place: negated, its direction flipped.
+    pub fn solve(&mut self) -> Result<f64, LpError> {
+        self.work.solves += 1;
+        self.x.clear();
+        let n = self.costs.len();
+        for (i, (cmp, b)) in self.cmps.iter_mut().zip(&mut self.rhs).enumerate() {
+            if *b < 0.0 {
+                for a in &mut self.a[i * n..(i + 1) * n] {
+                    *a = -*a;
+                }
+                *b = -*b;
+                *cmp = match cmp {
+                    Cmp::Le => Cmp::Ge,
+                    Cmp::Eq => Cmp::Eq,
+                    Cmp::Ge => Cmp::Le,
+                };
+            }
+        }
+
+        let n_slack = self.cmps.iter().filter(|c| **c != Cmp::Eq).count();
+        let n_art = self
+            .cmps
+            .iter()
+            .filter(|c| matches!(c, Cmp::Eq | Cmp::Ge))
+            .count();
+        let art_start = n + n_slack;
+        let total = art_start + n_art;
+        self.width = total + 1;
+
+        self.t.clear();
+        self.t.resize(self.cmps.len() * self.width, 0.0);
+        self.basis.clear();
+        let (mut next_slack, mut next_art) = (n, art_start);
+        for (i, row) in self.t.chunks_exact_mut(self.width).enumerate() {
+            row[..n].copy_from_slice(&self.a[i * n..(i + 1) * n]);
+            row[total] = self.rhs[i];
+            let basic = match self.cmps[i] {
+                Cmp::Le => {
+                    row[next_slack] = 1.0;
+                    next_slack += 1;
+                    next_slack - 1
+                }
+                Cmp::Ge => {
+                    row[next_slack] = -1.0; // surplus
+                    next_slack += 1;
+                    row[next_art] = 1.0;
+                    next_art += 1;
+                    next_art - 1
+                }
+                Cmp::Eq => {
+                    row[next_art] = 1.0;
+                    next_art += 1;
+                    next_art - 1
+                }
             };
+            self.basis.push(basic);
         }
-        rows.push(row);
-        cmps.push(c);
-        rhs.push(b);
-    }
-
-    let n_slack = cmps.iter().filter(|c| **c != Cmp::Eq).count();
-    let n_art = cmps
-        .iter()
-        .filter(|c| matches!(c, Cmp::Eq | Cmp::Ge))
-        .count();
-    let total = n + n_slack + n_art;
-
-    // Tableau: m rows × (total + 1) columns (last column = rhs).
-    let mut t = vec![vec![0.0f64; total + 1]; m];
-    let mut basis = vec![usize::MAX; m];
-    let mut next_slack = n;
-    let mut next_art = n + n_slack;
-    for i in 0..m {
-        t[i][..n].copy_from_slice(&rows[i]);
-        t[i][total] = rhs[i];
-        match cmps[i] {
-            Cmp::Le => {
-                t[i][next_slack] = 1.0;
-                basis[i] = next_slack;
-                next_slack += 1;
-            }
-            Cmp::Ge => {
-                t[i][next_slack] = -1.0; // surplus
-                next_slack += 1;
-                t[i][next_art] = 1.0;
-                basis[i] = next_art;
-                next_art += 1;
-            }
-            Cmp::Eq => {
-                t[i][next_art] = 1.0;
-                basis[i] = next_art;
-                next_art += 1;
-            }
+        self.basic_rows.clear();
+        self.basic_rows.resize(total, 0);
+        for &b in &self.basis {
+            self.basic_rows[b] += 1;
         }
-    }
 
-    let art_start = n + n_slack;
-
-    // ---- Phase 1: minimize sum of artificials ----
-    if n_art > 0 {
-        let mut cost = vec![0.0f64; total];
-        for c in cost.iter_mut().take(total).skip(art_start) {
-            *c = 1.0;
-        }
-        let obj = run_simplex(&mut t, &mut basis, &cost, total)?;
-        if obj > 1e-7 {
-            return Err(LpError::Infeasible);
-        }
-        // Drive any artificial still in the basis out (degenerate case).
-        for i in 0..m {
-            if basis[i] >= art_start {
-                // Pivot on any non-artificial column with a non-zero
-                // coefficient in this row.
-                if let Some(j) = (0..art_start).find(|&j| t[i][j].abs() > EPS) {
-                    pivot(&mut t, &mut basis, i, j, total);
-                }
-                // If none exists the row is all-zero: redundant, leave it.
+        // ---- Phase 1: minimize sum of artificials ----
+        if n_art > 0 {
+            self.cost.clear();
+            self.cost.resize(total, 0.0);
+            self.cost[art_start..].fill(1.0);
+            if self.run(total)? > 1e-7 {
+                return Err(LpError::Infeasible);
             }
-        }
-    }
-
-    // ---- Phase 2: original objective, artificials frozen at zero ----
-    let mut cost = vec![0.0f64; total];
-    cost[..n].copy_from_slice(&lp.objective);
-    // Forbid artificials from re-entering by pricing them prohibitively.
-    // (They are non-basic at zero after phase 1; simplex never picks a
-    // column with positive reduced cost in a minimization.)
-    let obj = run_simplex_restricted(&mut t, &mut basis, &cost, total, art_start)?;
-
-    let mut x = vec![0.0f64; n];
-    for i in 0..m {
-        if basis[i] < n {
-            x[basis[i]] = t[i][total];
-        }
-    }
-    Ok(Solution { x, objective: obj })
-}
-
-/// Runs simplex minimizing `cost` over all `total` columns.
-fn run_simplex(
-    t: &mut [Vec<f64>],
-    basis: &mut [usize],
-    cost: &[f64],
-    total: usize,
-) -> Result<f64, LpError> {
-    run_simplex_restricted(t, basis, cost, total, total)
-}
-
-/// Runs simplex but only allows columns `< allowed` to enter the basis.
-fn run_simplex_restricted(
-    t: &mut [Vec<f64>],
-    basis: &mut [usize],
-    cost: &[f64],
-    total: usize,
-    allowed: usize,
-) -> Result<f64, LpError> {
-    let m = t.len();
-    loop {
-        // Reduced costs: r_j = c_j − c_B · B⁻¹ A_j, computed directly
-        // from the tableau (rows are already B⁻¹A).
-        let mut entering = None;
-        for j in 0..allowed {
-            if basis.contains(&j) {
-                continue;
-            }
-            let mut r = cost[j];
-            for i in 0..m {
-                r -= cost[basis[i]] * t[i][j];
-            }
-            if r < -EPS {
-                entering = Some(j); // Bland: first (smallest) index
-                break;
-            }
-        }
-        let Some(j) = entering else {
-            // Optimal.
-            let mut obj = 0.0;
-            for i in 0..m {
-                obj += cost[basis[i]] * t[i][total];
-            }
-            return Ok(obj);
-        };
-        // Ratio test (Bland: smallest basis index on ties).
-        let mut leave: Option<usize> = None;
-        let mut best = f64::INFINITY;
-        for i in 0..m {
-            if t[i][j] > EPS {
-                let ratio = t[i][total] / t[i][j];
-                if ratio < best - EPS
-                    || (ratio < best + EPS && leave.is_some_and(|l| basis[i] < basis[l]))
-                {
-                    best = ratio;
-                    leave = Some(i);
+            // Drive any artificial still in the basis out (degenerate
+            // case) by pivoting on the row's first non-artificial column
+            // with a non-zero coefficient. A row without one is all zero:
+            // redundant, so its artificial stays.
+            for i in 0..self.basis.len() {
+                if self.basis[i] >= art_start {
+                    let row = &self.t[i * self.width..][..art_start];
+                    if let Some(j) = row.iter().position(|v| v.abs() > EPS) {
+                        self.pivot(i, j);
+                    }
                 }
             }
         }
-        let Some(i) = leave else {
-            return Err(LpError::Unbounded);
-        };
-        pivot(t, basis, i, j, total);
-    }
-}
 
-fn pivot(t: &mut [Vec<f64>], basis: &mut [usize], row: usize, col: usize, total: usize) {
-    let p = t[row][col];
-    debug_assert!(p.abs() > EPS);
-    for v in t[row].iter_mut() {
-        *v /= p;
+        // ---- Phase 2: original objective, artificials frozen at zero ----
+        // They are non-basic at zero after phase 1 (or basic in a
+        // redundant row), and only columns before them may enter.
+        self.cost.clear();
+        self.cost.extend_from_slice(&self.costs);
+        self.cost.resize(total, 0.0);
+        let objective = self.run(art_start)?;
+
+        self.x.resize(n, 0.0);
+        for (row, &b) in self.t.chunks_exact(self.width).zip(&self.basis) {
+            if b < n {
+                self.x[b] = row[total];
+            }
+        }
+        Ok(objective)
     }
-    let (before, rest) = t.split_at_mut(row);
-    #[expect(
-        clippy::expect_used,
-        reason = "`row` indexes the tableau, so the split-off rest is non-empty"
-    )]
-    let (pivot_row, after) = rest.split_first_mut().expect("row index in bounds");
-    for r in before.iter_mut().chain(after.iter_mut()) {
-        if r[col].abs() > EPS {
+
+    /// Runs simplex on the tableau minimizing `self.cost`, letting only
+    /// columns `< allowed` enter the basis.
+    fn run(&mut self, allowed: usize) -> Result<f64, LpError> {
+        let w = self.width;
+        let total = w - 1;
+        self.basic_cost.clear();
+        self.basic_cost
+            .extend(self.basis.iter().map(|&b| self.cost[b]));
+        loop {
+            // Reduced costs: r_j = c_j − Σ_i c_B[i] · t[i][j], rows
+            // already being B⁻¹A, accumulated in ascending `i` a whole
+            // row at a time. A row whose basic cost is exactly zero is
+            // skipped: on a finite tableau its term could change only
+            // the sign of a zero `r_j`, which the `< −EPS` test below
+            // cannot see.
+            self.reduced.clear();
+            self.reduced.extend_from_slice(&self.cost[..allowed]);
+            for (row, &cb) in self.t.chunks_exact(w).zip(&self.basic_cost) {
+                if cb != 0.0 {
+                    for (r, &a) in self.reduced.iter_mut().zip(&row[..allowed]) {
+                        *r -= cb * a;
+                    }
+                }
+            }
+            // Bland: the first (smallest) non-basic column that improves.
+            let entering =
+                (0..allowed).find(|&j| self.basic_rows[j] == 0 && self.reduced[j] < -EPS);
+            let Some(j) = entering else {
+                // Optimal.
+                let mut obj = 0.0;
+                for (row, &cb) in self.t.chunks_exact(w).zip(&self.basic_cost) {
+                    obj += cb * row[total];
+                }
+                return Ok(obj);
+            };
+            // Ratio test (Bland: smallest basis index on ties).
+            let mut leave: Option<usize> = None;
+            let mut best = f64::INFINITY;
+            for (i, row) in self.t.chunks_exact(w).enumerate() {
+                if row[j] > EPS {
+                    let ratio = row[total] / row[j];
+                    if ratio < best - EPS
+                        || (ratio < best + EPS
+                            && leave.is_some_and(|l| self.basis[i] < self.basis[l]))
+                    {
+                        best = ratio;
+                        leave = Some(i);
+                    }
+                }
+            }
+            let Some(i) = leave else {
+                return Err(LpError::Unbounded);
+            };
+            self.pivot(i, j);
+            self.basic_cost[i] = self.cost[j];
+        }
+    }
+
+    /// Makes `col` the basic column of `row`: divides the row by the
+    /// pivot, then subtracts its multiple from every other row whose
+    /// `col` entry is not already (near) zero.
+    fn pivot(&mut self, row: usize, col: usize) {
+        self.work.pivots += 1;
+        let w = self.width;
+        let (before, rest) = self.t.split_at_mut(row * w);
+        let (pivot_row, after) = rest.split_at_mut(w);
+        let p = pivot_row[col];
+        debug_assert!(p.abs() > EPS);
+        for v in pivot_row.iter_mut() {
+            *v /= p;
+        }
+        for r in before.chunks_exact_mut(w).chain(after.chunks_exact_mut(w)) {
             let f = r[col];
-            for (dst, &src) in r[..=total].iter_mut().zip(&pivot_row[..=total]) {
-                *dst -= f * src;
+            if f.abs() > EPS {
+                for (dst, &src) in r.iter_mut().zip(pivot_row.iter()) {
+                    *dst -= f * src;
+                }
             }
         }
+        self.basic_rows[self.basis[row]] -= 1;
+        self.basic_rows[col] += 1;
+        self.basis[row] = col;
     }
-    basis[row] = col;
 }
 
 #[cfg(test)]
@@ -460,6 +592,148 @@ mod tests {
                 (lp, sample_rows)
             })
         })
+    }
+
+    /// Loads and solves `lp` on `simplex`; returns the result and the
+    /// pivots it took.
+    fn solve_on(simplex: &mut Simplex, lp: &LinearProgram) -> (Result<Solution, LpError>, u64) {
+        let before = simplex.work().pivots;
+        let result = simplex
+            .load(lp)
+            .and_then(|()| simplex.solve())
+            .map(|objective| Solution {
+                x: simplex.x().to_vec(),
+                objective,
+            });
+        (result, simplex.work().pivots - before)
+    }
+
+    /// A result as bits: every `x` value's and the objective's.
+    fn bits(result: &Result<Solution, LpError>) -> Result<(Vec<u64>, u64), LpError> {
+        result.clone().map(|s| {
+            let x = s.x.iter().map(|v| v.to_bits()).collect();
+            (x, s.objective.to_bits())
+        })
+    }
+
+    /// Beale's cycling example, a redundant equality row (the second is
+    /// twice the first, so phase 1 leaves an artificial basic in an
+    /// all-zero row), an infeasible and an unbounded program, a `≥` row
+    /// written with a negative right-hand side, and the empty program,
+    /// all on one solver: each result and pivot count is the
+    /// reference's, and the work counts every solve.
+    #[test]
+    fn flat_solver_matches_the_reference_on_edge_programs() {
+        let mut beale = LinearProgram::minimize(vec![-0.75, 150.0, -0.02, 6.0]);
+        beale.constrain(vec![0.25, -60.0, -0.04, 9.0], Cmp::Le, 0.0);
+        beale.constrain(vec![0.5, -90.0, -0.02, 3.0], Cmp::Le, 0.0);
+        beale.constrain(vec![0.0, 0.0, 1.0, 0.0], Cmp::Le, 1.0);
+        let mut redundant = LinearProgram::minimize(vec![1.0, 2.0, 0.5]);
+        redundant.constrain(vec![1.0, 1.0, 0.0], Cmp::Eq, 2.0);
+        redundant.constrain(vec![2.0, 2.0, 0.0], Cmp::Eq, 4.0);
+        redundant.constrain(vec![0.0, 1.0, 1.0], Cmp::Ge, 1.0);
+        let mut infeasible = LinearProgram::minimize(vec![1.0, 1.0]);
+        infeasible.constrain(vec![1.0, 1.0], Cmp::Le, 1.0);
+        infeasible.constrain(vec![1.0, 1.0], Cmp::Ge, 2.0);
+        let mut unbounded = LinearProgram::minimize(vec![-1.0, 1.0]);
+        unbounded.constrain(vec![1.0, -1.0], Cmp::Ge, -3.0);
+        unbounded.constrain(vec![0.0, 1.0], Cmp::Le, 5.0);
+        let mut negative = LinearProgram::minimize(vec![2.0, 1.0]);
+        negative.constrain(vec![-1.0, -1.0], Cmp::Le, -3.0);
+        negative.constrain(vec![1.0, -1.0], Cmp::Eq, -1.0);
+        let empty = LinearProgram::minimize(vec![]);
+
+        let programs = [
+            &beale,
+            &redundant,
+            &infeasible,
+            &unbounded,
+            &negative,
+            &empty,
+        ];
+        let mut simplex = Simplex::new();
+        let mut pivots = 0;
+        for (i, lp) in programs.into_iter().enumerate() {
+            let (got, got_pivots) = solve_on(&mut simplex, lp);
+            let (want, want_pivots) = reference::solve(lp);
+            assert_eq!(bits(&got), bits(&want), "program {i}");
+            assert_eq!(got_pivots, want_pivots, "program {i}: pivots");
+            pivots += got_pivots;
+        }
+        let Ok(x) = bits(&solve_on(&mut simplex, &redundant).0) else {
+            panic!("the redundant row makes the program no less feasible");
+        };
+        assert_eq!(x.0, [2.0f64, 0.0, 1.0].map(f64::to_bits));
+        assert_close(solve(&beale).unwrap().objective, -0.05);
+        assert_eq!(solve(&infeasible).unwrap_err(), LpError::Infeasible);
+        assert_eq!(solve(&unbounded).unwrap_err(), LpError::Unbounded);
+        let (_, redundant_pivots) = reference::solve(&redundant);
+        assert_eq!(
+            simplex.work(),
+            LpWork {
+                solves: 7,
+                pivots: pivots + redundant_pivots,
+            }
+        );
+    }
+
+    /// A coefficient: a half-integer in −3..=3 two times in three (ties
+    /// and degenerate vertices), otherwise any value in −5..5.
+    fn coefficient() -> impl Strategy<Value = f64> {
+        (-6i32..=6, -5.0f64..5.0, 0u32..3).prop_map(
+            |(k, v, kind)| {
+                if kind == 0 {
+                    v
+                } else {
+                    f64::from(k) / 2.0
+                }
+            },
+        )
+    }
+
+    /// Programs of 1–7 variables and 0–8 rows of every direction, with
+    /// right-hand sides of either sign, and sometimes a box `x ≤ 10` on
+    /// every variable: optimal, infeasible and unbounded ones.
+    fn arb_program() -> impl Strategy<Value = LinearProgram> {
+        (1usize..8, 0usize..9).prop_flat_map(|(n, m)| {
+            let costs = proptest::collection::vec(coefficient(), n);
+            let row = (
+                proptest::collection::vec(coefficient(), n),
+                0usize..3,
+                coefficient(),
+            );
+            let rows = proptest::collection::vec(row, m);
+            (costs, rows, 0u32..2).prop_map(move |(costs, rows, boxed)| {
+                let mut lp = LinearProgram::minimize(costs);
+                for (row, cmp, b) in rows {
+                    lp.constrain(row, [Cmp::Le, Cmp::Eq, Cmp::Ge][cmp], 4.0 * b);
+                }
+                for v in (0..n).filter(|_| boxed == 1) {
+                    let mut row = vec![0.0; n];
+                    row[v] = 1.0;
+                    lp.constrain(row, Cmp::Le, 10.0);
+                }
+                lp
+            })
+        })
+    }
+
+    proptest! {
+        /// Sequences of random programs of different sizes on one
+        /// solver, so stale state from a larger program would show:
+        /// every result is the reference's to the bit (each `x` value
+        /// and the objective, or the same error), after the same number
+        /// of pivots.
+        #[test]
+        fn flat_solver_equals_the_reference(programs in proptest::collection::vec(arb_program(), 1..6)) {
+            let mut simplex = Simplex::new();
+            for (i, lp) in programs.iter().enumerate() {
+                let (got, got_pivots) = solve_on(&mut simplex, lp);
+                let (want, want_pivots) = reference::solve(lp);
+                prop_assert_eq!(bits(&got), bits(&want), "program {}: {:?}", i, lp);
+                prop_assert_eq!(got_pivots, want_pivots, "program {}: pivots, {:?}", i, lp);
+            }
+        }
     }
 
     proptest! {

@@ -6,10 +6,11 @@
 use flash_offchain::core::flash::elephant::{
     find_paths, find_paths_with, oracle_max_flow, ElephantScratch,
 };
-use flash_offchain::core::flash::fees::split_payment;
+use flash_offchain::core::flash::fees::{split_payment_with, SplitScratch};
 use flash_offchain::core::{FlashConfig, FlashRouter};
 use flash_offchain::graph::bfs::SearchWork;
 use flash_offchain::graph::generators;
+use flash_offchain::lp::LpWork;
 use flash_offchain::sim::{FaultConfig, Network, Router};
 use flash_offchain::types::{Amount, NodeId, PaymentClass};
 use flash_offchain::workload::topology::assign_paper_fees;
@@ -101,6 +102,7 @@ proptest! {
 fn plan_fingerprint(
     net: &mut Network,
     scratch: &mut ElephantScratch,
+    split: &mut SplitScratch,
     s: NodeId,
     t: NodeId,
     demand: Amount,
@@ -122,7 +124,7 @@ fn plan_fingerprint(
     eat(plan.max_flow.micros());
     for optimize in [true, false] {
         eat(u64::MAX - 2);
-        let Some(parts) = split_payment(net.graph(), &plan, demand, optimize) else {
+        let Some(parts) = split_payment_with(net.graph(), split, &plan, demand, optimize) else {
             continue;
         };
         for (path, amount) in &parts {
@@ -134,27 +136,33 @@ fn plan_fingerprint(
     h
 }
 
+/// What one balance state records: a fingerprint per pair, the work
+/// the pairs' path searches did on one scratch, and the work their LP
+/// splits did on another.
+type Stage = (Vec<u64>, SearchWork, LpWork);
+
 /// One fingerprint per fixed pair on the fee-carrying Lightning-scale
-/// network, and the work the pairs' path searches did on one scratch.
-/// Demands step through five sizes so the pairs cover single-path
-/// plans, multi-path splits and plans that fall short.
-fn plan_fingerprints(net: &mut Network) -> (Vec<u64>, SearchWork) {
+/// network, with the work behind them. Demands step through five sizes
+/// so the pairs cover single-path plans, multi-path splits and plans
+/// that fall short.
+fn plan_fingerprints(net: &mut Network) -> Stage {
     let n = net.graph().node_count() as u32;
     let mut scratch = ElephantScratch::default();
+    let mut split = SplitScratch::default();
     let prints = (0u32..24)
         .map(|i| {
             let (s, t) = (NodeId((i * 97 + 3) % n), NodeId((i * 389 + 1201) % n));
             let demand = Amount::from_units(20_000 << (2 * (i % 5)));
-            plan_fingerprint(net, &mut scratch, s, t, demand)
+            plan_fingerprint(net, &mut scratch, &mut split, s, t, demand)
         })
         .collect();
-    (prints, scratch.work())
+    (prints, scratch.work(), split.work())
 }
 
 /// The pinned pairs on three balance states of one Lightning-scale
 /// network with paper fees: fresh, after 300 routed elephants have
 /// depleted it, and fresh under probe loss and noise.
-fn stages() -> [(&'static str, (Vec<u64>, SearchWork)); 3] {
+fn stages() -> [(&'static str, Stage); 3] {
     let mut net = lightning_topology(7);
     assign_paper_fees(&mut net, 10);
     let fresh = net.clone();
@@ -283,7 +291,7 @@ fn plans_match_recorded_fingerprints() {
         0x42cc3f593197830b,
     ];
 
-    for ((stage, (got, _)), want) in stages().iter().zip([FRESH, DEPLETED, FAULTY]) {
+    for ((stage, (got, _, _)), want) in stages().iter().zip([FRESH, DEPLETED, FAULTY]) {
         assert_fingerprints(stage, got, &want);
     }
 }
@@ -311,12 +319,48 @@ fn search_work_matches_recorded_counts() {
             paths: 218,
         },
     ];
-    for ((stage, (_, got)), want) in stages().iter().zip(WANT) {
+    for ((stage, (_, got, _)), want) in stages().iter().zip(WANT) {
         assert_eq!(
             got.scanned, want.scanned,
             "{stage}: adjacency entries scanned changed"
         );
         assert_eq!(got.phases, want.phases, "{stage}: phases changed");
         assert_eq!(got.paths, want.paths, "{stage}: paths returned changed");
+    }
+}
+
+/// The work of the fee splits behind those plans, one reused
+/// `SplitScratch` per balance state: LP solves (one per pair, since
+/// every pair finds a path) and pivots. The pivots were counted on the
+/// same programs by the row-of-rows solver the flat tableau replaced,
+/// so a solver that pivots differently, or a split that stops solving
+/// on its LP, moves a count and fails here.
+#[test]
+fn lp_work_matches_recorded_counts() {
+    const WANT: [LpWork; 3] = [
+        LpWork {
+            solves: 24,
+            pivots: 187,
+        },
+        LpWork {
+            solves: 24,
+            pivots: 187,
+        },
+        LpWork {
+            solves: 24,
+            pivots: 175,
+        },
+    ];
+    for ((stage, (_, _, got)), want) in stages().iter().zip(WANT) {
+        assert_eq!(
+            got.solves, want.solves,
+            "{stage}: LP solves changed (got {}, want {})",
+            got.solves, want.solves
+        );
+        assert_eq!(
+            got.pivots, want.pivots,
+            "{stage}: LP pivots changed (got {}, want {})",
+            got.pivots, want.pivots
+        );
     }
 }
