@@ -5,18 +5,28 @@
 //! single path, the full amount — the payment succeeds only if every
 //! channel on the path holds the whole demand.
 
-use pcn_graph::bfs;
+use pcn_graph::bfs::{PhaseScratch, SearchWork};
 use pcn_sim::{FailureReason, PaymentNetwork, RouteOutcome, Router};
 use pcn_types::{Payment, PaymentClass};
 
-/// The fewest-hops single-path baseline router.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ShortestPathRouter;
+/// The fewest-hops single-path baseline router. Each payment is one
+/// search on the router's [`PhaseScratch`], so routing allocates no
+/// node-sized arrays after the first payment.
+#[derive(Clone, Debug, Default)]
+pub struct ShortestPathRouter {
+    search: PhaseScratch,
+}
 
 impl ShortestPathRouter {
     /// Creates the baseline router.
     pub fn new() -> Self {
-        ShortestPathRouter
+        Self::default()
+    }
+
+    /// The work of every search this router has made: one phase per
+    /// payment routed, one path per payment that found a route.
+    pub fn work(&self) -> SearchWork {
+        self.search.work()
     }
 }
 
@@ -26,7 +36,8 @@ impl<N: PaymentNetwork> Router<N> for ShortestPathRouter {
     }
 
     fn route(&mut self, net: &mut N, payment: &Payment, class: PaymentClass) -> RouteOutcome {
-        let Some(path) = bfs::shortest_path(net.graph(), payment.sender, payment.receiver) else {
+        self.search.begin(payment.sender, payment.receiver, &[]);
+        let Some(path) = self.search.next_path(net.graph(), |_| true) else {
             // Record the attempt for fair success-ratio accounting.
             net.record_rejected_attempt(payment, class);
             return RouteOutcome::failure(FailureReason::NoRoute);

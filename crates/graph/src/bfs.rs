@@ -14,10 +14,11 @@
 //! one search per s–t distance, then a walk of its level DAG per call —
 //! and can avoid a set of nodes throughout. Algorithm 1's probes are
 //! one such sequence per payment; each of Yen's spurs is a sequence of
-//! one call, avoiding the root's nodes. The forward loop stays as the
-//! reference: [`shortest_path_filtered`], [`distances_from`] and
-//! [`spanning_tree`] run it, and the dev-profile oracles of Algorithm 1
-//! and Yen hold every search to it.
+//! one call, avoiding the root's nodes, and so is each payment of the
+//! Shortest Path baseline and each call of [`shortest_path`]. The
+//! forward loop stays as the reference: [`shortest_path_filtered`],
+//! [`distances_from`] and [`spanning_tree`] run it, and the dev-profile
+//! oracles of Algorithm 1 and Yen hold every search to it.
 
 use crate::{path::Path, DiGraph, EdgeId};
 use pcn_types::NodeId;
@@ -55,7 +56,7 @@ impl Forward {
     /// (`backwards`) in-edges, each node's in adjacency order, until
     /// `stop` is discovered or nothing is left. Nothing in it allocates:
     /// [`Forward::run`] sizes the arrays.
-    // pcn-lint: hot — Shortest Path routes every payment with one, and every dev-profile oracle check runs one; its arrays come sized
+    // pcn-lint: hot — every dev-profile oracle check runs one, and so do `distances_from` and `spanning_tree` for each landmark tree; its arrays come sized
     fn scan(
         &mut self,
         g: &DiGraph,
@@ -498,9 +499,13 @@ pub fn shortest_path_filtered(
     Some(Path::from_vec_unchecked(nodes))
 }
 
-/// Finds a fewest-hops path using every edge (no filter).
+/// Finds a fewest-hops path using every edge (no filter): the path
+/// `shortest_path_filtered(g, s, t, |_| true)` finds, from a one-call
+/// [`PhaseScratch`] sequence on fresh arrays.
 pub fn shortest_path(g: &DiGraph, s: NodeId, t: NodeId) -> Option<Path> {
-    shortest_path_filtered(g, s, t, |_| true)
+    let mut search = PhaseScratch::new();
+    search.begin(s, t, &[]);
+    search.next_path(g, |_| true)
 }
 
 /// Hop distances from `s` to every node (`usize::MAX` when unreachable).
@@ -585,6 +590,42 @@ mod tests {
     fn same_source_target_is_none() {
         let g = fig5a().unwrap();
         assert!(shortest_path(&g, n(0), n(0)).is_none());
+    }
+
+    /// `shortest_path` runs the phase search; at the edges of its domain
+    /// it returns what the forward loop returns: nothing for `s == t`,
+    /// for a node out of range, for an unreachable `t` and on a graph
+    /// with no edges (or no nodes).
+    #[test]
+    fn shortest_path_edge_cases_match_the_forward_loop() {
+        let fig = fig5a().unwrap();
+        let mut one_way = DiGraph::new(3);
+        one_way.add_edge(n(0), n(1)).unwrap();
+        let (edgeless, empty) = (DiGraph::new(4), DiGraph::new(0));
+        let cases = [
+            (&fig, n(0), n(0)),
+            (&fig, n(0), n(6)),
+            (&fig, n(9), n(0)),
+            (&one_way, n(0), n(2)),
+            (&one_way, n(1), n(0)),
+            (&edgeless, n(0), n(3)),
+            (&edgeless, n(2), n(2)),
+            (&empty, n(0), n(1)),
+        ];
+        for (g, s, t) in cases {
+            let want = shortest_path_filtered(g, s, t, |_| true);
+            assert_eq!(want, None, "{s:?} → {t:?} on {} nodes", g.node_count());
+            assert_eq!(
+                shortest_path(g, s, t),
+                want,
+                "{s:?} → {t:?} on {} nodes",
+                g.node_count()
+            );
+        }
+        assert_eq!(
+            shortest_path(&one_way, n(0), n(1)),
+            shortest_path_filtered(&one_way, n(0), n(1), |_| true)
+        );
     }
 
     #[test]
@@ -680,7 +721,10 @@ mod tests {
         for (g, t) in [(&small, n(5)), (&big, n(8)), (&small, n(5))] {
             for (s, t) in [(n(0), t), (t, n(0))] {
                 phases.begin(s, t, &[]);
-                assert_eq!(phases.next_path(g, |_| true), shortest_path(g, s, t));
+                assert_eq!(
+                    phases.next_path(g, |_| true),
+                    shortest_path_filtered(g, s, t, |_| true)
+                );
             }
         }
         phases.begin(n(0), n(9), &[]);
@@ -701,13 +745,13 @@ mod tests {
         phases.begin(n(0), n(5), &[]);
         assert_eq!(
             phases.next_path(&g, |_| true),
-            shortest_path(&g, n(0), n(5))
+            shortest_path_filtered(&g, n(0), n(5), |_| true)
         );
         assert_eq!(phases.stamp, 1);
         phases.begin(n(0), n(4), &[]);
         assert_eq!(
             phases.next_path(&g, |_| true),
-            shortest_path(&g, n(0), n(4))
+            shortest_path_filtered(&g, n(0), n(4), |_| true)
         );
     }
 

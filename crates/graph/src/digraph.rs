@@ -191,14 +191,30 @@ impl DiGraph {
 
     /// Nodes reachable from `s` following directed edges (including `s`).
     pub fn reachable_from(&self, s: NodeId) -> Vec<bool> {
+        self.reach(s, false)
+    }
+
+    /// Nodes that reach `t` following directed edges (including `t`).
+    pub fn reaching(&self, t: NodeId) -> Vec<bool> {
+        self.reach(t, true)
+    }
+
+    /// Depth-first reach from `root` along out-edges, or (`backwards`)
+    /// in-edges.
+    fn reach(&self, root: NodeId, backwards: bool) -> Vec<bool> {
         let mut seen = vec![false; self.node_count()];
-        if s.index() >= self.node_count() {
+        if root.index() >= self.node_count() {
             return seen;
         }
-        let mut stack = vec![s];
-        seen[s.index()] = true;
+        let mut stack = vec![root];
+        seen[root.index()] = true;
         while let Some(u) = stack.pop() {
-            for &(v, _) in self.out_neighbors(u) {
+            let adjacent = if backwards {
+                self.in_neighbors(u)
+            } else {
+                self.out_neighbors(u)
+            };
+            for &(v, _) in adjacent {
                 if !seen[v.index()] {
                     seen[v.index()] = true;
                     stack.push(v);
@@ -318,6 +334,9 @@ mod tests {
         assert_eq!(r, vec![true, true, true]);
         let r = g.reachable_from(n(2));
         assert_eq!(r, vec![false, false, true]);
+        assert_eq!(g.reaching(n(2)), vec![true, true, true]);
+        assert_eq!(g.reaching(n(0)), vec![true, false, false]);
+        assert_eq!(g.reaching(n(3)), vec![false; 3]);
     }
 
     #[test]

@@ -13,6 +13,15 @@
 //!
 //! Senders themselves are Zipf-distributed over the node population
 //! (financial activity is skewed too).
+//!
+//! A recurring draw reads cached weights: the generator keeps the rank
+//! weights `1 / k^a` and their running sums in rank order, grown as the
+//! longest contact list grows, and scans from rank 1 to the drawn rank,
+//! with no allocation and no `powf`. Under Zipf(1.6) that is rank 1 for
+//! 44 % of draws and 21 ranks on average over a 1,800-contact list. The
+//! scan performs the floating-point operations of a weight list built
+//! afresh for the draw (the test reference), so it picks the contact
+//! that list picks.
 
 use pcn_types::NodeId;
 use rand::prelude::*;
@@ -53,6 +62,11 @@ pub struct PairGenerator {
     contacts: Vec<Vec<NodeId>>,
     /// Sender sampling weights (precomputed Zipf CDF).
     sender_cdf: Vec<f64>,
+    /// `rank_weight[k]` is contact rank `k + 1`'s Zipf weight.
+    rank_weight: Vec<f64>,
+    /// `rank_total[k]` is the sum of the first `k` weights, added in
+    /// rank order; one entry longer than `rank_weight`.
+    rank_total: Vec<f64>,
     rng: StdRng,
 }
 
@@ -77,6 +91,8 @@ impl PairGenerator {
             n,
             contacts: vec![Vec::new(); n],
             sender_cdf: weights,
+            rank_weight: Vec::new(),
+            rank_total: vec![0.0],
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -96,13 +112,10 @@ impl PairGenerator {
         if list.is_empty() {
             return None;
         }
-        let a = self.config.contact_zipf;
-        let weights: Vec<f64> = (1..=list.len()).map(|k| 1.0 / (k as f64).powf(a)).collect();
-        let total: f64 = weights.iter().sum();
-        let mut u = self.rng.random::<f64>() * total;
-        for (i, w) in weights.iter().enumerate() {
+        let mut u = self.rng.random::<f64>() * self.rank_total[list.len()];
+        for (&contact, w) in list.iter().zip(&self.rank_weight) {
             if u < *w {
-                return Some(list[i]);
+                return Some(contact);
             }
             u -= w;
         }
@@ -118,16 +131,35 @@ impl PairGenerator {
                 return (sender, receiver);
             }
         }
-        // New receiver: uniform over everyone else; append to contacts.
+        (sender, self.new_receiver(sender))
+    }
+
+    /// New receiver: uniform over everyone but `sender`, appended to its
+    /// contacts if it is not one yet.
+    fn new_receiver(&mut self, sender: NodeId) -> NodeId {
         loop {
             let r = NodeId::from_index(self.rng.random_range(0..self.n));
             if r == sender {
                 continue;
             }
-            if !self.contacts[sender.index()].contains(&r) {
-                self.contacts[sender.index()].push(r);
+            let list = &mut self.contacts[sender.index()];
+            if !list.contains(&r) {
+                list.push(r);
+                let len = list.len();
+                self.grow_ranks(len);
             }
-            return (sender, r);
+            return r;
+        }
+    }
+
+    /// Extends the rank caches to cover a contact list of `len`.
+    fn grow_ranks(&mut self, len: usize) {
+        while self.rank_weight.len() < len {
+            let k = self.rank_weight.len() + 1;
+            let w = 1.0 / (k as f64).powf(self.config.contact_zipf);
+            let total = self.rank_total[k - 1] + w;
+            self.rank_weight.push(w);
+            self.rank_total.push(total);
         }
     }
 
@@ -226,5 +258,68 @@ mod tests {
     #[should_panic(expected = "at least two nodes")]
     fn rejects_tiny_population() {
         PairGenerator::new(1, RecurrenceConfig::default(), 0);
+    }
+
+    /// The contact draw the rank caches replaced: a fresh weight list
+    /// over the whole contact list on every recurring draw.
+    fn reference_contact(g: &mut PairGenerator, sender: NodeId) -> Option<NodeId> {
+        let list = &g.contacts[sender.index()];
+        if list.is_empty() {
+            return None;
+        }
+        let a = g.config.contact_zipf;
+        let weights: Vec<f64> = (1..=list.len()).map(|k| 1.0 / (k as f64).powf(a)).collect();
+        let total: f64 = weights.iter().sum();
+        let mut u = g.rng.random::<f64>() * total;
+        for (i, w) in weights.iter().enumerate() {
+            if u < *w {
+                return Some(list[i]);
+            }
+            u -= w;
+        }
+        list.last().copied()
+    }
+
+    /// [`PairGenerator::next_pair`] with the reference contact draw.
+    fn reference_pair(g: &mut PairGenerator) -> (NodeId, NodeId) {
+        let sender = g.sample_sender();
+        if g.rng.random::<f64>() < g.config.recur_prob {
+            if let Some(receiver) = reference_contact(g, sender) {
+                return (sender, receiver);
+            }
+        }
+        (sender, g.new_receiver(sender))
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The cached rank weights draw the pairs the per-draw weight
+            /// list draws, bit for bit, over populations small enough for
+            /// contact lists to fill and large enough for them to grow
+            /// long, and exponents from flat to steep.
+            #[test]
+            fn cached_ranks_draw_like_per_draw_weights(
+                n in 2usize..=300,
+                contact_zipf in 0.5f64..3.0,
+                seed in 0u64..1_000_000,
+            ) {
+                let config = RecurrenceConfig { contact_zipf, ..RecurrenceConfig::default() };
+                let mut cached = PairGenerator::new(n, config.clone(), seed);
+                let mut reference = PairGenerator::new(n, config, seed);
+                for draw in 0..2000 {
+                    prop_assert_eq!(
+                        cached.next_pair(),
+                        reference_pair(&mut reference),
+                        "draw {} of n = {}, contact_zipf = {}",
+                        draw,
+                        n,
+                        contact_zipf
+                    );
+                }
+            }
+        }
     }
 }

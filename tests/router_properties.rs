@@ -8,9 +8,10 @@ use flash_offchain::core::{
     FlashConfig, FlashRouter, ShortestPathRouter, SilentWhispersRouter, SpeedyMurmursRouter,
     SpiderRouter,
 };
-use flash_offchain::graph::generators;
-use flash_offchain::sim::{Network, RouteOutcome, Router};
+use flash_offchain::graph::{bfs, generators, DiGraph, Path};
+use flash_offchain::sim::{Network, PaymentNetwork, ProbeReport, RouteOutcome, Router};
 use flash_offchain::types::{Amount, NodeId, Payment, PaymentClass, TxId};
+use flash_offchain::workload::{generate_trace, TraceConfig};
 use proptest::prelude::*;
 
 fn all_routers(seed: u64) -> Vec<Box<dyn Router>> {
@@ -117,4 +118,91 @@ proptest! {
         prop_assert_eq!(m.total().succeeded, successes);
         prop_assert_eq!(m.success_volume(), volume);
     }
+}
+
+/// A simulator that records the path of every single-path send, and
+/// `None` for every rejected attempt.
+struct Recording {
+    net: Network,
+    paths: Vec<Option<Path>>,
+}
+
+impl PaymentNetwork for Recording {
+    type Session<'a> = <Network as PaymentNetwork>::Session<'a>;
+
+    fn graph(&self) -> &DiGraph {
+        self.net.graph()
+    }
+
+    fn probe_path(&mut self, path: &Path) -> Option<ProbeReport> {
+        PaymentNetwork::probe_path(&mut self.net, path)
+    }
+
+    fn begin_payment(&mut self, payment: &Payment, class: PaymentClass) -> Self::Session<'_> {
+        self.net.begin_payment(payment, class)
+    }
+
+    fn send_single_path(
+        &mut self,
+        payment: &Payment,
+        class: PaymentClass,
+        path: &Path,
+    ) -> RouteOutcome {
+        self.paths.push(Some(path.clone()));
+        PaymentNetwork::send_single_path(&mut self.net, payment, class, path)
+    }
+
+    fn record_rejected_attempt(&mut self, payment: &Payment, class: PaymentClass) {
+        self.paths.push(None);
+        self.net.record_rejected_attempt(payment, class);
+    }
+}
+
+/// Shortest Path searches on its own `PhaseScratch`: over a trace on a
+/// graph where some pairs have no route, every payment takes the
+/// forward loop's path, and the router's `SearchWork` counts one phase
+/// per payment and one path per payment that found a route.
+#[test]
+fn shortest_path_routes_on_its_scratch_like_the_forward_loop() {
+    // A Watts–Strogatz core, a one-way tail out of it and isolated nodes.
+    let core = generators::watts_strogatz(30, 4, 0.2, 5);
+    let mut g = DiGraph::new(40);
+    for (_, u, v) in core.edges() {
+        g.add_edge(u, v).unwrap();
+    }
+    g.add_edge(NodeId(5), NodeId(30)).unwrap();
+    for i in 30..35 {
+        g.add_edge(NodeId(i), NodeId(i + 1)).unwrap();
+    }
+    let config = TraceConfig {
+        require_connectivity: false,
+        ..TraceConfig::ripple(400, 3)
+    };
+    let trace = generate_trace(&g, &config);
+    let mut net = Recording {
+        net: Network::uniform(g.clone(), Amount::from_units(1_000_000)),
+        paths: Vec::new(),
+    };
+    let mut router = ShortestPathRouter::new();
+    for p in &trace {
+        router.route(&mut net, p, PaymentClass::Mice);
+    }
+    assert_eq!(net.paths.len(), trace.len());
+    for (p, got) in trace.iter().zip(&net.paths) {
+        let want = bfs::shortest_path_filtered(&g, p.sender, p.receiver, |_| true);
+        assert_eq!(
+            got, &want,
+            "payment {:?}: {:?} → {:?}",
+            p.id, p.sender, p.receiver
+        );
+    }
+    let routed = net.paths.iter().filter(|p| p.is_some()).count() as u64;
+    assert!(
+        0 < routed && routed < trace.len() as u64,
+        "{routed} of {} routed",
+        trace.len()
+    );
+    let work = router.work();
+    assert_eq!(work.phases, trace.len() as u64, "one phase per payment");
+    assert_eq!(work.paths, routed, "one path per routed payment");
 }
