@@ -1,4 +1,4 @@
-//! Compact adjacency-list directed graph.
+//! Directed graph on compressed sparse rows.
 
 use pcn_types::{NodeId, PcnError, Result};
 use serde::{Deserialize, Serialize};
@@ -26,63 +26,213 @@ impl fmt::Debug for EdgeId {
     }
 }
 
-/// A directed graph over dense [`NodeId`]s with O(1) edge lookup.
+/// A directed graph over dense [`NodeId`]s, stored as compressed sparse
+/// rows.
 ///
 /// Payment channels are bidirectional, so a channel between `u` and `v`
 /// is inserted as two directed edges with distinct [`EdgeId`]s. The
 /// [`DiGraph::reverse_edge`] accessor links the two directions, which the
 /// simulator uses to apply the paper's reverse-direction capacity offsets.
+///
+/// Besides the edge table and its reverse links, the graph keeps three
+/// flat arrays of `(node, edge)` entries, cut into rows by `n + 1`
+/// offsets: the out-rows, the in-rows, and a copy of the out-rows
+/// sorted by head. Out-rows and in-rows list their edges in [`EdgeId`]
+/// order, which is the order they were added, so every BFS tie-break,
+/// Yen rank and plan built on them follows insertion order.
+/// [`DiGraph::edge`] binary-searches the head-sorted copy (8 bytes per
+/// edge): sorting the out-rows themselves would change those
+/// tie-breaks, and a linear scan of a hub's row (out-degree 306 in the
+/// Lightning-scale topology) is slower than the search on the per-hop
+/// path.
+///
+/// [`DiGraph::from_edges`] lays the rows out by counting sort, in time
+/// linear in the graph, and builds graphs of any size. [`DiGraph::add_edge`] and
+/// [`DiGraph::add_channel`] re-run that layout, at O(n + E) per call:
+/// they suit small graphs and tests.
 #[derive(Clone, Debug)]
 pub struct DiGraph {
-    /// Out-adjacency: for each node, (neighbor, edge id) pairs.
-    out_edges: Vec<Vec<(NodeId, EdgeId)>>,
-    /// In-adjacency: for each node, (predecessor, edge id) pairs.
-    in_edges: Vec<Vec<(NodeId, EdgeId)>>,
     /// Edge table: `edges[e] = (from, to)`.
     edges: Vec<(NodeId, NodeId)>,
     /// `reverse[e]` = id of the edge `(to, from)` if present.
     reverse: Vec<Option<EdgeId>>,
-    /// Fast lookup of `(from, to) → EdgeId`.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "point lookups only, never iterated; `edge(u, v)` is on the benchmarked per-hop path"
-    )]
-    index: std::collections::HashMap<(NodeId, NodeId), EdgeId>,
+    /// Out-row bounds: node `u`'s out-row is `out[out_at[u]..out_at[u + 1]]`,
+    /// and its head-sorted copy is the same range of `by_head`.
+    out_at: Vec<u32>,
+    /// Out-rows: `(head, edge)` of every edge, grouped by tail, in
+    /// `EdgeId` order within a row.
+    out: Vec<(NodeId, EdgeId)>,
+    /// The out-rows again, each sorted by head: what `edge(u, v)`
+    /// binary-searches.
+    by_head: Vec<(NodeId, EdgeId)>,
+    /// In-row bounds: node `v`'s in-row is `inn[in_at[v]..in_at[v + 1]]`.
+    in_at: Vec<u32>,
+    /// In-rows: `(tail, edge)` of every edge, grouped by head, in
+    /// `EdgeId` order within a row.
+    inn: Vec<(NodeId, EdgeId)>,
+}
+
+/// The id of the edge at position `i` of the edge table.
+#[expect(
+    clippy::expect_used,
+    reason = "EdgeId and row offsets are u32 by design; 4B edges is beyond any PCN topology"
+)]
+fn edge_id(i: usize) -> EdgeId {
+    EdgeId(u32::try_from(i).expect("edge count exceeds u32"))
+}
+
+/// Why `u → v` cannot join a graph of `n` nodes, duplicates aside.
+fn endpoint_error(n: usize, u: NodeId, v: NodeId) -> Option<PcnError> {
+    if u.index() >= n {
+        Some(PcnError::UnknownNode(u))
+    } else if v.index() >= n {
+        Some(PcnError::UnknownNode(v))
+    } else if u == v {
+        Some(PcnError::InvalidConfig(format!("self-loop at {u}")))
+    } else {
+        None
+    }
+}
+
+fn duplicate_error(u: NodeId, v: NodeId) -> PcnError {
+    PcnError::InvalidConfig(format!("duplicate edge {u}→{v}"))
+}
+
+/// Bytes a vector holds on the heap.
+fn capacity_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
 }
 
 impl DiGraph {
     /// Creates a graph with `n` nodes and no edges.
     pub fn new(n: usize) -> Self {
         DiGraph {
-            out_edges: vec![Vec::new(); n],
-            in_edges: vec![Vec::new(); n],
             edges: Vec::new(),
             reverse: Vec::new(),
-            index: Default::default(),
+            out_at: vec![0; n + 1],
+            out: Vec::new(),
+            by_head: Vec::new(),
+            in_at: vec![0; n + 1],
+            inn: Vec::new(),
         }
     }
 
-    /// Builds a graph from a directed edge list over `n` nodes.
+    /// Builds a graph from a directed edge list over `n` nodes; edge `i`
+    /// of the list gets `EdgeId(i)`.
     ///
-    /// Duplicate edges and self-loops are rejected.
+    /// Equivalent to [`DiGraph::add_edge`] on each pair in turn, errors
+    /// included: an unknown endpoint, a self-loop or a duplicate edge is
+    /// rejected with the error that loop returns for the first offending
+    /// pair in list order. Costs O(n + E), where that loop costs
+    /// O(E · (n + E)).
     pub fn from_edges(n: usize, list: &[(NodeId, NodeId)]) -> Result<Self> {
-        let mut g = DiGraph::new(n);
-        for &(u, v) in list {
-            g.add_edge(u, v)?;
+        Self::from_edge_vec(n, list.to_vec())
+    }
+
+    /// [`DiGraph::from_edges`] on a list it may keep as its edge table.
+    /// The generators and the loader build through this one, so a
+    /// paper-scale list is not copied while it is laid out.
+    pub(crate) fn from_edge_vec(n: usize, mut edges: Vec<(NodeId, NodeId)>) -> Result<Self> {
+        let first_bad = edges
+            .iter()
+            .enumerate()
+            .find_map(|(i, &(u, v))| Some((i, endpoint_error(n, u, v)?)));
+        if let Some((i, _)) = first_bad {
+            edges.truncate(i);
         }
+        let mut g = DiGraph::new(n);
+        g.edges = edges;
+        g.lay_out_rows();
+        // A duplicate among the valid prefix comes before `first_bad`.
+        if let Some(e) = g.first_duplicate() {
+            let (u, v) = g.endpoints(e);
+            return Err(duplicate_error(u, v));
+        }
+        if let Some((_, err)) = first_bad {
+            return Err(err);
+        }
+        g.reverse = g.edges.iter().map(|&(u, v)| g.edge(v, u)).collect();
         Ok(g)
+    }
+
+    /// Rebuilds the three row arrays from the edge table: one pass
+    /// counts the row lengths, one places every edge in its out-row and
+    /// in-row in id order, and the head-sorted copy comes from walking
+    /// the in-rows by head, so no row is sorted by comparison.
+    fn lay_out_rows(&mut self) {
+        let n = self.node_count();
+        // Every offset is at most the edge count, which must fit an id.
+        let m = edge_id(self.edges.len()).index();
+        self.out_at.fill(0);
+        self.in_at.fill(0);
+        for &(u, v) in &self.edges {
+            self.out_at[u.index() + 1] += 1;
+            self.in_at[v.index() + 1] += 1;
+        }
+        for i in 0..n {
+            self.out_at[i + 1] += self.out_at[i];
+            self.in_at[i + 1] += self.in_at[i];
+        }
+        let blank = (NodeId(0), EdgeId(0));
+        for row in [&mut self.out, &mut self.by_head, &mut self.inn] {
+            row.clear();
+            row.resize(m, blank);
+        }
+        let mut out_next = self.out_at.clone();
+        let mut in_next = self.in_at.clone();
+        for (i, &(u, v)) in self.edges.iter().enumerate() {
+            let e = EdgeId(i as u32);
+            self.out[out_next[u.index()] as usize] = (v, e);
+            out_next[u.index()] += 1;
+            self.inn[in_next[v.index()] as usize] = (u, e);
+            in_next[v.index()] += 1;
+        }
+        // Heads in increasing order, and within a head its in-row's id
+        // order: each out-row comes out sorted by (head, id).
+        out_next.copy_from_slice(&self.out_at);
+        for v in 0..n {
+            for &(u, e) in &self.inn[self.in_at[v] as usize..self.in_at[v + 1] as usize] {
+                self.by_head[out_next[u.index()] as usize] = (NodeId::from_index(v), e);
+                out_next[u.index()] += 1;
+            }
+        }
+    }
+
+    /// The lowest id of an edge whose `(from, to)` an earlier edge
+    /// already has.
+    fn first_duplicate(&self) -> Option<EdgeId> {
+        self.nodes()
+            .filter_map(|u| {
+                self.sorted_row(u)
+                    .windows(2)
+                    .filter(|w| w[0].0 == w[1].0)
+                    .map(|w| w[1].1)
+                    .min()
+            })
+            .min()
     }
 
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.out_edges.len()
+        self.out_at.len() - 1
     }
 
     /// Number of directed edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
         self.edges.len()
+    }
+
+    /// Heap bytes held by the graph's arrays, counted by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        capacity_bytes(&self.edges)
+            + capacity_bytes(&self.reverse)
+            + capacity_bytes(&self.out_at)
+            + capacity_bytes(&self.out)
+            + capacity_bytes(&self.by_head)
+            + capacity_bytes(&self.in_at)
+            + capacity_bytes(&self.inn)
     }
 
     /// Iterates over all node ids.
@@ -109,47 +259,51 @@ impl DiGraph {
 
     /// Adds a directed edge `u → v`, returning its id.
     ///
-    /// Rejects self-loops, duplicate edges, and unknown endpoints. If the
-    /// opposite edge `v → u` already exists, the two are linked as
-    /// reverse pairs.
+    /// Rejects unknown endpoints, self-loops and duplicate edges, in
+    /// that order. If the opposite edge `v → u` already exists, the two
+    /// are linked as reverse pairs. Re-lays every row, so a call costs
+    /// O(n + E): build large graphs with [`DiGraph::from_edges`].
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> Result<EdgeId> {
-        self.check_node(u)?;
-        self.check_node(v)?;
-        if u == v {
-            return Err(PcnError::InvalidConfig(format!("self-loop at {u}")));
+        if let Some(err) = endpoint_error(self.node_count(), u, v) {
+            return Err(err);
         }
-        if self.index.contains_key(&(u, v)) {
-            return Err(PcnError::InvalidConfig(format!("duplicate edge {u}→{v}")));
+        if self.edge(u, v).is_some() {
+            return Err(duplicate_error(u, v));
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "EdgeId is u32 by design; 4B edges is beyond any PCN topology"
-        )]
-        let id = EdgeId(u32::try_from(self.edges.len()).expect("edge count exceeds u32"));
+        let id = edge_id(self.edges.len());
+        let rev = self.edge(v, u);
         self.edges.push((u, v));
-        self.out_edges[u.index()].push((v, id));
-        self.in_edges[v.index()].push((u, id));
-        let rev = self.index.get(&(v, u)).copied();
         self.reverse.push(rev);
         if let Some(r) = rev {
             self.reverse[r.index()] = Some(id);
         }
-        self.index.insert((u, v), id);
+        self.lay_out_rows();
         Ok(id)
     }
 
     /// Adds the two directed edges of a bidirectional channel, returning
-    /// `(u → v, v → u)`.
+    /// `(u → v, v → u)`. Costs two [`DiGraph::add_edge`] calls.
     pub fn add_channel(&mut self, u: NodeId, v: NodeId) -> Result<(EdgeId, EdgeId)> {
         let a = self.add_edge(u, v)?;
         let b = self.add_edge(v, u)?;
         Ok((a, b))
     }
 
-    /// Looks up the edge id of `u → v`.
+    /// Looks up the edge id of `u → v` by binary search of `u`'s
+    /// head-sorted out-row: O(log out-degree). `None` when either end is
+    /// not a node.
     #[inline]
     pub fn edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        self.index.get(&(u, v)).copied()
+        let (&start, &end) = (self.out_at.get(u.index())?, self.out_at.get(u.index() + 1)?);
+        let row = &self.by_head[start as usize..end as usize];
+        let k = row.binary_search_by_key(&v, |&(w, _)| w).ok()?;
+        Some(row[k].1)
+    }
+
+    /// `u`'s out-row sorted by head.
+    fn sorted_row(&self, u: NodeId) -> &[(NodeId, EdgeId)] {
+        let i = u.index();
+        &self.by_head[self.out_at[i] as usize..self.out_at[i + 1] as usize]
     }
 
     /// The endpoints `(from, to)` of an edge.
@@ -165,28 +319,32 @@ impl DiGraph {
         self.reverse[e.index()]
     }
 
-    /// Out-neighbors of `n` with the connecting edge ids.
+    /// Out-neighbors of `n` with the connecting edge ids, in the order
+    /// the edges were added.
     #[inline]
     pub fn out_neighbors(&self, n: NodeId) -> &[(NodeId, EdgeId)] {
-        &self.out_edges[n.index()]
+        let i = n.index();
+        &self.out[self.out_at[i] as usize..self.out_at[i + 1] as usize]
     }
 
-    /// In-neighbors of `n` with the connecting edge ids.
+    /// In-neighbors of `n` with the connecting edge ids, in the order
+    /// the edges were added.
     #[inline]
     pub fn in_neighbors(&self, n: NodeId) -> &[(NodeId, EdgeId)] {
-        &self.in_edges[n.index()]
+        let i = n.index();
+        &self.inn[self.in_at[i] as usize..self.in_at[i + 1] as usize]
     }
 
     /// Out-degree of `n`.
     #[inline]
     pub fn out_degree(&self, n: NodeId) -> usize {
-        self.out_edges[n.index()].len()
+        self.out_neighbors(n).len()
     }
 
     /// Total degree (in + out) of `n`.
     #[inline]
     pub fn degree(&self, n: NodeId) -> usize {
-        self.out_edges[n.index()].len() + self.in_edges[n.index()].len()
+        self.out_neighbors(n).len() + self.in_neighbors(n).len()
     }
 
     /// Nodes reachable from `s` following directed edges (including `s`).

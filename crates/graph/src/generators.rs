@@ -181,17 +181,19 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> DiGraph {
     build_bidirectional(n, channels)
 }
 
+/// Lays out one channel per pair, `(u, v)` then `(v, u)`, in set order:
+/// channel `i` gets edge ids `2i` and `2i + 1`.
 #[expect(
     clippy::expect_used,
     reason = "generators emit distinct in-range pairs without duplicates"
 )]
 fn build_bidirectional(n: usize, channels: BTreeSet<(usize, usize)>) -> DiGraph {
-    let mut g = DiGraph::new(n);
+    let mut list = Vec::with_capacity(2 * channels.len());
     for (u, v) in channels {
-        g.add_channel(NodeId::from_index(u), NodeId::from_index(v))
-            .expect("generator produced an invalid edge");
+        let (u, v) = (NodeId::from_index(u), NodeId::from_index(v));
+        list.extend([(u, v), (v, u)]);
     }
-    g
+    DiGraph::from_edge_vec(n, list).expect("generator produced an invalid edge")
 }
 
 #[cfg(test)]

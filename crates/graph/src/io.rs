@@ -26,7 +26,7 @@ pub fn to_edge_list(g: &DiGraph) -> String {
 /// the same format). Node count is taken from the `# nodes` header when
 /// present, otherwise inferred as `max id + 1`.
 pub fn from_edge_list(text: &str) -> Result<DiGraph> {
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
     let mut declared_nodes: Option<usize> = None;
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -55,19 +55,15 @@ pub fn from_edge_list(text: &str) -> Result<DiGraph> {
         let v: u32 = b.parse().map_err(|e| {
             PcnError::InvalidConfig(format!("line {}: bad node id: {e}", lineno + 1))
         })?;
-        pairs.push((u, v));
+        pairs.push((NodeId(u), NodeId(v)));
     }
     let inferred = pairs
         .iter()
-        .map(|&(u, v)| u.max(v) as usize + 1)
+        .map(|&(u, v)| u.max(v).index() + 1)
         .max()
         .unwrap_or(0);
     let n = declared_nodes.unwrap_or(inferred).max(inferred);
-    let mut g = DiGraph::new(n);
-    for (u, v) in pairs {
-        g.add_edge(NodeId(u), NodeId(v))?;
-    }
-    Ok(g)
+    DiGraph::from_edge_vec(n, pairs)
 }
 
 #[cfg(test)]

@@ -4,9 +4,11 @@
 //! simulation leans on NetworkX; this crate provides the equivalent
 //! machinery natively:
 //!
-//! * [`DiGraph`] — compact adjacency-list directed graph with dense
-//!   [`EdgeId`]s so per-edge attributes (balances, fees) can live in flat
-//!   vectors owned by the simulator.
+//! * [`DiGraph`] — directed graph on compressed sparse rows (flat
+//!   out-rows and in-rows in insertion order, plus a head-sorted out-row
+//!   copy for edge lookup by binary search) with dense [`EdgeId`]s so
+//!   per-edge attributes (balances, fees) can live in flat vectors owned
+//!   by the simulator.
 //! * [`Path`] — a validated simple path with hop/edge iteration.
 //! * [`bfs`] — breadth-first shortest paths with edge filters (the
 //!   `Breadth-First-Search(G, C', s, t)` primitive of Algorithm 1), and

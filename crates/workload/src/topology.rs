@@ -5,7 +5,7 @@
 //! node/channel scale, with skewed fund distributions matching the
 //! published medians.
 
-use pcn_graph::{generators, DiGraph};
+use pcn_graph::{generators, DiGraph, EdgeId};
 use pcn_sim::Network;
 use pcn_types::{Amount, FeePolicy};
 use rand::prelude::*;
@@ -95,12 +95,11 @@ fn assign_lognormal_funds(
     )]
     let dist = LogNormal::new(median.ln(), sigma).expect("valid log-normal parameters");
     let mut balances = vec![Amount::ZERO; graph.edge_count()];
-    let edges: Vec<_> = graph.edges().collect();
-    for (e, _, _) in &edges {
+    for (e, _, _) in graph.edges() {
         if balances[e.index()] != Amount::ZERO {
             continue; // already set via its reverse partner
         }
-        let rev = graph.reverse_edge(*e);
+        let rev = graph.reverse_edge(e);
         let side = dist.sample(&mut rng).max(1e-6);
         if symmetric {
             balances[e.index()] = Amount::from_units_f64(side);
@@ -127,10 +126,9 @@ fn assign_lognormal_funds(
 /// volume." Both directions of a channel share one policy.
 pub fn assign_paper_fees(net: &mut Network, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let edges: Vec<_> = net.graph().edges().map(|(e, _, _)| e).collect();
-    let graph = net.graph().clone();
-    let mut done = vec![false; edges.len()];
-    for e in edges {
+    let m = net.graph().edge_count();
+    let mut done = vec![false; m];
+    for e in (0..m).map(|i| EdgeId(i as u32)) {
         if done[e.index()] {
             continue;
         }
@@ -142,7 +140,7 @@ pub fn assign_paper_fees(net: &mut Network, seed: u64) {
         let policy = FeePolicy::proportional(ppm);
         net.set_fee_policy(e, policy);
         done[e.index()] = true;
-        if let Some(r) = graph.reverse_edge(e) {
+        if let Some(r) = net.graph().reverse_edge(e) {
             net.set_fee_policy(r, policy);
             done[r.index()] = true;
         }

@@ -3,8 +3,8 @@
 
 use flash_offchain::graph::bfs::SearchWork;
 use flash_offchain::graph::yen::{RankedPaths, YenScratch};
-use flash_offchain::graph::{bfs, disjoint, generators, yen, DiGraph, Path};
-use flash_offchain::types::NodeId;
+use flash_offchain::graph::{bfs, disjoint, generators, yen, DiGraph, EdgeId, Path};
+use flash_offchain::types::{NodeId, PcnError};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -286,4 +286,161 @@ fn yen_search_work_matches_recorded_counts() {
     );
     assert_eq!(got.phases, WANT.phases, "searches run changed");
     assert_eq!(got.paths, WANT.paths, "paths found changed");
+}
+
+/// FNV-1a over a graph's layout: its node and edge counts, then every
+/// edge's endpoints and reverse link in `EdgeId` order, then every
+/// node's out-row and in-row in adjacency order, each row prefixed by
+/// its length. Two graphs with equal digests run every search, rank and
+/// tie-break identically.
+fn layout_digest(g: &DiGraph) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u32| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(g.node_count() as u32);
+    eat(g.edge_count() as u32);
+    for (e, u, v) in g.edges() {
+        eat(u.0);
+        eat(v.0);
+        eat(g.reverse_edge(e).map_or(u32::MAX, |r| r.0));
+    }
+    for u in g.nodes() {
+        for row in [g.out_neighbors(u), g.in_neighbors(u)] {
+            eat(row.len() as u32);
+            for &(v, e) in row {
+                eat(v.0);
+                eat(e.0);
+            }
+        }
+    }
+    h
+}
+
+/// The three benchmark topologies' layouts, as recorded from the
+/// hash-indexed adjacency lists that preceded the flat rows: edge ids,
+/// reverse links and row order decide every BFS tie-break, Yen rank and
+/// plan fingerprint, so a builder that reorders any of them fails here
+/// first. A failure prints the new digest.
+#[test]
+fn benchmark_topologies_match_recorded_layout_digests() {
+    use flash_offchain::workload::{lightning_topology, ripple_topology, testbed_topology};
+    let cases = [
+        (
+            "ripple_topology(11)",
+            ripple_topology(11),
+            0x153b_3057_1fa4_81ea_u64,
+        ),
+        (
+            "lightning_topology(11)",
+            lightning_topology(11),
+            0x48b6_5238_07c7_480b,
+        ),
+        (
+            "testbed_topology(120, 1000, 1500, 11)",
+            testbed_topology(120, 1000, 1500, 11),
+            0xef3c_885a_243c_2eca,
+        ),
+    ];
+    for (name, net, want) in cases {
+        let got = layout_digest(net.graph());
+        assert_eq!(got, want, "{name}: layout digest {got:#018x} changed");
+    }
+}
+
+/// `list` as the `add_edge` loop sees it: stopped at its first error.
+fn add_edge_loop(n: usize, list: &[(NodeId, NodeId)]) -> Result<DiGraph, PcnError> {
+    let mut g = DiGraph::new(n);
+    for (i, &(u, v)) in list.iter().enumerate() {
+        assert_eq!(g.add_edge(u, v)?.index(), i, "ids follow insertion order");
+    }
+    Ok(g)
+}
+
+proptest! {
+    /// `from_edges` builds what the `add_edge` loop builds, on lists
+    /// with duplicates, self-loops and unknown nodes: the same error for
+    /// the first offending pair, or else the edge table, reverse links,
+    /// out-rows and in-rows in order, and the answer from `edge(u, v)`
+    /// for every pair, absent pairs and `u ≥ n` included, that the list
+    /// defines.
+    #[test]
+    fn from_edges_equals_the_add_edge_loop(
+        n in 0usize..9,
+        raw in proptest::collection::vec((0u32..11, 0u32..11), 0..40),
+        keep in 0u8..3,
+    ) {
+        let mut list: Vec<(NodeId, NodeId)> =
+            raw.into_iter().map(|(u, v)| (NodeId(u), NodeId(v))).collect();
+        // 0 keeps the raw list, where an unknown node or a self-loop
+        // usually comes first; 1 drops those, so duplicates decide the
+        // error; 2 drops duplicates too, so the graphs get built.
+        let mut seen = BTreeSet::new();
+        if keep > 0 {
+            list.retain(|&(u, v)| {
+                u != v && u.index() < n && v.index() < n && (keep == 1 || seen.insert((u, v)))
+            });
+        }
+        let want = add_edge_loop(n, &list);
+        let got = DiGraph::from_edges(n, &list);
+        let (want, got) = match (want, got) {
+            (Err(want), Err(got)) => {
+                prop_assert_eq!(got, want);
+                return Ok(());
+            }
+            (Ok(want), Ok(got)) => (want, got),
+            (want, got) => {
+                return Err(TestCaseError::fail(format!(
+                    "add_edge loop {:?}, from_edges {:?}",
+                    want.err(),
+                    got.err()
+                )))
+            }
+        };
+        // Both builders share the row layout, so each graph is checked
+        // against the list itself: edge `i` is the list's pair `i`, and
+        // every row holds its edges in list order.
+        let id_of = |u: NodeId, v: NodeId| {
+            list.iter().position(|&p| p == (u, v)).map(|i| EdgeId(i as u32))
+        };
+        for g in [&want, &got] {
+            prop_assert_eq!(g.node_count(), n);
+            let edges: Vec<_> = (0u32..).zip(&list).map(|(i, &(u, v))| (EdgeId(i), u, v)).collect();
+            prop_assert_eq!(g.edges().collect::<Vec<_>>(), edges.clone());
+            for &(e, u, v) in &edges {
+                prop_assert_eq!(g.reverse_edge(e), id_of(v, u));
+            }
+            for x in g.nodes() {
+                let out: Vec<_> = edges.iter().filter(|t| t.1 == x).map(|t| (t.2, t.0)).collect();
+                let inn: Vec<_> = edges.iter().filter(|t| t.2 == x).map(|t| (t.1, t.0)).collect();
+                prop_assert_eq!(g.out_neighbors(x), &out[..]);
+                prop_assert_eq!(g.in_neighbors(x), &inn[..]);
+            }
+            for u in 0..n as u32 + 2 {
+                for v in 0..n as u32 + 2 {
+                    let (u, v) = (NodeId(u), NodeId(v));
+                    prop_assert_eq!(g.edge(u, v), id_of(u, v), "edge({:?}, {:?})", u, v);
+                }
+            }
+        }
+    }
+}
+
+/// The two paper-scale graphs' heap footprint, pinned by equality: the
+/// flat rows hold 40 bytes per edge (endpoints, reverse link, out-row,
+/// head-sorted out-row, in-row) and 8 per node (two `u32` offsets). A
+/// per-node `Vec` or an edge index coming back fails here.
+#[test]
+fn paper_scale_graphs_hold_their_recorded_heap_bytes() {
+    use flash_offchain::workload::{lightning_topology, ripple_topology};
+    let cases = [
+        ("ripple_topology(11)", ripple_topology(11), 711_608_usize),
+        ("lightning_topology(11)", lightning_topology(11), 2_901_376),
+    ];
+    for (name, net, want) in cases {
+        let got = net.graph().heap_bytes();
+        assert_eq!(got, want, "{name}: heap bytes {got}, recorded {want}");
+    }
 }
