@@ -181,6 +181,8 @@ pub struct TestbedReport {
     pub counters: Vec<NodeCounters>,
     /// `accept`/`read`/`write` calls the reactor issued.
     pub socket_ops: u64,
+    /// Connects the reactor made: one per channel that carried a frame.
+    pub connects: u64,
     /// Frames the lossy wire dropped.
     pub dropped_messages: u64,
     /// Total funds before the first payment, micro-units.
@@ -273,6 +275,7 @@ pub fn run_scheme_testbed(
         commit_messages: cluster.commit_messages(),
         counters: cluster.node_counters(),
         socket_ops: cluster.socket_ops(),
+        connects: cluster.connects(),
         dropped_messages: cluster.dropped_messages(),
         funds_before,
         funds_after: cluster.total_funds(),

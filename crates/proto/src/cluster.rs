@@ -3,7 +3,9 @@
 //! [`Cluster::launch`] deploys one protocol node per participant on the
 //! single-threaded [`EventLoop`] (see [`crate::event_loop`]) — hundreds
 //! of nodes fit in one process because a node costs a listener and a
-//! state machine, not threads. The cluster implements
+//! state machine, not threads. A launch binds the listeners and opens no
+//! connection: each channel gets one TCP connection, for both
+//! directions, when its first frame is sent. The cluster implements
 //! [`pcn_sim::PaymentNetwork`] (see [`crate::backend`]), so the *same*
 //! [`pcn_sim::Router`] implementations the simulator uses — all five
 //! schemes — route on it unmodified. Driving a transaction trace and
@@ -58,7 +60,10 @@ pub struct Cluster {
 impl Cluster {
     /// Launches one node per graph vertex on ephemeral localhost ports.
     /// `balances[e]` (indexed by edge id) seeds each node's outgoing
-    /// balances.
+    /// balances. Only the listeners are bound here: a channel's
+    /// connection opens on the first frame sent over it, in either
+    /// direction, inside the operation that sends it (see
+    /// [`Cluster::connects`]).
     pub fn launch(graph: DiGraph, balances: &[Amount]) -> Result<Cluster> {
         Self::launch_with_faults(graph, balances, &FaultConfig::none())
     }
@@ -152,6 +157,13 @@ impl Cluster {
     /// [`EventLoop::socket_ops`]).
     pub fn socket_ops(&self) -> u64 {
         self.evloop.socket_ops()
+    }
+
+    /// Connects the reactor has made so far: one per channel that
+    /// carried a frame, plus one per reconnect (see
+    /// [`EventLoop::connects`]).
+    pub fn connects(&self) -> u64 {
+        self.evloop.connects()
     }
 
     /// Allocates a fresh wire transaction id.

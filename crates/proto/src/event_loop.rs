@@ -5,35 +5,50 @@
 //!
 //! * one non-blocking [`TcpListener`] per node (bound before any
 //!   traffic flows, so the address book is complete),
-//! * outbound connections with explicit write buffers flushed as the
-//!   kernel accepts bytes,
-//! * inbound connections feeding a [`FrameDecoder`] each,
+//! * one TCP connection per channel, carrying both directions; each of
+//!   its two ends has an explicit write buffer, flushed as the kernel
+//!   accepts bytes, and a [`FrameDecoder`] for what the other end sends,
 //! * a [`NodeState`] per node executing the protocol state machine,
 //! * a request table correlating client-injected messages with their
 //!   terminal replies by `trans_id`.
 //!
+//! # One connection per channel
+//!
+//! Two nodes that share a channel share one socket pair, as a Lightning
+//! peer keeps one link per neighbour. The first send in either direction
+//! opens it — lazily, never at launch, so a channel that carries no
+//! frame costs no handshake. The sender connects to the other node's
+//! listener, and the loop accepts right away: the loopback connect has
+//! already queued the connection, so the accepting end exists before its
+//! first reply is due. Each node finds its end through a neighbour
+//! table, one row per node sorted by neighbour id. A node sends only to
+//! the nodes it shares a channel with; a frame addressed to any other
+//! node has no connection to ride, and is counted as a transport error.
+//!
 //! # What is polled, and why that is enough
 //!
 //! The loop is the only process that knows the listeners' addresses, so
-//! every inbound connection is the far end of an outbound connection
-//! this same loop opened. That makes readiness something the loop can
-//! *account for* instead of asking the kernel about every socket:
+//! every accepted socket is the far end of a connect this same loop
+//! made. That makes readiness something the loop can *account for*
+//! instead of asking the kernel about every socket:
 //!
 //! * a connect is remembered, by the connector's local address, on the
-//!   listener it targets; when that listener accepts, the accepted
-//!   socket's peer address names its connector and the two ends are
-//!   **paired** — pairing is total, and an accepted socket nobody here
-//!   connected is dropped and counted as a transport error;
-//! * every byte written into an outbound socket is added to that pair's
-//!   in-flight count, every byte read from the inbound end is taken off.
+//!   listener it targets; when that listener accepts — at once, or on a
+//!   later pass in the rare case the kernel has not queued the
+//!   connection yet — the accepted socket's peer address names its
+//!   connector and the two ends are **paired**. Pairing is total: an
+//!   accepted socket nobody here connected is dropped and counted as a
+//!   transport error;
+//! * every byte written into one end is added to that end's in-flight
+//!   count, and every byte the other end reads is taken off.
 //!
 //! Three *ready sets* follow: listeners with connects they have not
-//! accepted, outbound connections with buffered bytes, inbound
-//! connections whose pair has bytes in flight. [`EventLoop::poll_once`]
-//! makes one pass — accept, read + dispatch, flush — over those sets
-//! only: a frame moving one hop costs one `write` and one `read`
-//! whatever the cluster size, and a read stops when the in-flight count
-//! reaches zero rather than at `WouldBlock`.
+//! accepted, ends with buffered bytes, and ends toward which the other
+//! end has bytes in flight. [`EventLoop::poll_once`] makes one pass —
+//! accept, read + dispatch, flush — over those sets only: a frame moving
+//! one hop costs one `write` and one `read` whatever the cluster size,
+//! and a read stops when the in-flight count reaches zero rather than at
+//! `WouldBlock`.
 //!
 //! # Quiescence
 //!
@@ -48,9 +63,12 @@
 //! against a kernel that never delivers.
 //!
 //! A connection that fails (read or write error, EOF, malformed frame)
-//! is closed at both ends and its buffered frames and in-flight bytes
-//! are written off, so a dead socket cannot hold quiescence hostage;
-//! the next send on that `(from, to)` reconnects.
+//! is closed at both ends, and with it both directions of its channel:
+//! the frames either end still buffers and the bytes in flight either
+//! way are written off, so a dead socket cannot hold quiescence hostage.
+//! Every frame sent on it and never read is counted as written off, so
+//! frames sent always equal frames received plus frames written off.
+//! The next send in either direction reconnects.
 //!
 //! # Threading contract
 //!
@@ -59,11 +77,11 @@
 //!
 //! # Determinism
 //!
-//! Each pass visits its ready sets in the order a scan of every socket
-//! would: listeners, then inbound connections, then outbound buffers,
-//! each in ascending creation index; a listener's backlog is accepted
-//! in connect order, which numbers the inbound connections; dispatch is
-//! FIFO per pass. Wall time enters only through [`crate::wall_now`]
+//! Each pass visits its ready sets in a fixed order: listeners in
+//! ascending node id; reading ends in the order their direction first
+//! carried a frame — by the pass that sent it, then by receiving node,
+//! then by send order; flushing ends in creation order. Dispatch is FIFO
+//! per pass. Wall time enters only through [`crate::wall_now`]
 //! (`clippy.toml` bans `Instant::now` everywhere else) and is used
 //! exclusively for the stall guard — never for ordering decisions.
 
@@ -80,42 +98,71 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
-/// An accepted inbound connection, owned by the listening node.
-struct InConn {
-    /// The node whose listener accepted this connection.
+/// One end of a channel's connection: the socket node `owner` holds
+/// toward its channel peer. A connection's two ends sit side by side in
+/// [`EventLoop`]'s end table — the connecting end at an even index, the
+/// accepting end right after it — so the far end of `e` is `e ^ 1`.
+struct End {
+    /// The node holding this end (its counters track the queue depth).
     owner: u32,
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    /// Index of the [`OutConn`] at the other end of this socket.
-    peer: usize,
-    open: bool,
-}
-
-/// A persistent outbound connection with an explicit write buffer.
-struct OutConn {
-    /// Sending node (its counters track the queue depth).
-    from: u32,
-    stream: TcpStream,
+    /// `None` while an accepting end's listener has not accepted yet.
+    stream: Option<TcpStream>,
     /// Encoded frames awaiting the kernel.
     buf: Vec<u8>,
     /// How much of `buf` has been written.
     cursor: usize,
     /// End offset of each queued frame, for queue-depth accounting.
     frame_ends: VecDeque<usize>,
-    /// Index of the [`InConn`] at the other end, once its listener has
-    /// accepted it.
-    peer: Option<usize>,
-    /// Bytes written into the socket that `peer` has not read yet.
+    /// Bytes written into this end that the far end has not read yet.
     in_flight: usize,
+    /// Reassembles the frames the far end sends.
+    decoder: FrameDecoder,
+    /// Frames queued on this end, and frames decoded from it: what a
+    /// closed connection writes off is the difference, both ways.
+    sent: u64,
+    received: u64,
+    /// Where this end's reads fall in a pass: `(pass, owner, order)` of
+    /// the first frame sent toward it.
+    read_key: Option<(u64, u32, u64)>,
     open: bool,
+}
+
+impl End {
+    fn new(owner: u32, stream: Option<TcpStream>) -> End {
+        End {
+            owner,
+            stream,
+            // pcn-lint: allow(hot-alloc) — per connection, not per frame: the write buffer lives as long as the socket
+            buf: Vec::new(),
+            cursor: 0,
+            // pcn-lint: allow(hot-alloc) — per connection, like `buf`
+            frame_ends: VecDeque::new(),
+            in_flight: 0,
+            decoder: FrameDecoder::default(),
+            sent: 0,
+            received: 0,
+            read_key: None,
+            open: true,
+        }
+    }
+}
+
+/// End `e` and its far end.
+fn pair_mut(ends: &mut [End], e: usize) -> (&mut End, &mut End) {
+    let (lo, hi) = ends.split_at_mut(e | 1);
+    if e & 1 == 0 {
+        (&mut lo[e], &mut hi[0])
+    } else {
+        (&mut hi[0], &mut lo[e ^ 1])
+    }
 }
 
 /// What [`EventLoop::shutdown`] found while winding down.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShutdownReport {
-    /// Frames still queued on outbound buffers after the final drain.
+    /// Frames still queued on connection ends after the final drain.
     pub unflushed_frames: u64,
-    /// Bytes of partial frames stuck in inbound decoders.
+    /// Bytes of partial frames stuck in the ends' decoders.
     pub undecoded_bytes: u64,
     /// Requests begun but never answered (timed out or abandoned).
     pub unanswered_requests: u64,
@@ -134,19 +181,25 @@ impl ShutdownReport {
 pub struct EventLoop {
     nodes: Vec<NodeState>,
     listeners: Vec<TcpListener>,
-    addrs: HashMap<u32, SocketAddr>,
-    in_conns: Vec<InConn>,
-    out_conns: Vec<OutConn>,
-    /// `(from, to)` → index into `out_conns`.
-    out_index: HashMap<(u32, u32), usize>,
+    /// Listener address, by node id.
+    addrs: Vec<SocketAddr>,
+    /// The neighbour table: node `u`'s channel peers are
+    /// `peers[peer_rows[u]..peer_rows[u + 1]]`, ascending.
+    peer_rows: Vec<usize>,
+    peers: Vec<u32>,
+    /// Per neighbour-table slot: the node's end of its connection to
+    /// that peer, once one was opened.
+    peer_ends: Vec<Option<usize>>,
+    /// Every connection end opened so far, in pairs (see [`End`]).
+    ends: Vec<End>,
     /// Per listener: the connects it has not accepted yet, as
-    /// `(connector's local address, out_conns index)`.
+    /// `(connector's local address, accepting end)`.
     connecting: Vec<Vec<(SocketAddr, usize)>>,
     /// Ready set: listeners with a non-empty `connecting` entry.
     accept_ready: Vec<usize>,
-    /// Ready set: inbound connections whose pair has bytes in flight.
+    /// Ready set: ends toward which the far end has bytes in flight.
     read_ready: Vec<usize>,
-    /// Ready set: outbound connections with unflushed bytes.
+    /// Ready set: accepted ends with unflushed bytes.
     write_ready: Vec<usize>,
     /// Open request slots: `None` until the terminal reply arrives.
     pending: HashMap<u64, Option<Message>>,
@@ -164,14 +217,23 @@ pub struct EventLoop {
     transport_errors: u64,
     /// `accept`/`read`/`write` calls issued so far.
     socket_ops: u64,
+    /// Connects that succeeded so far.
+    connects: u64,
+    /// Frames sent on connections that closed before they were read.
+    written_off: u64,
+    /// Passes started so far (the first field of a read key).
+    passes: u64,
+    /// Read keys handed out so far (the last field of a read key).
+    read_keys: u64,
     shut: bool,
 }
 
 impl EventLoop {
     /// Binds one non-blocking listener per node and installs the
     /// initial outgoing balances. `balances[i]` maps neighbor id →
-    /// micro-units for node `i`. No traffic flows until the first
-    /// [`EventLoop::poll_once`].
+    /// micro-units for node `i`; a channel joins `i` and each such
+    /// neighbour, whichever of the two holds the balance. No traffic
+    /// flows, and no connection is opened, until the first send.
     ///
     /// `faults` is the simulator's fault surface: each outbound frame is
     /// dropped with probability `probe_drop_prob` (clamped to [0, 1]),
@@ -179,25 +241,44 @@ impl EventLoop {
     /// equivalent — frames carry real balances — so `probe_noise_ppm`
     /// is ignored.
     pub fn new(balances: Vec<HashMap<u32, u64>>, faults: &FaultConfig) -> Result<Self> {
-        let mut nodes = Vec::with_capacity(balances.len());
-        let mut listeners = Vec::with_capacity(balances.len());
-        let mut addrs = HashMap::new();
+        let n = balances.len();
+        let mut links = Vec::new();
+        for (u, bal) in balances.iter().enumerate() {
+            for &v in bal.keys() {
+                links.extend([(u as u32, v), (v, u as u32)]);
+            }
+        }
+        links.retain(|&(u, _)| (u as usize) < n);
+        links.sort_unstable();
+        links.dedup();
+        let mut peer_rows = vec![0; n + 1];
+        for &(u, _) in &links {
+            peer_rows[u as usize + 1] += 1;
+        }
+        for u in 0..n {
+            peer_rows[u + 1] += peer_rows[u];
+        }
+        let peers: Vec<u32> = links.into_iter().map(|(_, v)| v).collect();
+
+        let mut nodes = Vec::with_capacity(n);
+        let mut listeners = Vec::with_capacity(n);
+        let mut addrs = Vec::with_capacity(n);
         for (id, bal) in balances.into_iter().enumerate() {
-            let id = id as u32;
             let listener = TcpListener::bind("127.0.0.1:0")?;
             listener.set_nonblocking(true)?;
-            addrs.insert(id, listener.local_addr()?);
+            addrs.push(listener.local_addr()?);
             listeners.push(listener);
-            nodes.push(NodeState::new(id, bal));
+            nodes.push(NodeState::new(id as u32, bal));
         }
         Ok(EventLoop {
-            connecting: vec![Vec::new(); nodes.len()],
+            connecting: vec![Vec::new(); n],
             nodes,
             listeners,
             addrs,
-            in_conns: Vec::new(),
-            out_conns: Vec::new(),
-            out_index: HashMap::new(),
+            peer_rows,
+            peer_ends: vec![None; peers.len()],
+            peers,
+            ends: Vec::new(),
             accept_ready: Vec::new(),
             read_ready: Vec::new(),
             write_ready: Vec::new(),
@@ -209,6 +290,10 @@ impl EventLoop {
             dropped: 0,
             transport_errors: 0,
             socket_ops: 0,
+            connects: 0,
+            written_off: 0,
+            passes: 0,
+            read_keys: 0,
             shut: false,
         })
     }
@@ -245,6 +330,12 @@ impl EventLoop {
     /// about two when only ready sockets are polled.
     pub fn socket_ops(&self) -> u64 {
         self.socket_ops
+    }
+
+    /// Connects that succeeded so far: one per channel that carried a
+    /// frame, plus one per reconnect after a connection failed.
+    pub fn connects(&self) -> u64 {
+        self.connects
     }
 
     // ----- churn ---------------------------------------------------
@@ -318,6 +409,7 @@ impl EventLoop {
     /// a progress count (0 ⇒ the pass moved nothing).
     // pcn-lint: hot — every wire frame crosses this pass twice; ready lists, dispatch queue and outbox are loop-owned buffers
     pub fn poll_once(&mut self) -> usize {
+        self.passes += 1;
         let mut progress = 0;
         progress += self.accept_new();
         progress += self.poll_reads();
@@ -381,24 +473,23 @@ impl EventLoop {
                         self.transport_errors += 1;
                         continue;
                     };
-                    let (_, out) = waiting.swap_remove(at);
+                    let (_, e) = waiting.swap_remove(at);
                     if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                         self.transport_errors += 1;
-                        self.close_pair(out);
+                        self.close_pair(e);
                         continue;
                     }
-                    let conn = &mut self.out_conns[out];
-                    conn.peer = Some(self.in_conns.len());
-                    if conn.in_flight > 0 {
-                        self.read_ready.push(self.in_conns.len());
+                    // A connection closed before it was accepted has
+                    // nothing buffered or in flight, so it joins no
+                    // ready set.
+                    if self.ends[e ^ 1].in_flight > 0 {
+                        self.read_ready.push(e);
                     }
-                    self.in_conns.push(InConn {
-                        owner: owner as u32,
-                        stream,
-                        decoder: FrameDecoder::new(),
-                        peer: out,
-                        open: conn.open,
-                    });
+                    let end = &mut self.ends[e];
+                    if !end.buf.is_empty() {
+                        self.write_ready.push(e);
+                    }
+                    end.stream = Some(stream);
                     *accepted += 1;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -406,8 +497,8 @@ impl EventLoop {
                     // The listener is broken: none of its connects will
                     // ever be accepted.
                     self.transport_errors += 1;
-                    while let Some((_, out)) = self.connecting[owner].pop() {
-                        self.close_pair(out);
+                    while let Some((_, e)) = self.connecting[owner].pop() {
+                        self.close_pair(e);
                     }
                 }
             }
@@ -420,8 +511,8 @@ impl EventLoop {
         // collect complete frames. Counting msgs_in happens here, at
         // the wire boundary.
         let mut ready = std::mem::take(&mut self.read_ready);
-        ready.sort_unstable();
-        ready.retain(|&conn| self.read_conn(conn));
+        ready.sort_unstable_by_key(|&e| self.ends[e].read_key);
+        ready.retain(|&e| self.read_end(e));
         self.read_ready = ready;
         // Phase 2: run the state machines. Handlers may emit new sends,
         // which queue_send buffers for the flush phase.
@@ -433,25 +524,27 @@ impl EventLoop {
         dispatched
     }
 
-    /// Reads what is in flight toward inbound connection `idx` and
-    /// queues its complete frames for dispatch. Returns whether bytes
-    /// are still in flight (written, but not delivered by the kernel).
-    fn read_conn(&mut self, idx: usize) -> bool {
-        let conn = &mut self.in_conns[idx];
-        if !conn.open {
+    /// Reads what the far end has in flight toward end `e` and queues
+    /// its complete frames for dispatch. Returns whether bytes are still
+    /// in flight (written, but not delivered by the kernel).
+    fn read_end(&mut self, e: usize) -> bool {
+        let (end, far) = pair_mut(&mut self.ends, e);
+        if !end.open {
             return false;
         }
-        let in_flight = &mut self.out_conns[conn.peer].in_flight;
+        let Some(stream) = end.stream.as_mut() else {
+            return false;
+        };
         let mut read_buf = [0u8; 4096];
         let mut failed = false;
-        while !failed && *in_flight > 0 {
+        while !failed && far.in_flight > 0 {
             self.socket_ops += 1;
-            match conn.stream.read(&mut read_buf) {
+            match stream.read(&mut read_buf) {
                 // EOF with bytes owed, or bytes nobody accounted for.
-                Ok(n) if n == 0 || n > *in_flight => failed = true,
+                Ok(n) if n == 0 || n > far.in_flight => failed = true,
                 Ok(n) => {
-                    *in_flight -= n;
-                    conn.decoder.feed(&read_buf[..n]);
+                    far.in_flight -= n;
+                    end.decoder.feed(&read_buf[..n]);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -459,11 +552,12 @@ impl EventLoop {
             }
         }
         while !failed {
-            match conn.decoder.next_message() {
+            match end.decoder.next_message() {
                 Ok(Some(msg)) => {
-                    let c = &mut self.nodes[conn.owner as usize].counters;
+                    end.received += 1;
+                    let c = &mut self.nodes[end.owner as usize].counters;
                     c.msgs_in[msg.msg_type as usize] += 1;
-                    self.scratch.push_back((conn.owner, msg));
+                    self.scratch.push_back((end.owner, msg));
                 }
                 Ok(None) => break,
                 // A malformed frame poisons the connection.
@@ -471,17 +565,16 @@ impl EventLoop {
             }
         }
         if failed {
-            let out = conn.peer;
             self.transport_errors += 1;
-            self.close_pair(out);
+            self.close_pair(e);
             return false;
         }
-        *in_flight > 0
+        far.in_flight > 0
     }
 
     /// Runs one message through its node's state machine and executes
     /// the outbox: terminal replies fill their request slot, sends are
-    /// queued on outbound connections.
+    /// queued on connection ends.
     fn dispatch(&mut self, node: u32, msg: Message) {
         let mut out = std::mem::take(&mut self.outbox);
         self.nodes[node as usize].handle(msg, &mut out);
@@ -497,34 +590,56 @@ impl EventLoop {
         self.outbox = out;
     }
 
-    /// Buffers one frame on the `from → to` connection, connecting on
-    /// first use (and again after the connection died). On a lossy wire
-    /// the frame may be dropped before it is counted or queued,
-    /// invisibly to the sender.
+    /// The neighbour-table slot of `peer` in `node`'s row, if the two
+    /// share a channel.
+    fn peer_slot(&self, node: u32, peer: u32) -> Option<usize> {
+        let (lo, hi) = (
+            self.peer_rows[node as usize],
+            self.peer_rows[node as usize + 1],
+        );
+        self.peers[lo..hi].binary_search(&peer).ok().map(|i| lo + i)
+    }
+
+    /// Buffers one frame on `from`'s end of the connection it shares
+    /// with `to`, connecting on the first send either way (and again
+    /// after the connection died). On a lossy wire the frame may be
+    /// dropped before it is counted or queued, invisibly to the sender.
     fn queue_send(&mut self, from: u32, to: u32, msg: Message) {
         if self.should_drop() {
             return;
         }
-        let idx = match self.out_index.get(&(from, to)) {
-            Some(&i) if self.out_conns[i].open => i,
-            _ => {
-                let Some(i) = self.connect(from, to) else {
+        let Some(slot) = self.peer_slot(from, to) else {
+            // No channel joins the two: no connection can carry it.
+            self.transport_errors += 1;
+            return;
+        };
+        let e = match self.peer_ends[slot] {
+            Some(e) if self.ends[e].open => e,
+            _ => match self.connect(from, to) {
+                Some(e) if self.ends[e].open => e,
+                // Already counted: its accept failed and closed the pair.
+                Some(_) => return,
+                None => {
                     self.transport_errors += 1;
                     return;
-                };
-                i
-            }
+                }
+            },
         };
         let counters = &mut self.nodes[from as usize].counters;
         counters.msgs_out[msg.msg_type as usize] += 1;
         counters.queue_depth += 1;
         counters.queue_high_water = counters.queue_high_water.max(counters.queue_depth);
-        let conn = &mut self.out_conns[idx];
-        if conn.buf.is_empty() {
-            self.write_ready.push(idx);
+        let (end, far) = pair_mut(&mut self.ends, e);
+        if far.read_key.is_none() {
+            far.read_key = Some((self.passes, far.owner, self.read_keys));
+            self.read_keys += 1;
         }
-        msg.encode_into(&mut conn.buf);
-        conn.frame_ends.push_back(conn.buf.len());
+        if end.buf.is_empty() && end.stream.is_some() {
+            self.write_ready.push(e);
+        }
+        msg.encode_into(&mut end.buf);
+        end.frame_ends.push_back(end.buf.len());
+        end.sent += 1;
     }
 
     /// Rolls the fault dice for one outbound frame.
@@ -540,62 +655,71 @@ impl EventLoop {
         true
     }
 
-    /// Opens the `from → to` connection and leaves it waiting on `to`'s
-    /// listener. `None` when `to` is unknown or the socket fails.
+    /// Opens the connection between `from` and `to` and accepts it on
+    /// `to`'s listener at once, so the accepting end exists before its
+    /// first reply; a connect the kernel has not queued yet stays
+    /// waiting for a later pass. Returns `from`'s end; `None` when `to`
+    /// is unknown or the socket fails.
     fn connect(&mut self, from: u32, to: u32) -> Option<usize> {
-        let addr = *self.addrs.get(&to)?;
+        let e = self.open(from, to)?;
+        self.accept_new();
+        Some(e)
+    }
+
+    /// Opens the connection between `from` and `to` and leaves it
+    /// waiting on `to`'s listener. Returns `from`'s end.
+    fn open(&mut self, from: u32, to: u32) -> Option<usize> {
+        let addr = *self.addrs.get(to as usize)?;
         // Loopback connect completes immediately (the listener's
         // backlog accepts it); switch to non-blocking after.
         let stream = TcpStream::connect(addr).ok()?;
         stream.set_nonblocking(true).ok()?;
         stream.set_nodelay(true).ok()?;
         let local = stream.local_addr().ok()?;
-        let idx = self.out_conns.len();
-        self.out_conns.push(OutConn {
-            from,
-            stream,
-            // pcn-lint: allow(hot-alloc) — per connection, not per frame: the write buffer lives as long as the socket
-            buf: Vec::new(),
-            cursor: 0,
-            // pcn-lint: allow(hot-alloc) — per connection, like `buf`
-            frame_ends: VecDeque::new(),
-            peer: None,
-            in_flight: 0,
-            open: true,
-        });
-        self.out_index.insert((from, to), idx);
+        self.connects += 1;
+        let e = self.ends.len();
+        self.ends.push(End::new(from, Some(stream)));
+        self.ends.push(End::new(to, None));
+        for (node, peer, end) in [(from, to, e), (to, from, e + 1)] {
+            if let Some(slot) = self.peer_slot(node, peer) {
+                self.peer_ends[slot] = Some(end);
+            }
+        }
         let waiting = &mut self.connecting[to as usize];
         if waiting.is_empty() {
             self.accept_ready.push(to as usize);
         }
-        waiting.push((local, idx));
-        Some(idx)
+        waiting.push((local, e + 1));
+        Some(e)
     }
 
     fn flush_writes(&mut self) -> usize {
         let mut progressed = 0;
         let mut ready = std::mem::take(&mut self.write_ready);
         ready.sort_unstable();
-        ready.retain(|&conn| self.flush_conn(conn, &mut progressed));
+        ready.retain(|&e| self.flush_end(e, &mut progressed));
         self.write_ready = ready;
         progressed
     }
 
-    /// Writes as much of outbound connection `idx`'s buffer as the
-    /// kernel takes. Returns whether bytes are still buffered.
-    fn flush_conn(&mut self, idx: usize, progressed: &mut usize) -> bool {
-        let conn = &mut self.out_conns[idx];
-        if !conn.open {
+    /// Writes as much of end `e`'s buffer as the kernel takes. Returns
+    /// whether bytes are still buffered.
+    fn flush_end(&mut self, e: usize, progressed: &mut usize) -> bool {
+        let (end, far) = pair_mut(&mut self.ends, e);
+        if !end.open {
             return false;
         }
+        let Some(stream) = end.stream.as_mut() else {
+            return false;
+        };
         let mut wrote = 0;
         let mut failed = false;
-        while !failed && conn.cursor < conn.buf.len() {
+        while !failed && end.cursor < end.buf.len() {
             self.socket_ops += 1;
-            match conn.stream.write(&conn.buf[conn.cursor..]) {
+            match stream.write(&end.buf[end.cursor..]) {
                 Ok(0) => failed = true,
                 Ok(n) => {
-                    conn.cursor += n;
+                    end.cursor += n;
                     wrote += n;
                     *progressed += 1;
                 }
@@ -606,50 +730,47 @@ impl EventLoop {
         }
         if failed {
             self.transport_errors += 1;
-            self.close_pair(idx);
+            self.close_pair(e);
             return false;
         }
-        if wrote > 0 && conn.in_flight == 0 {
-            if let Some(peer) = conn.peer {
-                self.read_ready.push(peer);
-            }
+        if wrote > 0 && end.in_flight == 0 && far.stream.is_some() {
+            self.read_ready.push(e ^ 1);
         }
-        conn.in_flight += wrote;
+        end.in_flight += wrote;
         // Retire fully written frames from the owner's queue depth.
-        let counters = &mut self.nodes[conn.from as usize].counters;
-        while conn
-            .frame_ends
-            .front()
-            .is_some_and(|&end| end <= conn.cursor)
-        {
-            conn.frame_ends.pop_front();
+        let counters = &mut self.nodes[end.owner as usize].counters;
+        while end.frame_ends.front().is_some_and(|&at| at <= end.cursor) {
+            end.frame_ends.pop_front();
             counters.queue_depth = counters.queue_depth.saturating_sub(1);
         }
-        if conn.cursor == conn.buf.len() {
-            conn.buf.clear();
-            conn.cursor = 0;
+        if end.cursor == end.buf.len() {
+            end.buf.clear();
+            end.cursor = 0;
         }
-        !conn.buf.is_empty()
+        !end.buf.is_empty()
     }
 
-    /// Closes both ends of a dead connection (the caller counts the
-    /// transport error). Frames still buffered will never flush and
-    /// bytes still in flight will never be read: both are written off,
-    /// so the pair drops out of the ready sets and the next send on
-    /// this `(from, to)` reconnects.
-    fn close_pair(&mut self, out: usize) {
-        let conn = &mut self.out_conns[out];
-        conn.open = false;
-        let counters = &mut self.nodes[conn.from as usize].counters;
-        counters.queue_depth = counters
-            .queue_depth
-            .saturating_sub(conn.frame_ends.len() as u64);
-        conn.frame_ends.clear();
-        conn.buf.clear();
-        conn.cursor = 0;
-        conn.in_flight = 0;
-        if let Some(peer) = conn.peer {
-            self.in_conns[peer].open = false;
+    /// Closes both ends of the connection holding end `e` (the caller
+    /// counts the transport error). Frames still buffered will never
+    /// flush and bytes still in flight will never be read, either way:
+    /// both are written off, so the pair drops out of the ready sets and
+    /// the next send in either direction reconnects.
+    fn close_pair(&mut self, e: usize) {
+        let (a, b) = pair_mut(&mut self.ends, e);
+        if !a.open {
+            return;
+        }
+        self.written_off += (a.sent - b.received) + (b.sent - a.received);
+        for end in [a, b] {
+            end.open = false;
+            let counters = &mut self.nodes[end.owner as usize].counters;
+            counters.queue_depth = counters
+                .queue_depth
+                .saturating_sub(end.frame_ends.len() as u64);
+            end.frame_ends.clear();
+            end.buf.clear();
+            end.cursor = 0;
+            end.in_flight = 0;
         }
     }
 
@@ -666,13 +787,9 @@ impl EventLoop {
         let wall_deadline = crate::wall_now() + Duration::from_secs(2);
         self.drain(wall_deadline);
         let report = ShutdownReport {
-            unflushed_frames: self
-                .out_conns
-                .iter()
-                .map(|c| c.frame_ends.len() as u64)
-                .sum(),
+            unflushed_frames: self.ends.iter().map(|c| c.frame_ends.len() as u64).sum(),
             undecoded_bytes: self
-                .in_conns
+                .ends
                 .iter()
                 .map(|c| c.decoder.pending_bytes() as u64)
                 .sum(),
@@ -680,9 +797,12 @@ impl EventLoop {
             transport_errors: self.transport_errors,
         };
         // Deterministic FD close: every socket dies here, in order.
-        self.out_conns.clear();
-        self.in_conns.clear();
-        self.out_index.clear();
+        self.ends.clear();
+        self.peer_ends.fill(None);
+        self.connecting.iter_mut().for_each(Vec::clear);
+        self.accept_ready.clear();
+        self.read_ready.clear();
+        self.write_ready.clear();
         self.listeners.clear();
         self.pending.clear();
         self.shut = true;
@@ -714,15 +834,17 @@ impl Drop for EventLoop {
 #[cfg(test)]
 impl EventLoop {
     /// Test set-up for a dead socket: puts a length prefix no frame may
-    /// carry straight into the open `from → to` connection's write
-    /// buffer, with a frame queued behind it. Returns the connection's
-    /// index; the next drain trips over the prefix.
+    /// carry straight into `from`'s end of the open connection it shares
+    /// with `to`, with a frame queued behind it. Returns that end; the
+    /// next drain trips over the prefix.
     pub(crate) fn poison_connection(&mut self, from: u32, to: u32) -> usize {
-        let dead = self.out_index[&(from, to)];
-        self.out_conns[dead]
-            .buf
-            .extend_from_slice(&0u32.to_be_bytes());
-        self.write_ready.push(dead);
+        let slot = self.peer_slot(from, to).expect("the two share a channel");
+        let dead = self.peer_ends[slot].expect("a connection was opened");
+        let end = &mut self.ends[dead];
+        if end.buf.is_empty() && end.stream.is_some() {
+            self.write_ready.push(dead);
+        }
+        end.buf.extend_from_slice(&0u32.to_be_bytes());
         let behind = Message::new(31, crate::wire::MsgType::ProbeAck, vec![from, to]);
         self.queue_send(from, to, behind);
         dead
@@ -737,6 +859,7 @@ pub const WIRE_MSG_TYPES: usize = MSG_TYPES;
 mod tests {
     use super::*;
     use crate::wire::MsgType;
+    use proptest::prelude::*;
 
     /// 0 ↔ 1 ↔ 2 line with 10 units per direction.
     fn line3() -> EventLoop {
@@ -765,6 +888,32 @@ mod tests {
         assert_eq!(got.msg_type, MsgType::ProbeAck);
         assert_eq!(got.capacities, vec![10_000_000, 10_000_000]);
         assert!(ev.shutdown().is_clean());
+    }
+
+    #[test]
+    fn each_channel_carries_both_directions_on_one_connection() {
+        let mut ev = line3();
+        assert_eq!(ev.connects(), 0, "nothing is opened at launch");
+        request(&mut ev, Message::new(1, MsgType::Probe, vec![0, 1])).unwrap();
+        assert_eq!(ev.connects(), 1, "the reply rides the probe's connection");
+        request(&mut ev, Message::new(2, MsgType::Probe, vec![2, 1, 0])).unwrap();
+        request(&mut ev, Message::new(3, MsgType::Probe, vec![0, 1, 2])).unwrap();
+        assert_eq!(
+            ev.connects(),
+            2,
+            "one connection per channel, whoever sent first"
+        );
+        assert_eq!(ev.ends.len(), 4);
+        assert!(ev.shutdown().is_clean());
+    }
+
+    #[test]
+    fn a_send_to_a_node_without_a_channel_is_a_transport_error() {
+        let mut ev = line3();
+        assert!(request(&mut ev, Message::new(1, MsgType::Probe, vec![0, 2])).is_none());
+        assert_eq!(ev.connects(), 0);
+        let report = ev.shutdown();
+        assert_eq!(report.transport_errors, 1, "{report:?}");
     }
 
     #[test]
@@ -843,7 +992,7 @@ mod tests {
         );
         assert!(ev.accept_ready.is_empty() && ev.read_ready.is_empty());
         assert!(ev.write_ready.is_empty() && ev.scratch.is_empty());
-        assert!(ev.out_conns.iter().all(|c| c.in_flight == 0));
+        assert!(ev.ends.iter().all(|c| c.in_flight == 0));
         for c in ev.counters() {
             assert_eq!(c.queue_depth, 0);
         }
@@ -856,17 +1005,21 @@ mod tests {
         request(&mut ev, Message::new(30, MsgType::Probe, vec![0, 1])).unwrap();
         let dead = ev.poison_connection(0, 1);
         assert!(ev.drain(crate::wall_now() + Duration::from_secs(5)));
-        assert!(!ev.out_conns[dead].open, "the sending end is closed too");
-        assert_eq!(
-            ev.out_conns[dead].in_flight, 0,
-            "in-flight bytes written off"
-        );
+        assert!(!ev.ends[dead].open && !ev.ends[dead ^ 1].open);
+        assert_eq!(ev.ends[dead].in_flight, 0, "in-flight bytes written off");
         assert_eq!(ev.transport_errors, 1);
         assert_eq!(ev.counters()[0].queue_depth, 0);
+        assert_eq!(ev.written_off, 1, "the frame behind the bad prefix");
 
         let got = request(&mut ev, Message::new(32, MsgType::Probe, vec![0, 1])).unwrap();
         assert_eq!(got.msg_type, MsgType::ProbeAck);
-        assert_ne!(ev.out_index[&(0, 1)], dead, "a fresh connection carried it");
+        let slot = ev.peer_slot(0, 1).unwrap();
+        assert_ne!(
+            ev.peer_ends[slot],
+            Some(dead),
+            "a fresh connection carried it"
+        );
+        assert_eq!(ev.connects(), 2);
         let counters = ev.counters();
         assert_eq!(counters[1].msgs_in[MsgType::Probe as usize], 2);
         assert_eq!(
@@ -880,6 +1033,136 @@ mod tests {
     }
 
     #[test]
+    fn a_connect_accepted_on_a_later_pass_carries_both_directions() {
+        // The state a connect the kernel had not queued yet leaves
+        // behind: both ends exist, the accepting one without a socket.
+        let mut ev = line3();
+        let e = ev.open(0, 1).unwrap();
+        assert!(ev.ends[e ^ 1].stream.is_none());
+        // Both directions queue frames before the accept.
+        let ids = [
+            ev.begin_request(Message::new(1, MsgType::Probe, vec![0, 1]))
+                .unwrap(),
+            ev.begin_request(Message::new(2, MsgType::Probe, vec![1, 0]))
+                .unwrap(),
+        ];
+        assert_eq!(ev.write_ready, vec![e], "the accepting end waits");
+        ev.run_requests(&ids, Duration::from_secs(5));
+        for id in ids {
+            assert_eq!(ev.take_reply(id).unwrap().msg_type, MsgType::ProbeAck);
+        }
+        assert_eq!(ev.connects(), 1);
+        assert!(ev.shutdown().is_clean());
+    }
+
+    /// Six nodes on a ring with two chords, 10 units per direction.
+    fn ring6() -> EventLoop {
+        let u = 10_000_000u64;
+        let mut balances = vec![HashMap::new(); 6];
+        for (a, b) in [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 0),
+            (0, 3),
+            (1, 4),
+        ] {
+            balances[a as usize].insert(b, u);
+            balances[b as usize].insert(a, u);
+        }
+        EventLoop::new(balances, &FaultConfig::none()).unwrap()
+    }
+
+    /// A simple path of up to `hops` hops from a random node, walked
+    /// over the neighbour table without revisiting a node.
+    fn random_path(ev: &EventLoop, rng: &mut StdRng, hops: usize) -> Vec<u32> {
+        let mut path = vec![rng.random_range(0..ev.node_count() as u32)];
+        for _ in 0..hops {
+            let at = *path.last().unwrap() as usize;
+            let row = &ev.peers[ev.peer_rows[at]..ev.peer_rows[at + 1]];
+            let fresh: Vec<u32> = row.iter().copied().filter(|v| !path.contains(v)).collect();
+            if fresh.is_empty() {
+                break;
+            }
+            path.push(fresh[rng.random_range(0..fresh.len())]);
+        }
+        path
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A connection poisoned at a random end, after a random number
+        /// of passes into a wave of probes and commits: the loop still
+        /// drains, loses exactly the frames the dead connection wrote
+        /// off, settles every request one way or the other, and reopens
+        /// the channel with one connect for both directions.
+        #[test]
+        fn a_poisoned_connection_writes_off_what_it_carried(seed: u64) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut ev = ring6();
+            let requests = rng.random_range(4..12u64);
+            let mut ids = Vec::new();
+            for id in 1_000..1_000 + requests {
+                let hops = rng.random_range(1..5);
+                let path = random_path(&ev, &mut rng, hops);
+                let kind = if rng.random_range(0..2) == 0 { MsgType::Probe } else { MsgType::Commit };
+                let mut msg = Message::new(id, kind, path);
+                msg.commit = rng.random_range(1..4_000_000);
+                ids.push(ev.begin_request(msg).unwrap());
+            }
+            for _ in 0..rng.random_range(0..6) {
+                ev.poll_once();
+            }
+            let live: Vec<usize> = (0..ev.ends.len())
+                .filter(|&e| ev.ends[e].open && ev.ends[e].stream.is_some())
+                .collect();
+            prop_assume!(!live.is_empty());
+            let e = live[rng.random_range(0..live.len())];
+            let (u, v) = (ev.ends[e].owner, ev.ends[e ^ 1].owner);
+            ev.poison_connection(u, v);
+
+            assert!(ev.drain(crate::wall_now() + Duration::from_secs(5)), "seed {seed}: drain terminates");
+            assert_eq!(ev.transport_errors, 1, "seed {seed}");
+            assert!(ev.written_off >= 1, "seed {seed}: the frame behind the bad prefix");
+            let counters = ev.counters();
+            let sent: u64 = counters.iter().map(|c| c.wire_out()).sum();
+            let received: u64 = counters.iter().map(|c| c.wire_in()).sum();
+            assert_eq!(sent - received, ev.written_off, "seed {seed}");
+            assert!(counters.iter().all(|c| c.queue_depth == 0), "seed {seed}");
+            let answered = ids
+                .iter()
+                .filter(|id| matches!(ev.pending.get(*id), Some(Some(_))))
+                .count() as u64;
+
+            // The wave may already have reopened the channel; either
+            // way, both directions ride one fresh connection.
+            let (first, second) = if rng.random_range(0..2) == 0 { (u, v) } else { (v, u) };
+            for (id, (a, b)) in [(2_000, (first, second)), (2_001, (second, first))] {
+                let got = request(&mut ev, Message::new(id, MsgType::Probe, vec![a, b]));
+                assert_eq!(got.map(|m| m.msg_type), Some(MsgType::ProbeAck), "seed {seed}");
+            }
+            let mut channels: Vec<(u32, u32)> = (0..ev.ends.len())
+                .step_by(2)
+                .map(|e| {
+                    let (a, b) = (ev.ends[e].owner, ev.ends[e + 1].owner);
+                    (a.min(b), a.max(b))
+                })
+                .collect();
+            let poisoned = (u.min(v), u.max(v));
+            assert_eq!(channels.iter().filter(|&&c| c == poisoned).count(), 2, "seed {seed}");
+            channels.sort_unstable();
+            channels.dedup();
+            assert_eq!(ev.connects(), channels.len() as u64 + 1, "seed {seed}: one reconnect");
+            let report = ev.shutdown();
+            assert_eq!(report.unanswered_requests, requests - answered, "seed {seed}");
+            assert_eq!(report.transport_errors, 1, "seed {seed}");
+        }
+    }
+
+    #[test]
     fn shutdown_is_idempotent_and_closes_everything() {
         let mut ev = line3();
         request(&mut ev, Message::new(4, MsgType::Probe, vec![0, 1, 2])).unwrap();
@@ -887,7 +1170,7 @@ mod tests {
         assert!(first.is_clean(), "{first:?}");
         let second = ev.shutdown();
         assert_eq!(second, ShutdownReport::default());
-        assert!(ev.in_conns.is_empty() && ev.out_conns.is_empty() && ev.listeners.is_empty());
+        assert!(ev.ends.is_empty() && ev.listeners.is_empty());
     }
 
     /// A loop hosting no nodes that drops each frame with probability

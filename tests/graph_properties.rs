@@ -1,10 +1,12 @@
 //! Property tests over the graph substrate on random topologies —
 //! invariants the routing layers silently rely on.
 
+use flash_offchain::core::flash::elephant::{find_paths_with, ElephantScratch};
 use flash_offchain::graph::bfs::SearchWork;
 use flash_offchain::graph::yen::{RankedPaths, YenScratch};
 use flash_offchain::graph::{bfs, disjoint, generators, yen, DiGraph, EdgeId, Path};
-use flash_offchain::types::{NodeId, PcnError};
+use flash_offchain::sim::Network;
+use flash_offchain::types::{Amount, FeePolicy, NodeId, PcnError};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -348,6 +350,88 @@ fn benchmark_topologies_match_recorded_layout_digests() {
         let got = layout_digest(net.graph());
         assert_eq!(got, want, "{name}: layout digest {got:#018x} changed");
     }
+}
+
+/// `items` in a seeded Fisher–Yates order (SplitMix64 draws).
+fn shuffled<T>(mut items: Vec<T>, seed: u64) -> Vec<T> {
+    let mut state = seed;
+    for i in (1..items.len()).rev() {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        items.swap(i, (z % (i as u64 + 1)) as usize);
+    }
+    items
+}
+
+/// The paths Algorithm 1 (`k = 20`) plans for 10 fixed pairs, and each
+/// plan's probe count and max-flow, FNV-1a over their node ids.
+fn plan_digest(net: &mut Network, pairs: &[(NodeId, NodeId)]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut scratch = ElephantScratch::default();
+    for &(s, t) in pairs {
+        let plan = find_paths_with(net, &mut scratch, s, t, Amount::from_units(1_000), 20);
+        for path in &plan.paths {
+            eat(u64::MAX);
+            path.nodes().iter().for_each(|n| eat(u64::from(n.0)));
+        }
+        eat(plan.probes as u64);
+        eat(plan.max_flow.micros());
+    }
+    h
+}
+
+/// Every generated topology lays its out-rows out sorted by head, so
+/// the pins above cannot tell adjacency order from head order. This
+/// graph is a generated one rebuilt from its edge list in shuffled
+/// order, so its rows hold their edges in list order, as a loaded edge
+/// list's would. Yen's ranks and Algorithm 1's plans on it, recorded
+/// before the flat rows were last touched, pin the row order: a builder
+/// that lays each out-row out by head fails here.
+#[test]
+fn shuffled_rows_keep_their_recorded_ranks_and_plans() {
+    let generated = generators::scale_free_with_channels(300, 1200, 17);
+    let list = shuffled(generated.edges().map(|(_, u, v)| (u, v)).collect(), 23);
+    let g = DiGraph::from_edges(generated.node_count(), &list).unwrap();
+    assert!(
+        g.nodes()
+            .any(|u| g.out_neighbors(u).windows(2).any(|w| w[0].0 > w[1].0)),
+        "the shuffle leaves some out-row out of head order"
+    );
+    let n = g.node_count() as u32;
+    let pairs: Vec<_> = (0..10)
+        .map(|i| (NodeId((i * 97 + 3) % n), NodeId((i * 389 + 101) % n)))
+        .collect();
+
+    let ranks: Vec<Path> = pairs
+        .iter()
+        .flat_map(|&(s, t)| yen::k_shortest_paths_hops(&g, s, t, 8))
+        .collect();
+    let yen_got = rank_fingerprint(&ranks);
+    assert_eq!(
+        yen_got, 0xb9ec_93d0_1502_beeb,
+        "Yen ranks {yen_got:#018x} changed"
+    );
+
+    // Balances follow the endpoints, not the ids the shuffle handed out.
+    let balances = g
+        .edges()
+        .map(|(_, u, v)| Amount::from_units(50 + u64::from(u.0 * 31 + v.0 * 17) % 400))
+        .collect();
+    let fees = vec![FeePolicy::FREE; g.edge_count()];
+    let mut net = Network::new(g, balances, fees).unwrap();
+    let plans_got = plan_digest(&mut net, &pairs);
+    assert_eq!(
+        plans_got, 0xe19d_557a_bd3d_18a7,
+        "Algorithm 1 plans {plans_got:#018x} changed"
+    );
 }
 
 /// `list` as the `add_edge` loop sees it: stopped at its first error.

@@ -1,8 +1,8 @@
 //! Integration tests of the TCP testbed prototype: conservation over
 //! real sockets, cross-validation against the simulator, the two-phase
 //! commit protocol under sub-payments in flight together, churn
-//! reversal, single-process scale, lossy wires, and wire-telemetry
-//! conservation.
+//! reversal, single-process scale, lossy wires, wire-telemetry
+//! conservation, and one connection per channel.
 
 use flash_offchain::core::Scheme;
 use flash_offchain::experiments::harness::{
@@ -248,6 +248,20 @@ fn socket_calls_per_frame_are_few_and_flat_in_the_node_count() {
         large <= 1.25 * small && small <= 1.25 * large,
         "{small:.2} at 60 nodes against {large:.2} at 200"
     );
+}
+
+/// Each channel's two directions share one TCP connection, opened by
+/// the first frame either way: a run connects once per channel it
+/// used, and never more often than the topology has channels. One
+/// connection per direction made 234 connects on this run.
+#[test]
+fn a_run_connects_once_per_channel_it_uses() {
+    let net = testbed_topology(60, 1000, 1500, 41);
+    let channels = net.graph().edge_count() as u64 / 2;
+    let report = run_on(&net, Scheme::Flash, 80, 42, 1);
+    assert!(report.clean_shutdown);
+    assert_eq!(report.connects, 117, "of {channels} channels");
+    assert!(report.connects <= channels);
 }
 
 /// With every outbound frame dropped, Spider's up-front probes all go
