@@ -13,9 +13,10 @@
 //! a sequence of searches on a graph that only shrinks between them —
 //! one search per s–t distance, then a walk of its level DAG per call —
 //! and can avoid a set of nodes throughout. Algorithm 1's probes are
-//! one such sequence per payment; each of Yen's spurs is a sequence of
-//! one call, avoiding the root's nodes, and so is each payment of the
-//! Shortest Path baseline and each call of [`shortest_path`]. The
+//! one such sequence per payment, and so are the edge-disjoint paths of
+//! each Spider payment; each of Yen's spurs is a sequence of one call,
+//! avoiding the root's nodes, and so is each payment of the Shortest
+//! Path baseline and each call of [`shortest_path`]. The
 //! forward loop stays as the reference: [`shortest_path_filtered`],
 //! [`distances_from`] and [`spanning_tree`] run it, and the dev-profile
 //! oracles of Algorithm 1 and Yen hold every search to it.
@@ -56,7 +57,6 @@ impl Forward {
     /// (`backwards`) in-edges, each node's in adjacency order, until
     /// `stop` is discovered or nothing is left. Nothing in it allocates:
     /// [`Forward::run`] sizes the arrays.
-    // pcn-lint: hot — every dev-profile oracle check runs one, and so do `distances_from` and `spanning_tree` for each landmark tree; its arrays come sized
     fn scan(
         &mut self,
         g: &DiGraph,
@@ -227,7 +227,6 @@ impl PhaseScratch {
     /// the edge alone. Between calls of one sequence it may reject
     /// edges it accepted, and may start to accept only the reverses of
     /// the last path's edges.
-    // pcn-lint: hot — Algorithm 1 takes every probe's path from here, and Yen every spur's; the levels and the walk are scratch-owned
     pub fn next_path(
         &mut self,
         g: &DiGraph,
@@ -463,7 +462,6 @@ impl PhaseScratch {
             return None;
         }
         work.paths += 1;
-        // pcn-lint: allow(hot-alloc) — the result path is the walk's return value, one per call and not per scanned edge
         Some(Path::from_vec_unchecked(walk.clone()))
     }
 }

@@ -25,7 +25,6 @@
 //!   classic Edmonds–Karp (the differential-testing oracle it and
 //!   Flash's k-bounded variant are validated against), plus min-cut
 //!   extraction and path decomposition.
-//! * [`disjoint`] — k edge-disjoint shortest paths (Spider's path set).
 //! * [`generators`] — Watts–Strogatz (§5.2 testbed topologies),
 //!   Barabási–Albert scale-free (Ripple/Lightning-like topologies), and
 //!   Erdős–Rényi graphs.
@@ -51,7 +50,6 @@
 
 pub mod bfs;
 pub mod digraph;
-pub mod disjoint;
 pub mod generators;
 pub mod io;
 pub mod maxflow;

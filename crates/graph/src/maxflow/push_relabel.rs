@@ -169,7 +169,6 @@ impl HiLevel {
 
     /// The main loop. Returns the max-flow value (the excess that
     /// reached `t`).
-    // pcn-lint: hot — the push-relabel discharge loop; all buffers come from the HiLevel arena
     fn run(&mut self, r: &mut CsrResidual) -> u64 {
         let n = self.n;
         // Saturate every source arc *first*: the undo arcs this creates

@@ -141,7 +141,6 @@ impl RankedPaths {
     /// Adds to the pool, for each node of the newest rank except the
     /// last, the shortest deviation that leaves it by an edge no found
     /// path with the same root has taken.
-    // pcn-lint: hot — one search per node of the newest rank, on every table miss and dead-path replacement; every array is scratch-owned
     fn spur(&mut self, g: &DiGraph, scratch: &mut YenScratch) {
         let RankedPaths {
             t,
@@ -189,7 +188,6 @@ impl RankedPaths {
                 "spur {i} of {prev:?}: the stamped bans diverged from their definition"
             );
             let Some(sp) = spur_path else { continue };
-            // pcn-lint: allow(hot-alloc) — the candidate is the spur's result and stays in the pool; one per spur that finds a path, not per scanned edge
             let mut nodes = Vec::with_capacity(root.len() + sp.nodes().len());
             nodes.extend_from_slice(root);
             nodes.extend_from_slice(sp.nodes());

@@ -132,10 +132,8 @@ impl End {
         End {
             owner,
             stream,
-            // pcn-lint: allow(hot-alloc) — per connection, not per frame: the write buffer lives as long as the socket
             buf: Vec::new(),
             cursor: 0,
-            // pcn-lint: allow(hot-alloc) — per connection, like `buf`
             frame_ends: VecDeque::new(),
             in_flight: 0,
             decoder: FrameDecoder::default(),
@@ -407,7 +405,6 @@ impl EventLoop {
     /// One pass over the ready sets: accept pending connects, read +
     /// dispatch every frame in flight, flush outbound buffers. Returns
     /// a progress count (0 ⇒ the pass moved nothing).
-    // pcn-lint: hot — every wire frame crosses this pass twice; ready lists, dispatch queue and outbox are loop-owned buffers
     pub fn poll_once(&mut self) -> usize {
         self.passes += 1;
         let mut progress = 0;

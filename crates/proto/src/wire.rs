@@ -36,7 +36,6 @@ pub const MAX_FRAME: usize = 64 * 1024;
 
 /// The error for bytes that are not a valid frame.
 pub(crate) fn malformed(what: std::fmt::Arguments<'_>) -> PcnError {
-    // pcn-lint: allow(hot-alloc) — cold: a malformed frame closes its connection, so this runs at most once per socket
     PcnError::Codec(what.to_string())
 }
 
@@ -189,14 +188,12 @@ impl Message {
             return Err(malformed(format_args!("path too long: {path_len}")));
         }
         need(&buf, 4 * path_len + 2, "path")?;
-        // pcn-lint: allow(hot-alloc) — the decoded message owns its path: this Vec is the frame itself, not scratch
         let path: Vec<u32> = (0..path_len).map(|_| buf.get_u32()).collect();
         let cap_len = buf.get_u16() as usize;
         if cap_len > MAX_CAP_LEN {
             return Err(malformed(format_args!("capacity list too long: {cap_len}")));
         }
         need(&buf, 8 * cap_len + 8, "capacities")?;
-        // pcn-lint: allow(hot-alloc) — likewise the capacity list (empty, so no allocation, on all but probe frames)
         let capacities: Vec<u64> = (0..cap_len).map(|_| buf.get_u64()).collect();
         let commit = buf.get_u64();
         if buf.has_remaining() {

@@ -117,7 +117,6 @@ impl DesEngine {
     /// workload's attempts while the makespan of a second run is still
     /// measured from that run's earliest arrival over the shared
     /// clock. Build a fresh engine per independent run.
-    // pcn-lint: hot — the DES executor: everything it reaches is per-event
     pub fn run<R>(
         &mut self,
         router: &mut R,
@@ -127,7 +126,6 @@ impl DesEngine {
     where
         R: Router<DesNetwork> + ?Sized,
     {
-        // pcn-lint: allow(hot-alloc) — one sort scratch per run, not per event
         let mut order: Vec<usize> = (0..workload.len()).collect();
         order.sort_by_key(|&i| workload[i].0);
         let first_arrival = order

@@ -294,7 +294,6 @@ impl DesNetwork {
     /// waves land harmlessly on frozen balances. Draining moves funds
     /// to the reverse direction, or out of the channel system when the
     /// direction is unidirectional.
-    // pcn-lint: hot — fires inside the drain loop, once per churn event
     fn apply_churn(&mut self, action: ChurnAction) {
         match action {
             ChurnAction::ChannelClose(edge) => {
@@ -434,7 +433,6 @@ impl DesNetwork {
     /// Returns the instant `to` finishes processing it and records the
     /// queueing delay in the metrics histogram (zero-service nodes are
     /// infinitely fast and record nothing — see [`node`](super::node)).
-    // pcn-lint: hot — runs once per message delivery, the innermost loop
     fn hop(&mut self, to: NodeId, sent: SimTime) -> SimTime {
         let arrival = sent + self.latency.delay(self.msg_tick);
         self.msg_tick += 1;
@@ -475,7 +473,6 @@ impl PaymentNetwork for DesNetwork {
     /// servicing the probe — any settlement wave landing after that
     /// instant is invisible, which is exactly how probe reports go
     /// stale under load.
-    // pcn-lint: hot — one round trip per probe; probes dominate under Flash
     fn probe_path(&mut self, path: &Path) -> Option<ProbeReport> {
         let nodes = path.nodes();
         let mut t = self.now;
@@ -568,7 +565,6 @@ impl DesSession<'_> {
     /// hop's downstream node finishes servicing the wave. Consumes the
     /// reserved parts (their edge lists return to the pool) and
     /// returns when the last wave lands.
-    // pcn-lint: hot — one wave per part on every commit/abort
     fn schedule_waves(&mut self, make: fn(EdgeId, Amount) -> Settle) -> SimTime {
         let mut settle_end = self.net.now;
         for mut part in std::mem::take(&mut self.parts) {
@@ -600,7 +596,6 @@ impl PaymentSession for DesSession<'_> {
     /// services it, and the sender's clock lands when it has serviced
     /// the returning NACK. On success the sender's clock lands when it
     /// has serviced the last hop's ACK.
-    // pcn-lint: hot — one COMMIT wave per reservation attempt
     fn try_send_part(&mut self, path: &Path, amount: Amount) -> Result<(), PartFailure> {
         assert!(!self.closed, "session already closed");
         if amount.is_zero() {

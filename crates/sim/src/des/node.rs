@@ -265,7 +265,6 @@ impl ServiceQueues {
     /// Zero-service messages complete at their arrival instant without
     /// touching the calendar (see the module docs). `arrival` must not
     /// lie below the release watermark.
-    // pcn-lint: hot — the reservation lookup behind every delivery
     pub fn admit(&mut self, node: NodeId, arrival: SimTime) -> ServicePass {
         debug_assert!(
             arrival >= self.released_to,

@@ -78,7 +78,6 @@ impl<T> EventQueue<T> {
 
     /// Schedules `payload` to fire at `fire`. Events scheduled for the
     /// same instant fire in call order.
-    // pcn-lint: hot — every settlement effect passes through here
     pub fn schedule(&mut self, fire: SimTime, payload: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -91,7 +90,6 @@ impl<T> EventQueue<T> {
     }
 
     /// Pops the earliest event if it fires at or before `horizon`.
-    // pcn-lint: hot — every drained event passes through here
     pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, T)> {
         if self.peek_time()? > horizon {
             return None;

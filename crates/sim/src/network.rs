@@ -190,7 +190,6 @@ impl Network {
         if self.faults.enabled() && self.faults.drops_probe(&mut self.fault_rng) {
             return None;
         }
-        // pcn-lint: allow(hot-alloc) — the report Vec is the probe's return value; one per probe round trip, not per event
         let mut channels = Vec::with_capacity(path.hops());
         for (u, v) in path.channels() {
             let e = self.graph.edge(u, v)?;

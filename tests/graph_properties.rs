@@ -2,9 +2,10 @@
 //! invariants the routing layers silently rely on.
 
 use flash_offchain::core::flash::elephant::{find_paths_with, ElephantScratch};
+use flash_offchain::core::SpiderRouter;
 use flash_offchain::graph::bfs::SearchWork;
 use flash_offchain::graph::yen::{RankedPaths, YenScratch};
-use flash_offchain::graph::{bfs, disjoint, generators, yen, DiGraph, EdgeId, Path};
+use flash_offchain::graph::{bfs, generators, yen, DiGraph, EdgeId, Path};
 use flash_offchain::sim::Network;
 use flash_offchain::types::{Amount, FeePolicy, NodeId, PcnError};
 use proptest::prelude::*;
@@ -123,24 +124,6 @@ proptest! {
             prop_assert_eq!(got.as_ref(), want.get(*calls - 1));
             prop_assert_eq!(ranks.found(), &want[..]);
         }
-    }
-
-    /// Edge-disjoint paths never share a directed edge and their count
-    /// is bounded by the sender's out-degree and receiver's in-degree.
-    #[test]
-    fn disjoint_invariants(g in arb_ws(), s in 0u32..20, t in 0u32..20) {
-        let n = g.node_count() as u32;
-        let (s, t) = (NodeId(s % n), NodeId(t % n));
-        prop_assume!(s != t);
-        let paths = disjoint::edge_disjoint_paths(&g, s, t, 16);
-        let mut used = BTreeSet::new();
-        for p in &paths {
-            for (u, v) in p.channels() {
-                prop_assert!(used.insert((u, v)), "edge reused");
-            }
-        }
-        prop_assert!(paths.len() <= g.out_degree(s));
-        prop_assert!(paths.len() <= g.in_neighbors(t).len());
     }
 
     /// BFS distance is a metric lower bound: every Yen path length ≥
@@ -510,6 +493,56 @@ proptest! {
             }
         }
     }
+
+    /// Spider's path set, on one router reused across payments, is the
+    /// greedy construction it replaced ([`greedy_disjoint_paths`]), on
+    /// graphs of every generator family, directed ones included. The
+    /// paths never share a directed edge, and there are no more of them
+    /// than the sender has out-edges or the receiver in-edges.
+    #[test]
+    fn disjoint_invariants(
+        family in 0usize..3,
+        n in 6usize..20,
+        seed in 0u64..500,
+        k in 1usize..17,
+        pairs in proptest::collection::vec((0u32..20, 0u32..20), 1..8),
+    ) {
+        let g = match family {
+            0 => generators::watts_strogatz(n, 4, 0.3, seed),
+            1 => generators::scale_free_with_channels(n, 2 * n, seed),
+            _ => generators::erdos_renyi(n, 0.25, seed),
+        };
+        let mut spider = SpiderRouter::with_paths(k);
+        for (s, t) in pairs {
+            let (s, t) = (NodeId(s % n as u32), NodeId(t % n as u32));
+            let paths = spider.edge_disjoint_paths(&g, s, t);
+            prop_assert_eq!(&paths, &greedy_disjoint_paths(&g, s, t, k), "{:?} → {:?}", s, t);
+            let mut used = BTreeSet::new();
+            for p in &paths {
+                for (u, v) in p.channels() {
+                    prop_assert!(used.insert((u, v)), "edge reused");
+                }
+            }
+            prop_assert!(paths.len() <= g.out_degree(s));
+            prop_assert!(paths.len() <= g.in_neighbors(t).len());
+        }
+    }
+}
+
+/// The greedy edge-disjoint construction Spider's phase search
+/// replaced: up to `k` forward-loop searches, each with the edges of the
+/// paths found before it removed.
+fn greedy_disjoint_paths(g: &DiGraph, s: NodeId, t: NodeId, k: usize) -> Vec<Path> {
+    let mut used: BTreeSet<EdgeId> = BTreeSet::new();
+    let mut out = Vec::new();
+    while out.len() < k {
+        let Some(p) = bfs::shortest_path_filtered(g, s, t, |e| !used.contains(&e)) else {
+            break;
+        };
+        used.extend(p.channels().map(|(u, v)| g.edge(u, v).unwrap()));
+        out.push(p);
+    }
+    out
 }
 
 /// The two paper-scale graphs' heap footprint, pinned by equality: the

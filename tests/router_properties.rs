@@ -8,6 +8,7 @@ use flash_offchain::core::{
     FlashConfig, FlashRouter, ShortestPathRouter, SilentWhispersRouter, SpeedyMurmursRouter,
     SpiderRouter,
 };
+use flash_offchain::graph::bfs::SearchWork;
 use flash_offchain::graph::{bfs, generators, DiGraph, Path};
 use flash_offchain::sim::{Network, PaymentNetwork, ProbeReport, RouteOutcome, Router};
 use flash_offchain::types::{Amount, NodeId, Payment, PaymentClass, TxId};
@@ -158,13 +159,9 @@ impl PaymentNetwork for Recording {
     }
 }
 
-/// Shortest Path searches on its own `PhaseScratch`: over a trace on a
-/// graph where some pairs have no route, every payment takes the
-/// forward loop's path, and the router's `SearchWork` counts one phase
-/// per payment and one path per payment that found a route.
-#[test]
-fn shortest_path_routes_on_its_scratch_like_the_forward_loop() {
-    // A Watts–Strogatz core, a one-way tail out of it and isolated nodes.
+/// A Watts–Strogatz core, a one-way tail out of it and isolated nodes,
+/// with a 400-payment Ripple trace that includes pairs with no route.
+fn core_with_tail() -> (DiGraph, Vec<Payment>) {
     let core = generators::watts_strogatz(30, 4, 0.2, 5);
     let mut g = DiGraph::new(40);
     for (_, u, v) in core.edges() {
@@ -179,6 +176,16 @@ fn shortest_path_routes_on_its_scratch_like_the_forward_loop() {
         ..TraceConfig::ripple(400, 3)
     };
     let trace = generate_trace(&g, &config);
+    (g, trace)
+}
+
+/// Shortest Path searches on its own `PhaseScratch`: over a trace on a
+/// graph where some pairs have no route, every payment takes the
+/// forward loop's path, and the router's `SearchWork` counts one phase
+/// per payment and one path per payment that found a route.
+#[test]
+fn shortest_path_routes_on_its_scratch_like_the_forward_loop() {
+    let (g, trace) = core_with_tail();
     let mut net = Recording {
         net: Network::uniform(g.clone(), Amount::from_units(1_000_000)),
         paths: Vec::new(),
@@ -205,4 +212,29 @@ fn shortest_path_routes_on_its_scratch_like_the_forward_loop() {
     let work = router.work();
     assert_eq!(work.phases, trace.len() as u64, "one phase per payment");
     assert_eq!(work.paths, routed, "one path per routed payment");
+}
+
+/// Spider searches each payment's edge-disjoint paths as one sequence
+/// on its own `PhaseScratch`. Over the same trace, its `SearchWork`
+/// equals the recorded counts: a change to how the paths are searched —
+/// a fresh phase for every path, say — moves them.
+#[test]
+fn spider_searches_on_its_scratch_with_recorded_work() {
+    let (g, trace) = core_with_tail();
+    let mut net = Network::uniform(g, Amount::from_units(1_000_000));
+    let mut router = SpiderRouter::new();
+    for p in &trace {
+        router.route(&mut net, p, PaymentClass::Mice);
+    }
+    let want = SearchWork {
+        scanned: 49_095,
+        phases: 1_003,
+        paths: 961,
+    };
+    assert_eq!(
+        router.work(),
+        want,
+        "Spider's search work over {} payments",
+        trace.len()
+    );
 }
