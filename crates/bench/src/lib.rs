@@ -4,10 +4,6 @@
 //! family is one `records(smoke)` function and a same-named binary that
 //! prints the records and writes them to a `BENCH_*.json`:
 //!
-//! * [`maxflow`] / `maxflow_bench` — times the push-relabel kernel
-//!   against the Edmonds–Karp oracle on the Watts–Strogatz and
-//!   Ripple/Lightning generator topologies and cross-checks their flow
-//!   values (`BENCH_maxflow.json`).
 //! * [`e2e`] / `e2e_bench` — all five schemes through the
 //!   discrete-event engine (propagation latency + per-node service
 //!   queues) under Poisson load (`BENCH_e2e.json`).
@@ -16,6 +12,11 @@
 //! * [`testbed`] / `testbed_bench` — `run_scheme_testbed` runs on the
 //!   event-loop TCP cluster, including the 200-node single-process
 //!   scale point (`BENCH_testbed.json`).
+//!
+//! Max-flow has no family here: its flows are checked by the
+//! max-flow/min-cut certificate (`pcn_graph::maxflow::certify`), not by
+//! timing a second kernel, and push-relabel's wall time is flashbench's
+//! `graph.maxflow.push_relabel_us_p50`.
 //!
 //! The committed `BENCH_*.json` files at the workspace root are the
 //! `--smoke` outputs, and the check on them is `cargo test`:
@@ -42,7 +43,6 @@
 
 pub mod churn;
 pub mod e2e;
-pub mod maxflow;
 pub mod record;
 pub mod shape;
 pub mod testbed;

@@ -124,35 +124,6 @@ impl Record for ChurnRecord {
     }
 }
 
-/// One record of `BENCH_maxflow.json`: one (topology, kernel) timing.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct MaxflowRecord {
-    /// Generator topology name.
-    pub topology: String,
-    /// Node count.
-    pub nodes: usize,
-    /// Directed edge count.
-    pub directed_edges: usize,
-    /// Kernel name (`edmonds-karp`, `push-relabel`).
-    pub kernel: String,
-    /// Source/sink pairs measured.
-    pub pairs: usize,
-    /// Timed iterations per pair.
-    pub iters_per_pair: usize,
-    /// Mean wall time per pair, ns.
-    pub mean_ns_per_pair: u64,
-    /// Sum of flow values over the pairs.
-    pub total_flow: u64,
-}
-
-impl Record for MaxflowRecord {
-    const WALL_FIELDS: &'static [&'static str] = &["mean_ns_per_pair"];
-
-    fn label(&self) -> String {
-        format!("{} / {}", self.topology, self.kernel)
-    }
-}
-
 /// One record of `BENCH_testbed.json`: one (scheme, scale) run on the
 /// event-loop TCP cluster. Everything but the wall-derived fields
 /// (`events_per_sec`, `wall_ns`, and `socket_ops_per_frame`, which

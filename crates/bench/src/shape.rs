@@ -12,7 +12,7 @@
 //! have objected. `crates/bench/tests/gate.rs` replays one rejection
 //! fixture per rule.
 
-use crate::record::{ChurnRecord, E2eRecord, MaxflowRecord, Record, TestbedRecord};
+use crate::record::{ChurnRecord, E2eRecord, Record, TestbedRecord};
 
 /// Minimum offered-load spread (max/min pps within one configuration)
 /// above which identical latency percentiles are physically suspicious.
@@ -221,50 +221,6 @@ pub fn check_testbed_conserves(records: &[TestbedRecord]) -> Vec<String> {
              acceptance check is gone from the trajectory"
                 .into(),
         );
-    }
-    findings
-}
-
-/// The kernel name of the differential oracle in `BENCH_maxflow.json`.
-const ORACLE_KERNEL: &str = "edmonds-karp";
-
-/// The kernel exists to beat the oracle: on every topology the fastest
-/// non-oracle kernel must be faster than Edmonds–Karp, and more than 2×
-/// faster on ≥1000-node lightning-scale topologies. A wall-time *ratio
-/// within one run* on one machine, so it is robust to hardware speed —
-/// but not to a 4-pair smoke run's noise, which is why only
-/// `maxflow_bench` checks it (weekly, at the scale the 2× clause is
-/// about) and `tests/committed.rs` does not.
-pub fn check_kernel_beats_oracle(records: &[MaxflowRecord]) -> Vec<String> {
-    let mut findings = Vec::new();
-    for recs in grouped(records, |r| r.topology.clone()) {
-        let topo = &recs[0].topology;
-        let oracle = recs.iter().find(|r| r.kernel == ORACLE_KERNEL);
-        let fastest = recs
-            .iter()
-            .filter(|r| r.kernel != ORACLE_KERNEL)
-            .min_by_key(|r| (r.mean_ns_per_pair, &r.kernel));
-        let (Some(o), Some(f)) = (oracle, fastest) else {
-            continue;
-        };
-        if f.mean_ns_per_pair >= o.mean_ns_per_pair {
-            findings.push(format!(
-                "{topo}: fastest kernel {} ({} ns/pair) does not beat the \
-                 Edmonds–Karp oracle ({} ns/pair) — the hot path has no \
-                 reason to exist; see docs/maxflow.md",
-                f.kernel, f.mean_ns_per_pair, o.mean_ns_per_pair
-            ));
-        } else if topo.contains("lightning")
-            && f.nodes >= 1000
-            && f.mean_ns_per_pair.saturating_mul(2) > o.mean_ns_per_pair
-        {
-            findings.push(format!(
-                "{topo}: fastest kernel {} ({} ns/pair) beats the oracle \
-                 ({} ns/pair) by less than 2× at lightning scale — the \
-                 ROADMAP win condition regressed",
-                f.kernel, f.mean_ns_per_pair, o.mean_ns_per_pair
-            ));
-        }
     }
     findings
 }

@@ -7,7 +7,7 @@
 //! the command that accepts the change.
 
 use flash_bench::record::Record;
-use flash_bench::{churn, differences, e2e, maxflow, shape, testbed, to_json_lines};
+use flash_bench::{churn, differences, e2e, shape, testbed, to_json_lines};
 
 fn pinned<R: Record>(family: &str, committed: &str, regenerated: &[R], findings: &[String]) {
     let file = format!("BENCH_{family}.json");
@@ -65,18 +65,5 @@ fn testbed_bench_reproduces_the_committed_file() {
         include_str!("../../../BENCH_testbed.json"),
         &regenerated,
         &shape::check_testbed_conserves(&regenerated),
-    );
-}
-
-/// `total_flow` only: the kernel-beats-oracle rule reads wall time, so
-/// `maxflow_bench` checks it on its own output and nothing here does.
-#[test]
-fn maxflow_bench_reproduces_the_committed_file() {
-    let regenerated = maxflow::records(true);
-    pinned(
-        "maxflow",
-        include_str!("../../../BENCH_maxflow.json"),
-        &regenerated,
-        &[],
     );
 }

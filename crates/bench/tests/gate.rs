@@ -3,10 +3,8 @@
 //! committed-file comparison names what moved.
 
 use flash_bench::differences;
-use flash_bench::record::{E2eRecord, MaxflowRecord, Record, TestbedRecord};
-use flash_bench::shape::{
-    check_churn_degrades, check_flat_latency, check_kernel_beats_oracle, check_testbed_conserves,
-};
+use flash_bench::record::{E2eRecord, Record, TestbedRecord};
+use flash_bench::shape::{check_churn_degrades, check_flat_latency, check_testbed_conserves};
 
 fn parse<R: Record>(json: &str) -> Vec<R> {
     serde_json::from_str(json).expect("records parse")
@@ -157,32 +155,23 @@ fn churn_gate_parses_artifacts_without_counter_fields() {
     assert!(findings.is_empty(), "{findings:#?}");
 }
 
-const MAXFLOW_BASE: &str = r#"[
-  {"topology":"ws_100","nodes":100,"directed_edges":800,"kernel":"push-relabel","pairs":4,"iters_per_pair":1,"mean_ns_per_pair":1000,"total_flow":5000},
-  {"topology":"ws_100","nodes":100,"directed_edges":800,"kernel":"edmonds-karp","pairs":4,"iters_per_pair":1,"mean_ns_per_pair":1500,"total_flow":5000}
-]"#;
-
-/// `oracle_fastest_maxflow.json`: push-relabel loses to the
-/// Edmonds–Karp oracle at lightning scale — the state the trajectory
-/// was actually in before the kernels moved onto the CSR arena.
-const ORACLE_FASTEST: &str = include_str!("fixtures/oracle_fastest_maxflow.json");
-
 #[test]
 fn a_perturbed_virtual_field_is_named_with_both_values() {
-    // A drifted flow value is a correctness change: the comparison
-    // names the record, the field, and what it was and is.
-    let drifted = MAXFLOW_BASE.replacen("\"total_flow\":5000", "\"total_flow\":4999", 1);
-    let found = differences::<MaxflowRecord>(&parse(MAXFLOW_BASE), &parse(&drifted));
+    // A drifted probe count is a routing change: the comparison names
+    // the record, the field, and what it was and is.
+    let base = healthy_testbed();
+    let drifted = base.replacen("\"probe_messages\":500", "\"probe_messages\":499", 1);
+    let found = differences::<TestbedRecord>(&parse(&base), &parse(&drifted));
     assert_eq!(
         found,
-        ["ws_100 / push-relabel: total_flow is 4999, committed 5000"]
+        ["Shortest Path @ 60 nodes: probe_messages is 499, committed 500"]
     );
 }
 
 #[test]
 fn records_differing_only_in_wall_fields_compare_equal() {
-    let slower = MAXFLOW_BASE.replace("\"mean_ns_per_pair\":1000", "\"mean_ns_per_pair\":1400");
-    let found = differences::<MaxflowRecord>(&parse(MAXFLOW_BASE), &parse(&slower));
+    let slower = healthy().replace("\"wall_ns\":1", "\"wall_ns\":1400");
+    let found = differences::<E2eRecord>(&parse(&healthy()), &parse(&slower));
     assert!(found.is_empty(), "{found:#?}");
 
     let base = healthy_testbed();
@@ -209,38 +198,6 @@ fn a_missing_and_an_extra_record_are_each_named() {
             "Flash @ 75 pps: produced but not committed"
         ]
     );
-}
-
-#[test]
-fn maxflow_gate_rejects_oracle_beating_every_kernel() {
-    // A trajectory whose fastest kernel loses to the oracle is rejected
-    // outright — this is what makes `maxflow_bench` exit 1.
-    let findings = check_kernel_beats_oracle(&parse(ORACLE_FASTEST));
-    assert_eq!(
-        count(&findings, "does not beat the Edmonds–Karp oracle"),
-        1,
-        "{findings:#?}"
-    );
-}
-
-#[test]
-fn maxflow_gate_enforces_two_x_at_lightning_scale() {
-    // Beating the oracle but by less than 2× on a ≥1000-node lightning
-    // topology regresses the ROADMAP win condition.
-    let barely = ORACLE_FASTEST.replace(
-        "\"kernel\":\"push-relabel\",\"pairs\":6,\"iters_per_pair\":3,\"mean_ns_per_pair\":1900000",
-        "\"kernel\":\"push-relabel\",\"pairs\":6,\"iters_per_pair\":3,\"mean_ns_per_pair\":1000000",
-    );
-    let findings = check_kernel_beats_oracle(&parse(&barely));
-    assert_eq!(count(&findings, "less than 2×"), 1, "{findings:#?}");
-
-    // At 2× and beyond the shape is healthy again.
-    let won = ORACLE_FASTEST.replace(
-        "\"kernel\":\"push-relabel\",\"pairs\":6,\"iters_per_pair\":3,\"mean_ns_per_pair\":1900000",
-        "\"kernel\":\"push-relabel\",\"pairs\":6,\"iters_per_pair\":3,\"mean_ns_per_pair\":700000",
-    );
-    let findings = check_kernel_beats_oracle(&parse(&won));
-    assert!(findings.is_empty(), "{findings:#?}");
 }
 
 fn testbed_record(scheme: &str, nodes: usize, ratio: f64, wire_in: u64, wire_out: u64) -> String {

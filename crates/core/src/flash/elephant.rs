@@ -9,7 +9,9 @@
 //! per channel, and the loop stops after at most `k` paths or when the
 //! accumulated flow covers the demand.
 
+use super::fees::split_payment;
 use pcn_graph::bfs::{self, PhaseScratch, SearchWork};
+use pcn_graph::maxflow::{self, Certificate, MaxFlow};
 use pcn_graph::{DiGraph, EdgeId, Path};
 use pcn_sim::PaymentNetwork;
 use pcn_types::{Amount, FeePolicy, NodeId};
@@ -41,7 +43,7 @@ pub struct ElephantPlan {
     /// an edge on several paths carries the same values on each.
     pub path_hops: Vec<Vec<Hop>>,
     /// The max-flow value `f` achievable over `paths` (with
-    /// reverse-direction offsets, as in Edmonds–Karp residuals).
+    /// reverse-direction offsets, as in any augmenting-path residual).
     pub max_flow: Amount,
     /// Number of probes sent: one per path BFS found, whether the
     /// probe came back (the path is in `paths`) or was lost.
@@ -310,22 +312,44 @@ pub fn find_paths_with<N: PaymentNetwork>(
     plan
 }
 
-/// Reference check used in tests and ablations: the true max-flow over
-/// the probed sub-capacities (unprobed edges at zero), via the
-/// push-relabel kernel — itself differentially tested against
-/// Edmonds–Karp in `pcn-graph`, and the fastest kernel at Lightning
-/// scale (see `docs/maxflow.md` and `BENCH_maxflow.json`).
-pub fn oracle_max_flow(graph: &DiGraph, plan: &ElephantPlan, s: NodeId, t: NodeId) -> Amount {
-    use pcn_graph::maxflow::{MaxFlowSolver, PushRelabel};
-    let mut caps = vec![0u64; graph.edge_count()];
+/// Max-flow/min-cut certificate of a fault-free plan
+/// (`docs/algorithm1.md` has the proof). The flow is what Flash sends:
+/// the net per-edge sum of the parts of
+/// `split_payment(graph, plan, plan.max_flow, false)`. Every reported
+/// hop and its reverse carry their first-probe capacities; every other
+/// edge is unknown (`u64::MAX`), usable as the search assumed.
+/// `Ok(Feasible)` bounds `plan.max_flow` by every cut; `Ok(Maximum)`
+/// proves it is the max-flow over the probed capacities. The residual
+/// search runs afresh in [`maxflow::certify`], so the check does not
+/// trust the search it checks. A lost probe bans an edge it never
+/// probed, so under faults a plan may stop short of `Maximum`.
+pub fn certify(
+    graph: &DiGraph,
+    plan: &ElephantPlan,
+    s: NodeId,
+    t: NodeId,
+) -> Result<Certificate, String> {
+    let mut capacity = vec![u64::MAX; graph.edge_count()];
     for (e, hop) in plan.hops() {
-        caps[e.index()] = hop.capacity.micros();
+        capacity[e.index()] = hop.capacity.micros();
         if let Some((rev, rcap)) = hop.reverse {
-            caps[rev.index()] = rcap.micros();
+            capacity[rev.index()] = rcap.micros();
         }
     }
-    let mf = PushRelabel.max_flow(graph, s, t, &caps);
-    Amount::from_micros(mf.value)
+    let parts = split_payment(graph, plan, plan.max_flow, false)
+        .ok_or("the plan's paths cannot carry its max_flow")?;
+    let mut edge_flow = vec![0u64; graph.edge_count()];
+    for (path, amount) in &parts {
+        for (u, v) in path.channels() {
+            let e = graph
+                .edge(u, v)
+                .ok_or_else(|| format!("{u} → {v} is not an edge"))?;
+            edge_flow[e.index()] = edge_flow[e.index()].saturating_add(amount.micros());
+        }
+    }
+    maxflow::cancel_opposing_flows(graph, &mut edge_flow);
+    let value = plan.max_flow.micros();
+    maxflow::certify(graph, s, t, &capacity, &MaxFlow { value, edge_flow })
 }
 
 #[cfg(test)]
@@ -391,12 +415,22 @@ mod tests {
     }
 
     #[test]
-    fn matches_oracle_max_flow_with_large_k() {
+    fn large_k_plan_is_certified_maximum() {
         let mut net = fig5a_net();
         let plan = find_paths(&mut net, n(0), n(5), Amount::from_units(1_000_000), 50);
-        let oracle = oracle_max_flow(net.graph(), &plan, n(0), n(5));
-        assert_eq!(plan.max_flow, oracle);
         assert_eq!(plan.max_flow, Amount::from_units(50));
+        let cut = Amount::from_units(50).micros();
+        assert_eq!(
+            certify(net.graph(), &plan, n(0), n(5)),
+            Ok(Certificate::Maximum { cut })
+        );
+        // Stopped one path early, the same search is only feasible.
+        let mut net = fig5a_net();
+        let short = find_paths(&mut net, n(0), n(5), Amount::from_units(1_000_000), 2);
+        assert_eq!(
+            certify(net.graph(), &short, n(0), n(5)),
+            Ok(Certificate::Feasible)
+        );
     }
 
     #[test]
@@ -463,7 +497,11 @@ mod tests {
         assert_eq!(plan.paths[0].nodes(), &[s, a, b, t]);
         assert_eq!(plan.paths[1].nodes(), &[s, c, c2, b, a, d, d2, t]);
         assert_eq!(plan.max_flow, Amount::from_units(2));
-        assert_eq!(plan.max_flow, oracle_max_flow(net.graph(), &plan, s, t));
+        let cut = plan.max_flow.micros();
+        assert_eq!(
+            certify(net.graph(), &plan, s, t),
+            Ok(Certificate::Maximum { cut })
+        );
 
         // The two units cancel on a↔b: what is sent are the two detours.
         for optimize in [true, false] {

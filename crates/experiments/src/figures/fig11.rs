@@ -7,10 +7,11 @@
 //! threshold), exactly the population whose behaviour m controls.
 //!
 //! What makes `m = 0` the upper bound is max-flow: each send can deliver
-//! at most the true max-flow between sender and receiver at that moment
-//! (computed by the push-relabel kernel, see `docs/maxflow.md`). The
-//! tests below pin that bound against the pristine network and check
-//! push-relabel against the Edmonds–Karp oracle on it.
+//! at most the true max-flow between sender and receiver at that moment.
+//! Algorithm 1 run to exhaustion (`k = usize::MAX`, demand
+//! `Amount::MAX`) finds that max-flow itself, and the max-flow/min-cut
+//! certificate (`elephant::certify`) proves it: the tests below check
+//! the bound that way on the pristine network, with no max-flow kernel.
 
 use crate::harness::{run_scheme, sim_point, Effort, Topo, DEFAULT_MICE_FRACTION};
 use crate::report::{FigureResult, Series};
@@ -62,17 +63,8 @@ pub fn run(effort: Effort) -> Vec<FigureResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcn_graph::maxflow::{EdmondsKarp, MaxFlowSolver, PushRelabel};
-    use pcn_sim::Network;
-    use pcn_types::NodeId;
-
-    /// The true `s → t` max-flow over the network's *current* balances,
-    /// via the push-relabel kernel.
-    fn static_max_flow(net: &Network, s: NodeId, t: NodeId) -> Amount {
-        let g = net.graph();
-        let caps: Vec<u64> = g.edges().map(|(e, _, _)| net.balance(e).micros()).collect();
-        Amount::from_micros(PushRelabel.max_flow(g, s, t, &caps).value)
-    }
+    use flash_core::flash::elephant::{certify, find_paths};
+    use pcn_graph::maxflow::Certificate;
 
     #[test]
     fn table_routing_cuts_probing_versus_m0() {
@@ -85,32 +77,36 @@ mod tests {
         assert!(m4 < m0, "m=4 probes ({m4}) should be far below m=0 ({m0})");
     }
 
-    /// The `m = 0` upper bound rests on the max-flow kernel:
-    /// push-relabel must report the Edmonds–Karp oracle's value on the
-    /// experiment topology, and the first routed payment (pristine
+    /// The `m = 0` upper bound is Algorithm 1 itself: run to exhaustion
+    /// on the pristine network, its plan is certified maximum for every
+    /// payment of the experiment, and the first routed payment (pristine
     /// balances) can never deliver more than it.
     #[test]
-    fn m0_upper_bound_and_kernels_agree() {
+    fn m0_upper_bound_is_certified() {
         let net = Topo::Ripple.build_network(Effort::Quick, 600);
         let trace = Topo::Ripple.build_trace(&net, 10, 671);
-        let g = net.graph();
-        let caps: Vec<u64> = g.edges().map(|(e, _, _)| net.balance(e).micros()).collect();
-        for p in trace.iter().take(4) {
-            let oracle = EdmondsKarp.max_flow(g, p.sender, p.receiver, &caps).value;
-            assert_eq!(
-                static_max_flow(&net, p.sender, p.receiver),
-                Amount::from_micros(oracle),
-                "push-relabel disagrees with the oracle"
-            );
-        }
-        // First payment against pristine balances: delivered ≤ max-flow.
+        let bounds: Vec<Amount> = trace
+            .iter()
+            .map(|p| {
+                let mut probed = net.clone();
+                let (s, t) = (p.sender, p.receiver);
+                let plan = find_paths(&mut probed, s, t, Amount::MAX, usize::MAX);
+                let cut = plan.max_flow.micros();
+                assert_eq!(
+                    certify(net.graph(), &plan, s, t),
+                    Ok(Certificate::Maximum { cut }),
+                    "{s} → {t}"
+                );
+                plan.max_flow
+            })
+            .collect();
         let first = trace[0];
-        let bound = static_max_flow(&net, first.sender, first.receiver);
         let metrics = run_scheme(&net, Scheme::FlashWithM(0), &trace[..1], 1.0, 600);
         assert!(
-            metrics.success_volume() <= bound.min(first.amount),
-            "m = 0 delivered {} above the max-flow bound {bound}",
-            metrics.success_volume()
+            metrics.success_volume() <= bounds[0].min(first.amount),
+            "m = 0 delivered {} above the max-flow bound {}",
+            metrics.success_volume(),
+            bounds[0]
         );
     }
 

@@ -19,12 +19,11 @@
 //!   enumerator, [`yen::RankedPaths`]: one rank per call, search state
 //!   kept in between (§3.3 mice routing tables take the top `m` ranks
 //!   and later "the next top shortest path" from the same enumeration).
-//! * [`maxflow`] — max-flow ground truth behind the
-//!   [`maxflow::MaxFlowSolver`] trait, two kernels on one flat CSR
-//!   residual graph: highest-label push-relabel (what callers use) and
-//!   classic Edmonds–Karp (the differential-testing oracle it and
-//!   Flash's k-bounded variant are validated against), plus min-cut
-//!   extraction and path decomposition.
+//! * [`maxflow`] — the max-flow/min-cut certificate
+//!   ([`maxflow::certify`]) that checks Algorithm 1's plans and the
+//!   kernel's flows, the highest-label push-relabel kernel behind the
+//!   [`maxflow::MaxFlowSolver`] trait (kept for flashbench's replay),
+//!   and path decomposition.
 //! * [`generators`] — Watts–Strogatz (§5.2 testbed topologies),
 //!   Barabási–Albert scale-free (Ripple/Lightning-like topologies), and
 //!   Erdős–Rényi graphs.

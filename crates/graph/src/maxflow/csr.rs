@@ -1,4 +1,4 @@
-//! Flat CSR residual graph shared by every max-flow kernel.
+//! Flat CSR residual graph of the push-relabel kernel.
 //!
 //! Physical edge `e` owns the arc pair `2e` (forward, residual =
 //! remaining capacity) and `2e + 1` (undo, residual = flow already

@@ -1,44 +1,39 @@
-//! Maximum-flow kernels and flow utilities.
+//! Max-flow: the cut certificate, one kernel, and flow decomposition.
 //!
 //! Flash's own "modified max-flow" is Algorithm 1
 //! (`flash_core::flash::elephant::find_paths`), which probes as it
-//! searches and uses none of this module. What lives here is the
-//! *ground truth* that algorithm is checked against — the oracle tests
-//! validate the probe-bounded flow against the true value, and the
-//! Figure 11 `m = 0` sweep uses it as the mice upper bound — in two
-//! kernels (`docs/maxflow.md` has the history of the ones that left):
+//! searches and calls no kernel here. What lives here:
 //!
+//! * [`certify`] — max-flow/min-cut as a check. A flow within capacity
+//!   and conserved at every interior node is bounded by every cut; one
+//!   whose residual graph leaves `t` unreachable equals the cut that
+//!   search closes, so it is maximum (Ford–Fulkerson). It certifies
+//!   Algorithm 1's plans (`flash_core::flash::elephant::certify`), the
+//!   Figure 11 `m = 0` bound and [`push_relabel`]'s flows, with no
+//!   second kernel to compare against.
 //! * [`push_relabel`] / [`PushRelabel`] — highest-label push-relabel
-//!   with the gap heuristic and periodic global relabeling. The kernel
-//!   every caller outside the tests uses: `flash-core`'s
-//!   `oracle_max_flow`, the Figure 11 `m = 0` bound, flashbench's
-//!   `graph.maxflow.push_relabel_us_p50` replay. The `maxflow_bench`
-//!   binary records its gap over Edmonds–Karp in `BENCH_maxflow.json`,
-//!   and `bench_gate maxflow` fails when it stops beating the oracle.
-//! * [`edmonds_karp`] / [`EdmondsKarp`] — the textbook BFS
-//!   augmenting-path algorithm, O(V·E²). **Kept as the differential
-//!   oracle**: its search strategy (one shortest path per BFS) is
-//!   algorithmically independent of preflow pushes, so agreement on
-//!   random digraphs (asserted by the property tests below) is strong
-//!   evidence both are correct. Prefer it only in tests and tiny
-//!   fixtures.
+//!   with the gap heuristic and periodic global relabeling, on a flat
+//!   CSR residual graph (`csr.rs`: physical edge `e` owns arcs `2e`
+//!   and `2e + 1`, so `arc ^ 1` is the paired reverse arc). Its one
+//!   caller outside the tests is flashbench's
+//!   `graph.maxflow.push_relabel_us_p50` replay, which imports it and
+//!   the [`MaxFlowSolver`] trait; the kernel, the trait and the CSR
+//!   residual stay as long as that replay does (`docs/maxflow.md`).
+//! * [`decompose_into_paths`] turns a finished flow into executable
+//!   `(path, amount)` parts, and [`decompose_sparse`] does the same for
+//!   a flow given on a short edge list (an elephant's fee split).
 //!
-//! # The `MaxFlowSolver` contract
-//!
-//! Both kernels implement [`MaxFlowSolver`], take a dense `capacity`
-//! slice indexed by [`EdgeId`], and report **net** per-edge flows:
-//! opposing flows on the two directions of a bidirectional channel are
-//! cancelled, matching how channel balances actually move. Kernels are
-//! **deterministic** (same graph + capacities ⇒ bit-identical
-//! [`MaxFlow`], with no wall-clock, hash-order, or thread dependence —
-//! the workspace `clippy.toml` bans all three) and **panic-free** on
-//! well-formed inputs (`clippy::unwrap_used` / `expect_used` are denied:
-//! every `unwrap`/`expect` in this module carries an `#[expect]` naming
-//! its invariant; the only `assert!` is the capacity-table length
-//! check, a caller contract violation).
+//! Reported per-edge flows are **net**: opposing flows on the two
+//! directions of a bidirectional channel are cancelled, matching how
+//! channel balances actually move. The kernel is **deterministic**
+//! (same graph + capacities ⇒ bit-identical [`MaxFlow`], with no
+//! wall-clock, hash-order, or thread dependence — the workspace
+//! `clippy.toml` bans all three) and **panic-free** on well-formed
+//! inputs (the only `assert!` is the capacity-table length check, a
+//! caller contract violation).
 //!
 //! ```
-//! use pcn_graph::maxflow::{EdmondsKarp, MaxFlowSolver, PushRelabel};
+//! use pcn_graph::maxflow::{certify, Certificate, MaxFlowSolver, PushRelabel};
 //! use pcn_graph::DiGraph;
 //! use pcn_types::NodeId;
 //!
@@ -48,33 +43,17 @@
 //! let flow = PushRelabel.max_flow(&g, NodeId(0), NodeId(2), &[10, 7]);
 //! assert_eq!(flow.value, 7);
 //! assert_eq!(flow.edge_flow, [7, 7]);
-//! assert_eq!(EdmondsKarp.max_flow(&g, NodeId(0), NodeId(2), &[10, 7]).value, 7);
+//! let proof = certify(&g, NodeId(0), NodeId(2), &[10, 7], &flow);
+//! assert_eq!(proof, Ok(Certificate::Maximum { cut: 7 }));
 //! ```
-//!
-//! # Shared residual layout
-//!
-//! Both kernels run on one flat CSR residual graph (`csr.rs`): physical
-//! edge `e` owns arcs `2e` (forward) and `2e + 1` (undo), so **`arc ^ 1`
-//! is always the paired reverse arc** and `cap[2e + 1]` is the flow on
-//! `e`. Capacities are index-addressed; a solve allocates only its
-//! fixed-size arena — no per-solve HashMaps, no Vec-of-Vec adjacency.
-//!
-//! [`decompose_into_paths`] turns a finished flow into executable
-//! `(path, amount)` parts, and [`decompose_sparse`] does the same for a
-//! flow given on a short edge list (an elephant's fee split), checked
-//! against it; [`min_cut_capacity`] computes the min-cut value the
-//! max-flow = min-cut property tests compare against.
 
 mod csr;
-mod edmonds_karp;
 mod push_relabel;
 
-pub use edmonds_karp::edmonds_karp;
 pub use push_relabel::push_relabel;
 
 use crate::{path::Path, DiGraph, EdgeId};
 use pcn_types::NodeId;
-use std::collections::VecDeque;
 
 /// Outcome of a max-flow computation.
 #[derive(Clone, Debug)]
@@ -85,9 +64,9 @@ pub struct MaxFlow {
     pub edge_flow: Vec<u64>,
 }
 
-/// A max-flow kernel behind a common interface, so consumers (the
-/// oracle, the figure harness, the benches) can swap algorithms without
-/// touching call sites.
+/// A max-flow kernel behind an object-safe interface. [`PushRelabel`]
+/// is the one implementation; flashbench's replay holds it through
+/// this trait.
 pub trait MaxFlowSolver {
     /// Kernel name for bench reports and logs.
     fn name(&self) -> &'static str;
@@ -97,22 +76,7 @@ pub trait MaxFlowSolver {
     fn max_flow(&self, g: &DiGraph, s: NodeId, t: NodeId, capacity: &[u64]) -> MaxFlow;
 }
 
-/// The [`edmonds_karp`] kernel as a [`MaxFlowSolver`] (the oracle).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EdmondsKarp;
-
-impl MaxFlowSolver for EdmondsKarp {
-    fn name(&self) -> &'static str {
-        "edmonds-karp"
-    }
-
-    fn max_flow(&self, g: &DiGraph, s: NodeId, t: NodeId, capacity: &[u64]) -> MaxFlow {
-        edmonds_karp(g, s, t, capacity)
-    }
-}
-
-/// The [`push_relabel`] kernel as a [`MaxFlowSolver`] (what every
-/// non-test caller uses — see `docs/maxflow.md`).
+/// The [`push_relabel`] kernel as a [`MaxFlowSolver`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PushRelabel;
 
@@ -128,7 +92,7 @@ impl MaxFlowSolver for PushRelabel {
 
 /// Cancels opposing flows on the two directions of each bidirectional
 /// channel so the reported per-edge flows are net (matches how balances
-/// actually move). Shared by both kernels and by the fee splitter.
+/// actually move). Shared by the kernel and Algorithm 1's certificate.
 pub fn cancel_opposing_flows(g: &DiGraph, flow: &mut [u64]) {
     for (e, _, _) in g.edges() {
         if let Some(r) = g.reverse_edge(e) {
@@ -141,38 +105,113 @@ pub fn cancel_opposing_flows(g: &DiGraph, flow: &mut [u64]) {
     }
 }
 
-/// The capacity of the minimum s–t cut implied by a finished max-flow
-/// run: edges from the residual-reachable set to its complement.
+/// What [`certify`] proved of a flow.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Certificate {
+    /// The flow is feasible, so every cut bounds its value; `t` is still
+    /// reachable in its residual graph, so a larger flow may exist.
+    Feasible,
+    /// The flow is feasible and its residual graph leaves `t`
+    /// unreachable: the edges from the reached set to the rest form a
+    /// cut of capacity `cut`, equal to the flow's value, so no flow is
+    /// larger.
+    Maximum {
+        /// The closed cut's capacity, which is the flow's value.
+        cut: u64,
+    },
+}
+
+/// Max-flow/min-cut as a check: is `flow` a feasible `s → t` flow under
+/// `capacity`, and is it maximum? Both slices are indexed by [`EdgeId`];
+/// a capacity of `u64::MAX` means "unknown, assumed usable".
 ///
-/// By max-flow/min-cut these must be equal; the property tests assert it.
-pub fn min_cut_capacity(g: &DiGraph, s: NodeId, flowres: &MaxFlow, capacity: &[u64]) -> u64 {
-    // Recompute residual reachability from s.
-    let n = g.node_count();
-    let mut visited = vec![false; n];
-    visited[s.index()] = true;
-    let mut q = VecDeque::new();
-    q.push_back(s);
-    while let Some(u) = q.pop_front() {
-        for &(v, e) in g.out_neighbors(u) {
-            if !visited[v.index()] && capacity[e.index()] > flowres.edge_flow[e.index()] {
-                visited[v.index()] = true;
-                q.push_back(v);
-            }
-        }
-        for &(w, e) in g.in_neighbors(u) {
-            if !visited[w.index()] && flowres.edge_flow[e.index()] > 0 {
-                visited[w.index()] = true;
-                q.push_back(w);
-            }
-        }
+/// `Err` names the first broken law: a flow over its edge's capacity,
+/// an interior node that does not conserve flow, or a net flow out of
+/// `s` other than `flow.value`. A flow that keeps all three is bounded
+/// by every cut. Then a search of its residual graph from `s` — forward
+/// along an edge with capacity left, backward along an edge that carries
+/// flow — either reaches `t` ([`Certificate::Feasible`]) or stops at a
+/// closed set. Every edge leaving that set is saturated and every edge
+/// entering it is empty, so the cut they form carries exactly the
+/// flow's value ([`Certificate::Maximum`]; checked here, not assumed).
+/// An edge of unknown capacity never crosses such a cut: the search
+/// would have walked it.
+pub fn certify(
+    g: &DiGraph,
+    s: NodeId,
+    t: NodeId,
+    capacity: &[u64],
+    flow: &MaxFlow,
+) -> Result<Certificate, String> {
+    let (n, m) = (g.node_count(), g.edge_count());
+    let f = &flow.edge_flow;
+    if capacity.len() != m || f.len() != m {
+        return Err(format!(
+            "{} capacities and {} flows for {m} edges",
+            capacity.len(),
+            f.len()
+        ));
     }
-    let mut cut = 0u64;
+    if s == t || s.index() >= n || t.index() >= n {
+        return Err(format!("{s} → {t} is not a pair of nodes of the graph"));
+    }
+    // excess[v]: flow into v minus flow out of it.
+    let mut excess = vec![0i128; n];
     for (e, u, v) in g.edges() {
-        if visited[u.index()] && !visited[v.index()] {
-            cut += capacity[e.index()];
+        let (cap, x) = (capacity[e.index()], f[e.index()]);
+        if x > cap {
+            return Err(format!("{u} → {v} carries {x}, over its capacity {cap}"));
+        }
+        excess[u.index()] -= i128::from(x);
+        excess[v.index()] += i128::from(x);
+    }
+    if let Some(v) = g
+        .nodes()
+        .find(|&v| v != s && v != t && excess[v.index()] != 0)
+    {
+        let x = excess[v.index()];
+        return Err(format!(
+            "flow is not conserved at {v}: {x} more in than out"
+        ));
+    }
+    if -excess[s.index()] != i128::from(flow.value) {
+        return Err(format!(
+            "the net flow out of {s} is {}, not the value {}",
+            -excess[s.index()],
+            flow.value
+        ));
+    }
+    let mut reached = vec![false; n];
+    reached[s.index()] = true;
+    let mut stack = vec![s];
+    while let Some(u) = stack.pop() {
+        let forward = g
+            .out_neighbors(u)
+            .iter()
+            .filter(|&&(_, e)| capacity[e.index()] > f[e.index()]);
+        let backward = g.in_neighbors(u).iter().filter(|&&(_, e)| f[e.index()] > 0);
+        for &(v, _) in forward.chain(backward) {
+            if !reached[v.index()] {
+                reached[v.index()] = true;
+                stack.push(v);
+            }
         }
     }
-    cut
+    if reached[t.index()] {
+        return Ok(Certificate::Feasible);
+    }
+    let cut: u128 = g
+        .edges()
+        .filter(|&(_, u, v)| reached[u.index()] && !reached[v.index()])
+        .map(|(e, _, _)| u128::from(capacity[e.index()]))
+        .sum();
+    if cut != u128::from(flow.value) {
+        return Err(format!(
+            "the residual search closes a cut of {cut}, not the value {}",
+            flow.value
+        ));
+    }
+    Ok(Certificate::Maximum { cut: flow.value })
 }
 
 /// Decomposes an edge flow (`flow[e]` per [`EdgeId`], consumed as the
@@ -390,10 +429,6 @@ mod tests {
         NodeId(i)
     }
 
-    fn solvers() -> Vec<Box<dyn MaxFlowSolver>> {
-        vec![Box::new(EdmondsKarp), Box::new(PushRelabel)]
-    }
-
     /// CLRS figure 26.1-style network with known max flow 23.
     fn clrs() -> (DiGraph, Vec<u64>) {
         let mut g = DiGraph::new(6);
@@ -418,54 +453,45 @@ mod tests {
     #[test]
     fn clrs_max_flow_is_23_for_every_kernel() {
         let (g, cap) = clrs();
-        for solver in solvers() {
-            let mf = solver.max_flow(&g, n(0), n(5), &cap);
-            assert_eq!(mf.value, 23, "{}", solver.name());
-        }
+        let mf = PushRelabel.max_flow(&g, n(0), n(5), &cap);
+        assert_eq!(mf.value, 23);
+        assert_eq!(
+            certify(&g, n(0), n(5), &cap, &mf),
+            Ok(Certificate::Maximum { cut: 23 })
+        );
     }
 
+    /// Push-relabel's flow conserves; one unit more on an interior
+    /// edge breaks conservation at both its ends, and the certificate
+    /// names the first.
     #[test]
     fn flow_conservation_holds() {
         let (g, cap) = clrs();
-        for solver in solvers() {
-            let mf = solver.max_flow(&g, n(0), n(5), &cap);
-            for node in g.nodes() {
-                if node == n(0) || node == n(5) {
-                    continue;
-                }
-                let inflow: u64 = g
-                    .in_neighbors(node)
-                    .iter()
-                    .map(|&(_, e)| mf.edge_flow[e.index()])
-                    .sum();
-                let outflow: u64 = g
-                    .out_neighbors(node)
-                    .iter()
-                    .map(|&(_, e)| mf.edge_flow[e.index()])
-                    .sum();
-                assert_eq!(
-                    inflow,
-                    outflow,
-                    "conservation at {node} ({})",
-                    solver.name()
-                );
-            }
-        }
+        let mut mf = PushRelabel.max_flow(&g, n(0), n(5), &cap);
+        assert!(certify(&g, n(0), n(5), &cap, &mf).is_ok());
+        let e = g.edge(n(2), n(1)).unwrap();
+        assert!(mf.edge_flow[e.index()] < cap[e.index()]);
+        mf.edge_flow[e.index()] += 1;
+        assert_eq!(
+            certify(&g, n(0), n(5), &cap, &mf),
+            Err("flow is not conserved at n1: 1 more in than out".into())
+        );
     }
 
+    /// Push-relabel stays within capacity; a certificate handed one
+    /// unit less capacity on a saturated edge rejects the same flow.
     #[test]
     fn capacity_respected() {
-        let (g, cap) = clrs();
-        for solver in solvers() {
-            let mf = solver.max_flow(&g, n(0), n(5), &cap);
-            for (e, _, _) in g.edges() {
-                assert!(
-                    mf.edge_flow[e.index()] <= cap[e.index()],
-                    "{}",
-                    solver.name()
-                );
-            }
-        }
+        let (g, mut cap) = clrs();
+        let mf = PushRelabel.max_flow(&g, n(0), n(5), &cap);
+        assert!(certify(&g, n(0), n(5), &cap, &mf).is_ok());
+        let e = g.edge(n(4), n(5)).unwrap();
+        assert_eq!(mf.edge_flow[e.index()], 4);
+        cap[e.index()] = 3;
+        assert_eq!(
+            certify(&g, n(0), n(5), &cap, &mf),
+            Err("n4 → n5 carries 4, over its capacity 3".into())
+        );
     }
 
     #[test]
@@ -489,25 +515,73 @@ mod tests {
             g.add_edge(n(u - 1), n(v - 1)).unwrap();
             cap.push(c);
         }
-        for solver in solvers() {
-            let mf = solver.max_flow(&g, n(0), n(5), &cap);
-            assert_eq!(mf.value, 50, "{}", solver.name());
+        let mf = PushRelabel.max_flow(&g, n(0), n(5), &cap);
+        assert_eq!(mf.value, 50);
+        assert_eq!(
+            certify(&g, n(0), n(5), &cap, &mf),
+            Ok(Certificate::Maximum { cut: 50 })
+        );
+    }
+
+    /// A feasible flow with `t` still reachable is only feasible: a zero
+    /// flow is not certified as a zero cut, and a flow that claims more
+    /// than leaves `s` is rejected.
+    #[test]
+    fn a_reachable_sink_is_only_feasible() {
+        let (g, cap) = clrs();
+        let mut zero = MaxFlow {
+            value: 0,
+            edge_flow: vec![0; g.edge_count()],
+        };
+        assert_eq!(
+            certify(&g, n(0), n(5), &cap, &zero),
+            Ok(Certificate::Feasible)
+        );
+        zero.value = 1;
+        assert_eq!(
+            certify(&g, n(0), n(5), &cap, &zero),
+            Err("the net flow out of n0 is 0, not the value 1".into())
+        );
+    }
+
+    /// Unknown capacities are assumed usable: the search walks them, so
+    /// the cut it closes is made of known edges only.
+    #[test]
+    fn unknown_capacities_are_never_cut() {
+        let mut g = DiGraph::new(4);
+        for (u, v) in [(0, 1), (1, 3), (0, 2), (2, 3)] {
+            g.add_edge(n(u), n(v)).unwrap();
         }
+        let cap = [u64::MAX, 5, 4, u64::MAX];
+        let mut mf = MaxFlow {
+            value: 9,
+            edge_flow: vec![5, 5, 4, 4],
+        };
+        assert_eq!(
+            certify(&g, n(0), n(3), &cap, &mf),
+            Ok(Certificate::Maximum { cut: 9 })
+        );
+        // Without 2 → 3's flow the unknown edge stays open, and 2 reaches
+        // t through it.
+        mf.edge_flow = vec![5, 5, 0, 0];
+        mf.value = 5;
+        assert_eq!(
+            certify(&g, n(0), n(3), &cap, &mf),
+            Ok(Certificate::Feasible)
+        );
     }
 
     #[test]
     fn decomposition_sums_to_value() {
         let (g, cap) = clrs();
-        for solver in solvers() {
-            let mf = solver.max_flow(&g, n(0), n(5), &cap);
-            let paths = decompose_into_paths(&g, n(0), n(5), mf.edge_flow.clone());
-            let total: u64 = paths.iter().map(|(_, f)| f).sum();
-            assert_eq!(total, mf.value, "{}", solver.name());
-            for (p, f) in &paths {
-                assert!(*f > 0);
-                assert_eq!(p.source(), n(0));
-                assert_eq!(p.target(), n(5));
-            }
+        let mf = PushRelabel.max_flow(&g, n(0), n(5), &cap);
+        let paths = decompose_into_paths(&g, n(0), n(5), mf.edge_flow.clone());
+        let total: u64 = paths.iter().map(|(_, f)| f).sum();
+        assert_eq!(total, mf.value);
+        for (p, f) in &paths {
+            assert!(*f > 0);
+            assert_eq!(p.source(), n(0));
+            assert_eq!(p.target(), n(5));
         }
     }
 
@@ -543,43 +617,40 @@ mod tests {
     fn zero_when_disconnected() {
         let mut g = DiGraph::new(3);
         g.add_edge(n(0), n(1)).unwrap();
-        for solver in solvers() {
-            let mf = solver.max_flow(&g, n(0), n(2), &[5]);
-            assert_eq!(mf.value, 0, "{}", solver.name());
-        }
+        let mf = PushRelabel.max_flow(&g, n(0), n(2), &[5]);
+        assert_eq!(mf.value, 0);
+        assert_eq!(
+            certify(&g, n(0), n(2), &[5], &mf),
+            Ok(Certificate::Maximum { cut: 0 })
+        );
     }
 
     #[test]
     fn degenerate_endpoints_are_zero() {
         let (g, cap) = clrs();
-        for solver in solvers() {
-            assert_eq!(solver.max_flow(&g, n(0), n(0), &cap).value, 0);
-            assert_eq!(solver.max_flow(&g, n(0), n(99), &cap).value, 0);
-        }
+        assert_eq!(PushRelabel.max_flow(&g, n(0), n(0), &cap).value, 0);
+        assert_eq!(PushRelabel.max_flow(&g, n(0), n(99), &cap).value, 0);
     }
 
     #[test]
     fn bidirectional_channel_flows_are_net() {
         // A 2-cycle channel with flow pushed both ways must report net
-        // flows, whichever kernel ran.
+        // flows.
         let mut g = DiGraph::new(3);
         g.add_channel(n(0), n(1)).unwrap();
         g.add_edge(n(1), n(2)).unwrap();
         let cap = vec![10, 10, 10];
-        for solver in solvers() {
-            let mf = solver.max_flow(&g, n(0), n(2), &cap);
-            assert_eq!(mf.value, 10, "{}", solver.name());
-            let fwd = g.edge(n(0), n(1)).unwrap();
-            let rev = g.edge(n(1), n(0)).unwrap();
-            assert!(
-                mf.edge_flow[fwd.index()] == 0 || mf.edge_flow[rev.index()] == 0,
-                "opposing flows not cancelled ({})",
-                solver.name()
-            );
-        }
+        let mf = PushRelabel.max_flow(&g, n(0), n(2), &cap);
+        assert_eq!(mf.value, 10);
+        let fwd = g.edge(n(0), n(1)).unwrap();
+        let rev = g.edge(n(1), n(0)).unwrap();
+        assert!(
+            mf.edge_flow[fwd.index()] == 0 || mf.edge_flow[rev.index()] == 0,
+            "opposing flows not cancelled"
+        );
     }
 
-    /// Random small digraphs for the cross-kernel properties.
+    /// Random small digraphs.
     fn arb_graph() -> impl Strategy<Value = (DiGraph, Vec<u64>)> {
         (
             2usize..8,
@@ -602,55 +673,34 @@ mod tests {
     }
 
     proptest! {
-        /// The differential suite: push-relabel must agree with the
-        /// Edmonds–Karp oracle on flow value, and each kernel's flow
-        /// must equal its own min cut.
-        #[test]
-        fn kernels_agree_and_match_min_cut((g, cap) in arb_graph()) {
-            let s = NodeId(0);
-            let t = NodeId(1);
-            let ek = edmonds_karp(&g, s, t, &cap);
-            let pr = push_relabel(&g, s, t, &cap);
-            prop_assert_eq!(pr.value, ek.value, "push-relabel vs oracle");
-            for (name, mf) in [("ek", &ek), ("pr", &pr)] {
-                let cut = min_cut_capacity(&g, s, mf, &cap);
-                prop_assert_eq!(mf.value, cut, "min-cut mismatch for {}", name);
-            }
-        }
-
-        /// Feasibility and conservation hold for each kernel's edge
-        /// flows, and the decomposition reassembles the full value.
+        /// Push-relabel's flow is certified maximum, decomposes into
+        /// parts that reassemble its value (densely and sparsely), and
+        /// those parts less the last are a flow the certificate finds
+        /// feasible and not maximum.
         #[test]
         fn flows_are_feasible_and_decomposable((g, cap) in arb_graph()) {
             let s = NodeId(0);
             let t = NodeId(1);
-            for mf in [edmonds_karp(&g, s, t, &cap), push_relabel(&g, s, t, &cap)] {
-                for (e, _, _) in g.edges() {
-                    prop_assert!(mf.edge_flow[e.index()] <= cap[e.index()]);
-                }
-                for node in g.nodes() {
-                    if node == s || node == t {
-                        continue;
+            let mf = push_relabel(&g, s, t, &cap);
+            prop_assert_eq!(
+                certify(&g, s, t, &cap, &mf),
+                Ok(Certificate::Maximum { cut: mf.value })
+            );
+            let parts = decompose_into_paths(&g, s, t, mf.edge_flow.clone());
+            let total: u64 = parts.iter().map(|(_, f)| f).sum();
+            prop_assert_eq!(total, mf.value);
+            // The sparse form, handed every edge in reverse id order.
+            let edges: Vec<EdgeId> = (0..g.edge_count() as u32).rev().map(EdgeId).collect();
+            let flow = edges.iter().map(|e| mf.edge_flow[e.index()]).collect();
+            prop_assert_eq!(decompose_sparse(&g, s, t, &edges, flow), parts.clone());
+            if let Some(((_, last), kept)) = parts.split_last() {
+                let mut short = MaxFlow { value: mf.value - last, edge_flow: vec![0; g.edge_count()] };
+                for (p, x) in kept {
+                    for (u, v) in p.channels() {
+                        short.edge_flow[g.edge(u, v).unwrap().index()] += x;
                     }
-                    let inflow: u64 = g
-                        .in_neighbors(node)
-                        .iter()
-                        .map(|&(_, e)| mf.edge_flow[e.index()])
-                        .sum();
-                    let outflow: u64 = g
-                        .out_neighbors(node)
-                        .iter()
-                        .map(|&(_, e)| mf.edge_flow[e.index()])
-                        .sum();
-                    prop_assert_eq!(inflow, outflow);
                 }
-                let parts = decompose_into_paths(&g, s, t, mf.edge_flow.clone());
-                let total: u64 = parts.iter().map(|(_, f)| f).sum();
-                prop_assert_eq!(total, mf.value);
-                // The sparse form, handed every edge in reverse id order.
-                let edges: Vec<EdgeId> = (0..g.edge_count() as u32).rev().map(EdgeId).collect();
-                let flow = edges.iter().map(|e| mf.edge_flow[e.index()]).collect();
-                prop_assert_eq!(decompose_sparse(&g, s, t, &edges, flow), parts);
+                prop_assert_eq!(certify(&g, s, t, &cap, &short), Ok(Certificate::Feasible));
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Highest-label push-relabel maximum flow — the hot-path kernel.
+//! Highest-label push-relabel maximum flow — the workspace's one kernel.
 //!
 //! Goldberg–Tarjan preflow-push with the two heuristics that make it
 //! the practical winner on sparse PCN topologies:
@@ -17,8 +17,9 @@
 //! same discharge loop, so termination leaves a genuine maximum *flow*
 //! (conservation holds everywhere), not just a min-cut preflow. Worst
 //! case O(V²·√E); in practice the discharge count on the paper's
-//! small-world / scale-free graphs is near-linear and the kernel beats
-//! Edmonds–Karp (see `BENCH_maxflow.json`).
+//! small-world / scale-free graphs is near-linear (see `docs/maxflow.md`
+//! for the measured times). Its flows are checked by
+//! [`super::certify`], not against a second kernel.
 //!
 //! Selection is deterministic: buckets are plain `Vec` stacks, scanned
 //! highest-first, and the CSR arc order fixes every push order.
@@ -31,9 +32,8 @@ use std::collections::VecDeque;
 
 /// Computes the maximum `s → t` flow with highest-label push-relabel.
 ///
-/// Same contract as [`super::edmonds_karp`]: `capacity` is indexed by
-/// [`crate::EdgeId`] and the returned per-edge flows are net (opposing
-/// flows on bidirectional channels cancelled).
+/// `capacity` is indexed by [`crate::EdgeId`] and the returned per-edge
+/// flows are net (opposing flows on bidirectional channels cancelled).
 pub fn push_relabel(g: &DiGraph, s: NodeId, t: NodeId, capacity: &[u64]) -> MaxFlow {
     assert_eq!(
         capacity.len(),
