@@ -34,17 +34,16 @@ impl fmt::Debug for EdgeId {
 /// [`DiGraph::reverse_edge`] accessor links the two directions, which the
 /// simulator uses to apply the paper's reverse-direction capacity offsets.
 ///
-/// Besides the edge table and its reverse links, the graph keeps three
+/// Besides the edge table and its reverse links, the graph keeps two
 /// flat arrays of `(node, edge)` entries, cut into rows by `n + 1`
-/// offsets: the out-rows, the in-rows, and a copy of the out-rows
-/// sorted by head. Out-rows and in-rows list their edges in [`EdgeId`]
-/// order, which is the order they were added, so every BFS tie-break,
-/// Yen rank and plan built on them follows insertion order.
-/// [`DiGraph::edge`] binary-searches the head-sorted copy (8 bytes per
-/// edge): sorting the out-rows themselves would change those
-/// tie-breaks, and a linear scan of a hub's row (out-degree 306 in the
-/// Lightning-scale topology) is slower than the search on the per-hop
-/// path.
+/// offsets: the out-rows and the in-rows, 28 bytes per edge in all.
+/// Both list their edges in [`EdgeId`] order, which is the order they
+/// were added, so every BFS tie-break, Yen rank and plan built on them
+/// follows insertion order. The layout records whether every out-row
+/// is also sorted by head, which holds for every generated topology
+/// (the generators add channels in pair order). Then
+/// [`DiGraph::edge`] binary-searches the out-row; otherwise, as for a
+/// loaded edge list or a graph built by hand, it scans the row.
 ///
 /// [`DiGraph::from_edges`] lays the rows out by counting sort, in time
 /// linear in the graph, and builds graphs of any size. [`DiGraph::add_edge`] and
@@ -54,23 +53,27 @@ impl fmt::Debug for EdgeId {
 pub struct DiGraph {
     /// Edge table: `edges[e] = (from, to)`.
     edges: Vec<(NodeId, NodeId)>,
-    /// `reverse[e]` = id of the edge `(to, from)` if present.
-    reverse: Vec<Option<EdgeId>>,
-    /// Out-row bounds: node `u`'s out-row is `out[out_at[u]..out_at[u + 1]]`,
-    /// and its head-sorted copy is the same range of `by_head`.
+    /// `reverse[e]` = id of the edge `(to, from)`, or [`NO_EDGE`].
+    reverse: Vec<u32>,
+    /// Out-row bounds: node `u`'s out-row is `out[out_at[u]..out_at[u + 1]]`.
     out_at: Vec<u32>,
     /// Out-rows: `(head, edge)` of every edge, grouped by tail, in
     /// `EdgeId` order within a row.
     out: Vec<(NodeId, EdgeId)>,
-    /// The out-rows again, each sorted by head: what `edge(u, v)`
-    /// binary-searches.
-    by_head: Vec<(NodeId, EdgeId)>,
+    /// Whether every out-row's heads strictly increase, so that
+    /// `edge(u, v)` may binary-search it.
+    heads_sorted: bool,
     /// In-row bounds: node `v`'s in-row is `inn[in_at[v]..in_at[v + 1]]`.
     in_at: Vec<u32>,
     /// In-rows: `(tail, edge)` of every edge, grouped by head, in
     /// `EdgeId` order within a row.
     inn: Vec<(NodeId, EdgeId)>,
 }
+
+/// A `reverse` entry for an edge with no opposite direction. No edge
+/// has this id: [`edge_id`] admits at most `u32::MAX` edges, whose ids
+/// stop one below it.
+const NO_EDGE: u32 = u32::MAX;
 
 /// The id of the edge at position `i` of the edge table.
 #[expect(
@@ -111,7 +114,7 @@ impl DiGraph {
             reverse: Vec::new(),
             out_at: vec![0; n + 1],
             out: Vec::new(),
-            by_head: Vec::new(),
+            heads_sorted: true,
             in_at: vec![0; n + 1],
             inn: Vec::new(),
         }
@@ -151,14 +154,18 @@ impl DiGraph {
         if let Some((_, err)) = first_bad {
             return Err(err);
         }
-        g.reverse = g.edges.iter().map(|&(u, v)| g.edge(v, u)).collect();
+        g.reverse = g
+            .edges
+            .iter()
+            .map(|&(u, v)| g.edge(v, u).map_or(NO_EDGE, |r| r.0))
+            .collect();
         Ok(g)
     }
 
-    /// Rebuilds the three row arrays from the edge table: one pass
-    /// counts the row lengths, one places every edge in its out-row and
-    /// in-row in id order, and the head-sorted copy comes from walking
-    /// the in-rows by head, so no row is sorted by comparison.
+    /// Rebuilds the two row arrays from the edge table: one pass counts
+    /// the row lengths, and one places every edge in its out-row and
+    /// in-row in id order, so no row is sorted by comparison. A last
+    /// pass records whether the out-rows came out sorted by head.
     fn lay_out_rows(&mut self) {
         let n = self.node_count();
         // Every offset is at most the edge count, which must fit an id.
@@ -174,7 +181,7 @@ impl DiGraph {
             self.in_at[i + 1] += self.in_at[i];
         }
         let blank = (NodeId(0), EdgeId(0));
-        for row in [&mut self.out, &mut self.by_head, &mut self.inn] {
+        for row in [&mut self.out, &mut self.inn] {
             row.clear();
             row.resize(m, blank);
         }
@@ -187,27 +194,25 @@ impl DiGraph {
             self.inn[in_next[v.index()] as usize] = (u, e);
             in_next[v.index()] += 1;
         }
-        // Heads in increasing order, and within a head its in-row's id
-        // order: each out-row comes out sorted by (head, id).
-        out_next.copy_from_slice(&self.out_at);
-        for v in 0..n {
-            for &(u, e) in &self.inn[self.in_at[v] as usize..self.in_at[v + 1] as usize] {
-                self.by_head[out_next[u.index()] as usize] = (NodeId::from_index(v), e);
-                out_next[u.index()] += 1;
-            }
-        }
+        let sorted = self
+            .nodes()
+            .all(|u| self.out_neighbors(u).windows(2).all(|w| w[0].0 < w[1].0));
+        self.heads_sorted = sorted;
     }
 
     /// The lowest id of an edge whose `(from, to)` an earlier edge
-    /// already has.
+    /// already has: one pass over the out-rows, stamping each head with
+    /// the tail whose row last reached it. Rows list edges in id order,
+    /// so the first repeat in a row is that row's lowest duplicate.
     fn first_duplicate(&self) -> Option<EdgeId> {
+        let mut tail_of = vec![usize::MAX; self.node_count()];
         self.nodes()
             .filter_map(|u| {
-                self.sorted_row(u)
-                    .windows(2)
-                    .filter(|w| w[0].0 == w[1].0)
-                    .map(|w| w[1].1)
-                    .min()
+                self.out_neighbors(u).iter().find_map(|&(v, e)| {
+                    let repeat = tail_of[v.index()] == u.index();
+                    tail_of[v.index()] = u.index();
+                    repeat.then_some(e)
+                })
             })
             .min()
     }
@@ -230,7 +235,6 @@ impl DiGraph {
             + capacity_bytes(&self.reverse)
             + capacity_bytes(&self.out_at)
             + capacity_bytes(&self.out)
-            + capacity_bytes(&self.by_head)
             + capacity_bytes(&self.in_at)
             + capacity_bytes(&self.inn)
     }
@@ -273,9 +277,9 @@ impl DiGraph {
         let id = edge_id(self.edges.len());
         let rev = self.edge(v, u);
         self.edges.push((u, v));
-        self.reverse.push(rev);
+        self.reverse.push(rev.map_or(NO_EDGE, |r| r.0));
         if let Some(r) = rev {
-            self.reverse[r.index()] = Some(id);
+            self.reverse[r.index()] = id.0;
         }
         self.lay_out_rows();
         Ok(id)
@@ -289,21 +293,27 @@ impl DiGraph {
         Ok((a, b))
     }
 
-    /// Looks up the edge id of `u → v` by binary search of `u`'s
-    /// head-sorted out-row: O(log out-degree). `None` when either end is
-    /// not a node.
+    /// Looks up the edge id of `u → v` in `u`'s out-row: by binary
+    /// search, O(log out-degree), when every row is sorted by head, and
+    /// by a scan of the row otherwise. `None` when either end is not a
+    /// node.
     #[inline]
     pub fn edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
         let (&start, &end) = (self.out_at.get(u.index())?, self.out_at.get(u.index() + 1)?);
-        let row = &self.by_head[start as usize..end as usize];
-        let k = row.binary_search_by_key(&v, |&(w, _)| w).ok()?;
-        Some(row[k].1)
+        let row = &self.out[start as usize..end as usize];
+        if self.heads_sorted {
+            let k = row.binary_search_by_key(&v, |&(w, _)| w).ok()?;
+            Some(row[k].1)
+        } else {
+            row.iter().find(|&&(w, _)| w == v).map(|&(_, e)| e)
+        }
     }
 
-    /// `u`'s out-row sorted by head.
-    fn sorted_row(&self, u: NodeId) -> &[(NodeId, EdgeId)] {
-        let i = u.index();
-        &self.by_head[self.out_at[i] as usize..self.out_at[i + 1] as usize]
+    /// Whether every out-row lists its edges in strictly increasing head
+    /// order, as every generated topology's rows do; [`DiGraph::edge`]
+    /// then binary-searches them.
+    pub fn heads_sorted(&self) -> bool {
+        self.heads_sorted
     }
 
     /// The endpoints `(from, to)` of an edge.
@@ -316,7 +326,8 @@ impl DiGraph {
     /// bidirectional.
     #[inline]
     pub fn reverse_edge(&self, e: EdgeId) -> Option<EdgeId> {
-        self.reverse[e.index()]
+        let r = self.reverse[e.index()];
+        (r != NO_EDGE).then_some(EdgeId(r))
     }
 
     /// Out-neighbors of `n` with the connecting edge ids, in the order
@@ -506,6 +517,19 @@ mod tests {
         let mut c = g.largest_weak_component();
         c.sort();
         assert_eq!(c, vec![n(0), n(1), n(2)]);
+    }
+
+    #[test]
+    fn rows_out_of_head_order_are_scanned() {
+        let g = DiGraph::from_edges(3, &[(n(0), n(2)), (n(0), n(1)), (n(1), n(0))]).unwrap();
+        assert!(!g.heads_sorted());
+        assert_eq!(g.edge(n(0), n(1)), Some(EdgeId(1)));
+        assert_eq!(g.edge(n(0), n(2)), Some(EdgeId(0)));
+        assert_eq!(g.edge(n(2), n(0)), None);
+        assert_eq!(g.reverse_edge(EdgeId(1)), Some(EdgeId(2)));
+        assert_eq!(g.reverse_edge(EdgeId(0)), None);
+        let dup = DiGraph::from_edges(3, &[(n(0), n(2)), (n(0), n(1)), (n(0), n(2))]);
+        assert_eq!(dup.unwrap_err(), duplicate_error(n(0), n(2)));
     }
 
     #[test]

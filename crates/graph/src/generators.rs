@@ -20,6 +20,20 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::collections::BTreeSet;
 
+/// The node with dense index `i`.
+fn node(i: usize) -> NodeId {
+    NodeId::from_index(i)
+}
+
+/// The set key of the channel between `a` and `b`: its ends in order.
+fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
+    if a < b {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
 /// Generates a Watts–Strogatz small-world graph: `n` nodes in a ring,
 /// each connected to its `k` nearest neighbors (`k` even), with each
 /// edge rewired to a random target with probability `beta`.
@@ -33,23 +47,22 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> DiGraph {
     assert!(k.is_multiple_of(2), "watts_strogatz k must be even");
     assert!(k < n, "watts_strogatz k must be < n");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut channels: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let key = |a: usize, b: usize| if a < b { (a, b) } else { (b, a) };
+    let mut channels: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
 
     // Ring lattice.
     for u in 0..n {
         for j in 1..=k / 2 {
-            channels.insert(key(u, (u + j) % n));
+            channels.insert(key(node(u), node((u + j) % n)));
         }
     }
     // Rewire, in lattice order; the loop edits the set, so walk a copy.
-    let lattice: Vec<(usize, usize)> = channels.iter().copied().collect();
+    let lattice: Vec<(NodeId, NodeId)> = channels.iter().copied().collect();
     for (u, v) in lattice {
         if rng.random::<f64>() < beta {
             // Rewire the far endpoint to a uniform random node.
             let mut tries = 0;
             loop {
-                let w = rng.random_range(0..n);
+                let w = node(rng.random_range(0..n));
                 let cand = key(u, w);
                 if w != u && !channels.contains(&cand) {
                     channels.remove(&key(u, v));
@@ -73,22 +86,32 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> DiGraph {
     assert!(m >= 1, "barabasi_albert m must be ≥ 1");
     assert!(n > m, "barabasi_albert needs n > m");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut channels: BTreeSet<(usize, usize)> = BTreeSet::new();
-    // Repeated-node list: sampling uniformly from it is preferential
-    // attachment (each node appears once per incident channel end).
-    let mut ends: Vec<usize> = Vec::new();
-    let key = |a: usize, b: usize| if a < b { (a, b) } else { (b, a) };
+    let (channels, _) = preferential_attachment(n, m, &mut rng);
+    build_bidirectional(n, channels)
+}
+
+/// The Barabási–Albert channel set over `n` nodes with `m` channels per
+/// new node, and its repeated-node list: each node appears once per
+/// incident channel end, so sampling uniformly from the list is
+/// preferential attachment.
+fn preferential_attachment(
+    n: usize,
+    m: usize,
+    rng: &mut StdRng,
+) -> (BTreeSet<(NodeId, NodeId)>, Vec<NodeId>) {
+    let mut channels: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
+    let mut ends: Vec<NodeId> = Vec::new();
 
     // Seed clique over m + 1 nodes.
     for u in 0..=m {
         for v in (u + 1)..=m {
-            channels.insert(key(u, v));
-            ends.push(u);
-            ends.push(v);
+            channels.insert(key(node(u), node(v)));
+            ends.extend([node(u), node(v)]);
         }
     }
     for u in (m + 1)..n {
-        let mut targets: BTreeSet<usize> = BTreeSet::new();
+        let u = node(u);
+        let mut targets: BTreeSet<NodeId> = BTreeSet::new();
         while targets.len() < m {
             let t = ends[rng.random_range(0..ends.len())];
             if t != u {
@@ -97,11 +120,10 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> DiGraph {
         }
         for t in targets {
             channels.insert(key(u, t));
-            ends.push(u);
-            ends.push(t);
+            ends.extend([u, t]);
         }
     }
-    build_bidirectional(n, channels)
+    (channels, ends)
 }
 
 /// Generates a scale-free graph with exactly `target_channels`
@@ -121,30 +143,7 @@ pub fn scale_free_with_channels(n: usize, target_channels: usize, seed: u64) -> 
         "target_channels implies attachment degree ≥ node count"
     );
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut channels: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let mut ends: Vec<usize> = Vec::new();
-    let key = |a: usize, b: usize| if a < b { (a, b) } else { (b, a) };
-    for u in 0..=m {
-        for v in (u + 1)..=m {
-            channels.insert(key(u, v));
-            ends.push(u);
-            ends.push(v);
-        }
-    }
-    for u in (m + 1)..n {
-        let mut targets: BTreeSet<usize> = BTreeSet::new();
-        while targets.len() < m {
-            let t = ends[rng.random_range(0..ends.len())];
-            if t != u {
-                targets.insert(t);
-            }
-        }
-        for t in targets {
-            channels.insert(key(u, t));
-            ends.push(u);
-            ends.push(t);
-        }
-    }
+    let (mut channels, mut ends) = preferential_attachment(n, m, &mut rng);
     // Top up with preferential extra channels.
     let mut guard = 0usize;
     while channels.len() < target_channels && guard < 100 * target_channels {
@@ -152,13 +151,12 @@ pub fn scale_free_with_channels(n: usize, target_channels: usize, seed: u64) -> 
         let u = ends[rng.random_range(0..ends.len())];
         let v = ends[rng.random_range(0..ends.len())];
         if u != v && channels.insert(key(u, v)) {
-            ends.push(u);
-            ends.push(v);
+            ends.extend([u, v]);
         }
     }
     // Trim if the seed clique overshot (possible for tiny targets).
     if channels.len() > target_channels {
-        let mut sorted: Vec<(usize, usize)> = channels.iter().copied().collect();
+        let mut sorted: Vec<(NodeId, NodeId)> = channels.iter().copied().collect();
         while channels.len() > target_channels {
             let pick = sorted.swap_remove(rng.random_range(0..sorted.len()));
             channels.remove(&pick);
@@ -170,11 +168,11 @@ pub fn scale_free_with_channels(n: usize, target_channels: usize, seed: u64) -> 
 /// Generates an Erdős–Rényi G(n, p) graph with bidirectional channels.
 pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> DiGraph {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut channels: BTreeSet<(usize, usize)> = BTreeSet::new();
+    let mut channels: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
     for u in 0..n {
         for v in (u + 1)..n {
             if rng.random::<f64>() < p {
-                channels.insert((u, v));
+                channels.insert((node(u), node(v)));
             }
         }
     }
@@ -182,15 +180,16 @@ pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> DiGraph {
 }
 
 /// Lays out one channel per pair, `(u, v)` then `(v, u)`, in set order:
-/// channel `i` gets edge ids `2i` and `2i + 1`.
+/// channel `i` gets edge ids `2i` and `2i + 1`. Node `u`'s out-row then
+/// lists its channels to lower nodes before those to higher ones, each
+/// in node order, so every row comes out sorted by head.
 #[expect(
     clippy::expect_used,
     reason = "generators emit distinct in-range pairs without duplicates"
 )]
-fn build_bidirectional(n: usize, channels: BTreeSet<(usize, usize)>) -> DiGraph {
+fn build_bidirectional(n: usize, channels: BTreeSet<(NodeId, NodeId)>) -> DiGraph {
     let mut list = Vec::with_capacity(2 * channels.len());
     for (u, v) in channels {
-        let (u, v) = (NodeId::from_index(u), NodeId::from_index(v));
         list.extend([(u, v), (v, u)]);
     }
     DiGraph::from_edge_vec(n, list).expect("generator produced an invalid edge")

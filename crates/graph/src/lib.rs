@@ -5,10 +5,10 @@
 //! machinery natively:
 //!
 //! * [`DiGraph`] — directed graph on compressed sparse rows (flat
-//!   out-rows and in-rows in insertion order, plus a head-sorted out-row
-//!   copy for edge lookup by binary search) with dense [`EdgeId`]s so
-//!   per-edge attributes (balances, fees) can live in flat vectors owned
-//!   by the simulator.
+//!   out-rows and in-rows in insertion order, binary-searched for an
+//!   edge when every out-row is also sorted by head, as generated
+//!   topologies' are) with dense [`EdgeId`]s so per-edge attributes
+//!   (balances, fees) can live in flat vectors owned by the simulator.
 //! * [`Path`] — a validated simple path with hop/edge iteration.
 //! * [`bfs`] — breadth-first shortest paths with edge filters (the
 //!   `Breadth-First-Search(G, C', s, t)` primitive of Algorithm 1), and
@@ -16,8 +16,8 @@
 //!   Algorithm 1's probes and Yen's spurs run on it, and the forward
 //!   loop is its reference.
 //! * [`yen`] — Yen's k-shortest loopless paths as a resumable
-//!   enumerator, [`yen::RankedPaths`]: one rank per call, search state
-//!   kept in between (§3.3 mice routing tables take the top `m` ranks
+//!   enumerator, [`yen::RankedPaths`]: one rank per call, spurred by
+//!   Lawler's rule, search state kept in between (§3.3 mice routing tables take the top `m` ranks
 //!   and later "the next top shortest path" from the same enumeration).
 //! * [`maxflow`] — the max-flow/min-cut certificate
 //!   ([`maxflow::certify`]) that checks Algorithm 1's plans and the

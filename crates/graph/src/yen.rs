@@ -11,6 +11,11 @@
 //! are BFS with deterministic tie-breaking, so routing tables are
 //! reproducible across runs.
 //!
+//! A new rank spurs only from the node where it left the rank it was
+//! spurred from (Lawler's rule): every spur further up the root the two
+//! share has already run under the bans it would run under now, so its
+//! path is in the pool already, or it found none.
+//!
 //! Spur searches run on the caller's [`YenScratch`]: a
 //! [`PhaseScratch`] whose search meets in the middle, one single-call
 //! sequence per spur that avoids the root's nodes, and the edges out of
@@ -83,8 +88,12 @@ pub struct RankedPaths {
     t: NodeId,
     /// Every rank handed out so far, in rank order.
     found: Vec<Path>,
-    /// Spur paths generated but not yet promoted to a rank, each once.
-    candidates: Vec<Path>,
+    /// Spur paths generated but not yet promoted to a rank, each once,
+    /// with the index of the node it was spurred from.
+    candidates: Vec<(Path, usize)>,
+    /// The index of the node where the newest rank left the rank it was
+    /// spurred from (0 for rank 0): where its spurs start.
+    deviation: usize,
     /// Whether the last rank's spur paths are already in `candidates`
     /// (for an empty `found`: whether the search for rank 0 has run).
     /// Makes the search lazy — a rank is spurred only when a later one
@@ -101,6 +110,7 @@ impl RankedPaths {
             t,
             found: Vec::new(),
             candidates: Vec::new(),
+            deviation: 0,
             spurred: false,
         }
     }
@@ -120,7 +130,7 @@ impl RankedPaths {
             if self.found.is_empty() {
                 scratch.search.begin(self.s, self.t, &[]);
                 let first = scratch.search.next_path(g, |_| true);
-                self.candidates.extend(first);
+                self.candidates.extend(first.map(|p| (p, 0)));
             } else {
                 self.spur(g, scratch);
             }
@@ -132,25 +142,39 @@ impl RankedPaths {
             .candidates
             .iter()
             .enumerate()
-            .min_by_key(|&(_, p)| (p.hops(), p.nodes()))?;
-        self.found.push(self.candidates.swap_remove(best));
+            .min_by_key(|&(_, (p, _))| (p.hops(), p.nodes()))?;
+        let (path, deviation) = self.candidates.swap_remove(best);
+        self.found.push(path);
+        self.deviation = deviation;
         self.spurred = false;
         self.found.last()
     }
 
-    /// Adds to the pool, for each node of the newest rank except the
-    /// last, the shortest deviation that leaves it by an edge no found
-    /// path with the same root has taken.
+    /// Adds to the pool, for each node of the newest rank from its
+    /// deviation on, except the last, the shortest deviation that leaves
+    /// it by an edge no found path with the same root has taken.
     fn spur(&mut self, g: &DiGraph, scratch: &mut YenScratch) {
         let RankedPaths {
             t,
             found,
             candidates,
+            deviation,
             ..
         } = self;
         let Some(prev) = found.last() else { return };
         let prev = prev.nodes();
-        for i in 0..prev.len() - 1 {
+        // Dev-profile oracle for Lawler's rule: each spur it skips finds,
+        // by definition, nothing or a path already in the pool.
+        debug_assert!(
+            (0..*deviation).all(|i| {
+                spur_by_definition(g, found, prev, i, *t).is_none_or(|sp| {
+                    let nodes = [&prev[..i], sp.nodes()].concat();
+                    candidates.iter().any(|(c, _)| c.nodes() == nodes)
+                })
+            }),
+            "a spur of {prev:?} above its deviation {deviation} finds a new path"
+        );
+        for i in *deviation..prev.len() - 1 {
             let (spur, root) = (prev[i], &prev[..i]);
             scratch.next_generation(g);
             let YenScratch {
@@ -172,19 +196,9 @@ impl RankedPaths {
             // on one, so an edge it crosses has both ends off the root.
             search.begin(spur, *t, root);
             let spur_path = search.next_path(g, |e| edge_ban[e.index()] != gen);
-            // Dev-profile oracle: the bans rebuilt from their definition
-            // by linear scans, on a fresh search.
             debug_assert_eq!(
                 spur_path,
-                bfs::shortest_path_filtered(g, spur, *t, |e| {
-                    let (u, v) = g.endpoints(e);
-                    let taken = |p: &Path| {
-                        u == spur
-                            && p.nodes().starts_with(&prev[..=i])
-                            && p.nodes().get(i + 1) == Some(&v)
-                    };
-                    !found.iter().any(taken) && !root.contains(&u) && !root.contains(&v)
-                }),
+                spur_by_definition(g, found, prev, i, *t),
                 "spur {i} of {prev:?}: the stamped bans diverged from their definition"
             );
             let Some(sp) = spur_path else { continue };
@@ -192,13 +206,36 @@ impl RankedPaths {
             nodes.extend_from_slice(root);
             nodes.extend_from_slice(sp.nodes());
             // Two ranks can spur the same deviation; it enters the pool
-            // once. (It cannot equal a found path: every found path with
+            // once, with the first one's spur index, the lower of the
+            // two. (It cannot equal a found path: every found path with
             // this root has its edge out of the spur node banned.)
-            if !candidates.iter().any(|c| c.nodes() == nodes) {
-                candidates.push(Path::from_vec_unchecked(nodes));
+            if !candidates.iter().any(|(c, _)| c.nodes() == nodes) {
+                candidates.push((Path::from_vec_unchecked(nodes), i));
             }
         }
     }
+}
+
+/// The spur off node `i` of `prev` by its definition, the dev-profile
+/// oracle of [`RankedPaths::spur`]: the forward loop from `prev[i]` to
+/// `t`, on a fresh search, off the root's nodes and off every edge out
+/// of `prev[i]` that a found path with root `prev[..=i]` takes, the
+/// bans rebuilt by linear scans.
+fn spur_by_definition(
+    g: &DiGraph,
+    found: &[Path],
+    prev: &[NodeId],
+    i: usize,
+    t: NodeId,
+) -> Option<Path> {
+    let (spur, root) = (prev[i], &prev[..i]);
+    bfs::shortest_path_filtered(g, spur, t, |e| {
+        let (u, v) = g.endpoints(e);
+        let taken = |p: &Path| {
+            u == spur && p.nodes().starts_with(&prev[..=i]) && p.nodes().get(i + 1) == Some(&v)
+        };
+        !found.iter().any(taken) && !root.contains(&u) && !root.contains(&v)
+    })
 }
 
 /// Up to `k` fewest-hops simple paths `s → t` in rank order: the first

@@ -176,8 +176,8 @@ fn flash_on_the_simulator_by_class() {
             Pin {
                 workload: "Flash on the simulator, warm mice".into(),
                 got: mice.1,
-                dev: 4_430,
-                release: 1_908,
+                dev: 4_348,
+                release: 1_744,
             },
             Pin {
                 workload: "Flash on the simulator, warm elephants".into(),
@@ -200,11 +200,11 @@ fn flash_on_the_simulator_by_class() {
 fn five_schemes_on_the_simulator() {
     let (net, trace, _) = quick_ripple();
     let pins = [
-        (Scheme::Flash, 13_995, 6_368),
-        (Scheme::Spider, 4_668, 4_668),
-        (Scheme::SpeedyMurmurs, 5_106, 5_106),
-        (Scheme::SilentWhispers, 7_932, 7_932),
-        (Scheme::ShortestPath, 826, 826),
+        (Scheme::Flash, 13_836, 6_051),
+        (Scheme::Spider, 4_667, 4_667),
+        (Scheme::SpeedyMurmurs, 5_105, 5_105),
+        (Scheme::SilentWhispers, 7_931, 7_931),
+        (Scheme::ShortestPath, 825, 825),
     ]
     .map(|(scheme, dev, release)| {
         let (_, got) = counted(|| run_scheme(&net, scheme, &trace, DEFAULT_MICE_FRACTION, 3));
@@ -242,11 +242,11 @@ fn des_load(churn: ChurnRate) -> DesLoad {
 fn five_schemes_through_the_des() {
     let (net, trace) = des_setup();
     let pins = [
-        (Scheme::Flash, 11_662, 4_431),
-        (Scheme::Spider, 3_319, 3_319),
-        (Scheme::SpeedyMurmurs, 3_495, 3_495),
-        (Scheme::SilentWhispers, 5_850, 5_850),
-        (Scheme::ShortestPath, 571, 571),
+        (Scheme::Flash, 11_483, 4_074),
+        (Scheme::Spider, 3_318, 3_318),
+        (Scheme::SpeedyMurmurs, 3_494, 3_494),
+        (Scheme::SilentWhispers, 5_849, 5_849),
+        (Scheme::ShortestPath, 570, 570),
     ]
     .map(|(scheme, dev, release)| {
         let (_, got) = counted(|| {
@@ -289,8 +289,8 @@ fn flash_through_the_des_under_churn() {
         &[Pin {
             workload: "Flash through the DES, 10 closes/s".into(),
             got,
-            dev: 10_288,
-            release: 3_688,
+            dev: 10_151,
+            release: 3_415,
         }],
         "",
     );
@@ -310,8 +310,8 @@ fn flash_on_the_testbed_reactor() {
         &[Pin {
             workload: "Flash on the testbed reactor".into(),
             got,
-            dev: 17_938,
-            release: 13_243,
+            dev: 17_730,
+            release: 12_828,
         }],
         &format!(
             "\n({frames} frames, {:.3} allocations per frame)",

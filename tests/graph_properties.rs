@@ -252,9 +252,9 @@ fn yen_ranks_match_recorded_fingerprints() {
 #[test]
 fn yen_search_work_matches_recorded_counts() {
     const WANT: SearchWork = SearchWork {
-        scanned: 188_760,
-        phases: 895,
-        paths: 895,
+        scanned: 143_755,
+        phases: 686,
+        paths: 686,
     };
     let g = ripple_scale();
     let mut scratch = YenScratch::default();
@@ -335,6 +335,30 @@ fn benchmark_topologies_match_recorded_layout_digests() {
     }
 }
 
+/// The two generators no benchmark topology uses, pinned the same way
+/// and recorded while their channel sets and attachment lists were
+/// still `usize`: a generator whose state narrows must draw the same
+/// topology.
+#[test]
+fn other_generators_match_recorded_layout_digests() {
+    let cases = [
+        (
+            "barabasi_albert(500, 3, 11)",
+            generators::barabasi_albert(500, 3, 11),
+            0xdd6d_3fed_f5cb_19af_u64,
+        ),
+        (
+            "erdos_renyi(200, 0.05, 11)",
+            generators::erdos_renyi(200, 0.05, 11),
+            0x63af_ea3a_2d84_5eff,
+        ),
+    ];
+    for (name, g, want) in cases {
+        let got = layout_digest(&g);
+        assert_eq!(got, want, "{name}: layout digest {got:#018x} changed");
+    }
+}
+
 /// `items` in a seeded Fisher–Yates order (SplitMix64 draws).
 fn shuffled<T>(mut items: Vec<T>, seed: u64) -> Vec<T> {
     let mut state = seed;
@@ -388,6 +412,7 @@ fn shuffled_rows_keep_their_recorded_ranks_and_plans() {
             .any(|u| g.out_neighbors(u).windows(2).any(|w| w[0].0 > w[1].0)),
         "the shuffle leaves some out-row out of head order"
     );
+    assert!(!g.heads_sorted(), "edge(u, v) must scan these rows");
     let n = g.node_count() as u32;
     let pairs: Vec<_> = (0..10)
         .map(|i| (NodeId((i * 97 + 3) % n), NodeId((i * 389 + 101) % n)))
@@ -417,6 +442,35 @@ fn shuffled_rows_keep_their_recorded_ranks_and_plans() {
     );
 }
 
+/// Whether every out-row of `g` lists strictly increasing heads.
+fn rows_are_head_sorted(g: &DiGraph) -> bool {
+    g.nodes()
+        .all(|u| g.out_neighbors(u).windows(2).all(|w| w[0].0 < w[1].0))
+}
+
+/// Every simple path `s → t` of `g`, by depth-first search, sorted by
+/// (hops, nodes).
+fn simple_paths(g: &DiGraph, s: NodeId, t: NodeId) -> Vec<Vec<NodeId>> {
+    fn walk(g: &DiGraph, t: NodeId, path: &mut Vec<NodeId>, out: &mut Vec<Vec<NodeId>>) {
+        let Some(&u) = path.last() else { return };
+        if u == t {
+            out.push(path.clone());
+            return;
+        }
+        for &(v, _) in g.out_neighbors(u) {
+            if !path.contains(&v) {
+                path.push(v);
+                walk(g, t, path, out);
+                path.pop();
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(g, t, &mut vec![s], &mut out);
+    out.sort_by(|a, b| (a.len(), a).cmp(&(b.len(), b)));
+    out
+}
+
 /// `list` as the `add_edge` loop sees it: stopped at its first error.
 fn add_edge_loop(n: usize, list: &[(NodeId, NodeId)]) -> Result<DiGraph, PcnError> {
     let mut g = DiGraph::new(n);
@@ -428,27 +482,33 @@ fn add_edge_loop(n: usize, list: &[(NodeId, NodeId)]) -> Result<DiGraph, PcnErro
 
 proptest! {
     /// `from_edges` builds what the `add_edge` loop builds, on lists
-    /// with duplicates, self-loops and unknown nodes: the same error for
-    /// the first offending pair, or else the edge table, reverse links,
-    /// out-rows and in-rows in order, and the answer from `edge(u, v)`
-    /// for every pair, absent pairs and `u ≥ n` included, that the list
-    /// defines.
+    /// with duplicates, self-loops and unknown nodes, in random or in
+    /// sorted order: the same error for the first offending pair, or
+    /// else the edge table, reverse links, out-rows and in-rows in
+    /// order, a true report of whether the rows are head-sorted, and the
+    /// answer from `edge(u, v)` for every pair, absent pairs and `u ≥ n`
+    /// included, that the list defines.
     #[test]
     fn from_edges_equals_the_add_edge_loop(
         n in 0usize..9,
         raw in proptest::collection::vec((0u32..11, 0u32..11), 0..40),
-        keep in 0u8..3,
+        keep in 0u8..4,
     ) {
         let mut list: Vec<(NodeId, NodeId)> =
             raw.into_iter().map(|(u, v)| (NodeId(u), NodeId(v))).collect();
         // 0 keeps the raw list, where an unknown node or a self-loop
         // usually comes first; 1 drops those, so duplicates decide the
-        // error; 2 drops duplicates too, so the graphs get built.
+        // error on an unsorted list; 2 drops duplicates too, so the
+        // graphs get built; 3 is 1 sorted, so duplicates sit side by
+        // side in rows that are otherwise head-sorted.
         let mut seen = BTreeSet::new();
         if keep > 0 {
             list.retain(|&(u, v)| {
-                u != v && u.index() < n && v.index() < n && (keep == 1 || seen.insert((u, v)))
+                u != v && u.index() < n && v.index() < n && (keep != 2 || seen.insert((u, v)))
             });
+        }
+        if keep == 3 {
+            list.sort_unstable();
         }
         let want = add_edge_loop(n, &list);
         let got = DiGraph::from_edges(n, &list);
@@ -485,11 +545,93 @@ proptest! {
                 prop_assert_eq!(g.out_neighbors(x), &out[..]);
                 prop_assert_eq!(g.in_neighbors(x), &inn[..]);
             }
+            prop_assert_eq!(g.heads_sorted(), rows_are_head_sorted(g));
             for u in 0..n as u32 + 2 {
                 for v in 0..n as u32 + 2 {
                     let (u, v) = (NodeId(u), NodeId(v));
                     prop_assert_eq!(g.edge(u, v), id_of(u, v), "edge({:?}, {:?})", u, v);
                 }
+            }
+        }
+    }
+
+    /// `edge(u, v)` is the first edge of the edge table from `u` to `v`
+    /// for every ordered pair, ids up to `n + 1` included, and so is
+    /// `reverse_edge(e)` with the ends swapped: on generated graphs of
+    /// every family, whose rows all report head-sorted, so the lookup
+    /// binary-searches them, and on each rebuilt from its shuffled edge
+    /// list, whose rows are out of head order, so it scans them.
+    #[test]
+    fn edge_lookup_equals_a_scan_of_the_edge_table(
+        family in 0usize..4,
+        n in 6usize..24,
+        seed in 0u64..500,
+    ) {
+        let generated = match family {
+            0 => generators::watts_strogatz(n, 4, 0.3, seed),
+            1 => generators::barabasi_albert(n, 2, seed),
+            2 => generators::scale_free_with_channels(n, 2 * n, seed),
+            _ => generators::erdos_renyi(n, 0.3, seed),
+        };
+        prop_assert!(generated.heads_sorted(), "family {} left a row out of head order", family);
+        let list = shuffled(generated.edges().map(|(_, u, v)| (u, v)).collect(), seed);
+        let rebuilt = DiGraph::from_edges(n, &list).unwrap();
+        for g in [&generated, &rebuilt] {
+            prop_assert_eq!(g.heads_sorted(), rows_are_head_sorted(g));
+            let scan = |u: NodeId, v: NodeId| {
+                g.edges().find(|&(_, a, b)| (a, b) == (u, v)).map(|(e, _, _)| e)
+            };
+            for u in (0..n as u32 + 2).map(NodeId) {
+                for v in (0..n as u32 + 2).map(NodeId) {
+                    prop_assert_eq!(g.edge(u, v), scan(u, v), "edge({:?}, {:?})", u, v);
+                }
+            }
+            for (e, u, v) in g.edges() {
+                prop_assert_eq!(g.reverse_edge(e), scan(v, u));
+            }
+        }
+    }
+
+    /// A [`RankedPaths`] run to exhaustion hands out every simple path
+    /// `s → t` once, for every ordered pair of a small random digraph.
+    /// On rows laid out head-sorted, as a generated topology's are, the
+    /// ranks are the depth-first enumeration sorted by (hops, nodes).
+    /// On the same digraph rebuilt from its shuffled arc list, tie-breaks
+    /// follow the rows, so the ranks are the same set in non-decreasing
+    /// hops.
+    #[test]
+    fn ranked_paths_equal_every_simple_path_by_brute_force(
+        n in 2usize..8,
+        raw in proptest::collection::vec((0u32..8, 0u32..8), 0..24),
+        seed in 0u64..1_000,
+    ) {
+        let arcs: BTreeSet<(NodeId, NodeId)> = raw
+            .into_iter()
+            .filter(|&(u, v)| u != v && (u as usize) < n && (v as usize) < n)
+            .map(|(u, v)| (NodeId(u), NodeId(v)))
+            .collect();
+        let list: Vec<_> = arcs.into_iter().collect();
+        let sorted = DiGraph::from_edges(n, &list).unwrap();
+        let unsorted = DiGraph::from_edges(n, &shuffled(list, seed)).unwrap();
+        prop_assert!(sorted.heads_sorted());
+        let mut scratch = YenScratch::default();
+        for (s, t) in (0..n).flat_map(|s| (0..n).map(move |t| (s, t))).filter(|(s, t)| s != t) {
+            let (s, t) = (NodeId::from_index(s), NodeId::from_index(t));
+            let want = simple_paths(&sorted, s, t);
+            for g in [&sorted, &unsorted] {
+                // One rank past the last, so an enumeration that does
+                // not stop fails rather than runs on.
+                let mut ranks = RankedPaths::new(s, t);
+                while ranks.found().len() <= want.len()
+                    && ranks.next_path(g, &mut scratch).is_some()
+                {}
+                let mut got: Vec<Vec<NodeId>> =
+                    ranks.found().iter().map(|p| p.nodes().to_vec()).collect();
+                prop_assert!(got.windows(2).all(|w| w[0].len() <= w[1].len()), "{:?}", got);
+                if !g.heads_sorted() {
+                    got.sort_by(|a, b| (a.len(), a).cmp(&(b.len(), b)));
+                }
+                prop_assert_eq!(&got, &want, "{:?} → {:?}", s, t);
             }
         }
     }
@@ -546,15 +688,16 @@ fn greedy_disjoint_paths(g: &DiGraph, s: NodeId, t: NodeId, k: usize) -> Vec<Pat
 }
 
 /// The two paper-scale graphs' heap footprint, pinned by equality: the
-/// flat rows hold 40 bytes per edge (endpoints, reverse link, out-row,
-/// head-sorted out-row, in-row) and 8 per node (two `u32` offsets). A
-/// per-node `Vec` or an edge index coming back fails here.
+/// flat rows hold 28 bytes per edge (endpoints, 4-byte reverse link,
+/// out-row, in-row) and 8 per node (two `u32` offsets). A per-node
+/// `Vec`, an edge index or a second copy of the rows coming back fails
+/// here.
 #[test]
 fn paper_scale_graphs_hold_their_recorded_heap_bytes() {
     use flash_offchain::workload::{lightning_topology, ripple_topology};
     let cases = [
-        ("ripple_topology(11)", ripple_topology(11), 711_608_usize),
-        ("lightning_topology(11)", lightning_topology(11), 2_901_376),
+        ("ripple_topology(11)", ripple_topology(11), 502_616_usize),
+        ("lightning_topology(11)", lightning_topology(11), 2_036_992),
     ];
     for (name, net, want) in cases {
         let got = net.graph().heap_bytes();
