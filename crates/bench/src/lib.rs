@@ -1,17 +1,18 @@
 //! # flash-bench
 //!
-//! The smoke-bench producers and the checks on what they produce. Each
-//! family is one `records(smoke)` function and a same-named binary that
-//! prints the records and writes them to a `BENCH_*.json`:
+//! The smoke benches and the checks on what they produce. Every run,
+//! on the discrete-event engine or on the TCP testbed, becomes one
+//! [`RunRecord`]. The runs fall into three [`FAMILIES`], each written to
+//! its own `BENCH_*.json` by the one `bench` binary:
 //!
-//! * [`e2e`] / `e2e_bench` — all five schemes through the
-//!   discrete-event engine (propagation latency + per-node service
-//!   queues) under Poisson load (`BENCH_e2e.json`).
-//! * [`churn`] / `churn_bench` — the success-under-churn trajectory
+//! * `e2e`: all five schemes through the discrete-event engine
+//!   (propagation latency + per-node service queues) under Poisson load
+//!   (`BENCH_e2e.json`).
+//! * `churn`: the success-under-churn trajectory on the same engine
 //!   (`BENCH_churn.json`).
-//! * [`testbed`] / `testbed_bench` — `run_scheme_testbed` runs on the
-//!   event-loop TCP cluster, including the 200-node single-process
-//!   scale point (`BENCH_testbed.json`).
+//! * `testbed`: `run_scheme_testbed` runs on the event-loop TCP cluster,
+//!   including the 200-node single-process scale point
+//!   (`BENCH_testbed.json`).
 //!
 //! Max-flow has no family here: its flows are checked by the
 //! max-flow/min-cut certificate (`pcn_graph::maxflow::certify`), not by
@@ -24,13 +25,12 @@
 //! in-process and requires them to equal the committed file in every
 //! field that is not measured on the host clock ([`differences`]), then
 //! requires the family's [`shape`] rule to find nothing. A change that
-//! legitimately moves a number is accepted by running
-//! `<family>_bench --smoke` and committing the file. Each binary also
-//! runs its family's shape rule on what it produced and exits 1 on a
-//! finding, which is the whole check of the weekly full-scale workflow.
+//! legitimately moves a number is accepted by running `bench --smoke`
+//! and committing the files. The binary also runs every family's shape
+//! rule on what it produced and exits 1 on a finding, which is the
+//! whole check of the weekly full-scale workflow.
 //!
-//! Each family's record schema lives once, in [`record`]. The sweeps
-//! behind [`e2e`] and [`churn`] are the figure modules' own
+//! The DES sweeps are the figure modules' own
 //! (`pcn_experiments::figures::{latency, churn}`). These files are too
 //! small and too short to carry a speed claim; `flashbench/` is the
 //! speed ledger.
@@ -41,45 +41,143 @@
 // never ad-hoc stdout; the experiment/bench binaries print, libraries do not.
 #![deny(clippy::dbg_macro, clippy::print_stdout)]
 
-pub mod churn;
-pub mod e2e;
 pub mod record;
 pub mod shape;
-pub mod testbed;
 
-use record::Record;
-use serde::Serialize;
+pub use record::{Backend, RunRecord};
 
-/// The command line every bench binary takes: `[--smoke] [--out FILE]`.
-#[derive(Clone, Debug)]
-pub struct BenchArgs {
-    /// Run the CI-sized configuration (what the committed file holds).
-    pub smoke: bool,
-    /// Where the records go.
-    pub out: String,
+use flash_core::Scheme;
+use pcn_experiments::figures::{churn, latency};
+use pcn_experiments::harness::{run_scheme_testbed, DEFAULT_MICE_FRACTION};
+use pcn_workload::testbed_topology;
+use pcn_workload::trace::{generate_trace, TraceConfig};
+use std::path::PathBuf;
+
+/// One `BENCH_*.json` family: its name, how its records are produced,
+/// and the shape rule they must pass.
+pub struct Family {
+    /// The family's name; its records go to `BENCH_{name}.json`.
+    pub name: &'static str,
+    /// Produces the family's records, CI-sized when the flag is set.
+    pub records: fn(bool) -> Vec<RunRecord>,
+    /// The family's shape rule: one line per finding, empty when healthy.
+    pub check: fn(&[RunRecord]) -> Vec<String>,
 }
 
-/// Parses the process arguments of bench binary `bin`, whose records go
-/// to `default_out` unless `--out` says otherwise. `--help` prints the
-/// usage and exits 0; anything unrecognised exits 2.
-pub fn parse_args(bin: &str, default_out: &str) -> BenchArgs {
+impl Family {
+    /// The file the family's records go to.
+    pub fn file(&self) -> String {
+        format!("BENCH_{}.json", self.name)
+    }
+}
+
+/// Every family the `bench` binary writes, in the order it writes them.
+pub const FAMILIES: [Family; 3] = [
+    Family {
+        name: "e2e",
+        records: e2e_records,
+        check: shape::check_flat_latency,
+    },
+    Family {
+        name: "churn",
+        records: churn_records,
+        check: shape::check_churn_degrades,
+    },
+    Family {
+        name: "testbed",
+        records: testbed_records,
+        check: shape::check_testbed_conserves,
+    },
+];
+
+/// Topology size and trace length of the DES families.
+fn des_scale(smoke: bool) -> (usize, usize) {
+    if smoke {
+        (60, 200)
+    } else {
+        (200, 800)
+    }
+}
+
+/// The load sweep. Both sizes sweep the same 8× load spread, so the
+/// latency-vs-load shape ([`shape::check_flat_latency`]) is present in
+/// the smoke numbers; full scale only grows the topology and trace.
+fn e2e_records(smoke: bool) -> Vec<RunRecord> {
+    let (nodes, payments) = des_scale(smoke);
+    latency::sweep(nodes, payments, &[50.0, 400.0], 1009)
+        .iter()
+        .map(|point| RunRecord::des(point, nodes, payments))
+        .collect()
+}
+
+/// The churn sweep. Both sizes sweep the same rates, so the
+/// strict-degradation shape ([`shape::check_churn_degrades`]) is present
+/// in the smoke numbers.
+fn churn_records(smoke: bool) -> Vec<RunRecord> {
+    let (nodes, payments) = des_scale(smoke);
+    churn::sweep(nodes, payments, &[0.0, 10.0, 40.0, 160.0], 1009)
+        .iter()
+        .map(|point| RunRecord::des(point, nodes, payments))
+        .collect()
+}
+
+/// The testbed runs. Both sizes include the 200-node single-process
+/// scale point ([`shape::check_testbed_conserves`] requires it); full
+/// scale adds the remaining schemes and longer traces.
+fn testbed_records(smoke: bool) -> Vec<RunRecord> {
+    let schemes: &[Scheme] = if smoke {
+        &[Scheme::ShortestPath, Scheme::Flash]
+    } else {
+        &Scheme::ALL
+    };
+    let scales: &[(usize, usize)] = if smoke {
+        &[(60, 120), (200, 60)]
+    } else {
+        &[(60, 400), (200, 200)]
+    };
+    let seed = 2003;
+    let mut records = Vec::new();
+    for &scheme in schemes {
+        for &(nodes, payments) in scales {
+            let net = testbed_topology(nodes, 1000, 1500, seed);
+            let trace = generate_trace(net.graph(), &TraceConfig::ripple(payments, seed + 7));
+            let report = run_scheme_testbed(&net, scheme, &trace, DEFAULT_MICE_FRACTION, seed + 31);
+            records.push(RunRecord::testbed(scheme, nodes, payments, &report));
+        }
+    }
+    records
+}
+
+/// The command line of the `bench` binary: `[--smoke] [--out-dir DIR]`.
+#[derive(Clone, Debug)]
+pub struct BenchArgs {
+    /// Run the CI-sized configuration (what the committed files hold).
+    pub smoke: bool,
+    /// The directory the `BENCH_*.json` files go to.
+    pub out_dir: PathBuf,
+}
+
+/// Parses the process arguments of the `bench` binary; the files go to
+/// the working directory unless `--out-dir` says otherwise. `--help`
+/// prints the usage and exits 0; anything unrecognised exits 2.
+pub fn parse_args() -> BenchArgs {
     let mut parsed = BenchArgs {
         smoke: false,
-        out: default_out.to_string(),
+        out_dir: PathBuf::from("."),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => parsed.smoke = true,
-            "--out" => match args.next() {
-                Some(file) => parsed.out = file,
+            "--out-dir" => match args.next() {
+                Some(dir) => parsed.out_dir = dir.into(),
                 None => {
-                    eprintln!("--out needs a file");
+                    eprintln!("--out-dir needs a directory");
                     std::process::exit(2);
                 }
             },
             "--help" | "-h" => {
-                eprintln!("usage: {bin} [--smoke] [--out FILE]");
+                eprintln!("usage: bench [--smoke] [--out-dir DIR]");
                 std::process::exit(0);
             }
             other => {
@@ -94,7 +192,7 @@ pub fn parse_args(bin: &str, default_out: &str) -> BenchArgs {
 /// Renders records the way every `BENCH_*.json` is laid out: a plain
 /// JSON array with one record per line, so a changed record is one
 /// changed line in review.
-pub fn to_json_lines<R: Serialize>(records: &[R]) -> String {
+pub fn to_json_lines(records: &[RunRecord]) -> String {
     let body: Vec<String> = records
         .iter()
         .map(|r| {
@@ -107,24 +205,10 @@ pub fn to_json_lines<R: Serialize>(records: &[R]) -> String {
     format!("[\n{}\n]\n", body.join(",\n"))
 }
 
-/// The tail of every bench binary: writes `records` to `args.out`, then
-/// reports the family's shape `findings` on stderr and exits 1 if there
-/// are any.
-pub fn write_and_check<R: Serialize>(args: &BenchArgs, records: &[R], findings: &[String]) {
-    std::fs::write(&args.out, to_json_lines(records)).expect("write bench output");
-    eprintln!("wrote {}", args.out);
-    for finding in findings {
-        eprintln!("shape rule broken: {finding}");
-    }
-    if !findings.is_empty() {
-        std::process::exit(1);
-    }
-}
-
-/// The `(key, value text)` pairs of a record's JSON line. Bench records
-/// are flat objects of numbers and escape-free strings, so a comma or
-/// brace outside a string ends a field.
-fn fields<R: Serialize>(record: &R) -> Vec<(String, String)> {
+/// The `(key, value text)` pairs of a record's JSON line. Records are
+/// flat objects of numbers, `null`s and escape-free strings, so a comma
+/// or brace outside a string ends a field.
+fn fields(record: &RunRecord) -> Vec<(String, String)> {
     let json = serde_json::to_string(record).expect("bench record serializes");
     let mut out = Vec::new();
     let (mut in_string, mut start) = (false, 1);
@@ -143,11 +227,11 @@ fn fields<R: Serialize>(record: &R) -> Vec<(String, String)> {
 }
 
 /// Every way `regenerated` differs from `committed`, one line each:
-/// records pair up by [`Record::label`], a record on one side only is
+/// records pair up by [`RunRecord::label`], a record on one side only is
 /// named, and a paired record is named with each field outside
-/// [`Record::WALL_FIELDS`] whose value changed, and both values. Empty
-/// means the committed file is what the bench produces.
-pub fn differences<R: Record>(committed: &[R], regenerated: &[R]) -> Vec<String> {
+/// [`RunRecord::WALL_FIELDS`] whose value changed, and both values.
+/// Empty means the committed file is what the bench produces.
+pub fn differences(committed: &[RunRecord], regenerated: &[RunRecord]) -> Vec<String> {
     let mut found = Vec::new();
     for c in committed {
         let label = c.label();
@@ -156,7 +240,7 @@ pub fn differences<R: Record>(committed: &[R], regenerated: &[R]) -> Vec<String>
             continue;
         };
         for ((field, was), (_, now)) in fields(c).into_iter().zip(fields(r)) {
-            if was != now && !R::WALL_FIELDS.contains(&field.as_str()) {
+            if was != now && !RunRecord::WALL_FIELDS.contains(&field.as_str()) {
                 found.push(format!("{label}: {field} is {now}, committed {was}"));
             }
         }

@@ -1,8 +1,9 @@
 //! The physical-suspicion rules: result *shapes* that are numerically
 //! valid but physically implausible. Each is a plain function from a
-//! family's records to findings (empty = healthy), run by the family's
-//! bench binary on what it just produced (at smoke and at full scale)
-//! and by `tests/committed.rs` on the regenerated smoke records.
+//! family's records to findings (empty = healthy), run by the `bench`
+//! binary on what it just produced (at smoke and at full scale) and by
+//! `tests/committed.rs` on the regenerated smoke records. A rule reads
+//! only the rows that carry its columns.
 //!
 //! The canonical case, and the regression that motivated the rules:
 //! identical completion-latency percentiles across a
@@ -12,7 +13,7 @@
 //! have objected. `crates/bench/tests/gate.rs` replays one rejection
 //! fixture per rule.
 
-use crate::record::{ChurnRecord, E2eRecord, Record, TestbedRecord};
+use crate::record::RunRecord;
 
 /// Minimum offered-load spread (max/min pps within one configuration)
 /// above which identical latency percentiles are physically suspicious.
@@ -28,8 +29,11 @@ pub const MAX_SOCKET_OPS_SCALE: f64 = 1.5;
 
 /// Splits `records` into the groups sharing `group_key`, in first-seen
 /// order — one group per configuration a shape rule sweeps within.
-fn grouped<R, K: PartialEq>(records: &[R], group_key: impl Fn(&R) -> K) -> Vec<Vec<&R>> {
-    let mut groups: Vec<(K, Vec<&R>)> = Vec::new();
+fn grouped<'a, K: PartialEq>(
+    records: impl Iterator<Item = &'a RunRecord>,
+    group_key: impl Fn(&RunRecord) -> K,
+) -> Vec<Vec<&'a RunRecord>> {
+    let mut groups: Vec<(K, Vec<&RunRecord>)> = Vec::new();
     for r in records {
         let k = group_key(r);
         match groups.iter_mut().find(|(gk, _)| *gk == k) {
@@ -44,9 +48,9 @@ fn grouped<R, K: PartialEq>(records: &[R], group_key: impl Fn(&R) -> K) -> Vec<V
 /// across a ≥[`FLAT_LOAD_SPREAD`]× offered-load spread, *identical*
 /// p50/p95/p99 completion latencies mean latency is not responding to
 /// load — the pre-service-queue engine's exact failure mode.
-pub fn check_flat_latency(records: &[E2eRecord]) -> Vec<String> {
+pub fn check_flat_latency(records: &[RunRecord]) -> Vec<String> {
     let mut findings = Vec::new();
-    let config = |r: &E2eRecord| {
+    let config = |r: &RunRecord| {
         (
             r.scheme.clone(),
             r.nodes,
@@ -55,15 +59,16 @@ pub fn check_flat_latency(records: &[E2eRecord]) -> Vec<String> {
             r.service_time_ms,
         )
     };
-    for members in grouped(records, config) {
+    let loaded = records
+        .iter()
+        .filter(|r| r.offered_pps.is_some() && r.p50_latency_ms.is_some());
+    for members in grouped(loaded, config) {
         if members.len() < 2 {
             continue;
         }
-        let min_pps = members
-            .iter()
-            .map(|r| r.offered_pps)
-            .fold(f64::MAX, f64::min);
-        let max_pps = members.iter().map(|r| r.offered_pps).fold(0.0, f64::max);
+        let pps = || members.iter().filter_map(|r| r.offered_pps);
+        let min_pps = pps().fold(f64::MAX, f64::min);
+        let max_pps = pps().fold(0.0, f64::max);
         if min_pps <= 0.0 || max_pps / min_pps < FLAT_LOAD_SPREAD {
             continue;
         }
@@ -80,7 +85,7 @@ pub fn check_flat_latency(records: &[E2eRecord]) -> Vec<String> {
                  ({} → {} pps) — latency is not responding to load",
                 first.scheme,
                 first.nodes,
-                first.service_time_ms,
+                first.service_time_ms.unwrap_or(0),
                 max_pps / min_pps,
                 min_pps,
                 max_pps
@@ -96,27 +101,29 @@ pub fn check_flat_latency(records: &[E2eRecord]) -> Vec<String> {
 /// reaching the engine, or the sweep no longer stresses it. A zero-rate
 /// record reporting churn activity fails too: the empty schedule must
 /// stay bit-exact.
-pub fn check_churn_degrades(records: &[ChurnRecord]) -> Vec<String> {
+pub fn check_churn_degrades(records: &[RunRecord]) -> Vec<String> {
     let mut findings = Vec::new();
-    let config = |r: &ChurnRecord| {
+    let config = |r: &RunRecord| {
         (
             r.scheme.clone(),
             r.nodes,
             r.payments,
-            r.offered_pps.to_bits(),
+            r.offered_pps,
             r.hop_latency_ms,
             r.service_time_ms,
         )
     };
-    for mut members in grouped(records, config) {
-        members.sort_by_key(|r| r.closes_per_sec.to_bits());
+    let rate = |r: &RunRecord| r.closes_per_sec.unwrap_or(0.0);
+    let churned = records.iter().filter(|r| r.closes_per_sec.is_some());
+    for mut members in grouped(churned, config) {
+        members.sort_by_key(|r| rate(r).to_bits());
         if members.len() < 3 {
             findings.push(format!(
                 "{} (nodes {}, {} pps): only {} churn rate(s) swept — \
                  the shape check needs at least 3",
                 members[0].scheme,
                 members[0].nodes,
-                members[0].offered_pps,
+                members[0].offered_pps.unwrap_or(0.0),
                 members.len()
             ));
             continue;
@@ -130,18 +137,21 @@ pub fn check_churn_degrades(records: &[ChurnRecord]) -> Vec<String> {
                      churn is not reaching the engine or the sweep no longer stresses it",
                     hi.scheme,
                     lo.success_ratio * 100.0,
-                    lo.closes_per_sec,
+                    rate(lo),
                     hi.success_ratio * 100.0,
-                    hi.closes_per_sec
+                    rate(hi)
                 ));
             }
         }
         for r in &members {
-            if r.closes_per_sec == 0.0 && (r.closed_channels != 0 || r.stale_probe_failures != 0) {
+            let closed = r.closed_channels.unwrap_or(0);
+            let stale = r.stale_probe_failures.unwrap_or(0);
+            if rate(r) == 0.0 && (closed != 0 || stale != 0) {
                 findings.push(format!(
                     "{}: zero-churn record reports churn activity \
-                     ({} closed, {} stale probe failures) — the empty schedule must be exact",
-                    r.scheme, r.closed_channels, r.stale_probe_failures
+                     ({closed} closed, {stale} stale probe failures) — the empty schedule \
+                     must be exact",
+                    r.scheme
                 ));
             }
         }
@@ -160,15 +170,16 @@ pub fn check_churn_degrades(records: &[ChurnRecord]) -> Vec<String> {
 /// each pass breaks both while every other field stays identical.
 /// Across records: the ≥200-node **scale** point must stay in the
 /// trajectory.
-pub fn check_testbed_conserves(records: &[TestbedRecord]) -> Vec<String> {
+pub fn check_testbed_conserves(records: &[RunRecord]) -> Vec<String> {
     let mut findings = Vec::new();
+    let ops = |r: &RunRecord| r.socket_ops_per_frame.unwrap_or(0.0);
     for r in records {
-        if r.socket_ops_per_frame > MAX_SOCKET_OPS_PER_FRAME {
+        if ops(r) > MAX_SOCKET_OPS_PER_FRAME {
             findings.push(format!(
                 "{}: {:.1} socket calls per wire frame (limit {}) — \
                  the reactor is polling sockets nothing was written to",
                 r.label(),
-                r.socket_ops_per_frame,
+                ops(r),
                 MAX_SOCKET_OPS_PER_FRAME
             ));
         }
@@ -178,34 +189,33 @@ pub fn check_testbed_conserves(records: &[TestbedRecord]) -> Vec<String> {
                 .filter(|o| o.scheme == r.scheme)
                 .min_by_key(|o| o.nodes)
                 .unwrap_or(r);
-            if r.socket_ops_per_frame > MAX_SOCKET_OPS_SCALE * smallest.socket_ops_per_frame {
+            if ops(r) > MAX_SOCKET_OPS_SCALE * ops(smallest) {
                 findings.push(format!(
                     "{}: {:.2} socket calls per wire frame @ {} nodes against {:.2} @ {} \
                      (limit {}×) — the reactor's cost per frame grows with the cluster",
                     r.scheme,
-                    r.socket_ops_per_frame,
+                    ops(r),
                     r.nodes,
-                    smallest.socket_ops_per_frame,
+                    ops(smallest),
                     smallest.nodes,
                     MAX_SOCKET_OPS_SCALE
                 ));
             }
         }
-        if r.wire_in != r.wire_out {
-            findings.push(format!(
-                "physically suspicious: {} sent {} wire frames but received {} — \
-                 frames were lost inside a fault-free cluster",
-                r.label(),
-                r.wire_out,
-                r.wire_in
-            ));
+        if let (Some(wire_in), Some(wire_out)) = (r.wire_in, r.wire_out) {
+            if wire_in != wire_out {
+                findings.push(format!(
+                    "physically suspicious: {} sent {wire_out} wire frames but received \
+                     {wire_in} — frames were lost inside a fault-free cluster",
+                    r.label()
+                ));
+            }
         }
-        if r.escrow_end != 0 {
+        if let Some(escrow) = r.escrow_end.filter(|&e| e != 0) {
             findings.push(format!(
-                "physically suspicious: {} ended with {} µ-units still escrowed — \
+                "physically suspicious: {} ended with {escrow} µ-units still escrowed — \
                  some commit was never confirmed or reversed",
-                r.label(),
-                r.escrow_end
+                r.label()
             ));
         }
         if r.success_ratio == 0.0 {

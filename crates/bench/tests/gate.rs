@@ -2,11 +2,10 @@
 //! its fixture — including the PR-4 flat latency curve — and the
 //! committed-file comparison names what moved.
 
-use flash_bench::differences;
-use flash_bench::record::{E2eRecord, Record, TestbedRecord};
 use flash_bench::shape::{check_churn_degrades, check_flat_latency, check_testbed_conserves};
+use flash_bench::{differences, RunRecord};
 
-fn parse<R: Record>(json: &str) -> Vec<R> {
+fn parse(json: &str) -> Vec<RunRecord> {
     serde_json::from_str(json).expect("records parse")
 }
 
@@ -30,7 +29,7 @@ fn e2e_record(
     ratio: f64,
 ) -> String {
     format!(
-        r#"{{"scheme":"{scheme}","nodes":60,"payments":200,"offered_pps":{pps},"hop_latency_ms":25,"service_time_ms":10,"success_ratio":{ratio},"throughput_pps":{tput},"p50_latency_ms":{p50},"p95_latency_ms":{p95},"p99_latency_ms":{p99},"p50_queue_delay_ms":1.0,"p95_queue_delay_ms":20.0,"peak_in_flight":10,"peak_backlog":50,"max_node_utilization":0.5,"events":1000,"virtual_makespan_ms":9000.0,"wall_ns":1}}"#
+        r#"{{"backend":"des","scheme":"{scheme}","nodes":60,"payments":200,"offered_pps":{pps},"hop_latency_ms":25,"service_time_ms":10,"success_ratio":{ratio},"throughput_pps":{tput},"p50_latency_ms":{p50},"p95_latency_ms":{p95},"p99_latency_ms":{p99},"p50_queue_delay_ms":1.0,"p95_queue_delay_ms":20.0,"peak_in_flight":10,"peak_backlog":50,"max_node_utilization":0.5,"events":1000,"virtual_makespan_ms":9000.0,"wall_ns":1}}"#
     )
 }
 
@@ -68,11 +67,11 @@ fn gate_passes_a_healthy_rising_curve_against_itself() {
 #[test]
 fn gate_parses_pre_queue_artifacts_without_the_new_fields() {
     // The PR-4 fixture has no service_time_ms / queue-delay fields;
-    // serde defaults must fill them so historical artifacts parse.
-    let old: Vec<E2eRecord> = parse(PR4_FLAT);
+    // they parse as absent, so historical artifacts still load.
+    let old = parse(PR4_FLAT);
     assert!(old
         .iter()
-        .all(|r| r.service_time_ms == 0 && r.p95_queue_delay_ms == 0.0));
+        .all(|r| r.service_time_ms.is_none() && r.p95_queue_delay_ms.is_none()));
 }
 
 /// A churn sweep where success does **not** degrade with churn — flat
@@ -84,7 +83,7 @@ const NONMONO_CHURN: &str = include_str!("fixtures/nonmono_churn.json");
 
 fn churn_record(scheme: &str, closes: f64, ratio: f64, closed: u64) -> String {
     format!(
-        r#"{{"scheme":"{scheme}","nodes":60,"payments":200,"offered_pps":100.0,"closes_per_sec":{closes},"hop_latency_ms":25,"service_time_ms":10,"success_ratio":{ratio},"p95_latency_ms":1000.0,"closed_channels":{closed},"stale_probe_failures":{closed},"reprobes_triggered":1,"wall_ns":1}}"#
+        r#"{{"backend":"des","scheme":"{scheme}","nodes":60,"payments":200,"offered_pps":100.0,"closes_per_sec":{closes},"hop_latency_ms":25,"service_time_ms":10,"success_ratio":{ratio},"p95_latency_ms":1000.0,"closed_channels":{closed},"stale_probe_failures":{closed},"reprobes_triggered":1,"wall_ns":1}}"#
     )
 }
 
@@ -161,7 +160,7 @@ fn a_perturbed_virtual_field_is_named_with_both_values() {
     // the record, the field, and what it was and is.
     let base = healthy_testbed();
     let drifted = base.replacen("\"probe_messages\":500", "\"probe_messages\":499", 1);
-    let found = differences::<TestbedRecord>(&parse(&base), &parse(&drifted));
+    let found = differences(&parse(&base), &parse(&drifted));
     assert_eq!(
         found,
         ["Shortest Path @ 60 nodes: probe_messages is 499, committed 500"]
@@ -171,14 +170,14 @@ fn a_perturbed_virtual_field_is_named_with_both_values() {
 #[test]
 fn records_differing_only_in_wall_fields_compare_equal() {
     let slower = healthy().replace("\"wall_ns\":1", "\"wall_ns\":1400");
-    let found = differences::<E2eRecord>(&parse(&healthy()), &parse(&slower));
+    let found = differences(&parse(&healthy()), &parse(&slower));
     assert!(found.is_empty(), "{found:#?}");
 
     let base = healthy_testbed();
     let noisy = base
         .replace("\"events_per_sec\":9000.0", "\"events_per_sec\":4000.0")
         .replace("\"wall_ns\":1", "\"wall_ns\":7");
-    let found = differences::<TestbedRecord>(&parse(&base), &parse(&noisy));
+    let found = differences(&parse(&base), &parse(&noisy));
     assert!(found.is_empty(), "{found:#?}");
 }
 
@@ -190,19 +189,19 @@ fn a_missing_and_an_extra_record_are_each_named() {
         e2e_record("Flash", 50.0, 16.0, 550.0, 2200.0, 4000.0, 0.77),
         e2e_record("Flash", 75.0, 15.8, 1100.0, 4400.0, 8000.0, 0.79),
     ]);
-    let found = differences::<E2eRecord>(&parse(&healthy()), &parse(&moved));
+    let found = differences(&parse(&healthy()), &parse(&moved));
     assert_eq!(
         found,
         [
-            "Flash @ 400 pps: committed but no longer produced",
-            "Flash @ 75 pps: produced but not committed"
+            "Flash @ 60 nodes, 400 pps: committed but no longer produced",
+            "Flash @ 60 nodes, 75 pps: produced but not committed"
         ]
     );
 }
 
 fn testbed_record(scheme: &str, nodes: usize, ratio: f64, wire_in: u64, wire_out: u64) -> String {
     format!(
-        r#"{{"scheme":"{scheme}","nodes":{nodes},"payments":100,"success_ratio":{ratio},"success_volume_micros":1000,"fees_micros":0,"probe_messages":500,"commit_messages":300,"wire_in":{wire_in},"wire_out":{wire_out},"escrow_end":0,"queue_high_water":4,"events_per_sec":9000.0,"wall_ns":1}}"#
+        r#"{{"backend":"testbed","scheme":"{scheme}","nodes":{nodes},"payments":100,"success_ratio":{ratio},"success_volume_micros":1000,"fees_micros":0,"probe_messages":500,"commit_messages":300,"wire_in":{wire_in},"wire_out":{wire_out},"escrow_end":0,"queue_high_water":4,"events_per_sec":9000.0,"wall_ns":1}}"#
     )
 }
 

@@ -56,7 +56,7 @@ pub fn churn_mix(closes_per_sec: f64) -> ChurnRate {
 
 /// The churn sweep itself: all five schemes at [`OFFERED_LOAD_PPS`]
 /// under [`churn_mix`] at each channel-close intensity in `rates`. Both
-/// [`run`] and the `churn_bench` binary are built on it.
+/// [`run`] and the `bench` binary's churn family are built on it.
 pub fn sweep(nodes: usize, payments: usize, rates: &[f64], seed: u64) -> Vec<SweepPoint> {
     des_sweep(nodes, payments, rates, seed, |rate| DesLoad {
         rate_per_sec: OFFERED_LOAD_PPS,

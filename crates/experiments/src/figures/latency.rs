@@ -48,7 +48,7 @@ pub const NODE_SERVICE_MS: u64 = 10;
 
 /// The load sweep itself: all five schemes at each offered load
 /// (payments per virtual second) in `loads`, churn-free. Both
-/// [`run`] and the `e2e_bench` binary are built on it.
+/// [`run`] and the `bench` binary's e2e family are built on it.
 pub fn sweep(nodes: usize, payments: usize, loads: &[f64], seed: u64) -> Vec<SweepPoint> {
     des_sweep(nodes, payments, loads, seed, |load| DesLoad {
         rate_per_sec: load,

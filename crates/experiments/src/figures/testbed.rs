@@ -7,7 +7,7 @@
 //! three) and reports the probe/commit message breakdown alongside the
 //! delay panels. Each (scheme, interval) cell is one
 //! [`run_scheme_testbed`] run, which must conserve funds and wire
-//! frames.
+//! frames and shut down clean.
 
 use crate::harness::{run_scheme_testbed, Effort, DEFAULT_MICE_FRACTION};
 use crate::report::{FigureResult, Series};
@@ -95,6 +95,7 @@ pub fn run_testbed(nodes: usize, fig_prefix: &str, effort: Effort) -> Vec<Figure
             let cell = format!("{fig_prefix}-{}-interval{i}", scheme.label());
             assert_eq!(report.funds_before, report.funds_after, "{cell}: funds");
             assert_eq!(report.wire_in(), report.wire_out(), "{cell}: wire frames");
+            assert!(report.clean_shutdown, "{cell}: unclean shutdown");
             let delay_us = report.avg_delay_ms * 1e3;
             let mice_delay_us = report.avg_mice_delay_ms * 1e3;
             if scheme == Scheme::ShortestPath {
@@ -107,13 +108,13 @@ pub fn run_testbed(nodes: usize, fig_prefix: &str, effort: Effort) -> Vec<Figure
                 .iter_mut()
                 .find(|s| s.label == label)
                 .unwrap()
-                .push(x, report.success_volume_micros as f64 / 1e6);
+                .push(x, report.metrics.success_volume().micros() as f64 / 1e6);
             fig_ratio
                 .series
                 .iter_mut()
                 .find(|s| s.label == label)
                 .unwrap()
-                .push(x, report.success_ratio() * 100.0);
+                .push(x, report.metrics.success_ratio() * 100.0);
             fig_delay
                 .series
                 .iter_mut()
@@ -131,7 +132,10 @@ pub fn run_testbed(nodes: usize, fig_prefix: &str, effort: Effort) -> Vec<Figure
                 .iter_mut()
                 .find(|s| s.label == label)
                 .unwrap()
-                .push(x, (report.probe_messages + report.commit_messages) as f64);
+                .push(
+                    x,
+                    (report.metrics.probe_messages + report.metrics.commit_messages) as f64,
+                );
         }
     }
     vec![fig_vol, fig_ratio, fig_delay, fig_mice_delay, fig_messages]

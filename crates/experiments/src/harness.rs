@@ -9,7 +9,7 @@ use pcn_graph::generators;
 use pcn_proto::{Cluster, NodeCounters};
 use pcn_sim::{
     ChurnRate, DesConfig, DesEngine, DesNetwork, DesReport, LatencyModel, Metrics, Network,
-    RouteOutcome, ServiceModel, SimTime,
+    ServiceModel, SimTime,
 };
 use pcn_types::{Amount, Payment};
 use pcn_workload::trace::{generate_trace, TraceConfig};
@@ -157,26 +157,21 @@ pub fn run_scheme(
 }
 
 /// What one testbed run ([`run_scheme_testbed`]) reports. Delays and
-/// `wall_ms` are wall time; everything else repeats exactly per seed.
+/// `wall` are wall time; everything else repeats exactly per seed.
 #[derive(Clone, Debug)]
 pub struct TestbedReport {
+    /// The cluster's [`Metrics`] ([`Cluster::metrics`]), as a
+    /// [`DesReport`] carries the engine's: attempts and successes by
+    /// class, volume, fees and paths, and the nodes' probe and commit
+    /// message counts.
+    pub metrics: Metrics,
     /// Per-payment success flags, in trace order.
     pub outcomes: Vec<bool>,
-    /// Payments fully delivered.
-    pub succeeded: u64,
-    /// Volume of fully delivered payments, micro-units.
-    pub success_volume_micros: u64,
-    /// Fees charged on successful payments, micro-units.
-    pub fees_micros: u64,
     /// Mean per-payment processing delay, wall milliseconds.
     pub avg_delay_ms: f64,
     /// Mean processing delay of the mice payments, wall milliseconds
     /// (the Figure 12d/13d panel).
     pub avg_mice_delay_ms: f64,
-    /// `PROBE` messages serviced cluster-wide.
-    pub probe_messages: u64,
-    /// `COMMIT` messages serviced cluster-wide.
-    pub commit_messages: u64,
     /// Per-node telemetry at the end of the trace, indexed by node id.
     pub counters: Vec<NodeCounters>,
     /// `accept`/`read`/`write` calls the reactor issued.
@@ -189,21 +184,14 @@ pub struct TestbedReport {
     pub funds_before: u64,
     /// Total funds after the last payment, micro-units.
     pub funds_after: u64,
-    /// Wall-clock duration of the trace, milliseconds.
-    pub wall_ms: f64,
+    /// Wall-clock duration of the routing loop (launch and shutdown
+    /// excluded).
+    pub wall: Duration,
     /// Whether the cluster wound down with nothing left behind.
     pub clean_shutdown: bool,
 }
 
 impl TestbedReport {
-    /// `succeeded / attempted` in [0, 1].
-    pub fn success_ratio(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        self.succeeded as f64 / self.outcomes.len() as f64
-    }
-
     /// Wire frames received cluster-wide.
     pub fn wire_in(&self) -> u64 {
         self.counters.iter().map(NodeCounters::wire_in).sum()
@@ -239,47 +227,37 @@ pub fn run_scheme_testbed(
 
     let funds_before = cluster.total_funds();
     let mut outcomes = Vec::with_capacity(trace.len());
-    let (mut succeeded, mut success_volume, mut fees_paid) = (0, Amount::ZERO, Amount::ZERO);
     let (mut total_delay, mut mice_delay, mut mice) = (Duration::ZERO, Duration::ZERO, 0);
     let wall_run_start = pcn_proto::wall_now();
     for p in trace {
         let class = p.classify(threshold);
         let wall_pay_start = pcn_proto::wall_now();
-        let outcome = router.route(&mut cluster, p, class);
+        let success = router.route(&mut cluster, p, class).is_success();
         let wall_pay_elapsed = wall_pay_start.elapsed();
         total_delay += wall_pay_elapsed;
         if class.is_mice() {
             mice += 1;
             mice_delay += wall_pay_elapsed;
         }
-        if let RouteOutcome::Success { volume, fees, .. } = outcome {
-            succeeded += 1;
-            success_volume = success_volume.saturating_add(volume);
-            fees_paid = fees_paid.saturating_add(fees);
-        }
-        outcomes.push(outcome.is_success());
+        outcomes.push(success);
     }
-    let wall_ms = wall_run_start.elapsed().as_secs_f64() * 1e3;
+    let wall = wall_run_start.elapsed();
     let mean_ms = |total: Duration, n: usize| match n {
         0 => 0.0,
         n => total.as_secs_f64() * 1e3 / n as f64,
     };
     TestbedReport {
-        succeeded,
-        success_volume_micros: success_volume.micros(),
-        fees_micros: fees_paid.micros(),
+        metrics: cluster.metrics(),
         avg_delay_ms: mean_ms(total_delay, trace.len()),
         avg_mice_delay_ms: mean_ms(mice_delay, mice),
         outcomes,
-        probe_messages: cluster.probe_messages(),
-        commit_messages: cluster.commit_messages(),
         counters: cluster.node_counters(),
         socket_ops: cluster.socket_ops(),
         connects: cluster.connects(),
         dropped_messages: cluster.dropped_messages(),
         funds_before,
         funds_after: cluster.total_funds(),
-        wall_ms,
+        wall,
         clean_shutdown: cluster.shutdown().is_clean(),
     }
 }
@@ -324,6 +302,19 @@ pub fn run_scheme_des(
     seed: u64,
     load: DesLoad,
 ) -> DesReport {
+    timed_des_run(net, scheme, trace, mice_fraction, seed, load).0
+}
+
+/// [`run_scheme_des`], also returning the wall time of the routing run
+/// itself: the engine over the arrivals, its set-up excluded.
+fn timed_des_run(
+    net: &Network,
+    scheme: Scheme,
+    trace: &[Payment],
+    mice_fraction: f64,
+    seed: u64,
+    load: DesLoad,
+) -> (DesReport, Duration) {
     let amounts: Vec<Amount> = trace.iter().map(|p| p.amount).collect();
     let threshold = threshold_for_mice_fraction(&amounts, mice_fraction);
     let workload = pcn_workload::arrivals::poisson_workload(trace, load.rate_per_sec, seed);
@@ -342,7 +333,9 @@ pub fn run_scheme_des(
             ..DesConfig::default()
         },
     );
-    engine.run(router.as_mut(), &workload, threshold)
+    let wall_start = pcn_proto::wall_now();
+    let report = engine.run(router.as_mut(), &workload, threshold);
+    (report, wall_start.elapsed())
 }
 
 /// One measured point of a [`des_sweep`]: a scheme at one value of the
@@ -353,10 +346,13 @@ pub struct SweepPoint {
     pub scheme: Scheme,
     /// The swept variable at this point (offered load, churn rate, …).
     pub x: f64,
+    /// The load-and-delay configuration the swept value turned into.
+    pub load: DesLoad,
     /// Everything the engine reported.
     pub report: DesReport,
-    /// Host time the run took — the only non-deterministic field.
-    pub wall_elapsed: std::time::Duration,
+    /// Host time of the routing run (the engine over the arrivals, its
+    /// set-up excluded) — the only non-deterministic field.
+    pub wall_elapsed: Duration,
 }
 
 /// Runs every scheme in [`Scheme::ALL`] through the discrete-event
@@ -364,8 +360,8 @@ pub struct SweepPoint {
 /// records are laid out in — on one seeded `nodes`-node §5.2 testbed
 /// topology and one `payments`-long Ripple trace. `load_at` turns a
 /// swept value into the run's load-and-delay configuration. The
-/// figures' `run(effort)` and the `e2e_bench` / `churn_bench` binaries
-/// all consume this one loop.
+/// figures' `run(effort)` and the e2e and churn families of the
+/// `bench` binary all consume this one loop.
 pub fn des_sweep(
     nodes: usize,
     payments: usize,
@@ -378,20 +374,21 @@ pub fn des_sweep(
     let mut points = Vec::with_capacity(Scheme::ALL.len() * xs.len());
     for scheme in Scheme::ALL {
         for &x in xs {
-            let wall_start = pcn_proto::wall_now();
-            let report = run_scheme_des(
+            let load = load_at(x);
+            let (report, wall_elapsed) = timed_des_run(
                 &net,
                 scheme,
                 &trace,
                 DEFAULT_MICE_FRACTION,
                 seed + 31,
-                load_at(x),
+                load.clone(),
             );
             points.push(SweepPoint {
                 scheme,
                 x,
+                load,
                 report,
-                wall_elapsed: wall_start.elapsed(),
+                wall_elapsed,
             });
         }
     }
@@ -458,10 +455,10 @@ mod tests {
         let trace = [pay(1, 3), pay(2, 30)];
         let report = run_scheme_testbed(&net, Scheme::ShortestPath, &trace, 0.9, 1);
         assert_eq!(report.outcomes, vec![true, false]);
-        assert_eq!(report.succeeded, 1);
-        assert_eq!(report.success_ratio(), 0.5);
-        assert_eq!(report.success_volume_micros, 3_000_000);
-        assert!(report.commit_messages > 0 && report.avg_delay_ms > 0.0);
+        assert_eq!(report.metrics.total().succeeded, 1);
+        assert_eq!(report.metrics.success_ratio(), 0.5);
+        assert_eq!(report.metrics.success_volume(), Amount::from_units(3));
+        assert!(report.metrics.commit_messages > 0 && report.avg_delay_ms > 0.0);
         assert_eq!(report.funds_before, report.funds_after);
         assert_eq!(report.counters.len(), 3);
         assert!(report.wire_in() > 0);

@@ -84,14 +84,14 @@ impl PaymentNetwork for Cluster {
             .collect()
     }
 
-    fn begin_payment(&mut self, payment: &Payment, _class: PaymentClass) -> ClusterSession<'_> {
-        // Attempt accounting lives in
-        // `pcn_experiments::harness::run_scheme_testbed` (the cluster
-        // meters wire messages, not payments), so opening a session
-        // sends nothing yet.
+    fn begin_payment(&mut self, payment: &Payment, class: PaymentClass) -> ClusterSession<'_> {
+        // The attempt is recorded here, as the simulator records it;
+        // opening a session sends nothing yet.
+        self.payments.record_attempt(class, payment.amount);
         ClusterSession {
             cluster: self,
             demand: payment.amount,
+            class,
             parts: Vec::new(),
             fees_accrued: Amount::ZERO,
             closed: false,
@@ -119,6 +119,7 @@ struct ClusterPart {
 pub struct ClusterSession<'a> {
     cluster: &'a mut Cluster,
     demand: Amount,
+    class: PaymentClass,
     parts: Vec<ClusterPart>,
     fees_accrued: Amount,
     closed: bool,
@@ -236,6 +237,9 @@ impl PaymentSession for ClusterSession<'_> {
         let paths_used = self.parts.len() as u32;
         let fees = self.fees_accrued;
         self.settle_all(true);
+        self.cluster
+            .payments
+            .record_success(self.class, self.demand, fees, u64::from(paths_used));
         RouteOutcome::Success {
             volume: self.demand,
             fees,
@@ -317,6 +321,26 @@ mod tests {
         // Forward direction decreased, reverse credited.
         let report = PaymentNetwork::probe_path(&mut cluster, &path).unwrap();
         assert_eq!(report.bottleneck(), Amount::from_units(6));
+    }
+
+    #[test]
+    fn sessions_record_attempts_and_successes_like_the_simulator() {
+        let mut cluster = diamond_cluster();
+        let path = path_013(&cluster);
+        let mut s = cluster.begin_payment(&pay(4), PaymentClass::Mice);
+        s.try_send_part(&path, Amount::from_units(4)).unwrap();
+        let _ = s.commit();
+        cluster.record_rejected_attempt(&pay(50), PaymentClass::Elephant);
+        let m = cluster.metrics();
+        assert_eq!((m.mice.attempted, m.mice.succeeded), (1, 1));
+        assert_eq!(m.mice.success_volume, Amount::from_units(4));
+        assert_eq!((m.elephant.attempted, m.elephant.succeeded), (1, 0));
+        assert_eq!(m.elephant.attempted_volume, Amount::from_units(50));
+        assert_eq!(m.paths_used, 1);
+        // Message counts are the nodes': the sender, the relay and the
+        // receiver each serviced the one COMMIT.
+        assert_eq!(m.commit_messages, 3);
+        assert_eq!(m.probe_messages, 0);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! [`pcn_sim::Router`] implementations the simulator uses — all five
 //! schemes — route on it unmodified. Driving a transaction trace and
 //! measuring per-transaction processing delay (Figures 12c/d and
-//! 13c/d), success volume and ratio (a/b panels), and the probe/commit
-//! message breakdown is `pcn_experiments::harness::run_scheme_testbed`'s
-//! job.
+//! 13c/d) is `pcn_experiments::harness::run_scheme_testbed`'s job; the
+//! success volume and ratio (a/b panels) and the probe/commit message
+//! breakdown are the cluster's own [`Cluster::metrics`].
 //!
 //! Exclusive access is `&mut Cluster`: every wire operation borrows the
 //! cluster mutably, the counters read through `&self`. Batched
@@ -26,7 +26,7 @@ use crate::event_loop::{EventLoop, ShutdownReport};
 use crate::node::NodeCounters;
 use crate::wire::{Message, MsgType};
 use pcn_graph::{DiGraph, EdgeId, Path};
-use pcn_sim::{ChurnAction, FaultConfig};
+use pcn_sim::{ChurnAction, FaultConfig, Metrics};
 use pcn_types::{Amount, FeePolicy, NodeId, PcnError, Result};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -55,6 +55,9 @@ pub struct Cluster {
     fees: Vec<FeePolicy>,
     /// Allocator for wire transaction ids (probes and sub-payments).
     next_trans_id: u64,
+    /// Payment accounting, kept by the [`pcn_sim::PaymentNetwork`] impl
+    /// (see [`Cluster::metrics`]); its message counts stay zero.
+    pub(crate) payments: Metrics,
 }
 
 impl Cluster {
@@ -97,6 +100,7 @@ impl Cluster {
             evloop,
             fees,
             next_trans_id: 1,
+            payments: Metrics::default(),
         })
     }
 
@@ -141,6 +145,20 @@ impl Cluster {
     pub fn commit_messages(&self) -> u64 {
         let counters = self.evloop.counters();
         counters.iter().map(|c| c.commit_messages).sum()
+    }
+
+    /// The run's [`Metrics`], kept as [`pcn_sim::Network`] keeps them:
+    /// every [`pcn_sim::PaymentNetwork::begin_payment`] records an
+    /// attempt by class, every committed session its volume, fees and
+    /// paths. The message counts are the nodes' ([`Cluster::probe_messages`],
+    /// [`Cluster::commit_messages`]: one per message a node serviced,
+    /// sender and receiver included), not the simulator's one per hop.
+    pub fn metrics(&self) -> Metrics {
+        Metrics {
+            probe_messages: self.probe_messages(),
+            commit_messages: self.commit_messages(),
+            ..self.payments.clone()
+        }
     }
 
     /// Per-node telemetry snapshot, indexed by node id.

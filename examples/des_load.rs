@@ -22,7 +22,8 @@ fn main() {
         "{:>14} {:>10} {:>9} {:>12} {:>12} {:>11} {:>9} {:>8}",
         "scheme", "load(pps)", "ratio", "p95(ms)", "queue95(ms)", "tput(pps)", "backlog", "util"
     );
-    // The same sweep the `lat_*` figures and `e2e_bench` are built on.
+    // The same sweep the `lat_*` figures and the `bench` binary's e2e
+    // family are built on.
     for point in sweep(80, 300, &[25.0, 100.0, 400.0], 7) {
         let report = &point.report;
         println!(

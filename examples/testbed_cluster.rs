@@ -29,11 +29,11 @@ fn main() {
         println!(
             "{:>14}: success {:>5.1}%  volume ${:<11} avg delay {:>7.3} ms  probes {:>5}  commits {:>5}",
             scheme.label(),
-            report.success_ratio() * 100.0,
-            report.success_volume_micros as f64 / 1e6,
+            report.metrics.success_ratio() * 100.0,
+            report.metrics.success_volume(),
             report.avg_delay_ms,
-            report.probe_messages,
-            report.commit_messages,
+            report.metrics.probe_messages,
+            report.metrics.commit_messages,
         );
     }
     println!("done — all balance movement happened via PROBE/COMMIT/CONFIRM frames over TCP.");

@@ -5,8 +5,8 @@
 //! shim collapses the two layers: [`Serialize`] writes JSON text directly
 //! and [`Deserialize`] reads from a small JSON [`de::Parser`]. The derive
 //! macros re-exported here (from the `serde_derive` shim) understand the
-//! subset of attributes the workspace uses: `#[serde(transparent)]` and
-//! `#[serde(skip)]`.
+//! subset of attributes the workspace uses: `transparent`, `skip`,
+//! `default` and `rename_all = "lowercase"`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,8 +5,10 @@
 //! `serde::Serialize` / `serde::Deserialize` shim traits. Supports the
 //! shapes and attributes the workspace uses: named structs, tuple structs,
 //! unit/tuple/named enum variants, `#[serde(transparent)]`,
-//! `#[serde(skip)]`, and `#[serde(default)]` (a missing field
-//! deserializes to `Default::default()`). Generic items are rejected.
+//! `#[serde(skip)]`, `#[serde(default)]` (a missing field
+//! deserializes to `Default::default()`; as in real serde, a missing
+//! `Option` field is `None` without it) and `#[serde(rename_all =
+//! "lowercase")]` on enums of unit variants. Generic items are rejected.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,6 +20,7 @@ struct SerdeAttrs {
     transparent: bool,
     skip: bool,
     default: bool,
+    rename_all: Option<String>,
 }
 
 #[derive(Debug)]
@@ -37,6 +40,8 @@ enum VariantKind {
 #[derive(Debug)]
 struct Variant {
     name: String,
+    /// The variant's JSON tag: its name, or as `rename_all` spells it.
+    tag: String,
     kind: VariantKind,
 }
 
@@ -150,6 +155,12 @@ impl Cursor {
                                 "transparent" => attrs.transparent = true,
                                 "skip" => attrs.skip = true,
                                 "default" => attrs.default = true,
+                                "rename_all" => {
+                                    a.eat_punct('=');
+                                    if let Some(TokenTree::Literal(l)) = a.next() {
+                                        attrs.rename_all = Some(l.to_string());
+                                    }
+                                }
                                 _ => {}
                             }
                         }
@@ -218,7 +229,23 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
         reject_generics(&mut c, &name)?;
         match c.next() {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let variants = parse_variants(g.stream())?;
+                let mut variants = parse_variants(g.stream())?;
+                match container.rename_all.as_deref() {
+                    None => {}
+                    Some("\"lowercase\"") => {
+                        for v in &mut variants {
+                            if !matches!(v.kind, VariantKind::Unit) {
+                                return Err(format!(
+                                    "serde shim: rename_all on `{name}` needs unit variants"
+                                ));
+                            }
+                            v.tag = v.name.to_lowercase();
+                        }
+                    }
+                    Some(other) => {
+                        return Err(format!("serde shim: unsupported rename_all {other}"))
+                    }
+                }
                 Ok(Item::Enum { name, variants })
             }
             _ => Err(format!("serde shim: malformed enum `{name}`")),
@@ -258,10 +285,11 @@ fn parse_named_fields(stream: TokenStream) -> Result<Vec<NamedField>, String> {
         if !c.eat_punct(':') {
             return Err(format!("serde shim: expected `:` after field `{name}`"));
         }
+        let optional = matches!(c.peek(), Some(TokenTree::Ident(i)) if i.to_string() == "Option");
         fields.push(NamedField {
             name,
             skip: attrs.skip,
-            default: attrs.default,
+            default: attrs.default || optional,
         });
         if !c.skip_type_until_comma() {
             return Ok(fields);
@@ -313,7 +341,11 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
         } else {
             c.eat_punct(',');
         }
-        variants.push(Variant { name, kind });
+        variants.push(Variant {
+            tag: name.clone(),
+            name,
+            kind,
+        });
     }
 }
 
@@ -374,8 +406,9 @@ fn gen_serialize(item: &Item) -> String {
             for v in variants {
                 match &v.kind {
                     VariantKind::Unit => arms.push_str(&format!(
-                        "{name}::{v} => {{ ::serde::ser::write_string(out, {v:?}); }}\n",
-                        v = v.name
+                        "{name}::{v} => {{ ::serde::ser::write_string(out, {t:?}); }}\n",
+                        v = v.name,
+                        t = v.tag
                     )),
                     VariantKind::Tuple(1) => arms.push_str(&format!(
                         "{name}::{v}(__v0) => {{\n\
@@ -581,12 +614,14 @@ fn gen_deserialize(item: &Item) -> String {
                 match &v.kind {
                     VariantKind::Unit => {
                         string_arms.push_str(&format!(
-                            "{v:?} => ::core::result::Result::Ok({name}::{v}),\n",
-                            v = v.name
+                            "{t:?} => ::core::result::Result::Ok({name}::{v}),\n",
+                            v = v.name,
+                            t = v.tag
                         ));
                         object_arms.push_str(&format!(
-                            "{v:?} => {{ p.parse_null()?; {name}::{v} }}\n",
-                            v = v.name
+                            "{t:?} => {{ p.parse_null()?; {name}::{v} }}\n",
+                            v = v.name,
+                            t = v.tag
                         ));
                     }
                     VariantKind::Tuple(1) => object_arms.push_str(&format!(

@@ -40,6 +40,33 @@ mod tests {
         assert_eq!(v, back);
     }
 
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    #[serde(rename_all = "lowercase")]
+    enum Kind {
+        Des,
+        Testbed,
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Row {
+        kind: Kind,
+        count: Option<u64>,
+    }
+
+    #[test]
+    fn lowercase_tags_and_missing_options_parse_like_serde() {
+        let row = Row {
+            kind: Kind::Testbed,
+            count: None,
+        };
+        let j = super::to_string(&row).unwrap();
+        assert_eq!(j, r#"{"kind":"testbed","count":null}"#);
+        assert_eq!(super::from_str::<Row>(&j).unwrap(), row);
+        let bare: Row = super::from_str(r#"{"kind":"des"}"#).unwrap();
+        assert_eq!((bare.kind, bare.count), (Kind::Des, None));
+        assert!(super::from_str::<Row>(r#"{"kind":"Des"}"#).is_err());
+    }
+
     #[test]
     fn error_displays() {
         let e = super::from_str::<u64>("nope").unwrap_err();

@@ -18,7 +18,7 @@
 use flash_offchain::core::classify::threshold_for_mice_fraction;
 use flash_offchain::core::Scheme;
 use flash_offchain::experiments::harness::{run_scheme, run_scheme_testbed, DEFAULT_MICE_FRACTION};
-use flash_offchain::proto::Cluster;
+use flash_offchain::proto::{Cluster, MsgType};
 use flash_offchain::sim::Network;
 use flash_offchain::types::{Amount, Payment};
 use flash_offchain::workload::testbed_topology;
@@ -81,8 +81,21 @@ fn assert_parity(scheme: Scheme, nodes: usize, txns: usize, seed: u64) {
 
 /// The testbed harness must agree with the simulator harness too:
 /// `run_scheme_testbed` and `run_scheme` on one network, trace, mice
-/// fraction and router seed deliver the same per-payment outcomes,
-/// volume and fees, and the testbed conserves funds and wire frames.
+/// fraction and router seed deliver the same per-payment outcomes and
+/// the same `Metrics` — per class attempts, successes, attempted and
+/// delivered volume, plus fees and paths — and the testbed conserves
+/// funds and wire frames.
+///
+/// The message counts differ by counting convention. The simulator
+/// charges one message per hop a probe or commit traversed, the failing
+/// hop of a refused commit included. The nodes charge one per node
+/// that serviced it, the sender's local injection included, so a
+/// message that reaches its receiver costs one more on the testbed. In
+/// the simulator's convention a probe is its wire `PROBE` frames, and a
+/// commit its wire `COMMIT` frames plus one for the node that refused
+/// it. The probes must match that exactly. The commits may fall short
+/// of it: the testbed sends a batch of parts whole, while the simulator
+/// stops a batch at its first refused part and never sends the rest.
 fn assert_harness_parity(scheme: Scheme, nodes: usize, txns: usize, seed: u64) {
     let net = testbed_topology(nodes, 1000, 1500, seed);
     let trace: Vec<Payment> = generate_trace(net.graph(), &TraceConfig::ripple(txns, seed + 1));
@@ -107,19 +120,34 @@ fn assert_harness_parity(scheme: Scheme, nodes: usize, txns: usize, seed: u64) {
     assert_eq!(sim_net.metrics(), &sim, "{label}: replay is not run_scheme");
 
     assert_eq!(tcp.outcomes, sim_outcomes, "{label}: outcomes diverged");
+    let m = &tcp.metrics;
+    assert_eq!(m.elephant, sim.elephant, "{label}: elephant counters");
+    assert_eq!(m.mice, sim.mice, "{label}: mice counters");
+    assert_eq!(m.total().attempted, trace.len() as u64, "{label}: attempts");
+    assert_eq!(m.fees_paid, sim.fees_paid, "{label}: fees diverged");
+    assert_eq!(m.paths_used, sim.paths_used, "{label}: paths diverged");
+
+    let frames = |t: MsgType| -> u64 { tcp.counters.iter().map(|c| c.msgs_in[t as usize]).sum() };
+    let refused: u64 = tcp.counters.iter().map(|c| c.commits_nacked).sum();
     assert_eq!(
-        tcp.success_volume_micros,
-        sim.success_volume().micros(),
-        "{label}: delivered volume diverged"
+        sim.probe_messages,
+        frames(MsgType::Probe),
+        "{label}: simulator probes (one per hop) against PROBE frames"
     );
-    assert_eq!(
-        tcp.fees_micros,
-        sim.fees_paid.micros(),
-        "{label}: fees diverged"
+    let wire_commits = frames(MsgType::Commit) + refused;
+    assert!(
+        sim.commit_messages <= wire_commits,
+        "{label}: simulator commits (one per hop) {} above COMMIT frames plus refusals {}",
+        sim.commit_messages,
+        wire_commits
     );
+    // Every committed part's receiver serviced its COMMIT as well.
+    assert!(m.commit_messages >= sim.commit_messages + sim.paths_used);
+    assert!(m.probe_messages >= sim.probe_messages);
+
     assert_eq!(tcp.funds_before, tcp.funds_after, "{label}: funds");
     assert_eq!(tcp.wire_in(), tcp.wire_out(), "{label}: wire frames");
-    assert!(tcp.succeeded > 0, "{label}: nothing succeeded");
+    assert!(m.total().succeeded > 0, "{label}: nothing succeeded");
 }
 
 #[test]
