@@ -355,7 +355,7 @@ pub fn certify(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcn_sim::Network;
+    use pcn_sim::{Network, PaymentSession};
     use pcn_types::{Payment, PaymentClass, TxId};
 
     fn n(i: u32) -> NodeId {

@@ -1,23 +1,27 @@
 //! [`PaymentNetwork`] over the TCP prototype: the [`Cluster`] backend.
 //!
 //! This is the bridge that lets every `flash-core` router run on the §5
-//! testbed unchanged. Each trait operation maps onto the wire protocol:
+//! testbed unchanged. Each trait operation maps onto the wire protocol
+//! through one of the cluster's three batch entry points:
 //!
-//! | trait call                         | wire exchange                        |
-//! |------------------------------------|--------------------------------------|
-//! | [`PaymentNetwork::probe_path`]     | `PROBE` → `PROBE_ACK`                |
-//! | [`PaymentSession::try_send_part`]  | `COMMIT` → `COMMIT_ACK`/`_NACK`      |
-//! | [`PaymentSession::commit`]         | `CONFIRM` → `CONFIRM_ACK` (all parts)|
-//! | [`PaymentSession::abort`] / drop   | `REVERSE` → `REVERSE_ACK` (all parts)|
+//! | trait call                                   | wire exchange                         | entry point              |
+//! |----------------------------------------------|---------------------------------------|--------------------------|
+//! | [`PaymentNetwork::probe_path`] / `_paths`    | `PROBE` → `PROBE_ACK`                 | [`Cluster::probe_many`]  |
+//! | [`PaymentSession::try_send_part`] / `_parts` | `COMMIT` → `COMMIT_ACK` / `_NACK`     | [`Cluster::commit_many`] |
+//! | [`PaymentSession::commit`]                   | `CONFIRM` → `CONFIRM_ACK` (all parts) | [`Cluster::settle_many`] |
+//! | [`PaymentSession::abort`] / drop             | `REVERSE` → `REVERSE_ACK` (all parts) | [`Cluster::settle_many`] |
 //!
 //! The prototype's concurrency is preserved without spawning a single
-//! thread: batched phase-1 commits ([`PaymentSession::try_send_parts`])
-//! and every phase-2 wave are injected into the cluster's event loop
-//! *together* ([`Cluster::commit_many`], [`Cluster::settle_many`]),
-//! exactly as the paper's sender "prepares a COMMIT message for each of
-//! the sub-payment and sends them out" before collecting replies.
-//! Multi-path probing ([`PaymentNetwork::probe_paths`]) batches the
-//! same way ([`Cluster::probe_many`]).
+//! thread: batched phase-1 commits ([`PaymentSession::try_send_parts`]),
+//! every phase-2 wave and multi-path probing
+//! ([`PaymentNetwork::probe_paths`]) are injected into the cluster's
+//! event loop *together*, exactly as the paper's sender "prepares a
+//! COMMIT message for each of the sub-payment and sends them out" before
+//! collecting replies. A single part or probe is a batch of one.
+//!
+//! The session's bookkeeping — demand, reserved parts, fees, the
+//! attempt and success in [`Cluster::metrics`] — is the shared
+//! [`PaymentLedger`]; a part is its wire transaction id and path.
 //!
 //! Two wire-format limitations make the testbed's probe reports a strict
 //! subset of the simulator's: `PROBE_ACK` carries no reverse-direction
@@ -29,14 +33,14 @@
 use crate::cluster::Cluster;
 use pcn_graph::{DiGraph, Path};
 use pcn_sim::{
-    ChannelInfo, FailureCause, PartFailure, PaymentNetwork, PaymentSession, ProbeReport,
-    RouteOutcome,
+    ChannelInfo, FailureCause, PartFailure, PaymentLedger, PaymentNetwork, PaymentSession,
+    ProbeReport, RouteOutcome,
 };
 use pcn_types::{Amount, Payment, PaymentClass};
 
 impl Cluster {
     /// Assembles the backend-agnostic [`ProbeReport`] from raw probed
-    /// capacities (shared by the single and batched probe entry points).
+    /// capacities.
     fn assemble_report(&self, path: &Path, caps: Vec<u64>) -> Option<ProbeReport> {
         let mut channels = Vec::with_capacity(caps.len());
         for ((u, v), cap) in path.channels().zip(caps) {
@@ -51,14 +55,6 @@ impl Cluster {
         }
         Some(ProbeReport { channels })
     }
-
-    /// Probes `path` under a fresh transaction id and assembles the
-    /// [`ProbeReport`].
-    fn probe_report(&mut self, path: &Path) -> Option<ProbeReport> {
-        let id = self.fresh_trans_id();
-        let caps = self.probe(id, path)?;
-        self.assemble_report(path, caps)
-    }
 }
 
 impl PaymentNetwork for Cluster {
@@ -69,13 +65,12 @@ impl PaymentNetwork for Cluster {
     }
 
     fn probe_path(&mut self, path: &Path) -> Option<ProbeReport> {
-        self.probe_report(path)
+        let id = self.fresh_trans_id();
+        let caps = self.probe_many(&[(id, path)]).pop().flatten()?;
+        self.assemble_report(path, caps)
     }
 
     fn probe_paths(&mut self, paths: &[Path]) -> Vec<Option<ProbeReport>> {
-        // Batched probing: every PROBE is in flight on the event loop
-        // together, as the prototype's Spider sender issues all its
-        // path probes at once.
         let items: Vec<(u64, &Path)> = paths.iter().map(|p| (self.fresh_trans_id(), p)).collect();
         self.probe_many(&items)
             .into_iter()
@@ -84,178 +79,128 @@ impl PaymentNetwork for Cluster {
             .collect()
     }
 
+    /// Opens a session; the attempt is recorded here, as the simulator
+    /// records it, and nothing is sent yet.
     fn begin_payment(&mut self, payment: &Payment, class: PaymentClass) -> ClusterSession<'_> {
-        // The attempt is recorded here, as the simulator records it;
-        // opening a session sends nothing yet.
-        self.payments.record_attempt(class, payment.amount);
+        let ledger = PaymentLedger::open(&mut self.payments, payment, class);
         ClusterSession {
             cluster: self,
-            demand: payment.amount,
-            class,
-            parts: Vec::new(),
-            fees_accrued: Amount::ZERO,
-            closed: false,
+            ledger,
         }
     }
-}
-
-/// An escrowed sub-payment: its wire transaction id, path, and amount.
-struct ClusterPart {
-    trans_id: u64,
-    path: Path,
-    amount: Amount,
 }
 
 /// An in-flight atomic multi-path payment on the testbed — the
 /// [`Cluster`] backend's [`PaymentSession`], realized as the two-phase
 /// commit of §5.1 over real TCP frames.
 ///
-/// Phase 1 ([`PaymentSession::try_send_part`]) escrows hop balances via
-/// `COMMIT`; a `COMMIT_NACK` has already rolled back every hop the part
-/// escrowed, so a failed part needs no client-side cleanup. Phase 2
-/// settles all parts at once: [`PaymentSession::commit`] confirms them
-/// concurrently, [`PaymentSession::abort`] (or dropping the session)
-/// reverses them concurrently.
+/// Phase 1 escrows hop balances via `COMMIT`; a `COMMIT_NACK` has
+/// already rolled back every hop the part escrowed, so a failed part
+/// needs no client-side cleanup. Phase 2 settles all parts at once:
+/// [`PaymentSession::commit`] confirms them concurrently,
+/// [`PaymentSession::abort`] (or dropping the session) reverses them
+/// concurrently.
 pub struct ClusterSession<'a> {
     cluster: &'a mut Cluster,
-    demand: Amount,
-    class: PaymentClass,
-    parts: Vec<ClusterPart>,
-    fees_accrued: Amount,
-    closed: bool,
+    ledger: PaymentLedger<(u64, Path)>,
 }
 
 impl ClusterSession<'_> {
-    /// Books a part whose phase-1 commit ACKed: accrues sender-side fees
-    /// (the wire carries no fee field; see [`Cluster::set_fee_policies`])
-    /// and escrows it for phase 2. The single bookkeeping site for both
-    /// single-part and batched sends.
-    fn record_reserved(&mut self, trans_id: u64, path: &Path, amount: Amount) {
-        for (u, v) in path.channels() {
-            if let Some(e) = self.cluster.graph().edge(u, v) {
-                self.fees_accrued = self
-                    .fees_accrued
-                    .saturating_add(self.cluster.fee_policy(e).fee(amount));
+    /// Phase 1 for a batch of parts `(trans_id, path, amount)`, every
+    /// `COMMIT` in flight together. Each part that ACKed is booked with
+    /// its sender-side fees (the wire carries no fee field; see
+    /// [`Cluster::set_fee_policies`]) and stays escrowed for phase 2;
+    /// the wire has already rolled back each part that NACKed. Reports
+    /// the first refused part in batch order.
+    fn send(&mut self, parts: &[(u64, &Path, Amount)]) -> Result<(), PartFailure> {
+        let results = self.cluster.commit_many(parts);
+        let mut first_failure = None;
+        for (&(trans_id, path, amount), result) in parts.iter().zip(results) {
+            match result {
+                Ok(()) => {
+                    let fee = path
+                        .channels()
+                        .filter_map(|(u, v)| self.cluster.graph().edge(u, v))
+                        .fold(Amount::ZERO, |fee, e| {
+                            fee.saturating_add(self.cluster.fee_policy(e).fee(amount))
+                        });
+                    self.ledger.reserve((trans_id, path.clone()), amount, fee);
+                }
+                Err(failed_hop) => {
+                    first_failure.get_or_insert(PartFailure {
+                        failed_hop,
+                        // The COMMIT_NACK carries no balance field and
+                        // no failure-cause code.
+                        available: Amount::ZERO,
+                        cause: FailureCause::Unreported,
+                    });
+                }
             }
         }
-        self.parts.push(ClusterPart {
-            trans_id,
-            path: path.clone(),
-            amount,
-        });
+        first_failure.map_or(Ok(()), Err)
     }
 
-    /// Phase 2 for every reserved part: one settlement wave, all parts
-    /// in flight on the event loop together.
-    fn settle_all(&mut self, confirm: bool) {
-        let parts = std::mem::take(&mut self.parts);
+    /// Phase 2 for `parts`: one settlement wave, all parts in flight on
+    /// the event loop together.
+    fn settle(&mut self, parts: Vec<((u64, Path), Amount)>, confirm: bool) {
         let batch: Vec<(u64, &Path, Amount)> = parts
             .iter()
-            .map(|p| (p.trans_id, &p.path, p.amount))
+            .map(|((trans_id, path), amount)| (*trans_id, path, *amount))
             .collect();
         self.cluster.settle_many(&batch, confirm);
-        self.closed = true;
     }
 }
 
 impl PaymentSession for ClusterSession<'_> {
     fn try_send_part(&mut self, path: &Path, amount: Amount) -> Result<(), PartFailure> {
-        assert!(!self.closed, "session already closed");
         if amount.is_zero() {
             return Ok(());
         }
         let trans_id = self.cluster.fresh_trans_id();
-        match self.cluster.commit_part_located(trans_id, path, amount) {
-            Ok(()) => {
-                self.record_reserved(trans_id, path, amount);
-                Ok(())
-            }
-            Err(failed_hop) => Err(PartFailure {
-                failed_hop,
-                // The COMMIT_NACK carries no balance field and no
-                // failure-cause code.
-                available: Amount::ZERO,
-                cause: FailureCause::Unreported,
-            }),
-        }
+        self.send(&[(trans_id, path, amount)])
     }
 
+    /// Batched phase 1: all COMMITs go out before any reply is awaited,
+    /// as in the paper's prototype. Parts that ACKed stay escrowed for
+    /// phase 2 (commit or abort), whether or not another part of the
+    /// batch was refused.
     fn try_send_parts(&mut self, parts: &[(Path, Amount)]) -> Result<(), PartFailure> {
-        assert!(!self.closed, "session already closed");
-        // Batched phase 1: all COMMITs go out before any reply is
-        // awaited, as in the paper's prototype. Individually NACKed
-        // parts have already been rolled back on the wire; parts that
-        // ACKed stay escrowed for phase 2 (commit or abort).
         let live: Vec<(u64, &Path, Amount)> = parts
             .iter()
             .filter(|(_, a)| !a.is_zero())
             .map(|(p, a)| (self.cluster.fresh_trans_id(), p, *a))
             .collect();
-        let results = self.cluster.commit_many(&live);
-        let mut first_failure = None;
-        for ((trans_id, path, amount), result) in live.into_iter().zip(results) {
-            match result {
-                Ok(()) => self.record_reserved(trans_id, path, amount),
-                Err(failed_hop) => {
-                    if first_failure.is_none() {
-                        first_failure = Some(PartFailure {
-                            failed_hop,
-                            available: Amount::ZERO,
-                            cause: FailureCause::Unreported,
-                        });
-                    }
-                }
-            }
-        }
-        match first_failure {
-            None => Ok(()),
-            Some(f) => Err(f),
-        }
+        self.send(&live)
     }
 
+    /// Probes mid-session see post-COMMIT balances, the same view a
+    /// concurrent sender would get — matching simulator semantics.
     fn probe_path(&mut self, path: &Path) -> Option<ProbeReport> {
-        // Probes mid-session see post-COMMIT balances, the same view a
-        // concurrent sender would get — matching simulator semantics.
-        self.cluster.probe_report(path)
+        self.cluster.probe_path(path)
     }
 
     fn reserved(&self) -> Amount {
-        self.parts.iter().map(|p| p.amount).sum()
+        self.ledger.reserved()
     }
 
     fn remaining(&self) -> Amount {
-        self.demand.saturating_sub(self.reserved())
+        self.ledger.remaining()
     }
 
     fn commit(mut self) -> RouteOutcome {
-        assert!(
-            self.is_satisfied(),
-            "commit called with unsatisfied demand (reserved {} of {})",
-            self.reserved(),
-            self.demand
-        );
-        let paths_used = self.parts.len() as u32;
-        let fees = self.fees_accrued;
-        self.settle_all(true);
-        self.cluster
-            .payments
-            .record_success(self.class, self.demand, fees, u64::from(paths_used));
-        RouteOutcome::Success {
-            volume: self.demand,
-            fees,
-            paths_used,
-        }
+        let (outcome, parts) = self.ledger.commit(&mut self.cluster.payments);
+        self.settle(parts, true);
+        outcome
     }
 
-    fn abort(mut self) {
-        self.settle_all(false);
-    }
+    fn abort(self) {}
 }
 
 impl Drop for ClusterSession<'_> {
     fn drop(&mut self) {
-        if !self.closed {
-            self.settle_all(false);
+        if !self.ledger.is_closed() {
+            let parts = self.ledger.close();
+            self.settle(parts, false);
         }
     }
 }
@@ -405,16 +350,5 @@ mod tests {
         for r in reports {
             assert_eq!(r.unwrap().bottleneck(), Amount::from_units(10));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "unsatisfied demand")]
-    fn commit_with_shortfall_panics() {
-        let mut cluster = diamond_cluster();
-        let path = path_013(&cluster);
-        let p = pay(8);
-        let mut s = cluster.begin_payment(&p, PaymentClass::Mice);
-        s.try_send_part(&path, Amount::from_units(3)).unwrap();
-        let _ = s.commit();
     }
 }

@@ -40,10 +40,12 @@ const STALL_GUARD: Duration = Duration::from_secs(10);
 
 /// A running cluster of event-loop-hosted TCP nodes.
 ///
-/// Beyond the raw wire operations ([`Cluster::probe`],
-/// [`Cluster::commit_part`], ...), the cluster implements
-/// [`pcn_sim::PaymentNetwork`] (in [`crate::backend`]) so any
-/// [`pcn_sim::Router`] drives it exactly like the in-memory simulator.
+/// It has one wire entry point per protocol phase, each taking a batch
+/// whose requests are in flight together: [`Cluster::probe_many`],
+/// [`Cluster::commit_many`] and [`Cluster::settle_many`]. On top of
+/// them it implements [`pcn_sim::PaymentNetwork`] (in
+/// [`crate::backend`]) so any [`pcn_sim::Router`] drives it exactly
+/// like the in-memory simulator.
 pub struct Cluster {
     graph: DiGraph,
     /// The reactor hosting every node.
@@ -195,11 +197,6 @@ impl Cluster {
         path.nodes().iter().map(|n| n.0).collect()
     }
 
-    /// Runs one request to completion (or timeout) on the loop.
-    fn request(&mut self, msg: Message) -> Option<Message> {
-        self.request_many(vec![msg]).pop().flatten()
-    }
-
     /// Injects every message, then pumps the loop until all replies
     /// arrived or nothing is in flight any more. Results are in input
     /// order; `None` marks an unanswered (or invalid) request.
@@ -220,17 +217,10 @@ impl Cluster {
             .collect()
     }
 
-    /// Sends a `PROBE` along `path`; returns per-hop forward balances.
-    pub fn probe(&mut self, trans_id: u64, path: &Path) -> Option<Vec<u64>> {
-        let msg = Message::new(trans_id, MsgType::Probe, Self::path_ids(path));
-        let reply = self.request(msg)?;
-        (reply.msg_type == MsgType::ProbeAck && reply.capacities.len() == path.hops())
-            .then_some(reply.capacities)
-    }
-
-    /// Probes many paths in one batch: all `PROBE`s are in flight
-    /// together, as the prototype's Spider sender issues its path
-    /// probes at once.
+    /// Sends one `PROBE` per `(trans_id, path)`, all in flight together
+    /// as the prototype's Spider sender issues its path probes at once.
+    /// Each result is the path's per-hop forward balances, or `None`
+    /// when the probe went unanswered or was refused.
     pub fn probe_many(&mut self, items: &[(u64, &Path)]) -> Vec<Option<Vec<u64>>> {
         let msgs = items
             .iter()
@@ -247,31 +237,12 @@ impl Cluster {
             .collect()
     }
 
-    /// Phase-1 commit of a sub-payment. `true` on `COMMIT_ACK`; on
-    /// `COMMIT_NACK` every escrowed hop has already been rolled back.
-    pub fn commit_part(&mut self, trans_id: u64, path: &Path, amount: Amount) -> bool {
-        self.commit_part_located(trans_id, path, amount).is_ok()
-    }
-
-    /// Phase-1 commit reporting *where* a failed part NACKed: `Err(h)`
-    /// means hop `h` (0 = first channel) lacked balance. A missing
-    /// reply (lossy transport) reports hop 0 — the wire carries no
-    /// better information in that case.
-    pub fn commit_part_located(
-        &mut self,
-        trans_id: u64,
-        path: &Path,
-        amount: Amount,
-    ) -> std::result::Result<(), usize> {
-        self.commit_many(&[(trans_id, path, amount)])
-            .pop()
-            .expect("one part in, one result out")
-    }
-
-    /// Phase-1 commit of a whole batch: every `COMMIT` goes out before
-    /// any reply is awaited. Each result is as in
-    /// [`Cluster::commit_part_located`]; NACKed parts have already been
-    /// rolled back on the wire.
+    /// Phase-1 commit of a batch of sub-payments `(trans_id, path,
+    /// amount)`: every `COMMIT` goes out before any reply is awaited.
+    /// `Ok` on `COMMIT_ACK`; `Err(h)` on `COMMIT_NACK` from hop `h` (0 =
+    /// first channel), whose escrowed hops the wire has already rolled
+    /// back. A missing reply (lossy transport) reports hop 0 — the wire
+    /// carries no better information in that case.
     pub fn commit_many(
         &mut self,
         parts: &[(u64, &Path, Amount)],
@@ -297,23 +268,10 @@ impl Cluster {
             .collect()
     }
 
-    /// Phase-2 confirmation of a committed sub-payment (credits the
-    /// reverse directions along the path).
-    pub fn confirm_part(&mut self, trans_id: u64, path: &Path, amount: Amount) -> bool {
-        self.settle_many(&[(trans_id, path, amount)], true)
-            .pop()
-            .unwrap_or(false)
-    }
-
-    /// Phase-2 reversal of a committed sub-payment (restores escrow).
-    pub fn reverse_part(&mut self, trans_id: u64, path: &Path, amount: Amount) -> bool {
-        self.settle_many(&[(trans_id, path, amount)], false)
-            .pop()
-            .unwrap_or(false)
-    }
-
-    /// Phase-2 settlement wave for a batch of committed parts: confirms
-    /// (`confirm = true`) or reverses all of them, in flight together.
+    /// Phase-2 settlement wave for a batch of committed parts, all in
+    /// flight together: `CONFIRM` (`confirm = true`, crediting the
+    /// reverse directions along each path) or `REVERSE` (restoring the
+    /// escrow). Each result is `true` when its wave was acknowledged.
     pub fn settle_many(&mut self, parts: &[(u64, &Path, Amount)], confirm: bool) -> Vec<bool> {
         let (send, expect) = if confirm {
             (MsgType::Confirm, MsgType::ConfirmAck)
@@ -394,12 +352,34 @@ mod tests {
         Payment::new(TxId(1), n(0), n(3), Amount::from_units(amount))
     }
 
+    /// One `PROBE` as a batch of one.
+    fn probe(cluster: &mut Cluster, id: u64, path: &Path) -> Option<Vec<u64>> {
+        cluster.probe_many(&[(id, path)]).pop().flatten()
+    }
+
+    /// One `COMMIT` as a batch of one: `Err` names the refusing hop.
+    fn commit(
+        cluster: &mut Cluster,
+        id: u64,
+        path: &Path,
+        units: u64,
+    ) -> std::result::Result<(), usize> {
+        let amount = Amount::from_units(units);
+        cluster.commit_many(&[(id, path, amount)]).remove(0)
+    }
+
+    /// One `CONFIRM` (`confirm`) or `REVERSE` wave as a batch of one.
+    fn settle(cluster: &mut Cluster, id: u64, path: &Path, units: u64, confirm: bool) -> bool {
+        let amount = Amount::from_units(units);
+        cluster.settle_many(&[(id, path, amount)], confirm) == [true]
+    }
+
     #[test]
     fn probe_collects_hop_balances() {
         let (g, b) = diamond();
         let mut cluster = Cluster::launch(g, &b).unwrap();
         let path = Path::new(vec![n(0), n(1), n(3)], Some(cluster.graph())).unwrap();
-        let caps = cluster.probe(99, &path).unwrap();
+        let caps = probe(&mut cluster, 99, &path).unwrap();
         assert_eq!(caps, vec![10_000_000, 10_000_000]);
         assert!(cluster.probe_messages() >= 2);
     }
@@ -410,13 +390,13 @@ mod tests {
         let mut cluster = Cluster::launch(g, &b).unwrap();
         let before = cluster.total_funds();
         let path = Path::new(vec![n(0), n(1), n(3)], Some(cluster.graph())).unwrap();
-        assert!(cluster.commit_part(1, &path, Amount::from_units(4)));
-        assert!(cluster.confirm_part(1, &path, Amount::from_units(4)));
+        assert!(commit(&mut cluster, 1, &path, 4).is_ok());
+        assert!(settle(&mut cluster, 1, &path, 4, true));
         // Forward balances decreased, reverse increased.
-        let caps = cluster.probe(2, &path).unwrap();
+        let caps = probe(&mut cluster, 2, &path).unwrap();
         assert_eq!(caps, vec![6_000_000, 6_000_000]);
         let rev = Path::new(vec![n(3), n(1), n(0)], Some(cluster.graph())).unwrap();
-        let rcaps = cluster.probe(3, &rev).unwrap();
+        let rcaps = probe(&mut cluster, 3, &rev).unwrap();
         assert_eq!(rcaps, vec![14_000_000, 14_000_000]);
         assert_eq!(cluster.total_funds(), before);
     }
@@ -428,34 +408,31 @@ mod tests {
         let before = cluster.total_funds();
         let path = Path::new(vec![n(0), n(1), n(3)], Some(cluster.graph())).unwrap();
         // 11 > 10 fails at the very first hop; try 10 then drain and 5.
-        assert!(!cluster.commit_part(1, &path, Amount::from_units(11)));
+        assert!(commit(&mut cluster, 1, &path, 11).is_err());
         assert_eq!(cluster.total_funds(), before);
         // Drain hop 1→3, then a mid-path NACK must restore hop 0→1.
-        assert!(cluster.commit_part(2, &path, Amount::from_units(8)));
-        assert!(cluster.confirm_part(2, &path, Amount::from_units(8)));
-        assert!(!cluster.commit_part(3, &path, Amount::from_units(5)));
-        let caps = cluster.probe(4, &path).unwrap();
+        assert!(commit(&mut cluster, 2, &path, 8).is_ok());
+        assert!(settle(&mut cluster, 2, &path, 8, true));
+        assert!(commit(&mut cluster, 3, &path, 5).is_err());
+        let caps = probe(&mut cluster, 4, &path).unwrap();
         assert_eq!(caps, vec![2_000_000, 2_000_000]);
         assert_eq!(cluster.total_funds(), before);
     }
 
     #[test]
-    fn commit_part_located_names_the_nacking_hop() {
+    fn commit_nack_names_the_refusing_hop() {
         let (g, b) = diamond();
         let mut cluster = Cluster::launch(g, &b).unwrap();
         let path = Path::new(vec![n(0), n(1), n(3)], Some(cluster.graph())).unwrap();
         // First hop lacks balance → hop 0.
-        assert_eq!(
-            cluster.commit_part_located(1, &path, Amount::from_units(11)),
-            Err(0)
-        );
+        assert_eq!(commit(&mut cluster, 1, &path, 11), Err(0));
         // Drain the second hop only; the NACK then comes from hop 1.
-        assert!(cluster.commit_part(2, &path, Amount::from_units(8)));
-        assert!(cluster.confirm_part(2, &path, Amount::from_units(8)));
+        assert!(commit(&mut cluster, 2, &path, 8).is_ok());
+        assert!(settle(&mut cluster, 2, &path, 8, true));
         // 1→3 has 2 left, 0→1 has 2 left... drain 0→1's remainder via
         // the reverse route to isolate hop 1: instead, commit 3 (> 2).
         assert_eq!(
-            cluster.commit_part_located(3, &path, Amount::from_units(3)),
+            commit(&mut cluster, 3, &path, 3),
             Err(0),
             "hop 0 has 2 < 3 after the drain"
         );
@@ -463,15 +440,15 @@ mod tests {
         let mut cluster = Cluster::launch(g, &b).unwrap();
         let path = Path::new(vec![n(0), n(1), n(3)], Some(cluster.graph())).unwrap();
         let drain = Path::new(vec![n(1), n(3)], Some(cluster.graph())).unwrap();
-        assert!(cluster.commit_part(4, &drain, Amount::from_units(8)));
-        assert!(cluster.confirm_part(4, &drain, Amount::from_units(8)));
+        assert!(commit(&mut cluster, 4, &drain, 8).is_ok());
+        assert!(settle(&mut cluster, 4, &drain, 8, true));
         assert_eq!(
-            cluster.commit_part_located(5, &path, Amount::from_units(5)),
+            commit(&mut cluster, 5, &path, 5),
             Err(1),
             "hop 1 (1→3) has 2 < 5 while hop 0 still has 10"
         );
         // The failed attempt rolled hop 0 back.
-        let caps = cluster.probe(6, &path).unwrap();
+        let caps = probe(&mut cluster, 6, &path).unwrap();
         assert_eq!(caps[0], 10_000_000);
     }
 
@@ -481,9 +458,9 @@ mod tests {
         let mut cluster = Cluster::launch(g, &b).unwrap();
         let before = cluster.total_funds();
         let path = Path::new(vec![n(0), n(1), n(3)], Some(cluster.graph())).unwrap();
-        assert!(cluster.commit_part(1, &path, Amount::from_units(7)));
-        assert!(cluster.reverse_part(1, &path, Amount::from_units(7)));
-        let caps = cluster.probe(2, &path).unwrap();
+        assert!(commit(&mut cluster, 1, &path, 7).is_ok());
+        assert!(settle(&mut cluster, 1, &path, 7, false));
+        let caps = probe(&mut cluster, 2, &path).unwrap();
         assert_eq!(caps, vec![10_000_000, 10_000_000]);
         assert_eq!(cluster.total_funds(), before);
     }
@@ -511,7 +488,7 @@ mod tests {
         );
         assert_eq!(settled, vec![true, true]);
         assert_eq!(cluster.total_funds(), before);
-        let caps = cluster.probe(13, &p1).unwrap();
+        let caps = probe(&mut cluster, 13, &p1).unwrap();
         assert_eq!(caps, vec![4_000_000, 4_000_000]);
     }
 
@@ -563,25 +540,25 @@ mod tests {
         let e01 = cluster.graph().edge(n(0), n(1)).unwrap();
         cluster.apply_churn(&ChurnAction::ChannelClose(e01));
         assert!(
-            !cluster.commit_part(1, &path, Amount::from_units(1)),
+            commit(&mut cluster, 1, &path, 1).is_err(),
             "commit through a closed channel must NACK"
         );
         assert_eq!(cluster.total_funds(), before, "frozen funds stay in place");
         cluster.apply_churn(&ChurnAction::ChannelReopen(e01));
-        assert!(cluster.commit_part(2, &path, Amount::from_units(1)));
-        assert!(cluster.reverse_part(2, &path, Amount::from_units(1)));
+        assert!(commit(&mut cluster, 2, &path, 1).is_ok());
+        assert!(settle(&mut cluster, 2, &path, 1, false));
         cluster.apply_churn(&ChurnAction::NodeDown(n(1)));
         assert!(
-            cluster.probe(3, &path).is_none(),
+            probe(&mut cluster, 3, &path).is_none(),
             "crashed relay drops probes"
         );
         cluster.apply_churn(&ChurnAction::NodeUp(n(1)));
-        assert!(cluster.probe(4, &path).is_some());
+        assert!(probe(&mut cluster, 4, &path).is_some());
         cluster.apply_churn(&ChurnAction::BalanceDrain {
             edge: e01,
             amount: Amount::MAX,
         });
-        let caps = cluster.probe(5, &path).unwrap();
+        let caps = probe(&mut cluster, 5, &path).unwrap();
         assert_eq!(caps[0], 0, "drained direction is empty");
         assert_eq!(cluster.total_funds(), before, "drain conserves funds");
     }
@@ -591,7 +568,7 @@ mod tests {
         let (g, b) = diamond();
         let mut cluster = Cluster::launch(g, &b).unwrap();
         let path = Path::new(vec![n(0), n(1), n(3)], Some(cluster.graph())).unwrap();
-        cluster.probe(1, &path).unwrap();
+        probe(&mut cluster, 1, &path).unwrap();
         let report = cluster.shutdown();
         assert!(report.is_clean(), "{report:?}");
     }
@@ -602,7 +579,7 @@ mod tests {
             let (g, b) = diamond();
             let mut cluster = Cluster::launch_with_faults(g, &b, faults).unwrap();
             let path = Path::new(vec![n(0), n(1)], Some(cluster.graph())).unwrap();
-            cluster.probe(1, &path).unwrap();
+            probe(&mut cluster, 1, &path).unwrap();
             cluster
         };
         drop(launch(&FaultConfig::none()));

@@ -8,7 +8,10 @@
 //!
 //! * [`Network`](crate::Network) — the in-memory simulator. Probes and
 //!   commits mutate a balance vector directly and are metered into
-//!   [`Metrics`](crate::Metrics).
+//!   [`Metrics`].
+//! * [`DesNetwork`](crate::DesNetwork) — the same network replayed over
+//!   virtual time: hops take delays and queue for service, and phase 2
+//!   lands as scheduled settlement waves.
 //! * `pcn_proto::Cluster` — the TCP testbed. Probes become `PROBE` /
 //!   `PROBE_ACK` frames, payment sessions become the concurrent
 //!   two-phase `COMMIT` / `CONFIRM` / `REVERSE` exchange of §5.1.
@@ -19,34 +22,47 @@
 //! them would have to do so through [`PaymentNetwork::probe_path`],
 //! where the probing overhead the paper measures (Figure 8) is charged.
 //!
+//! ## Where the two-phase bookkeeping lives
+//!
+//! Every session keeps its books in one [`PaymentLedger`]: it records
+//! the attempt when the session opens, holds the demand, the class, the
+//! reserved parts with their amounts and the fees they accrued, answers
+//! [`PaymentSession::reserved`] and [`PaymentSession::remaining`], and on
+//! commit checks the demand is covered and records the success. A
+//! backend writes only its mechanism: how a part is reserved (and what
+//! of it phase 2 needs, the ledger's part type) and how phase 2 lands —
+//! credit the reverse directions on commit, restore the escrow on abort
+//! or drop.
+//!
 //! ## Plugging in a custom backend
 //!
 //! Any settlement substrate that can probe a path and atomically
 //! reserve/commit funds can host the routers. A minimal example — an
-//! unmetered instant-settlement rail — and a custom router driving it:
+//! instant-settlement rail of unlimited capacity, whose parts need
+//! nothing in phase 2 — and a custom router driving it:
 //!
 //! ```
 //! use pcn_graph::{DiGraph, Path};
 //! use pcn_sim::{
-//!     ChannelInfo, FailureCause, FailureReason, PartFailure, PaymentNetwork, PaymentSession,
-//!     ProbeReport, RouteOutcome, Router,
+//!     ChannelInfo, FailureCause, FailureReason, Metrics, PartFailure, PaymentLedger,
+//!     PaymentNetwork, PaymentSession, ProbeReport, RouteOutcome, Router,
 //! };
 //! use pcn_types::{Amount, FeePolicy, NodeId, Payment, PaymentClass, TxId};
 //!
 //! /// A toy backend: every existing channel has unlimited capacity.
-//! struct Unmetered {
+//! struct Unlimited {
 //!     graph: DiGraph,
+//!     metrics: Metrics,
 //! }
 //!
-//! struct UnmeteredSession<'a> {
+//! struct UnlimitedSession<'a> {
 //!     graph: &'a DiGraph,
-//!     demand: Amount,
-//!     reserved: Amount,
-//!     paths_used: u32,
+//!     metrics: &'a mut Metrics,
+//!     ledger: PaymentLedger<()>,
 //! }
 //!
-//! impl PaymentNetwork for Unmetered {
-//!     type Session<'a> = UnmeteredSession<'a>;
+//! impl PaymentNetwork for Unlimited {
+//!     type Session<'a> = UnlimitedSession<'a>;
 //!
 //!     fn graph(&self) -> &DiGraph {
 //!         &self.graph
@@ -67,30 +83,29 @@
 //!         Some(ProbeReport { channels })
 //!     }
 //!
-//!     fn begin_payment(&mut self, payment: &Payment, _class: PaymentClass) -> UnmeteredSession<'_> {
-//!         UnmeteredSession {
+//!     fn begin_payment(&mut self, payment: &Payment, class: PaymentClass) -> UnlimitedSession<'_> {
+//!         UnlimitedSession {
 //!             graph: &self.graph,
-//!             demand: payment.amount,
-//!             reserved: Amount::ZERO,
-//!             paths_used: 0,
+//!             ledger: PaymentLedger::open(&mut self.metrics, payment, class),
+//!             metrics: &mut self.metrics,
 //!         }
 //!     }
 //! }
 //!
-//! impl PaymentSession for UnmeteredSession<'_> {
+//! impl PaymentSession for UnlimitedSession<'_> {
 //!     fn try_send_part(&mut self, path: &Path, amount: Amount) -> Result<(), PartFailure> {
-//!         // Reject parts over channels that do not exist; accept the rest.
-//!         for (u, v) in path.channels() {
-//!             if self.graph.edge(u, v).is_none() {
-//!                 return Err(PartFailure {
-//!                     failed_hop: 0,
-//!                     available: Amount::ZERO,
-//!                     cause: FailureCause::MissingChannel,
-//!                 });
-//!             }
+//!         if amount.is_zero() {
+//!             return Ok(());
 //!         }
-//!         self.reserved = self.reserved.saturating_add(amount);
-//!         self.paths_used += 1;
+//!         // Reject parts over channels that do not exist; accept the rest.
+//!         if let Some(hop) = path.channels().position(|(u, v)| self.graph.edge(u, v).is_none()) {
+//!             return Err(PartFailure {
+//!                 failed_hop: hop,
+//!                 available: Amount::ZERO,
+//!                 cause: FailureCause::MissingChannel,
+//!             });
+//!         }
+//!         self.ledger.reserve((), amount, Amount::ZERO);
 //!         Ok(())
 //!     }
 //!
@@ -99,19 +114,16 @@
 //!     }
 //!
 //!     fn reserved(&self) -> Amount {
-//!         self.reserved
+//!         self.ledger.reserved()
 //!     }
 //!
 //!     fn remaining(&self) -> Amount {
-//!         self.demand.saturating_sub(self.reserved)
+//!         self.ledger.remaining()
 //!     }
 //!
-//!     fn commit(self) -> RouteOutcome {
-//!         RouteOutcome::Success {
-//!             volume: self.demand,
-//!             fees: Amount::ZERO,
-//!             paths_used: self.paths_used,
-//!         }
+//!     fn commit(mut self) -> RouteOutcome {
+//!         // Nothing was escrowed, so phase 2 has nothing to land.
+//!         self.ledger.commit(self.metrics).0
 //!     }
 //!
 //!     fn abort(self) {}
@@ -135,12 +147,16 @@
 //!
 //! let mut g = DiGraph::new(2);
 //! g.add_edge(NodeId(0), NodeId(1)).unwrap();
-//! let mut rail = Unmetered { graph: g };
+//! let mut rail = Unlimited {
+//!     graph: g,
+//!     metrics: Metrics::default(),
+//! };
 //! let p = Payment::new(TxId(1), NodeId(0), NodeId(1), Amount::from_units(3));
 //! assert!(Direct.route(&mut rail, &p, PaymentClass::Mice).is_success());
+//! assert_eq!(rail.metrics.mice.succeeded, 1);
 //! ```
 
-use crate::{FailureReason, ProbeReport, RouteOutcome};
+use crate::{FailureReason, Metrics, ProbeReport, RouteOutcome};
 use pcn_graph::{DiGraph, Path};
 use pcn_types::{Amount, Payment, PaymentClass};
 
@@ -264,7 +280,8 @@ pub trait PaymentSession {
 /// [`Router`](crate::Router) may touch.
 ///
 /// Implementations exist for the in-memory simulator
-/// ([`Network`](crate::Network)) and the TCP testbed prototype
+/// ([`Network`](crate::Network)), the discrete-event backend
+/// ([`DesNetwork`](crate::DesNetwork)) and the TCP testbed prototype
 /// (`pcn_proto::Cluster`); the module docs show how to plug in a custom
 /// one. Routers never see balances except through
 /// [`PaymentNetwork::probe_path`] — the trait is what turns the old
@@ -329,4 +346,98 @@ pub trait PaymentNetwork {
     /// Default: no-op. The DES backend counts these into
     /// [`DesReport::reprobes_triggered`](crate::DesReport).
     fn note_reprobe(&mut self) {}
+}
+
+/// The bookkeeping of one atomic payment's two-phase commit, the same on
+/// every backend: the demand and class, the reserved parts with their
+/// amounts, the fees they accrued, and whether the payment is closed.
+///
+/// A session opens one with [`PaymentLedger::open`], which records the
+/// attempt; books each part its mechanism escrowed with
+/// [`PaymentLedger::reserve`]; and closes it exactly once, by
+/// [`PaymentLedger::commit`] (which checks the demand is covered and
+/// records the success) or by [`PaymentLedger::close`] (abort or drop).
+/// Both hand the parts back for phase 2, which stays the session's own:
+/// `P` is whatever its settlement needs of a part — the debited edges on
+/// the simulator and the DES, the wire transaction id and path on the
+/// testbed.
+#[derive(Debug)]
+pub struct PaymentLedger<P> {
+    demand: Amount,
+    class: PaymentClass,
+    parts: Vec<(P, Amount)>,
+    fees: Amount,
+    closed: bool,
+}
+
+impl<P> PaymentLedger<P> {
+    /// Opens the ledger of `payment` and records the attempt in `metrics`.
+    pub fn open(metrics: &mut Metrics, payment: &Payment, class: PaymentClass) -> Self {
+        metrics.record_attempt(class, payment.amount);
+        PaymentLedger {
+            demand: payment.amount,
+            class,
+            parts: Vec::new(),
+            fees: Amount::ZERO,
+            closed: false,
+        }
+    }
+
+    /// Books a part whose phase 1 succeeded: `amount` is escrowed along
+    /// it and `fee` is what its hops charge for that amount.
+    pub fn reserve(&mut self, part: P, amount: Amount, fee: Amount) {
+        self.parts.push((part, amount));
+        self.fees = self.fees.saturating_add(fee);
+    }
+
+    /// Total amount reserved so far across all parts.
+    pub fn reserved(&self) -> Amount {
+        self.parts.iter().map(|(_, amount)| *amount).sum()
+    }
+
+    /// Remaining demand (`demand − reserved`, clamped at zero).
+    pub fn remaining(&self) -> Amount {
+        self.demand.saturating_sub(self.reserved())
+    }
+
+    /// Parts reserved so far — the paths a commit would report used.
+    pub fn paths_used(&self) -> u32 {
+        self.parts.len() as u32
+    }
+
+    /// Whether [`PaymentLedger::commit`] or [`PaymentLedger::close`] has
+    /// run: a session dropped while its ledger is open aborts.
+    pub fn is_closed(&self) -> bool {
+        self.closed
+    }
+
+    /// Closes a satisfied payment: records its success in `metrics` and
+    /// returns the outcome with the parts for the session to settle.
+    ///
+    /// # Panics
+    /// Panics if the reserved total does not cover the demand, leaving
+    /// the ledger open so the session's drop aborts.
+    pub fn commit(&mut self, metrics: &mut Metrics) -> (RouteOutcome, Vec<(P, Amount)>) {
+        assert!(
+            self.remaining().is_zero(),
+            "commit called with unsatisfied demand (reserved {} of {})",
+            self.reserved(),
+            self.demand
+        );
+        let paths_used = self.paths_used();
+        metrics.record_success(self.class, self.demand, self.fees, u64::from(paths_used));
+        let outcome = RouteOutcome::Success {
+            volume: self.demand,
+            fees: self.fees,
+            paths_used,
+        };
+        (outcome, self.close())
+    }
+
+    /// Closes the payment without success and returns its parts for the
+    /// session to restore.
+    pub fn close(&mut self) -> Vec<(P, Amount)> {
+        self.closed = true;
+        std::mem::take(&mut self.parts)
+    }
 }

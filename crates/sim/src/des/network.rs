@@ -66,7 +66,7 @@ use super::latency::LatencyModel;
 use super::node::{ServiceModel, ServiceQueues};
 use super::queue::EventQueue;
 use super::time::SimTime;
-use crate::backend::{FailureCause, PartFailure, PaymentNetwork, PaymentSession};
+use crate::backend::{FailureCause, PartFailure, PaymentLedger, PaymentNetwork, PaymentSession};
 use crate::{Metrics, Network, ProbeReport, RouteOutcome};
 use pcn_graph::{DiGraph, EdgeId, Path};
 use pcn_types::{Amount, NodeId, Payment, PaymentClass};
@@ -163,10 +163,6 @@ pub struct DesNetwork {
     /// Times a router reported consuming stale evidence and refreshing
     /// its topology knowledge ([`PaymentNetwork::note_reprobe`]).
     reprobes_triggered: u64,
-    /// Spent part edge-lists, recycled between reservations: a
-    /// settled or NACKed part returns its `Vec` here and the next
-    /// [`DesSession::try_send_part`] reuses it instead of allocating.
-    edge_pool: Vec<Vec<EdgeId>>,
 }
 
 impl DesNetwork {
@@ -212,7 +208,6 @@ impl DesNetwork {
             closed_channels: 0,
             stale_probe_failures: 0,
             reprobes_triggered: 0,
-            edge_pool: Vec::new(),
         }
     }
 
@@ -508,82 +503,62 @@ impl PaymentNetwork for DesNetwork {
     }
 
     fn begin_payment(&mut self, payment: &Payment, class: PaymentClass) -> DesSession<'_> {
-        self.inner
-            .metrics_mut()
-            .record_attempt(class, payment.amount);
+        let ledger = PaymentLedger::open(self.inner.metrics_mut(), payment, class);
         self.in_flight += 1;
         self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
         let admitted = self.now;
         DesSession {
             net: self,
-            demand: payment.amount,
-            class,
             admitted,
-            parts: Vec::new(),
-            fees_accrued: Amount::ZERO,
-            closed: false,
+            ledger,
         }
     }
-}
-
-/// An escrowed part on the DES backend.
-struct DesPart {
-    edges: Vec<EdgeId>,
-    amount: Amount,
 }
 
 /// An in-flight atomic multi-path payment on the [`DesNetwork`] backend:
-/// the same two-phase semantics as
-/// [`NetworkSession`](crate::NetworkSession), with phase-2 settlement
-/// deferred into the event queue (see the module docs).
+/// the same two-phase bookkeeping as
+/// [`NetworkSession`](crate::NetworkSession) (one [`PaymentLedger`] of
+/// debited edge lists), with phase-1 hops walked over virtual time and
+/// phase-2 settlement deferred into the event queue (see the module
+/// docs).
 pub struct DesSession<'a> {
     net: &'a mut DesNetwork,
-    demand: Amount,
-    class: PaymentClass,
     admitted: SimTime,
-    parts: Vec<DesPart>,
-    fees_accrued: Amount,
-    closed: bool,
+    ledger: PaymentLedger<Vec<EdgeId>>,
 }
 
 impl DesSession<'_> {
-    /// Schedules the final settlement marker and observes completion.
-    fn finish(&mut self, settle_end: SimTime, success: bool) {
-        if success {
-            self.net
-                .inner
+    /// Phase 2 of §5.1 over virtual time: one wave per part leaves the
+    /// sender now — `CONFIRM` crediting each hop's reverse direction
+    /// (`commit`) or `REVERSE` restoring its escrow — and each hop
+    /// settles when its downstream node finishes servicing the wave.
+    /// The payment stops being in flight when the last wave lands, and
+    /// a committed one records its completion latency (admission → last
+    /// settlement). The parts' edge lists return to the pool.
+    fn settle(&mut self, parts: Vec<(Vec<EdgeId>, Amount)>, commit: bool) {
+        let net = &mut *self.net;
+        let mut settle_end = net.now;
+        for (edges, amount) in parts {
+            let mut t = net.now;
+            for &edge in &edges {
+                let (_, to) = net.inner.graph().endpoints(edge);
+                t = net.hop(to, t);
+                let settle = if commit {
+                    Settle::Credit { edge, amount }
+                } else {
+                    Settle::Restore { edge, amount }
+                };
+                net.schedule(t, settle);
+            }
+            settle_end = settle_end.max(t);
+            net.inner.recycle(edges);
+        }
+        if commit {
+            net.inner
                 .metrics_mut()
                 .observe_latency(settle_end.saturating_sub(self.admitted).micros());
         }
-        self.net.schedule(settle_end, Settle::Done);
-        self.closed = true;
-    }
-
-    /// Launches one settlement wave per reserved part from the sender's
-    /// current clock — the `CONFIRM` (commit) or `REVERSE` (abort) pass
-    /// of §5.1 — scheduling `make(edge, amount)` for the instant each
-    /// hop's downstream node finishes servicing the wave. Consumes the
-    /// reserved parts (their edge lists return to the pool) and
-    /// returns when the last wave lands.
-    fn schedule_waves(&mut self, make: fn(EdgeId, Amount) -> Settle) -> SimTime {
-        let mut settle_end = self.net.now;
-        for mut part in std::mem::take(&mut self.parts) {
-            let mut t = self.net.now;
-            for &e in &part.edges {
-                let (_, to) = self.net.inner.graph().endpoints(e);
-                t = self.net.hop(to, t);
-                self.net.schedule(t, make(e, part.amount));
-            }
-            settle_end = settle_end.max(t);
-            part.edges.clear();
-            self.net.edge_pool.push(part.edges);
-        }
-        settle_end
-    }
-
-    fn rollback(&mut self) {
-        let settle_end = self.schedule_waves(|edge, amount| Settle::Restore { edge, amount });
-        self.finish(settle_end, false);
+        net.schedule(settle_end, Settle::Done);
     }
 }
 
@@ -597,14 +572,11 @@ impl PaymentSession for DesSession<'_> {
     /// the returning NACK. On success the sender's clock lands when it
     /// has serviced the last hop's ACK.
     fn try_send_part(&mut self, path: &Path, amount: Amount) -> Result<(), PartFailure> {
-        assert!(!self.closed, "session already closed");
         if amount.is_zero() {
             return Ok(());
         }
         let mut t = self.net.now;
-        // Reuse a pooled edge list (see `DesNetwork::edge_pool`)
-        // instead of allocating one per reservation attempt.
-        let mut debited: Vec<EdgeId> = self.net.edge_pool.pop().unwrap_or_default();
+        let mut debited = self.net.inner.edge_list();
         for (hop, (u, v)) in path.channels().enumerate() {
             let edge = self.net.inner.graph().edge(u, v);
             t = self.net.hop(v, t);
@@ -645,8 +617,7 @@ impl PaymentSession for DesSession<'_> {
                 self.net.schedule(t, Settle::Restore { edge: d, amount });
             }
             self.net.now = t;
-            debited.clear();
-            self.net.edge_pool.push(debited);
+            self.net.inner.recycle(debited);
             return Err(PartFailure {
                 failed_hop: hop,
                 available,
@@ -656,15 +627,10 @@ impl PaymentSession for DesSession<'_> {
         // ACK retraces the path to the sender; escrow is held.
         let nodes = path.nodes();
         self.net.now = self.net.retrace(&nodes[..nodes.len() - 1], t);
-        for &e in &debited {
-            self.fees_accrued = self
-                .fees_accrued
-                .saturating_add(self.net.inner.fee_policy(e).fee(amount));
-        }
-        self.parts.push(DesPart {
-            edges: debited,
-            amount,
+        let fee = debited.iter().fold(Amount::ZERO, |fee, &e| {
+            fee.saturating_add(self.net.inner.fee_policy(e).fee(amount))
         });
+        self.ledger.reserve(debited, amount, fee);
         Ok(())
     }
 
@@ -673,11 +639,11 @@ impl PaymentSession for DesSession<'_> {
     }
 
     fn reserved(&self) -> Amount {
-        self.parts.iter().map(|p| p.amount).sum()
+        self.ledger.reserved()
     }
 
     fn remaining(&self) -> Amount {
-        self.demand.saturating_sub(self.reserved())
+        self.ledger.remaining()
     }
 
     /// Commits every reserved part: one `CONFIRM` wave per part leaves
@@ -685,41 +651,20 @@ impl PaymentSession for DesSession<'_> {
     /// for the instant the wave reaches it. The payment's completion
     /// latency (admission → last settlement) is recorded in the metrics
     /// histogram.
-    ///
-    /// # Panics
-    /// Panics if the reserved total does not cover the demand.
     fn commit(mut self) -> RouteOutcome {
-        assert!(
-            self.is_satisfied(),
-            "commit called with unsatisfied demand (reserved {} of {})",
-            self.reserved(),
-            self.demand
-        );
-        let paths_used = self.parts.len() as u32;
-        let settle_end = self.schedule_waves(|edge, amount| Settle::Credit { edge, amount });
-        self.net.inner.metrics_mut().record_success(
-            self.class,
-            self.demand,
-            self.fees_accrued,
-            paths_used as u64,
-        );
-        self.finish(settle_end, true);
-        RouteOutcome::Success {
-            volume: self.demand,
-            fees: self.fees_accrued,
-            paths_used,
-        }
+        let (outcome, parts) = self.ledger.commit(self.net.inner.metrics_mut());
+        self.settle(parts, true);
+        outcome
     }
 
-    fn abort(mut self) {
-        self.rollback();
-    }
+    fn abort(self) {}
 }
 
 impl Drop for DesSession<'_> {
     fn drop(&mut self) {
-        if !self.closed {
-            self.rollback();
+        if !self.ledger.is_closed() {
+            let parts = self.ledger.close();
+            self.settle(parts, false);
         }
     }
 }

@@ -11,15 +11,16 @@
 //!
 //! * [`Network`] — the in-memory backend: topology + balances + fees.
 //!   Routers never read balances directly — the trait surface has no
-//!   balance accessor; they call [`Network::probe_path`] (which meters
-//!   probe messages) or attempt a send (which can fail mid-path exactly
-//!   like a `COMMIT_NACK`).
-//! * Payment sessions — [`Network::begin_payment`] opens an atomic
-//!   [`NetworkSession`]; parts reserved with
-//!   [`NetworkSession::try_send_part`] are escrowed and either all
-//!   committed ([`NetworkSession::commit`], crediting the reverse
+//!   balance accessor; they call [`PaymentNetwork::probe_path`] (which
+//!   meters probe messages) or attempt a send (which can fail mid-path
+//!   exactly like a `COMMIT_NACK`).
+//! * Payment sessions — [`PaymentNetwork::begin_payment`] opens an
+//!   atomic [`NetworkSession`]; parts reserved with
+//!   [`PaymentSession::try_send_part`] are escrowed and either all
+//!   committed ([`PaymentSession::commit`], crediting the reverse
 //!   channel direction like the prototype's `CONFIRM_ACK`) or all
-//!   reversed ([`NetworkSession::abort`]).
+//!   reversed ([`PaymentSession::abort`]). Every backend's session
+//!   keeps its books in one [`PaymentLedger`].
 //! * [`Router`] — a scheme, generic over the backend; `flash-core`
 //!   implements all five schemes against it.
 //! * [`Metrics`] — success ratio / success volume / probing messages /
@@ -65,7 +66,7 @@ pub mod network;
 pub mod outcome;
 pub mod router;
 
-pub use backend::{FailureCause, PartFailure, PaymentNetwork, PaymentSession};
+pub use backend::{FailureCause, PartFailure, PaymentLedger, PaymentNetwork, PaymentSession};
 pub use des::{
     ChurnAction, ChurnEvent, ChurnRate, ChurnSchedule, DesConfig, DesEngine, DesNetwork, DesReport,
     LatencyModel, ServiceModel, SimTime,

@@ -1,6 +1,6 @@
 //! Network state and atomic payment sessions.
 
-use crate::backend::{FailureCause, PartFailure, PaymentNetwork, PaymentSession};
+use crate::backend::{FailureCause, PartFailure, PaymentLedger, PaymentNetwork, PaymentSession};
 use crate::{FaultConfig, Metrics, RouteOutcome};
 use pcn_graph::{DiGraph, EdgeId, Path};
 use pcn_types::{Amount, FeePolicy, Payment, PaymentClass, PcnError, Result};
@@ -47,8 +47,9 @@ impl ProbeReport {
 /// policies, metrics, and fault injection.
 ///
 /// `Clone` produces an independent copy (balances, metrics, fault
-/// config), which the experiment harness uses to run every scheme
-/// against identical initial conditions. The clone's fault RNG restarts
+/// config; the edge-list pool starts empty), which the experiment
+/// harness uses to run every scheme against identical initial
+/// conditions. The clone's fault RNG restarts
 /// from the configured seed, so clones see identical fault sequences.
 pub struct Network {
     graph: DiGraph,
@@ -57,6 +58,11 @@ pub struct Network {
     metrics: Metrics,
     faults: FaultConfig,
     fault_rng: StdRng,
+    /// Spent part edge lists, recycled between reservations: a settled
+    /// or refused part returns its `Vec` here and the next reservation
+    /// — on this network or on the DES wrapping it — reuses it instead
+    /// of allocating.
+    edge_pool: Vec<Vec<EdgeId>>,
 }
 
 impl Clone for Network {
@@ -68,6 +74,7 @@ impl Clone for Network {
             metrics: self.metrics.clone(),
             fault_rng: self.faults.rng(),
             faults: self.faults.clone(),
+            edge_pool: Vec::new(),
         }
     }
 }
@@ -99,6 +106,7 @@ impl Network {
             metrics: Metrics::default(),
             faults,
             fault_rng,
+            edge_pool: Vec::new(),
         })
     }
 
@@ -145,7 +153,7 @@ impl Network {
     }
 
     /// Current balance of a directed edge. **Simulator-internal truth**:
-    /// routers must use [`Network::probe_path`] instead (direct reads
+    /// routers must use [`PaymentNetwork::probe_path`] instead (direct reads
     /// would dodge the probe-message accounting the paper measures).
     pub fn balance(&self, e: EdgeId) -> Amount {
         self.balances[e.index()]
@@ -181,11 +189,42 @@ impl Network {
         self.balances.iter().copied().sum()
     }
 
+    /// Takes a spent part edge list from the pool, or a new empty one.
+    pub(crate) fn edge_list(&mut self) -> Vec<EdgeId> {
+        self.edge_pool.pop().unwrap_or_default()
+    }
+
+    /// Returns a part's edge list to the pool for the next reservation.
+    pub(crate) fn recycle(&mut self, mut edges: Vec<EdgeId>) {
+        edges.clear();
+        self.edge_pool.push(edges);
+    }
+
+    /// Returns `amount` to the forward direction of every edge, last
+    /// edge first — the undo of a part's hop-by-hop escrow.
+    fn restore(&mut self, edges: &[EdgeId], amount: Amount) {
+        for &e in edges.iter().rev() {
+            let b = &mut self.balances[e.index()];
+            *b = b.saturating_add(amount);
+        }
+    }
+}
+
+/// The simulator is the reference [`PaymentNetwork`] backend: probes
+/// and sessions act on the balance vector at once and are metered into
+/// [`Metrics`].
+impl PaymentNetwork for Network {
+    type Session<'a> = NetworkSession<'a>;
+
+    fn graph(&self) -> &DiGraph {
+        &self.graph
+    }
+
     /// Probes a path: returns per-hop capacities and fees, charging one
     /// probe message per hop. Returns `None` if the path has a missing
     /// edge, or (under fault injection) when the probe is lost — the
     /// probe messages are still charged in that case.
-    pub fn probe_path(&mut self, path: &Path) -> Option<ProbeReport> {
+    fn probe_path(&mut self, path: &Path) -> Option<ProbeReport> {
         self.metrics.probe_messages += path.hops() as u64;
         if self.faults.enabled() && self.faults.drops_probe(&mut self.fault_rng) {
             return None;
@@ -216,272 +255,128 @@ impl Network {
         Some(ProbeReport { channels })
     }
 
-    /// Opens an atomic payment session. The attempt is recorded
-    /// immediately; the session must then be [`NetworkSession::commit`]ted
-    /// or it aborts on drop, restoring all balances.
-    pub fn begin_payment(&mut self, payment: &Payment, class: PaymentClass) -> NetworkSession<'_> {
-        self.metrics.record_attempt(class, payment.amount);
-        NetworkSession {
-            net: self,
-            demand: payment.amount,
-            class,
-            parts: Vec::new(),
-            fees_accrued: Amount::ZERO,
-            closed: false,
-        }
+    fn begin_payment(&mut self, payment: &Payment, class: PaymentClass) -> NetworkSession<'_> {
+        let ledger = PaymentLedger::open(&mut self.metrics, payment, class);
+        NetworkSession { net: self, ledger }
     }
-
-    /// Convenience for single-path schemes: attempt the full amount on
-    /// one path and commit if it fits.
-    pub fn send_single_path(
-        &mut self,
-        payment: &Payment,
-        class: PaymentClass,
-        path: &Path,
-    ) -> RouteOutcome {
-        let mut session = self.begin_payment(payment, class);
-        match session.try_send_part(path, payment.amount) {
-            Ok(()) => session.commit(),
-            Err(_) => {
-                session.abort();
-                RouteOutcome::failure(crate::FailureReason::InsufficientCapacity)
-            }
-        }
-    }
-}
-
-/// An escrowed part: the edges debited and the amount held on each.
-struct ReservedPart {
-    edges: Vec<EdgeId>,
-    amount: Amount,
 }
 
 /// An in-flight atomic multi-path payment (the AMP guarantee of §3.1 and
 /// the two-phase commit of §5.1) on the in-memory simulator — the
 /// [`Network`] backend's [`PaymentSession`] implementation.
 ///
-/// Parts reserved via [`NetworkSession::try_send_part`] escrow funds
-/// hop-by-hop, exactly like the prototype's `COMMIT` messages decrement
-/// balances on the forward pass. [`NetworkSession::commit`] then credits
-/// every reverse channel direction (the prototype's `CONFIRM_ACK` pass);
-/// dropping the session un-escrows everything (the `REVERSE` pass), so a
-/// failed payment leaves no trace in the balances.
+/// A reserved part debits its hops at once, exactly like the
+/// prototype's `COMMIT` messages decrement balances on the forward
+/// pass. A commit then credits every reverse channel direction ("adding
+/// the committed funds of this sub-payment to the channel in the
+/// reverse direction, in order to make the bidirectional channel
+/// balances consistent", §5.1 — the `CONFIRM_ACK` pass); dropping the
+/// session un-escrows everything (the `REVERSE` pass), so a failed
+/// payment leaves no trace in the balances. The bookkeeping is the
+/// shared [`PaymentLedger`]; a part is the edge list it debited, drawn
+/// from and returned to the network's pool.
 pub struct NetworkSession<'a> {
     net: &'a mut Network,
-    demand: Amount,
-    class: PaymentClass,
-    parts: Vec<ReservedPart>,
-    fees_accrued: Amount,
-    closed: bool,
+    ledger: PaymentLedger<Vec<EdgeId>>,
 }
 
-impl NetworkSession<'_> {
-    /// Attempts to reserve `amount` along `path`. On success the funds
-    /// are escrowed; on failure every hop debited by *this part* is
-    /// restored and the failing hop index is reported (the router can
-    /// then probe, as Flash's mice loop does).
+impl PaymentSession for NetworkSession<'_> {
+    /// Reserves `amount` along `path`. On failure every hop debited by
+    /// *this part* is restored and the failing hop index is reported
+    /// (the router can then probe, as Flash's mice loop does).
     ///
     /// Commit messages are charged for every hop traversed, including
     /// the hops of a failed attempt (the prototype sends `COMMIT` until
     /// a node NACKs).
-    pub fn try_send_part(
-        &mut self,
-        path: &Path,
-        amount: Amount,
-    ) -> std::result::Result<(), PartFailure> {
-        assert!(!self.closed, "session already closed");
-        if amount.is_zero() {
-            return Ok(());
-        }
-        let mut debited: Vec<EdgeId> = Vec::with_capacity(path.hops());
-        for (hop, (u, v)) in path.channels().enumerate() {
-            self.net.metrics.commit_messages += 1;
-            let Some(e) = self.net.graph.edge(u, v) else {
-                // Path references a non-existent channel: undo and fail.
-                for &d in debited.iter().rev() {
-                    let b = &mut self.net.balances[d.index()];
-                    *b = b.saturating_add(amount);
-                }
-                return Err(PartFailure {
-                    failed_hop: hop,
-                    available: Amount::ZERO,
-                    cause: FailureCause::MissingChannel,
-                });
-            };
-            let bal = self.net.balances[e.index()];
-            if bal < amount {
-                for &d in debited.iter().rev() {
-                    let b = &mut self.net.balances[d.index()];
-                    *b = b.saturating_add(amount);
-                }
-                return Err(PartFailure {
-                    failed_hop: hop,
-                    available: bal,
-                    cause: FailureCause::InsufficientBalance,
-                });
-            }
-            self.net.balances[e.index()] = bal.saturating_sub(amount);
-            debited.push(e);
-        }
-        for &e in &debited {
-            self.fees_accrued = self
-                .fees_accrued
-                .saturating_add(self.net.fees[e.index()].fee(amount));
-        }
-        self.parts.push(ReservedPart {
-            edges: debited,
-            amount,
-        });
-        Ok(())
-    }
-
-    /// Probes a path while the session is open (Flash's mice
-    /// trial-and-error probes a path only after a full-amount attempt on
-    /// it fails). Escrowed funds of already-reserved parts are invisible
-    /// to the probe, exactly as a concurrent prototype probe would see
-    /// post-`COMMIT` balances.
-    pub fn probe_path(&mut self, path: &Path) -> Option<ProbeReport> {
-        self.net.probe_path(path)
-    }
-
-    /// Total amount reserved so far across all parts.
-    pub fn reserved(&self) -> Amount {
-        self.parts.iter().map(|p| p.amount).sum()
-    }
-
-    /// Remaining demand (`demand − reserved`, clamped at zero).
-    pub fn remaining(&self) -> Amount {
-        self.demand.saturating_sub(self.reserved())
-    }
-
-    /// Whether the reserved parts cover the full demand.
-    pub fn is_satisfied(&self) -> bool {
-        self.remaining().is_zero()
-    }
-
-    /// Commits every reserved part: credits the reverse direction of each
-    /// hop ("adding the committed funds of this sub-payment to the
-    /// channel in the reverse direction, in order to make the
-    /// bidirectional channel balances consistent", §5.1) and records the
-    /// success. Returns the success outcome.
-    ///
-    /// # Panics
-    /// Panics if the reserved total does not cover the demand — routers
-    /// must check [`NetworkSession::is_satisfied`] first.
-    pub fn commit(mut self) -> RouteOutcome {
-        assert!(
-            self.is_satisfied(),
-            "commit called with unsatisfied demand (reserved {} of {})",
-            self.reserved(),
-            self.demand
-        );
-        let paths_used = self.parts.len() as u32;
-        for part in self.parts.drain(..) {
-            for e in part.edges {
-                if let Some(rev) = self.net.graph.reverse_edge(e) {
-                    self.net.balances[rev.index()] =
-                        self.net.balances[rev.index()].saturating_add(part.amount);
-                }
-            }
-        }
-        self.net.metrics.record_success(
-            self.class,
-            self.demand,
-            self.fees_accrued,
-            paths_used as u64,
-        );
-        self.closed = true;
-        RouteOutcome::Success {
-            volume: self.demand,
-            fees: self.fees_accrued,
-            paths_used,
-        }
-    }
-
-    /// Aborts the session, restoring every escrowed part.
-    pub fn abort(mut self) {
-        self.rollback();
-    }
-
-    fn rollback(&mut self) {
-        for part in self.parts.drain(..) {
-            for e in part.edges {
-                self.net.balances[e.index()] =
-                    self.net.balances[e.index()].saturating_add(part.amount);
-            }
-        }
-        self.closed = true;
-    }
-}
-
-impl Drop for NetworkSession<'_> {
-    fn drop(&mut self) {
-        if !self.closed {
-            self.rollback();
-        }
-    }
-}
-
-/// The simulator is the reference [`PaymentNetwork`] backend: every
-/// trait method forwards to the inherent method of the same name, so
-/// concrete-`Network` callers and generic routers observe identical
-/// semantics (and identical [`Metrics`] accounting).
-impl PaymentNetwork for Network {
-    type Session<'a> = NetworkSession<'a>;
-
-    fn graph(&self) -> &DiGraph {
-        Network::graph(self)
-    }
-
-    fn probe_path(&mut self, path: &Path) -> Option<ProbeReport> {
-        Network::probe_path(self, path)
-    }
-
-    fn begin_payment(&mut self, payment: &Payment, class: PaymentClass) -> NetworkSession<'_> {
-        Network::begin_payment(self, payment, class)
-    }
-
-    fn send_single_path(
-        &mut self,
-        payment: &Payment,
-        class: PaymentClass,
-        path: &Path,
-    ) -> RouteOutcome {
-        Network::send_single_path(self, payment, class, path)
-    }
-}
-
-impl PaymentSession for NetworkSession<'_> {
     fn try_send_part(
         &mut self,
         path: &Path,
         amount: Amount,
     ) -> std::result::Result<(), PartFailure> {
-        NetworkSession::try_send_part(self, path, amount)
+        if amount.is_zero() {
+            return Ok(());
+        }
+        let net = &mut *self.net;
+        let mut debited = net.edge_list();
+        for (hop, (u, v)) in path.channels().enumerate() {
+            net.metrics.commit_messages += 1;
+            let (available, cause) = match net.graph.edge(u, v) {
+                Some(e) if net.balances[e.index()] >= amount => {
+                    let b = &mut net.balances[e.index()];
+                    *b = b.saturating_sub(amount);
+                    debited.push(e);
+                    continue;
+                }
+                Some(e) => (net.balances[e.index()], FailureCause::InsufficientBalance),
+                None => (Amount::ZERO, FailureCause::MissingChannel),
+            };
+            net.restore(&debited, amount);
+            net.recycle(debited);
+            return Err(PartFailure {
+                failed_hop: hop,
+                available,
+                cause,
+            });
+        }
+        let fee = debited.iter().fold(Amount::ZERO, |fee, e| {
+            fee.saturating_add(net.fees[e.index()].fee(amount))
+        });
+        self.ledger.reserve(debited, amount, fee);
+        Ok(())
     }
 
+    /// Escrowed funds of already-reserved parts are invisible to the
+    /// probe, as a concurrent prototype probe sees post-`COMMIT`
+    /// balances.
     fn probe_path(&mut self, path: &Path) -> Option<ProbeReport> {
-        NetworkSession::probe_path(self, path)
+        self.net.probe_path(path)
     }
 
     fn reserved(&self) -> Amount {
-        NetworkSession::reserved(self)
+        self.ledger.reserved()
     }
 
     fn remaining(&self) -> Amount {
-        NetworkSession::remaining(self)
+        self.ledger.remaining()
     }
 
-    fn is_satisfied(&self) -> bool {
-        NetworkSession::is_satisfied(self)
+    fn commit(mut self) -> RouteOutcome {
+        let (outcome, parts) = self.ledger.commit(&mut self.net.metrics);
+        self.settle(parts, true);
+        outcome
     }
 
-    fn commit(self) -> RouteOutcome {
-        NetworkSession::commit(self)
-    }
+    fn abort(self) {}
+}
 
-    fn abort(self) {
-        NetworkSession::abort(self)
+impl NetworkSession<'_> {
+    /// Phase 2 at once: credits the reverse direction of every reserved
+    /// hop (`commit`) or returns the escrow to the forward direction.
+    /// The parts' edge lists return to the pool.
+    fn settle(&mut self, parts: Vec<(Vec<EdgeId>, Amount)>, commit: bool) {
+        let net = &mut *self.net;
+        for (edges, amount) in parts {
+            if commit {
+                for &e in &edges {
+                    if let Some(rev) = net.graph.reverse_edge(e) {
+                        let b = &mut net.balances[rev.index()];
+                        *b = b.saturating_add(amount);
+                    }
+                }
+            } else {
+                net.restore(&edges, amount);
+            }
+            net.recycle(edges);
+        }
+    }
+}
+
+impl Drop for NetworkSession<'_> {
+    fn drop(&mut self) {
+        if !self.ledger.is_closed() {
+            let parts = self.ledger.close();
+            self.settle(parts, false);
+        }
     }
 }
 
@@ -607,17 +502,6 @@ mod tests {
         assert_eq!(net.total_funds(), before);
         let e = net.graph().edge(n(0), n(1)).unwrap();
         assert_eq!(net.balance(e), Amount::from_units(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "unsatisfied demand")]
-    fn commit_with_shortfall_panics() {
-        let mut net = line_net();
-        let p = payment(8);
-        let mut s = net.begin_payment(&p, PaymentClass::Mice);
-        s.try_send_part(&path_0123(), Amount::from_units(3))
-            .unwrap();
-        let _ = s.commit();
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use flash_offchain::core::flash::{elephant, fees};
 use flash_offchain::graph::DiGraph;
-use flash_offchain::sim::Network;
+use flash_offchain::sim::{Network, PaymentNetwork, PaymentSession};
 use flash_offchain::types::{Amount, FeePolicy, NodeId, Payment, PaymentClass, TxId};
 
 fn n(i: u32) -> NodeId {

@@ -176,14 +176,14 @@ fn flash_on_the_simulator_by_class() {
             Pin {
                 workload: "Flash on the simulator, warm mice".into(),
                 got: mice.1,
-                dev: 4_348,
-                release: 1_744,
+                dev: 4_075,
+                release: 1_471,
             },
             Pin {
                 workload: "Flash on the simulator, warm elephants".into(),
                 got: elephants.1,
-                dev: 2_830,
-                release: 1_378,
+                dev: 2_810,
+                release: 1_358,
             },
         ],
         &format!(
@@ -200,11 +200,11 @@ fn flash_on_the_simulator_by_class() {
 fn five_schemes_on_the_simulator() {
     let (net, trace, _) = quick_ripple();
     let pins = [
-        (Scheme::Flash, 13_836, 6_051),
-        (Scheme::Spider, 4_667, 4_667),
-        (Scheme::SpeedyMurmurs, 5_105, 5_105),
-        (Scheme::SilentWhispers, 7_931, 7_931),
-        (Scheme::ShortestPath, 825, 825),
+        (Scheme::Flash, 13_282, 5_497),
+        (Scheme::Spider, 4_221, 4_221),
+        (Scheme::SpeedyMurmurs, 4_367, 4_367),
+        (Scheme::SilentWhispers, 7_251, 7_251),
+        (Scheme::ShortestPath, 527, 527),
     ]
     .map(|(scheme, dev, release)| {
         let (_, got) = counted(|| run_scheme(&net, scheme, &trace, DEFAULT_MICE_FRACTION, 3));

@@ -132,8 +132,8 @@ fn concurrent_subpayments_share_a_channel_safely() {
     assert_eq!(escrow(&cluster), 0);
     assert_eq!(cluster.total_funds(), before);
     assert_eq!(
-        cluster.probe(3, &path).unwrap(),
-        vec![20_000_000, 10_000_000],
+        cluster.probe_many(&[(3, &path)]),
+        vec![Some(vec![20_000_000, 10_000_000])],
         "every hop is back at its launch balance"
     );
     let counters = cluster.node_counters();
@@ -181,28 +181,34 @@ fn in_flight_payment_through_a_closed_channel_reverses_cleanly() {
     let path = Path::new(vec![n(0), n(1), n(2)], Some(cluster.graph())).unwrap();
 
     // Phase 1 succeeds while the path is open: 4 units are escrowed.
-    assert!(cluster.commit_part(1, &path, Amount::from_units(4)));
+    let part = [(1, &path, Amount::from_units(4))];
+    assert_eq!(cluster.commit_many(&part), vec![Ok(())]);
 
     // The first channel closes with the payment still in flight.
     let e01 = cluster.graph().edge(n(0), n(1)).unwrap();
     cluster.apply_churn(&ChurnAction::ChannelClose(e01));
-    assert!(
-        !cluster.commit_part(2, &path, Amount::from_units(1)),
+    assert_eq!(
+        cluster.commit_many(&[(2, &path, Amount::from_units(1))]),
+        vec![Err(0)],
         "new commits through the closed channel must NACK"
     );
 
     // Phase 2 REVERSE still traverses the frozen channel and restores
     // the escrow.
-    assert!(
-        cluster.reverse_part(1, &path, Amount::from_units(4)),
+    assert_eq!(
+        cluster.settle_many(&part, false),
+        vec![true],
         "reverse must settle through a closed channel"
     );
     assert_eq!(cluster.total_funds(), before, "reversal conserves funds");
 
     // After reopening, the balances are exactly the launch state.
     cluster.apply_churn(&ChurnAction::ChannelReopen(e01));
-    let caps = cluster.probe(3, &path).unwrap();
-    assert_eq!(caps, vec![10_000_000, 10_000_000], "escrow fully restored");
+    assert_eq!(
+        cluster.probe_many(&[(3, &path)]),
+        vec![Some(vec![10_000_000, 10_000_000])],
+        "escrow fully restored"
+    );
 
     let report = cluster.shutdown();
     assert!(report.is_clean(), "{report:?}");
