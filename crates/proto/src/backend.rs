@@ -82,7 +82,8 @@ impl PaymentNetwork for Cluster {
     /// Opens a session; the attempt is recorded here, as the simulator
     /// records it, and nothing is sent yet.
     fn begin_payment(&mut self, payment: &Payment, class: PaymentClass) -> ClusterSession<'_> {
-        let ledger = PaymentLedger::open(&mut self.payments, payment, class);
+        let parts = std::mem::take(&mut self.spare_parts);
+        let ledger = PaymentLedger::open(&mut self.payments, payment, class, parts);
         ClusterSession {
             cluster: self,
             ledger,
@@ -141,13 +142,15 @@ impl ClusterSession<'_> {
     }
 
     /// Phase 2 for `parts`: one settlement wave, all parts in flight on
-    /// the event loop together.
+    /// the event loop together. The parts list returns to the cluster,
+    /// whose next ledger clears and reuses it.
     fn settle(&mut self, parts: Vec<((u64, Path), Amount)>, confirm: bool) {
         let batch: Vec<(u64, &Path, Amount)> = parts
             .iter()
             .map(|((trans_id, path), amount)| (*trans_id, path, *amount))
             .collect();
         self.cluster.settle_many(&batch, confirm);
+        self.cluster.spare_parts = parts;
     }
 }
 

@@ -60,6 +60,9 @@ pub struct Cluster {
     /// Payment accounting, kept by the [`pcn_sim::PaymentNetwork`] impl
     /// (see [`Cluster::metrics`]); its message counts stay zero.
     pub(crate) payments: Metrics,
+    /// The emptied parts list of the last settled payment, which the
+    /// next payment's ledger opens on.
+    pub(crate) spare_parts: Vec<((u64, Path), Amount)>,
 }
 
 impl Cluster {
@@ -103,6 +106,7 @@ impl Cluster {
             fees,
             next_trans_id: 1,
             payments: Metrics::default(),
+            spare_parts: Vec::new(),
         })
     }
 

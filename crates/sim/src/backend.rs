@@ -86,7 +86,7 @@
 //!     fn begin_payment(&mut self, payment: &Payment, class: PaymentClass) -> UnlimitedSession<'_> {
 //!         UnlimitedSession {
 //!             graph: &self.graph,
-//!             ledger: PaymentLedger::open(&mut self.metrics, payment, class),
+//!             ledger: PaymentLedger::open(&mut self.metrics, payment, class, Vec::new()),
 //!             metrics: &mut self.metrics,
 //!         }
 //!     }
@@ -360,7 +360,8 @@ pub trait PaymentNetwork {
 /// Both hand the parts back for phase 2, which stays the session's own:
 /// `P` is whatever its settlement needs of a part — the debited edges on
 /// the simulator and the DES, the wire transaction id and path on the
-/// testbed.
+/// testbed. A backend that keeps the emptied parts list after phase 2
+/// and opens the next ledger on it allocates no list per payment.
 #[derive(Debug)]
 pub struct PaymentLedger<P> {
     demand: Amount,
@@ -371,13 +372,21 @@ pub struct PaymentLedger<P> {
 }
 
 impl<P> PaymentLedger<P> {
-    /// Opens the ledger of `payment` and records the attempt in `metrics`.
-    pub fn open(metrics: &mut Metrics, payment: &Payment, class: PaymentClass) -> Self {
+    /// Opens the ledger of `payment` on the list `parts` (cleared first:
+    /// a spare one an earlier payment's phase 2 handed back, or
+    /// `Vec::new()`) and records the attempt in `metrics`.
+    pub fn open(
+        metrics: &mut Metrics,
+        payment: &Payment,
+        class: PaymentClass,
+        mut parts: Vec<(P, Amount)>,
+    ) -> Self {
         metrics.record_attempt(class, payment.amount);
+        parts.clear();
         PaymentLedger {
             demand: payment.amount,
             class,
-            parts: Vec::new(),
+            parts,
             fees: Amount::ZERO,
             closed: false,
         }

@@ -244,6 +244,11 @@ impl DesNetwork {
         self.queue.delivered()
     }
 
+    /// Settlement and churn events scheduled so far, applied or not.
+    pub fn events_scheduled(&self) -> u64 {
+        self.queue.scheduled()
+    }
+
     /// Close events applied to channels that were open at the time.
     pub fn closed_channels(&self) -> u64 {
         self.closed_channels
@@ -503,7 +508,8 @@ impl PaymentNetwork for DesNetwork {
     }
 
     fn begin_payment(&mut self, payment: &Payment, class: PaymentClass) -> DesSession<'_> {
-        let ledger = PaymentLedger::open(self.inner.metrics_mut(), payment, class);
+        let parts = self.inner.parts_list();
+        let ledger = PaymentLedger::open(self.inner.metrics_mut(), payment, class, parts);
         self.in_flight += 1;
         self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
         let admitted = self.now;
@@ -534,11 +540,12 @@ impl DesSession<'_> {
     /// settles when its downstream node finishes servicing the wave.
     /// The payment stops being in flight when the last wave lands, and
     /// a committed one records its completion latency (admission → last
-    /// settlement). The parts' edge lists return to the pool.
-    fn settle(&mut self, parts: Vec<(Vec<EdgeId>, Amount)>, commit: bool) {
+    /// settlement). The parts' edge lists return to the pool and the
+    /// emptied parts list to the wrapped network.
+    fn settle(&mut self, mut parts: Vec<(Vec<EdgeId>, Amount)>, commit: bool) {
         let net = &mut *self.net;
         let mut settle_end = net.now;
-        for (edges, amount) in parts {
+        for (edges, amount) in parts.drain(..) {
             let mut t = net.now;
             for &edge in &edges {
                 let (_, to) = net.inner.graph().endpoints(edge);
@@ -553,6 +560,7 @@ impl DesSession<'_> {
             settle_end = settle_end.max(t);
             net.inner.recycle(edges);
         }
+        net.inner.recycle_parts(parts);
         if commit {
             net.inner
                 .metrics_mut()

@@ -69,6 +69,20 @@
 //! per-reservation calendar stays for the backlog each arrival sees and
 //! for the single-server check.
 //!
+//! # Storage
+//!
+//! Every reservation is exactly `s` long, so a calendar stores only
+//! starts: one contiguous, sorted slice of 8-byte [`SimTime`]s, the
+//! reservation at `start` ending at `start + s`. Release consumes the
+//! slice from the front by moving a head index, not the entries; once
+//! the dropped prefix is as long as the live part, the live part moves
+//! to the front of its allocation, a copy paid for by the drops before
+//! it. A new slot goes in with one `Vec::insert`, which shifts only the
+//! entries after it. The busy runs live in the same kind of slice. The
+//! three searches are binary searches over plain slices: each probe is
+//! one indexed load and one comparison against `start + s`, with no
+//! wrap-around arithmetic.
+//!
 //! # Release
 //!
 //! The engine raises a release watermark at each payment admission
@@ -97,7 +111,6 @@
 
 use super::time::SimTime;
 use pcn_types::NodeId;
-use std::collections::VecDeque;
 
 /// How long one node takes to process one delivered message: the same
 /// deterministic service time at every node (the paper's homogeneous
@@ -167,17 +180,68 @@ struct Run {
     count: usize,
 }
 
+/// A sequence consumed from the front: the entries live at
+/// `items[head..]`, so dropping the first one moves the head index, not
+/// the entries, and every search reads one plain slice.
+#[derive(Clone, Debug)]
+struct FrontVec<T> {
+    items: Vec<T>,
+    head: usize,
+}
+
+impl<T> Default for FrontVec<T> {
+    fn default() -> Self {
+        FrontVec {
+            items: Vec::new(),
+            head: 0,
+        }
+    }
+}
+
+impl<T> FrontVec<T> {
+    /// The live entries, in order.
+    fn live(&self) -> &[T] {
+        &self.items[self.head..]
+    }
+
+    fn live_mut(&mut self) -> &mut [T] {
+        &mut self.items[self.head..]
+    }
+
+    /// Drops the first live entry. Once the dropped prefix is as long
+    /// as the live part, the live part moves to the front: each move is
+    /// paid for by an earlier drop.
+    fn pop_front(&mut self) {
+        self.head += 1;
+        if self.head * 2 >= self.items.len() {
+            self.items.drain(..self.head);
+            self.head = 0;
+        }
+    }
+
+    /// Inserts `item` at live index `i`.
+    fn insert(&mut self, i: usize, item: T) {
+        self.items.insert(self.head + i, item);
+    }
+
+    /// Removes the entry at live index `i`.
+    fn remove(&mut self, i: usize) {
+        self.items.remove(self.head + i);
+    }
+}
+
 /// Per-node bookkeeping: the service calendar, its busy runs and its
 /// busy time.
 #[derive(Clone, Debug, Default)]
 struct NodeState {
-    /// Non-overlapping service reservations `(start, end)`, sorted by
-    /// start (ends are then sorted too). Entries ending at or below the
-    /// release watermark stay until this node's next admission.
-    calendar: VecDeque<(SimTime, SimTime)>,
+    /// The starts of the non-overlapping service reservations, sorted;
+    /// the one starting at `start` ends at `start + s`. Entries ending at
+    /// or below the release watermark stay until this node's next
+    /// admission.
+    starts: FrontVec<SimTime>,
     /// The calendar's busy runs, in order. A reservation at least one
     /// service time away from both neighbours is in none.
-    runs: VecDeque<Run>,
+    runs: FrontVec<Run>,
     /// Total service time this node has accumulated, in microseconds.
     busy_us: u64,
 }
@@ -186,7 +250,7 @@ struct NodeState {
 /// that pass `pred` up to some index and fail it from there on; each
 /// entry read adds one to `examined`.
 fn partition_point<T>(
-    entries: &VecDeque<T>,
+    entries: &[T],
     (mut lo, mut hi): (usize, usize),
     examined: &mut u64,
     pred: impl Fn(&T) -> bool,
@@ -203,11 +267,11 @@ fn partition_point<T>(
     lo
 }
 
-/// Whether the reservations at `i` and `i + 1` lie less than `service`
-/// apart, so that one busy run holds both.
-fn tied(calendar: &VecDeque<(SimTime, SimTime)>, i: usize, service: SimTime) -> bool {
-    match (calendar.get(i), calendar.get(i + 1)) {
-        (Some(a), Some(b)) => b.0 < a.1 + service,
+/// Whether the reservations starting at `starts[i]` and `starts[i + 1]`
+/// lie less than `service` apart, so that one busy run holds both.
+fn tied(starts: &[SimTime], i: usize, service: SimTime) -> bool {
+    match (starts.get(i), starts.get(i + 1)) {
+        (Some(&a), Some(&b)) => b < a + service + service,
         _ => false,
     }
 }
@@ -279,48 +343,49 @@ impl ServiceQueues {
             };
         }
         let state = &mut self.nodes[node.0 as usize];
-        let (calendar, runs) = (&mut state.calendar, &mut state.runs);
         let examined = &mut self.work.examined;
         // Drop this node's reservations the watermark has passed: no
         // message from here on can wait behind them.
-        while let Some(&(_, end)) = calendar.front() {
-            if end > self.released_to {
+        while let Some(&first) = state.starts.live().first() {
+            if first + service > self.released_to {
                 break;
             }
-            let opens_a_run = tied(calendar, 0, service);
-            calendar.pop_front();
+            let opens_a_run = tied(state.starts.live(), 0, service);
+            state.starts.pop_front();
             *examined += 1;
             self.completed += 1;
-            if let Some(run) = runs.front_mut().filter(|_| opens_a_run) {
+            if opens_a_run {
+                // The run keeps the next reservation, which exists.
+                let run = &mut state.runs.live_mut()[0];
                 run.count -= 1;
-                match calendar.front() {
-                    Some(&(next, _)) if run.count > 1 => run.start = next,
-                    _ => {
-                        runs.pop_front();
-                    }
+                if run.count > 1 {
+                    run.start = state.starts.live()[0];
+                } else {
+                    state.runs.pop_front();
                 }
             }
         }
-        let len = calendar.len();
+        let (starts, runs) = (state.starts.live(), state.runs.live());
+        let len = starts.len();
         // Reservations already over by `arrival` are no backlog for
         // this message.
-        let from = partition_point(calendar, (0, len), examined, |&(_, e)| e <= arrival);
+        let from = partition_point(starts, (0, len), examined, |&s| s + service <= arrival);
         // The slot, where it goes in the calendar and, once searched,
         // how many busy runs end at or before it.
-        let (start, at, ended) = match calendar.get(from) {
-            Some(&(first, end)) if arrival + service > first => {
-                let in_run = |i| tied(calendar, i, service);
+        let (start, at, ended) = match starts.get(from) {
+            Some(&first) if arrival + service > first => {
+                let in_run = |i| tied(starts, i, service);
                 if from.checked_sub(1).is_some_and(in_run) || in_run(from) {
                     // The reservation in the way lies in a busy run: no
                     // gap in the run holds a message, so serve at its end.
                     let b = partition_point(runs, (0, runs.len()), examined, |r| r.end <= arrival);
                     let run = runs[b];
                     let within = (from + 1, len.min(from + run.count));
-                    let at = partition_point(calendar, within, examined, |r| r.0 < run.end);
+                    let at = partition_point(starts, within, examined, |&s| s < run.end);
                     (run.end, at, Some(b + 1))
                 } else {
                     // A lone reservation: the gap after it holds one.
-                    (end, from + 1, None)
+                    (first + service, from + 1, None)
                 }
             }
             _ => (arrival, from, None),
@@ -330,25 +395,25 @@ impl ServiceQueues {
         let end = start + service;
         let prev = at
             .checked_sub(1)
-            .map(|i| calendar[i])
-            .filter(|p| start < p.1 + service);
-        let next = calendar.get(at).copied().filter(|n| n.0 < end + service);
+            .map(|i| starts[i])
+            .filter(|&p| start < p + service + service);
+        let next = starts.get(at).copied().filter(|&n| n < end + service);
         if prev.is_some() || next.is_some() {
             let q = ended.unwrap_or_else(|| {
                 partition_point(runs, (0, runs.len()), examined, |r| r.end <= start)
             });
             let prev_run = q
                 .checked_sub(1)
-                .filter(|&i| prev.is_some_and(|p| runs[i].end == p.1));
+                .filter(|&i| prev.is_some_and(|p| runs[i].end == p + service));
             let next_run = runs
                 .get(q)
-                .is_some_and(|run| next.is_some_and(|n| run.start == n.0));
-            let lone = |(start, end): (SimTime, SimTime)| Run {
+                .is_some_and(|run| next.is_some_and(|n| run.start == n));
+            let lone = |start: SimTime| Run {
                 start,
-                end,
+                end: start + service,
                 count: 1,
             };
-            let mut joined = lone((start, end));
+            let mut joined = lone(start);
             if let Some(p) = prev {
                 let left = prev_run.map_or(lone(p), |i| runs[i]);
                 joined.start = left.start;
@@ -359,17 +424,18 @@ impl ServiceQueues {
                 joined.end = right.end;
                 joined.count += right.count;
             }
+            let runs = &mut state.runs;
             match (prev_run, next_run) {
                 (Some(i), true) => {
-                    runs[i] = joined;
+                    runs.live_mut()[i] = joined;
                     runs.remove(q);
                 }
-                (Some(i), false) => runs[i] = joined,
-                (None, true) => runs[q] = joined,
+                (Some(i), false) => runs.live_mut()[i] = joined,
+                (None, true) => runs.live_mut()[q] = joined,
                 (None, false) => runs.insert(q, joined),
             }
         }
-        calendar.insert(at, (start, end));
+        state.starts.insert(at, start);
         state.busy_us += service.micros();
         self.work.admits += 1;
         // Everything it waited behind, plus itself.
@@ -405,7 +471,10 @@ impl ServiceQueues {
     /// live ones plus the finished ones a node has not yet dropped
     /// because it has admitted nothing since the watermark passed them.
     pub fn backlog(&self) -> u64 {
-        self.nodes.iter().map(|s| s.calendar.len() as u64).sum()
+        self.nodes
+            .iter()
+            .map(|s| s.starts.live().len() as u64)
+            .sum()
     }
 
     /// The highest per-node backlog (messages waiting + in service,
@@ -450,9 +519,12 @@ impl ServiceQueues {
         );
         let service = self.model.service_time();
         for (i, state) in self.nodes.iter().enumerate() {
-            for (&(start, end), &(next_start, _)) in
-                state.calendar.iter().zip(state.calendar.iter().skip(1))
-            {
+            let calendar = state
+                .starts
+                .live()
+                .iter()
+                .map(|&start| (start, start + service));
+            for ((start, end), (next_start, _)) in calendar.clone().zip(calendar.clone().skip(1)) {
                 assert!(start <= next_start, "node {i}: calendar out of order");
                 assert!(
                     end <= next_start,
@@ -461,14 +533,14 @@ impl ServiceQueues {
                      messages served at once"
                 );
             }
-            for &(start, end) in &state.calendar {
+            for (start, end) in calendar.clone() {
                 assert!(start < end, "node {i}: empty or inverted reservation");
             }
             // Rebuild the busy runs from the calendar and compare; a
             // sentinel past the end closes the last one.
-            let mut runs = state.runs.iter();
+            let mut runs = state.runs.live().iter();
             let mut open: Option<Run> = None;
-            for &(start, end) in state.calendar.iter().chain([&(SimTime::MAX, SimTime::MAX)]) {
+            for (start, end) in calendar.chain([(SimTime::MAX, SimTime::MAX)]) {
                 match open.as_mut() {
                     Some(run) if start < run.end + service => {
                         run.end = end;
@@ -495,6 +567,7 @@ impl ServiceQueues {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -678,8 +751,8 @@ mod tests {
                 let pass = released.admit(n(node), arrival);
                 prop_assert_eq!(pass, kept.admit(n(node), arrival));
                 prop_assert_eq!(released.peak_backlog(), kept.peak_backlog());
-                let calendar = &released.nodes[node as usize].calendar;
-                prop_assert!(calendar.iter().all(|&(_, end)| end > t(watermark)));
+                let starts = released.nodes[node as usize].starts.live();
+                prop_assert!(starts.iter().all(|&start| start + model.service_time() > t(watermark)));
                 released.assert_backlog_conserved();
                 let (start, end) = (arrival + pass.queued, pass.complete);
                 let others: &mut Vec<(SimTime, SimTime)> = &mut served[node as usize];
@@ -783,7 +856,10 @@ mod tests {
                 let pass = q.admit(n(node as u32), arrival);
                 prop_assert_eq!(pass, walked.admit(node, arrival, t(watermark)));
                 prop_assert_eq!(q.peak_backlog(), walked.peak_backlog);
-                prop_assert_eq!(&q.nodes[node].calendar, &walked.calendars[node]);
+                let calendar: Vec<(SimTime, SimTime)> =
+                    q.nodes[node].starts.live().iter().map(|&start| (start, start + service)).collect();
+                let walked_calendar: Vec<(SimTime, SimTime)> = walked.calendars[node].iter().copied().collect();
+                prop_assert_eq!(&calendar, &walked_calendar);
                 prop_assert_eq!(q.enqueued(), walked.enqueued);
                 prop_assert_eq!(q.completed, walked.completed);
                 q.assert_backlog_conserved();

@@ -103,6 +103,13 @@ impl<T> EventQueue<T> {
     pub fn delivered(&self) -> u64 {
         self.delivered
     }
+
+    /// Total events scheduled so far: heap pushes, one per
+    /// [`EventQueue::schedule`] call (the next insertion sequence
+    /// number).
+    pub fn scheduled(&self) -> u64 {
+        self.next_seq
+    }
 }
 
 #[cfg(test)]
@@ -124,7 +131,7 @@ mod tests {
             seen.push(p);
         }
         assert_eq!(seen, vec!["a", "b", "c"]);
-        assert_eq!(q.delivered(), 3);
+        assert_eq!((q.scheduled(), q.delivered()), (3, 3));
     }
 
     #[test]
@@ -148,7 +155,7 @@ mod tests {
         assert_eq!(q.pop_before(t(5)), None);
         assert_eq!(q.pop_before(t(10)), Some((t(10), 'x')));
         assert_eq!(q.pop_before(t(10)), None);
-        assert_eq!(q.delivered(), 1);
+        assert_eq!((q.scheduled(), q.delivered()), (2, 1));
         assert_eq!(q.pop_before(t(25)), Some((t(20), 'y')));
         assert_eq!(q.pop_before(SimTime::MAX), None);
     }

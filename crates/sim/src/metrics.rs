@@ -37,16 +37,19 @@ impl ClassMetrics {
 ///
 /// Values below 16µs get exact buckets; larger values land in one of 8
 /// sub-buckets per power of two, so quantile estimates carry at most
-/// ~6% relative error while the histogram stays a few hundred bytes no
-/// matter how many observations it absorbs. The discrete-event backend
+/// ~6% relative error while the histogram stays at most 496 counters,
+/// 3,968 bytes, no matter how many observations it absorbs: one count
+/// per bucket index, allocated at the first observation, so recording
+/// one is one index operation. The discrete-event backend
 /// ([`des`](crate::des)) records one observation per *successful*
 /// payment (admission → final settlement); the instantaneous backend
 /// records nothing, keeping its metrics bit-identical to before the
 /// histogram existed.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyHistogram {
-    /// Sparse `(bucket index, count)` pairs, sorted by index.
-    buckets: Vec<(u32, u64)>,
+    /// One count per bucket index: empty until the first observation,
+    /// then [`LatencyHistogram::BUCKETS`] long.
+    counts: Vec<u64>,
     count: u64,
     sum_us: u64,
     min_us: u64,
@@ -54,13 +57,15 @@ pub struct LatencyHistogram {
 }
 
 impl LatencyHistogram {
+    /// The number of bucket indices: `bucket_of(u64::MAX)` is 495.
+    const BUCKETS: usize = 496;
+
     /// Records one latency observation, in microseconds.
     pub fn observe(&mut self, us: u64) {
-        let idx = Self::bucket_of(us);
-        match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
-            Ok(pos) => self.buckets[pos].1 += 1,
-            Err(pos) => self.buckets.insert(pos, (idx, 1)),
+        if self.counts.is_empty() {
+            self.counts = vec![0; Self::BUCKETS];
         }
+        self.counts[Self::bucket_of(us) as usize] += 1;
         if self.count == 0 {
             self.min_us = us;
             self.max_us = us;
@@ -105,7 +110,7 @@ impl LatencyHistogram {
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for &(idx, c) in &self.buckets {
+        for (idx, &c) in (0u32..).zip(&self.counts) {
             seen += c;
             if seen >= rank {
                 return Self::representative(idx).clamp(self.min_us, self.max_us);
@@ -254,6 +259,11 @@ impl Metrics {
 mod tests {
     use super::*;
     use pcn_types::PaymentClass::{Elephant, Mice};
+    use proptest::prelude::*;
+
+    /// `size_of::<Metrics>()` with the sparse histogram, on 64-bit
+    /// targets.
+    const METRICS_BYTES: usize = 208;
 
     #[test]
     fn attempt_and_success_accounting() {
@@ -312,6 +322,148 @@ mod tests {
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(single.quantile_us(q), 123_456);
         }
+    }
+
+    /// The sparse histogram the dense counters replaced: `(bucket
+    /// index, count)` pairs sorted by index, a binary search and a
+    /// `Vec::insert` per new bucket. Kept as the reference for
+    /// `dense_counts_equal_the_sparse_pairs`.
+    #[derive(Debug, Default, PartialEq)]
+    struct SparseHistogram {
+        buckets: Vec<(u32, u64)>,
+        count: u64,
+        sum_us: u64,
+        min_us: u64,
+        max_us: u64,
+    }
+
+    impl SparseHistogram {
+        fn observe(&mut self, us: u64) {
+            let idx = LatencyHistogram::bucket_of(us);
+            match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
+                Ok(pos) => self.buckets[pos].1 += 1,
+                Err(pos) => self.buckets.insert(pos, (idx, 1)),
+            }
+            if self.count == 0 {
+                self.min_us = us;
+                self.max_us = us;
+            } else {
+                self.min_us = self.min_us.min(us);
+                self.max_us = self.max_us.max(us);
+            }
+            self.count += 1;
+            self.sum_us = self.sum_us.saturating_add(us);
+        }
+
+        fn max_us(&self) -> u64 {
+            if self.count == 0 {
+                0
+            } else {
+                self.max_us
+            }
+        }
+
+        fn mean_us(&self) -> f64 {
+            if self.count == 0 {
+                0.0
+            } else {
+                self.sum_us as f64 / self.count as f64
+            }
+        }
+
+        fn quantile_us(&self, q: f64) -> u64 {
+            if self.count == 0 {
+                return 0;
+            }
+            let q = q.clamp(0.0, 1.0);
+            let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+            let mut seen = 0u64;
+            for &(idx, c) in &self.buckets {
+                seen += c;
+                if seen >= rank {
+                    return LatencyHistogram::representative(idx).clamp(self.min_us, self.max_us);
+                }
+            }
+            self.max_us
+        }
+    }
+
+    /// An observation of kind `kind % 5`: zero, an exact bucket (1–15),
+    /// an octave edge (`2^k` and one either side), `u64::MAX`, or any
+    /// value shifted down to a random octave.
+    fn observation(kind: u8, raw: u64) -> u64 {
+        match kind % 5 {
+            0 => 0,
+            1 => 1 + raw % 15,
+            2 => (1u64 << (4 + raw % 60))
+                .wrapping_add(raw / 64 % 3)
+                .wrapping_sub(1),
+            3 => u64::MAX,
+            _ => raw >> (raw % 64),
+        }
+    }
+
+    #[test]
+    fn the_top_bucket_is_the_last_counter() {
+        assert_eq!(
+            LatencyHistogram::bucket_of(u64::MAX) as usize,
+            LatencyHistogram::BUCKETS - 1
+        );
+        let mut h = LatencyHistogram::default();
+        h.observe(u64::MAX);
+        h.observe(0);
+        assert_eq!(h.counts.len(), LatencyHistogram::BUCKETS);
+        assert_eq!(h.max_us(), u64::MAX);
+        assert_eq!(h.quantile_us(0.0), 0);
+        // The top bucket's midpoint, 2^63 + 7.5 · 2^60.
+        assert_eq!(h.quantile_us(1.0), (1 << 63) + 15 * (1 << 59));
+    }
+
+    proptest! {
+        /// The dense counters report what the sparse pairs report, on
+        /// multisets that mix zero, exact buckets, octave edges and
+        /// `u64::MAX`: the same count, maximum, mean and quantiles. The
+        /// same multiset observed in two orders gives equal histograms.
+        #[test]
+        fn dense_counts_equal_the_sparse_pairs(
+            draws in proptest::collection::vec((0u8..5, proptest::prelude::any::<u64>()), 0..200),
+            rotate in 0usize..200,
+        ) {
+            let values: Vec<u64> = draws.iter().map(|&(kind, raw)| observation(kind, raw)).collect();
+            let (mut dense, mut sparse) = (LatencyHistogram::default(), SparseHistogram::default());
+            for &us in &values {
+                dense.observe(us);
+                sparse.observe(us);
+            }
+            prop_assert_eq!(dense.count(), sparse.count);
+            prop_assert_eq!(dense.max_us(), sparse.max_us());
+            prop_assert_eq!(dense.mean_us().to_bits(), sparse.mean_us().to_bits());
+            for q in [0.0, 0.5, 0.9, 0.95, 0.99, 1.0] {
+                prop_assert_eq!(dense.quantile_us(q), sparse.quantile_us(q), "q {}", q);
+            }
+            let mut reordered = values.clone();
+            reordered.reverse();
+            reordered.rotate_left(rotate % values.len().max(1));
+            let (mut dense_again, mut sparse_again) =
+                (LatencyHistogram::default(), SparseHistogram::default());
+            for &us in &reordered {
+                dense_again.observe(us);
+                sparse_again.observe(us);
+            }
+            prop_assert_eq!(&dense_again, &dense);
+            prop_assert_eq!(&sparse_again, &sparse);
+        }
+    }
+
+    #[test]
+    fn metrics_stay_within_their_recorded_size() {
+        // `Metrics::default()` runs in every backend's set-up; the
+        // dense histogram is still one `Vec` header per histogram.
+        assert!(
+            std::mem::size_of::<Metrics>() <= METRICS_BYTES,
+            "Metrics grew to {} bytes, recorded at {METRICS_BYTES}",
+            std::mem::size_of::<Metrics>()
+        );
     }
 
     #[test]

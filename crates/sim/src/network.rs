@@ -63,6 +63,9 @@ pub struct Network {
     /// — on this network or on the DES wrapping it — reuses it instead
     /// of allocating.
     edge_pool: Vec<Vec<EdgeId>>,
+    /// The emptied parts list of the last settled payment, which the
+    /// next payment's ledger opens on.
+    spare_parts: Vec<(Vec<EdgeId>, Amount)>,
 }
 
 impl Clone for Network {
@@ -75,6 +78,7 @@ impl Clone for Network {
             fault_rng: self.faults.rng(),
             faults: self.faults.clone(),
             edge_pool: Vec::new(),
+            spare_parts: Vec::new(),
         }
     }
 }
@@ -107,6 +111,7 @@ impl Network {
             faults,
             fault_rng,
             edge_pool: Vec::new(),
+            spare_parts: Vec::new(),
         })
     }
 
@@ -200,6 +205,16 @@ impl Network {
         self.edge_pool.push(edges);
     }
 
+    /// Takes the spare parts list for a new payment's ledger.
+    pub(crate) fn parts_list(&mut self) -> Vec<(Vec<EdgeId>, Amount)> {
+        std::mem::take(&mut self.spare_parts)
+    }
+
+    /// Keeps a settled payment's emptied parts list for the next one.
+    pub(crate) fn recycle_parts(&mut self, parts: Vec<(Vec<EdgeId>, Amount)>) {
+        self.spare_parts = parts;
+    }
+
     /// Returns `amount` to the forward direction of every edge, last
     /// edge first — the undo of a part's hop-by-hop escrow.
     fn restore(&mut self, edges: &[EdgeId], amount: Amount) {
@@ -256,7 +271,8 @@ impl PaymentNetwork for Network {
     }
 
     fn begin_payment(&mut self, payment: &Payment, class: PaymentClass) -> NetworkSession<'_> {
-        let ledger = PaymentLedger::open(&mut self.metrics, payment, class);
+        let parts = self.parts_list();
+        let ledger = PaymentLedger::open(&mut self.metrics, payment, class, parts);
         NetworkSession { net: self, ledger }
     }
 }
@@ -274,7 +290,8 @@ impl PaymentNetwork for Network {
 /// session un-escrows everything (the `REVERSE` pass), so a failed
 /// payment leaves no trace in the balances. The bookkeeping is the
 /// shared [`PaymentLedger`]; a part is the edge list it debited, drawn
-/// from and returned to the network's pool.
+/// from and returned to the network's pool, and the parts list is the
+/// network's spare.
 pub struct NetworkSession<'a> {
     net: &'a mut Network,
     ledger: PaymentLedger<Vec<EdgeId>>,
@@ -352,10 +369,11 @@ impl PaymentSession for NetworkSession<'_> {
 impl NetworkSession<'_> {
     /// Phase 2 at once: credits the reverse direction of every reserved
     /// hop (`commit`) or returns the escrow to the forward direction.
-    /// The parts' edge lists return to the pool.
-    fn settle(&mut self, parts: Vec<(Vec<EdgeId>, Amount)>, commit: bool) {
+    /// The parts' edge lists return to the pool and the emptied parts
+    /// list to the network.
+    fn settle(&mut self, mut parts: Vec<(Vec<EdgeId>, Amount)>, commit: bool) {
         let net = &mut *self.net;
-        for (edges, amount) in parts {
+        for (edges, amount) in parts.drain(..) {
             if commit {
                 for &e in &edges {
                     if let Some(rev) = net.graph.reverse_edge(e) {
@@ -368,6 +386,7 @@ impl NetworkSession<'_> {
             }
             net.recycle(edges);
         }
+        net.recycle_parts(parts);
     }
 }
 

@@ -23,7 +23,7 @@ use flash_offchain::experiments::harness::{
     run_scheme, run_scheme_des, run_scheme_testbed, DesLoad, Effort, Topo, DEFAULT_MICE_FRACTION,
 };
 use flash_offchain::graph::maxflow::{MaxFlowSolver, PushRelabel};
-use flash_offchain::sim::{ChurnRate, LatencyModel, Network, ServiceModel};
+use flash_offchain::sim::{ChurnRate, LatencyModel, Metrics, Network, ServiceModel};
 use flash_offchain::types::{Amount, NodeId, Payment};
 use flash_offchain::workload::{generate_trace, testbed_topology, TraceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -176,14 +176,14 @@ fn flash_on_the_simulator_by_class() {
             Pin {
                 workload: "Flash on the simulator, warm mice".into(),
                 got: mice.1,
-                dev: 4_075,
-                release: 1_471,
+                dev: 3_945,
+                release: 1_341,
             },
             Pin {
                 workload: "Flash on the simulator, warm elephants".into(),
                 got: elephants.1,
-                dev: 2_810,
-                release: 1_358,
+                dev: 2_804,
+                release: 1_352,
             },
         ],
         &format!(
@@ -200,11 +200,11 @@ fn flash_on_the_simulator_by_class() {
 fn five_schemes_on_the_simulator() {
     let (net, trace, _) = quick_ripple();
     let pins = [
-        (Scheme::Flash, 13_282, 5_497),
-        (Scheme::Spider, 4_221, 4_221),
-        (Scheme::SpeedyMurmurs, 4_367, 4_367),
-        (Scheme::SilentWhispers, 7_251, 7_251),
-        (Scheme::ShortestPath, 527, 527),
+        (Scheme::Flash, 13_016, 5_231),
+        (Scheme::Spider, 3_984, 3_984),
+        (Scheme::SpeedyMurmurs, 4_142, 4_142),
+        (Scheme::SilentWhispers, 7_053, 7_053),
+        (Scheme::ShortestPath, 326, 326),
     ]
     .map(|(scheme, dev, release)| {
         let (_, got) = counted(|| run_scheme(&net, scheme, &trace, DEFAULT_MICE_FRACTION, 3));
@@ -242,11 +242,11 @@ fn des_load(churn: ChurnRate) -> DesLoad {
 fn five_schemes_through_the_des() {
     let (net, trace) = des_setup();
     let pins = [
-        (Scheme::Flash, 11_483, 4_074),
-        (Scheme::Spider, 3_318, 3_318),
-        (Scheme::SpeedyMurmurs, 3_494, 3_494),
-        (Scheme::SilentWhispers, 5_849, 5_849),
-        (Scheme::ShortestPath, 570, 570),
+        (Scheme::Flash, 11_334, 3_925),
+        (Scheme::Spider, 3_178, 3_178),
+        (Scheme::SpeedyMurmurs, 3_348, 3_348),
+        (Scheme::SilentWhispers, 5_696, 5_696),
+        (Scheme::ShortestPath, 418, 418),
     ]
     .map(|(scheme, dev, release)| {
         let (_, got) = counted(|| {
@@ -289,8 +289,8 @@ fn flash_through_the_des_under_churn() {
         &[Pin {
             workload: "Flash through the DES, 10 closes/s".into(),
             got,
-            dev: 10_151,
-            release: 3_415,
+            dev: 10_080,
+            release: 3_344,
         }],
         "",
     );
@@ -310,13 +310,31 @@ fn flash_on_the_testbed_reactor() {
         &[Pin {
             workload: "Flash on the testbed reactor".into(),
             got,
-            dev: 17_730,
-            release: 12_828,
+            dev: 17_668,
+            release: 12_766,
         }],
         &format!(
             "\n({frames} frames, {:.3} allocations per frame)",
             got as f64 / frames as f64
         ),
+    );
+}
+
+/// `Metrics::default()`, which every backend's set-up runs: both
+/// histograms allocate their counters at their first observation, not
+/// here.
+#[test]
+fn default_metrics() {
+    let (metrics, got) = counted(Metrics::default);
+    assert_eq!(metrics.latency.count() + metrics.queue_delay.count(), 0);
+    check(
+        &[Pin {
+            workload: "Metrics::default()".into(),
+            got,
+            dev: 0,
+            release: 0,
+        }],
+        "",
     );
 }
 

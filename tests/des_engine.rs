@@ -345,19 +345,10 @@ fn nonzero_service_queues_under_load_for_every_scheme() {
     }
 }
 
-/// The calendar work of the committed e2e smoke run with the deepest
-/// backlog (`BENCH_e2e.json`: Spider at 400 payments/s on the 60-node
-/// testbed topology, `peak_backlog` 595), pinned by equality: messages
-/// admitted, and calendar and run entries read to place them and to
-/// drop finished reservations. Only a deliberate change to how a
-/// message finds its service slot may re-record them; a failure names
-/// the counter and prints both values.
-#[test]
-fn calendar_work_matches_recorded_counts() {
-    const WANT: CalendarWork = CalendarWork {
-        admits: 9_957,
-        examined: 88_189,
-    };
+/// The committed e2e smoke run with the deepest backlog
+/// (`BENCH_e2e.json`: Spider at 400 payments/s on the 60-node testbed
+/// topology, `peak_backlog` 595), run with every check on.
+fn deepest_smoke_run() -> DesNetwork {
     let seed = 1009;
     let net = testbed_topology(60, 1000, 1500, seed);
     let trace = generate_trace(net.graph(), &TraceConfig::ripple(200, seed + 7));
@@ -374,7 +365,22 @@ fn calendar_work_matches_recorded_counts() {
         seed + 31,
     );
     assert_eq!(report.peak_backlog, 595, "not the committed smoke run");
-    let got = des.service_queues().work();
+    assert_eq!(report.events, des.events_delivered());
+    des
+}
+
+/// The calendar work of [`deepest_smoke_run`], pinned by equality:
+/// messages admitted, and calendar and run entries read to place them
+/// and to drop finished reservations. Only a deliberate change to how a
+/// message finds its service slot may re-record them; a failure names
+/// the counter and prints both values.
+#[test]
+fn calendar_work_matches_recorded_counts() {
+    const WANT: CalendarWork = CalendarWork {
+        admits: 9_957,
+        examined: 88_189,
+    };
+    let got = deepest_smoke_run().service_queues().work();
     assert_eq!(
         got.admits, WANT.admits,
         "calendar admits changed: got {}, want {}",
@@ -384,6 +390,21 @@ fn calendar_work_matches_recorded_counts() {
         got.examined, WANT.examined,
         "calendar entries examined changed: got {}, want {}",
         got.examined, WANT.examined
+    );
+}
+
+/// The event queue's work on [`deepest_smoke_run`], pinned by equality:
+/// heap pushes (settlement hops, NACK releases and `Done` markers) and
+/// pops. The run drains its queue, so every push is popped. Only a
+/// deliberate change to what the DES schedules may re-record them.
+#[test]
+fn event_queue_work_matches_recorded_counts() {
+    const WANT: (u64, u64) = (1_523, 1_523);
+    let des = deepest_smoke_run();
+    let got = (des.events_scheduled(), des.events_delivered());
+    assert_eq!(
+        got, WANT,
+        "event queue (pushes, pops) changed: got {got:?}, want {WANT:?}"
     );
 }
 
