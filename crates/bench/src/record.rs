@@ -60,6 +60,12 @@ pub struct RunRecord {
     /// Fees charged on delivered payments, micro-units.
     #[serde(default)]
     pub fees_micros: u64,
+    /// Probe messages, one per hop a probe crossed.
+    #[serde(default)]
+    pub probe_messages: u64,
+    /// Phase-1 commit messages, one per hop a part crossed.
+    #[serde(default)]
+    pub commit_messages: u64,
 
     /// Successful payments per virtual second (DES).
     pub throughput_pps: Option<f64>,
@@ -90,13 +96,6 @@ pub struct RunRecord {
     /// Threshold-triggered re-probes across all routers (DES).
     pub reprobes_triggered: Option<u64>,
 
-    /// `PROBE` messages serviced, one per node a probe visited, sender
-    /// and receiver included (testbed; the simulator counts one per hop,
-    /// so DES rows leave the column empty rather than mix the two).
-    pub probe_messages: Option<u64>,
-    /// `COMMIT` messages serviced, counted like `probe_messages`
-    /// (testbed).
-    pub commit_messages: Option<u64>,
     /// Wire frames received cluster-wide (testbed).
     pub wire_in: Option<u64>,
     /// Wire frames sent cluster-wide (testbed).
@@ -195,8 +194,6 @@ impl RunRecord {
         let (wall_ns, events_per_sec) = wall_span(report.wall, wire_in);
         RunRecord {
             backend: Backend::Testbed,
-            probe_messages: Some(report.metrics.probe_messages),
-            commit_messages: Some(report.metrics.commit_messages),
             wire_in: Some(wire_in),
             wire_out: Some(wire_out),
             escrow_end: Some(counters.iter().map(|c| c.escrow_held).sum()),
@@ -222,6 +219,8 @@ impl RunRecord {
             success_ratio: metrics.success_ratio(),
             success_volume_micros: metrics.success_volume().micros(),
             fees_micros: metrics.fees_paid.micros(),
+            probe_messages: metrics.probe_messages,
+            commit_messages: metrics.commit_messages,
             ..RunRecord::default()
         }
     }

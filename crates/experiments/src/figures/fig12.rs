@@ -4,7 +4,7 @@ use super::testbed::run_testbed;
 use crate::harness::Effort;
 use crate::report::FigureResult;
 
-/// Regenerates Figures 12a–12d, plus the message-overhead panel 12e.
+/// Regenerates Figures 12a–12d, plus the per-hop message-overhead panel 12e.
 pub fn run(effort: Effort) -> Vec<FigureResult> {
     let nodes = match effort {
         Effort::Quick => 20,

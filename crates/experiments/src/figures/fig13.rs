@@ -4,7 +4,7 @@ use super::testbed::run_testbed;
 use crate::harness::Effort;
 use crate::report::FigureResult;
 
-/// Regenerates Figures 13a–13d, plus the message-overhead panel 13e.
+/// Regenerates Figures 13a–13d, plus the per-hop message-overhead panel 13e.
 pub fn run(effort: Effort) -> Vec<FigureResult> {
     let nodes = match effort {
         Effort::Quick => 30,

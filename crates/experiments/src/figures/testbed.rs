@@ -31,7 +31,7 @@ pub const SCHEMES: [Scheme; 5] = [
 /// Runs the full §5 testbed experiment for a node count, producing the
 /// four panels of the paper (success volume, success ratio, normalized
 /// overall delay, normalized mice delay) plus a message-overhead panel
-/// (probe + commit messages, the Fig. 9-style breakdown).
+/// (probe + commit messages, one per hop, as the simulator counts them).
 pub fn run_testbed(nodes: usize, fig_prefix: &str, effort: Effort) -> Vec<FigureResult> {
     let txns = match effort {
         Effort::Quick => 60,

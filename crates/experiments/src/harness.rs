@@ -162,8 +162,8 @@ pub fn run_scheme(
 pub struct TestbedReport {
     /// The cluster's [`Metrics`] ([`Cluster::metrics`]), as a
     /// [`DesReport`] carries the engine's: attempts and successes by
-    /// class, volume, fees and paths, and the nodes' probe and commit
-    /// message counts.
+    /// class, volume, fees and paths, and probe and commit messages,
+    /// one per hop as the simulator counts them.
     pub metrics: Metrics,
     /// Per-payment success flags, in trace order.
     pub outcomes: Vec<bool>,

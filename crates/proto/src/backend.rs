@@ -11,13 +11,14 @@
 //! | [`PaymentSession::commit`]                   | `CONFIRM` → `CONFIRM_ACK` (all parts) | [`Cluster::settle_many`] |
 //! | [`PaymentSession::abort`] / drop             | `REVERSE` → `REVERSE_ACK` (all parts) | [`Cluster::settle_many`] |
 //!
-//! The prototype's concurrency is preserved without spawning a single
-//! thread: batched phase-1 commits ([`PaymentSession::try_send_parts`]),
-//! every phase-2 wave and multi-path probing
+//! The prototype's concurrency is kept without spawning a single
+//! thread: every phase-2 wave and multi-path probing
 //! ([`PaymentNetwork::probe_paths`]) are injected into the cluster's
-//! event loop *together*, exactly as the paper's sender "prepares a
-//! COMMIT message for each of the sub-payment and sends them out" before
-//! collecting replies. A single part or probe is a batch of one.
+//! event loop *together*. Phase-1 `COMMIT`s go out one part after
+//! another (the default [`PaymentSession::try_send_parts`]), so each
+//! part meets the balances it meets on the simulator and the DES: a
+//! part still in flight would hold escrow that the one-after-another
+//! order has already handed back.
 //!
 //! The session's bookkeeping — demand, reserved parts, fees, the
 //! attempt and success in [`Cluster::metrics`] — is the shared
@@ -65,12 +66,14 @@ impl PaymentNetwork for Cluster {
     }
 
     fn probe_path(&mut self, path: &Path) -> Option<ProbeReport> {
+        self.metrics.probe_messages += path.hops() as u64;
         let id = self.fresh_trans_id();
         let caps = self.probe_many(&[(id, path)]).pop().flatten()?;
         self.assemble_report(path, caps)
     }
 
     fn probe_paths(&mut self, paths: &[Path]) -> Vec<Option<ProbeReport>> {
+        self.metrics.probe_messages += paths.iter().map(|p| p.hops() as u64).sum::<u64>();
         let items: Vec<(u64, &Path)> = paths.iter().map(|p| (self.fresh_trans_id(), p)).collect();
         self.probe_many(&items)
             .into_iter()
@@ -83,7 +86,7 @@ impl PaymentNetwork for Cluster {
     /// records it, and nothing is sent yet.
     fn begin_payment(&mut self, payment: &Payment, class: PaymentClass) -> ClusterSession<'_> {
         let parts = std::mem::take(&mut self.spare_parts);
-        let ledger = PaymentLedger::open(&mut self.payments, payment, class, parts);
+        let ledger = PaymentLedger::open(&mut self.metrics, payment, class, parts);
         ClusterSession {
             cluster: self,
             ledger,
@@ -107,40 +110,6 @@ pub struct ClusterSession<'a> {
 }
 
 impl ClusterSession<'_> {
-    /// Phase 1 for a batch of parts `(trans_id, path, amount)`, every
-    /// `COMMIT` in flight together. Each part that ACKed is booked with
-    /// its sender-side fees (the wire carries no fee field; see
-    /// [`Cluster::set_fee_policies`]) and stays escrowed for phase 2;
-    /// the wire has already rolled back each part that NACKed. Reports
-    /// the first refused part in batch order.
-    fn send(&mut self, parts: &[(u64, &Path, Amount)]) -> Result<(), PartFailure> {
-        let results = self.cluster.commit_many(parts);
-        let mut first_failure = None;
-        for (&(trans_id, path, amount), result) in parts.iter().zip(results) {
-            match result {
-                Ok(()) => {
-                    let fee = path
-                        .channels()
-                        .filter_map(|(u, v)| self.cluster.graph().edge(u, v))
-                        .fold(Amount::ZERO, |fee, e| {
-                            fee.saturating_add(self.cluster.fee_policy(e).fee(amount))
-                        });
-                    self.ledger.reserve((trans_id, path.clone()), amount, fee);
-                }
-                Err(failed_hop) => {
-                    first_failure.get_or_insert(PartFailure {
-                        failed_hop,
-                        // The COMMIT_NACK carries no balance field and
-                        // no failure-cause code.
-                        available: Amount::ZERO,
-                        cause: FailureCause::Unreported,
-                    });
-                }
-            }
-        }
-        first_failure.map_or(Ok(()), Err)
-    }
-
     /// Phase 2 for `parts`: one settlement wave, all parts in flight on
     /// the event loop together. The parts list returns to the cluster,
     /// whose next ledger clears and reuses it.
@@ -155,25 +124,38 @@ impl ClusterSession<'_> {
 }
 
 impl PaymentSession for ClusterSession<'_> {
+    /// Phase 1 for one part: a `COMMIT`, charged the hops it crossed.
+    /// A part that ACKed is booked with its sender-side fees (see
+    /// [`Cluster::set_fee_policies`]) and stays escrowed for phase 2;
+    /// the wire has already rolled back a part that NACKed.
     fn try_send_part(&mut self, path: &Path, amount: Amount) -> Result<(), PartFailure> {
         if amount.is_zero() {
             return Ok(());
         }
         let trans_id = self.cluster.fresh_trans_id();
-        self.send(&[(trans_id, path, amount)])
-    }
-
-    /// Batched phase 1: all COMMITs go out before any reply is awaited,
-    /// as in the paper's prototype. Parts that ACKed stay escrowed for
-    /// phase 2 (commit or abort), whether or not another part of the
-    /// batch was refused.
-    fn try_send_parts(&mut self, parts: &[(Path, Amount)]) -> Result<(), PartFailure> {
-        let live: Vec<(u64, &Path, Amount)> = parts
-            .iter()
-            .filter(|(_, a)| !a.is_zero())
-            .map(|(p, a)| (self.cluster.fresh_trans_id(), p, *a))
-            .collect();
-        self.send(&live)
+        let result = self
+            .cluster
+            .commit_many(&[(trans_id, path, amount)])
+            .remove(0);
+        let Err(failed_hop) = result else {
+            self.cluster.metrics.commit_messages += path.hops() as u64;
+            let fee = path
+                .channels()
+                .filter_map(|(u, v)| self.cluster.graph().edge(u, v))
+                .fold(Amount::ZERO, |fee, e| {
+                    fee.saturating_add(self.cluster.fee_policy(e).fee(amount))
+                });
+            self.ledger.reserve((trans_id, path.clone()), amount, fee);
+            return Ok(());
+        };
+        self.cluster.metrics.commit_messages += failed_hop as u64 + 1;
+        Err(PartFailure {
+            failed_hop,
+            // The COMMIT_NACK carries no balance field and no
+            // failure-cause code.
+            available: Amount::ZERO,
+            cause: FailureCause::Unreported,
+        })
     }
 
     /// Probes mid-session see post-COMMIT balances, the same view a
@@ -191,7 +173,7 @@ impl PaymentSession for ClusterSession<'_> {
     }
 
     fn commit(mut self) -> RouteOutcome {
-        let (outcome, parts) = self.ledger.commit(&mut self.cluster.payments);
+        let (outcome, parts) = self.ledger.commit(&mut self.cluster.metrics);
         self.settle(parts, true);
         outcome
     }
@@ -285,10 +267,10 @@ mod tests {
         assert_eq!((m.elephant.attempted, m.elephant.succeeded), (1, 0));
         assert_eq!(m.elephant.attempted_volume, Amount::from_units(50));
         assert_eq!(m.paths_used, 1);
-        // Message counts are the nodes': the sender, the relay and the
-        // receiver each serviced the one COMMIT.
-        assert_eq!(m.commit_messages, 3);
+        // One commit message per hop; three nodes serviced the COMMIT.
+        assert_eq!(m.commit_messages, 2);
         assert_eq!(m.probe_messages, 0);
+        assert_eq!(cluster.commit_messages(), 3);
     }
 
     #[test]

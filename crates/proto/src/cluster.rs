@@ -57,9 +57,9 @@ pub struct Cluster {
     fees: Vec<FeePolicy>,
     /// Allocator for wire transaction ids (probes and sub-payments).
     next_trans_id: u64,
-    /// Payment accounting, kept by the [`pcn_sim::PaymentNetwork`] impl
-    /// (see [`Cluster::metrics`]); its message counts stay zero.
-    pub(crate) payments: Metrics,
+    /// The run's [`Metrics`], kept by the [`pcn_sim::PaymentNetwork`]
+    /// impl (see [`Cluster::metrics`]).
+    pub(crate) metrics: Metrics,
     /// The emptied parts list of the last settled payment, which the
     /// next payment's ledger opens on.
     pub(crate) spare_parts: Vec<((u64, Path), Amount)>,
@@ -105,7 +105,7 @@ impl Cluster {
             evloop,
             fees,
             next_trans_id: 1,
-            payments: Metrics::default(),
+            metrics: Metrics::default(),
             spare_parts: Vec::new(),
         })
     }
@@ -141,13 +141,15 @@ impl Cluster {
         self.evloop.total_funds()
     }
 
-    /// Sum of probe messages processed across all nodes.
+    /// Node telemetry: `PROBE` messages serviced, one per node a probe
+    /// visited (per hop: [`Cluster::metrics`]).
     pub fn probe_messages(&self) -> u64 {
         let counters = self.evloop.counters();
         counters.iter().map(|c| c.probe_messages).sum()
     }
 
-    /// Sum of commit messages processed across all nodes.
+    /// Node telemetry: `COMMIT` messages serviced, one per node a commit
+    /// visited (per hop: [`Cluster::metrics`]).
     pub fn commit_messages(&self) -> u64 {
         let counters = self.evloop.counters();
         counters.iter().map(|c| c.commit_messages).sum()
@@ -156,15 +158,11 @@ impl Cluster {
     /// The run's [`Metrics`], kept as [`pcn_sim::Network`] keeps them:
     /// every [`pcn_sim::PaymentNetwork::begin_payment`] records an
     /// attempt by class, every committed session its volume, fees and
-    /// paths. The message counts are the nodes' ([`Cluster::probe_messages`],
-    /// [`Cluster::commit_messages`]: one per message a node serviced,
-    /// sender and receiver included), not the simulator's one per hop.
+    /// paths, every probe its path's hops, every phase-1 part its hops on
+    /// `COMMIT_ACK` or the refusing hop + 1 on `COMMIT_NACK`. The wire
+    /// entry points ([`Cluster::probe_many`], …) meter nothing.
     pub fn metrics(&self) -> Metrics {
-        Metrics {
-            probe_messages: self.probe_messages(),
-            commit_messages: self.commit_messages(),
-            ..self.payments.clone()
-        }
+        self.metrics.clone()
     }
 
     /// Per-node telemetry snapshot, indexed by node id.

@@ -59,10 +59,7 @@ pub struct NodeCounters {
     /// Wire frames sent (queued post-fault-roll), by [`MsgType`]
     /// discriminant.
     pub msgs_out: [u64; MSG_TYPES],
-    /// `PROBE` messages serviced here (one per hop traversed, matching
-    /// the paper's probing-message metric) — including locally injected
-    /// and terminal ones, so the cluster-wide sum reproduces the old
-    /// thread-per-connection runtime's metric exactly.
+    /// `PROBE` messages serviced here, locally injected ones included.
     pub probe_messages: u64,
     /// `COMMIT` messages serviced here (same accounting as probes).
     pub commit_messages: u64,

@@ -227,23 +227,19 @@ pub trait PaymentSession {
 
     /// Reserves a batch of parts. The paper's prototype "prepares a
     /// COMMIT message for each of the sub-payment and sends them out"
-    /// before collecting replies, so backends with real message latency
-    /// override this to issue the phase-1 commits concurrently.
-    ///
-    /// The default issues [`PaymentSession::try_send_part`] sequentially
-    /// and stops at the first failure — the simulator's semantics. On
-    /// `Err`, parts reserved earlier in the batch (and, for concurrent
-    /// backends, any part that individually succeeded) remain escrowed;
-    /// callers are expected to [`PaymentSession::abort`] the session,
-    /// which is what every router does on a failed batch.
+    /// before collecting replies, so every part is sent, whether a part
+    /// before it was refused or not, and the first refusal is returned.
+    /// The parts go one after another in batch order, each meeting the
+    /// balances the earlier ones left. Parts that fit stay escrowed;
+    /// every router [`PaymentSession::abort`]s a session whose batch
+    /// failed. Every backend, the DES and the testbed included, uses
+    /// this default.
     fn try_send_parts(&mut self, parts: &[(Path, Amount)]) -> Result<(), PartFailure> {
+        let mut first = Ok(());
         for (path, amount) in parts {
-            if amount.is_zero() {
-                continue;
-            }
-            self.try_send_part(path, *amount)?;
+            first = first.and(self.try_send_part(path, *amount));
         }
-        Ok(())
+        first
     }
 
     /// Probes a path while the session is open. Escrowed funds of

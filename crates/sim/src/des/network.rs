@@ -375,6 +375,11 @@ impl DesNetwork {
         self.now = self.now.max(self.horizon);
     }
 
+    /// The wrapped network, with the settlements applied so far.
+    pub fn inner(&self) -> &Network {
+        &self.inner
+    }
+
     /// Drains the wrapped network back out. Pending settlements are
     /// applied first so no escrow is lost.
     pub fn into_inner(mut self) -> Network {

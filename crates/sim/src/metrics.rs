@@ -42,9 +42,8 @@ impl ClassMetrics {
 /// per bucket index, allocated at the first observation, so recording
 /// one is one index operation. The discrete-event backend
 /// ([`des`](crate::des)) records one observation per *successful*
-/// payment (admission → final settlement); the instantaneous backend
-/// records nothing, keeping its metrics bit-identical to before the
-/// histogram existed.
+/// payment (admission → final settlement); the simulator and the
+/// testbed record nothing, so theirs stays empty and allocates nothing.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyHistogram {
     /// One count per bucket index: empty until the first observation,
@@ -261,8 +260,8 @@ mod tests {
     use pcn_types::PaymentClass::{Elephant, Mice};
     use proptest::prelude::*;
 
-    /// `size_of::<Metrics>()` with the sparse histogram, on 64-bit
-    /// targets.
+    /// `size_of::<Metrics>()` on 64-bit targets: each histogram is one
+    /// `Vec` header of dense counts and four `u64` summaries.
     const METRICS_BYTES: usize = 208;
 
     #[test]

@@ -203,7 +203,7 @@ fn five_schemes_on_the_simulator() {
         (Scheme::Flash, 13_016, 5_231),
         (Scheme::Spider, 3_984, 3_984),
         (Scheme::SpeedyMurmurs, 4_142, 4_142),
-        (Scheme::SilentWhispers, 7_053, 7_053),
+        (Scheme::SilentWhispers, 7_052, 7_052),
         (Scheme::ShortestPath, 326, 326),
     ]
     .map(|(scheme, dev, release)| {
@@ -244,8 +244,8 @@ fn five_schemes_through_the_des() {
     let pins = [
         (Scheme::Flash, 11_334, 3_925),
         (Scheme::Spider, 3_178, 3_178),
-        (Scheme::SpeedyMurmurs, 3_348, 3_348),
-        (Scheme::SilentWhispers, 5_696, 5_696),
+        (Scheme::SpeedyMurmurs, 3_350, 3_350),
+        (Scheme::SilentWhispers, 5_698, 5_698),
         (Scheme::ShortestPath, 418, 418),
     ]
     .map(|(scheme, dev, release)| {
@@ -310,8 +310,8 @@ fn flash_on_the_testbed_reactor() {
         &[Pin {
             workload: "Flash on the testbed reactor".into(),
             got,
-            dev: 17_668,
-            release: 12_766,
+            dev: 17_735,
+            release: 12_833,
         }],
         &format!(
             "\n({frames} frames, {:.3} allocations per frame)",

@@ -1,7 +1,9 @@
 //! Cross-backend differential test: the same router, the same trace, the
 //! same initial balances — once on the in-memory simulator
 //! (`pcn_sim::Network`) and once on the TCP testbed (`pcn_proto::Cluster`)
-//! — must agree payment-by-payment on success/failure.
+//! — must agree payment-by-payment on success/failure, and on the whole
+//! `Metrics` at the end: payment counters, fees, paths and the probe
+//! and commit messages, which both count one per hop.
 //!
 //! This is the acceptance check of the `PaymentNetwork` redesign: both
 //! backends implement the trait, every scheme routes through the
@@ -18,20 +20,26 @@
 use flash_offchain::core::classify::threshold_for_mice_fraction;
 use flash_offchain::core::Scheme;
 use flash_offchain::experiments::harness::{run_scheme, run_scheme_testbed, DEFAULT_MICE_FRACTION};
-use flash_offchain::proto::{Cluster, MsgType};
+use flash_offchain::proto::{Cluster, MsgType, NodeCounters};
 use flash_offchain::sim::Network;
 use flash_offchain::types::{Amount, Payment};
 use flash_offchain::workload::testbed_topology;
 use flash_offchain::workload::trace::{generate_trace, TraceConfig};
 
 /// Routes `txns` payments through `scheme` on both backends and asserts
-/// per-payment success agreement plus conservation on each backend.
+/// per-payment success agreement plus conservation on each backend, then
+/// equal `Metrics`.
 fn assert_parity(scheme: Scheme, nodes: usize, txns: usize, seed: u64) {
-    // Identical deterministic topology and balances on both backends.
+    // Identical deterministic topology, balances and fees on both backends.
     let mut sim_net = testbed_topology(nodes, 1000, 1500, seed);
     let graph = sim_net.graph().clone();
     let balances: Vec<Amount> = graph.edges().map(|(e, _, _)| sim_net.balance(e)).collect();
+    let fees = graph
+        .edges()
+        .map(|(e, _, _)| sim_net.fee_policy(e))
+        .collect();
     let mut cluster = Cluster::launch(graph, &balances).expect("cluster launch");
+    cluster.set_fee_policies(fees).expect("one fee per edge");
 
     let trace: Vec<Payment> = generate_trace(sim_net.graph(), &TraceConfig::ripple(txns, seed + 1));
     let amounts: Vec<Amount> = trace.iter().map(|p| p.amount).collect();
@@ -74,6 +82,12 @@ fn assert_parity(scheme: Scheme, nodes: usize, txns: usize, seed: u64) {
             scheme.label()
         );
     }
+    assert_eq!(
+        &cluster.metrics(),
+        sim_net.metrics(),
+        "{}: metrics diverged",
+        scheme.label()
+    );
     // The trace must exercise both outcomes to be a meaningful diff.
     let successes = sim_net.metrics().total().succeeded;
     assert!(successes > 0, "{}: nothing succeeded", scheme.label());
@@ -82,20 +96,12 @@ fn assert_parity(scheme: Scheme, nodes: usize, txns: usize, seed: u64) {
 /// The testbed harness must agree with the simulator harness too:
 /// `run_scheme_testbed` and `run_scheme` on one network, trace, mice
 /// fraction and router seed deliver the same per-payment outcomes and
-/// the same `Metrics` — per class attempts, successes, attempted and
-/// delivered volume, plus fees and paths — and the testbed conserves
-/// funds and wire frames.
+/// the same `Metrics`, and the testbed conserves funds and wire frames.
 ///
-/// The message counts differ by counting convention. The simulator
-/// charges one message per hop a probe or commit traversed, the failing
-/// hop of a refused commit included. The nodes charge one per node
-/// that serviced it, the sender's local injection included, so a
-/// message that reaches its receiver costs one more on the testbed. In
-/// the simulator's convention a probe is its wire `PROBE` frames, and a
-/// commit its wire `COMMIT` frames plus one for the node that refused
-/// it. The probes must match that exactly. The commits may fall short
-/// of it: the testbed sends a batch of parts whole, while the simulator
-/// stops a batch at its first refused part and never sends the rest.
+/// Both count one message per hop a probe or commit crossed, the
+/// refusing hop of a refused commit included, so the simulator's probes
+/// are the wire's `PROBE` frames and its commits the `COMMIT` frames
+/// plus one per refusal.
 fn assert_harness_parity(scheme: Scheme, nodes: usize, txns: usize, seed: u64) {
     let net = testbed_topology(nodes, 1000, 1500, seed);
     let trace: Vec<Payment> = generate_trace(net.graph(), &TraceConfig::ripple(txns, seed + 1));
@@ -120,12 +126,12 @@ fn assert_harness_parity(scheme: Scheme, nodes: usize, txns: usize, seed: u64) {
     assert_eq!(sim_net.metrics(), &sim, "{label}: replay is not run_scheme");
 
     assert_eq!(tcp.outcomes, sim_outcomes, "{label}: outcomes diverged");
-    let m = &tcp.metrics;
-    assert_eq!(m.elephant, sim.elephant, "{label}: elephant counters");
-    assert_eq!(m.mice, sim.mice, "{label}: mice counters");
-    assert_eq!(m.total().attempted, trace.len() as u64, "{label}: attempts");
-    assert_eq!(m.fees_paid, sim.fees_paid, "{label}: fees diverged");
-    assert_eq!(m.paths_used, sim.paths_used, "{label}: paths diverged");
+    assert_eq!(tcp.metrics, sim, "{label}: metrics diverged");
+    assert_eq!(
+        sim.total().attempted,
+        trace.len() as u64,
+        "{label}: attempts"
+    );
 
     let frames = |t: MsgType| -> u64 { tcp.counters.iter().map(|c| c.msgs_in[t as usize]).sum() };
     let refused: u64 = tcp.counters.iter().map(|c| c.commits_nacked).sum();
@@ -134,20 +140,37 @@ fn assert_harness_parity(scheme: Scheme, nodes: usize, txns: usize, seed: u64) {
         frames(MsgType::Probe),
         "{label}: simulator probes (one per hop) against PROBE frames"
     );
-    let wire_commits = frames(MsgType::Commit) + refused;
-    assert!(
-        sim.commit_messages <= wire_commits,
-        "{label}: simulator commits (one per hop) {} above COMMIT frames plus refusals {}",
+    assert_eq!(
         sim.commit_messages,
-        wire_commits
+        frames(MsgType::Commit) + refused,
+        "{label}: simulator commits (one per hop) against COMMIT frames plus refusals"
     );
-    // Every committed part's receiver serviced its COMMIT as well.
-    assert!(m.commit_messages >= sim.commit_messages + sim.paths_used);
-    assert!(m.probe_messages >= sim.probe_messages);
+    // Node telemetry counts one message per node that serviced it: a
+    // probe or part costs its frames plus the sender's local injection,
+    // and each part that ACKed is settled by one more local injection
+    // (`CONFIRM` or `REVERSE`). Nothing else is injected locally.
+    let serviced = |f: fn(&NodeCounters) -> u64| -> u64 { tcp.counters.iter().map(f).sum() };
+    let (node_probes, node_commits) = (
+        serviced(|c| c.probe_messages),
+        serviced(|c| c.commit_messages),
+    );
+    assert!(node_probes >= sim.probe_messages, "{label}: node probes");
+    assert!(
+        node_commits >= sim.commit_messages + sim.paths_used,
+        "{label}: every committed part's receiver serviced its COMMIT"
+    );
+    let probes_sent = node_probes - sim.probe_messages;
+    let parts_sent = node_commits - frames(MsgType::Commit);
+    let parts_acked = node_commits - sim.commit_messages;
+    assert_eq!(
+        serviced(|c| c.total_messages) - tcp.wire_in(),
+        probes_sent + parts_sent + parts_acked,
+        "{label}: local injections against node probes and commits"
+    );
 
     assert_eq!(tcp.funds_before, tcp.funds_after, "{label}: funds");
     assert_eq!(tcp.wire_in(), tcp.wire_out(), "{label}: wire frames");
-    assert!(m.total().succeeded > 0, "{label}: nothing succeeded");
+    assert!(sim.total().succeeded > 0, "{label}: nothing succeeded");
 }
 
 #[test]
