@@ -31,6 +31,7 @@
 use pcn_graph::yen::{RankedPaths, YenScratch};
 use pcn_graph::{DiGraph, Path};
 use pcn_types::NodeId;
+use std::collections::BTreeMap;
 
 /// Routing-table entries unused for this many mice payments are evicted
 /// ("Timeouts are used to remove receivers ... to limit the routing
@@ -58,11 +59,7 @@ struct TableEntry {
 pub struct RoutingTable {
     m: usize,
     ttl: u64,
-    #[expect(
-        clippy::disallowed_types,
-        reason = "point lookups plus an order-insensitive retain that also takes the minimum stamp, never iterated in order; on the benchmarked per-mice path"
-    )]
-    entries: std::collections::HashMap<(NodeId, NodeId), TableEntry>,
+    entries: BTreeMap<(NodeId, NodeId), TableEntry>,
     /// A lower bound on every entry's `last_used` (`u64::MAX` while the
     /// table is empty), so [`RoutingTable::evict_stale`] can tell that
     /// nothing is stale without scanning the entries.
@@ -394,7 +391,6 @@ mod tests {
         use proptest::prelude::*;
         use rand::prelude::*;
         use rand::rngs::StdRng;
-        use std::collections::BTreeMap;
 
         proptest! {
             /// On random lookup sequences with a small TTL, a clock that

@@ -178,6 +178,9 @@ pub struct TestbedReport {
     pub socket_ops: u64,
     /// Connects the reactor made: one per channel that carried a frame.
     pub connects: u64,
+    /// Requests the reactor began: one per wire round trip (a probe, a
+    /// part's commit, a settlement wave).
+    pub requests: u64,
     /// Frames the lossy wire dropped.
     pub dropped_messages: u64,
     /// Total funds before the first payment, micro-units.
@@ -254,6 +257,7 @@ pub fn run_scheme_testbed(
         counters: cluster.node_counters(),
         socket_ops: cluster.socket_ops(),
         connects: cluster.connects(),
+        requests: cluster.requests(),
         dropped_messages: cluster.dropped_messages(),
         funds_before,
         funds_after: cluster.total_funds(),

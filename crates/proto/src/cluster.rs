@@ -23,12 +23,11 @@
 //! sub-payment and sends them out" before collecting replies.
 
 use crate::event_loop::{EventLoop, ShutdownReport};
-use crate::node::NodeCounters;
+use crate::node::{NodeCounters, NodeState};
 use crate::wire::{Message, MsgType};
 use pcn_graph::{DiGraph, EdgeId, Path};
 use pcn_sim::{ChurnAction, FaultConfig, Metrics};
 use pcn_types::{Amount, FeePolicy, NodeId, PcnError, Result};
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// The stall guard: how long a request may sit with bytes in flight that
@@ -91,14 +90,17 @@ impl Cluster {
                 graph.edge_count()
             )));
         }
-        let n = graph.node_count();
-        let mut node_balances: Vec<HashMap<u32, u64>> = vec![HashMap::new(); n];
-        for (id, bal) in node_balances.iter_mut().enumerate() {
-            for &(neigh, e) in graph.out_neighbors(NodeId::from_index(id)) {
-                bal.insert(neigh.0, balances[e.index()].micros());
-            }
-        }
-        let evloop = EventLoop::new(node_balances, faults)?;
+        // Each node's row: its out-edges at their balances, plus a zero
+        // slot per in-neighbour it has no edge back to.
+        let nodes = (0..graph.node_count()).map(|id| {
+            let u = NodeId::from_index(id);
+            let out = graph.out_neighbors(u).iter();
+            let out = out.map(|&(v, e)| (v.0, balances[e.index()].micros()));
+            let in_only = graph.in_neighbors(u).iter();
+            let in_only = in_only.filter(|&&(_, e)| graph.reverse_edge(e).is_none());
+            NodeState::new(u.0, out.chain(in_only.map(|&(v, _)| (v.0, 0))))
+        });
+        let evloop = EventLoop::new(nodes.collect(), faults)?;
         let fees = vec![FeePolicy::FREE; graph.edge_count()];
         Ok(Cluster {
             graph,
@@ -186,6 +188,12 @@ impl Cluster {
     /// [`EventLoop::connects`]).
     pub fn connects(&self) -> u64 {
         self.evloop.connects()
+    }
+
+    /// Requests the reactor has begun so far, one per wire round trip
+    /// (see [`EventLoop::requests`]).
+    pub fn requests(&self) -> u64 {
+        self.evloop.requests()
     }
 
     /// Allocates a fresh wire transaction id.
@@ -304,17 +312,21 @@ impl Cluster {
             ChurnAction::ChannelClose(e) | ChurnAction::ChannelReopen(e) => {
                 let closed = matches!(action, ChurnAction::ChannelClose(_));
                 let (u, v) = self.graph.endpoints(e);
-                ev.set_channel_closed(u.0, v.0, closed);
+                ev.node_mut(u.0).set_closed_to(v.0, closed);
                 if self.graph.edge(v, u).is_some() {
-                    ev.set_channel_closed(v.0, u.0, closed);
+                    ev.node_mut(v.0).set_closed_to(u.0, closed);
                 }
             }
-            ChurnAction::NodeDown(n) => ev.set_node_down(n.0, true),
-            ChurnAction::NodeUp(n) => ev.set_node_down(n.0, false),
+            ChurnAction::NodeDown(n) => ev.node_mut(n.0).set_down(true),
+            ChurnAction::NodeUp(n) => ev.node_mut(n.0).set_down(false),
             ChurnAction::BalanceDrain { edge, amount } => {
+                // Without a reverse direction the funds leave the
+                // channel system.
                 let (u, v) = self.graph.endpoints(edge);
-                let credit_reverse = self.graph.edge(v, u).is_some();
-                ev.drain_channel(u.0, v.0, amount.micros(), credit_reverse);
+                let moved = ev.node_mut(u.0).drain_to(v.0, amount.micros());
+                if self.graph.edge(v, u).is_some() {
+                    ev.node_mut(v.0).credit_to(u.0, moved);
+                }
             }
         }
     }

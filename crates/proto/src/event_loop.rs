@@ -9,8 +9,8 @@
 //!   its two ends has an explicit write buffer, flushed as the kernel
 //!   accepts bytes, and a [`FrameDecoder`] for what the other end sends,
 //! * a [`NodeState`] per node executing the protocol state machine,
-//! * a request table correlating client-injected messages with their
-//!   terminal replies by `trans_id`.
+//! * a request table, ordered by `trans_id`, correlating
+//!   client-injected messages with their terminal replies.
 //!
 //! # One connection per channel
 //!
@@ -20,10 +20,10 @@
 //! frame costs no handshake. The sender connects to the other node's
 //! listener, and the loop accepts right away: the loopback connect has
 //! already queued the connection, so the accepting end exists before its
-//! first reply is due. Each node finds its end through a neighbour
-//! table, one row per node sorted by neighbour id. A node sends only to
-//! the nodes it shares a channel with; a frame addressed to any other
-//! node has no connection to ride, and is counted as a transport error.
+//! first reply is due. Each node finds its end through its own row of
+//! channel peers (see [`NodeState`]). A node sends only to the nodes it
+//! shares a channel with; a frame addressed to any other node has no
+//! connection to ride, and is counted as a transport error.
 //!
 //! # What is polled, and why that is enough
 //!
@@ -85,7 +85,7 @@
 //! (`clippy.toml` bans `Instant::now` everywhere else) and is used
 //! exclusively for the stall guard — never for ordering decisions.
 
-use crate::node::{NodeState, Outbox, MSG_TYPES};
+use crate::node::{NodeState, Outbox};
 use crate::transport::FrameDecoder;
 use crate::wall::WallInstant;
 use crate::wire::Message;
@@ -93,7 +93,7 @@ use pcn_sim::FaultConfig;
 use pcn_types::{PcnError, Result};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
@@ -181,10 +181,9 @@ pub struct EventLoop {
     listeners: Vec<TcpListener>,
     /// Listener address, by node id.
     addrs: Vec<SocketAddr>,
-    /// The neighbour table: node `u`'s channel peers are
-    /// `peers[peer_rows[u]..peer_rows[u + 1]]`, ascending.
+    /// Where each node's row starts in `peer_ends`: node `u`'s `i`-th
+    /// channel peer is at `peer_rows[u] + i`.
     peer_rows: Vec<usize>,
-    peers: Vec<u32>,
     /// Per neighbour-table slot: the node's end of its connection to
     /// that peer, once one was opened.
     peer_ends: Vec<Option<usize>>,
@@ -200,7 +199,7 @@ pub struct EventLoop {
     /// Ready set: accepted ends with unflushed bytes.
     write_ready: Vec<usize>,
     /// Open request slots: `None` until the terminal reply arrives.
-    pending: HashMap<u64, Option<Message>>,
+    pending: BTreeMap<u64, Option<Message>>,
     /// Messages decoded this pass, awaiting dispatch (FIFO).
     scratch: VecDeque<(u32, Message)>,
     /// The one outbox every dispatch fills and empties.
@@ -217,6 +216,8 @@ pub struct EventLoop {
     socket_ops: u64,
     /// Connects that succeeded so far.
     connects: u64,
+    /// Requests begun so far.
+    requests: u64,
     /// Frames sent on connections that closed before they were read.
     written_off: u64,
     /// Passes started so far (the first field of a read key).
@@ -227,60 +228,44 @@ pub struct EventLoop {
 }
 
 impl EventLoop {
-    /// Binds one non-blocking listener per node and installs the
-    /// initial outgoing balances. `balances[i]` maps neighbor id →
-    /// micro-units for node `i`; a channel joins `i` and each such
-    /// neighbour, whichever of the two holds the balance. No traffic
-    /// flows, and no connection is opened, until the first send.
+    /// Binds one non-blocking listener per node and hosts `nodes`, node
+    /// `i` at index `i`. A channel joins two nodes whose rows list each
+    /// other; a reply toward a node whose row does not list its sender
+    /// has no connection to ride. No traffic flows, and no connection is
+    /// opened, until the first send.
     ///
     /// `faults` is the simulator's fault surface: each outbound frame is
     /// dropped with probability `probe_drop_prob` (clamped to [0, 1]),
     /// rolled on a stream seeded with `seed`. Probe noise has no wire
     /// equivalent — frames carry real balances — so `probe_noise_ppm`
     /// is ignored.
-    pub fn new(balances: Vec<HashMap<u32, u64>>, faults: &FaultConfig) -> Result<Self> {
-        let n = balances.len();
-        let mut links = Vec::new();
-        for (u, bal) in balances.iter().enumerate() {
-            for &v in bal.keys() {
-                links.extend([(u as u32, v), (v, u as u32)]);
-            }
+    pub fn new(nodes: Vec<NodeState>, faults: &FaultConfig) -> Result<Self> {
+        let n = nodes.len();
+        let mut peer_rows = Vec::with_capacity(n + 1);
+        peer_rows.push(0);
+        for (u, node) in nodes.iter().enumerate() {
+            peer_rows.push(peer_rows[u] + node.peers().len());
         }
-        links.retain(|&(u, _)| (u as usize) < n);
-        links.sort_unstable();
-        links.dedup();
-        let mut peer_rows = vec![0; n + 1];
-        for &(u, _) in &links {
-            peer_rows[u as usize + 1] += 1;
-        }
-        for u in 0..n {
-            peer_rows[u + 1] += peer_rows[u];
-        }
-        let peers: Vec<u32> = links.into_iter().map(|(_, v)| v).collect();
-
-        let mut nodes = Vec::with_capacity(n);
         let mut listeners = Vec::with_capacity(n);
         let mut addrs = Vec::with_capacity(n);
-        for (id, bal) in balances.into_iter().enumerate() {
+        for _ in 0..n {
             let listener = TcpListener::bind("127.0.0.1:0")?;
             listener.set_nonblocking(true)?;
             addrs.push(listener.local_addr()?);
             listeners.push(listener);
-            nodes.push(NodeState::new(id as u32, bal));
         }
         Ok(EventLoop {
             connecting: vec![Vec::new(); n],
             nodes,
             listeners,
             addrs,
+            peer_ends: vec![None; peer_rows[n]],
             peer_rows,
-            peer_ends: vec![None; peers.len()],
-            peers,
             ends: Vec::new(),
             accept_ready: Vec::new(),
             read_ready: Vec::new(),
             write_ready: Vec::new(),
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             scratch: VecDeque::new(),
             outbox: Outbox::default(),
             drop_ppm: (faults.probe_drop_prob.clamp(0.0, 1.0) * 1_000_000.0) as u64,
@@ -289,6 +274,7 @@ impl EventLoop {
             transport_errors: 0,
             socket_ops: 0,
             connects: 0,
+            requests: 0,
             written_off: 0,
             passes: 0,
             read_keys: 0,
@@ -304,6 +290,12 @@ impl EventLoop {
     /// Immutable access to a node (balances, counters).
     pub fn node(&self, id: u32) -> &NodeState {
         &self.nodes[id as usize]
+    }
+
+    /// Mutable access to a node: churn crashes it, freezes its channel
+    /// directions and drains their balances.
+    pub fn node_mut(&mut self, id: u32) -> &mut NodeState {
+        &mut self.nodes[id as usize]
     }
 
     /// Telemetry snapshot for every node.
@@ -336,27 +328,10 @@ impl EventLoop {
         self.connects
     }
 
-    // ----- churn ---------------------------------------------------
-
-    /// Crashes or revives a node (see [`NodeState::set_down`]).
-    pub fn set_node_down(&mut self, node: u32, down: bool) {
-        self.nodes[node as usize].set_down(down);
-    }
-
-    /// Freezes or reopens one channel direction `u → v`.
-    pub fn set_channel_closed(&mut self, u: u32, v: u32, closed: bool) {
-        self.nodes[u as usize].set_closed_to(v, closed);
-    }
-
-    /// Drains up to `amount` from `u → v`; when `credit_reverse`, the
-    /// moved funds land on `v → u` (conserving totals), otherwise they
-    /// leave the channel system. Returns the amount moved.
-    pub fn drain_channel(&mut self, u: u32, v: u32, amount: u64, credit_reverse: bool) -> u64 {
-        let moved = self.nodes[u as usize].drain_to(v, amount);
-        if credit_reverse {
-            self.nodes[v as usize].credit_to(u, moved);
-        }
-        moved
+    /// Requests begun so far ([`EventLoop::begin_request`] calls that
+    /// opened a reply slot): one wire round trip each.
+    pub fn requests(&self) -> u64 {
+        self.requests
     }
 
     // ----- requests ------------------------------------------------
@@ -373,6 +348,7 @@ impl EventLoop {
         }
         let id = msg.trans_id;
         self.pending.insert(id, None);
+        self.requests += 1;
         self.dispatch(origin, msg);
         Ok(id)
     }
@@ -590,11 +566,8 @@ impl EventLoop {
     /// The neighbour-table slot of `peer` in `node`'s row, if the two
     /// share a channel.
     fn peer_slot(&self, node: u32, peer: u32) -> Option<usize> {
-        let (lo, hi) = (
-            self.peer_rows[node as usize],
-            self.peer_rows[node as usize + 1],
-        );
-        self.peers[lo..hi].binary_search(&peer).ok().map(|i| lo + i)
+        let i = self.nodes.get(node as usize)?.peer_index(peer)?;
+        Some(self.peer_rows[node as usize] + i)
     }
 
     /// Buffers one frame on `from`'s end of the connection it shares
@@ -848,28 +821,24 @@ impl EventLoop {
     }
 }
 
-/// Re-exported so reports can size per-type arrays without reaching
-/// into [`crate::node`].
-pub const WIRE_MSG_TYPES: usize = MSG_TYPES;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::MsgType;
     use proptest::prelude::*;
 
-    /// 0 ↔ 1 ↔ 2 line with 10 units per direction.
-    fn line3() -> EventLoop {
+    /// The nodes of a 0 ↔ 1 ↔ 2 line with 10 units per direction.
+    fn line3_nodes() -> Vec<NodeState> {
         let u = 10_000_000u64;
-        EventLoop::new(
-            vec![
-                HashMap::from([(1, u)]),
-                HashMap::from([(0, u), (2, u)]),
-                HashMap::from([(1, u)]),
-            ],
-            &FaultConfig::none(),
-        )
-        .unwrap()
+        vec![
+            NodeState::new(0, [(1, u)]),
+            NodeState::new(1, [(0, u), (2, u)]),
+            NodeState::new(2, [(1, u)]),
+        ]
+    }
+
+    fn line3() -> EventLoop {
+        EventLoop::new(line3_nodes(), &FaultConfig::none()).unwrap()
     }
 
     fn request(ev: &mut EventLoop, msg: Message) -> Option<Message> {
@@ -943,13 +912,8 @@ mod tests {
 
     #[test]
     fn dropped_probe_times_out() {
-        let u = 10_000_000u64;
         let mut ev = EventLoop::new(
-            vec![
-                HashMap::from([(1, u)]),
-                HashMap::from([(0, u), (2, u)]),
-                HashMap::from([(1, u)]),
-            ],
+            line3_nodes(),
             &FaultConfig {
                 probe_drop_prob: 1.0,
                 seed: 7,
@@ -1055,7 +1019,7 @@ mod tests {
     /// Six nodes on a ring with two chords, 10 units per direction.
     fn ring6() -> EventLoop {
         let u = 10_000_000u64;
-        let mut balances = vec![HashMap::new(); 6];
+        let mut balances = vec![Vec::new(); 6];
         for (a, b) in [
             (0, 1),
             (1, 2),
@@ -1066,10 +1030,11 @@ mod tests {
             (0, 3),
             (1, 4),
         ] {
-            balances[a as usize].insert(b, u);
-            balances[b as usize].insert(a, u);
+            balances[a as usize].push((b, u));
+            balances[b as usize].push((a, u));
         }
-        EventLoop::new(balances, &FaultConfig::none()).unwrap()
+        let nodes = (0..).zip(balances).map(|(id, row)| NodeState::new(id, row));
+        EventLoop::new(nodes.collect(), &FaultConfig::none()).unwrap()
     }
 
     /// A simple path of up to `hops` hops from a random node, walked
@@ -1078,8 +1043,7 @@ mod tests {
         let mut path = vec![rng.random_range(0..ev.node_count() as u32)];
         for _ in 0..hops {
             let at = *path.last().unwrap() as usize;
-            let row = &ev.peers[ev.peer_rows[at]..ev.peer_rows[at + 1]];
-            let fresh: Vec<u32> = row.iter().copied().filter(|v| !path.contains(v)).collect();
+            let fresh: Vec<u32> = ev.nodes[at].peers().filter(|v| !path.contains(v)).collect();
             if fresh.is_empty() {
                 break;
             }

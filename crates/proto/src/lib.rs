@@ -41,7 +41,17 @@
 #![warn(missing_docs)]
 // Library code reports through returned values and serialized artifacts,
 // never ad-hoc stdout; the experiment/bench binaries print, libraries do not.
-#![deny(clippy::dbg_macro, clippy::print_stdout)]
+// Nor does it panic: errors propagate, as in the deterministic crates.
+#![deny(
+    clippy::dbg_macro,
+    clippy::print_stdout,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod backend;
 pub mod cluster;

@@ -1,8 +1,10 @@
 //! The per-participant protocol state machine.
 //!
 //! Each node owns the balances of its **outgoing** channel directions
-//! (node `u` owns `balance[u → v]`) and executes the protocol state
-//! machine of §5.1:
+//! (node `u` owns `balance[u → v]`) in one row, a slot per channel peer
+//! sorted by peer id (a peer with no edge back holds zero until a
+//! `CONFIRM_ACK` credits it; the reactor's neighbour table is these
+//! rows), and executes the protocol state machine of §5.1:
 //!
 //! * `PROBE` — append own next-hop balance to `Capacity`, forward;
 //!   the receiver reverses the path into a `PROBE_ACK`.
@@ -18,10 +20,7 @@
 //! A [`NodeState`] is **passive**: it never touches a socket, a thread,
 //! or a clock. [`NodeState::handle`] consumes one message and emits its
 //! effects into an [`Outbox`] — wire sends and client deliveries — which
-//! the [`EventLoop`](crate::event_loop::EventLoop) executes. This is the
-//! state-machine half of the poll-based transport: what used to run on
-//! one detached reader thread per connection is now a pure transition
-//! function driven by the reactor.
+//! the [`EventLoop`](crate::event_loop::EventLoop) executes.
 //!
 //! The one deviation from the paper's prose: the paper sends `REVERSE`
 //! for *failed* sub-payments too, but hops beyond the NACKing node never
@@ -45,7 +44,6 @@
 //!   forever, so the testbed models crash-recovery replay instead.
 
 use crate::wire::{Message, MsgType};
-use std::collections::{HashMap, HashSet};
 
 /// Number of wire message types (the per-type counter arrays' length).
 pub const MSG_TYPES: usize = 9;
@@ -112,14 +110,21 @@ pub struct Outbox {
     pub deliveries: Vec<Message>,
 }
 
+/// One channel peer's slot: the balance toward `peer` (micro-units) and
+/// whether churn froze that direction (`ChannelClose`).
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    peer: u32,
+    balance: u64,
+    closed: bool,
+}
+
 /// A participant node: balances + fault state + the protocol state
 /// machine. Passive — driven entirely by the event loop.
 pub struct NodeState {
     id: u32,
-    /// Outgoing balance per neighbor (micro-units).
-    balances: HashMap<u32, u64>,
-    /// Outgoing directions frozen by churn (`ChannelClose`).
-    closed: HashSet<u32>,
+    /// One slot per channel peer, ascending by peer id.
+    row: Vec<Slot>,
     /// Whether the node is crashed (`NodeDown`).
     down: bool,
     /// Telemetry (also updated by the event loop for wire/queue counts).
@@ -127,12 +132,21 @@ pub struct NodeState {
 }
 
 impl NodeState {
-    /// Creates the node with its initial outgoing balances.
-    pub fn new(id: u32, balances: HashMap<u32, u64>) -> Self {
+    /// Creates the node with its channel peers, each listed once with
+    /// the initial balance toward it, in any order.
+    pub fn new(id: u32, balances: impl IntoIterator<Item = (u32, u64)>) -> Self {
+        let mut row: Vec<Slot> = balances
+            .into_iter()
+            .map(|(peer, balance)| Slot {
+                peer,
+                balance,
+                closed: false,
+            })
+            .collect();
+        row.sort_unstable_by_key(|s| s.peer);
         NodeState {
             id,
-            balances,
-            closed: HashSet::new(),
+            row,
             down: false,
             counters: NodeCounters::default(),
         }
@@ -143,14 +157,29 @@ impl NodeState {
         self.id
     }
 
+    /// The node's channel peers, ascending.
+    pub(crate) fn peers(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.row.iter().map(|s| s.peer)
+    }
+
+    /// Where `peer` sits in the row, if the two share a channel.
+    pub(crate) fn peer_index(&self, peer: u32) -> Option<usize> {
+        self.row.binary_search_by_key(&peer, |s| s.peer).ok()
+    }
+
+    fn slot_mut(&mut self, peer: u32) -> Option<&mut Slot> {
+        let i = self.peer_index(peer)?;
+        self.row.get_mut(i)
+    }
+
     /// Current outgoing balance toward `neighbor` (micro-units).
     pub fn balance_to(&self, neighbor: u32) -> u64 {
-        self.balances.get(&neighbor).copied().unwrap_or(0)
+        self.peer_index(neighbor).map_or(0, |i| self.row[i].balance)
     }
 
     /// Sum of all outgoing balances (conservation checks).
     pub fn total_outgoing(&self) -> u64 {
-        self.balances.values().sum()
+        self.row.iter().map(|s| s.balance).sum()
     }
 
     /// Telemetry snapshot.
@@ -165,36 +194,39 @@ impl NodeState {
 
     /// Freezes or reopens the outgoing direction toward `neighbor`.
     pub fn set_closed_to(&mut self, neighbor: u32, closed: bool) {
-        if closed {
-            self.closed.insert(neighbor);
-        } else {
-            self.closed.remove(&neighbor);
+        if let Some(slot) = self.slot_mut(neighbor) {
+            slot.closed = closed;
         }
     }
 
     /// Moves up to `amount` out of the direction toward `neighbor`,
     /// returning what was actually moved (the churn `BalanceDrain`).
     pub fn drain_to(&mut self, neighbor: u32, amount: u64) -> u64 {
-        let bal = self.balances.entry(neighbor).or_insert(0);
-        let moved = amount.min(*bal);
-        *bal -= moved;
-        moved
+        self.slot_mut(neighbor).map_or(0, |slot| {
+            let moved = amount.min(slot.balance);
+            slot.balance -= moved;
+            moved
+        })
     }
 
     /// Credits the direction toward `neighbor` (the receiving half of a
-    /// `BalanceDrain`, and test setup).
+    /// `BalanceDrain`, the settlement waves, and test setup).
     pub fn credit_to(&mut self, neighbor: u32, amount: u64) {
-        *self.balances.entry(neighbor).or_insert(0) += amount;
+        if let Some(slot) = self.slot_mut(neighbor) {
+            slot.balance += amount;
+        }
     }
 
-    /// Forwards `msg` to `path[pos + 1]`, incrementing `pos`.
-    fn advance(&self, mut msg: Message, out: &mut Outbox) {
-        let Some(next) = msg.next_hop() else {
-            debug_assert!(false, "advance called at end of path");
-            return;
-        };
-        msg.pos += 1;
-        out.sends.push((next, msg));
+    /// Forwards `msg` to `path[pos + 1]`, incrementing `pos`, or
+    /// delivers it to the waiting client at the end of its path.
+    fn relay(&self, mut msg: Message, out: &mut Outbox) {
+        match msg.next_hop() {
+            Some(next) => {
+                msg.pos += 1;
+                out.sends.push((next, msg));
+            }
+            None => out.deliveries.push(msg),
+        }
     }
 
     /// Reverses `msg` into an ACK of type `ack_type` and routes it —
@@ -204,11 +236,7 @@ impl NodeState {
         ack.msg_type = ack_type;
         ack.path.reverse();
         ack.pos = 0;
-        if ack.at_end() {
-            out.deliveries.push(ack);
-        } else {
-            self.advance(ack, out);
-        }
+        self.relay(ack, out);
     }
 
     /// The protocol state machine. Called for every wire-received
@@ -223,13 +251,7 @@ impl NodeState {
             MsgType::ConfirmAck => self.on_confirm_ack(msg, out),
             MsgType::Reverse => self.on_reverse(msg, out),
             // Pure relays: ProbeAck, CommitAck, ReverseAck.
-            MsgType::ProbeAck | MsgType::CommitAck | MsgType::ReverseAck => {
-                if msg.at_end() {
-                    out.deliveries.push(msg);
-                } else {
-                    self.advance(msg, out);
-                }
-            }
+            MsgType::ProbeAck | MsgType::CommitAck | MsgType::ReverseAck => self.relay(msg, out),
         }
     }
 
@@ -240,25 +262,22 @@ impl NodeState {
             // the sender, exactly like the DES's NACKed probe.
             return;
         }
-        if msg.at_end() {
+        match msg.next_hop() {
             // Receiver: reverse the path into a PROBE_ACK (§5.1: "the
             // receiver modifies the message type to PROBE_ACK, replaces
             // the Path field with the reversed version of the forward
             // path, and sends it back").
-            self.ack_back(msg, MsgType::ProbeAck, out);
-            return;
+            None => self.ack_back(msg, MsgType::ProbeAck, out),
+            // Intermediate (or sender): append own balance toward next
+            // hop. A closed direction reports capacity 0 — frozen funds
+            // are not probeable, so routers steer around the channel.
+            Some(next) => {
+                let open = self.peer_index(next).map(|i| self.row[i]);
+                let open = open.filter(|s| !s.closed);
+                msg.capacities.push(open.map_or(0, |s| s.balance));
+                self.relay(msg, out);
+            }
         }
-        // Intermediate (or sender): append own balance toward next hop.
-        // A closed direction reports capacity 0 — frozen funds are not
-        // probeable, so routers steer around the channel.
-        let next = msg.next_hop().expect("checked not at end");
-        let bal = if self.closed.contains(&next) {
-            0
-        } else {
-            self.balance_to(next)
-        };
-        msg.capacities.push(bal);
-        self.advance(msg, out);
     }
 
     /// Originates a `COMMIT_NACK` back along the reversed prefix of a
@@ -271,11 +290,8 @@ impl NodeState {
         nack.path.reverse();
         nack.pos = 0;
         nack.capacities.clear();
-        if nack.at_end() {
-            out.deliveries.push(nack); // the sender itself refused
-        } else {
-            self.advance(nack, out);
-        }
+        // Delivered at once when the sender itself refused.
+        self.relay(nack, out);
     }
 
     fn on_commit(&mut self, msg: Message, out: &mut Outbox) {
@@ -285,24 +301,20 @@ impl NodeState {
             self.nack_commit(msg, out);
             return;
         }
-        if msg.at_end() {
+        match msg.next_hop() {
             // Receiver: all hops escrowed; acknowledge.
-            self.ack_back(msg, MsgType::CommitAck, out);
-            return;
-        }
-        let next = msg.next_hop().expect("checked not at end");
-        if self.closed.contains(&next) {
-            // Frozen channel: refuse, releasing upstream escrow.
-            self.nack_commit(msg, out);
-            return;
-        }
-        let bal = self.balances.entry(next).or_insert(0);
-        if *bal >= msg.commit {
-            *bal -= msg.commit;
-            self.counters.escrow_add(msg.commit);
-            self.advance(msg, out);
-        } else {
-            self.nack_commit(msg, out);
+            None => self.ack_back(msg, MsgType::CommitAck, out),
+            // Escrow toward the next hop, or refuse — a frozen channel,
+            // a short balance, no channel at all — releasing upstream
+            // escrow.
+            Some(next) => match self.slot_mut(next) {
+                Some(slot) if !slot.closed && slot.balance >= msg.commit => {
+                    slot.balance -= msg.commit;
+                    self.counters.escrow_add(msg.commit);
+                    self.relay(msg, out);
+                }
+                _ => self.nack_commit(msg, out),
+            },
         }
     }
 
@@ -311,14 +323,10 @@ impl NodeState {
         // prefix) escrowed toward the node the NACK came from — restore.
         if msg.pos > 0 {
             let from = msg.path[msg.pos as usize - 1];
-            *self.balances.entry(from).or_insert(0) += msg.commit;
+            self.credit_to(from, msg.commit);
             self.counters.escrow_release(msg.commit);
         }
-        if msg.at_end() {
-            out.deliveries.push(msg);
-        } else {
-            self.advance(msg, out);
-        }
+        self.relay(msg, out);
     }
 
     fn on_confirm(&mut self, msg: Message, out: &mut Outbox) {
@@ -332,7 +340,7 @@ impl NodeState {
             self.on_confirm_ack(ack, out);
             return;
         }
-        self.advance(msg, out);
+        self.relay(msg, out);
     }
 
     fn on_confirm_ack(&mut self, msg: Message, out: &mut Outbox) {
@@ -342,28 +350,26 @@ impl NodeState {
         if msg.pos > 0 {
             self.counters.escrow_release(msg.commit);
         }
-        if msg.at_end() {
-            out.deliveries.push(msg);
-            return;
-        }
         // Credit the reverse direction: on the reversed path, my next
         // hop is my predecessor on the forward path.
-        let next = msg.next_hop().expect("checked not at end");
-        *self.balances.entry(next).or_insert(0) += msg.commit;
-        self.advance(msg, out);
+        if let Some(next) = msg.next_hop() {
+            self.credit_to(next, msg.commit);
+        }
+        self.relay(msg, out);
     }
 
     fn on_reverse(&mut self, msg: Message, out: &mut Outbox) {
-        if msg.at_end() {
-            self.ack_back(msg, MsgType::ReverseAck, out);
-            return;
+        match msg.next_hop() {
+            None => self.ack_back(msg, MsgType::ReverseAck, out),
+            // Restore the escrowed forward balance (even on a frozen
+            // channel — settlement waves land harmlessly on frozen
+            // funds).
+            Some(next) => {
+                self.credit_to(next, msg.commit);
+                self.counters.escrow_release(msg.commit);
+                self.relay(msg, out);
+            }
         }
-        // Restore the escrowed forward balance (even on a frozen
-        // channel — settlement waves land harmlessly on frozen funds).
-        let next = msg.next_hop().expect("checked not at end");
-        *self.balances.entry(next).or_insert(0) += msg.commit;
-        self.counters.escrow_release(msg.commit);
-        self.advance(msg, out);
     }
 }
 
@@ -391,9 +397,9 @@ mod tests {
         // 0 → 1 → 2 with 10 units each way.
         let u = 10_000_000u64;
         vec![
-            NodeState::new(0, HashMap::from([(1, u)])),
-            NodeState::new(1, HashMap::from([(0, u), (2, u)])),
-            NodeState::new(2, HashMap::from([(1, u)])),
+            NodeState::new(0, [(1, u)]),
+            NodeState::new(1, [(0, u), (2, u)]),
+            NodeState::new(2, [(1, u)]),
         ]
     }
 

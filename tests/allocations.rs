@@ -176,8 +176,8 @@ fn flash_on_the_simulator_by_class() {
             Pin {
                 workload: "Flash on the simulator, warm mice".into(),
                 got: mice.1,
-                dev: 3_945,
-                release: 1_341,
+                dev: 3_949,
+                release: 1_345,
             },
             Pin {
                 workload: "Flash on the simulator, warm elephants".into(),
@@ -200,7 +200,7 @@ fn flash_on_the_simulator_by_class() {
 fn five_schemes_on_the_simulator() {
     let (net, trace, _) = quick_ripple();
     let pins = [
-        (Scheme::Flash, 13_016, 5_231),
+        (Scheme::Flash, 13_019, 5_234),
         (Scheme::Spider, 3_984, 3_984),
         (Scheme::SpeedyMurmurs, 4_142, 4_142),
         (Scheme::SilentWhispers, 7_052, 7_052),
@@ -242,7 +242,7 @@ fn des_load(churn: ChurnRate) -> DesLoad {
 fn five_schemes_through_the_des() {
     let (net, trace) = des_setup();
     let pins = [
-        (Scheme::Flash, 11_334, 3_925),
+        (Scheme::Flash, 11_336, 3_927),
         (Scheme::Spider, 3_178, 3_178),
         (Scheme::SpeedyMurmurs, 3_350, 3_350),
         (Scheme::SilentWhispers, 5_698, 5_698),
@@ -289,8 +289,8 @@ fn flash_through_the_des_under_churn() {
         &[Pin {
             workload: "Flash through the DES, 10 closes/s".into(),
             got,
-            dev: 10_080,
-            release: 3_344,
+            dev: 10_088,
+            release: 3_352,
         }],
         "",
     );
@@ -310,8 +310,8 @@ fn flash_on_the_testbed_reactor() {
         &[Pin {
             workload: "Flash on the testbed reactor".into(),
             got,
-            dev: 17_735,
-            release: 12_833,
+            dev: 17_683,
+            release: 12_781,
         }],
         &format!(
             "\n({frames} frames, {:.3} allocations per frame)",

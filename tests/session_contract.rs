@@ -14,7 +14,13 @@
 //! 0 → 1 → 3 and 0 → 2 → 3 of bidirectional channels holding 10 units
 //! each way, every hop charging a base fee of 0.01 plus 1 %. The
 //! generated ones (`generated_sessions_agree_on_every_backend`) run on
-//! small random connected graphs.
+//! small random connected graphs, some of whose chords are one-way.
+//!
+//! A part committed over a one-way edge `u → v` credits `v → u`, a
+//! direction the graph lacks. The simulator and the DES let that credit
+//! leave the channel system; the testbed books it in `v`'s slot toward
+//! `u`, which its total funds count but no edge reads. Every edge's
+//! balance still agrees, and the books compare only those.
 
 use flash_offchain::graph::{DiGraph, EdgeId, Path};
 use flash_offchain::proto::Cluster;
@@ -402,13 +408,14 @@ struct Session {
     end: End,
 }
 
-/// A generated script: a connected graph of bidirectional `channels` on
-/// `nodes` nodes, per-edge balances and fees by edge id, and the
-/// sessions run on it one after another.
+/// A generated script: a connected graph of `channels` on `nodes`
+/// nodes, each `(u, v, both_ways)` either a bidirectional channel or
+/// the one directed edge `u → v`, per-edge balances and fees by edge
+/// id, and the sessions run on it one after another.
 #[derive(Clone, Debug)]
 struct Script {
     nodes: usize,
-    channels: Vec<(u32, u32)>,
+    channels: Vec<(u32, u32, bool)>,
     balances: Vec<Amount>,
     fees: Vec<FeePolicy>,
     sessions: Vec<Session>,
@@ -417,8 +424,12 @@ struct Script {
 impl Script {
     fn graph(&self) -> DiGraph {
         let mut g = DiGraph::new(self.nodes);
-        for &(u, v) in &self.channels {
-            g.add_channel(n(u), n(v)).unwrap();
+        for &(u, v, both_ways) in &self.channels {
+            if both_ways {
+                g.add_channel(n(u), n(v)).unwrap();
+            } else {
+                g.add_edge(n(u), n(v)).unwrap();
+            }
         }
         g
     }
@@ -457,10 +468,10 @@ fn part(g: &DiGraph, rng: &mut TestRng) -> (Vec<u32>, Amount) {
     (simple_path(g, rng), half_units(rng, halves))
 }
 
-/// Draws [`Script`]s: 4–8 nodes joined by a random tree plus chords,
-/// balances of 0–12 units and fees of 0–0.015 plus 0–1.5 % per edge, and
-/// one to six sessions of one to four calls each, for demands of 0.5–10
-/// units.
+/// Draws [`Script`]s: 4–8 nodes joined by a random tree of channels
+/// plus chords, half of them one-way, balances of 0–12 units and fees
+/// of 0–0.015 plus 0–1.5 % per edge, and one to six sessions of one to
+/// four calls each, for demands of 0.5–10 units.
 struct Scripts;
 
 impl Strategy for Scripts {
@@ -468,12 +479,14 @@ impl Strategy for Scripts {
 
     fn sample(&self, rng: &mut TestRng) -> Script {
         let nodes = (4usize..=8).sample(rng);
-        let mut channels: Vec<(u32, u32)> =
-            (1..nodes as u32).map(|v| ((0..v).sample(rng), v)).collect();
+        let mut channels: Vec<(u32, u32, bool)> = (1..nodes as u32)
+            .map(|v| ((0..v).sample(rng), v, true))
+            .collect();
         for _ in 0..(0..=nodes).sample(rng) {
             let (u, v) = ((0..nodes as u32).sample(rng), (0..nodes as u32).sample(rng));
-            if u != v && !channels.contains(&(u, v)) && !channels.contains(&(v, u)) {
-                channels.push((u, v));
+            let joined = |&(a, b, _): &(u32, u32, bool)| (a, b) == (u, v) || (a, b) == (v, u);
+            if u != v && !channels.iter().any(joined) {
+                channels.push((u, v, (0..2).sample(rng) == 0));
             }
         }
         let mut script = Script {

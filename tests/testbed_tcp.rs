@@ -265,7 +265,9 @@ fn socket_calls_per_frame_are_few_and_flat_in_the_node_count() {
 /// Each channel's two directions share one TCP connection, opened by
 /// the first frame either way: a run connects once per channel it
 /// used, and never more often than the topology has channels. One
-/// connection per direction made 234 connects on this run.
+/// connection per direction made 234 connects on this run. The run's
+/// request round trips are pinned beside them: a count that repeats
+/// exactly, where the run's wall time does not.
 #[test]
 fn a_run_connects_once_per_channel_it_uses() {
     let net = testbed_topology(60, 1000, 1500, 41);
@@ -274,6 +276,7 @@ fn a_run_connects_once_per_channel_it_uses() {
     assert!(report.clean_shutdown);
     assert_eq!(report.connects, 117, "of {channels} channels");
     assert!(report.connects <= channels);
+    assert_eq!(report.requests, 443, "request round trips");
 }
 
 /// With every outbound frame dropped, Spider's up-front probes all go
